@@ -16,7 +16,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from yamada.diagram import DiagramCode, code_to_dict, make_code, yamada_r
 from yamada.laurent import compare_up_to_unit
-from yamada.roots import omega_member
+from yamada.roots import _family_roots_full, omega_member
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 
@@ -158,6 +158,29 @@ def find_omega_false_point() -> dict:
     raise RuntimeError("no point outside the region in the scanned square")
 
 
+def freeze_refine_cell(n: int, s: int, k: int, sign: str) -> None:
+    """Freeze the roots and residuals of one family member.  The cell is
+    expected to lean on the high-precision refine: the test reproduces
+    the records to the bit, so it must be all roots, all certified and
+    free of merged pairs."""
+    roots, residuals, degree = _family_roots_full(n, s, k, sign, None, 4000)
+    if len(roots) != degree:
+        raise RuntimeError(f"({n},{s},{k},{sign}): {len(roots)} roots, "
+                           f"degree {degree}")
+    if max(residuals) > 1e-9:
+        raise RuntimeError(f"({n},{s},{k},{sign}): worst residual "
+                           f"{max(residuals):.3e}")
+    if len(set(roots)) != len(roots):
+        raise RuntimeError(f"({n},{s},{k},{sign}): two roots are equal")
+    rows = ",\n  ".join(
+        json.dumps([z.real, z.imag, r]) for z, r in zip(roots, residuals)
+    )
+    head = json.dumps({"cell": [n, s, k, sign], "degree": degree})[:-1]
+    path = OUT / f"refine_{n}_{s}_{k}.json"
+    path.write_text(f'{head}, "roots": [\n  {rows}\n]}}\n')
+    print(f"wrote {path.name} ({degree} roots)")
+
+
 def freeze_pair(name: str, move: str, relation: str, left, right) -> None:
     rl = yamada_r(left)
     rr = yamada_r(right)
@@ -196,6 +219,8 @@ def main() -> None:
     freeze_pair(
         "move_pair_r5", "r5", "unit", twisted_theta(), flat_theta()
     )
+
+    freeze_refine_cell(12, 4, 4, "+")
 
     point = find_omega_false_point()
     path = OUT / "omega_false_point.json"

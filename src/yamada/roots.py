@@ -44,7 +44,7 @@ import mpmath
 import numpy as np
 
 from .errors import YamadaError
-from .laurent import LaurentPoly, PoleAtZero, exact_div, sigma
+from .laurent import LaurentPoly, PoleAtZero, _poly_gcd, exact_div, sigma
 from .replace import (
     DegreeCap,
     family_degree_estimate,
@@ -523,37 +523,20 @@ _CYCLOTOMIC_ROOTS = (
 )
 
 
-def _nonconstant_gcd(p: LaurentPoly, q: LaurentPoly) -> bool:
-    """Whether two Laurent polynomials share a nonunit factor (exact
-    Euclid over the rationals)."""
-    a = [Fraction(c) for c in p.dense_coeffs()[1]]
-    b = [Fraction(c) for c in q.dense_coeffs()[1]]
-    while b:
-        r = a[:]
-        while len(r) >= len(b):
-            f = r[-1] / b[-1]
-            off = len(r) - len(b)
-            for i in range(len(b) - 1):
-                r[off + i] -= f * b[i]
-            r.pop()
-            while r and r[-1] == 0:
-                r.pop()
-        a, b = b, r
-    return len(a) > 1
-
-
 @lru_cache(maxsize=None)
 def _power_tables(s: int, k: int, sign: str) -> tuple:
     """Evaluation tables for one family's power-sum structure.
 
-    Returns (parts, has_cyclotomic): dense float coefficients with their
-    leading exponents, plus derivative rows, for lambda1, lambda2,
-    lambda1 / c and sigma / c, where c is the cyclotomic z^2 + z + 1 when
-    it divides lambda1 (it always divides sigma) and the constant 1
-    otherwise.  Factoring c out matters because its roots are zeros of
-    both power terms at once: the polynomial vanishes there without any
-    cancellation between the terms, which no residual built on their
-    competition can certify.  The lambdas have small integer
+    Returns (parts, has_cyclotomic), one part for each of lambda1,
+    lambda2, lambda1 / c and sigma / c, where c is the cyclotomic
+    z^2 + z + 1 when it divides lambda1 (it always divides sigma) and the
+    constant 1 otherwise.  A part is (lo, exact, c, dc): the leading
+    exponent, the integer coefficients (ascending, for the high precision
+    pass), their float row, and the float row of the derivative, whose
+    exponents start at lo - 1.  Factoring c out matters because its roots
+    are zeros of both power terms at once: the polynomial vanishes there
+    without any cancellation between the terms, which no residual built
+    on their competition can certify.  The lambdas have small integer
     coefficients, so all of this evaluates to full precision.
 
     The two lambdas sharing a factor of their own would put roots of the
@@ -561,7 +544,7 @@ def _power_tables(s: int, k: int, sign: str) -> tuple:
     does not happen for any cell this module is asked about).
     """
     l1, l2 = _limit_terms(s, k, sign)
-    if _nonconstant_gcd(l1, l2):
+    if len(_poly_gcd(l1.dense_coeffs()[1], l2.dense_coeffs()[1])) > 1:
         raise YamadaError(
             f"the two power terms for (s, k) = ({s}, {k}) share a factor;"
             " the family root structure is degenerate there"
@@ -577,27 +560,44 @@ def _power_tables(s: int, k: int, sign: str) -> tuple:
     for p in (l1, l2, l1_red, sig_red):
         lo, cs = p.dense_coeffs()
         c = np.array([float(x) for x in cs], dtype=float)
-        parts.append((lo, c, lo - 1, c * (lo + np.arange(len(c)))))
+        parts.append((lo, tuple(cs), c, c * (lo + np.arange(len(c)))))
     return tuple(parts), has_cyc
 
 
-@lru_cache(maxsize=None)
-def _exact_tables(s: int, k: int, sign: str) -> tuple:
-    """The same four parts as _power_tables, with the integer coefficient
-    rows kept exact for high precision work."""
-    l1, l2 = _limit_terms(s, k, sign)
-    has_cyc = _power_tables(s, k, sign)[1]
-    l1_red = exact_div(l1, _CYCLOTOMIC) if has_cyc else l1
-    sig_red = exact_div(sigma(), _CYCLOTOMIC) if has_cyc else sigma()
-    parts = []
-    for p in (l1, l2, l1_red, sig_red):
-        lo, cs = p.dense_coeffs()
-        dcs = tuple(c * (lo + i) for i, c in enumerate(cs))
-        parts.append((lo, tuple(cs), lo - 1, dcs))
-    return tuple(parts)
-
-
 _REFINE_ABOVE = 1e-10
+_PREC = 240
+
+
+def _horner_fixed(cs: tuple, x: int, y: int) -> tuple[int, int, int, int]:
+    """p(z) and p'(z) for the integer coefficients cs (ascending) at
+    z = (x + iy) / 2^_PREC, in one Horner pass over Gaussian integers on
+    the same fixed-point scale; every product is truncated back to it.
+    Returns (re p, im p, re p', im p')."""
+    f = _PREC
+    pr, pi = cs[-1] << f, 0
+    dr = di = 0
+    for c in cs[-2::-1]:
+        dr, di = ((dr * x - di * y) >> f) + pr, ((dr * y + di * x) >> f) + pi
+        pr, pi = ((pr * x - pi * y) >> f) + (c << f), (pr * y + pi * x) >> f
+    return pr, pi, dr, di
+
+
+def _repulsion_fixed(pts: list[tuple[int, int]]) -> list[list[int]]:
+    """The Aberth repulsion sum over j != i of 1 / (z_i - z_j) among the
+    points z = (x + iy) / 2^_PREC, as Gaussian integers on the same
+    fixed-point scale; each pair is divided once and used twice."""
+    f2 = 2 * _PREC
+    out = [[0, 0] for _ in pts]
+    for i, (xi, yi) in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            dx, dy = xi - pts[j][0], yi - pts[j][1]
+            m = dx * dx + dy * dy
+            tr, ti = (dx << f2) // m, (-dy << f2) // m
+            out[i][0] += tr
+            out[i][1] += ti
+            out[j][0] -= tr
+            out[j][1] -= ti
+    return out
 
 
 def _refine_mp(
@@ -608,7 +608,7 @@ def _refine_mp(
     flagged: np.ndarray,
     frozen: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Aberth refinement of a few flagged points at 240-bit precision.
+    """Aberth refinement of a few flagged points, certified at 240 bits.
 
     Where the two power terms have near-coincident zeros (the tightest
     pair over the working grid sits 1.2e-5 apart), their values at a
@@ -616,61 +616,85 @@ def _refine_mp(
     double-precision residual floors around 1e-7 regardless of how good
     the point is.  The points are fine; the certificate needs more bits.
     This refines just the flagged points against the exact integer
-    tables, with the rest of the configuration entering the repulsion
-    sum frozen, then rounds each result back to a double and reports the
-    residual evaluated in high precision at the rounded point, so the
-    record stays an honest statement about the root actually returned.
+    tables, then rounds each result back to a double and reports the
+    residual evaluated at 240 bits at the rounded point, so the record
+    stays an honest statement about the root actually returned.
+
+    Only what the certificate and the crowded pairs need runs at 240
+    bits.  The four parts and their derivatives come from one
+    fixed-point Horner pass over Gaussian integers (_horner_fixed); the
+    power terms and the Newton ratio are formed in mpmath from those,
+    over a common power of z that cancels from both.  Crowded flagged
+    pairs can sit closer than double resolution, so the repulsion among
+    the flagged points is summed in the same 240-bit fixed point
+    (_repulsion_fixed).  The rest of the configuration enters the
+    repulsion frozen, summed in float64 once per iteration at the
+    rounded iterates: no frozen point lies within 0.1/d of a flagged one
+    (_crowded flags both members of any closer pair), and that term only
+    steers the step.
     """
-    parts = _exact_tables(s, k, sign)
+    parts = [(lo, exact) for lo, exact, _, _ in _power_tables(s, k, sign)[0]]
+    (lo1, _), (lo2, _), (lo1c, _), (lo2s, _) = parts
+    # b1 and b2 carry z^e1 and z^e2; dividing both by the smaller power
+    # leaves the residual and the Newton step as they are
+    shift = (lo1 * (n - 1) + lo1c) - (lo2s + n * lo2)
+    mpf, mpc = mpmath.mpf, mpmath.mpc
+    to_fixed = mpmath.libmp.to_fixed
+    f = _PREC
 
-    def ev(part, z):
-        lo, cs, dlo, dcs = part
-        p = mpmath.mpc(0)
-        for c in reversed(cs):
-            p = p * z + c
-        q = mpmath.mpc(0)
-        for c in reversed(dcs):
-            q = q * z + c
-        return p * z**lo, q * z**dlo
+    def fixed(z):
+        return to_fixed(z.real._mpf_, f), to_fixed(z.imag._mpf_, f)
 
-    def terms(z):
-        a1, d1 = ev(parts[0], z)
-        a2, d2 = ev(parts[1], z)
-        a1c, d1c = ev(parts[2], z)
-        a2s, d2s = ev(parts[3], z)
-        b1 = a1 ** (n - 1) * a1c
-        b2 = a2s * a2**n
-        h1 = (n - 1) * d1 / a1 + d1c / a1c
-        h2 = d2s / a2s + n * d2 / a2
+    def terms(z, x, y):
+        """b1 and b2 over a common power of z, and z times the
+        derivative of b1 + b2 over the same power; (x, y) is z in fixed
+        point."""
+        ps, hs = [], []
+        for lo, cs in parts:
+            pr, pi, dr, di = _horner_fixed(cs, x, y)
+            # z d/dz (z^lo p) / (z^lo p) = (lo p + z p') / p
+            er = lo * pr + ((dr * x - di * y) >> f)
+            ei = lo * pi + ((dr * y + di * x) >> f)
+            p = mpc(mpf((pr, -f)), mpf((pi, -f)))
+            ps.append(p)
+            hs.append(mpc(mpf((er, -f)), mpf((ei, -f))) / p)
+        p1, p2, p1c, p2s = ps
+        b1 = p1 ** (n - 1) * p1c
+        b2 = p2s * p2**n
+        if shift > 0:
+            b1 *= z**shift
+        elif shift < 0:
+            b2 *= z**-shift
+        h1 = (n - 1) * hs[0] + hs[2]
+        h2 = hs[3] + n * hs[1]
         return b1, b2, b1 * h1 + b2 * h2
 
-    with mpmath.mp.workprec(240):
-        zs = [mpmath.mpc(w) for w in flagged]
-        others = [mpmath.mpc(w) for w in frozen]
-        target = mpmath.mpf(10) ** -30
+    with mpmath.mp.workprec(f):
+        zs = [mpc(w) for w in flagged]
+        target = mpf(10) ** -30
         for _ in range(40):
-            vals = [terms(z) for z in zs]
+            pts = [fixed(z) for z in zs]
+            vals = [terms(z, *xy) for z, xy in zip(zs, pts)]
             worst = max(
                 abs(b1 + b2) / (abs(b1) + abs(b2)) for b1, b2, _ in vals
             )
             if worst < target:
                 break
+            zd = np.array([complex(z) for z in zs])
+            far = (1.0 / (zd[:, None] - frozen[None, :])).sum(axis=1)
+            near = _repulsion_fixed(pts)
             news = []
-            for i, (z, (b1, b2, dq)) in enumerate(zip(zs, vals)):
-                rep = mpmath.mpc(0)
-                for j, w in enumerate(zs):
-                    if j != i:
-                        rep += 1 / (z - w)
-                for w in others:
-                    rep += 1 / (z - w)
-                step = (b1 + b2) / dq
+            for z, (b1, b2, dq), (rr, ri), w in zip(zs, vals, near, far):
+                rep = mpc(mpf((rr, -f)), mpf((ri, -f))) + complex(w)
+                step = z * (b1 + b2) / dq
                 news.append(z - step / (1 - step * rep))
             zs = news
         out = np.empty(len(zs), dtype=complex)
         res = np.empty(len(zs), dtype=float)
         for i, z in enumerate(zs):
             zd = complex(z)
-            b1, b2, _ = terms(mpmath.mpc(zd))
+            z = mpc(zd)
+            b1, b2, _ = terms(z, *fixed(z))
             out[i] = zd
             res[i] = float(abs(b1 + b2) / (abs(b1) + abs(b2)))
     return out, res
@@ -700,14 +724,14 @@ def _family_ratio(
     """
     (p1, p2, p1c, p2s), _ = tables
     pv = np.polynomial.polynomial.polyval
-    a1 = pv(z, p1[1]) * z ** p1[0]
-    a2 = pv(z, p2[1]) * z ** p2[0]
-    a1c = pv(z, p1c[1]) * z ** p1c[0]
-    a2s = pv(z, p2s[1]) * z ** p2s[0]
-    d1 = pv(z, p1[3]) * z ** p1[2]
-    d2 = pv(z, p2[3]) * z ** p2[2]
-    d1c = pv(z, p1c[3]) * z ** p1c[2]
-    d2s = pv(z, p2s[3]) * z ** p2s[2]
+    a1 = pv(z, p1[2]) * z ** p1[0]
+    a2 = pv(z, p2[2]) * z ** p2[0]
+    a1c = pv(z, p1c[2]) * z ** p1c[0]
+    a2s = pv(z, p2s[2]) * z ** p2s[0]
+    d1 = pv(z, p1[3]) * z ** (p1[0] - 1)
+    d2 = pv(z, p2[3]) * z ** (p2[0] - 1)
+    d1c = pv(z, p1c[3]) * z ** (p1c[0] - 1)
+    d2s = pv(z, p2s[3]) * z ** (p2s[0] - 1)
     if n == 1:
         t1 = np.log(a1c)
         h1 = d1c / a1c
@@ -1000,10 +1024,11 @@ def density_witness(
     negative one (its roots are the reciprocal cloud).  Cells are
     visited in the shell order of _witness_plan, so cheap certificates
     win and doubling the caps never degrades the answer; the first cell
-    containing a root inside the eps disc returns a Witness for the
-    closest such root.  Cells whose degree estimate exceeds the degree
-    cap are outside the search space.  If the caps run out, NotFound
-    reports the closest root seen anywhere in the grid.
+    containing a certified root (residual at most tol) inside the eps
+    disc returns a Witness for the closest such root.  Cells whose
+    degree estimate exceeds the degree cap are outside the search space.
+    If the caps run out, NotFound reports the closest root seen anywhere
+    in the grid, certified or not.
 
     jobs > 1 precomputes upcoming cells in worker processes while the
     results are still consumed in visit order, so the outcome is the
@@ -1033,7 +1058,7 @@ def density_witness(
             dist = abs(rec.root - z0)
             if dist < best_d:
                 best, best_d = rec, dist
-            if dist < eps and dist < hit_d:
+            if dist < eps and dist < hit_d and rec.residual <= tol:
                 hit, hit_d = rec, dist
         return hit, hit_d
 

@@ -7,6 +7,7 @@ import pathlib
 import random
 import xml.etree.ElementTree as ET
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,11 +17,15 @@ from yamada.roots import (
     NoConvergence,
     NotFound,
     PoleEncountered,
+    RootRecord,
     SearchCaps,
     Witness,
     ZeroPolynomial,
     _family_roots_full,
     _find_roots_full,
+    _horner_fixed,
+    _power_tables,
+    _repulsion_fixed,
     density_witness,
     find_roots,
     limit_curve_gap,
@@ -150,6 +155,65 @@ def test_family_refinement_cell():
     assert degree == 325
     assert len(roots) == degree
     assert max(res) <= 1e-9
+    # and reproduce the records frozen with an all-mpmath refine: real
+    # parts and residuals to the bit, imaginary parts too except on the
+    # real axis, where both are 240-bit noise
+    d = json.loads((FIXTURES / "refine_12_4_4.json").read_text())
+    assert d["cell"] == [12, 4, 4, "+"] and len(d["roots"]) == degree
+    for z, r, (re, im, rr) in zip(roots, res, d["roots"]):
+        assert z.real == re and r == rr
+        assert z.imag == im or max(abs(z.imag), abs(im)) < 1e-30 * abs(z)
+
+
+def test_horner_fixed_matches_polyval():
+    # inside and outside the unit circle, and between the (4, 4) lambda
+    # zeros that sit 1.2e-5 apart, where the parts nearly vanish; the
+    # points fill all 240 fraction bits, not just a double's 53
+    points = [0.3 + 0.4j, -0.05 + 0.02j, -2.5 + 1.7j, 4.0 - 0.5j,
+              -0.8408559583846054 - 1.551641061573222e-06j]
+    parts = _power_tables(4, 4, "+")[0]
+    fill = 2**180 // 3
+    for z in points:
+        x = int(math.ldexp(z.real, 240)) + fill
+        y = int(math.ldexp(z.imag, 240)) - fill
+        with mpmath.workprec(300):
+            zz = mpmath.mpc(mpmath.mpf((x, -240)), mpmath.mpf((y, -240)))
+        for _, cs, _, _ in parts:
+            pr, pi, dr, di = _horner_fixed(cs, x, y)
+            with mpmath.workprec(240):
+                p, dp = mpmath.polyval(cs[::-1], zz, derivative=True)
+                got_p = mpmath.mpc(mpmath.mpf((pr, -240)), mpmath.mpf((pi, -240)))
+                got_dp = mpmath.mpc(mpmath.mpf((dr, -240)), mpmath.mpf((di, -240)))
+                assert abs(got_p - p) <= 1e-60 * abs(p)
+                assert abs(got_dp - dp) <= 1e-60 * abs(dp)
+
+
+def test_repulsion_fixed_matches_mpc_sum():
+    # the last two points are closer than double resolution apart
+    pts = [(int(math.ldexp(z.real, 240)), int(math.ldexp(z.imag, 240)))
+           for z in (0.5 + 0.25j, -1.5 + 2.0j, 0.1 - 0.3j)]
+    pts.append((pts[-1][0] + 2**150 // 3, pts[-1][1] - 2**140))
+    with mpmath.workprec(300):
+        zs = [mpmath.mpc(mpmath.mpf((x, -240)), mpmath.mpf((y, -240)))
+              for x, y in pts]
+    got = _repulsion_fixed(pts)
+    with mpmath.workprec(240):
+        for i, z in enumerate(zs):
+            want = mpmath.fsum(1 / (z - w) for j, w in enumerate(zs) if j != i)
+            rep = mpmath.mpc(mpmath.mpf((got[i][0], -240)),
+                             mpmath.mpf((got[i][1], -240)))
+            assert abs(rep - want) <= 1e-60 * abs(want)
+
+
+def test_family_crowded_roots_stay_apart():
+    # 45 of the 433 points of (16, 4, 4) are crowded; a refine that
+    # merged a pair would return two copies of one root
+    roots, res, degree = _family_roots_full(16, 4, 4, "+", None, 4000)
+    assert len(roots) == degree and max(res) <= 1e-9
+    z = np.array(roots)
+    gap = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(gap, np.inf)
+    assert bool((gap.min(axis=1) > 1e-14 * np.abs(z)).all())
 
 
 def test_family_polish_stability():
@@ -279,6 +343,18 @@ def test_density_witness_argument_guards():
         density_witness(0.01, 0.1)
     with pytest.raises(ValueError):
         density_witness(25.0, 0.1)
+
+
+def test_density_witness_skips_uncertified_record():
+    # a record above tol inside the eps disc must not come back as a
+    # witness, even when it is the only record of the only cell
+    z0 = 0.5j
+    rec = RootRecord(root=z0 + 0.01, n=1, s=1, k=1, sign="+",
+                     residual=1e-6, degree=1)
+    cache = {(1, 1, 1, "+"): (rec,)}
+    out = density_witness(z0, 0.25, caps=SearchCaps(1, 1, 1, 4000), cache=cache)
+    assert not isinstance(out, Witness)
+    assert isinstance(out, NotFound) and out.closest is rec
 
 
 def test_density_notfound_reports_closest_and_shrinks_with_caps():
