@@ -88,13 +88,6 @@ def two_vertex_h(
     return exact_div(num, s)
 
 
-def two_vertex_r(
-    r1: LaurentPoly, r2: LaurentPoly, k1: LaurentPoly, k2: LaurentPoly
-) -> LaurentPoly:
-    """Same combination at the diagram level."""
-    return two_vertex_h(r1, r2, k1, k2)
-
-
 def r_compose(shape: str, pieces: Sequence[PieceInvariants]) -> LaurentPoly:
     """Assemble pieces into a cycle, a theta bundle, or a bouquet.
 
@@ -160,13 +153,17 @@ def infinity_closed_form(k: int, sign: str = "+") -> PieceInvariants:
 
 
 @lru_cache(maxsize=None)
-def _bead_invariants(s: int, k: int, sign: str) -> PieceInvariants:
-    # every n of a family sweep reuses the same bead, and the degree
-    # estimate is called once per n, so this cache carries the grid scans
+def family_lambdas(
+    s: int, k: int, sign: str
+) -> tuple[LaurentPoly, LaurentPoly]:
+    """The two powers of the family, lambda1 = -r and lambda2 =
+    (r + r_closed) / sigma for the theta bead of s twist bands of length
+    k, so that the n-cycle of beads has invariant lambda1^n + sigma
+    lambda2^n.  Every n of a sweep and every root evaluation reuse them."""
     tw = infinity_closed_form(k, sign)
     bead_r = r_compose("theta", [tw] * s)
     bead_closed = r_compose("bouquet", [tw] * s)
-    return PieceInvariants(bead_r, bead_closed)
+    return -bead_r, exact_div(bead_r + bead_closed, sigma())
 
 
 def family_polynomial(
@@ -177,28 +174,22 @@ def family_polynomial(
     powers are formed."""
     if n < 1 or s < 1 or k < 1:
         raise ValueError("family parameters must all be at least 1")
-    bead = _bead_invariants(s, k, sign)
-    sig = sigma()
-    estimate = max(
-        n * bead.r.span(),
-        n * (bead.r + bead.r_closed).span() - 2 * (n - 1) + 2,
-    )
+    estimate = family_degree_estimate(n, s, k, sign)
     if degree_cap is not None and estimate > degree_cap:
         raise DegreeCap(
             f"predicted degree {estimate} exceeds the cap {degree_cap}"
         )
-    beta_bead = exact_div(bead.r + bead.r_closed, sig)
-    return (-bead.r) ** n + sig * beta_bead ** n
+    l1, l2 = family_lambdas(s, k, sign)
+    return l1**n + sigma() * l2**n
 
 
 def family_degree_estimate(n: int, s: int, k: int, sign: str = "+") -> int:
     """Upper bound on the coefficient span of family_polynomial, cheap
-    enough to drive sweep planning without forming the cycle powers."""
-    bead = _bead_invariants(s, k, sign)
-    return max(
-        n * bead.r.span(),
-        n * (bead.r + bead.r_closed).span() - 2 * (n - 1) + 2,
-    )
+    enough to drive sweep planning without forming the cycle powers.  The
+    sigma factor adds 2 to the second term's span; the bound carries 2
+    more, as the sweep and witness plans were drawn with it."""
+    l1, l2 = family_lambdas(s, k, sign)
+    return max(n * l1.span(), n * l2.span() + 4)
 
 
 def h_edge_replace(

@@ -24,7 +24,7 @@ integer coefficients.
 
 General Laurent polynomials (without the power-sum structure) still go
 through the dense path, with residuals normalized by the largest
-evaluated term |c_j z^j|; see _residuals.  Records for the negative
+evaluated term |c_j z^j|; see _dense_eval.  Records for the negative
 family are the exact reciprocals of the positive ones (mirror identity),
 which halves the grid work; the residual carries over unchanged because
 E at the reciprocal point of the mirrored family is the same number.
@@ -34,24 +34,19 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import lru_cache, partial
+from typing import Iterable, Iterator, Sequence
 
 import mpmath
 import numpy as np
 
 from .errors import YamadaError
 from .laurent import LaurentPoly, PoleAtZero, _poly_gcd, exact_div, sigma
-from .replace import (
-    DegreeCap,
-    family_degree_estimate,
-    family_polynomial,
-    infinity_closed_form,
-    r_compose,
-)
+from .replace import family_degree_estimate, family_lambdas, family_polynomial
 
 
 class ZeroPolynomial(YamadaError):
@@ -86,10 +81,15 @@ class RootRecord:
 
 @dataclass(frozen=True)
 class Witness:
+    """Search outcome when a certified root landed inside the epsilon
+    disc, with the count of uncertified records (residual above tol) the
+    search passed over on the way."""
+
     target: complex
     epsilon: float
     found: RootRecord
     distance: float
+    uncertified: int
 
 
 @dataclass(frozen=True)
@@ -107,14 +107,17 @@ class SearchCaps:
 
 @dataclass(frozen=True)
 class NotFound:
-    """Search outcome when no root landed inside the epsilon disc: the
-    closest record seen over the whole capped grid, and the caps."""
+    """Search outcome when no certified root landed inside the epsilon
+    disc: the closest certified record seen over the whole capped grid,
+    the caps, and the count of uncertified records the search passed
+    over."""
 
     target: complex
     epsilon: float
     closest: RootRecord | None
     distance: float
     caps: SearchCaps
+    uncertified: int
 
 
 # ---------------------------------------------------------------------------
@@ -130,20 +133,17 @@ def _log_abs(c) -> float:
     return math.log(abs(c))
 
 
-def _initial_points(logmags: Sequence[float]) -> np.ndarray:
+def _initial_points(coeffs: Sequence) -> np.ndarray:
     """Starting points from the upper convex hull of (i, log|c_i|).
 
-    Takes the coefficient log-magnitudes directly (-inf marks a zero
-    coefficient) so callers with exact integer coefficients far beyond
-    float range can still use the hull.  Each hull edge from index l to u
-    contributes u - l points on the circle of radius
+    The coefficients may be exact integers far beyond float range; their
+    magnitudes only enter through _log_abs.  Each hull edge from index l
+    to u contributes u - l points on the circle of radius
     (|c_l| / |c_u|)^(1/(u-l)), the classical estimate for how many roots
     live near that modulus.  Angles are spread with a golden-ratio
     stagger per edge so no start sits on a symmetry axis.
     """
-    pts = [
-        (i, lm) for i, lm in enumerate(logmags) if lm != -math.inf
-    ]
+    pts = [(i, _log_abs(c)) for i, c in enumerate(coeffs) if c != 0]
     hull: list[tuple[int, float]] = []
     for p in pts:
         while len(hull) >= 2:
@@ -153,7 +153,7 @@ def _initial_points(logmags: Sequence[float]) -> np.ndarray:
             else:
                 break
         hull.append(p)
-    out = np.empty(len(logmags) - 1, dtype=complex)
+    out = np.empty(len(coeffs) - 1, dtype=complex)
     pos = 0
     for e in range(len(hull) - 1):
         (lo, alo), (up, aup) = hull[e], hull[e + 1]
@@ -171,39 +171,14 @@ def _initial_points(logmags: Sequence[float]) -> np.ndarray:
     return out
 
 
-def _newton_ratio(cs: np.ndarray, rev: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """p(z)/p'(z) for the ascending coefficient vector cs, evaluated
-    directly inside the unit circle and through the reversed polynomial
-    q(w) = w^d p(1/w) outside, where the direct Horner overflows."""
-    d = len(cs) - 1
-    out = np.empty_like(z)
-    inner = np.abs(z) <= 1.0
-    if inner.any():
-        zi = z[inner]
-        p = np.full_like(zi, cs[-1])
-        dp = np.zeros_like(zi)
-        for a in cs[-2::-1]:
-            dp = dp * zi + p
-            p = p * zi + a
-        out[inner] = p / dp
-    if not inner.all():
-        zo = z[~inner]
-        w = 1.0 / zo
-        q = np.full_like(zo, rev[-1])
-        dq = np.zeros_like(zo)
-        for a in rev[-2::-1]:
-            dq = dq * w + q
-            q = q * w + a
-        out[~inner] = zo * q / (d * q - w * dq)
-    return out
+def _dense_eval(
+    cs: np.ndarray, guard: float, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual |p(z)| / (guard + max_j |c_j z^j|) and Newton ratio
+    p(z)/p'(z) for the ascending coefficient vector cs, from one Horner
+    pass that also carries the largest term.
 
-
-def _residuals(
-    cs: np.ndarray, rev: np.ndarray, z: np.ndarray, guard: float
-) -> np.ndarray:
-    """|p(z)| / (guard + max_j |c_j z^j|), the term-normalized residual.
-
-    Dividing by the largest evaluated term makes the number scale-free:
+    Dividing by the largest evaluated term makes the residual scale-free:
     a true root sits at a few units of machine epsilon regardless of the
     root's modulus, while a point off by delta reports about
     degree * delta / |z|.  Dividing by the largest plain coefficient
@@ -212,74 +187,80 @@ def _residuals(
     tolerance even in exact arithmetic, because the root itself only
     carries double precision.  The guard keeps the denominator positive;
     callers pass 1/max|coefficient| so the unscaled reading is
-    |p| / (1 + largest term).  The identity |p(z)| = |z|^d |q(1/z)| for
-    the reversed polynomial q keeps both factors finite outside the unit
-    circle, where the ratio is formed without ever exponentiating |z|^d.
+    |p| / (1 + largest term).  Outside the unit circle, where the direct
+    Horner overflows, everything goes through the reversed polynomial
+    q(w) = w^d p(1/w): the identity |p(z)| = |z|^d |q(1/z)| keeps both
+    factors of the residual finite without ever exponentiating |z|^d.
     """
+
+    def horner(x, desc):
+        t = np.abs(x)
+        p = np.full_like(x, desc[0])
+        dp = np.zeros_like(x)
+        m = np.full_like(t, abs(desc[0]))
+        for a in desc[1:]:
+            dp = dp * x + p
+            p = p * x + a
+            m = np.maximum(m * t, abs(a))
+        return p, dp, t, m
+
+    d = len(cs) - 1
     res = np.empty(len(z), dtype=float)
+    ratio = np.empty_like(z)
     inner = np.abs(z) <= 1.0
     if inner.any():
-        zi = z[inner]
-        t = np.abs(zi)
-        p = np.full_like(zi, cs[-1])
-        m = np.full_like(t, abs(cs[-1]))
-        for a in cs[-2::-1]:
-            p = p * zi + a
-            m = np.maximum(m * t, abs(a))
+        p, dp, _, m = horner(z[inner], cs[::-1])
         res[inner] = np.abs(p) / (guard + m)
+        ratio[inner] = p / dp
     if not inner.all():
         zo = z[~inner]
         w = 1.0 / zo
-        t = np.abs(w)
-        q = np.full_like(zo, rev[-1])
-        m = np.full_like(t, abs(rev[-1]))
-        for a in rev[-2::-1]:
-            q = q * w + a
-            m = np.maximum(m * t, abs(a))
+        q, dq, t, m = horner(w, cs)
         # both |p(z)| and the largest term carry the common factor
         # |z|^d, which cancels; the guard shrinks by the same factor
         # and t^d underflows harmlessly for large |z|
-        res[~inner] = np.abs(q) / (guard * t ** (len(rev) - 1) + m)
-    return res
+        res[~inner] = np.abs(q) / (guard * t**d + m)
+        ratio[~inner] = zo * q / (d * q - w * dq)
+    return res, ratio
 
 
 def _aberth(
-    cs: np.ndarray, guard: float, max_iter: int, chunk: int = 512
-) -> np.ndarray:
-    """Simultaneous iteration with per-point freezing.
+    evaluate, z: np.ndarray, max_iter: int, chunk: int = 512
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simultaneous Aberth-Ehrlich iteration with per-point freezing,
+    from the starting points z (updated in place).
+
+    evaluate(z) returns (residuals, newton_ratios) at the points z: a
+    scale-free residual that reaches machine scale at a root, and the
+    Newton correction p/p' of the polynomial whose roots are sought.
 
     A point whose residual reaches machine scale is frozen: it still
     repels the others but stops moving, so a resonant denominator at a
     near-double root cannot kick settled points loose again.  The best
     full configuration seen (by worst residual) is kept as a fallback in
-    case the last stragglers wander at the iteration cap.
+    case the last stragglers wander at the iteration cap.  Returns the
+    points and their residuals.
     """
-    d = len(cs) - 1
-    rev = cs[::-1].copy()
-    z = _initial_points(
-        [-math.inf if c == 0.0 else math.log(abs(c)) for c in cs]
-    )
-    freeze_tol = 100.0 * d * np.finfo(float).eps
+    freeze_tol = 100.0 * len(z) * np.finfo(float).eps
     best = z.copy()
     best_score = math.inf
     with np.errstate(all="ignore"):
         for it in range(max_iter):
-            res = _residuals(cs, rev, z, guard)
+            res, ratio = evaluate(z)
             score = float(np.max(res))
             if score < best_score:
                 best_score = score
                 best = z.copy()
             idx = np.nonzero(res > freeze_tol)[0]
             if len(idx) == 0:
-                return z
-            ratio = _newton_ratio(cs, rev, z[idx])
+                return z, res
             rep = np.empty(len(idx), dtype=complex)
             for a in range(0, len(idx), chunk):
                 sub = idx[a : a + chunk]
                 blk = z[sub, None] - z[None, :]
                 blk[np.arange(len(sub)), sub] = np.inf
                 rep[a : a + chunk] = (1.0 / blk).sum(axis=1)
-            step = ratio / (1.0 - ratio * rep)
+            step = ratio[idx] / (1.0 - ratio[idx] * rep)
             bad = ~np.isfinite(step)
             if bad.any():
                 # a stalled iterate (p' = 0 or overflow): nudge it off
@@ -287,29 +268,54 @@ def _aberth(
                     2j * math.pi * _GOLDEN * (idx[bad] + it + 1)
                 )
             z[idx] = z[idx] - step
-        res = _residuals(cs, rev, z, guard)
+        res, _ = evaluate(z)
         if float(np.max(res)) > best_score:
-            return best
-    return z
+            z = best
+            res, _ = evaluate(z)
+    return z, res
 
 
 def _polish(
-    cs: np.ndarray,
-    rev: np.ndarray,
-    z: np.ndarray,
-    res: np.ndarray,
-    guard: float,
-    rounds: int,
+    evaluate, z: np.ndarray, rounds: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Newton steps that are only kept when they lower the residual."""
+    """Newton steps that are only kept when they lower the residual;
+    evaluate is the same kind of evaluator _aberth takes.  Returns the
+    points and their residuals."""
     with np.errstate(all="ignore"):
+        res, ratio = evaluate(z)
         for _ in range(rounds):
-            z2 = z - _newton_ratio(cs, rev, z)
-            r2 = _residuals(cs, rev, z2, guard)
+            z2 = z - ratio
+            r2, ratio2 = evaluate(z2)
             better = r2 < res
             z = np.where(better, z2, z)
             res = np.where(better, r2, res)
+            ratio = np.where(better, ratio2, ratio)
     return z, res
+
+
+def _root_key(z: complex) -> tuple:
+    """The order roots are reported in: by angle, then modulus."""
+    return (cmath.phase(z), abs(z), z.real, z.imag)
+
+
+def _ordered(
+    z: Iterable, res: Iterable, tol: float | None
+) -> tuple[list[complex], list[float]]:
+    """Roots and residuals in _root_key order, or NoConvergence carrying
+    both when some residual is above tol (None skips the gate)."""
+    pool = sorted(
+        zip(map(complex, z), map(float, res)), key=lambda t: _root_key(t[0])
+    )
+    roots = [t[0] for t in pool]
+    residuals = [t[1] for t in pool]
+    if tol is not None and any(r > tol for r in residuals):
+        worst = max(residuals)
+        raise NoConvergence(
+            f"worst residual {worst:.3e} above tolerance {tol:.3e}",
+            roots,
+            residuals,
+        )
+    return roots, residuals
 
 
 def _find_roots_full(
@@ -334,29 +340,13 @@ def _find_roots_full(
         return [], [], 0
     big = max(abs(c) for c in coeffs)
     cs = np.array([float(Fraction(c, big)) for c in coeffs], dtype=float)
-    guard = float(Fraction(1, big))
-    rev = cs[::-1].copy()
+    evaluate = partial(_dense_eval, cs, float(Fraction(1, big)))
     if d == 1:
         z = np.array([complex(Fraction(-coeffs[0], coeffs[1]))])
     else:
-        z = _aberth(cs, guard, max_iter)
-    with np.errstate(all="ignore"):
-        res = _residuals(cs, rev, z, guard)
-    z, res = _polish(cs, rev, z, res, guard, polish_rounds)
-    order = sorted(
-        range(d),
-        key=lambda i: (cmath.phase(z[i]), abs(z[i]), z[i].real, z[i].imag),
-    )
-    roots = [complex(z[i]) for i in order]
-    residuals = [float(res[i]) for i in order]
-    if tol is not None and any(r > tol for r in residuals):
-        worst = max(residuals)
-        raise NoConvergence(
-            f"worst residual {worst:.3e} above tolerance {tol:.3e}",
-            roots,
-            residuals,
-        )
-    return roots, residuals, d
+        z, _ = _aberth(evaluate, _initial_points(cs), max_iter)
+    z, res = _polish(evaluate, z, polish_rounds)
+    return (*_ordered(z, res, tol), d)
 
 
 def find_roots(p: LaurentPoly, tol: float = 1e-9) -> list[complex]:
@@ -372,16 +362,6 @@ def find_roots(p: LaurentPoly, tol: float = 1e-9) -> list[complex]:
 
 # ---------------------------------------------------------------------------
 # the two-term limit set
-
-@lru_cache(maxsize=None)
-def _limit_terms(
-    s: int, k: int, sign: str = "+"
-) -> tuple[LaurentPoly, LaurentPoly]:
-    tw = infinity_closed_form(k, sign)
-    bead_r = r_compose("theta", [tw] * s)
-    bead_closed = r_compose("bouquet", [tw] * s)
-    return -bead_r, exact_div(bead_r + bead_closed, sigma())
-
 
 def limit_curve_gap(z: complex, s: int, k: int) -> float:
     """|lambda1(z)| - |lambda2(z)| for the two powers competing in the
@@ -399,7 +379,7 @@ def limit_curve_gap(z: complex, s: int, k: int) -> float:
     sig = z + 1.0 + 1.0 / z
     if abs(sig) < 1e-12 or abs(sig + 1.0) < 1e-12:
         raise PoleEncountered(f"sigma({z}) is 0 or -1")
-    l1, l2 = _limit_terms(s, k)
+    l1, l2 = family_lambdas(s, k, "+")
     return abs(l1.eval_complex(z)) - abs(l2.eval_complex(z))
 
 
@@ -432,7 +412,7 @@ def limit_curve_points(
     come back sorted by angle then radius, deterministically for fixed
     arguments.
     """
-    l1, l2 = _limit_terms(s, k)
+    l1, l2 = family_lambdas(s, k, "+")
     radii = np.geomspace(r_lo, r_hi, radial)
     step = 2 * math.pi / angles
     thetas = step * np.arange(angles)
@@ -443,55 +423,48 @@ def limit_curve_points(
     finite = np.isfinite(gaps)
     found: list[tuple[float, float]] = []
 
+    def bisect(lo, hi, glo, point, scale=1.0):
+        """Midpoints of the sign-change brackets [lo, hi] (the gap is glo
+        at lo), halved until each is shorter than refine once multiplied
+        by scale; point maps the bracket parameter to z."""
+        with np.errstate(all="ignore"):
+            for _ in range(80):
+                if not len(lo) or float(np.max((hi - lo) * scale)) <= refine:
+                    break
+                mid = 0.5 * (lo + hi)
+                gm = _gap_vectorized(point(mid), l1, l2)
+                left = np.sign(gm) * np.sign(glo) > 0
+                lo = np.where(left, mid, lo)
+                glo = np.where(left, gm, glo)
+                hi = np.where(left, hi, mid)
+        return 0.5 * (lo + hi)
+
     # sign changes along each ray, bisected in radius
-    cross = np.nonzero(
+    ai, ri = np.nonzero(
         finite[:, :-1]
         & finite[:, 1:]
         & (np.sign(gaps[:, :-1]) * np.sign(gaps[:, 1:]) < 0)
     )
-    ai, ri = cross
-    lo = radii[ri]
-    hi = radii[ri + 1]
-    glo = gaps[ai, ri]
     us = units[ai]
-    with np.errstate(all="ignore"):
-        for _ in range(80):
-            if not len(lo) or float(np.max(hi - lo)) <= refine:
-                break
-            mid = 0.5 * (lo + hi)
-            gm = _gap_vectorized(mid * us, l1, l2)
-            left = np.sign(gm) * np.sign(glo) > 0
-            lo = np.where(left, mid, lo)
-            glo = np.where(left, gm, glo)
-            hi = np.where(left, hi, mid)
-    found.extend(
-        (float(thetas[a]), float(m)) for a, m in zip(ai, 0.5 * (lo + hi))
-    )
+    mids = bisect(radii[ri], radii[ri + 1], gaps[ai, ri], lambda m: m * us)
+    found.extend((float(thetas[a]), float(m)) for a, m in zip(ai, mids))
 
     # sign changes along each circle, bisected in angle
     rolled = np.vstack([gaps[1:], gaps[:1]])
     frolled = np.vstack([finite[1:], finite[:1]])
-    cross = np.nonzero(
+    ai, ri = np.nonzero(
         finite & frolled & (np.sign(gaps) * np.sign(rolled) < 0)
     )
-    ai, ri = cross
     rad = radii[ri]
-    tlo = thetas[ai]
-    thi = tlo + step
-    glo = gaps[ai, ri]
-    with np.errstate(all="ignore"):
-        for _ in range(80):
-            if not len(tlo) or float(np.max((thi - tlo) * rad)) <= refine:
-                break
-            tm = 0.5 * (tlo + thi)
-            gm = _gap_vectorized(rad * np.exp(1j * tm), l1, l2)
-            left = np.sign(gm) * np.sign(glo) > 0
-            tlo = np.where(left, tm, tlo)
-            glo = np.where(left, gm, glo)
-            thi = np.where(left, thi, tm)
+    mids = bisect(
+        thetas[ai],
+        thetas[ai] + step,
+        gaps[ai, ri],
+        lambda t: rad * np.exp(1j * t),
+        rad,
+    )
     found.extend(
-        (float(t) % (2 * math.pi), float(r))
-        for t, r in zip(0.5 * (tlo + thi), rad)
+        (float(t) % (2 * math.pi), float(r)) for t, r in zip(mids, rad)
     )
 
     found.sort()
@@ -543,7 +516,7 @@ def _power_tables(s: int, k: int, sign: str) -> tuple:
     family outside every tool here, so that case is refused loudly (it
     does not happen for any cell this module is asked about).
     """
-    l1, l2 = _limit_terms(s, k, sign)
+    l1, l2 = family_lambdas(s, k, sign)
     if len(_poly_gcd(l1.dense_coeffs()[1], l2.dense_coeffs()[1])) > 1:
         raise YamadaError(
             f"the two power terms for (s, k) = ({s}, {k}) share a factor;"
@@ -752,51 +725,6 @@ def _family_ratio(
     return res, ratio
 
 
-def _family_aberth(
-    n: int,
-    tables: tuple,
-    lo: int,
-    z: np.ndarray,
-    max_iter: int,
-    chunk: int = 512,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Aberth-Ehrlich iteration on the structured evaluation, with the
-    same per-point freezing and best-configuration fallback as the dense
-    version.  Returns the points and their residuals."""
-    d = len(z)
-    freeze_tol = 100.0 * d * np.finfo(float).eps
-    best = z.copy()
-    best_score = math.inf
-    with np.errstate(all="ignore"):
-        for it in range(max_iter):
-            res, ratio = _family_ratio(n, tables, lo, z)
-            score = float(np.max(res))
-            if score < best_score:
-                best_score = score
-                best = z.copy()
-            idx = np.nonzero(res > freeze_tol)[0]
-            if len(idx) == 0:
-                return z, res
-            rep = np.empty(len(idx), dtype=complex)
-            for a in range(0, len(idx), chunk):
-                sub = idx[a : a + chunk]
-                blk = z[sub, None] - z[None, :]
-                blk[np.arange(len(sub)), sub] = np.inf
-                rep[a : a + chunk] = (1.0 / blk).sum(axis=1)
-            step = ratio[idx] / (1.0 - ratio[idx] * rep)
-            bad = ~np.isfinite(step)
-            if bad.any():
-                step[bad] = 0.1 * (1.0 + np.abs(z[idx[bad]])) * np.exp(
-                    2j * math.pi * _GOLDEN * (idx[bad] + it + 1)
-                )
-            z[idx] = z[idx] - step
-        res, _ = _family_ratio(n, tables, lo, z)
-        if float(np.max(res)) > best_score:
-            z = best
-            res, _ = _family_ratio(n, tables, lo, z)
-    return z, res
-
-
 def _crowded(z: np.ndarray, spacing_factor: float = 0.1) -> set[int]:
     """Indices of roots with a suspiciously close neighbor.
 
@@ -855,27 +783,14 @@ def _family_roots_full(
         exact = list(_CYCLOTOMIC_ROOTS)
     lo, coeffs = p.dense_coeffs()
     d = len(coeffs) - 1
+    evaluate = partial(_family_ratio, n, tables, lo)
     if d == 0:
         z = np.empty(0, dtype=complex)
-        res = np.empty(0, dtype=float)
     elif d == 1:
         z = np.array([complex(Fraction(-coeffs[0], coeffs[1]))])
-        with np.errstate(all="ignore"):
-            res, _ = _family_ratio(n, tables, lo, z)
     else:
-        z = _initial_points(
-            [-math.inf if c == 0 else _log_abs(c) for c in coeffs]
-        )
-        z, _ = _family_aberth(n, tables, lo, z, max_iter)
-        with np.errstate(all="ignore"):
-            res, ratio = _family_ratio(n, tables, lo, z)
-            for _ in range(polish_rounds):
-                z2 = z - ratio
-                r2, ratio2 = _family_ratio(n, tables, lo, z2)
-                better = r2 < res
-                z = np.where(better, z2, z)
-                res = np.where(better, r2, res)
-                ratio = np.where(better, ratio2, ratio)
+        z, _ = _aberth(evaluate, _initial_points(coeffs), max_iter)
+    z, res = _polish(evaluate, z, polish_rounds)
     shaky = set(np.nonzero(res > _REFINE_ABOVE)[0].tolist())
     shaky |= _crowded(z)
     if shaky:
@@ -885,18 +800,7 @@ def _family_roots_full(
         z[flagged], res[flagged] = _refine_mp(
             n, s, k, sign, z[flagged], z[keep]
         )
-    pool = [(complex(a), float(b)) for a, b in zip(z, res)]
-    pool.extend((root, 0.0) for root in exact)
-    pool.sort(key=lambda t: (cmath.phase(t[0]), abs(t[0]), t[0].real, t[0].imag))
-    roots = [t[0] for t in pool]
-    residuals = [t[1] for t in pool]
-    if tol is not None and any(r > tol for r in residuals):
-        worst = max(residuals)
-        raise NoConvergence(
-            f"worst residual {worst:.3e} above tolerance {tol:.3e}",
-            roots,
-            residuals,
-        )
+    roots, residuals = _ordered([*z, *exact], [*res] + [0.0] * len(exact), tol)
     return roots, residuals, degree
 
 
@@ -910,7 +814,7 @@ def _cell_records(
     sign: str,
     tol: float | None,
     degree_cap: int | None,
-    cache: dict | None,
+    cache: dict,
 ) -> tuple[RootRecord, ...]:
     """Root records of one family member, cached by (n, s, k, sign).
 
@@ -920,25 +824,14 @@ def _cell_records(
     structured residual is too.
     """
     key = (n, s, k, sign)
-    if cache is not None and key in cache:
+    if key in cache:
         return cache[key]
     if sign == "-":
         plus = _cell_records(n, s, k, "+", tol, degree_cap, cache)
         recs = tuple(
             sorted(
-                (
-                    RootRecord(
-                        root=1.0 / r.root,
-                        n=n,
-                        s=s,
-                        k=k,
-                        sign="-",
-                        residual=r.residual,
-                        degree=r.degree,
-                    )
-                    for r in plus
-                ),
-                key=lambda r: (cmath.phase(r.root), abs(r.root)),
+                (replace(r, root=1.0 / r.root, sign="-") for r in plus),
+                key=lambda r: _root_key(r.root),
             )
         )
     else:
@@ -955,8 +848,7 @@ def _cell_records(
             )
             for root, res in zip(roots, residuals)
         )
-    if cache is not None:
-        cache[key] = recs
+    cache[key] = recs
     return recs
 
 
@@ -1027,13 +919,13 @@ def density_witness(
     containing a certified root (residual at most tol) inside the eps
     disc returns a Witness for the closest such root.  Cells whose
     degree estimate exceeds the degree cap are outside the search space.
-    If the caps run out, NotFound reports the closest root seen anywhere
-    in the grid, certified or not.
+    If the caps run out, NotFound reports the closest certified root
+    seen anywhere in the grid (None if there is none).  Either outcome
+    counts the uncertified records the search passed over.
 
-    jobs > 1 precomputes upcoming cells in worker processes while the
-    results are still consumed in visit order, so the outcome is the
-    same one the sequential search returns (later cells may be solved
-    and discarded once a witness shows up).
+    jobs > 1 solves upcoming cells in worker processes (_cell_stream)
+    while the results are still consumed in visit order, so the outcome
+    is the one the sequential search returns.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -1049,58 +941,100 @@ def density_witness(
     plan = _witness_plan(caps, sign)
     best: RootRecord | None = None
     best_d = math.inf
-
-    def check(recs):
-        nonlocal best, best_d
+    uncertified = 0
+    for _, recs in _cell_stream(
+        plan, (sign,), tol, caps.degree_cap, cache, jobs
+    ):
         hit: RootRecord | None = None
         hit_d = math.inf
         for rec in recs:
+            if not rec.residual <= tol:
+                uncertified += 1
+                continue
             dist = abs(rec.root - z0)
             if dist < best_d:
                 best, best_d = rec, dist
-            if dist < eps and dist < hit_d and rec.residual <= tol:
+            if dist < eps and dist < hit_d:
                 hit, hit_d = rec, dist
-        return hit, hit_d
-
-    if jobs > 1 and len(plan) > 1:
-        span = 2 * jobs
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for lo in range(0, len(plan), span):
-                window = plan[lo : lo + span]
-                fresh = [c for c in window if c + (sign,) not in cache]
-                tasks = [
-                    (n, s, k, (sign,), tol, caps.degree_cap)
-                    for n, s, k in fresh
-                ]
-                for cell, recs in zip(fresh, pool.map(_scan_cell, tasks)):
-                    cache[cell + (sign,)] = tuple(recs)
-                for cell in window:
-                    hit, hit_d = check(cache[cell + (sign,)])
-                    if hit is not None:
-                        return Witness(
-                            target=z0, epsilon=eps, found=hit, distance=hit_d
-                        )
-    else:
-        for n, s, k in plan:
-            hit, hit_d = check(
-                _cell_records(n, s, k, sign, tol, caps.degree_cap, cache)
+        if hit is not None:
+            return Witness(
+                target=z0,
+                epsilon=eps,
+                found=hit,
+                distance=hit_d,
+                uncertified=uncertified,
             )
-            if hit is not None:
-                return Witness(
-                    target=z0, epsilon=eps, found=hit, distance=hit_d
-                )
     return NotFound(
-        target=z0, epsilon=eps, closest=best, distance=best_d, caps=caps
+        target=z0,
+        epsilon=eps,
+        closest=best,
+        distance=best_d,
+        caps=caps,
+        uncertified=uncertified,
     )
 
 
-def _scan_cell(args) -> list[RootRecord]:
+def _scan_cell(args) -> dict:
+    """Worker for _cell_stream: one cell's records for the given signs,
+    solved in a fresh cache that is returned whole."""
     n, s, k, signs, tol, degree_cap = args
     local: dict = {}
-    out: list[RootRecord] = []
     for sign in signs:
-        out.extend(_cell_records(n, s, k, sign, tol, degree_cap, local))
-    return out
+        _cell_records(n, s, k, sign, tol, degree_cap, local)
+    return local
+
+
+def _cell_stream(
+    cells: Sequence[tuple[int, int, int]],
+    signs: tuple[str, ...],
+    tol: float | None,
+    degree_cap: int | None,
+    cache: dict,
+    jobs: int,
+) -> Iterator[tuple[tuple[int, int, int], list[RootRecord]]]:
+    """((n, s, k), records for each of the signs in turn) for every cell,
+    in the order given; the records also land in cache.
+
+    jobs > 1 keeps at most 2 * jobs cells ahead of the consumer and
+    solves the uncached ones in worker processes, one task per cell so
+    that a mirror pair shares its root computation; it still yields in
+    the given order, so a consumer sees exactly what the inline loop
+    gives it.  When the consumer stops
+    early, queued cells are cancelled and running ones finish unused.
+    """
+
+    def records(cell):
+        return [
+            r
+            for sign in signs
+            for r in _cell_records(*cell, sign, tol, degree_cap, cache)
+        ]
+
+    if jobs <= 1 or len(cells) <= 1:
+        for cell in cells:
+            yield cell, records(cell)
+        return
+
+    def land(cell, task):
+        if task is not None:
+            for key, recs in task.result().items():
+                cache.setdefault(key, recs)
+        return cell, records(cell)
+
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    ahead: deque = deque()
+    try:
+        for cell in cells:
+            task = None
+            if any(cell + (sign,) not in cache for sign in signs):
+                task = pool.submit(_scan_cell, (*cell, signs, tol, degree_cap))
+            ahead.append((cell, task))
+            if len(ahead) == 2 * jobs:
+                yield land(*ahead.popleft())
+        while ahead:
+            yield land(*ahead.popleft())
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def scan_family(
@@ -1114,48 +1048,22 @@ def scan_family(
     cache: dict | None = None,
 ) -> list[RootRecord]:
     """Root records for every family member in the grid, sorted by
-    (n, s, k, sign, root angle).  jobs > 1 fans the cells out over
-    processes; both signs of a cell stay in one task so the mirror pair
-    shares its root computation."""
+    (n, s, k, sign, root angle): the cells are visited in that order and
+    each cell's records come in root order.  jobs > 1 fans the cells out
+    over processes (_cell_stream)."""
     for sign in signs:
         if sign not in ("+", "-"):
             raise ValueError("signs must be '+' or '-'")
-    cells = sorted(
-        {(n, s, k) for n in ns for s in ss for k in ks}
+    cells = sorted({(n, s, k) for n in ns for s in ss for k in ks})
+    stream = _cell_stream(
+        cells,
+        tuple(sorted(set(signs))),
+        tol,
+        degree_cap,
+        {} if cache is None else cache,
+        jobs,
     )
-    ordered_signs = tuple(sorted(set(signs)))
-    records: list[RootRecord] = []
-    if jobs > 1 and len(cells) > 1:
-        tasks = [
-            (n, s, k, ordered_signs, tol, degree_cap) for n, s, k in cells
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for (n, s, k), chunk in zip(cells, pool.map(_scan_cell, tasks)):
-                records.extend(chunk)
-                if cache is not None:
-                    for sign in ordered_signs:
-                        cache[(n, s, k, sign)] = tuple(
-                            r for r in chunk if r.sign == sign
-                        )
-    else:
-        if cache is None:
-            cache = {}
-        for n, s, k in cells:
-            for sign in ordered_signs:
-                records.extend(
-                    _cell_records(n, s, k, sign, tol, degree_cap, cache)
-                )
-    records.sort(
-        key=lambda r: (
-            r.n,
-            r.s,
-            r.k,
-            r.sign,
-            cmath.phase(r.root),
-            abs(r.root),
-        )
-    )
-    return records
+    return [r for _, recs in stream for r in recs]
 
 
 # ---------------------------------------------------------------------------
@@ -1222,6 +1130,7 @@ def witness_to_dict(result) -> dict:
             "target": [result.target.real, result.target.imag],
             "epsilon": result.epsilon,
             "distance": result.distance,
+            "uncertified": result.uncertified,
             "root": record_to_dict(result.found),
         }
     return {
@@ -1229,6 +1138,7 @@ def witness_to_dict(result) -> dict:
         "target": [result.target.real, result.target.imag],
         "epsilon": result.epsilon,
         "distance": result.distance,
+        "uncertified": result.uncertified,
         "closest": (
             record_to_dict(result.closest) if result.closest else None
         ),

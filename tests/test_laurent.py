@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import doctest
 import random
 
 import pytest
 
+import yamada.laurent
 from yamada.laurent import (
     DivisionByZero,
     LaurentPoly,
@@ -202,3 +204,8 @@ def test_rational_eval_matches_exact():
         expect = n.eval_complex(z) / d.eval_complex(z)
         assert abs(r.eval_complex(z) - expect) <= 1e-8 * (1 + abs(expect))
         done += 1
+
+
+def test_docstring_examples_run():
+    result = doctest.testmod(yamada.laurent)
+    assert result.failed == 0 and result.attempted == 5

@@ -34,7 +34,6 @@ from yamada.replace import (
     r_compose,
     twist_scale,
     two_vertex_h,
-    two_vertex_r,
 )
 
 A = variable()
@@ -107,7 +106,6 @@ def test_two_vertex_values():
     # doubled strand against a single edge forms the 3-banana
     assert two_vertex_h(S, zero, -(S ** 2), S) == S - S ** 2
     assert two_vertex_h(zero, S, zero, S).is_zero()
-    assert two_vertex_r(zero, zero, S, S) == S
 
 
 def test_compose_identity_pieces():

@@ -258,6 +258,12 @@ def test_scan_family_rejects_bad_sign():
 def test_scan_family_parallel_matches_serial():
     grid = ([2, 3], [1], [1, 2])
     assert scan_family(*grid, jobs=2) == scan_family(*grid, jobs=1)
+    for signs in (("+", "-"), ("-",)):
+        serial: dict = {}
+        parallel: dict = {}
+        scan_family(*grid, signs=signs, jobs=1, cache=serial)
+        scan_family(*grid, signs=signs, jobs=2, cache=parallel)
+        assert parallel == serial
 
 
 def test_limit_curve_gap_finite_value():
@@ -347,14 +353,36 @@ def test_density_witness_argument_guards():
 
 def test_density_witness_skips_uncertified_record():
     # a record above tol inside the eps disc must not come back as a
-    # witness, even when it is the only record of the only cell
+    # witness, nor as the closest miss, even when it is the only record
+    # of the only cell; the search counts it instead
     z0 = 0.5j
     rec = RootRecord(root=z0 + 0.01, n=1, s=1, k=1, sign="+",
                      residual=1e-6, degree=1)
     cache = {(1, 1, 1, "+"): (rec,)}
     out = density_witness(z0, 0.25, caps=SearchCaps(1, 1, 1, 4000), cache=cache)
     assert not isinstance(out, Witness)
-    assert isinstance(out, NotFound) and out.closest is rec
+    assert isinstance(out, NotFound) and out.closest is None
+    assert out.uncertified == 1
+    d = witness_to_dict(out)
+    assert d["closest"] is None and d["uncertified"] == 1
+
+
+def test_density_witness_parallel_matches_serial():
+    # a hit and a miss under small caps, from a cold cache except for one
+    # uncertified record planted in the first cell of the plan
+    planted = RootRecord(root=0.9 + 0j, n=1, s=1, k=1, sign="+",
+                         residual=1e-6, degree=1)
+    for z0, eps, caps, kind in (
+        (0.5j, 0.25, SearchCaps(3, 2, 6, 4000), Witness),
+        (0.37 + 0.41j, 1e-12, SearchCaps(2, 2, 5, 4000), NotFound),
+    ):
+        serial, parallel = (
+            density_witness(z0, eps, caps=caps, jobs=jobs,
+                            cache={(1, 1, 1, "+"): (planted,)})
+            for jobs in (1, 2)
+        )
+        assert isinstance(serial, kind) and serial.uncertified >= 1
+        assert parallel == serial
 
 
 def test_density_notfound_reports_closest_and_shrinks_with_caps():
