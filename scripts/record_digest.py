@@ -1,0 +1,115 @@
+"""Print digests of the numerical outputs of a source tree, one per line.
+
+    python3 scripts/record_digest.py [--tree DIR] [--seeds 1,2,3] [--polys 150]
+
+Imports ``yamada`` from ``DIR/src`` and the benchmark's request streams
+from ``DIR/perfbench`` (read only; nothing there is run or written).
+DIR defaults to the tree this script sits in.  Three kinds of line:
+
+  cell n s k sign sha256   every distinct sweep cell of the given seeds
+                           (the cells perfbench/run.py --workload sweep
+                           sends at --seconds 30), over n, s, k, sign,
+                           degree and float.hex of re, im and residual
+                           of each record scan_family returns
+  density re im sha256     witness_to_dict of density_witness at the
+                           benchmark's probe, each lattice target and
+                           its conjugate, under the benchmark's caps
+  poly seed i d sha256     roots and residuals of _find_roots_full on
+                           seeded random integer polynomials of degree
+                           5-60, in float.hex
+
+Two trees give the same numbers to the bit exactly when a ``diff`` of
+their outputs is empty:
+
+    python3 scripts/record_digest.py --tree ../parent > a.txt
+    python3 scripts/record_digest.py > b.txt
+    diff a.txt b.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import json
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+# the cells a sweep run sends at --seconds 30: two rounds of 24
+SWEEP_CELLS = 48
+POLY_SEED = 20240817
+
+
+def _sha(parts) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(p.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _record_fields(r) -> str:
+    return " ".join(
+        [str(r.n), str(r.s), str(r.k), r.sign, str(r.degree),
+         r.root.real.hex(), r.root.imag.hex(), float(r.residual).hex()]
+    )
+
+
+def _random_poly(laurent, rng: random.Random, degree: int):
+    terms = {degree: rng.choice([-1, 1]) * rng.randint(1, 9)}
+    terms[0] = rng.choice([-1, 1]) * rng.randint(1, 9)
+    for e in range(1, degree):
+        c = rng.randint(-9, 9)
+        if c:
+            terms[e] = c
+    return laurent.LaurentPoly(terms)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--tree", type=Path, default=ROOT)
+    ap.add_argument("--seeds", default="1,2,3")
+    ap.add_argument("--polys", type=int, default=150)
+    args = ap.parse_args(argv)
+    tree = args.tree.resolve()
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+
+    import workloads
+    from yamada import laurent, roots
+
+    cells = set()
+    for seed in (int(x) for x in args.seeds.split(",")):
+        stream = workloads.sweep_stream(random.Random(f"sweep-{seed}"))
+        for req in itertools.islice(stream, SWEEP_CELLS):
+            _, n, s, k, sign, _ = req.spec
+            cells.add((n, s, k, sign))
+    for n, s, k, sign in sorted(cells):
+        recs = roots.scan_family([n], [s], [k], signs=(sign,))
+        print("cell", n, s, k, sign, _sha(map(_record_fields, recs)))
+
+    cache: dict = {}
+    targets = [workloads.PROBE]
+    for z0 in workloads.density_lattice():
+        targets += [z0, z0.conjugate()]
+    for z0 in targets:
+        res = roots.density_witness(
+            z0, workloads.EPS, workloads.CAPS, cache=cache
+        )
+        d = json.dumps(roots.witness_to_dict(res), sort_keys=True)
+        print("density", z0.real.hex(), z0.imag.hex(), _sha([d]))
+
+    rng = random.Random(POLY_SEED)
+    for i in range(args.polys):
+        degree = rng.randint(5, 60)
+        p = _random_poly(laurent, rng, degree)
+        z, res, _ = roots._find_roots_full(p, tol=None)
+        rows = [f"{w.real.hex()} {w.imag.hex()} {float(r).hex()}"
+                for w, r in zip(z, res)]
+        print("poly", POLY_SEED, i, degree, _sha(rows))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

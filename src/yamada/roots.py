@@ -233,20 +233,28 @@ def _aberth(
     evaluate(z) returns (residuals, newton_ratios) at the points z: a
     scale-free residual that reaches machine scale at a root, and the
     Newton correction p/p' of the polynomial whose roots are sought.
+    Both are pointwise, so evaluating a subset of the points gives the
+    same bits as evaluating all of them.
 
     A point whose residual reaches machine scale is frozen: it still
     repels the others but stops moving, so a resonant denominator at a
-    near-double root cannot kick settled points loose again.  The best
-    full configuration seen (by worst residual) is kept as a fallback in
-    case the last stragglers wander at the iteration cap.  Returns the
-    points and their residuals.
+    near-double root cannot kick settled points loose again.  Every
+    point is evaluated once at the start; after that only the points
+    the last step moved are, and their values are written into the
+    stored residuals and ratios.  A frozen point never moves again, so
+    its stored values stay exact (MPSolve's Aberth iteration also stops
+    evaluating converged approximations).  The best full configuration
+    seen (by worst residual) is kept as a fallback in case the last
+    stragglers wander at the iteration cap; only that fallback is
+    evaluated in full a second time.  Returns the points and their
+    residuals.
     """
     freeze_tol = 100.0 * len(z) * np.finfo(float).eps
     best = z.copy()
     best_score = math.inf
     with np.errstate(all="ignore"):
+        res, ratio = evaluate(z)
         for it in range(max_iter):
-            res, ratio = evaluate(z)
             score = float(np.max(res))
             if score < best_score:
                 best_score = score
@@ -268,7 +276,7 @@ def _aberth(
                     2j * math.pi * _GOLDEN * (idx[bad] + it + 1)
                 )
             z[idx] = z[idx] - step
-        res, _ = evaluate(z)
+            res[idx], ratio[idx] = evaluate(z[idx])
         if float(np.max(res)) > best_score:
             z = best
             res, _ = evaluate(z)
@@ -500,17 +508,22 @@ _CYCLOTOMIC_ROOTS = (
 def _power_tables(s: int, k: int, sign: str) -> tuple:
     """Evaluation tables for one family's power-sum structure.
 
-    Returns (parts, has_cyclotomic), one part for each of lambda1,
-    lambda2, lambda1 / c and sigma / c, where c is the cyclotomic
-    z^2 + z + 1 when it divides lambda1 (it always divides sigma) and the
-    constant 1 otherwise.  A part is (lo, exact, c, dc): the leading
-    exponent, the integer coefficients (ascending, for the high precision
-    pass), their float row, and the float row of the derivative, whose
-    exponents start at lo - 1.  Factoring c out matters because its roots
-    are zeros of both power terms at once: the polynomial vanishes there
-    without any cancellation between the terms, which no residual built
-    on their competition can certify.  The lambdas have small integer
-    coefficients, so all of this evaluates to full precision.
+    Returns (parts, stack, has_cyclotomic), one part for each of
+    lambda1, lambda2, lambda1 / c and sigma / c, where c is the
+    cyclotomic z^2 + z + 1 when it divides lambda1 (it always divides
+    sigma) and the constant 1 otherwise.  A part is (lo, exact): the
+    leading exponent and the integer coefficients (ascending, for the
+    high precision pass).  stack is the read-only (m, 8) float matrix
+    whose columns are the four parts' coefficient rows and then their
+    four derivative rows (the derivative of z^lo p has exponents
+    starting at lo - 1), each zero-padded at the high end to the longest
+    row, so one polyval call evaluates all eight; high zeros leave every
+    Horner step of a shorter row unchanged at finite z.  Factoring c out
+    matters because its roots are zeros of both power terms at once: the
+    polynomial vanishes there without any cancellation between the
+    terms, which no residual built on their competition can certify.
+    The lambdas have small integer coefficients, so all of this
+    evaluates to full precision.
 
     The two lambdas sharing a factor of their own would put roots of the
     family outside every tool here, so that case is refused loudly (it
@@ -529,12 +542,15 @@ def _power_tables(s: int, k: int, sign: str) -> tuple:
         l1_red = l1
         has_cyc = False
     sig_red = exact_div(sigma(), _CYCLOTOMIC) if has_cyc else sigma()
-    parts = []
-    for p in (l1, l2, l1_red, sig_red):
-        lo, cs = p.dense_coeffs()
+    dense = [p.dense_coeffs() for p in (l1, l2, l1_red, sig_red)]
+    parts = tuple((lo, tuple(cs)) for lo, cs in dense)
+    stack = np.zeros((max(len(cs) for _, cs in parts), 8))
+    for j, (lo, cs) in enumerate(parts):
         c = np.array([float(x) for x in cs], dtype=float)
-        parts.append((lo, tuple(cs), c, c * (lo + np.arange(len(c)))))
-    return tuple(parts), has_cyc
+        stack[: len(c), j] = c
+        stack[: len(c), 4 + j] = c * (lo + np.arange(len(c)))
+    stack.flags.writeable = False
+    return parts, stack, has_cyc
 
 
 _REFINE_ABOVE = 1e-10
@@ -606,7 +622,7 @@ def _refine_mp(
     (_crowded flags both members of any closer pair), and that term only
     steers the step.
     """
-    parts = [(lo, exact) for lo, exact, _, _ in _power_tables(s, k, sign)[0]]
+    parts = _power_tables(s, k, sign)[0]
     (lo1, _), (lo2, _), (lo1c, _), (lo2s, _) = parts
     # b1 and b2 carry z^e1 and z^e2; dividing both by the smaller power
     # leaves the residual and the Newton step as they are
@@ -673,6 +689,22 @@ def _refine_mp(
     return out, res
 
 
+def _part_values(tables: tuple, z: np.ndarray) -> list[np.ndarray]:
+    """The four parts of _power_tables' tables at the points z, then
+    their four derivatives: one Horner pass over the stacked matrix, each
+    row then times its power of z.
+
+    The power is z ** e with a Python int e.  The broadcast form
+    z[None] ** exps[:, None] takes numpy's general power loop, whose
+    bits differ from the reciprocal numpy uses for a scalar e = -1
+    (sigma / c has that exponent), so it would move the roots.
+    """
+    parts, stack, _ = tables
+    exps = [e for e, _ in parts] + [e - 1 for e, _ in parts]
+    rows = np.polynomial.polynomial.polyval(z, stack)
+    return [row * z**e for row, e in zip(rows, exps)]
+
+
 def _family_ratio(
     n: int, tables: tuple, lo: int, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -687,6 +719,7 @@ def _family_ratio(
     evaluation actually carries, and the Newton correction is
     (T1 + T2) / (T1 h1 + T2 h2) with h_i the term's log derivative.
     Nothing here can overflow: the rescaled terms have modulus at most 1.
+    The four parts and their derivatives come from _part_values.
 
     The family's exponents are all negative, so as a function it also
     vanishes at infinity, and plain Newton happily chases that spurious
@@ -695,16 +728,7 @@ def _family_ratio(
     into the dense degree-d form, whose far field pulls strays back in
     with steps of z/d.
     """
-    (p1, p2, p1c, p2s), _ = tables
-    pv = np.polynomial.polynomial.polyval
-    a1 = pv(z, p1[2]) * z ** p1[0]
-    a2 = pv(z, p2[2]) * z ** p2[0]
-    a1c = pv(z, p1c[2]) * z ** p1c[0]
-    a2s = pv(z, p2s[2]) * z ** p2s[0]
-    d1 = pv(z, p1[3]) * z ** (p1[0] - 1)
-    d2 = pv(z, p2[3]) * z ** (p2[0] - 1)
-    d1c = pv(z, p1c[3]) * z ** (p1c[0] - 1)
-    d2s = pv(z, p2s[3]) * z ** (p2s[0] - 1)
+    a1, a2, a1c, a2s, d1, d2, d1c, d2s = _part_values(tables, z)
     if n == 1:
         t1 = np.log(a1c)
         h1 = d1c / a1c
@@ -778,7 +802,7 @@ def _family_roots_full(
     degree = len(p.dense_coeffs()[1]) - 1
     tables = _power_tables(s, k, sign)
     exact: list[complex] = []
-    if tables[1]:
+    if tables[2]:
         p = exact_div(p, _CYCLOTOMIC)
         exact = list(_CYCLOTOMIC_ROOTS)
     lo, coeffs = p.dense_coeffs()

@@ -6,12 +6,14 @@ import math
 import pathlib
 import random
 import xml.etree.ElementTree as ET
+from fractions import Fraction
+from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
 
-from yamada.laurent import LaurentPoly, PoleAtZero, sigma
+from yamada.laurent import LaurentPoly, PoleAtZero, exact_div, sigma
 from yamada.replace import family_polynomial
 from yamada.roots import (
     NoConvergence,
@@ -21,9 +23,15 @@ from yamada.roots import (
     SearchCaps,
     Witness,
     ZeroPolynomial,
+    _CYCLOTOMIC,
+    _aberth,
+    _dense_eval,
+    _family_ratio,
     _family_roots_full,
     _find_roots_full,
     _horner_fixed,
+    _initial_points,
+    _part_values,
     _power_tables,
     _repulsion_fixed,
     density_witness,
@@ -178,7 +186,7 @@ def test_horner_fixed_matches_polyval():
         y = int(math.ldexp(z.imag, 240)) - fill
         with mpmath.workprec(300):
             zz = mpmath.mpc(mpmath.mpf((x, -240)), mpmath.mpf((y, -240)))
-        for _, cs, _, _ in parts:
+        for _, cs in parts:
             pr, pi, dr, di = _horner_fixed(cs, x, y)
             with mpmath.workprec(240):
                 p, dp = mpmath.polyval(cs[::-1], zz, derivative=True)
@@ -186,6 +194,100 @@ def test_horner_fixed_matches_polyval():
                 got_dp = mpmath.mpc(mpmath.mpf((dr, -240)), mpmath.mpf((di, -240)))
                 assert abs(got_p - p) <= 1e-60 * abs(p)
                 assert abs(got_dp - dp) <= 1e-60 * abs(dp)
+
+
+def test_part_values_stack_is_bit_exact():
+    # one polyval over the stacked matrix gives, row by row, the bits of
+    # the eight separate polyval calls it replaced, inside and outside
+    # the unit circle.  sigma / c carries the exponent -1 in all three
+    # cells: there the broadcast power z[None] ** exps[:, None] would
+    # take numpy's general power loop and return other bits than the
+    # reciprocal numpy uses for the scalar z ** -1
+    z = np.array([0.3 + 0.4j, -0.05 + 0.02j, 0.9 - 0.1j, -0.7j,
+                  -2.5 + 1.7j, 4.0 - 0.5j, 1.3j, -1.1])
+    pv = np.polynomial.polynomial.polyval
+    exponents = set()
+    for cell in [(4, 4, "+"), (2, 3, "-"), (1, 1, "+")]:
+        tables = _power_tables(*cell)
+        got = _part_values(tables, z)
+        for j, (lo, cs) in enumerate(tables[0]):
+            c = np.array([float(x) for x in cs])
+            dc = c * (lo + np.arange(len(c)))
+            assert np.array_equal(got[j], pv(z, c) * z**lo)
+            assert np.array_equal(got[4 + j], pv(z, dc) * z ** (lo - 1))
+            exponents |= {lo, lo - 1}
+    assert -1 in exponents
+
+
+class MovingPointsRecorder:
+    """An evaluator for _aberth that checks, call by call, that only the
+    points the previous step moved are evaluated: the first call gets
+    every point, each later one z[idx] for idx the points whose stored
+    residual is above freeze_tol, and the stored values then equal a
+    full evaluation bit for bit.  A last full call is allowed only at a
+    configuration other than z (the best-seen fallback)."""
+
+    def __init__(self, evaluate, z):
+        self.evaluate, self.z = evaluate, z
+        self.freeze_tol = 100.0 * len(z) * np.finfo(float).eps
+        self.res = self.ratio = self.fallback = None
+        self.frozen: set[int] = set()
+        self.partial_calls = 0
+
+    def __call__(self, x):
+        assert self.fallback is None, "evaluated after the fallback"
+        res, ratio = self.evaluate(x)
+        if self.res is None:
+            assert np.array_equal(x, self.z)
+            self.res, self.ratio = res.copy(), ratio.copy()
+            return res, ratio
+        moving = np.nonzero(self.res > self.freeze_tol)[0]
+        self.frozen |= set(np.nonzero(self.res <= self.freeze_tol)[0].tolist())
+        if not np.array_equal(x, self.z[moving]):
+            assert len(x) == len(self.z)
+            self.fallback = x.copy()
+            return res, ratio
+        assert not self.frozen & set(moving.tolist())
+        self.partial_calls += len(moving) < len(self.z)
+        self.res[moving], self.ratio[moving] = res, ratio
+        full_res, full_ratio = self.evaluate(self.z.copy())
+        assert np.array_equal(self.res, full_res, equal_nan=True)
+        assert np.array_equal(self.ratio, full_ratio, equal_nan=True)
+        return res, ratio
+
+    def check_result(self, z, res):
+        if self.fallback is None:
+            assert z is self.z and np.array_equal(res, self.res)
+        else:
+            assert np.array_equal(z, self.fallback)
+
+
+def test_aberth_evaluates_only_moving_points_family():
+    # the refinement cell runs to the iteration cap, so this also covers
+    # the fallback's one full evaluation
+    n, s, k = 12, 4, 4
+    tables = _power_tables(s, k, "+")
+    p = family_polynomial(n, s, k, "+")
+    assert tables[2]
+    lo, coeffs = exact_div(p, _CYCLOTOMIC).dense_coeffs()
+    rec = MovingPointsRecorder(
+        partial(_family_ratio, n, tables, lo), _initial_points(coeffs)
+    )
+    z, res = _aberth(rec, rec.z, 400)
+    rec.check_result(z, res)
+    assert rec.frozen and rec.partial_calls > 0
+
+
+def test_aberth_evaluates_only_moving_points_dense():
+    coeffs = random_int_poly(random.Random(40), 40).dense_coeffs()[1]
+    big = max(abs(c) for c in coeffs)
+    cs = np.array([float(Fraction(c, big)) for c in coeffs])
+    rec = MovingPointsRecorder(
+        partial(_dense_eval, cs, float(Fraction(1, big))), _initial_points(cs)
+    )
+    z, res = _aberth(rec, rec.z, 400)
+    rec.check_result(z, res)
+    assert len(z) == 40 and rec.frozen and rec.partial_calls > 0
 
 
 def test_repulsion_fixed_matches_mpc_sum():
