@@ -3,8 +3,8 @@
     python3 scripts/record_digest.py [--tree DIR] [--seeds 1,2,3] [--polys 150]
 
 Imports ``yamada`` from ``DIR/src`` and the benchmark's request streams
-from ``DIR/perfbench`` (read only; nothing there is run or written).
-DIR defaults to the tree this script sits in.  Three kinds of line:
+from ``DIR/perfbench`` (read only; nothing is written there).
+DIR defaults to the tree this script sits in.  Five kinds of line:
 
   cell n s k sign sha256   every distinct sweep cell of the given seeds
                            (the cells perfbench/run.py --workload sweep
@@ -17,6 +17,13 @@ DIR defaults to the tree this script sits in.  Three kinds of line:
   poly seed i d sha256     roots and residuals of _find_roots_full on
                            seeded random integer polynomials of degree
                            5-60, in float.hex
+  exact seed i sha256      str() of the output of request i of one
+                           exact cycle (workloads.exact_stream, seeded
+                           as perfbench/run.py seeds it), per seed
+  rational i sha256        num.to_text() and den.to_text() of seeded
+                           RationalFn values built with planted common
+                           factors, and of their sum, product and
+                           quotient
 
 Two trees give the same numbers to the bit exactly when a ``diff`` of
 their outputs is empty:
@@ -40,6 +47,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # the cells a sweep run sends at --seconds 30: two rounds of 24
 SWEEP_CELLS = 48
 POLY_SEED = 20240817
+# the requests of one exact cycle
+EXACT_CYCLE = 25
+RATIONAL_SEED = 20240818
+RATIONALS = 200
 
 
 def _sha(parts) -> str:
@@ -65,6 +76,22 @@ def _random_poly(laurent, rng: random.Random, degree: int):
         if c:
             terms[e] = c
     return laurent.LaurentPoly(terms)
+
+
+def _rational_rows(laurent, rng: random.Random) -> list[str]:
+    """Two fractions over a planted common factor each, then their sum,
+    product and quotient, in canonical text."""
+    def fraction():
+        g = _random_poly(laurent, rng, rng.randint(1, 3)) * rng.randint(1, 6)
+        num, den = (
+            _random_poly(laurent, rng, rng.randint(1, 5)).shift(rng.randint(-3, 3))
+            for _ in range(2)
+        )
+        return laurent.RationalFn(num * g, den * g)
+
+    x, y = fraction(), fraction()
+    values = [x, y, x + y, x * y, x / y]
+    return [f"{v.num.to_text()} | {v.den.to_text()}" for v in values]
 
 
 def main(argv=None) -> int:
@@ -108,6 +135,15 @@ def main(argv=None) -> int:
         rows = [f"{w.real.hex()} {w.imag.hex()} {float(r).hex()}"
                 for w, r in zip(z, res)]
         print("poly", POLY_SEED, i, degree, _sha(rows))
+
+    for seed in (int(x) for x in args.seeds.split(",")):
+        stream = workloads.exact_stream(random.Random(f"exact-{seed}"))
+        for i, req in enumerate(itertools.islice(stream, EXACT_CYCLE)):
+            print("exact", seed, i, _sha([str(req.call())]))
+
+    rng = random.Random(RATIONAL_SEED)
+    for i in range(RATIONALS):
+        print("rational", i, _sha(_rational_rows(laurent, rng)))
     return 0
 
 

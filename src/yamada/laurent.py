@@ -1,15 +1,19 @@
 """Exact arithmetic for integer Laurent polynomials in one variable A.
 
 LaurentPoly is the workhorse value type of the whole package: every graph
-and diagram invariant lands in Z[A, A^-1].  RationalFn adds the field of
-fractions, which the edge replacement machinery needs for intermediate
-values (the final results always reduce back to Laurent polynomials).
+and diagram invariant lands in Z[A, A^-1].  RationalFn adds its quotient
+field, which the edge replacement machinery needs for intermediate values
+(the final results always reduce back to Laurent polynomials).
+
+All arithmetic is over the integers: division is one exact long-division
+loop over Z that fails at the first coefficient the divisor's leading
+coefficient does not divide, and the polynomial gcd is a primitive
+polynomial remainder sequence.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -221,13 +225,6 @@ class LaurentPoly:
         lo, hi = self.min_exp(), self.max_exp()
         return lo, [self.terms.get(e, 0) for e in range(lo, hi + 1)]
 
-    def content(self) -> int:
-        """gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, abs(c))
-        return g
-
     def to_text(self, var: str = "A") -> str:
         if not self.terms:
             return "0"
@@ -303,24 +300,31 @@ def parse_poly(text: str, var: str = "A") -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def _divmod_fraction(num: list[Fraction], den: list[Fraction]):
-    """Long division of dense ascending coefficient lists over Q."""
-    num = list(num)
+def _divexact(num: list[int], den: list[int]) -> list[int] | None:
+    """Quotient of dense ascending integer coefficient lists, or None when
+    den (with a nonzero leading coefficient) does not divide num over Z.
+
+    Stops at the first quotient coefficient that the leading coefficient
+    does not divide; a nonzero remainder also gives None.
+    """
     dn = len(den) - 1
-    while den and den[-1] == 0:
-        den.pop()
-        dn -= 1
-    q: list[Fraction] = [Fraction(0)] * max(len(num) - dn, 0)
     lead = den[-1]
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
+    low = den[:-1]
+    rem = list(num)
+    quot = [0] * max(len(num) - dn, 0)
+    for i in range(len(rem) - 1, dn - 1, -1):
+        c = rem[i]
+        if not c:
             continue
-        f = c / lead
-        q[i - dn] = f
-        for j, d in enumerate(den):
-            num[i - dn + j] -= f * d
-    return q, num
+        f, r = divmod(c, lead)
+        if r:
+            return None
+        quot[i - dn] = f
+        for j, d in enumerate(low, i - dn):
+            rem[j] -= f * d
+    if any(rem[:dn]):
+        return None
+    return quot
 
 
 def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
@@ -337,17 +341,11 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.zero()
     plo, pc = p.dense_coeffs()
     qlo, qc = q.dense_coeffs()
-    quot, rem = _divmod_fraction(
-        [Fraction(c) for c in pc], [Fraction(c) for c in qc]
-    )
-    if any(rem):
+    quot = _divexact(pc, qc)
+    if quot is None:
         raise NonExactDivision(f"({p}) is not divisible by ({q})")
-    if any(f.denominator != 1 for f in quot):
-        raise NonExactDivision(
-            f"({p}) / ({q}) has non-integer coefficients"
-        )
     base = plo - qlo
-    return LaurentPoly({base + i: int(f) for i, f in enumerate(quot) if f})
+    return LaurentPoly({base + i: c for i, c in enumerate(quot) if c})
 
 
 def compare_up_to_unit(p: LaurentPoly, q: LaurentPoly) -> int | None:
@@ -370,38 +368,46 @@ def compare_up_to_unit(p: LaurentPoly, q: LaurentPoly) -> int | None:
 
 
 def _primitive(coeffs: list[int]) -> list[int]:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    if g in (0, 1):
-        return list(coeffs)
-    return [c // g for c in coeffs]
+    g = gcd(*coeffs)
+    return [c // g for c in coeffs] if g > 1 else list(coeffs)
+
+
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of c*a by b over Z for some nonzero integer c: each step
+    scales the remainder by lead(b)/g and cancels its top coefficient t,
+    with g = gcd(t, lead(b)).  Trailing zeros are trimmed."""
+    db = len(b) - 1
+    lead = b[-1]
+    low = b[:-1]
+    rem = list(a)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        g = gcd(c, lead)
+        scale, f = lead // g, c // g
+        if scale != 1:
+            rem[:i] = [scale * x for x in rem[:i]]
+        for j, d in enumerate(low, i - db):
+            rem[j] -= f * d
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
 
 
 def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd over Q of two dense integer coefficient lists."""
-    fa = [Fraction(c) for c in a]
-    fb = [Fraction(c) for c in b]
-
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    fa, fb = trim(fa), trim(fb)
-    while fb:
-        _, r = _divmod_fraction(fa, list(fb))
-        fa, fb = fb, trim(r)
-    if not fa:
-        return []
-    den_lcm = 1
-    for f in fa:
-        den_lcm = den_lcm * f.denominator // gcd(den_lcm, f.denominator)
-    ints = [int(f * den_lcm) for f in fa]
-    ints = _primitive(ints)
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    """gcd over Q of two dense ascending integer coefficient lists (top
+    entries nonzero), as the primitive polynomial with a positive leading
+    coefficient; [] when both are empty.  Integer-only primitive PRS
+    (Brown, JACM 1971; Knuth, TAOCP 4.6.1): every pseudo-remainder is
+    divided by its content, so no rationals occur."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    return [-c for c in a] if a and a[-1] < 0 else a
 
 
 class RationalFn:
@@ -411,6 +417,8 @@ class RationalFn:
     with nonzero constant term (powers of A live in the numerator), the
     polynomial gcd of numerator and denominator is 1, their integer contents
     are coprime, and the denominator's leading coefficient is positive.
+    These make the reduced (num, den) pair unique for each value (zero is
+    (0, 1)), so equality and hashing compare the pair itself.
     """
 
     __slots__ = ("num", "den")
@@ -429,17 +437,12 @@ class RationalFn:
         if len(g) > 1:
             # g is primitive and divides both over Q, so by Gauss's lemma the
             # integer quotients are exact.
-            qn, _ = _divmod_fraction([Fraction(c) for c in nc], [Fraction(c) for c in g])
-            qd, _ = _divmod_fraction([Fraction(c) for c in dc], [Fraction(c) for c in g])
-            nc = [int(f) for f in qn]
-            dc = [int(f) for f in qd]
-        cg = gcd(_content(nc), _content(dc))
-        if cg > 1:
+            nc, dc = _divexact(nc, g), _divexact(dc, g)
+        # common content, signed so that den's leading coefficient is > 0
+        cg = gcd(*nc, *dc) if dc[-1] > 0 else -gcd(*nc, *dc)
+        if cg != 1:
             nc = [c // cg for c in nc]
             dc = [c // cg for c in dc]
-        if dc[-1] < 0:
-            nc = [-c for c in nc]
-            dc = [-c for c in dc]
         self.num = LaurentPoly({shift + i: c for i, c in enumerate(nc) if c})
         self.den = LaurentPoly({i: c for i, c in enumerate(dc) if c})
 
@@ -464,7 +467,7 @@ class RationalFn:
             )
         if not isinstance(other, RationalFn):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -553,13 +556,6 @@ class RationalFn:
 
     def __repr__(self) -> str:
         return f"RationalFn({self.to_text()!r})"
-
-
-def _content(coeffs: list[int]) -> int:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    return g or 1
 
 
 def _coerce(x) -> RationalFn:

@@ -37,7 +37,6 @@ import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Iterable, Iterator, Sequence
 
@@ -126,24 +125,17 @@ class NotFound:
 _GOLDEN = 0.6180339887498949
 
 
-def _log_abs(c) -> float:
-    """log|c| for an exact coefficient, safe far beyond float range."""
-    if isinstance(c, Fraction):
-        return _log_abs(c.numerator) - _log_abs(c.denominator)
-    return math.log(abs(c))
-
-
 def _initial_points(coeffs: Sequence) -> np.ndarray:
     """Starting points from the upper convex hull of (i, log|c_i|).
 
     The coefficients may be exact integers far beyond float range; their
-    magnitudes only enter through _log_abs.  Each hull edge from index l
-    to u contributes u - l points on the circle of radius
-    (|c_l| / |c_u|)^(1/(u-l)), the classical estimate for how many roots
-    live near that modulus.  Angles are spread with a golden-ratio
-    stagger per edge so no start sits on a symmetry axis.
+    magnitudes only enter through math.log, which takes ints of any size.
+    Each hull edge from index l to u contributes u - l points on the
+    circle of radius (|c_l| / |c_u|)^(1/(u-l)), the classical estimate for
+    how many roots live near that modulus.  Angles are spread with a
+    golden-ratio stagger per edge so no start sits on a symmetry axis.
     """
-    pts = [(i, _log_abs(c)) for i, c in enumerate(coeffs) if c != 0]
+    pts = [(i, math.log(abs(c))) for i, c in enumerate(coeffs) if c != 0]
     hull: list[tuple[int, float]] = []
     for p in pts:
         while len(hull) >= 2:
@@ -336,7 +328,8 @@ def _find_roots_full(
 
     The power-of-A shift that clears negative exponents is stripped, so a
     root at zero never appears.  Coefficients are scaled by their max
-    absolute value through exact Fractions before any float touches them.
+    absolute value by correctly rounded integer division before any float
+    touches them.
     tol = None skips the convergence gate and returns whatever the
     iteration settled on.
     """
@@ -347,10 +340,10 @@ def _find_roots_full(
     if d == 0:
         return [], [], 0
     big = max(abs(c) for c in coeffs)
-    cs = np.array([float(Fraction(c, big)) for c in coeffs], dtype=float)
-    evaluate = partial(_dense_eval, cs, float(Fraction(1, big)))
+    cs = np.array([c / big for c in coeffs], dtype=float)
+    evaluate = partial(_dense_eval, cs, 1 / big)
     if d == 1:
-        z = np.array([complex(Fraction(-coeffs[0], coeffs[1]))])
+        z = np.array([complex(-coeffs[0] / coeffs[1])])
     else:
         z, _ = _aberth(evaluate, _initial_points(cs), max_iter)
     z, res = _polish(evaluate, z, polish_rounds)
@@ -811,7 +804,7 @@ def _family_roots_full(
     if d == 0:
         z = np.empty(0, dtype=complex)
     elif d == 1:
-        z = np.array([complex(Fraction(-coeffs[0], coeffs[1]))])
+        z = np.array([complex(-coeffs[0] / coeffs[1])])
     else:
         z, _ = _aberth(evaluate, _initial_points(coeffs), max_iter)
     z, res = _polish(evaluate, z, polish_rounds)

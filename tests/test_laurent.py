@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import doctest
+import math
 import random
 
 import pytest
@@ -13,12 +14,15 @@ from yamada.laurent import (
     ParseError,
     PoleAtZero,
     RationalFn,
+    _divexact,
+    _poly_gcd,
     compare_up_to_unit,
     exact_div,
     parse_poly,
     sigma,
     variable,
 )
+from yamada.replace import family_polynomial
 
 
 def rand_poly(rng: random.Random, max_terms: int = 6, exp_range: int = 6) -> LaurentPoly:
@@ -86,6 +90,94 @@ def test_exact_div_rejects_non_divisible():
         exact_div(variable(), LaurentPoly.const(2))
     with pytest.raises(DivisionByZero):
         exact_div(sigma(), LaurentPoly.zero())
+
+
+def test_exact_div_fails_over_z_at_each_stage():
+    a = variable()
+    # the leading coefficient 2 does not divide the top coefficient 1
+    with pytest.raises(NonExactDivision, match="is not divisible by"):
+        exact_div(a ** 2 + 1, 2 * a + 1)
+    # the top divides, the next coefficient does not: (2A + 1)(A + 1) over
+    # 2(A + 1) is A + 1/2, divisible over Q only
+    assert _divexact([1, 3, 2], [2, 2]) is None
+    with pytest.raises(NonExactDivision, match="is not divisible by"):
+        exact_div(2 * a ** 2 + 3 * a + 1, 2 * a + 2)
+    # every quotient coefficient is an integer (A - 1), the remainder is 2
+    assert _divexact([1, 0, 1], [1, 1]) is None
+    with pytest.raises(NonExactDivision, match="is not divisible by"):
+        exact_div(a ** 2 + 1, a + 1)
+
+
+def test_exact_div_round_trip_on_a_family_polynomial():
+    p = family_polynomial(24, 3, 3, "-")
+    assert p.span() >= 400
+    cyclotomic = LaurentPoly({0: 1, 1: 1, 2: 1})
+    assert exact_div(p * cyclotomic, cyclotomic) == p
+    with pytest.raises(NonExactDivision):
+        exact_div(p * cyclotomic + 1, cyclotomic)
+
+
+def _rand_dense(rng: random.Random, degree: int) -> list[int]:
+    """Ascending integer coefficients with nonzero constant and top terms."""
+    ends = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(2)]
+    if degree == 0:
+        return ends[:1]
+    return [ends[0]] + [rng.randint(-9, 9) for _ in range(degree - 1)] + [ends[1]]
+
+
+def _times(a: list[int], b: list[int]) -> list[int]:
+    product = LaurentPoly(dict(enumerate(a))) * LaurentPoly(dict(enumerate(b)))
+    return product.dense_coeffs()[1]
+
+
+def test_poly_gcd_primitive_prs_recovers_a_planted_factor():
+    rng = random.Random(20240901)
+    checked = 0
+    while checked < 200:
+        g = _rand_dense(rng, rng.randint(1, 3))
+        content = math.gcd(*g)
+        g = [c // content for c in g]
+        if abs(g[-1]) == 1:
+            continue  # plant a non-monic primitive factor
+        p = _times(_rand_dense(rng, rng.randint(0, 6)), g)
+        q = _times(_rand_dense(rng, rng.randint(0, 6)), g)
+        if rng.random() < 0.3:
+            p = [6 * c for c in p]  # contents play no part in the gcd over Q
+        h = _poly_gcd(p, q)
+        assert math.gcd(*h) == 1 and h[-1] > 0
+        p_co, q_co = _divexact(p, h), _divexact(q, h)
+        assert p_co is not None and q_co is not None
+        assert _divexact(h, g) is not None
+        assert _poly_gcd(p_co, q_co) == [1]
+        assert _poly_gcd(q, p) == h
+        checked += 1
+
+
+def test_rational_canonical_form_with_a_non_monic_common_factor():
+    a = variable()
+    common = 2 * a + 3
+    r = RationalFn(6 * common * (a - 1), 4 * common * (a + 2))
+    assert r.num == 3 * (a - 1)
+    assert r.den == 2 * (a + 2)
+
+
+def test_rational_equality_compares_canonical_pairs():
+    s, a = sigma(), variable()
+    rng = random.Random(31)
+    for _ in range(40):
+        n, d = rand_poly(rng, 4, 3), rand_poly(rng, 4, 3)
+        g1, g2 = rand_poly(rng, 3, 2), rand_poly(rng, 3, 2)
+        if d.is_zero() or g1.is_zero() or g2.is_zero():
+            continue
+        x = RationalFn(n * g1 * 3, d * g1 * 3)
+        y = RationalFn(-(n * g2).shift(2), -(d * g2).shift(2))
+        assert x == y and hash(x) == hash(y)
+        assert (x.num, x.den) == (y.num, y.den)
+    assert RationalFn(s, s) - RationalFn.from_int(1) == RationalFn.from_int(0)
+    p = s * a - 2
+    assert RationalFn.from_laurent(p) == RationalFn(p, LaurentPoly.one())
+    assert RationalFn.from_laurent(p) == p
+    assert RationalFn(s, s + 1) != RationalFn(s, s)
 
 
 def test_eval_complex():

@@ -6,7 +6,6 @@ import math
 import pathlib
 import random
 import xml.etree.ElementTree as ET
-from fractions import Fraction
 from functools import partial
 
 import mpmath
@@ -281,9 +280,9 @@ def test_aberth_evaluates_only_moving_points_family():
 def test_aberth_evaluates_only_moving_points_dense():
     coeffs = random_int_poly(random.Random(40), 40).dense_coeffs()[1]
     big = max(abs(c) for c in coeffs)
-    cs = np.array([float(Fraction(c, big)) for c in coeffs])
+    cs = np.array([c / big for c in coeffs])
     rec = MovingPointsRecorder(
-        partial(_dense_eval, cs, float(Fraction(1, big))), _initial_points(cs)
+        partial(_dense_eval, cs, 1 / big), _initial_points(cs)
     )
     z, res = _aberth(rec, rec.z, 400)
     rec.check_result(z, res)
