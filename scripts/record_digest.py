@@ -1,10 +1,13 @@
 """Print digests of the numerical outputs of a source tree, one per line.
 
     python3 scripts/record_digest.py [--tree DIR] [--seeds 1,2,3] [--polys 150]
+                                     [--only KIND[,KIND]]
 
 Imports ``yamada`` from ``DIR/src`` and the benchmark's request streams
 from ``DIR/perfbench`` (read only; nothing is written there).
-DIR defaults to the tree this script sits in.  Five kinds of line:
+DIR defaults to the tree this script sits in.  Six kinds of line, printed
+in this order; ``--only`` keeps the named kinds (``--only exact,graph``
+checks the exact layer in seconds):
 
   cell n s k sign sha256   every distinct sweep cell of the given seeds
                            (the cells perfbench/run.py --workload sweep
@@ -24,6 +27,10 @@ DIR defaults to the tree this script sits in.  Five kinds of line:
                            RationalFn values built with planted common
                            factors, and of their sum, product and
                            quotient
+  graph i sha256           str() of yamada_h and of flow_polynomial on
+                           seeded random multigraphs with 0-7 vertices
+                           and 0-12 edges (loops, bridges and isolated
+                           vertices included)
 
 Two trees give the same numbers to the bit exactly when a ``diff`` of
 their outputs is empty:
@@ -51,6 +58,8 @@ POLY_SEED = 20240817
 EXACT_CYCLE = 25
 RATIONAL_SEED = 20240818
 RATIONALS = 200
+GRAPH_SEED = 20240819
+GRAPHS = 400
 
 
 def _sha(parts) -> str:
@@ -94,56 +103,114 @@ def _rational_rows(laurent, rng: random.Random) -> list[str]:
     return [f"{v.num.to_text()} | {v.den.to_text()}" for v in values]
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--tree", type=Path, default=ROOT)
-    ap.add_argument("--seeds", default="1,2,3")
-    ap.add_argument("--polys", type=int, default=150)
-    args = ap.parse_args(argv)
-    tree = args.tree.resolve()
-    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+def _graph_rows(multigraph, rng: random.Random) -> list[str]:
+    """H and the flow polynomial of one random multigraph; with up to 7
+    vertices and 12 edges, loops, bridges and isolated vertices all occur."""
+    nv = rng.randint(0, 7)
+    ne = rng.randint(0, 12) if nv else 0
+    g = multigraph.make_graph(
+        range(nv), [(i, rng.randrange(nv), rng.randrange(nv)) for i in range(ne)]
+    )
+    return [str(multigraph.yamada_h(g)), str(multigraph.flow_polynomial(g))]
 
-    import workloads
-    from yamada import laurent, roots
 
+def _cell_lines(args, workloads, yamada):
     cells = set()
-    for seed in (int(x) for x in args.seeds.split(",")):
+    for seed in args.seeds:
         stream = workloads.sweep_stream(random.Random(f"sweep-{seed}"))
         for req in itertools.islice(stream, SWEEP_CELLS):
             _, n, s, k, sign, _ = req.spec
             cells.add((n, s, k, sign))
     for n, s, k, sign in sorted(cells):
-        recs = roots.scan_family([n], [s], [k], signs=(sign,))
-        print("cell", n, s, k, sign, _sha(map(_record_fields, recs)))
+        recs = yamada.roots.scan_family([n], [s], [k], signs=(sign,))
+        yield "cell", n, s, k, sign, _sha(map(_record_fields, recs))
 
+
+def _density_lines(args, workloads, yamada):
     cache: dict = {}
     targets = [workloads.PROBE]
     for z0 in workloads.density_lattice():
         targets += [z0, z0.conjugate()]
     for z0 in targets:
-        res = roots.density_witness(
+        res = yamada.roots.density_witness(
             z0, workloads.EPS, workloads.CAPS, cache=cache
         )
-        d = json.dumps(roots.witness_to_dict(res), sort_keys=True)
-        print("density", z0.real.hex(), z0.imag.hex(), _sha([d]))
+        d = json.dumps(yamada.roots.witness_to_dict(res), sort_keys=True)
+        yield "density", z0.real.hex(), z0.imag.hex(), _sha([d])
 
+
+def _poly_lines(args, workloads, yamada):
     rng = random.Random(POLY_SEED)
     for i in range(args.polys):
         degree = rng.randint(5, 60)
-        p = _random_poly(laurent, rng, degree)
-        z, res, _ = roots._find_roots_full(p, tol=None)
+        p = _random_poly(yamada.laurent, rng, degree)
+        z, res, _ = yamada.roots._find_roots_full(p, tol=None)
         rows = [f"{w.real.hex()} {w.imag.hex()} {float(r).hex()}"
                 for w, r in zip(z, res)]
-        print("poly", POLY_SEED, i, degree, _sha(rows))
+        yield "poly", POLY_SEED, i, degree, _sha(rows)
 
-    for seed in (int(x) for x in args.seeds.split(",")):
+
+def _exact_lines(args, workloads, yamada):
+    for seed in args.seeds:
         stream = workloads.exact_stream(random.Random(f"exact-{seed}"))
         for i, req in enumerate(itertools.islice(stream, EXACT_CYCLE)):
-            print("exact", seed, i, _sha([str(req.call())]))
+            yield "exact", seed, i, _sha([str(req.call())])
 
+
+def _rational_lines(args, workloads, yamada):
     rng = random.Random(RATIONAL_SEED)
     for i in range(RATIONALS):
-        print("rational", i, _sha(_rational_rows(laurent, rng)))
+        yield "rational", i, _sha(_rational_rows(yamada.laurent, rng))
+
+
+def _graph_lines(args, workloads, yamada):
+    rng = random.Random(GRAPH_SEED)
+    for i in range(GRAPHS):
+        yield "graph", i, _sha(_graph_rows(yamada.multigraph, rng))
+
+
+# the kinds of line, in the order they are printed
+SECTIONS = {
+    "cell": _cell_lines,
+    "density": _density_lines,
+    "poly": _poly_lines,
+    "exact": _exact_lines,
+    "rational": _rational_lines,
+    "graph": _graph_lines,
+}
+
+
+def _kinds_arg(text: str) -> set[str]:
+    kinds = set(text.split(","))
+    unknown = sorted(kinds - set(SECTIONS))
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown kind {', '.join(unknown)}; choose from {', '.join(SECTIONS)}"
+        )
+    return kinds
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--tree", type=Path, default=ROOT)
+    ap.add_argument("--seeds", type=lambda t: [int(x) for x in t.split(",")],
+                    default=[1, 2, 3])
+    ap.add_argument("--polys", type=int, default=150)
+    ap.add_argument("--only", type=_kinds_arg, default=set(SECTIONS),
+                    help="comma-separated kinds of line to print")
+    args = ap.parse_args(argv)
+    tree = args.tree.resolve()
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+
+    import workloads
+    import yamada.laurent
+    import yamada.multigraph
+    import yamada.roots
+
+    for kind, lines in SECTIONS.items():
+        if kind in args.only:
+            for fields in lines(args, workloads, yamada):
+                print(*fields)
     return 0
 
 

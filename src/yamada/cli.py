@@ -9,7 +9,9 @@ polynomials, JSON, CSV, or the SVG scatter, and `yamada selftest`
 replays the golden closed forms end to end.
 
 Exit codes: 0 on success, 1 when a computation raises a domain error
-(the error class name is printed on stderr), 2 on usage errors.  There
+(the error class name is printed on stderr), 2 on usage errors.
+`roots-scan` also writes one warning line to stderr for each cell with
+records whose residual is above `--tol`, and still exits 0.  There
 are no configuration files; everything is a flag, so identical argv
 means identical output bytes.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .errors import YamadaError
 from .laurent import LaurentPoly, parse_poly
@@ -198,6 +201,16 @@ def _cmd_roots_scan(args) -> str:
         degree_cap=args.degree_cap,
         jobs=args.jobs,
     )
+    # a cell whose solve ran out of budget still returns all its records;
+    # say which ones are not certified rather than passing them silently
+    above = Counter(
+        (r.n, r.s, r.k, r.sign) for r in records if r.residual > args.tol
+    )
+    for (n, s, k, sign), count in above.items():
+        sys.stderr.write(
+            f"warning: cell n={n} s={s} k={k} sign={sign}: {count} records"
+            f" with residual above tol {args.tol!r}\n"
+        )
     if args.format == "json":
         return _dumps([rt.record_to_dict(r) for r in records])
     if args.format == "svg":

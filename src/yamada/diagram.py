@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 from .errors import YamadaError
 from .laurent import LaurentPoly
-from .multigraph import Multigraph, TooLarge, yamada_h
+from .multigraph import Multigraph, TooLarge, UnionFind, yamada_h
 
 
 class DanglingHalfEdge(YamadaError):
@@ -201,19 +201,10 @@ def _site_components(code: DiagramCode) -> int:
         for h in ends:
             site_of[h] = cid
     ids = [vid for vid, _ in code.vertices] + [c[0] for c in code.crossings]
-    parent = {i: i for i in ids}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(ids)
     for a, b in code.arcs:
-        ra, rb = find(site_of[a]), find(site_of[b])
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in ids})
+        uf.union(site_of[a], site_of[b])
+    return len(uf.components())
 
 
 def _smoothing_pairs(ends: tuple[int, ...], over: tuple[int, int], spin: int):
@@ -229,29 +220,6 @@ def _smoothing_pairs(ends: tuple[int, ...], over: tuple[int, int], spin: int):
         (ends[i], ends[(i - 1) % 4]),
         (ends[(i + 2) % 4], ends[(i + 1) % 4]),
     )
-
-
-class _HalfEdgeUnion:
-    def __init__(self, items: Iterable[int]):
-        self.parent = {h: h for h in items}
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def components(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for h in self.parent:
-            out.setdefault(self.find(h), []).append(h)
-        return out
 
 
 def resolve(code: DiagramCode, spins: Mapping[int, int]) -> Multigraph:
@@ -270,7 +238,7 @@ def resolve(code: DiagramCode, spins: Mapping[int, int]) -> Multigraph:
         if spins[cid] == 0:
             for h in ends:
                 anchor_site[h] = cid
-    uf = _HalfEdgeUnion(code.half_edges())
+    uf = UnionFind(code.half_edges())
     for a, b in code.arcs:
         uf.union(a, b)
     for cid, ends, over in code.crossings:
@@ -313,9 +281,8 @@ def yamada_r(code: DiagramCode, max_crossings: int | None = 14) -> LaurentPoly:
     memo: dict = {}
     for combo in itertools.product((1, -1, 0), repeat=len(cids)):
         spins = dict(zip(cids, combo))
-        weight = sum(s for s in combo if s != 0)
         state_h = yamada_h(resolve(code, spins), max_edges=None, memo=memo)
-        total = total + LaurentPoly.monomial(1, weight) * state_h
+        total = total + state_h.shift(sum(combo))
     return total
 
 
@@ -347,7 +314,7 @@ def _eliminate(
     for c in code.crossings:
         if c[0] in removed:
             gone_ends.update(c[1])
-    uf = _HalfEdgeUnion(code.half_edges())
+    uf = UnionFind(code.half_edges())
     for a, b in code.arcs:
         uf.union(a, b)
     for a, b in welds:

@@ -1,12 +1,19 @@
 """Abstract multigraphs (loops and parallel edges allowed) and their
-polynomial invariants: the Yamada polynomial H by deletion-contraction, an
-independent subset-expansion route, and the integer flow polynomial.
+polynomial invariants: the integer flow polynomial F, the Yamada polynomial
+H, and an independent subset-expansion route to H.
+
+One memoized deletion-contraction computes F, as integer coefficients in t.
+H is a specialisation of it: H(G) = (-1)^(|V|+|E|) F_G(sigma + 1), and
+sigma + 1 = A^-1 (1 + A)^2, so H comes from F's coefficients by Horner
+steps that multiply by (1 + A)^2.  The subset expansion
+(yamada_h_subset_sum) does not use the recursion and serves as its oracle.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable
 
 from .errors import YamadaError
@@ -33,17 +40,37 @@ class Multigraph:
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
     def find_edge(self, eid: int) -> Edge:
         for e in self.edges:
             if e[0] == eid:
                 return e
         raise UnknownEdge(f"no edge with id {eid}")
+
+
+class UnionFind:
+    """Disjoint sets of ids (vertices, sites or half-edges), with path
+    halving."""
+
+    def __init__(self, items: Iterable[int]):
+        self.parent = {h: h for h in items}
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a: int, b: int):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def components(self) -> dict[int, list[int]]:
+        out: dict[int, list[int]] = {}
+        for h in self.parent:
+            out.setdefault(self.find(h), []).append(h)
+        return out
 
 
 def make_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int, int]]) -> Multigraph:
@@ -85,19 +112,10 @@ def contract_edge(g: Multigraph, eid: int) -> Multigraph:
 
 def components_betti(g: Multigraph) -> tuple[int, int]:
     """(number of connected components, first Betti number q - p + mu)."""
-    parent = {v: v for v in g.vertices}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(g.vertices)
     for _, u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    mu = len({find(v) for v in g.vertices})
+        uf.union(u, v)
+    mu = len(uf.components())
     beta = len(g.edges) - len(g.vertices) + mu
     return mu, beta
 
@@ -145,46 +163,40 @@ def _has_bridge(edges: list[Edge], vertices: set[int]) -> bool:
     return False
 
 
-def _h_recursive(
-    edges: list[Edge], vertices: set[int], memo: dict
-) -> LaurentPoly:
-    sig = sigma()
-    loops = [e for e in edges if e[1] == e[2]]
+def _flow(edges: list[Edge], memo: dict) -> list[int]:
+    """Ascending integer coefficients in t of the flow polynomial: 1 with
+    no edges, a factor t - 1 per loop, 0 on a bridge, else contract minus
+    delete on the smallest edge id."""
     core = [e for e in edges if e[1] != e[2]]
-    factor_sign = 1
-    factor = LaurentPoly.one()
-    if loops:
-        factor = (-sig) ** len(loops)
-    touched = set()
-    for _, u, v in core:
-        touched.add(u)
-        touched.add(v)
-    isolated = len(vertices) - len(touched)
-    if isolated % 2:
-        factor_sign = -1
     if not core:
-        return factor * factor_sign
-    verts = touched
-    # delete and contract commute, so the recursion revisits the same
-    # minor along many branch orders; cache on the stripped core
-    key = tuple(core)
-    hit = memo.get(key)
-    if hit is None:
-        if _has_bridge(core, verts):
-            hit = LaurentPoly.zero()
-        else:
-            eid, u, v = min(core)
-            rest = [e for e in core if e[0] != eid]
-            deleted = _h_recursive(rest, verts, memo)
-            keep, drop = min(u, v), max(u, v)
-            merged = [
-                (i, keep if a == drop else a, keep if b == drop else b)
-                for i, a, b in rest
-            ]
-            contracted = _h_recursive(merged, verts - {drop}, memo)
-            hit = contracted + deleted
-        memo[key] = hit
-    return factor * factor_sign * hit
+        value = [1]
+    else:
+        # delete and contract commute, so the recursion revisits the same
+        # minor along many branch orders; cache on the loopless core
+        key = tuple(core)
+        value = memo.get(key)
+        if value is None:
+            verts = {w for _, u, v in core for w in (u, v)}
+            if _has_bridge(core, verts):
+                value = []
+            else:
+                eid, u, v = min(core)
+                rest = [e for e in core if e[0] != eid]
+                keep, drop = min(u, v), max(u, v)
+                merged = [
+                    (i, keep if a == drop else a, keep if b == drop else b)
+                    for i, a, b in rest
+                ]
+                value = [
+                    c - d
+                    for c, d in zip_longest(
+                        _flow(merged, memo), _flow(rest, memo), fillvalue=0
+                    )
+                ]
+            memo[key] = value
+    for _ in range(len(edges) - len(core)):
+        value = [b - a for a, b in zip(value + [0], [0] + value)]
+    return value
 
 
 def yamada_h(
@@ -192,15 +204,31 @@ def yamada_h(
 ) -> LaurentPoly:
     """Yamada polynomial H of an abstract multigraph.
 
-    Deletion-contraction with the single-vertex graph valued at -1, loops
-    contributing a factor of -sigma, and any isthmus collapsing the whole
-    polynomial to zero.  Exponential in the worst case; max_edges is the
-    recursion guard (None disables it).  A memo dictionary may be passed
-    in to share reached minors across many related calls.
+    H(G) = (-1)^(|V|+|E|) F_G(sigma + 1), with F the flow polynomial: the
+    deletion-contraction with the single-vertex graph valued at -1, loops
+    contributing -sigma and any isthmus giving zero is the flow recursion
+    up to that sign.  With sigma + 1 = A^-1 (1 + A)^2, the integer
+    coefficients of F are turned into H by Horner steps that multiply by
+    (1 + A)^2.  Exponential in the worst case; max_edges is the recursion
+    guard (None disables it).  A memo dictionary may be passed in to share
+    reached minors (keyed on their loopless core) across related calls.
     """
     if max_edges is not None and len(g.edges) > max_edges:
         raise TooLarge(f"{len(g.edges)} edges exceeds the guard {max_edges}")
-    return _h_recursive(list(g.edges), set(g.vertices), {} if memo is None else memo)
+    coeffs = _flow(list(g.edges), {} if memo is None else memo)
+    if not coeffs:
+        return LaurentPoly.zero()
+    # A^d F(sigma + 1) = sum_i c_i (1 + A)^(2i) A^(d - i), dense in A
+    d = len(coeffs) - 1
+    acc = [coeffs[d]]
+    for c in reversed(coeffs[:d]):
+        acc = [
+            x + 2 * y + z
+            for x, y, z in zip(acc + [0, 0], [0] + acc + [0], [0, 0] + acc)
+        ]
+        acc[len(acc) // 2] += c
+    sign = -1 if (len(g.vertices) + len(g.edges)) % 2 else 1
+    return LaurentPoly({j - d: sign * c for j, c in enumerate(acc) if c})
 
 
 def yamada_h_subset_sum(g: Multigraph, max_edges: int | None = 14) -> LaurentPoly:
@@ -243,33 +271,14 @@ def yamada_h_subset_sum(g: Multigraph, max_edges: int | None = 14) -> LaurentPol
     return total
 
 
-def _flow_recursive(edges: list[Edge]) -> LaurentPoly:
-    t_minus_1 = LaurentPoly({1: 1, 0: -1})
-    loops = sum(1 for e in edges if e[1] == e[2])
-    core = [e for e in edges if e[1] != e[2]]
-    factor = t_minus_1 ** loops if loops else LaurentPoly.one()
-    if not core:
-        return factor
-    verts = {u for _, u, v in core for u in (u, v)}
-    if _has_bridge(core, verts):
-        return LaurentPoly.zero()
-    eid, u, v = min(core)
-    rest = [e for e in core if e[0] != eid]
-    keep, drop = min(u, v), max(u, v)
-    merged = [
-        (i, keep if a == drop else a, keep if b == drop else b)
-        for i, a, b in rest
-    ]
-    return factor * (_flow_recursive(merged) - _flow_recursive(rest))
-
-
 def flow_polynomial(g: Multigraph, max_edges: int | None = 16) -> LaurentPoly:
-    """Integer flow polynomial in the variable t: 1 on edgeless graphs,
+    """Integer flow polynomial F_G in the variable t: 1 on edgeless graphs,
     0 whenever a bridge exists, factor (t-1) per loop, else contract minus
-    delete on the smallest edge id."""
+    delete on the smallest edge id.  The same recursion gives yamada_h,
+    since H(G) = (-1)^(|V|+|E|) F_G(sigma + 1)."""
     if max_edges is not None and len(g.edges) > max_edges:
         raise TooLarge(f"{len(g.edges)} edges exceeds the guard {max_edges}")
-    return _flow_recursive(list(g.edges))
+    return LaurentPoly(dict(enumerate(_flow(list(g.edges), {}))))
 
 
 def graph_to_dict(g: Multigraph) -> dict:

@@ -149,6 +149,26 @@ def test_roots_scan_span_forms():
     assert plain == ranged
 
 
+def test_roots_scan_reports_cells_above_tol():
+    # the (24, 5, 6) solve runs out of budget and leaves 4 roots per sign
+    # above the default tol; all records are still written, and stderr
+    # names each such cell once
+    code, out, err = run_cli(
+        "roots-scan", "--ns", "24", "--ss", "5", "--ks", "6", "--signs", "+,-"
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 2 * 1057
+    above = sorted(row[3] for row in rows if float(row[6]) > 1e-9)
+    assert above == ["+"] * 4 + ["-"] * 4
+    assert err == (
+        "warning: cell n=24 s=5 k=6 sign=+: 4 records with residual above tol 1e-09\n"
+        "warning: cell n=24 s=5 k=6 sign=-: 4 records with residual above tol 1e-09\n"
+    )
+    _, _, quiet = run_cli("roots-scan", "--ns", "1-3", "--ss", "1", "--ks", "1")
+    assert quiet == ""
+
+
 def test_density_witness_json():
     code, out, _ = run_cli(
         "density", "--z0=-0.5+0.87i", "--eps", "0.2",

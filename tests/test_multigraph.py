@@ -133,6 +133,48 @@ def test_h_matches_subset_oracle_on_random_graphs():
         assert yamada_h(g) == yamada_h_subset_sum(g)
 
 
+def test_h_is_signed_flow_polynomial_at_sigma_plus_one():
+    # H(G) = (-1)^(|V|+|E|) F_G(sigma + 1), checked by substituting
+    # sigma + 1 into F term by term
+    rng = random.Random(20240819)
+    graphs = [
+        make_graph([], []),
+        make_graph([0, 1, 2], []),
+        make_graph([0, 1, 2], [(0, 0, 0), (1, 2, 2)]),
+        tree_graph(3),
+        make_graph([0, 1, 2, 3], [(0, 0, 1), (1, 0, 1), (2, 1, 2), (3, 2, 2)]),
+    ]
+    for _ in range(220):
+        graphs.append(random_graph(rng, 7, 10))
+    t = sigma() + 1
+    for g in graphs:
+        flow = flow_polynomial(g)
+        at_t = sum((c * t ** e for e, c in flow.items()), LaurentPoly.zero())
+        sign = (-1) ** (len(g.vertices) + len(g.edges))
+        assert yamada_h(g) == sign * at_t
+
+
+def test_shared_memo_across_loops_and_isolated_vertices():
+    # the memo is keyed on loopless cores, so graphs that differ only in
+    # loops and isolated vertices share entries, and sharing changes nothing
+    rng = random.Random(12)
+    memo: dict = {}
+    for _ in range(40):
+        core = random_graph(rng, 5, 8)
+        edges = [e for e in core.edges if e[1] != e[2]]
+        size = None
+        for isolated in range(3):
+            nv = len(core.vertices) + isolated
+            for loops in range(3):
+                ends = rng.choices(range(nv), k=loops)
+                extra = [(100 + j, w, w) for j, w in enumerate(ends)]
+                g = make_graph(range(nv), edges + extra)
+                assert yamada_h(g, memo=memo) == yamada_h(g, memo={})
+                if size is None:
+                    size = len(memo)
+                assert len(memo) == size
+
+
 def test_guards_are_configurable():
     g = cycle_graph(5)
     with pytest.raises(TooLarge):
