@@ -222,6 +222,32 @@ def _smoothing_pairs(ends: tuple[int, ...], over: tuple[int, int], spin: int):
     )
 
 
+def _weld(
+    code: DiagramCode, removed: set[int], welds: Iterable[tuple[int, int]]
+) -> tuple[list[tuple[int, int]], int]:
+    """Join half-edges along the arcs and the given welds and read off the
+    chains: the pairs of surviving ends (those not on a removed crossing),
+    ordered by each chain's smallest half-edge, and the number of chains
+    that close up with no surviving end."""
+    gone = {h for cid, ends, _ in code.crossings if cid in removed for h in ends}
+    # sorted ids make components() list each chain sorted, in the order
+    # of its smallest half-edge
+    uf = UnionFind(sorted(code.half_edges()))
+    for a, b in itertools.chain(code.arcs, welds):
+        uf.union(a, b)
+    pairs = []
+    circles = 0
+    for members in uf.components().values():
+        ends = [h for h in members if h not in gone]
+        if len(ends) == 2:
+            pairs.append((ends[0], ends[1]))
+        elif not ends:
+            circles += 1
+        else:
+            raise AssertionError("weld chain with an odd number of open ends")
+    return pairs, circles
+
+
 def resolve(code: DiagramCode, spins: Mapping[int, int]) -> Multigraph:
     """Replace every crossing according to its spin and return the abstract
     multigraph of the state.  Strands that close up without touching any
@@ -230,43 +256,26 @@ def resolve(code: DiagramCode, spins: Mapping[int, int]) -> Multigraph:
     cids = set(code.crossing_ids())
     if set(spins) != cids or any(spins[c] not in (-1, 0, 1) for c in cids):
         raise PartialAssignment("spins must map every crossing to -1, 0 or +1")
-    anchor_site: dict[int, int] = {}
+    site_of: dict[int, int] = {}
     for vid, ends in code.vertices:
         for h in ends:
-            anchor_site[h] = vid
+            site_of[h] = vid
+    welds = []
     for cid, ends, over in code.crossings:
         if spins[cid] == 0:
             for h in ends:
-                anchor_site[h] = cid
-    uf = UnionFind(code.half_edges())
-    for a, b in code.arcs:
-        uf.union(a, b)
-    for cid, ends, over in code.crossings:
-        spin = spins[cid]
-        if spin != 0:
-            for a, b in _smoothing_pairs(ends, over, spin):
-                uf.union(a, b)
-    site_ids = [vid for vid, _ in code.vertices] + [
-        cid for cid in sorted(cids) if spins[cid] == 0
-    ]
-    next_free = max(site_ids, default=0) + 1
-    strands = []
-    circles = []
-    for root, members in sorted(uf.components().items(), key=lambda kv: min(kv[1])):
-        ends_here = sorted(h for h in members if h in anchor_site)
-        if len(ends_here) == 2:
-            strands.append((anchor_site[ends_here[0]], anchor_site[ends_here[1]]))
-        elif not ends_here:
-            circles.append(min(members))
+                site_of[h] = cid
         else:
-            raise AssertionError("strand with an odd number of anchored ends")
-    vertices = list(site_ids)
-    edges = [(i, u, v) for i, (u, v) in enumerate(strands)]
-    for c_min in sorted(circles):
-        vertices.append(next_free)
-        edges.append((len(edges), next_free, next_free))
-        next_free += 1
-    return Multigraph(tuple(sorted(vertices)), tuple(edges))
+            welds.extend(_smoothing_pairs(ends, over, spins[cid]))
+    pairs, circles = _weld(code, {c for c in cids if spins[c]}, welds)
+    site_ids = [vid for vid, _ in code.vertices] + [
+        cid for cid in cids if spins[cid] == 0
+    ]
+    free = max(site_ids, default=0) + 1
+    edges = [(i, site_of[a], site_of[b]) for i, (a, b) in enumerate(pairs)]
+    edges += [(len(pairs) + j, free + j, free + j) for j in range(circles)]
+    vertices = sorted(site_ids) + list(range(free, free + circles))
+    return Multigraph(tuple(vertices), tuple(edges))
 
 
 def yamada_r(code: DiagramCode, max_crossings: int | None = 14) -> LaurentPoly:
@@ -308,32 +317,14 @@ def _eliminate(
     """Drop the given crossings, welding their half-edges along the given
     pairs, and rebuild the arc list.  Weld chains that close on themselves
     become a fresh degree-2 vertex holding a self-arc (a free circle)."""
-    keep_vertices = list(code.vertices)
-    keep_crossings = tuple(c for c in code.crossings if c[0] not in removed)
-    gone_ends = set()
-    for c in code.crossings:
-        if c[0] in removed:
-            gone_ends.update(c[1])
-    uf = UnionFind(code.half_edges())
-    for a, b in code.arcs:
-        uf.union(a, b)
-    for a, b in welds:
-        uf.union(a, b)
-    new_arcs = []
-    used_ids = set(code.half_edges()) | {vid for vid, _ in code.vertices}
-    used_ids.update(c[0] for c in code.crossings)
-    next_id = max(used_ids, default=0) + 1
-    for root, members in sorted(uf.components().items(), key=lambda kv: min(kv[1])):
-        outer = sorted(h for h in members if h not in gone_ends)
-        if len(outer) == 2:
-            new_arcs.append((outer[0], outer[1]))
-        elif not outer:
-            keep_vertices.append((next_id, (next_id + 1, next_id + 2)))
-            new_arcs.append((next_id + 1, next_id + 2))
-            next_id += 3
-        else:
-            raise AssertionError("weld chain with an odd number of open ends")
-    return make_code(keep_vertices, keep_crossings, new_arcs, code.attach)
+    arcs, circles = _weld(code, removed, welds)
+    vertices = list(code.vertices)
+    ids = _fresh_ids(code, 3 * circles)
+    for v, a, b in zip(ids[::3], ids[1::3], ids[2::3]):
+        vertices.append((v, (a, b)))
+        arcs.append((a, b))
+    crossings = [c for c in code.crossings if c[0] not in removed]
+    return make_code(vertices, crossings, arcs, code.attach)
 
 
 def mirror(code: DiagramCode) -> DiagramCode:
@@ -551,6 +542,8 @@ def code_to_dict(code: DiagramCode) -> dict:
 
 
 def code_from_dict(d: dict) -> DiagramCode:
+    """Read a code from its JSON object and check it with validate, so a
+    malformed code raises a domain error here and not in a later step."""
     try:
         vertices = [(v["id"], tuple(v["ends"])) for v in d.get("vertices", [])]
         crossings = [
@@ -566,7 +559,9 @@ def code_from_dict(d: dict) -> DiagramCode:
             raise ValueError(f"arcs must be pairs, got {list(a)}")
     if attach is not None and len(attach) != 2:
         raise ValueError("attach must be a pair of vertex ids")
-    return make_code(vertices, crossings, arcs, attach)
+    code = make_code(vertices, crossings, arcs, attach)
+    validate(code)
+    return code
 
 
 def code_to_json(code: DiagramCode) -> str:

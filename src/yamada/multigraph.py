@@ -2,11 +2,14 @@
 polynomial invariants: the integer flow polynomial F, the Yamada polynomial
 H, and an independent subset-expansion route to H.
 
-One memoized deletion-contraction computes F, as integer coefficients in t.
-H is a specialisation of it: H(G) = (-1)^(|V|+|E|) F_G(sigma + 1), and
-sigma + 1 = A^-1 (1 + A)^2, so H comes from F's coefficients by Horner
-steps that multiply by (1 + A)^2.  The subset expansion
-(yamada_h_subset_sum) does not use the recursion and serves as its oracle.
+One memoized deletion-contraction computes F, as integer coefficients in
+t, on the smallest edge id of each minor: zero if that edge is a bridge,
+else contract minus delete, with no search for bridges elsewhere (they
+cancel further down).  H is a specialisation of F:
+H(G) = (-1)^(|V|+|E|) F_G(sigma + 1), and sigma + 1 = A^-1 (1 + A)^2, so
+H comes from F's coefficients by Horner steps that multiply by (1 + A)^2.
+The subset expansion (yamada_h_subset_sum) does not use the recursion and
+serves as its oracle.
 """
 
 from __future__ import annotations
@@ -120,53 +123,14 @@ def components_betti(g: Multigraph) -> tuple[int, int]:
     return mu, beta
 
 
-def _has_bridge(edges: list[Edge], vertices: set[int]) -> bool:
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
-    for eid, u, v in edges:
-        if u == v:
-            continue
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    index = {}
-    low = {}
-    counter = [0]
-
-    for root in vertices:
-        if root in index:
-            continue
-        # iterative DFS tracking the edge used to enter each vertex, so a
-        # parallel copy of the entry edge still gives a back edge
-        stack = [(root, -1, iter(adj[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        while stack:
-            v, in_edge, it = stack[-1]
-            advanced = False
-            for w, eid in it:
-                if eid == in_edge:
-                    continue
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append((w, eid, iter(adj[w])))
-                    advanced = True
-                    break
-                low[v] = min(low[v], index[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] > index[pv]:
-                        return True
-        continue
-    return False
-
-
 def _flow(edges: list[Edge], memo: dict) -> list[int]:
-    """Ascending integer coefficients in t of the flow polynomial: 1 with
-    no edges, a factor t - 1 per loop, 0 on a bridge, else contract minus
-    delete on the smallest edge id."""
+    """Ascending integer coefficients in t of the flow polynomial, [] for
+    zero: 1 with no edges, a factor t - 1 per loop, else on the smallest
+    edge id e, 0 if e is a bridge and contract minus delete otherwise.
+
+    Contract minus delete holds for every non-loop edge, so a bridge
+    elsewhere needs no search: it survives in both minors, which then
+    cancel."""
     core = [e for e in edges if e[1] != e[2]]
     if not core:
         value = [1]
@@ -176,12 +140,14 @@ def _flow(edges: list[Edge], memo: dict) -> list[int]:
         key = tuple(core)
         value = memo.get(key)
         if value is None:
-            verts = {w for _, u, v in core for w in (u, v)}
-            if _has_bridge(core, verts):
+            eid, u, v = min(core)
+            rest = [e for e in core if e[0] != eid]
+            uf = UnionFind(w for _, a, b in core for w in (a, b))
+            for _, a, b in rest:
+                uf.union(a, b)
+            if uf.find(u) != uf.find(v):
                 value = []
             else:
-                eid, u, v = min(core)
-                rest = [e for e in core if e[0] != eid]
                 keep, drop = min(u, v), max(u, v)
                 merged = [
                     (i, keep if a == drop else a, keep if b == drop else b)
@@ -193,6 +159,8 @@ def _flow(edges: list[Edge], memo: dict) -> list[int]:
                         _flow(merged, memo), _flow(rest, memo), fillvalue=0
                     )
                 ]
+                if not any(value):
+                    value = []
             memo[key] = value
     for _ in range(len(edges) - len(core)):
         value = [b - a for a, b in zip(value + [0], [0] + value)]
@@ -206,7 +174,7 @@ def yamada_h(
 
     H(G) = (-1)^(|V|+|E|) F_G(sigma + 1), with F the flow polynomial: the
     deletion-contraction with the single-vertex graph valued at -1, loops
-    contributing -sigma and any isthmus giving zero is the flow recursion
+    contributing -sigma and an isthmus giving zero is the flow recursion
     up to that sign.  With sigma + 1 = A^-1 (1 + A)^2, the integer
     coefficients of F are turned into H by Horner steps that multiply by
     (1 + A)^2.  Exponential in the worst case; max_edges is the recursion
@@ -273,9 +241,9 @@ def yamada_h_subset_sum(g: Multigraph, max_edges: int | None = 14) -> LaurentPol
 
 def flow_polynomial(g: Multigraph, max_edges: int | None = 16) -> LaurentPoly:
     """Integer flow polynomial F_G in the variable t: 1 on edgeless graphs,
-    0 whenever a bridge exists, factor (t-1) per loop, else contract minus
-    delete on the smallest edge id.  The same recursion gives yamada_h,
-    since H(G) = (-1)^(|V|+|E|) F_G(sigma + 1)."""
+    factor (t-1) per loop, else on the smallest edge id 0 if it is a bridge
+    and contract minus delete otherwise (so any bridge gives 0).  The same
+    recursion gives yamada_h, since H(G) = (-1)^(|V|+|E|) F_G(sigma + 1)."""
     if max_edges is not None and len(g.edges) > max_edges:
         raise TooLarge(f"{len(g.edges)} edges exceeds the guard {max_edges}")
     return LaurentPoly(dict(enumerate(_flow(list(g.edges), {}))))

@@ -237,6 +237,22 @@ def test_domain_errors_exit_one():
     code, _, err = run_cli("omega", "--z", "0")
     assert code == 1
     assert "PoleAtZero" in err
+    # malformed diagram codes are rejected where they are read
+    for blob, error in (
+        # an arc end on no site
+        ('{"vertices": [{"id": 1, "ends": [1, 2]}], "arcs": [[1, 3]]}',
+         "DanglingHalfEdge"),
+        # a vertex end on no arc
+        ('{"vertices": [{"id": 1, "ends": [1, 2, 3]}], "crossings": [],'
+         ' "arcs": [[1, 2]]}', "DanglingHalfEdge"),
+        # one half-edge in two arcs
+        ('{"vertices": [{"id": 1, "ends": [1, 2, 3]}], "arcs": [[1, 2], [2, 3]]}',
+         "DuplicateHalfEdge"),
+    ):
+        for command in ("diagram-r", "mirror", "close"):
+            code, out, err = run_cli(command, "--in", blob)
+            assert (code, out) == (1, ""), (command, blob)
+            assert err.startswith(f"error: {error}: "), (command, blob, err)
 
 
 def test_selftest_green_and_deterministic():

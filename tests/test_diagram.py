@@ -196,6 +196,20 @@ def test_standalone_curl_is_unit_times_circle():
     validate(fig8)
     assert yamada_r(fig8) == S * A ** 2
     assert yamada_r(mirror(fig8)) == S * A ** -2
+    # the +1 spin closes two free circles and the -1 spin one, each a
+    # closed weld chain: a fresh vertex with a self-arc in smooth_crossing,
+    # an isolated loop vertex in resolve
+    for spin, circles, r in ((1, 2, S ** 2), (-1, 1, S), (0, 0, -S ** 2)):
+        smoothed = smooth_crossing(fig8, 1, spin)
+        validate(smoothed)
+        assert yamada_r(smoothed) == r
+        if spin:
+            assert not smoothed.crossings
+            assert len(smoothed.vertices) == len(smoothed.arcs) == circles
+            state = resolve(fig8, {1: spin})
+            assert len(state.vertices) == circles
+            assert all(u == v for _, u, v in state.edges)
+            assert {u for _, u, _ in state.edges} == set(state.vertices)
 
 
 def test_skein_expansion():

@@ -6,6 +6,7 @@ import pytest
 
 from yamada.laurent import LaurentPoly, exact_div, sigma
 from yamada.multigraph import (
+    _flow,
     ContractLoop,
     Multigraph,
     TooLarge,
@@ -31,6 +32,34 @@ def random_graph(rng: random.Random, max_v: int = 6, max_e: int = 10) -> Multigr
     ne = rng.randint(0, max_e)
     edges = [(i, rng.randrange(nv), rng.randrange(nv)) for i in range(ne)]
     return make_graph(range(nv), edges)
+
+
+def bridged_cycles(sizes, bridges_first: bool) -> Multigraph:
+    """Cycles of the given sizes in a row, each joined to the next by a
+    bridge; the bridges take the smallest edge ids or the largest."""
+    cycle_edges, bridges, start = [], [], 0
+    for m in sizes:
+        if start:
+            bridges.append((start - 1, start))
+        cycle_edges += [(start + i, start + (i + 1) % m) for i in range(m)]
+        start += m
+    ordered = bridges + cycle_edges if bridges_first else cycle_edges + bridges
+    return make_graph(range(start), [(i, u, v) for i, (u, v) in enumerate(ordered)])
+
+
+# every graph here has a bridge; where the bridges take the largest ids the
+# recursion reaches them only through minors, and the last graph adds loops
+# on both sides of the bridges
+BRIDGED = [
+    bridged_cycles(sizes, first)
+    for sizes in ((3, 4), (2, 3, 4))
+    for first in (True, False)
+] + [
+    make_graph(
+        range(7),
+        list(bridged_cycles((3, 4), False).edges) + [(8, 0, 0), (9, 6, 6)],
+    )
+]
 
 
 def test_edit_operations():
@@ -62,8 +91,10 @@ def test_h_closed_forms():
         assert yamada_h(bouquet_graph(q)) == (-1) ** (q - 1) * s ** q
     for t in range(1, 7):
         assert yamada_h(theta_graph(t)) == exact_div(s + (-s) ** t, s + 1)
-    for m in range(1, 6):
+    for m in (1, 2, 3, 4, 5, 16):
         assert yamada_h(tree_graph(m)).is_zero()
+    for g in BRIDGED:
+        assert yamada_h(g).is_zero()
     assert yamada_h(make_graph([0], [])) == LaurentPoly.const(-1)
 
 
@@ -128,8 +159,7 @@ def test_h_loop_rule_on_random_loops():
 
 def test_h_matches_subset_oracle_on_random_graphs():
     rng = random.Random(20240816)
-    for _ in range(120):
-        g = random_graph(rng)
+    for g in BRIDGED + [random_graph(rng) for _ in range(120)]:
         assert yamada_h(g) == yamada_h_subset_sum(g)
 
 
@@ -143,6 +173,7 @@ def test_h_is_signed_flow_polynomial_at_sigma_plus_one():
         make_graph([0, 1, 2], [(0, 0, 0), (1, 2, 2)]),
         tree_graph(3),
         make_graph([0, 1, 2, 3], [(0, 0, 1), (1, 0, 1), (2, 1, 2), (3, 2, 2)]),
+        *BRIDGED,
     ]
     for _ in range(220):
         graphs.append(random_graph(rng, 7, 10))
@@ -173,6 +204,9 @@ def test_shared_memo_across_loops_and_isolated_vertices():
                 if size is None:
                     size = len(memo)
                 assert len(memo) == size
+    # minors with a bridge away from their smallest edge id cancel to zero,
+    # which is stored in its one form, []
+    assert not [value for value in memo.values() if value and not any(value)]
 
 
 def test_guards_are_configurable():
@@ -192,8 +226,14 @@ def test_flow_polynomial_values():
         assert flow_polynomial(cycle_graph(n)) == t_minus_1
     for q in range(1, 6):
         assert flow_polynomial(bouquet_graph(q)) == t_minus_1 ** q
-    for m in range(1, 5):
+    for m in (1, 2, 3, 4, 16):
         assert flow_polynomial(tree_graph(m)).is_zero()
+    for g in BRIDGED:
+        assert flow_polynomial(g).is_zero()
+    # a bridge at the smallest edge id ends the recursion at once
+    memo: dict = {}
+    assert _flow(list(tree_graph(16).edges), memo) == []
+    assert len(memo) == 1
     assert flow_polynomial(make_graph([0], [])) == LaurentPoly.one()
     # theta_3 carries the flow polynomial (t-1)(t-2)
     expect = t_minus_1 * LaurentPoly({1: 1, 0: -2})
