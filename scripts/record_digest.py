@@ -5,9 +5,9 @@
 
 Imports ``yamada`` from ``DIR/src`` and the benchmark's request streams
 from ``DIR/perfbench`` (read only; nothing is written there).
-DIR defaults to the tree this script sits in.  Six kinds of line, printed
-in this order; ``--only`` keeps the named kinds (``--only exact,graph``
-checks the exact layer in seconds):
+DIR defaults to the tree this script sits in.  Seven kinds of line,
+printed in this order; ``--only`` keeps the named kinds (``--only
+exact,resolve,graph`` checks the exact layer in seconds):
 
   cell n s k sign sha256   every distinct sweep cell of the given seeds
                            (the cells perfbench/run.py --workload sweep
@@ -23,6 +23,11 @@ checks the exact layer in seconds):
   exact seed i sha256      str() of the output of request i of one
                            exact cycle (workloads.exact_stream, seeded
                            as perfbench/run.py seeds it), per seed
+  resolve i sha256         str() of resolve(code, spins) for every
+                           state, in yamada_r's order, of the i-th
+                           distinct diagram whose state sum those
+                           cycles request: pins the state graphs' edge
+                           order and vertex names, which key the H memo
   rational i sha256        num.to_text() and den.to_text() of seeded
                            RationalFn values built with planted common
                            factors, and of their sum, product and
@@ -157,6 +162,24 @@ def _exact_lines(args, workloads, yamada):
             yield "exact", seed, i, _sha([str(req.call())])
 
 
+def _resolve_lines(args, workloads, yamada):
+    diagram, replace = yamada.diagram, yamada.replace
+    codes = []
+    for seed in args.seeds:
+        stream = workloads.exact_stream(random.Random(f"exact-{seed}"))
+        for req in itertools.islice(stream, EXACT_CYCLE):
+            if req.kind == "family_r":
+                codes.append(replace.build_family_diagram(*req.spec[1:]))
+            elif req.kind == "moves_r":
+                codes.append(diagram.code_from_dict(req.spec[1]))
+    for i, code in enumerate(dict.fromkeys(codes)):
+        cids = sorted(code.crossing_ids())
+        states = itertools.product((1, -1, 0), repeat=len(cids))
+        yield "resolve", i, _sha(
+            str(diagram.resolve(code, dict(zip(cids, combo)))) for combo in states
+        )
+
+
 def _rational_lines(args, workloads, yamada):
     rng = random.Random(RATIONAL_SEED)
     for i in range(RATIONALS):
@@ -175,6 +198,7 @@ SECTIONS = {
     "density": _density_lines,
     "poly": _poly_lines,
     "exact": _exact_lines,
+    "resolve": _resolve_lines,
     "rational": _rational_lines,
     "graph": _graph_lines,
 }
@@ -203,8 +227,10 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
 
     import workloads
+    import yamada.diagram
     import yamada.laurent
     import yamada.multigraph
+    import yamada.replace
     import yamada.roots
 
     for kind, lines in SECTIONS.items():

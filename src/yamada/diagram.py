@@ -21,7 +21,17 @@ from typing import Iterable, Mapping
 
 from .errors import YamadaError
 from .laurent import LaurentPoly
-from .multigraph import Multigraph, TooLarge, UnionFind, yamada_h
+# yamada_h is not called here; it stays a name of this module because
+# perfbench/tracing.py times the calls made through diagram.yamada_h
+from .multigraph import (
+    Multigraph,
+    TooLarge,
+    UnionFind,
+    at_sigma_plus_one,
+    check_id_types,
+    signed_flow,
+    yamada_h,
+)
 
 
 class DanglingHalfEdge(YamadaError):
@@ -223,29 +233,54 @@ def _smoothing_pairs(ends: tuple[int, ...], over: tuple[int, int], spin: int):
 
 
 def _weld(
-    code: DiagramCode, removed: set[int], welds: Iterable[tuple[int, int]]
+    code: DiagramCode, welds: Iterable[tuple[int, int]]
 ) -> tuple[list[tuple[int, int]], int]:
     """Join half-edges along the arcs and the given welds and read off the
-    chains: the pairs of surviving ends (those not on a removed crossing),
-    ordered by each chain's smallest half-edge, and the number of chains
-    that close up with no surviving end."""
-    gone = {h for cid, ends, _ in code.crossings if cid in removed for h in ends}
-    # sorted ids make components() list each chain sorted, in the order
-    # of its smallest half-edge
-    uf = UnionFind(sorted(code.half_edges()))
-    for a, b in itertools.chain(code.arcs, welds):
-        uf.union(a, b)
-    pairs = []
+    chains: the pairs of surviving ends (those on no weld), each pair
+    smaller end first and the pairs ordered by each chain's smallest
+    half-edge, and the number of chains that close up with no surviving
+    end.  Each chain is walked once, from one of its ends, alternating
+    arc mates and weld partners."""
+    mate: dict[int, int] = {}
+    for a, b in code.arcs:
+        mate[a] = b
+        mate[b] = a
+    partner: dict[int, int] = {}
+    for a, b in welds:
+        partner[a] = b
+        partner[b] = a
+    # the walks take welds out of partner, so the surviving ends are listed
+    # first, and what is left of partner afterwards lies on closed chains
+    chains = []
+    done = set()
+    for h in [h for h in mate if h not in partner]:
+        if h in done:
+            continue
+        lo, cur = h, mate[h]
+        while cur in partner:
+            nxt = partner.pop(cur)
+            del partner[nxt]
+            if cur < lo:
+                lo = cur
+            if nxt < lo:
+                lo = nxt
+            cur = mate[nxt]
+        done.add(cur)
+        if cur < lo:
+            lo = cur
+        chains.append((lo, h, cur) if h < cur else (lo, cur, h))
+    chains.sort()
     circles = 0
-    for members in uf.components().values():
-        ends = [h for h in members if h not in gone]
-        if len(ends) == 2:
-            pairs.append((ends[0], ends[1]))
-        elif not ends:
-            circles += 1
-        else:
-            raise AssertionError("weld chain with an odd number of open ends")
-    return pairs, circles
+    while partner:
+        h, nxt = partner.popitem()
+        del partner[nxt]
+        cur = mate[nxt]
+        while cur != h:
+            nxt = partner.pop(cur)
+            del partner[nxt]
+            cur = mate[nxt]
+        circles += 1
+    return [(a, b) for _, a, b in chains], circles
 
 
 def resolve(code: DiagramCode, spins: Mapping[int, int]) -> Multigraph:
@@ -257,20 +292,20 @@ def resolve(code: DiagramCode, spins: Mapping[int, int]) -> Multigraph:
     if set(spins) != cids or any(spins[c] not in (-1, 0, 1) for c in cids):
         raise PartialAssignment("spins must map every crossing to -1, 0 or +1")
     site_of: dict[int, int] = {}
+    site_ids = []
     for vid, ends in code.vertices:
+        site_ids.append(vid)
         for h in ends:
             site_of[h] = vid
     welds = []
     for cid, ends, over in code.crossings:
         if spins[cid] == 0:
+            site_ids.append(cid)
             for h in ends:
                 site_of[h] = cid
         else:
             welds.extend(_smoothing_pairs(ends, over, spins[cid]))
-    pairs, circles = _weld(code, {c for c in cids if spins[c]}, welds)
-    site_ids = [vid for vid, _ in code.vertices] + [
-        cid for cid in cids if spins[cid] == 0
-    ]
+    pairs, circles = _weld(code, welds)
     free = max(site_ids, default=0) + 1
     edges = [(i, site_of[a], site_of[b]) for i, (a, b) in enumerate(pairs)]
     edges += [(len(pairs) + j, free + j, free + j) for j in range(circles)]
@@ -280,18 +315,30 @@ def resolve(code: DiagramCode, spins: Mapping[int, int]) -> Multigraph:
 
 def yamada_r(code: DiagramCode, max_crossings: int | None = 14) -> LaurentPoly:
     """State-sum Yamada polynomial over all 3^c spin assignments, each state
-    weighted by A^(plus spins - minus spins)."""
+    weighted by A^(plus spins - minus spins).
+
+    The states of one weight w share one integer sum of their signed flow
+    polynomials (signed_flow, with one memo for the whole sum), and each
+    of the at most 2c + 1 sums goes through sigma + 1 once
+    (at_sigma_plus_one) and is shifted by w."""
     cids = sorted(code.crossing_ids())
     if max_crossings is not None and len(cids) > max_crossings:
         raise TooLarge(
             f"{len(cids)} crossings exceeds the guard {max_crossings}"
         )
-    total = LaurentPoly.zero()
+    c = len(cids)
+    sums: list[list[int]] = [[] for _ in range(2 * c + 1)]
     memo: dict = {}
-    for combo in itertools.product((1, -1, 0), repeat=len(cids)):
-        spins = dict(zip(cids, combo))
-        state_h = yamada_h(resolve(code, spins), max_edges=None, memo=memo)
-        total = total + state_h.shift(sum(combo))
+    for combo in itertools.product((1, -1, 0), repeat=c):
+        coeffs = signed_flow(resolve(code, dict(zip(cids, combo))), memo)
+        acc = sums[c + sum(combo)]
+        if len(acc) < len(coeffs):
+            acc.extend([0] * (len(coeffs) - len(acc)))
+        for i, x in enumerate(coeffs):
+            acc[i] += x
+    total = LaurentPoly.zero()
+    for w, acc in enumerate(sums, -c):
+        total = total + at_sigma_plus_one(acc).shift(w)
     return total
 
 
@@ -317,7 +364,7 @@ def _eliminate(
     """Drop the given crossings, welding their half-edges along the given
     pairs, and rebuild the arc list.  Weld chains that close on themselves
     become a fresh degree-2 vertex holding a self-arc (a free circle)."""
-    arcs, circles = _weld(code, removed, welds)
+    arcs, circles = _weld(code, welds)
     vertices = list(code.vertices)
     ids = _fresh_ids(code, 3 * circles)
     for v, a, b in zip(ids[::3], ids[1::3], ids[2::3]):
@@ -559,6 +606,13 @@ def code_from_dict(d: dict) -> DiagramCode:
             raise ValueError(f"arcs must be pairs, got {list(a)}")
     if attach is not None and len(attach) != 2:
         raise ValueError("attach must be a pair of vertex ids")
+    check_id_types("site", [s[0] for s in vertices + crossings])
+    check_id_types(
+        "half-edge",
+        [h for s in vertices + crossings for h in s[1]]
+        + [h for c in crossings for h in c[2]]
+        + [h for a in arcs for h in a],
+    )
     code = make_code(vertices, crossings, arcs, attach)
     validate(code)
     return code

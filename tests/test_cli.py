@@ -253,6 +253,15 @@ def test_domain_errors_exit_one():
             code, out, err = run_cli(command, "--in", blob)
             assert (code, out) == (1, ""), (command, blob)
             assert err.startswith(f"error: {error}: "), (command, blob, err)
+    # ids of mixed types cannot be sorted; they are named, not a traceback
+    for command, blob, named in (
+        ("graph-h", '{"vertices":[0,"x"],"edges":[[0,0,"x"]]}', "0 (int) and 'x' (str)"),
+        ("diagram-r", '{"vertices":[{"id":1,"ends":["a",1]}],"arcs":[["a",1]]}',
+         "'a' (str) and 1 (int)"),
+    ):
+        code, out, err = run_cli(command, "--in", blob)
+        assert (code, out) == (1, ""), (command, blob)
+        assert err.startswith("error: ValueError: ") and named in err, err
 
 
 def test_selftest_green_and_deterministic():

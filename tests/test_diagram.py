@@ -1,5 +1,6 @@
 """Diagram codes, the state-sum polynomial R, and local moves."""
 
+import itertools
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from yamada.diagram import (
     validate,
     yamada_r,
 )
+from yamada.replace import build_family_diagram
 
 A = variable()
 S = sigma()
@@ -210,6 +212,47 @@ def test_standalone_curl_is_unit_times_circle():
             assert len(state.vertices) == circles
             assert all(u == v for _, u, v in state.edges)
             assert {u for _, u, _ in state.edges} == set(state.vertices)
+
+
+def state_sum_by_definition(code):
+    """R as the definition states it: the sum over all spin states of
+    A^(sum of spins) H(state), each state's H formed on its own.  Also
+    returns how many states close free circles (loop vertices that are
+    neither a vertex nor a crossing of the code)."""
+    cids = sorted(code.crossing_ids())
+    sites = {vid for vid, _ in code.vertices} | set(cids)
+    total, with_circles = LaurentPoly.zero(), 0
+    for combo in itertools.product((1, -1, 0), repeat=len(cids)):
+        state = resolve(code, dict(zip(cids, combo)))
+        total = total + A ** sum(combo) * yamada_h(state, max_edges=None)
+        with_circles += not sites.issuperset(state.vertices)
+    return total, with_circles
+
+
+def test_state_sum_matches_definition():
+    # yamada_r adds the states' integer flow coefficients per weight and
+    # goes through sigma + 1 once per weight
+    for n, s, k in itertools.product(range(1, 7), repeat=3):
+        if n * s * k <= 6:
+            code = build_family_diagram(n, s, k)
+            assert yamada_r(code) == state_sum_by_definition(code)[0], (n, s, k)
+    rng = random.Random(5)
+    for base in (cycle_code(3), theta_code(3)):
+        code = base
+        for move in ("r1_insert", "r2_insert", "r1_insert", "r1_insert"):
+            arcs = list(code.arcs)
+            if move == "r1_insert":
+                code = apply_move(
+                    code, move, arc=rng.choice(arcs), sign=rng.choice("+-")
+                )
+            else:
+                a, b = rng.sample(arcs, 2)
+                code = apply_move(code, move, arc_a=a, arc_b=b)
+        validate(code)
+        for c in (code, mirror(code)):
+            want, with_circles = state_sum_by_definition(c)
+            assert with_circles
+            assert yamada_r(c) == want
 
 
 def test_skein_expansion():

@@ -47,9 +47,35 @@ def bridged_cycles(sizes, bridges_first: bool) -> Multigraph:
     return make_graph(range(start), [(i, u, v) for i, (u, v) in enumerate(ordered)])
 
 
+def bridgeless_graph(rng: random.Random, max_v: int = 6, max_e: int = 10) -> Multigraph:
+    """A random multigraph around a Hamiltonian cycle, hence bridgeless;
+    the remaining edges are chords, parallels or loops."""
+    nv = rng.randint(1, max_v)
+    pairs = [(i, (i + 1) % nv) for i in range(nv)]
+    pairs += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, max_e - nv))]
+    return make_graph(range(nv), [(i, u, v) for i, (u, v) in enumerate(pairs)])
+
+
+def subdivided(g: Multigraph) -> Multigraph:
+    """Every edge split in two by a new vertex: one vertex and one edge
+    more per edge, so neither F nor the sign of H changes."""
+    top = max(g.vertices, default=-1) + 1
+    edges = []
+    for j, (_, u, v) in enumerate(g.edges):
+        edges += [(2 * j, u, top + j), (2 * j + 1, top + j, v)]
+    return make_graph(list(g.vertices) + [top + j for j in range(len(g.edges))], edges)
+
+
+def with_pendant(g: Multigraph, at: int, eid: int) -> Multigraph:
+    """g with a new leaf hanging by edge eid from vertex at."""
+    leaf = max(g.vertices) + 1
+    return make_graph(list(g.vertices) + [leaf], list(g.edges) + [(eid, at, leaf)])
+
+
 # every graph here has a bridge; where the bridges take the largest ids the
 # recursion reaches them only through minors, and the last graph adds loops
-# on both sides of the bridges
+# on both sides of the bridges; the pendant edges take the smallest id or
+# the largest, on a cycle, a theta and a loop vertex
 BRIDGED = [
     bridged_cycles(sizes, first)
     for sizes in ((3, 4), (2, 3, 4))
@@ -58,7 +84,11 @@ BRIDGED = [
     make_graph(
         range(7),
         list(bridged_cycles((3, 4), False).edges) + [(8, 0, 0), (9, 6, 6)],
-    )
+    ),
+    with_pendant(make_graph(range(4), [(i + 1, i, (i + 1) % 4) for i in range(4)]), 2, 0),
+    with_pendant(theta_graph(4), 0, 9),
+    with_pendant(make_graph([0, 1], [(0, 0, 1), (1, 0, 1), (2, 1, 1)]), 1, 3),
+    with_pendant(with_pendant(theta_graph(3), 1, 7), 0, 8),
 ]
 
 
@@ -177,12 +207,20 @@ def test_h_is_signed_flow_polynomial_at_sigma_plus_one():
     ]
     for _ in range(220):
         graphs.append(random_graph(rng, 7, 10))
+    bridgeless = [bridgeless_graph(rng, 7, 10) for _ in range(60)]
+    graphs += bridgeless + [subdivided(g) for g in bridgeless]
     t = sigma() + 1
     for g in graphs:
-        flow = flow_polynomial(g)
+        flow = flow_polynomial(g, max_edges=None)
         at_t = sum((c * t ** e for e, c in flow.items()), LaurentPoly.zero())
         sign = (-1) ** (len(g.vertices) + len(g.edges))
-        assert yamada_h(g) == sign * at_t
+        assert yamada_h(g, max_edges=None) == sign * at_t
+    # a subdivision adds a vertex of degree 2, which the recursion
+    # contracts with no delete branch: F and H stay as they were
+    for g in bridgeless:
+        assert not yamada_h(g).is_zero()
+        assert flow_polynomial(subdivided(g), max_edges=None) == flow_polynomial(g)
+        assert yamada_h(subdivided(g), max_edges=None) == yamada_h(g)
 
 
 def test_shared_memo_across_loops_and_isolated_vertices():
@@ -190,8 +228,11 @@ def test_shared_memo_across_loops_and_isolated_vertices():
     # loops and isolated vertices share entries, and sharing changes nothing
     rng = random.Random(12)
     memo: dict = {}
-    for _ in range(40):
-        core = random_graph(rng, 5, 8)
+    cores = [random_graph(rng, 5, 8) for _ in range(40)]
+    # cycles hanging on bridges: series contractions turn a cycle into a
+    # loop on a core whose value is zero
+    cores += BRIDGED
+    for core in cores:
         edges = [e for e in core.edges if e[1] != e[2]]
         size = None
         for isolated in range(3):
