@@ -5,9 +5,9 @@
 
 Imports ``yamada`` from ``DIR/src`` and the benchmark's request streams
 from ``DIR/perfbench`` (read only; nothing is written there).
-DIR defaults to the tree this script sits in.  Seven kinds of line,
+DIR defaults to the tree this script sits in.  Eight kinds of line,
 printed in this order; ``--only`` keeps the named kinds (``--only
-exact,resolve,graph`` checks the exact layer in seconds):
+exact,resolve,graph,replace`` checks the exact layer in seconds):
 
   cell n s k sign sha256   every distinct sweep cell of the given seeds
                            (the cells perfbench/run.py --workload sweep
@@ -36,6 +36,13 @@ exact,resolve,graph`` checks the exact layer in seconds):
                            seeded random multigraphs with 0-7 vertices
                            and 0-12 edges (loops, bridges and isolated
                            vertices included)
+  replace i sha256         str() of h_edge_replace on seeded random
+                           labelled multigraphs with 1-4 vertices and
+                           |V|-8 edges (loops, parallels and labels
+                           shared by several edges included), each of
+                           the labels a, b, c carrying a twist piece
+                           (k = 0-4, either sign) or a bundle of 1-3
+                           strands
 
 Two trees give the same numbers to the bit exactly when a ``diff`` of
 their outputs is empty:
@@ -65,6 +72,8 @@ RATIONAL_SEED = 20240818
 RATIONALS = 200
 GRAPH_SEED = 20240819
 GRAPHS = 400
+REPLACE_SEED = 20240820
+REPLACES = 200
 
 
 def _sha(parts) -> str:
@@ -117,6 +126,29 @@ def _graph_rows(multigraph, rng: random.Random) -> list[str]:
         range(nv), [(i, rng.randrange(nv), rng.randrange(nv)) for i in range(ne)]
     )
     return [str(multigraph.yamada_h(g)), str(multigraph.flow_polynomial(g))]
+
+
+def _replace_row(yamada, rng: random.Random) -> str:
+    """h_edge_replace on one random labelled multigraph.  It has at least
+    as many edges as vertices, because older trees raise on fewer."""
+    mg, rp = yamada.multigraph, yamada.replace
+    nv = rng.randint(1, 4)
+    ne = rng.randint(nv, 8)
+    g = mg.make_graph(
+        range(nv), [(i, rng.randrange(nv), rng.randrange(nv)) for i in range(ne)]
+    )
+    labels = {i: rng.choice("abc") for i in range(ne)}
+    pieces = {}
+    for lab in "abc":
+        if rng.random() < 0.7:
+            pieces[lab] = rp.infinity_closed_form(rng.randint(0, 4), rng.choice("+-"))
+        else:
+            s = rng.randint(1, 3)
+            pieces[lab] = rp.PieceInvariants(
+                mg.yamada_h(mg.theta_graph(s)),
+                (-1) ** (s - 1) * yamada.laurent.sigma() ** s,
+            )
+    return str(rp.h_edge_replace(g, labels, pieces))
 
 
 def _cell_lines(args, workloads, yamada):
@@ -192,6 +224,12 @@ def _graph_lines(args, workloads, yamada):
         yield "graph", i, _sha(_graph_rows(yamada.multigraph, rng))
 
 
+def _replace_lines(args, workloads, yamada):
+    rng = random.Random(REPLACE_SEED)
+    for i in range(REPLACES):
+        yield "replace", i, _sha([_replace_row(yamada, rng)])
+
+
 # the kinds of line, in the order they are printed
 SECTIONS = {
     "cell": _cell_lines,
@@ -201,6 +239,7 @@ SECTIONS = {
     "resolve": _resolve_lines,
     "rational": _rational_lines,
     "graph": _graph_lines,
+    "replace": _replace_lines,
 }
 
 

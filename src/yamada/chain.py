@@ -2,8 +2,9 @@
 
 The chain polynomial lives in Z[w, labels].  Two routes are provided: the
 deletion-contraction recursion and an expansion over edge subsets weighted
-by flow polynomials evaluated at 1 - w.  Substituting rational functions
-for w and the labels is what the edge replacement theorem consumes.
+by flow polynomials evaluated at 1 - w.  eval_chain substitutes rational
+functions for w and the labels; the edge replacement theorem reads the
+terms instead (replace.h_edge_replace), with its denominators cleared.
 """
 
 from __future__ import annotations

@@ -287,7 +287,9 @@ def resolve(code: DiagramCode, spins: Mapping[int, int]) -> Multigraph:
     """Replace every crossing according to its spin and return the abstract
     multigraph of the state.  Strands that close up without touching any
     vertex become an isolated vertex carrying one loop, which contributes
-    the same factor of sigma to H as a free circle."""
+    the same factor of sigma to H as a free circle; these vertices are
+    numbered on from the largest integer site id, or named after the
+    largest site id otherwise."""
     cids = set(code.crossing_ids())
     if set(spins) != cids or any(spins[c] not in (-1, 0, 1) for c in cids):
         raise PartialAssignment("spins must map every crossing to -1, 0 or +1")
@@ -306,10 +308,16 @@ def resolve(code: DiagramCode, spins: Mapping[int, int]) -> Multigraph:
         else:
             welds.extend(_smoothing_pairs(ends, over, spins[cid]))
     pairs, circles = _weld(code, welds)
-    free = max(site_ids, default=0) + 1
+    top = max(site_ids, default=0)
+    if isinstance(top, int):
+        free = list(range(top + 1, top + 1 + circles))
+    else:
+        # strings that are no site's id: of another type than the ids, or
+        # sorting after the largest when the ids are strings
+        free = [f"{top}#{j}" for j in range(circles)]
     edges = [(i, site_of[a], site_of[b]) for i, (a, b) in enumerate(pairs)]
-    edges += [(len(pairs) + j, free + j, free + j) for j in range(circles)]
-    vertices = sorted(site_ids) + list(range(free, free + circles))
+    edges += [(len(pairs) + j, v, v) for j, v in enumerate(free)]
+    vertices = sorted(site_ids) + free
     return Multigraph(tuple(vertices), tuple(edges))
 
 
@@ -606,7 +614,7 @@ def code_from_dict(d: dict) -> DiagramCode:
             raise ValueError(f"arcs must be pairs, got {list(a)}")
     if attach is not None and len(attach) != 2:
         raise ValueError("attach must be a pair of vertex ids")
-    check_id_types("site", [s[0] for s in vertices + crossings])
+    check_id_types("site", [s[0] for s in vertices + crossings] + list(attach or ()))
     check_id_types(
         "half-edge",
         [h for s in vertices + crossings for h in s[1]]

@@ -2,8 +2,9 @@
 
 LaurentPoly is the workhorse value type of the whole package: every graph
 and diagram invariant lands in Z[A, A^-1].  RationalFn adds its quotient
-field, which the edge replacement machinery needs for intermediate values
-(the final results always reduce back to Laurent polynomials).
+field, for evaluating chain polynomials at rational values (eval_chain)
+and for a piece's alpha, beta and gamma; edge replacement itself clears
+those denominators and stays in Z[A, A^-1].
 
 All arithmetic is over the integers: division is one exact long-division
 loop over Z that fails at the first coefficient the divisor's leading

@@ -320,10 +320,15 @@ def flow_polynomial(g: Multigraph, max_edges: int | None = 16) -> LaurentPoly:
 
 
 def check_id_types(what: str, ids: Iterable) -> None:
-    """Raise ValueError if ids mix types: they are sorted and compared, so
-    they must be all integers or all strings, for instance."""
+    """Raise ValueError if an id is unhashable or ids mix types: they are
+    kept in sets, sorted and compared, so they must be all integers or all
+    strings, for instance."""
     first: dict[type, object] = {}
     for x in ids:
+        try:
+            hash(x)
+        except TypeError:
+            raise ValueError(f"{what} id {x!r} is unhashable") from None
         first.setdefault(type(x), x)
     if len(first) > 1:
         named = " and ".join(f"{x!r} ({t.__name__})" for t, x in first.items())
@@ -346,7 +351,7 @@ def graph_from_dict(d: dict) -> Multigraph:
     for e in edges:
         if len(e) != 3:
             raise ValueError(f"edge entries must be [id, u, v], got {list(e)}")
-    check_id_types("vertex", vertices)
+    check_id_types("vertex", list(vertices) + [x for e in edges for x in e[1:]])
     check_id_types("edge", (e[0] for e in edges))
     return make_graph(vertices, edges)
 

@@ -10,6 +10,7 @@ cycle-of-theta-of-twists family whose roots the `roots` module chases.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -45,7 +46,9 @@ class PieceInvariants:
 
 
 class AlphaBetaGamma:
-    """The substitution data of a piece for the chain-polynomial route.
+    """The rational substitution data of a piece in the chain-polynomial
+    theorem; h_edge_replace uses the cleared forms gamma*beta = -r and
+    sigma*beta = r + r_closed instead.
 
     alpha = ((sigma+1)*r + r_closed) / sigma and beta = (r + r_closed) / sigma
     recover the inputs through r = alpha - beta and r_closed =
@@ -198,30 +201,45 @@ def h_edge_replace(
     pieces: Mapping[str, PieceInvariants],
 ) -> LaurentPoly:
     """Replace every edge of a labelled graph by the piece assigned to its
-    label, through the chain polynomial: substitute w -> -sigma and each
-    label variable -> gamma of its piece, then scale by the product of the
-    betas and the parity sign (-1)^(edges - vertices)."""
-    used = {labels[eid] for eid, _, _ in g.edges}
-    table: dict[str, AlphaBetaGamma] = {}
-    zero = RationalFn.from_int(0)
-    for lab in sorted(used):
+    label, through the chain polynomial, in Z[A, A^-1] throughout.
+
+    The theorem reads H = (-1)^(|E|-|V|) prod_e beta_e Ch_G(w = -sigma,
+    a_l = gamma_l), with alpha = ((sigma+1) r + r_closed)/sigma, beta =
+    (r + r_closed)/sigma and gamma = 1 - alpha/beta of each piece.  Since
+    gamma*beta = -r and sigma*beta = r + r_closed, the denominators clear:
+    a label l on n_l edges turns its monomial a_l^e, times beta_l^n_l
+    sigma^n_l, into x_l^e y_l^(n_l-e) with x_l = -sigma r_l and y_l = r_l
+    + r_closed_l.  So each term c w^i prod a_l^e_l of Ch adds
+    c (-sigma)^i prod x_l^e_l y_l^(n_l-e_l), and one exact division by
+    sigma^|E| ends the sum.  The piece's beta is zero exactly when y is.
+    """
+    uses = Counter(labels[eid] for eid, _, _ in g.edges)
+    s = sigma()
+    xy: dict[str, tuple[LaurentPoly, LaurentPoly]] = {}
+    for lab in sorted(uses):
         if lab not in pieces:
             raise KeyError(f"no piece assigned to label {lab!r}")
-        table[lab] = alpha_beta_gamma(pieces[lab])
-        if table[lab].beta == zero:
+        piece = pieces[lab]
+        x, y = -s * piece.r, piece.r + piece.r_closed
+        if y.is_zero():
             raise BetaZero(f"piece for label {lab!r} has beta = 0")
+        xy[lab] = x, y
     ch = chain_polynomial(g, labels)
-    values: dict[str, RationalFn] = {
-        "w": RationalFn.from_laurent(-sigma())
-    }
-    for lab, abg in table.items():
-        values[lab] = abg.gamma
-    rat = ch.substitute(values)
-    prod_beta = RationalFn.from_int((-1) ** (len(g.edges) - len(g.vertices)))
-    for eid, _, _ in g.edges:
-        rat = rat * table[labels[eid]].beta
-    rat = rat * prod_beta
-    return rat.to_laurent()
+    # (position of l in ch.vars, [x_l^e y_l^(n_l - e) for e = 0..n_l]);
+    # labels without edges keep exponent 0 and factor 1, so they are skipped
+    slots = []
+    for j, lab in enumerate(ch.vars[1:], 1):
+        if lab in xy:
+            (x, y), n = xy[lab], uses[lab]
+            slots.append((j, [x**e * y ** (n - e) for e in range(n + 1)]))
+    total = LaurentPoly.zero()
+    for exps, c in ch.terms.items():
+        term = (-s) ** exps[0] * c
+        for j, table in slots:
+            term = term * table[exps[j]]
+        total = total + term
+    h = exact_div(total, s ** len(g.edges))
+    return -h if (len(g.edges) - len(g.vertices)) % 2 else h
 
 
 def build_family_diagram(

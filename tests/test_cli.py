@@ -262,6 +262,28 @@ def test_domain_errors_exit_one():
         code, out, err = run_cli(command, "--in", blob)
         assert (code, out) == (1, ""), (command, blob)
         assert err.startswith("error: ValueError: ") and named in err, err
+    # a JSON list cannot be an id: it is named, not a traceback
+    for command, blob, named in (
+        ("graph-h", '{"vertices":[[0],[1]],"edges":[]}', "vertex id [0]"),
+        ("graph-h", '{"vertices":[0,1],"edges":[[0,[0],1]]}', "vertex id [0]"),
+        ("diagram-r", '{"vertices":[{"id":[1],"ends":[1,2]}],"arcs":[[1,2]]}',
+         "site id [1]"),
+        ("diagram-r", '{"vertices":[{"id":1,"ends":[[1],2]}],"arcs":[[[1],2]]}',
+         "half-edge id [1]"),
+    ):
+        code, out, err = run_cli(command, "--in", blob)
+        assert (code, out) == (1, ""), (command, blob)
+        assert err == f"error: ValueError: {named} is unhashable\n", err
+
+
+def test_string_site_ids():
+    # one 2-valent vertex on a loop is a circle, whatever its ids are
+    for blob in (
+        '{"vertices":[{"id":"v","ends":["a","b"]}],"arcs":[["a","b"]]}',
+        '{"vertices":[{"id":1,"ends":[1,2]}],"arcs":[[1,2]]}',
+    ):
+        code, out, err = run_cli("diagram-r", "--in", blob)
+        assert (code, out.strip(), err) == (0, "A + 1 + A^-1", ""), blob
 
 
 def test_selftest_green_and_deterministic():

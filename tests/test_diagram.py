@@ -255,6 +255,34 @@ def test_state_sum_matches_definition():
             assert yamada_r(c) == want
 
 
+def with_string_ids(code):
+    """The same diagram with every site id and half-edge id a string."""
+    def h(ends):
+        return tuple(f"h{x}" for x in ends)
+
+    return make_code(
+        [(f"s{vid}", h(ends)) for vid, ends in code.vertices],
+        [(f"s{cid}", h(ends), h(over)) for cid, ends, over in code.crossings],
+        [h(a) for a in code.arcs],
+        None if code.attach is None else tuple(f"s{v}" for v in code.attach),
+    )
+
+
+def test_string_ids_give_the_same_state_sum():
+    # states that close free circles need vertex names beside string ids
+    for code in (
+        build_twist(2, "+"),
+        close_piece(build_twist(3, "-")),
+        build_family_diagram(2, 1, 2),
+        theta_code(3),
+    ):
+        named = with_string_ids(code)
+        validate(named)
+        want, with_circles = state_sum_by_definition(named)
+        assert with_circles or not code.crossings
+        assert yamada_r(named) == yamada_r(code) == want
+
+
 def test_skein_expansion():
     rng = random.Random(99)
     for _ in range(25):

@@ -1,6 +1,7 @@
 """Composition formulas, twist closed forms, and the family builder."""
 
 import itertools
+import random
 
 import pytest
 
@@ -239,6 +240,53 @@ def test_h_edge_replace_worked_form():
         assert got == expect
 
 
+def random_labelled_graph(rng):
+    """Up to 5 vertices and 6 edges on labels a, b, c: loops, bridges,
+    isolated vertices, shared labels and fewer edges than vertices all
+    occur."""
+    nv = rng.randint(1, 5)
+    edges = [
+        (i, rng.randrange(nv), rng.randrange(nv)) for i in range(rng.randint(0, 6))
+    ]
+    labels = {eid: rng.choice("abc") for eid, _, _ in edges}
+    return make_graph(range(nv), edges), labels
+
+
+def test_h_edge_replace_matches_bundled_graph():
+    # a bundle of s strands on every edge is the graph with s parallels
+    assert h_edge_replace(
+        make_graph([0, 1], [(0, 0, 1)]), {0: "a"}, {"a": theta_piece(2)}
+    ) == S
+    rng = random.Random(20240820)
+    sparse = 0
+    for _ in range(150):
+        g, labels = random_labelled_graph(rng)
+        sizes = {lab: rng.randint(1, 3) for lab in "abc"}
+        bundled = [
+            (len(g.edges) * j + eid, u, v)
+            for eid, u, v in g.edges
+            for j in range(sizes[labels[eid]])
+        ]
+        pieces = {lab: theta_piece(s) for lab, s in sizes.items()}
+        assert h_edge_replace(g, labels, pieces) == yamada_h(
+            make_graph(g.vertices, bundled), max_edges=None
+        ), (g, labels, sizes)
+        sparse += len(g.edges) < len(g.vertices)
+    assert sparse >= 30
+
+
+def test_h_edge_replace_mirrors_with_its_pieces():
+    rng = random.Random(20240821)
+    for _ in range(40):
+        g, labels = random_labelled_graph(rng)
+        ks = {lab: rng.randint(0, 4) for lab in "abc"}
+        plus = {lab: infinity_closed_form(k, "+") for lab, k in ks.items()}
+        minus = {lab: infinity_closed_form(k, "-") for lab, k in ks.items()}
+        assert h_edge_replace(g, labels, minus) == h_edge_replace(
+            g, labels, plus
+        ).mirror()
+
+
 def test_h_edge_replace_rejects_beta_zero():
     base = cycle_graph(2)
     labels = {0: "a", 1: "a"}
@@ -246,3 +294,7 @@ def test_h_edge_replace_rejects_beta_zero():
         h_edge_replace(base, labels, {"a": PieceInvariants(S, -S)})
     with pytest.raises(KeyError):
         h_edge_replace(base, labels, {"b": theta_piece(2)})
+    # the chain polynomial's edge guard applies before any power is formed
+    big = cycle_graph(17)
+    with pytest.raises(TooLarge):
+        h_edge_replace(big, dict.fromkeys(range(17), "a"), {"a": theta_piece(2)})
