@@ -5,7 +5,7 @@
 
 Imports ``yamada`` from ``DIR/src`` and the benchmark's request streams
 from ``DIR/perfbench`` (read only; nothing is written there).
-DIR defaults to the tree this script sits in.  Eight kinds of line,
+DIR defaults to the tree this script sits in.  Seven kinds of line,
 printed in this order; ``--only`` keeps the named kinds (``--only
 exact,resolve,graph,replace`` checks the exact layer in seconds):
 
@@ -28,10 +28,6 @@ exact,resolve,graph,replace`` checks the exact layer in seconds):
                            distinct diagram whose state sum those
                            cycles request: pins the state graphs' edge
                            order and vertex names, which key the H memo
-  rational i sha256        num.to_text() and den.to_text() of seeded
-                           RationalFn values built with planted common
-                           factors, and of their sum, product and
-                           quotient
   graph i sha256           str() of yamada_h and of flow_polynomial on
                            seeded random multigraphs with 0-7 vertices
                            and 0-12 edges (loops, bridges and isolated
@@ -50,6 +46,11 @@ their outputs is empty:
     python3 scripts/record_digest.py --tree ../parent > a.txt
     python3 scripts/record_digest.py > b.txt
     diff a.txt b.txt
+
+A parent/child diff across the change that removed the package's
+rational-function type passes both runs ``--only
+cell,density,poly,exact,resolve,graph,replace``: the parent's copy of
+this script also prints a ``rational`` kind.
 """
 
 from __future__ import annotations
@@ -68,8 +69,6 @@ SWEEP_CELLS = 48
 POLY_SEED = 20240817
 # the requests of one exact cycle
 EXACT_CYCLE = 25
-RATIONAL_SEED = 20240818
-RATIONALS = 200
 GRAPH_SEED = 20240819
 GRAPHS = 400
 REPLACE_SEED = 20240820
@@ -99,22 +98,6 @@ def _random_poly(laurent, rng: random.Random, degree: int):
         if c:
             terms[e] = c
     return laurent.LaurentPoly(terms)
-
-
-def _rational_rows(laurent, rng: random.Random) -> list[str]:
-    """Two fractions over a planted common factor each, then their sum,
-    product and quotient, in canonical text."""
-    def fraction():
-        g = _random_poly(laurent, rng, rng.randint(1, 3)) * rng.randint(1, 6)
-        num, den = (
-            _random_poly(laurent, rng, rng.randint(1, 5)).shift(rng.randint(-3, 3))
-            for _ in range(2)
-        )
-        return laurent.RationalFn(num * g, den * g)
-
-    x, y = fraction(), fraction()
-    values = [x, y, x + y, x * y, x / y]
-    return [f"{v.num.to_text()} | {v.den.to_text()}" for v in values]
 
 
 def _graph_rows(multigraph, rng: random.Random) -> list[str]:
@@ -212,12 +195,6 @@ def _resolve_lines(args, workloads, yamada):
         )
 
 
-def _rational_lines(args, workloads, yamada):
-    rng = random.Random(RATIONAL_SEED)
-    for i in range(RATIONALS):
-        yield "rational", i, _sha(_rational_rows(yamada.laurent, rng))
-
-
 def _graph_lines(args, workloads, yamada):
     rng = random.Random(GRAPH_SEED)
     for i in range(GRAPHS):
@@ -237,7 +214,6 @@ SECTIONS = {
     "poly": _poly_lines,
     "exact": _exact_lines,
     "resolve": _resolve_lines,
-    "rational": _rational_lines,
     "graph": _graph_lines,
     "replace": _replace_lines,
 }

@@ -2,9 +2,8 @@
 
 The chain polynomial lives in Z[w, labels].  Two routes are provided: the
 deletion-contraction recursion and an expansion over edge subsets weighted
-by flow polynomials evaluated at 1 - w.  eval_chain substitutes rational
-functions for w and the labels; the edge replacement theorem reads the
-terms instead (replace.h_edge_replace), with its denominators cleared.
+by flow polynomials evaluated at 1 - w.  The edge replacement theorem
+reads its terms (replace.h_edge_replace), with the denominators cleared.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import json
 from typing import Mapping
 
 from .errors import YamadaError
-from .laurent import LaurentPoly, RationalFn
 from .multigraph import (
     Multigraph,
     TooLarge,
@@ -140,21 +138,6 @@ class MultiPoly:
                 base = base * base
         return result
 
-    def substitute(self, values: Mapping[str, RationalFn]) -> RationalFn:
-        """Evaluate with every variable bound to a RationalFn."""
-        used = [i for i in range(len(self.vars)) if any(e[i] for e in self.terms)]
-        for i in used:
-            if self.vars[i] not in values:
-                raise MissingAssignment(f"no value for variable {self.vars[i]!r}")
-        total = RationalFn.from_int(0)
-        for exps, coeff in sorted(self.terms.items()):
-            term = RationalFn.from_int(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * values[self.vars[i]] ** e
-            total = total + term
-        return total
-
     def to_text(self) -> str:
         if not self.terms:
             return "0"
@@ -195,7 +178,12 @@ Labeling = Mapping[int, str]
 
 
 def chain_variables(labels: Labeling) -> tuple[str, ...]:
-    return ("w",) + tuple(sorted(set(labels.values())))
+    """The variable universe: w, then the distinct labels in sorted order.
+    A label named w would be the same variable as w, so it is refused."""
+    names = set(labels.values())
+    if "w" in names:
+        raise ValueError("label 'w' collides with the chain variable w")
+    return ("w",) + tuple(sorted(names))
 
 
 def _chain_recursive(g: Multigraph, labels: Labeling, vars: tuple[str, ...]) -> MultiPoly:
@@ -250,15 +238,6 @@ def chain_via_flows(g: Multigraph, labels: Labeling, max_edges: int | None = 12)
             value = value * MultiPoly.var(vars, labels[eid])
         total = total + value
     return total
-
-
-def eval_chain(
-    ch: MultiPoly, w_value: RationalFn, label_values: Mapping[str, RationalFn]
-) -> RationalFn:
-    """Substitute w and every label; raises MissingAssignment on gaps."""
-    values = dict(label_values)
-    values["w"] = w_value
-    return ch.substitute(values)
 
 
 def labelled_from_dict(d: dict) -> tuple[Multigraph, dict[int, str]]:

@@ -260,7 +260,7 @@ def _cmd_omega(args) -> str:
 # selftest: the golden closed forms, replayed from scratch
 
 def _selftest_items():
-    from .laurent import RationalFn, exact_div, sigma, variable, compare_up_to_unit
+    from .laurent import exact_div, sigma, variable, compare_up_to_unit
 
     A = variable()
     S = sigma()
@@ -400,14 +400,16 @@ def _selftest_items():
             )
 
     def alpha_beta_values():
-        abg0 = rp.alpha_beta_gamma(rp.infinity_closed_form(0))
-        eq(abg0.alpha, RationalFn.from_int(1), "alpha of a plain edge")
-        eq(abg0.beta, RationalFn.from_int(1), "beta of a plain edge")
+        # cleared forms: sigma*alpha = (sigma+1)*r + r_closed and
+        # sigma*beta = r + r_closed
+        edge = rp.infinity_closed_form(0)
+        eq((S + 1) * edge.r + edge.r_closed, S, "alpha of a plain edge")
+        eq(edge.r + edge.r_closed, S, "beta of a plain edge")
         for k in range(1, 5):
-            abg = rp.alpha_beta_gamma(rp.infinity_closed_form(k, "+"))
+            piece = rp.infinity_closed_form(k, "+")
             eq(
-                abg.beta,
-                RationalFn.from_laurent(rp.twist_scale(k)),
+                piece.r + piece.r_closed,
+                S * rp.twist_scale(k),
                 f"beta of twist {k}",
             )
 

@@ -1,10 +1,8 @@
 """Exact arithmetic for integer Laurent polynomials in one variable A.
 
 LaurentPoly is the workhorse value type of the whole package: every graph
-and diagram invariant lands in Z[A, A^-1].  RationalFn adds its quotient
-field, for evaluating chain polynomials at rational values (eval_chain)
-and for a piece's alpha, beta and gamma; edge replacement itself clears
-those denominators and stays in Z[A, A^-1].
+and diagram invariant lands in Z[A, A^-1], and edge replacement stays
+there by clearing the denominators of the paper's rational substitutions.
 
 All arithmetic is over the integers: division is one exact long-division
 loop over Z that fails at the first coefficient the divisor's leading
@@ -409,161 +407,3 @@ def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
     while b:
         a, b = b, _primitive(_pseudo_rem(a, b))
     return [-c for c in a] if a and a[-1] < 0 else a
-
-
-class RationalFn:
-    """Quotient of two LaurentPoly in canonical reduced form.
-
-    Invariants after construction: the denominator is an ordinary polynomial
-    with nonzero constant term (powers of A live in the numerator), the
-    polynomial gcd of numerator and denominator is 1, their integer contents
-    are coprime, and the denominator's leading coefficient is positive.
-    These make the reduced (num, den) pair unique for each value (zero is
-    (0, 1)), so equality and hashing compare the pair itself.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = LaurentPoly({0: 1})):
-        if den.is_zero():
-            raise DivisionByZero("rational function with zero denominator")
-        if num.is_zero():
-            self.num = LaurentPoly.zero()
-            self.den = LaurentPoly.one()
-            return
-        nlo, nc = num.dense_coeffs()
-        dlo, dc = den.dense_coeffs()
-        shift = nlo - dlo
-        g = _poly_gcd(nc, dc)
-        if len(g) > 1:
-            # g is primitive and divides both over Q, so by Gauss's lemma the
-            # integer quotients are exact.
-            nc, dc = _divexact(nc, g), _divexact(dc, g)
-        # common content, signed so that den's leading coefficient is > 0
-        cg = gcd(*nc, *dc) if dc[-1] > 0 else -gcd(*nc, *dc)
-        if cg != 1:
-            nc = [c // cg for c in nc]
-            dc = [c // cg for c in dc]
-        self.num = LaurentPoly({shift + i: c for i, c in enumerate(nc) if c})
-        self.den = LaurentPoly({i: c for i, c in enumerate(dc) if c})
-
-    @classmethod
-    def from_laurent(cls, p: LaurentPoly) -> RationalFn:
-        r = cls.__new__(cls)
-        r.num = p
-        r.den = LaurentPoly.one()
-        return r
-
-    @classmethod
-    def from_int(cls, c: int) -> RationalFn:
-        return cls.from_laurent(LaurentPoly.const(c))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, LaurentPoly)):
-            other = RationalFn.from_laurent(
-                LaurentPoly.const(other) if isinstance(other, int) else other
-            )
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other) -> RationalFn:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> RationalFn:
-        r = RationalFn.__new__(RationalFn)
-        r.num = -self.num
-        r.den = self.den
-        return r
-
-    def __sub__(self, other) -> RationalFn:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> RationalFn:
-        return (-self) + other
-
-    def __mul__(self, other) -> RationalFn:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> RationalFn:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise DivisionByZero("division by the zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> RationalFn:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, n: int) -> RationalFn:
-        if not isinstance(n, int):
-            raise ValueError("RationalFn powers must be integers")
-        if n < 0:
-            if self.is_zero():
-                raise DivisionByZero("negative power of zero")
-            inv = RationalFn(self.den, self.num)
-            return inv ** (-n)
-        result = RationalFn.from_int(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def to_laurent(self) -> LaurentPoly:
-        """Collapse to a LaurentPoly; NonExactDivision when the denominator
-        does not divide out."""
-        return exact_div(self.num, self.den)
-
-    def eval_complex(self, z: complex) -> complex:
-        d = self.den.eval_complex(z)
-        if d == 0:
-            raise DivisionByZero(f"denominator vanishes at {z}")
-        return self.num.eval_complex(z) / d
-
-    def to_text(self, var: str = "A") -> str:
-        if self.den == LaurentPoly.one():
-            return self.num.to_text(var)
-        return f"({self.num.to_text(var)}) / ({self.den.to_text(var)})"
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def __repr__(self) -> str:
-        return f"RationalFn({self.to_text()!r})"
-
-
-def _coerce(x) -> RationalFn:
-    if isinstance(x, RationalFn):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RationalFn.from_laurent(x)
-    if isinstance(x, int):
-        return RationalFn.from_int(x)
-    return NotImplemented

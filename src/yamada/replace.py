@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 from .chain import chain_polynomial
 from .diagram import DiagramCode, make_code
 from .errors import YamadaError
-from .laurent import LaurentPoly, RationalFn, exact_div, sigma
+from .laurent import LaurentPoly, exact_div, sigma
 from .multigraph import Multigraph, TooLarge
 
 
@@ -43,38 +43,6 @@ class PieceInvariants:
 
     def mirrored(self) -> "PieceInvariants":
         return PieceInvariants(self.r.mirror(), self.r_closed.mirror())
-
-
-class AlphaBetaGamma:
-    """The rational substitution data of a piece in the chain-polynomial
-    theorem; h_edge_replace uses the cleared forms gamma*beta = -r and
-    sigma*beta = r + r_closed instead.
-
-    alpha = ((sigma+1)*r + r_closed) / sigma and beta = (r + r_closed) / sigma
-    recover the inputs through r = alpha - beta and r_closed =
-    (sigma+1)*beta - alpha.  gamma = 1 - alpha/beta exists only when beta
-    is nonzero and is computed on demand.
-    """
-
-    def __init__(self, alpha: RationalFn, beta: RationalFn):
-        self.alpha = alpha
-        self.beta = beta
-
-    @property
-    def gamma(self) -> RationalFn:
-        if self.beta == RationalFn.from_int(0):
-            raise BetaZero("gamma undefined: beta of the piece is zero")
-        return RationalFn.from_int(1) - self.alpha / self.beta
-
-
-def alpha_beta_gamma(piece: PieceInvariants) -> AlphaBetaGamma:
-    s = RationalFn.from_laurent(sigma())
-    r = RationalFn.from_laurent(piece.r)
-    rc = RationalFn.from_laurent(piece.r_closed)
-    one = RationalFn.from_int(1)
-    alpha = ((s + one) * r + rc) / s
-    beta = (r + rc) / s
-    return AlphaBetaGamma(alpha, beta)
 
 
 def two_vertex_h(

@@ -411,8 +411,19 @@ def limit_curve_points(
     (with wraparound) catches those.  Bisection stops once the bracket is
     shorter than refine (arc length, for the circle passes).  The points
     come back sorted by angle then radius, deterministically for fixed
-    arguments.
+    arguments.  The grid needs angles >= 1, radial >= 1 and 0 < r_lo <
+    r_hi; anything else raises ValueError.
     """
+    if angles < 1 or radial < 1:
+        raise ValueError(
+            f"the grid needs angles >= 1 and radial >= 1, not {angles} and"
+            f" {radial}"
+        )
+    if not 0 < r_lo < r_hi:
+        raise ValueError(
+            f"the radii need 0 < r_lo < r_hi, not r_lo = {r_lo!r} and"
+            f" r_hi = {r_hi!r}"
+        )
     l1, l2 = family_lambdas(s, k, "+")
     radii = np.geomspace(r_lo, r_hi, radial)
     step = 2 * math.pi / angles
@@ -938,7 +949,8 @@ def density_witness(
     degree estimate exceeds the degree cap are outside the search space.
     If the caps run out, NotFound reports the closest certified root
     seen anywhere in the grid (None if there is none).  Either outcome
-    counts the uncertified records the search passed over.
+    counts the uncertified records the search passed over.  Caps that
+    admit no cell at all raise ValueError.
 
     jobs > 1 solves upcoming cells in worker processes (_cell_stream)
     while the results are still consumed in visit order, so the outcome
@@ -956,6 +968,8 @@ def density_witness(
     if cache is None:
         cache = {}
     plan = _witness_plan(caps, sign)
+    if not plan:
+        raise ValueError(f"the caps admit no cell to search: {caps}")
     best: RootRecord | None = None
     best_d = math.inf
     uncertified = 0

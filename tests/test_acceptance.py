@@ -397,11 +397,11 @@ def test_criterion_6_curve_clustering():
 # ---------------------------------------------------------------------------
 # 7. CLI determinism
 
-def test_criterion_7_cli_determinism():
+def test_criterion_7_cli_determinism(child_env):
     t0 = time.time()
     cmd = [sys.executable, "-m", "yamada.cli", "selftest"]
-    first = subprocess.run(cmd, capture_output=True, timeout=600)
-    second = subprocess.run(cmd, capture_output=True, timeout=600)
+    first = subprocess.run(cmd, capture_output=True, timeout=600, env=child_env)
+    second = subprocess.run(cmd, capture_output=True, timeout=600, env=child_env)
     elapsed = time.time() - t0
     ok = (
         first.returncode == 0

@@ -10,14 +10,12 @@ from yamada.chain import (
     chain_polynomial,
     chain_variables,
     chain_via_flows,
-    eval_chain,
     labelled_bouquet,
     labelled_cycle,
     labelled_from_json,
     labelled_theta,
     labelled_to_dict,
 )
-from yamada.laurent import RationalFn, sigma
 from yamada.multigraph import TooLarge, make_graph
 
 
@@ -130,30 +128,24 @@ def test_chain_one_point_union_multiplicativity_finding():
         print("finding: chain one-point union multiplicativity held on all instances")
 
 
-def test_eval_chain_missing_assignment():
+def test_chain_missing_labels():
     g, labels = labelled_cycle(3)
-    ch = chain_polynomial(g, labels)
-    with pytest.raises(MissingAssignment):
-        eval_chain(ch, RationalFn.from_int(0), {"a1": RationalFn.from_int(0)})
+    del labels[1]
+    with pytest.raises(MissingAssignment, match=r"edges without labels: \[1\]"):
+        chain_polynomial(g, labels)
+    with pytest.raises(MissingAssignment, match=r"edges without labels: \[1\]"):
+        chain_via_flows(g, labels)
 
 
-def test_eval_chain_homomorphism_on_random_graphs():
-    rng = random.Random(9)
-    s = sigma()
-    for _ in range(15):
-        g, labels = random_labelled(rng, 3, 5)
-        ch = chain_polynomial(g, labels)
-        values = {
-            name: RationalFn(
-                s * rng.randint(-2, 2) + rng.randint(-1, 1), s + rng.randint(2, 3)
-            )
-            for name in set(labels.values())
-        }
-        w_val = RationalFn.from_laurent(-s)
-        direct = eval_chain(ch, w_val, values)
-        # same substitution done term by term through the flow route
-        other = eval_chain(chain_via_flows(g, labels), w_val, values)
-        assert direct == other
+def test_label_named_w_is_refused():
+    # a label w would merge with the chain variable w and give a wrong value
+    g = make_graph([0, 1], [(0, 0, 1), (1, 0, 1)])
+    labels = {0: "w", 1: "b"}
+    for route in (chain_polynomial, chain_via_flows):
+        with pytest.raises(ValueError, match="label 'w'"):
+            route(g, labels)
+    with pytest.raises(ValueError, match="label 'w'"):
+        chain_variables(labels)
 
 
 def test_chain_guard():

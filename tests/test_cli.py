@@ -181,6 +181,36 @@ def test_density_witness_json():
     assert payload["root"]["sign"] == "-"
 
 
+def test_chain_refuses_a_label_named_w():
+    blob = '{"vertices":[0,1],"edges":[[0,0,1],[1,0,1]],"labels":{"0":"w","1":"b"}}'
+    code, out, err = run_cli("chain", "--in", blob)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ValueError: ") and "label 'w'" in err, err
+    assert err.count("\n") == 1
+
+
+def test_density_caps_without_cells_exit_one():
+    for cap in (["--kmax", "0"], ["--degree-cap", "0"]):
+        code, out, err = run_cli("density", "--z0", "0.5i", "--eps", "0.1", *cap)
+        assert (code, out) == (1, ""), cap
+        assert err.startswith("error: ValueError: "), (cap, err)
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_curve_rejects_grids_it_cannot_sample():
+    for grid in (
+        ["--angles", "0"],
+        ["--angles", "-3"],
+        ["--radial", "0"],
+        ["--r-lo", "0"],
+        ["--r-lo", "2", "--r-hi", "1"],
+    ):
+        code, out, err = run_cli("curve", "--s", "2", "--k", "2", *grid)
+        assert (code, out) == (1, ""), grid
+        assert err.startswith("error: ValueError: "), (grid, err)
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_curve_csv_header():
     code, out, _ = run_cli(
         "curve", "--s", "1", "--k", "1", "--angles", "24", "--radial", "16"
@@ -296,9 +326,9 @@ def test_selftest_green_and_deterministic():
     assert lines[-1].endswith("items passed")
 
 
-def test_selftest_subprocess_bytes_identical():
+def test_selftest_subprocess_bytes_identical(child_env):
     cmd = [sys.executable, "-m", "yamada.cli", "selftest"]
-    first = subprocess.run(cmd, capture_output=True, timeout=600)
-    second = subprocess.run(cmd, capture_output=True, timeout=600)
+    first = subprocess.run(cmd, capture_output=True, timeout=600, env=child_env)
+    second = subprocess.run(cmd, capture_output=True, timeout=600, env=child_env)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout

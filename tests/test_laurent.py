@@ -13,7 +13,6 @@ from yamada.laurent import (
     NonExactDivision,
     ParseError,
     PoleAtZero,
-    RationalFn,
     _divexact,
     _poly_gcd,
     compare_up_to_unit,
@@ -153,33 +152,6 @@ def test_poly_gcd_primitive_prs_recovers_a_planted_factor():
         checked += 1
 
 
-def test_rational_canonical_form_with_a_non_monic_common_factor():
-    a = variable()
-    common = 2 * a + 3
-    r = RationalFn(6 * common * (a - 1), 4 * common * (a + 2))
-    assert r.num == 3 * (a - 1)
-    assert r.den == 2 * (a + 2)
-
-
-def test_rational_equality_compares_canonical_pairs():
-    s, a = sigma(), variable()
-    rng = random.Random(31)
-    for _ in range(40):
-        n, d = rand_poly(rng, 4, 3), rand_poly(rng, 4, 3)
-        g1, g2 = rand_poly(rng, 3, 2), rand_poly(rng, 3, 2)
-        if d.is_zero() or g1.is_zero() or g2.is_zero():
-            continue
-        x = RationalFn(n * g1 * 3, d * g1 * 3)
-        y = RationalFn(-(n * g2).shift(2), -(d * g2).shift(2))
-        assert x == y and hash(x) == hash(y)
-        assert (x.num, x.den) == (y.num, y.den)
-    assert RationalFn(s, s) - RationalFn.from_int(1) == RationalFn.from_int(0)
-    p = s * a - 2
-    assert RationalFn.from_laurent(p) == RationalFn(p, LaurentPoly.one())
-    assert RationalFn.from_laurent(p) == p
-    assert RationalFn(s, s + 1) != RationalFn(s, s)
-
-
 def test_eval_complex():
     p = LaurentPoly({-2: 1}) * sigma()
     assert abs(p.eval_complex(1j) - (-1)) < 1e-12
@@ -232,70 +204,6 @@ def test_text_rendering_and_parse_round_trip():
         parse_poly("A^2 + bogus~")
     with pytest.raises(ParseError):
         parse_poly("")
-
-
-def test_rational_canonical_form():
-    s = sigma()
-    r = RationalFn(s ** 2 * 2, s * 4)
-    assert r.num == s and r.den == LaurentPoly.const(2)
-    # denominator sign is normalized positive
-    r2 = RationalFn(s, -(s + 1))
-    assert r2.den.coeff(r2.den.max_exp()) > 0
-    # denominator is A-free: powers of A move to the numerator
-    r3 = RationalFn(LaurentPoly.one(), LaurentPoly({3: 1, 2: 1}))
-    assert r3.den.min_exp() == 0
-    assert r3.den.coeff(0) != 0
-
-
-def test_rational_field_axioms():
-    rng = random.Random(17)
-    count = 0
-    while count < 120:
-        a_n, a_d = rand_poly(rng, 4, 3), rand_poly(rng, 4, 3)
-        b_n, b_d = rand_poly(rng, 4, 3), rand_poly(rng, 4, 3)
-        if a_d.is_zero() or b_d.is_zero():
-            continue
-        a, b = RationalFn(a_n, a_d), RationalFn(b_n, b_d)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) - b == a
-        if not b.is_zero():
-            assert (a / b) * b == a
-        assert a - a == RationalFn.from_int(0)
-        count += 1
-
-
-def test_rational_equality_is_cross_multiplication():
-    s = sigma()
-    assert RationalFn(s ** 2, s) == RationalFn(s ** 3, s ** 2)
-    assert RationalFn(s, s + 1) != RationalFn(s, s)
-
-
-def test_rational_pow_and_to_laurent():
-    s = sigma()
-    inv = RationalFn(LaurentPoly.one(), s)
-    assert inv ** -2 == RationalFn(s ** 2, LaurentPoly.one())
-    assert RationalFn(s ** 2, s).to_laurent() == s
-    with pytest.raises(NonExactDivision):
-        RationalFn(s, s + 1).to_laurent()
-    with pytest.raises(DivisionByZero):
-        RationalFn(s, LaurentPoly.zero())
-
-
-def test_rational_eval_matches_exact():
-    rng = random.Random(23)
-    done = 0
-    while done < 60:
-        n, d = rand_poly(rng, 4, 3), rand_poly(rng, 4, 3)
-        if d.is_zero():
-            continue
-        z = complex(rng.uniform(0.3, 1.5), rng.uniform(0.2, 1.0))
-        if abs(d.eval_complex(z)) < 1e-6:
-            continue
-        r = RationalFn(n, d)
-        expect = n.eval_complex(z) / d.eval_complex(z)
-        assert abs(r.eval_complex(z) - expect) <= 1e-8 * (1 + abs(expect))
-        done += 1
 
 
 def test_docstring_examples_run():

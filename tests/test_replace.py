@@ -8,7 +8,6 @@ import pytest
 from yamada.laurent import (
     LaurentPoly,
     NonExactDivision,
-    RationalFn,
     exact_div,
     sigma,
     variable,
@@ -22,12 +21,10 @@ from yamada.multigraph import (
 )
 from yamada.diagram import build_twist, close_piece, validate, yamada_r
 from yamada.replace import (
-    AlphaBetaGamma,
     ArityMismatch,
     BetaZero,
     DegreeCap,
     PieceInvariants,
-    alpha_beta_gamma,
     build_family_diagram,
     family_polynomial,
     h_edge_replace,
@@ -65,39 +62,51 @@ def test_twist_closed_form_instances():
     assert p2.r_closed == -(S * A ** -2 * (A + A ** -1)) - S * A ** -4
 
 
+# The theorem's alpha = ((sigma+1) r + r_closed)/sigma, beta = (r +
+# r_closed)/sigma and gamma = 1 - alpha/beta, checked in the cleared forms
+# sigma*alpha, sigma*beta and gamma*beta = -r that h_edge_replace uses.
+
+
 def test_alpha_beta_gamma_single_edge():
-    abg = alpha_beta_gamma(infinity_closed_form(0))
-    one = RationalFn.from_int(1)
-    assert abg.alpha == one
-    assert abg.beta == one
-    assert abg.gamma == RationalFn.from_int(0)
+    edge = infinity_closed_form(0)
+    assert (S + 1) * edge.r + edge.r_closed == S  # alpha = 1
+    assert edge.r + edge.r_closed == S  # beta = 1
+    assert (-edge.r).is_zero()  # gamma = 0
 
 
 def test_alpha_beta_gamma_twist():
     for k in range(1, 5):
-        abg = alpha_beta_gamma(infinity_closed_form(k, "+"))
+        piece = infinity_closed_form(k, "+")
         m_k = twist_scale(k)
-        assert abg.beta == RationalFn.from_laurent(m_k)
-        assert abg.gamma == RationalFn(-(S * A ** (-2 * k)), m_k)
+        assert piece.r + piece.r_closed == S * m_k  # beta = m_k
+        # gamma = -sigma A^(-2k) / m_k
+        assert -piece.r == -(S * A ** (-2 * k))
 
 
 def test_alpha_beta_recover_inputs():
-    piece = theta_piece(3)
-    abg = alpha_beta_gamma(piece)
-    s = RationalFn.from_laurent(S)
-    one = RationalFn.from_int(1)
-    assert abg.alpha - abg.beta == RationalFn.from_laurent(piece.r)
-    assert (s + one) * abg.beta - abg.alpha == RationalFn.from_laurent(
-        piece.r_closed
-    )
+    # alpha - beta = r and (sigma+1) beta - alpha = r_closed: replacing the
+    # one edge of K2 gives the open piece, replacing a loop the closed one
+    edge = make_graph([0, 1], [(0, 0, 1)])
+    loop = make_graph([0], [(0, 0, 0)])
+    pieces = [theta_piece(s) for s in (1, 2, 3)] + [
+        infinity_closed_form(k, sign) for k in range(5) for sign in "+-"
+    ]
+    for piece in pieces:
+        assert h_edge_replace(edge, {0: "a"}, {"a": piece}) == piece.r
+        assert h_edge_replace(loop, {0: "a"}, {"a": piece}) == piece.r_closed
 
 
 def test_beta_zero_is_lazy():
+    # a piece with beta = 0 is refused only where a label uses it
     degenerate = PieceInvariants(S, -S)
-    abg = alpha_beta_gamma(degenerate)
-    assert abg.beta == RationalFn.from_int(0)
+    assert (degenerate.r + degenerate.r_closed).is_zero()
+    base = cycle_graph(2)
+    pieces = {"a": theta_piece(2), "b": degenerate}
+    assert h_edge_replace(base, {0: "a", 1: "a"}, pieces) == h_edge_replace(
+        base, {0: "a", 1: "a"}, {"a": theta_piece(2)}
+    )
     with pytest.raises(BetaZero):
-        abg.gamma
+        h_edge_replace(base, {0: "a", 1: "b"}, pieces)
 
 
 def test_two_vertex_values():
@@ -294,6 +303,9 @@ def test_h_edge_replace_rejects_beta_zero():
         h_edge_replace(base, labels, {"a": PieceInvariants(S, -S)})
     with pytest.raises(KeyError):
         h_edge_replace(base, labels, {"b": theta_piece(2)})
+    # a label named w would merge with the chain variable w
+    with pytest.raises(ValueError, match="label 'w'"):
+        h_edge_replace(base, {0: "w", 1: "a"}, dict.fromkeys("wa", theta_piece(2)))
     # the chain polynomial's edge guard applies before any power is formed
     big = cycle_graph(17)
     with pytest.raises(TooLarge):

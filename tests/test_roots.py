@@ -393,6 +393,18 @@ def test_limit_curve_points_deterministic():
     assert a == b
 
 
+def test_limit_curve_points_rejects_unsampleable_grids():
+    for grid in (
+        dict(angles=0),
+        dict(angles=-3),
+        dict(radial=0),
+        dict(r_lo=0.0),
+        dict(r_lo=2.0, r_hi=1.0),
+    ):
+        with pytest.raises(ValueError):
+            limit_curve_points(2, 2, **grid)
+
+
 def test_family_roots_accumulate_on_curve():
     curve = np.array(limit_curve_points(2, 2))
     roots, _, _ = _family_roots_full(20, 2, 2, "+", None, 4000)
@@ -450,6 +462,13 @@ def test_density_witness_argument_guards():
         density_witness(0.01, 0.1)
     with pytest.raises(ValueError):
         density_witness(25.0, 0.1)
+
+
+def test_density_witness_refuses_caps_without_cells():
+    # no cell fits: there is nothing to search and no distance to report
+    for caps in (SearchCaps(0, 6, 24, 4000), SearchCaps(12, 6, 24, 0)):
+        with pytest.raises(ValueError, match="no cell"):
+            density_witness(0.5j, 0.1, caps=caps)
 
 
 def test_density_witness_skips_uncertified_record():
