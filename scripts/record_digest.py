@@ -1,7 +1,7 @@
 """Print digests of the numerical outputs of a source tree, one per line.
 
     python3 scripts/record_digest.py [--tree DIR] [--seeds 1,2,3] [--polys 150]
-                                     [--only KIND[,KIND]]
+                                     [--only KIND[,KIND]] [--per-record]
 
 Imports ``yamada`` from ``DIR/src`` and the benchmark's request streams
 from ``DIR/perfbench`` (read only; nothing is written there).
@@ -13,7 +13,11 @@ exact,resolve,graph,replace`` checks the exact layer in seconds):
                            (the cells perfbench/run.py --workload sweep
                            sends at --seconds 30), over n, s, k, sign,
                            degree and float.hex of re, im and residual
-                           of each record scan_family returns
+                           of each record scan_family returns;
+                           with --per-record, one line per record
+                           instead: cell n s k sign i re im residual,
+                           i the record's index in the cell and the
+                           last three in float.hex
   density re im sha256     witness_to_dict of density_witness at the
                            benchmark's probe, each lattice target and
                            its conjugate, under the benchmark's caps
@@ -46,6 +50,10 @@ their outputs is empty:
     python3 scripts/record_digest.py --tree ../parent > a.txt
     python3 scripts/record_digest.py > b.txt
     diff a.txt b.txt
+
+A diff of two ``--only cell --per-record`` outputs names every record
+that moved, with both values of each moved field; a change of root
+order also shows, as changed lines at every index it shifts.
 
 A parent/child diff across the change that removed the package's
 rational-function type passes both runs ``--only
@@ -143,7 +151,12 @@ def _cell_lines(args, workloads, yamada):
             cells.add((n, s, k, sign))
     for n, s, k, sign in sorted(cells):
         recs = yamada.roots.scan_family([n], [s], [k], signs=(sign,))
-        yield "cell", n, s, k, sign, _sha(map(_record_fields, recs))
+        if args.per_record:
+            for i, r in enumerate(recs):
+                yield ("cell", n, s, k, sign, i, r.root.real.hex(),
+                       r.root.imag.hex(), float(r.residual).hex())
+        else:
+            yield "cell", n, s, k, sign, _sha(map(_record_fields, recs))
 
 
 def _density_lines(args, workloads, yamada):
@@ -237,6 +250,8 @@ def main(argv=None) -> int:
     ap.add_argument("--polys", type=int, default=150)
     ap.add_argument("--only", type=_kinds_arg, default=set(SECTIONS),
                     help="comma-separated kinds of line to print")
+    ap.add_argument("--per-record", action="store_true",
+                    help="print one cell line per record instead of per cell")
     args = ap.parse_args(argv)
     tree = args.tree.resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]

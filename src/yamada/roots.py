@@ -123,6 +123,10 @@ class NotFound:
 # polynomial root extraction
 
 _GOLDEN = 0.6180339887498949
+# _aberth stops once the moving set has kept its size this many
+# iterations while every residual is below _STALL_BELOW
+_STALL_ITERS = 20
+_STALL_BELOW = 1e-6
 
 
 def _initial_points(coeffs: Sequence) -> np.ndarray:
@@ -235,15 +239,21 @@ def _aberth(
     the last step moved are, and their values are written into the
     stored residuals and ratios.  A frozen point never moves again, so
     its stored values stay exact (MPSolve's Aberth iteration also stops
-    evaluating converged approximations).  The best full configuration
-    seen (by worst residual) is kept as a fallback in case the last
-    stragglers wander at the iteration cap; only that fallback is
-    evaluated in full a second time.  Returns the points and their
-    residuals.
+    evaluating converged approximations).
+
+    The iteration stops early on a stall: once the number of moving
+    points has stayed the same for _STALL_ITERS iterations while every
+    residual is below _STALL_BELOW.  The stuck points are then as good
+    as double precision gets them, and the callers' polish and refine
+    take them from there.  The best full configuration seen (by worst
+    residual) is kept as a fallback in case the last stragglers wander
+    by the stall or the iteration cap; only that fallback is evaluated
+    in full a second time.  Returns the points and their residuals.
     """
     freeze_tol = 100.0 * len(z) * np.finfo(float).eps
     best = z.copy()
     best_score = math.inf
+    moving, still = -1, 0
     with np.errstate(all="ignore"):
         res, ratio = evaluate(z)
         for it in range(max_iter):
@@ -254,6 +264,10 @@ def _aberth(
             idx = np.nonzero(res > freeze_tol)[0]
             if len(idx) == 0:
                 return z, res
+            still = still + 1 if len(idx) == moving else 0
+            moving = len(idx)
+            if still >= _STALL_ITERS and score < _STALL_BELOW:
+                break
             rep = np.empty(len(idx), dtype=complex)
             for a in range(0, len(idx), chunk):
                 sub = idx[a : a + chunk]
@@ -293,18 +307,31 @@ def _polish(
     return z, res
 
 
-def _root_key(z: complex) -> tuple:
-    """The order roots are reported in: by angle, then modulus."""
+def _phase_key(z: complex) -> tuple:
+    """The order dense roots are reported in: by angle, then modulus."""
     return (cmath.phase(z), abs(z), z.real, z.imag)
 
 
+def _root_key(z: complex) -> tuple:
+    """The order family roots are reported in: by angle, then modulus.
+
+    A root with |im| <= 1e-30 |z| counts as real, at angle 0 on the
+    positive and -pi on the negative axis.  Its imaginary part is then
+    the noise of a 240-bit refine, and cmath.phase would put a negative
+    real root first or last by the sign of that noise.
+    """
+    if abs(z.imag) <= 1e-30 * abs(z):
+        return (-math.pi if z.real < 0 else 0.0, abs(z), z.real, z.imag)
+    return _phase_key(z)
+
+
 def _ordered(
-    z: Iterable, res: Iterable, tol: float | None
+    z: Iterable, res: Iterable, tol: float | None, key=_root_key
 ) -> tuple[list[complex], list[float]]:
-    """Roots and residuals in _root_key order, or NoConvergence carrying
-    both when some residual is above tol (None skips the gate)."""
+    """Roots and residuals in key order, or NoConvergence carrying both
+    when some residual is above tol (None skips the gate)."""
     pool = sorted(
-        zip(map(complex, z), map(float, res)), key=lambda t: _root_key(t[0])
+        zip(map(complex, z), map(float, res)), key=lambda t: key(t[0])
     )
     roots = [t[0] for t in pool]
     residuals = [t[1] for t in pool]
@@ -347,7 +374,7 @@ def _find_roots_full(
     else:
         z, _ = _aberth(evaluate, _initial_points(cs), max_iter)
     z, res = _polish(evaluate, z, polish_rounds)
-    return (*_ordered(z, res, tol), d)
+    return (*_ordered(z, res, tol, _phase_key), d)
 
 
 def find_roots(p: LaurentPoly, tol: float = 1e-9) -> list[complex]:
@@ -613,18 +640,20 @@ def _refine_mp(
     residual evaluated at 240 bits at the rounded point, so the record
     stays an honest statement about the root actually returned.
 
-    Only what the certificate and the crowded pairs need runs at 240
+    Only what the certificate and the overlapping discs need runs at 240
     bits.  The four parts and their derivatives come from one
     fixed-point Horner pass over Gaussian integers (_horner_fixed); the
     power terms and the Newton ratio are formed in mpmath from those,
-    over a common power of z that cancels from both.  Crowded flagged
-    pairs can sit closer than double resolution, so the repulsion among
-    the flagged points is summed in the same 240-bit fixed point
-    (_repulsion_fixed).  The rest of the configuration enters the
-    repulsion frozen, summed in float64 once per iteration at the
-    rounded iterates: no frozen point lies within 0.1/d of a flagged one
-    (_crowded flags both members of any closer pair), and that term only
-    steers the step.
+    over a common power of z that cancels from both.  Flagged points
+    whose discs overlap can sit closer than double resolution, so the
+    repulsion among the flagged points is summed in the same 240-bit
+    fixed point (_repulsion_fixed).  The rest of the configuration
+    enters the repulsion frozen, summed in float64 once per iteration at
+    the rounded iterates.  Every frozen point has an inclusion disc that
+    holds a root and meets no other disc, flagged or frozen (the gate in
+    _family_roots_full flags both members of any overlapping pair), so
+    no flagged point starts inside it; that term only steers the step,
+    and the Newton ratio and the residual never see it.
     """
     parts = _power_tables(s, k, sign)[0]
     (lo1, _), (lo2, _), (lo1c, _), (lo2s, _) = parts
@@ -709,30 +738,19 @@ def _part_values(tables: tuple, z: np.ndarray) -> list[np.ndarray]:
     return [row * z**e for row, e in zip(rows, exps)]
 
 
-def _family_ratio(
-    n: int, tables: tuple, lo: int, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual and Newton ratio for the reduced family polynomial at z.
+def _family_terms(n: int, values: list) -> tuple:
+    """The reduced family polynomial, term by term, in log space, from
+    the eight part values of _part_values at some points.
 
     The working polynomial is Q = lambda1^(n-1) (lambda1/c)
     + (sigma/c) lambda2^n, the family member with any shared cyclotomic
-    factor c stripped (c = 1 reduces this to the plain power sum).  Both
-    terms are formed in log space, then rescaled by the larger one:
-    with T_i = exp(t_i - max), a root is T1 + T2 = 0, the residual
-    |T1 + T2| / (|T1| + |T2|) measures the value against the scale the
-    evaluation actually carries, and the Newton correction is
-    (T1 + T2) / (T1 h1 + T2 h2) with h_i the term's log derivative.
-    Nothing here can overflow: the rescaled terms have modulus at most 1.
-    The four parts and their derivatives come from _part_values.
-
-    The family's exponents are all negative, so as a function it also
-    vanishes at infinity, and plain Newton happily chases that spurious
-    zero outward.  Shifting the logarithmic derivative by lo/z (lo is the
-    lowest exponent of the reduced dense polynomial) turns the target
-    into the dense degree-d form, whose far field pulls strays back in
-    with steps of z/d.
+    factor c stripped (c = 1 reduces this to the plain power sum).  Each
+    term's log t_i is formed from the logs of the parts, and both are
+    rescaled by the larger real part m: T_i = exp(t_i - m), so a root is
+    T1 + T2 = 0 and nothing can overflow (|T_i| <= 1).  h_i is the
+    term's log derivative.  Returns (t1, t2, m, T1, T2, h1, h2).
     """
-    a1, a2, a1c, a2s, d1, d2, d1c, d2s = _part_values(tables, z)
+    a1, a2, a1c, a2s, d1, d2, d1c, d2s = values
     if n == 1:
         t1 = np.log(a1c)
         h1 = d1c / a1c
@@ -742,9 +760,30 @@ def _family_ratio(
     t2 = np.log(a2s) + n * np.log(a2)
     h2 = d2s / a2s + n * d2 / a2
     m = np.maximum(t1.real, t2.real)
-    dead = ~np.isfinite(m)
     T1 = np.exp(t1 - m)
     T2 = np.exp(t2 - m)
+    return t1, t2, m, T1, T2, h1, h2
+
+
+def _family_ratio(
+    n: int, tables: tuple, lo: int, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual and Newton ratio for the reduced family polynomial at z.
+
+    With the terms of _family_terms, the residual |T1 + T2| / (|T1| +
+    |T2|) measures the value against the scale the evaluation actually
+    carries, and the Newton correction for Q is (T1 + T2) / (T1 h1 +
+    T2 h2).
+
+    The family's exponents are all negative, so as a function it also
+    vanishes at infinity, and plain Newton happily chases that spurious
+    zero outward.  Shifting the logarithmic derivative by lo/z (lo is the
+    lowest exponent of the reduced dense polynomial) turns the target
+    into the dense degree-d form q = z^-lo Q, whose far field pulls
+    strays back in with steps of z/d; the ratio returned is q/q'.
+    """
+    _, _, m, T1, T2, h1, h2 = _family_terms(n, _part_values(tables, z))
+    dead = ~np.isfinite(m)
     res = np.abs(T1 + T2) / (np.abs(T1) + np.abs(T2))
     ratio = (T1 + T2) / (T1 * h1 + T2 * h2)
     ratio = ratio * z / (z - lo * ratio)
@@ -753,31 +792,139 @@ def _family_ratio(
     return res, ratio
 
 
-def _crowded(z: np.ndarray, spacing_factor: float = 0.1) -> set[int]:
-    """Indices of roots with a suspiciously close neighbor.
+_U = np.finfo(float).eps / 2  # unit roundoff of float64
 
-    A double-precision solve localizes a simple root to far better than
-    the typical spacing 1/d between the d roots, but when two roots sit
-    orders of magnitude closer than that, the evaluation noise blurs
-    them into one blob and the returned points can land anywhere inside
-    it even though their residuals look immaculate.  Both members of
-    any pair closer than spacing_factor/d are flagged for the
-    high-precision pass, which resolves them cleanly.
+
+@np.errstate(all="ignore")
+def _inclusion_radii(
+    n: int, tables: tuple, lo: int, d: int, z: np.ndarray
+) -> np.ndarray:
+    """Upper bounds on d |q(z)/q'(z)| for the reduced family polynomial q
+    of degree d at the points z: the disc of that radius about each point
+    holds a root of q (the inclusion disc MPSolve certifies with; Bini &
+    Fiorentino, Numer. Algorithms 2000).
+
+    q/q' = N z / (z D - lo N) with N = T1 + T2 and D = T1 h1 + T2 h2 in
+    the terms of _family_terms, all rescaled by the same exp(-m), which
+    cancels.  The float64 values of N and of z D - lo N are turned into
+    an upper bound on |N| and a lower bound on |z D - lo N| with the
+    error model below (u = 2^-53; every budget is at least twice its
+    first-order constant, which also covers the second-order terms and
+    the rounding of the bound arithmetic itself):
+
+    - parts: the eight rows are evaluated here by Horner's rule with a
+      running error bound (Higham, Accuracy and Stability of Numerical
+      Algorithms, 5.1).  Step k rounds a complex product (within
+      sqrt5 u of it) and a sum (within u), so the value is within
+      (sqrt5 + 1) u mu of the row, mu = sum_k |s_k| |z|^k over the
+      partial sums s_k; the budget is 8 u mu.  numpy forms z^e with
+      |e| < 100 by repeated multiplication, within (sqrt5 |e| + 4) u,
+      budget (4 |e| + 8) u; from |e| = 100 on it goes through exp and
+      log, budget 8 |e| (1 + |log |z||) u.  Row times power adds 8 u.
+    - logs: a part with relative error rho < 1 has a log off by at most
+      -log(1 - rho) (modulo 2 pi i, which exp of an integer combination
+      does not see), plus 8 u (1 + |log|) for the rounding of log and of
+      the multiplication by n or n - 1.  The sum t_i and t_i - m add
+      4 u (|t_i| + |t_i - m|).
+    - exp: with B the bound on the error of t_i - m, T_i is within
+      (expm1(B) + 8 u exp(B)) |T_i| of its true value.
+    - log derivatives: d/a from values off by f and e = rho |a| is within
+      (|d/a| rho + f/|a|) / (1 - rho) + 8 u |d/a|; the weighted sums h_i
+      add 4 u times their terms.
+    - N, D and z D - lo N: each product or sum adds 4 u (2 u for N)
+      times the moduli of its operands.
+
+    A part with rho >= 1, a radius that comes out non-finite, or a lower
+    bound on |z D - lo N| that is not positive gives an infinite radius.
     """
-    d = len(z)
-    if d < 2:
-        return set()
-    thresh = spacing_factor / d
-    order = np.argsort(z.real)
-    zs = z[order]
-    out: set[int] = set()
-    for i in range(d - 1):
-        for j in range(i + 1, d):
-            if zs[j].real - zs[i].real > thresh:
+    parts, stack, _ = tables
+    az = np.abs(z)
+    row = stack[-1][:, None] + 0 * z
+    mu = np.abs(row)
+    for c in stack[-2::-1]:
+        row = c[:, None] + row * z
+        mu = mu * az + np.abs(row)
+    exps = [e for e, _ in parts] + [e - 1 for e, _ in parts]
+    values, err = [], []
+    for s_row, m_row, e in zip(row, mu, exps):
+        v = s_row * z**e
+        if abs(e) < 100:
+            power = (4 * abs(e) + 8) * _U
+        else:
+            power = 8 * abs(e) * (1 + np.abs(np.log(az))) * _U
+        values.append(v)
+        err.append(8 * _U * m_row * az**e + (power + 8 * _U) * np.abs(v))
+    t1, t2, m, T1, T2, h1, h2 = _family_terms(n, values)
+    mag = [np.abs(v) for v in values]
+    rho = [e / a for e, a in zip(err[:4], mag[:4])]
+    ok = [r < 1 for r in rho]
+    g = [mag[4 + j] / mag[j] for j in range(4)]
+
+    def log_err(j):
+        lost = -np.log1p(-np.where(ok[j], rho[j], 0.0))
+        own = 8 * _U * (1 + np.abs(np.log(values[j])))
+        return np.where(ok[j], lost + own, np.inf)
+
+    def quot_err(j):
+        q = (g[j] * rho[j] + err[4 + j] / mag[j]) / (1 - rho[j])
+        return np.where(ok[j], q + 8 * _U * g[j], np.inf)
+
+    if n == 1:
+        b1 = log_err(2)
+        e1 = quot_err(2)
+    else:
+        b1 = (n - 1) * log_err(0) + log_err(2)
+        e1 = (n - 1) * quot_err(0) + quot_err(2)
+        e1 = e1 + 4 * _U * ((n - 1) * g[0] + g[2])
+    b2 = log_err(3) + n * log_err(1)
+    e2 = quot_err(3) + n * quot_err(1) + 4 * _U * (g[3] + n * g[1])
+    b1 = b1 + 4 * _U * (np.abs(t1) + np.abs(t1 - m))
+    b2 = b2 + 4 * _U * (np.abs(t2) + np.abs(t2 - m))
+    del1 = np.expm1(b1) + 8 * _U * np.exp(b1)
+    del2 = np.expm1(b2) + 8 * _U * np.exp(b2)
+    m1, m2 = np.abs(T1), np.abs(T2)
+    N = T1 + T2
+    D = T1 * h1 + T2 * h2
+    W = z * D - lo * N
+    aN, aD = np.abs(N), np.abs(D)
+    eN = del1 * m1 + del2 * m2 + 2 * _U * aN
+    eD = (
+        m1 * (del1 * (np.abs(h1) + e1) + e1)
+        + m2 * (del2 * (np.abs(h2) + e2) + e2)
+        + 4 * _U * (m1 * np.abs(h1) + m2 * np.abs(h2))
+    )
+    eW = az * eD + abs(lo) * eN + 4 * _U * (az * aD + abs(lo) * aN)
+    low = np.abs(W) - eW
+    r = d * (aN + eN) * az / low * (1 + 8 * _U)
+    return np.where(np.isfinite(r) & (low > 0), r, np.inf)
+
+
+def _overlapping(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Mask of the points whose closed disc of radius r about z meets the
+    disc of another point.
+
+    A sort-and-sweep on the real part: the discs are taken in order of
+    their left edges, and each is compared only with the discs whose
+    left edge lies before its right edge, so well separated discs cost
+    O(d log d) and no d x d matrix is formed.  The radii are widened by
+    4 ulp of |z| (and 4 ulp of themselves) first, which covers the
+    rounding of the edges and of the distances: discs reported disjoint
+    are disjoint.
+    """
+    out = np.zeros(len(z), dtype=bool)
+    wide = r * (1 + 4 * _U) + 4 * _U * np.abs(z)
+    left = z.real - wide
+    order = np.argsort(left)
+    zs = z[order].tolist()
+    ws = wide[order].tolist()
+    ls = left[order].tolist()
+    for a in range(len(zs)):
+        right = zs[a].real + ws[a]
+        for b in range(a + 1, len(zs)):
+            if ls[b] > right:
                 break
-            if abs(zs[j] - zs[i]) < thresh:
-                out.add(int(order[i]))
-                out.add(int(order[j]))
+            if abs(zs[b] - zs[a]) <= ws[a] + ws[b]:
+                out[order[a]] = out[order[b]] = True
     return out
 
 
@@ -801,6 +948,13 @@ def _family_roots_full(
     form, since they overflow floats long before the caps do); every
     evaluation afterwards goes through the power-sum form, which stays
     conditioned at any n.
+
+    After the Aberth solve and the polish, each of the d points of the
+    reduced polynomial gets its inclusion disc (_inclusion_radii).  Only
+    the points whose residual is above _REFINE_ABOVE, or whose disc
+    meets another point's disc (_overlapping), go to the 240-bit
+    _refine_mp: a point with an isolated disc already holds its own root
+    to double precision.  A record is still certified by its residual.
     """
     p = family_polynomial(n, s, k, sign, degree_cap=degree_cap)
     degree = len(p.dense_coeffs()[1]) - 1
@@ -819,15 +973,10 @@ def _family_roots_full(
     else:
         z, _ = _aberth(evaluate, _initial_points(coeffs), max_iter)
     z, res = _polish(evaluate, z, polish_rounds)
-    shaky = set(np.nonzero(res > _REFINE_ABOVE)[0].tolist())
-    shaky |= _crowded(z)
-    if shaky:
-        flagged = np.array(sorted(shaky))
-        keep = np.ones(len(z), dtype=bool)
-        keep[flagged] = False
-        z[flagged], res[flagged] = _refine_mp(
-            n, s, k, sign, z[flagged], z[keep]
-        )
+    shaky = res > _REFINE_ABOVE
+    shaky |= _overlapping(z, _inclusion_radii(n, tables, lo, d, z))
+    if shaky.any():
+        z[shaky], res[shaky] = _refine_mp(n, s, k, sign, z[shaky], z[~shaky])
     roots, residuals = _ordered([*z, *exact], [*res] + [0.0] * len(exact), tol)
     return roots, residuals, degree
 
@@ -1154,7 +1303,9 @@ def records_to_svg(records: Sequence[RootRecord], size: int = 640) -> str:
 
 
 def witness_to_dict(result) -> dict:
-    """JSON-ready form of a density search outcome, either branch."""
+    """JSON-ready form of a density search outcome, either branch.  A
+    NotFound without a closest record has no distance: it is written as
+    null, since JSON has no infinity."""
     if isinstance(result, Witness):
         return {
             "found": True,
@@ -1168,7 +1319,7 @@ def witness_to_dict(result) -> dict:
         "found": False,
         "target": [result.target.real, result.target.imag],
         "epsilon": result.epsilon,
-        "distance": result.distance,
+        "distance": result.distance if result.closest else None,
         "uncertified": result.uncertified,
         "closest": (
             record_to_dict(result.closest) if result.closest else None

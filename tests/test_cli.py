@@ -181,6 +181,26 @@ def test_density_witness_json():
     assert payload["root"]["sign"] == "-"
 
 
+def test_density_json_has_no_infinity(monkeypatch):
+    # a miss without any certified record has no closest root and no
+    # distance; the output must still be JSON, which has no Infinity
+    import yamada.roots as rt
+
+    def no_certified(z0, eps, caps, tol, jobs):
+        return rt.NotFound(target=z0, epsilon=eps, closest=None,
+                           distance=float("inf"), caps=caps, uncertified=1)
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    monkeypatch.setattr(rt, "density_witness", no_certified)
+    code, out, err = run_cli("density", "--z0", "0.5i", "--eps", "0.1")
+    assert (code, err) == (0, "")
+    payload = json.loads(out, parse_constant=refuse)
+    assert payload["found"] is False and payload["uncertified"] == 1
+    assert payload["closest"] is None and payload["distance"] is None
+
+
 def test_chain_refuses_a_label_named_w():
     blob = '{"vertices":[0,1],"edges":[[0,0,1],[1,0,1]],"labels":{"0":"w","1":"b"}}'
     code, out, err = run_cli("chain", "--in", blob)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from yamada.laurent import LaurentPoly, PoleAtZero, exact_div, sigma
-from yamada.replace import family_polynomial
+from yamada.replace import family_lambdas, family_polynomial
 from yamada.roots import (
     NoConvergence,
     NotFound,
@@ -29,8 +29,11 @@ from yamada.roots import (
     _family_roots_full,
     _find_roots_full,
     _horner_fixed,
+    _inclusion_radii,
     _initial_points,
+    _overlapping,
     _part_values,
+    _polish,
     _power_tables,
     _repulsion_fixed,
     density_witness,
@@ -224,7 +227,8 @@ class MovingPointsRecorder:
     every point, each later one z[idx] for idx the points whose stored
     residual is above freeze_tol, and the stored values then equal a
     full evaluation bit for bit.  A last full call is allowed only at a
-    configuration other than z (the best-seen fallback)."""
+    configuration other than z (the best-seen fallback).  calls counts
+    every call, the fallback's included."""
 
     def __init__(self, evaluate, z):
         self.evaluate, self.z = evaluate, z
@@ -232,9 +236,11 @@ class MovingPointsRecorder:
         self.res = self.ratio = self.fallback = None
         self.frozen: set[int] = set()
         self.partial_calls = 0
+        self.calls = 0
 
     def __call__(self, x):
         assert self.fallback is None, "evaluated after the fallback"
+        self.calls += 1
         res, ratio = self.evaluate(x)
         if self.res is None:
             assert np.array_equal(x, self.z)
@@ -261,20 +267,58 @@ class MovingPointsRecorder:
             assert np.array_equal(z, self.fallback)
 
 
-def test_aberth_evaluates_only_moving_points_family():
-    # the refinement cell runs to the iteration cap, so this also covers
-    # the fallback's one full evaluation
-    n, s, k = 12, 4, 4
+def _reduced_member(n, s, k):
+    """The family evaluator of (n, s, k, +), the low exponent and the
+    integer coefficients of its reduced polynomial q."""
     tables = _power_tables(s, k, "+")
     p = family_polynomial(n, s, k, "+")
     assert tables[2]
     lo, coeffs = exact_div(p, _CYCLOTOMIC).dense_coeffs()
-    rec = MovingPointsRecorder(
-        partial(_family_ratio, n, tables, lo), _initial_points(coeffs)
-    )
-    z, res = _aberth(rec, rec.z, 400)
-    rec.check_result(z, res)
-    assert rec.frozen and rec.partial_calls > 0
+    return partial(_family_ratio, n, tables, lo), lo, coeffs
+
+
+def test_aberth_evaluates_only_moving_points_family():
+    # the refinement cell stalls with every residual below 1e-6 and
+    # stops on it, long before the iteration cap; in (16, 4, 4) one
+    # stuck point stays above 1e-6, so that solve still runs to the cap
+    # and takes the best-seen fallback, whose one full evaluation this
+    # also covers
+    for n, capped in ((12, False), (16, True)):
+        evaluate, _, coeffs = _reduced_member(n, 4, 4)
+        rec = MovingPointsRecorder(evaluate, _initial_points(coeffs))
+        z, res = _aberth(rec, rec.z, 400)
+        rec.check_result(z, res)
+        assert rec.frozen and rec.partial_calls > 0
+        if capped:
+            assert rec.fallback is not None and rec.calls == 402
+        else:
+            assert rec.calls < 400 and float(res.max()) < 1e-6
+
+
+def test_aberth_stops_when_the_moving_set_stalls():
+    # one point never settles: with its residual below 1e-6 the solve
+    # stops once the moving set has kept its size for 20 iterations,
+    # above 1e-6 it runs to the cap
+    def stuck(level):
+        def evaluate(x):
+            res = np.full(len(x), 1e-20)
+            res[np.abs(x - 3.0) < 1.0] = level
+            return res, np.zeros_like(x)
+        return evaluate
+
+    for level, iterations in ((1e-7, 20), (1e-5, 50)):
+        calls = []
+        inner = stuck(level)
+
+        def evaluate(x):
+            calls.append(len(x))
+            return inner(x)
+
+        z = np.array([0.0, 1.0, 3.0, -2.0j], dtype=complex)
+        _, res = _aberth(evaluate, z, 50)
+        assert calls[0] == 4 and set(calls[1:]) == {1}
+        assert len(calls) == 1 + iterations
+        assert float(res.max()) == level
 
 
 def test_aberth_evaluates_only_moving_points_dense():
@@ -306,9 +350,91 @@ def test_repulsion_fixed_matches_mpc_sum():
             assert abs(rep - want) <= 1e-60 * abs(want)
 
 
+def _newton_radius_240(n, s, k, lo, d, z):
+    """d |q(z) / q'(z)| for the reduced polynomial q = z^-lo Q of the
+    member (n, s, k, +) at the float z, evaluated at 240 bits from the
+    exact parts with _horner_fixed."""
+    parts = _power_tables(s, k, "+")[0]
+    x, y = (int(math.ldexp(t, 240)) for t in (z.real, z.imag))
+    with mpmath.workprec(240):
+        w = mpmath.mpc(mpmath.mpf((x, -240)), mpmath.mpf((y, -240)))
+        vals, ders = [], []
+        for e, cs in parts:
+            pr, pi, dr, di = _horner_fixed(cs, x, y)
+            p = mpmath.mpc(mpmath.mpf((pr, -240)), mpmath.mpf((pi, -240)))
+            dp = mpmath.mpc(mpmath.mpf((dr, -240)), mpmath.mpf((di, -240)))
+            vals.append(w**e * p)
+            ders.append(w ** (e - 1) * (e * p + w * dp))
+        (l1, l2, l1c, l2s), (e1, e2, e1c, e2s) = vals, ders
+        Q = l1 ** (n - 1) * l1c + l2s * l2**n
+        dQ = (
+            (n - 1) * l1 ** (n - 2) * e1 * l1c
+            + l1 ** (n - 1) * e1c
+            + e2s * l2**n
+            + n * l2s * l2 ** (n - 1) * e2
+        )
+        return float(d * abs(w * Q / (w * dQ - lo * Q)))
+
+
+def test_inclusion_radius_bounds_the_240_bit_value():
+    # at every root of three cells, the refinement cell among them, and
+    # at points 1e-9 from the (4, 4) lambda near-pair, where the parts
+    # nearly vanish and the float64 evaluation loses most of its digits.
+    # The two cyclotomic roots are not roots of the reduced q: lambda1
+    # vanishes there, and so does the log form of q
+    l1, l2 = (lam.dense_coeffs()[1] for lam in family_lambdas(4, 4, "+"))
+    pair = [min(np.roots(np.array(c[::-1], dtype=float)),
+                key=lambda w: abs(w + 0.84085595838))
+            for c in (l1, l2)]
+    assert abs(pair[0] - pair[1]) < 2e-5
+    near = [complex(c + 1e-9 * cmath.exp(2j * math.pi * j / 8))
+            for c in pair for j in range(8)]
+    for n, s, k in ((4, 2, 2), (12, 4, 4), (16, 4, 4)):
+        _, lo, coeffs = _reduced_member(n, s, k)
+        d = len(coeffs) - 1
+        roots, _, _ = _family_roots_full(n, s, k, "+", None, 4000)
+        roots = [w for w in roots if abs(w * w + w + 1) > 1e-9]
+        assert len(roots) == d
+        z = np.array(roots + (near if k == 4 else []))
+        r = _inclusion_radii(n, _power_tables(s, k, "+"), lo, d, z)
+        assert np.isfinite(r).all()
+        for w, bound in zip(z, r):
+            true = _newton_radius_240(n, s, k, lo, d, w)
+            assert bound >= true, (n, s, k, w, bound, true)
+
+
+def test_disc_gate_flags_a_planted_near_pair():
+    # the polished points of (4, 2, 2) have pairwise disjoint discs;
+    # a copy of one root moved 1e-12 |z| gets a disc that holds that root
+    # and meets its disc, so both go to the refine, and nothing else does
+    n, s, k = 4, 2, 2
+    evaluate, lo, coeffs = _reduced_member(n, s, k)
+    d = len(coeffs) - 1
+    tables = _power_tables(s, k, "+")
+    z, _ = _aberth(evaluate, _initial_points(coeffs), 400)
+    z, _ = _polish(evaluate, z, 3)
+    assert not _overlapping(z, _inclusion_radii(n, tables, lo, d, z)).any()
+    z[1] = z[0] + 1e-12 * abs(z[0])
+    flagged = _overlapping(z, _inclusion_radii(n, tables, lo, d, z))
+    assert np.nonzero(flagged)[0].tolist() == [0, 1]
+
+
+def test_overlapping_discs_by_hand():
+    z = np.array([0.0, 1.0, 1.0 + 1.5j, 3.0, 10.0], dtype=complex)
+    r = np.array([0.5, 0.5, 1.0, 0.25, 0.1])
+    # touching discs meet, and disc 0 reaches disc 1 only past disc 2,
+    # whose left edge comes first but which disc 0 does not meet
+    assert _overlapping(z, r).tolist() == [True, True, True, False, False]
+    assert not _overlapping(z, r / 2).any()
+    r[4] = np.inf
+    assert _overlapping(z, r).all()
+    assert _overlapping(z[:1], r[:1]).tolist() == [False]
+
+
 def test_family_crowded_roots_stay_apart():
-    # 45 of the 433 points of (16, 4, 4) are crowded; a refine that
-    # merged a pair would return two copies of one root
+    # 47 of the 431 reduced points of (16, 4, 4) go to the refine for
+    # their residual, 9 of them with overlapping discs as well; a refine
+    # that merged a pair would return two copies of one root
     roots, res, degree = _family_roots_full(16, 4, 4, "+", None, 4000)
     assert len(roots) == degree and max(res) <= 1e-9
     z = np.array(roots)
@@ -485,6 +611,7 @@ def test_density_witness_skips_uncertified_record():
     assert out.uncertified == 1
     d = witness_to_dict(out)
     assert d["closest"] is None and d["uncertified"] == 1
+    assert d["distance"] is None
 
 
 def test_density_witness_parallel_matches_serial():
