@@ -5,7 +5,7 @@
 
 Imports ``yamada`` from ``DIR/src`` and the benchmark's request streams
 from ``DIR/perfbench`` (read only; nothing is written there).
-DIR defaults to the tree this script sits in.  Seven kinds of line,
+DIR defaults to the tree this script sits in.  Eight kinds of line,
 printed in this order; ``--only`` keeps the named kinds (``--only
 exact,resolve,graph,replace`` checks the exact layer in seconds):
 
@@ -21,6 +21,12 @@ exact,resolve,graph,replace`` checks the exact layer in seconds):
   density re im sha256     witness_to_dict of density_witness at the
                            benchmark's probe, each lattice target and
                            its conjugate, under the benchmark's caps
+                           (one cache shared by the queries)
+  solved re im count       len(cache) after a cold density_witness
+                           call at each of those targets: the cells
+                           the search solved (a cell of the negative
+                           family also caches the positive member it
+                           mirrors), so a diff shows skipped cells
   poly seed i d sha256     roots and residuals of _find_roots_full on
                            seeded random integer polynomials of degree
                            5-60, in float.hex
@@ -54,6 +60,10 @@ their outputs is empty:
 A diff of two ``--only cell --per-record`` outputs names every record
 that moved, with both values of each moved field; a change of root
 order also shows, as changed lines at every index it shifts.
+
+The ``solved`` kind reads only the public density_witness, so this
+copy run with ``--tree`` on a tree that predates the kind prints it
+for that tree too.
 
 A parent/child diff across the change that removed the package's
 rational-function type passes both runs ``--only
@@ -159,17 +169,31 @@ def _cell_lines(args, workloads, yamada):
             yield "cell", n, s, k, sign, _sha(map(_record_fields, recs))
 
 
-def _density_lines(args, workloads, yamada):
-    cache: dict = {}
+def _density_targets(workloads) -> list[complex]:
+    """The benchmark's probe, each lattice target and its conjugate."""
     targets = [workloads.PROBE]
     for z0 in workloads.density_lattice():
         targets += [z0, z0.conjugate()]
-    for z0 in targets:
+    return targets
+
+
+def _density_lines(args, workloads, yamada):
+    cache: dict = {}
+    for z0 in _density_targets(workloads):
         res = yamada.roots.density_witness(
             z0, workloads.EPS, workloads.CAPS, cache=cache
         )
         d = json.dumps(yamada.roots.witness_to_dict(res), sort_keys=True)
         yield "density", z0.real.hex(), z0.imag.hex(), _sha([d])
+
+
+def _solved_lines(args, workloads, yamada):
+    for z0 in _density_targets(workloads):
+        cache: dict = {}
+        yamada.roots.density_witness(
+            z0, workloads.EPS, workloads.CAPS, cache=cache
+        )
+        yield "solved", z0.real.hex(), z0.imag.hex(), len(cache)
 
 
 def _poly_lines(args, workloads, yamada):
@@ -224,6 +248,7 @@ def _replace_lines(args, workloads, yamada):
 SECTIONS = {
     "cell": _cell_lines,
     "density": _density_lines,
+    "solved": _solved_lines,
     "poly": _poly_lines,
     "exact": _exact_lines,
     "resolve": _resolve_lines,

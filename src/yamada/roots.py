@@ -5,7 +5,8 @@ so for large n its roots pile up along the equal-modulus set
 |lambda1(z)| = |lambda2(z)|.  This module finds all roots of one family
 member, samples that limit set, tests membership in the closed region
 where |sigma(z)| dominates a small cyclotomic minimum, and hunts through
-the (n, s, k) grid for a family root near a requested target.
+the (n, s, k) grid for a family root near a requested target, solving
+only the members where neither power term provably dominates near it.
 
 Family members are never solved through their dense coefficients.  Raising
 the lambdas to the n-th power spreads the coefficients over hundreds of
@@ -38,13 +39,21 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
 import mpmath
 import numpy as np
 
 from .errors import YamadaError
-from .laurent import LaurentPoly, PoleAtZero, _poly_gcd, exact_div, sigma
+from .laurent import (
+    LaurentPoly,
+    PoleAtZero,
+    _divexact,
+    _poly_gcd,
+    exact_div,
+    sigma,
+)
 from .replace import family_degree_estimate, family_lambdas, family_polynomial
 
 
@@ -82,7 +91,8 @@ class RootRecord:
 class Witness:
     """Search outcome when a certified root landed inside the epsilon
     disc, with the count of uncertified records (residual above tol) the
-    search passed over on the way."""
+    search passed over on the way, in the cells it read (solved or
+    cached); cells it ruled out without solving add nothing."""
 
     target: complex
     epsilon: float
@@ -107,9 +117,10 @@ class SearchCaps:
 @dataclass(frozen=True)
 class NotFound:
     """Search outcome when no certified root landed inside the epsilon
-    disc: the closest certified record seen over the whole capped grid,
-    the caps, and the count of uncertified records the search passed
-    over."""
+    disc: the closest certified record over the whole capped grid (cells
+    ruled out without solving provably hold none closer), the caps, and
+    the count of uncertified records in the cells the search read
+    (solved or cached)."""
 
     target: complex
     epsilon: float
@@ -366,15 +377,25 @@ def _find_roots_full(
     d = len(coeffs) - 1
     if d == 0:
         return [], [], 0
+    z, res = _dense_solve(coeffs, max_iter, polish_rounds)
+    return (*_ordered(z, res, tol, _phase_key), d)
+
+
+def _dense_solve(
+    coeffs: list[int], max_iter: int, polish_rounds: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The points and dense residuals of the Aberth solve and polish of
+    the integer polynomial coeffs (ascending, degree at least 1), its
+    coefficients scaled by their max absolute value by correctly rounded
+    integer division.  A linear polynomial starts at its root."""
     big = max(abs(c) for c in coeffs)
     cs = np.array([c / big for c in coeffs], dtype=float)
     evaluate = partial(_dense_eval, cs, 1 / big)
-    if d == 1:
+    if len(coeffs) == 2:
         z = np.array([complex(-coeffs[0] / coeffs[1])])
     else:
         z, _ = _aberth(evaluate, _initial_points(cs), max_iter)
-    z, res = _polish(evaluate, z, polish_rounds)
-    return (*_ordered(z, res, tol, _phase_key), d)
+    return _polish(evaluate, z, polish_rounds)
 
 
 def find_roots(p: LaurentPoly, tol: float = 1e-9) -> list[complex]:
@@ -655,22 +676,53 @@ def _refine_mp(
     no flagged point starts inside it; that term only steers the step,
     and the Newton ratio and the residual never see it.
     """
+    mpf, mpc = mpmath.mpf, mpmath.mpc
+    terms = _mp_terms(n, s, k, sign)
+    f = _PREC
+    with mpmath.mp.workprec(f):
+        zs = [mpc(w) for w in flagged]
+        target = mpf(10) ** -30
+        for _ in range(40):
+            pts = [_fixed(z) for z in zs]
+            vals = [terms(z, *xy) for z, xy in zip(zs, pts)]
+            worst = max(
+                abs(b1 + b2) / (abs(b1) + abs(b2)) for b1, b2, _ in vals
+            )
+            if worst < target:
+                break
+            zd = np.array([complex(z) for z in zs])
+            far = (1.0 / (zd[:, None] - frozen[None, :])).sum(axis=1)
+            near = _repulsion_fixed(pts)
+            news = []
+            for z, (b1, b2, dq), (rr, ri), w in zip(zs, vals, near, far):
+                rep = mpc(mpf((rr, -f)), mpf((ri, -f))) + complex(w)
+                step = z * (b1 + b2) / dq
+                news.append(z - step / (1 - step * rep))
+            zs = news
+        out = np.array([complex(z) for z in zs], dtype=complex)
+    return out, _residuals_mp(n, s, k, sign, out)
+
+
+def _fixed(z) -> tuple[int, int]:
+    """The mpc z as a Gaussian integer on the fixed-point scale 2^_PREC."""
+    to_fixed = mpmath.libmp.to_fixed
+    return to_fixed(z.real._mpf_, _PREC), to_fixed(z.imag._mpf_, _PREC)
+
+
+def _mp_terms(n: int, s: int, k: int, sign: str):
+    """The function terms(z, x, y) of the member (n, s, k, sign) at 240
+    bits, (x, y) being _fixed(z): b1 and b2 over a common power of z, and
+    z times the derivative of b1 + b2 over the same power.  It must run
+    under mpmath.mp.workprec(_PREC)."""
     parts = _power_tables(s, k, sign)[0]
     (lo1, _), (lo2, _), (lo1c, _), (lo2s, _) = parts
     # b1 and b2 carry z^e1 and z^e2; dividing both by the smaller power
     # leaves the residual and the Newton step as they are
     shift = (lo1 * (n - 1) + lo1c) - (lo2s + n * lo2)
     mpf, mpc = mpmath.mpf, mpmath.mpc
-    to_fixed = mpmath.libmp.to_fixed
     f = _PREC
 
-    def fixed(z):
-        return to_fixed(z.real._mpf_, f), to_fixed(z.imag._mpf_, f)
-
     def terms(z, x, y):
-        """b1 and b2 over a common power of z, and z times the
-        derivative of b1 + b2 over the same power; (x, y) is z in fixed
-        point."""
         ps, hs = [], []
         for lo, cs in parts:
             pr, pi, dr, di = _horner_fixed(cs, x, y)
@@ -691,35 +743,22 @@ def _refine_mp(
         h2 = hs[3] + n * hs[1]
         return b1, b2, b1 * h1 + b2 * h2
 
-    with mpmath.mp.workprec(f):
-        zs = [mpc(w) for w in flagged]
-        target = mpf(10) ** -30
-        for _ in range(40):
-            pts = [fixed(z) for z in zs]
-            vals = [terms(z, *xy) for z, xy in zip(zs, pts)]
-            worst = max(
-                abs(b1 + b2) / (abs(b1) + abs(b2)) for b1, b2, _ in vals
-            )
-            if worst < target:
-                break
-            zd = np.array([complex(z) for z in zs])
-            far = (1.0 / (zd[:, None] - frozen[None, :])).sum(axis=1)
-            near = _repulsion_fixed(pts)
-            news = []
-            for z, (b1, b2, dq), (rr, ri), w in zip(zs, vals, near, far):
-                rep = mpc(mpf((rr, -f)), mpf((ri, -f))) + complex(w)
-                step = z * (b1 + b2) / dq
-                news.append(z - step / (1 - step * rep))
-            zs = news
-        out = np.empty(len(zs), dtype=complex)
-        res = np.empty(len(zs), dtype=float)
-        for i, z in enumerate(zs):
-            zd = complex(z)
-            z = mpc(zd)
-            b1, b2, _ = terms(z, *fixed(z))
-            out[i] = zd
+    return terms
+
+
+def _residuals_mp(
+    n: int, s: int, k: int, sign: str, z: np.ndarray
+) -> np.ndarray:
+    """The residual |b1 + b2| / (|b1| + |b2|) of the member (n, s, k,
+    sign) evaluated at 240 bits at each double z."""
+    terms = _mp_terms(n, s, k, sign)
+    res = np.empty(len(z), dtype=float)
+    with mpmath.mp.workprec(_PREC):
+        for i, zd in enumerate(z):
+            w = mpmath.mpc(complex(zd))
+            b1, b2, _ = terms(w, *_fixed(w))
             res[i] = float(abs(b1 + b2) / (abs(b1) + abs(b2)))
-    return out, res
+    return res
 
 
 def _part_values(tables: tuple, z: np.ndarray) -> list[np.ndarray]:
@@ -795,6 +834,23 @@ def _family_ratio(
 _U = np.finfo(float).eps / 2  # unit roundoff of float64
 
 
+def _horner_running(
+    stack: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The polynomials in the columns of the ascending coefficient matrix
+    stack at the points z, one row per column, by Horner's rule, with
+    mu = sum_k |s_k| |z|^k over the partial sums s_k, the factor of the
+    running error bound (Higham, Accuracy and Stability of Numerical
+    Algorithms, 5.1)."""
+    az = np.abs(z)
+    row = stack[-1][:, None] + 0 * z
+    mu = np.abs(row)
+    for c in stack[-2::-1]:
+        row = c[:, None] + row * z
+        mu = mu * az + np.abs(row)
+    return row, mu
+
+
 @np.errstate(all="ignore")
 def _inclusion_radii(
     n: int, tables: tuple, lo: int, d: int, z: np.ndarray
@@ -813,9 +869,9 @@ def _inclusion_radii(
     the rounding of the bound arithmetic itself):
 
     - parts: the eight rows are evaluated here by Horner's rule with a
-      running error bound (Higham, Accuracy and Stability of Numerical
-      Algorithms, 5.1).  Step k rounds a complex product (within
-      sqrt5 u of it) and a sum (within u), so the value is within
+      running error bound (_horner_running).  Step k rounds a complex
+      product (within sqrt5 u of it) and a sum (within u), so the value
+      is within
       (sqrt5 + 1) u mu of the row, mu = sum_k |s_k| |z|^k over the
       partial sums s_k; the budget is 8 u mu.  numpy forms z^e with
       |e| < 100 by repeated multiplication, within (sqrt5 |e| + 4) u,
@@ -839,11 +895,7 @@ def _inclusion_radii(
     """
     parts, stack, _ = tables
     az = np.abs(z)
-    row = stack[-1][:, None] + 0 * z
-    mu = np.abs(row)
-    for c in stack[-2::-1]:
-        row = c[:, None] + row * z
-        mu = mu * az + np.abs(row)
+    row, mu = _horner_running(stack, z)
     exps = [e for e, _ in parts] + [e - 1 for e, _ in parts]
     values, err = [], []
     for s_row, m_row, e in zip(row, mu, exps):
@@ -928,6 +980,80 @@ def _overlapping(z: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
+# a prime below 2^31: a product of two residues fits in an int64
+_PRIME = 2**31 - 1
+
+
+def _square_free_mod_p(coeffs: list[int]) -> bool:
+    """True when gcd(q, q') mod _PRIME is a nonzero constant for the
+    integer polynomial q = coeffs (ascending) and _PRIME does not divide
+    its leading coefficient.  q mod p then has q's degree and no repeated
+    factor, so q has none over Q either.  False proves nothing.
+
+    Euclid's algorithm over F_p on int64 vectors: each step cancels the
+    top coefficient of the dividend with one vector operation."""
+    p = _PRIME
+    if coeffs[-1] % p == 0:
+        return False
+
+    def trim(x):
+        nz = np.nonzero(x)[0]
+        return x[: nz[-1] + 1] if len(nz) else x[:0]
+
+    a = np.array([c % p for c in coeffs], dtype=np.int64)
+    b = trim(a[1:] * np.arange(1, len(a)) % p)
+    while len(b) > 1:
+        inv = pow(int(b[-1]), p - 2, p)
+        db = len(b) - 1
+        a = a.copy()
+        for i in range(len(a) - 1, db - 1, -1):
+            f = int(a[i]) * inv % p
+            if f:
+                a[i - db : i + 1] = (a[i - db : i + 1] - f * b) % p
+        a, b = b, trim(a[:db])
+    return len(b) == 1
+
+
+def _square_free_parts(
+    coeffs: list[int],
+) -> list[tuple[int, list[int]]] | None:
+    """None when the integer polynomial q = coeffs (ascending) is
+    square-free, else its square-free factorization: pairs (i, a_i) with
+    q a constant times the product of the a_i^i, each a_i primitive,
+    non-constant, square-free and prime to the others.
+
+    The mod-p test (_square_free_mod_p) settles the usual case; the
+    factorization is Yun's algorithm (Yun, SYMSAC 1976) over Z, with the
+    primitive-PRS gcd and exact division.  Every division is exact over
+    Z by Gauss's lemma, since each divisor is primitive."""
+    if _square_free_mod_p(coeffs):
+        return None
+
+    def deriv(f):
+        return [i * c for i, c in enumerate(f)][1:]
+
+    def minus(f, g):
+        out = [x - y for x, y in zip_longest(f, g, fillvalue=0)]
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    g = _poly_gcd(coeffs, deriv(coeffs))
+    if len(g) == 1:
+        return None
+    b, c = _divexact(coeffs, g), _divexact(deriv(coeffs), g)
+    parts = []
+    i = 1
+    while len(b) > 1:
+        dd = minus(c, deriv(b))
+        a = _poly_gcd(b, dd)
+        b, c = _divexact(b, a), _divexact(dd, a)
+        if len(a) > 1:
+            parts.append((i, a))
+        i += 1
+    return parts
+
+
 def _family_roots_full(
     n: int,
     s: int,
@@ -955,6 +1081,16 @@ def _family_roots_full(
     meets another point's disc (_overlapping), go to the 240-bit
     _refine_mp: a point with an isolated disc already holds its own root
     to double precision.  A record is still certified by its residual.
+
+    Discs that overlap may mean a repeated root, where Aberth converges
+    only linearly and the refine would split the root into a cluster.
+    So an overlap first tests the reduced polynomial q for being
+    square-free (_square_free_parts).  If it is not, the points are
+    replaced: each square-free part a_i of q is solved for its simple
+    roots (_dense_solve), and each root is reported i times, with the
+    residual of the structured evaluation, or of _residuals_mp where
+    that is above _REFINE_ABOVE; nothing is refined.  Among the members
+    the benchmarks visit, only n = 1 members have repeated roots.
     """
     p = family_polynomial(n, s, k, sign, degree_cap=degree_cap)
     degree = len(p.dense_coeffs()[1]) - 1
@@ -973,12 +1109,246 @@ def _family_roots_full(
     else:
         z, _ = _aberth(evaluate, _initial_points(coeffs), max_iter)
     z, res = _polish(evaluate, z, polish_rounds)
-    shaky = res > _REFINE_ABOVE
-    shaky |= _overlapping(z, _inclusion_radii(n, tables, lo, d, z))
-    if shaky.any():
-        z[shaky], res[shaky] = _refine_mp(n, s, k, sign, z[shaky], z[~shaky])
+    overlap = _overlapping(z, _inclusion_radii(n, tables, lo, d, z))
+    parts = _square_free_parts(coeffs) if overlap.any() else None
+    if parts:
+        z = np.concatenate([
+            np.repeat(_dense_solve(a, max_iter, polish_rounds)[0], i)
+            for i, a in parts
+        ])
+        res, _ = evaluate(z)
+        high = res > _REFINE_ABOVE
+        if high.any():
+            res[high] = _residuals_mp(n, s, k, sign, z[high])
+    else:
+        shaky = overlap | (res > _REFINE_ABOVE)
+        if shaky.any():
+            z[shaky], res[shaky] = _refine_mp(
+                n, s, k, sign, z[shaky], z[~shaky]
+            )
     roots, residuals = _ordered([*z, *exact], [*res] + [0.0] * len(exact), tol)
     return roots, residuals, degree
+
+
+# ---------------------------------------------------------------------------
+# exclusion by term dominance
+
+# the circle of an exclusion test starts as _ARCS arcs, and an arc that
+# leaves some n undecided is halved, at most _ARC_SPLITS times
+_ARCS = 16
+_ARC_SPLITS = 6
+# each log bound of _arc_bounds is pushed out by _LOG_SLACK (1 + |log|)
+_LOG_SLACK = 1e-12
+# _dominated_cells widens its disc by _REACH |z0|
+_REACH = 1e-6
+
+
+def _zero_discs(cs: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Centres and radii of discs whose union holds every zero of the
+    integer polynomial cs (ascending, degree d).
+
+    The centres w_j are numpy's roots; each radius bounds d |W_j| for the
+    Weierstrass correction W_j = p(w_j) / (a_d prod_{k != j} (w_j - w_k)).
+    Since p / a_d = prod_k (z - w_k) (1 + sum_j W_j / (z - w_j)), the
+    zeros of p are the eigenvalues of diag(w) - 1 W^T, and Gershgorin's
+    theorem on its columns puts them in the union of the discs about
+    w_j - W_j of radius (d - 1) |W_j|, so inside the discs about w_j of
+    radius d |W_j| (Carstensen, Numer. Math. 1991).
+
+    |p(w_j)| is bounded above by its float value plus the Horner running
+    bound 8 u mu (_horner_running), and the product below by its float
+    value times 1 - (4 d + 8) u: each difference is within u of its
+    value, each complex product within sqrt5 u and the modulus within
+    2 u.  Coincident centres, or a radius that is not finite, give an
+    infinite radius.
+    """
+    d = len(cs) - 1
+    if d == 0:
+        return np.empty(0, dtype=complex), np.empty(0)
+    c = np.array([float(x) for x in cs])
+    w = np.roots(c[::-1]).astype(complex)
+    val, mu = _horner_running(c[:, None], w)
+    up = (np.abs(val[0]) + 8 * _U * mu[0]) * (1 + 4 * _U)
+    gaps = w[:, None] - w[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    with np.errstate(all="ignore"):
+        low = np.abs(np.prod(gaps, axis=1)) * (1 - (4 * d + 8) * _U)
+        r = d * up / (abs(c[-1]) * low) * (1 + 4 * _U)
+    return w, np.where(np.isfinite(r) & (low > 0), r, np.inf)
+
+
+@lru_cache(maxsize=None)
+def _term_tables(s: int, k: int, sign: str) -> tuple | None:
+    """What the exclusion test needs of one (s, k, sign) column, for
+    lambda1, lambda2 and sigma in that order: their low exponents (a
+    (3, 1) column), the (m, 6) matrix whose columns are their
+    coefficients and then the absolute values of those (each zero-padded
+    at the high end, which leaves every Horner step of a shorter row
+    exact), and their zero discs (_zero_discs).  None when a coefficient
+    is not exact as a double; no bound is then claimed."""
+    dense = [
+        p.dense_coeffs() for p in (*family_lambdas(s, k, sign), sigma())
+    ]
+    if any(abs(c) > 2**53 for _, cs in dense for c in cs):
+        return None
+    stack = np.zeros((max(len(cs) for _, cs in dense), 3))
+    for j, (_, cs) in enumerate(dense):
+        stack[: len(cs), j] = [float(c) for c in cs]
+    lows = np.array([[lo] for lo, _ in dense], dtype=float)
+    discs = tuple(_zero_discs(cs) for _, cs in dense)
+    return lows, np.hstack([stack, np.abs(stack)]), discs
+
+
+def _zero_free(discs: tuple, z0: complex, radius: float) -> bool:
+    """True when the closed disc |z - z0| <= radius meets none of the
+    zero discs, so holds no zero; the 4 u factors cover the rounding of
+    the distances and of the sums."""
+    w, r = discs
+    far = np.abs(w - z0) * (1 - 4 * _U) > (radius + r) * (1 + 4 * _U)
+    return bool(far.all())
+
+
+def _arc_discs(
+    z0: complex, radius: float, arcs: np.ndarray, m: int
+) -> tuple[np.ndarray, float]:
+    """Midpoints c and one radius rho of discs |z - c_j| <= rho that hold
+    the arcs of the circle |z - z0| = radius between the angles
+    2 pi j / m and 2 pi (j + 1) / m, for j in arcs.  Every point of such
+    an arc lies within the chord 2 radius sin(pi / 2m) < radius pi / m of
+    its midpoint; 16 u (|z0| + radius) covers the rounding of c."""
+    c = z0 + radius * np.exp(2j * math.pi * (arcs + 0.5) / m)
+    rho = radius * math.pi / m * (1 + 8 * _U)
+    return c, rho + 16 * _U * (abs(z0) + radius)
+
+
+@np.errstate(all="ignore")
+def _arc_bounds(
+    tables: tuple, c: np.ndarray, rho: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bounds on log|P| over each disc |z - c_j| <= rho, for P = lambda1,
+    lambda2 and sigma (the rows of _term_tables): the arrays (logL, logU,
+    at) of shape (3, len(c)), with logL <= log|P(z)| <= logU on the disc
+    and at the float value of log|P(c_j)|.
+
+    P = z^lo p with integer p.  The value p(c) is within 8 u mu of its
+    float Horner value (_horner_running), and over the disc p moves by at
+    most pt(|c| + rho) - pt(|c|), pt the polynomial of the absolute
+    coefficients: the k-th Taylor coefficient of p at c is at most that
+    of pt at |c| in modulus.  pt is evaluated at |c| (1 - 4u) and at
+    (|c| + rho) (1 + 4u), which brackets both arguments, with a relative
+    budget of (4 m + 8) u for its m Horner steps over nonnegative terms.
+    |z^lo| lies between the powers of |c| - rho and |c| + rho (each
+    pushed out by 4 u); a disc that reaches 0 gets the bound 0 or inf.
+    Every bound is pushed out by 4 u after each operation and the logs
+    by _LOG_SLACK (1 + |log|), far more than the rounding of the logs,
+    sums and products that form them, and of the linear test that
+    _dominated makes of them.
+    """
+    lows, both, _ = tables
+    a = len(c)
+    t = np.abs(c)
+    t_lo = t * (1 - 4 * _U)
+    t_hi = (t + rho) * (1 + 4 * _U)
+    # one Horner pass: p at c, and pt at t_hi and at t_lo
+    rows, mus = _horner_running(both, np.concatenate([c, t_hi, t_lo]))
+    val, mu = rows[:3, :a], mus[:3, :a]
+    gam = (4 * len(both) + 8) * _U
+    spread = rows[3:, a : 2 * a].real * (1 + gam)
+    spread = spread - rows[3:, 2 * a :].real * (1 - gam)
+    err = (8 * _U * mu + spread * (1 + 4 * _U)) * (1 + 4 * _U)
+    av = np.abs(val)
+    up = (av + err) * (1 + 4 * _U)
+    low = (av * (1 - 4 * _U) - err) * (1 - 4 * _U)
+    r_min = (t_lo - rho) * (1 - 4 * _U)
+    near = lows * np.log(np.maximum(r_min, 0.0))
+    far = lows * np.log(t_hi)
+    near = np.where(lows == 0, 0.0, near)
+    logU = np.log(up) + np.maximum(near, far)
+    logL = np.log(np.maximum(low, 0.0)) + np.minimum(near, far)
+    logU = logU + _LOG_SLACK * (1 + np.abs(logU))
+    logL = logL - _LOG_SLACK * (1 + np.abs(logL))
+    return logL, logU, np.log(av) + lows * np.log(t)
+
+
+def _dominated(
+    z0: complex, radius: float, s: int, k: int, sign: str, ns: Iterable[int]
+) -> set[int]:
+    """The n in ns for which the member lambda1^n + sigma lambda2^n of
+    the (s, k, sign) column provably has no zero in the closed disc
+    |z - z0| <= radius.
+
+    The proof is Rouché's theorem: if one term strictly dominates the
+    other on the boundary circle, the sum has as many zeros inside as
+    that term, and none on the circle.  So T1 = lambda1^n may win only
+    when lambda1 has no zero in the disc, and T2 = sigma lambda2^n only
+    when neither sigma nor lambda2 has one (_zero_free on the discs of
+    _zero_discs).  The common cyclotomic zeros of the two terms thus
+    never let a disc that holds them be skipped.  A disc that reaches
+    the pole at 0 (radius >= |z0|) is never skipped.
+
+    The circle is covered by _ARCS arcs, each inside a small disc about
+    its midpoint, where _arc_bounds bounds |lambda1|, |lambda2| and
+    |sigma|.  On an arc, T1 wins for n when n (logL1 - logU2) > logU_sigma
+    and T2 when n (logL2 - logU1) > -logL_sigma: linear in n, so one
+    cover serves the whole column.  An arc that leaves some n undecided
+    is halved, at most _ARC_SPLITS times, and an n is kept only if one
+    term wins on every arc of its cover.  The float values at the arc
+    midpoints, which lie on the circle, only ever rule an n out: a term
+    that does not dominate there cannot dominate on the circle.
+    """
+    ns = sorted(set(ns))
+    tables = _term_tables(s, k, sign)
+    if not ns or tables is None or not 0 < radius < abs(z0):
+        return set()
+    free = [_zero_free(d, z0, radius) for d in tables[-1]]
+    nv = np.array(ns, dtype=float)[:, None]
+    # alive[t, i]: term t + 1 may still dominate for ns[i]
+    alive = np.array([[free[0]] * len(ns), [free[1] and free[2]] * len(ns)])
+    m = _ARCS
+    arcs = np.arange(m)
+    # need[t, i, j]: that is still to be shown on arc j
+    need = np.repeat(alive[:, :, None], m, axis=2)
+    for split in range(_ARC_SPLITS + 1):
+        if not need.any():
+            break
+        logL, logU, at = _arc_bounds(tables, *_arc_discs(z0, radius, arcs, m))
+        won = np.array([
+            nv * (logL[0] - logU[1]) > logU[2],
+            nv * (logL[1] - logU[0]) > -logL[2],
+        ])
+        gap = nv * (at[0] - at[1]) - at[2]
+        alive &= np.array([(gap > 0).all(axis=1), (gap < 0).all(axis=1)])
+        need &= ~won & alive[:, :, None]
+        open_arcs = need.any(axis=(0, 1))
+        if split == _ARC_SPLITS or not open_arcs.any():
+            break
+        arcs = np.stack([2 * arcs[open_arcs], 2 * arcs[open_arcs] + 1], axis=1)
+        arcs = arcs.ravel()
+        need = np.repeat(need[:, :, open_arcs], 2, axis=2)
+        m *= 2
+    alive &= ~need.any(axis=2)
+    return {n for n, ok in zip(ns, alive.any(axis=0)) if ok}
+
+
+def _dominated_cells(
+    z0: complex,
+    radius: float,
+    cells: Iterable[tuple[int, int, int]],
+    sign: str,
+) -> set[tuple[int, int, int]]:
+    """The cells (n, s, k) whose sign member provably has no zero within
+    radius of z0, by _dominated, one call per (s, k) column.  The radius
+    is widened by _REACH |z0| first, so that a record a little off its
+    exact root is never left outside the disc while it lies inside."""
+    columns: dict[tuple[int, int], list[int]] = {}
+    for n, s, k in cells:
+        columns.setdefault((s, k), []).append(n)
+    reach = radius + _REACH * abs(z0)
+    return {
+        (n, s, k)
+        for (s, k), ns in columns.items()
+        for n in _dominated(z0, reach, s, k, sign, ns)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1097,12 +1467,31 @@ def density_witness(
     disc returns a Witness for the closest such root.  Cells whose
     degree estimate exceeds the degree cap are outside the search space.
     If the caps run out, NotFound reports the closest certified root
-    seen anywhere in the grid (None if there is none).  Either outcome
-    counts the uncertified records the search passed over.  Caps that
-    admit no cell at all raise ValueError.
+    seen anywhere in the grid (None if there is none), the earliest in
+    visit order on a tie.  Caps that admit no cell at all raise
+    ValueError.
 
-    jobs > 1 solves upcoming cells in worker processes (_cell_stream)
-    while the results are still consumed in visit order, so the outcome
+    Cells that provably hold no root near z0 are not solved.  The first
+    pass visits the plan in order and defers every cell not in cache
+    whose member is dominated on the eps disc (_dominated_cells: one of
+    its two power terms wins on the whole boundary circle and has no
+    zero inside, so the member has no zero in the closed disc); each
+    (s, k) column is tested once, when the pass first reaches it.  A
+    deferred cell has no root to offer a Witness, so the Witness is the
+    one the full search returns.  Only on a miss, the second pass
+    revisits the deferred cells in plan order and solves one only if it
+    is not dominated on the disc of radius best_d, the closest distance
+    so far (re-tested whenever that shrinks); a skipped cell cannot hold
+    a record as close, so closest and distance are those of the full
+    search too.  Cells already in cache are always read.  Either outcome
+    counts the uncertified records of the cells it read, solved or
+    cached; a skipped cell's records are never formed, so they are not
+    counted.
+
+    jobs > 1 solves upcoming cells of the first pass in worker
+    processes (_cell_stream) while the results are still consumed in
+    visit order; the second pass tests each cell against the distance
+    its predecessors left, so it solves them one at a time.  The outcome
     is the one the sequential search returns.
     """
     if eps <= 0:
@@ -1122,28 +1511,66 @@ def density_witness(
     best: RootRecord | None = None
     best_d = math.inf
     uncertified = 0
-    for _, recs in _cell_stream(
-        plan, (sign,), tol, caps.degree_cap, cache, jobs
-    ):
+
+    def read(cell, recs) -> RootRecord | None:
+        """Count and rank the records of one cell; return its closest
+        certified record within eps, or None.  On a tie the record of
+        the cell earlier in the plan stays the closest."""
+        nonlocal best, best_d, uncertified
         hit: RootRecord | None = None
-        hit_d = math.inf
+        hit_d = eps
         for rec in recs:
             if not rec.residual <= tol:
                 uncertified += 1
                 continue
             dist = abs(rec.root - z0)
-            if dist < best_d:
+            if dist < best_d or (
+                dist == best_d
+                and plan.index(cell) < plan.index((best.n, best.s, best.k))
+            ):
                 best, best_d = rec, dist
-            if dist < eps and dist < hit_d:
+            if dist < hit_d:
                 hit, hit_d = rec, dist
+        return hit
+
+    # a column is tested for every n the caps allow, and only when the
+    # first pass reaches it: a search that stops early never tests the
+    # columns beyond, and nothing scans the whole plan
+    tested: set[tuple[int, int]] = set()
+    ruled_out: set[tuple[int, int, int]] = set()
+    deferred: list[tuple[int, int, int]] = []
+
+    def first_pass():
+        for cell in plan:
+            _, s, k = cell
+            if (s, k) not in tested:
+                tested.add((s, k))
+                column = [(n, s, k) for n in range(1, caps.n_max + 1)]
+                ruled_out.update(_dominated_cells(z0, eps, column, sign))
+            if cell in ruled_out and cell + (sign,) not in cache:
+                deferred.append(cell)
+            else:
+                yield cell
+
+    for cell, recs in _cell_stream(
+        first_pass(), (sign,), tol, caps.degree_cap, cache, jobs
+    ):
+        hit = read(cell, recs)
         if hit is not None:
             return Witness(
                 target=z0,
                 epsilon=eps,
                 found=hit,
-                distance=hit_d,
+                distance=abs(hit.root - z0),
                 uncertified=uncertified,
             )
+    radius = None
+    for i, cell in enumerate(deferred):
+        if best_d != radius:
+            radius = best_d
+            skip = _dominated_cells(z0, radius, deferred[i:], sign)
+        if cell not in skip:
+            read(cell, _cell_records(*cell, sign, tol, caps.degree_cap, cache))
     return NotFound(
         target=z0,
         epsilon=eps,
@@ -1165,7 +1592,7 @@ def _scan_cell(args) -> dict:
 
 
 def _cell_stream(
-    cells: Sequence[tuple[int, int, int]],
+    cells: Iterable[tuple[int, int, int]],
     signs: tuple[str, ...],
     tol: float | None,
     degree_cap: int | None,
@@ -1190,7 +1617,7 @@ def _cell_stream(
             for r in _cell_records(*cell, sign, tol, degree_cap, cache)
         ]
 
-    if jobs <= 1 or len(cells) <= 1:
+    if jobs <= 1:
         for cell in cells:
             yield cell, records(cell)
         return
@@ -1241,7 +1668,7 @@ def scan_family(
         tol,
         degree_cap,
         {} if cache is None else cache,
-        jobs,
+        jobs if len(cells) > 1 else 1,
     )
     return [r for _, recs in stream for r in recs]
 

@@ -14,6 +14,7 @@ import pytest
 
 from yamada.laurent import LaurentPoly, PoleAtZero, exact_div, sigma
 from yamada.replace import family_lambdas, family_polynomial
+from yamada import roots as roots_module
 from yamada.roots import (
     NoConvergence,
     NotFound,
@@ -24,7 +25,11 @@ from yamada.roots import (
     ZeroPolynomial,
     _CYCLOTOMIC,
     _aberth,
+    _arc_bounds,
+    _arc_discs,
     _dense_eval,
+    _dominated,
+    _dominated_cells,
     _family_ratio,
     _family_roots_full,
     _find_roots_full,
@@ -36,6 +41,10 @@ from yamada.roots import (
     _polish,
     _power_tables,
     _repulsion_fixed,
+    _square_free_mod_p,
+    _square_free_parts,
+    _term_tables,
+    _witness_plan,
     density_witness,
     find_roots,
     limit_curve_gap,
@@ -691,3 +700,221 @@ def test_witness_serialization_both_branches():
     assert d2["found"] is False
     assert d2["caps"]["n_max"] == 4
     assert d2["closest"]["residual"] <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# square-free solves of members with repeated roots
+
+def _multiplicity(coeffs, z, cluster):
+    """The multiplicity of the nonzero point z as a root of the integer
+    polynomial sum_k coeffs[k] z^k, read off at 240 bits: the first
+    derivative that is not small against its own term scale.  cluster is the number of records placed at z; every lower
+    derivative must vanish to the scale a double point allows."""
+    with mpmath.workprec(240):
+        w = mpmath.mpc(z)
+        cs = [mpmath.mpf(c) for c in coeffs]
+        for j in range(len(cs)):
+            terms = [c * math.perm(k, j) * w ** (k - j)
+                     for k, c in enumerate(cs) if k >= j]
+            value = abs(mpmath.fsum(terms))
+            scale = mpmath.fsum(abs(t) for t in terms)
+            if value > 1e-6 * scale:
+                return j
+            assert j >= cluster or value <= 1e-10 * scale
+    raise AssertionError("every derivative vanishes")
+
+
+def test_square_free_solve_of_repeated_root_members(monkeypatch):
+    # the n = 1 members with repeated roots are solved factor by factor
+    # (Yun) and never reach the 240-bit refine; each value comes back as
+    # often as it is a root of the exact member, the two cyclotomic roots
+    # included (one exact record plus the copies from the reduced q)
+    refines = []
+    inner = roots_module._refine_mp
+
+    def counted(*args):
+        refines.append(args[:4])
+        return inner(*args)
+
+    monkeypatch.setattr(roots_module, "_refine_mp", counted)
+    for n, s, k in ((1, 2, 2), (1, 2, 3), (1, 4, 6)):
+        roots, res, degree = _family_roots_full(n, s, k, "+", 1e-9, 4000)
+        assert len(roots) == degree and max(res) <= 1e-9
+        coeffs = family_polynomial(n, s, k, "+").dense_coeffs()[1]
+        z = np.array(roots)
+        same = np.abs(z[:, None] - z[None, :]) <= 1e-12 * np.abs(z)[:, None]
+        seen = set()
+        for i, w in enumerate(roots):
+            if i in seen:
+                continue
+            group = set(np.nonzero(same[i])[0].tolist())
+            seen |= group
+            assert _multiplicity(coeffs, w, len(group)) == len(group)
+        assert len(seen) == degree
+        assert max(same.sum(axis=1)) > 1
+    assert refines == []
+
+
+def test_square_free_parts_of_a_planted_product():
+    # (z - 2)^3 (z + 1) (z^2 + 1)^2, times 6: Yun's parts by multiplicity
+    p = LaurentPoly({1: 1, 0: -2}) ** 3 * LaurentPoly({1: 1, 0: 1})
+    p = p * LaurentPoly({2: 1, 0: 1}) ** 2 * LaurentPoly({0: 6})
+    parts = _square_free_parts(p.dense_coeffs()[1])
+    assert parts == [(1, [1, 1]), (2, [1, 0, 1]), (3, [-2, 1])]
+    assert not _square_free_mod_p(p.dense_coeffs()[1])
+    # square-free members pass the mod-p test and have no parts
+    for n, s, k in ((2, 2, 2), (4, 2, 3), (1, 1, 1)):
+        q = family_polynomial(n, s, k, "+").dense_coeffs()[1]
+        assert _square_free_mod_p(q) and _square_free_parts(q) is None
+    # a leading coefficient the prime divides proves nothing
+    assert not _square_free_mod_p([1, 0, 2**31 - 1])
+    assert _square_free_parts([1, 0, 2**31 - 1]) is None
+
+
+# ---------------------------------------------------------------------------
+# exclusion by term dominance
+
+BENCH_EPS = 0.15
+BENCH_CAPS = SearchCaps(3, 2, 8, 300)
+
+
+def _bench_targets():
+    """The density benchmark's lattice (upper half of 0.55 <= |z| <= 0.8
+    in 10 sectors by 2 rings, each point with its reflection 1/z), their
+    conjugates, and the probe that misses every cell."""
+    lo, hi = 0.55**2, 0.8**2
+    out = [0.625 * cmath.exp(-1j * math.radians(75))]
+    for a in range(10):
+        for b in range(2):
+            z0 = math.sqrt(lo + (b + 0.5) / 2 * (hi - lo)) * cmath.exp(
+                1j * math.pi * (a + 0.5) / 10
+            )
+            for w in (z0, 1 / z0):
+                out += [w, w.conjugate()]
+    return out
+
+
+def test_dominated_never_skips_a_cell_with_a_root_within_eps():
+    # targets planted at 0.5 eps and 0.99 eps from every certified root
+    # of every cell the benchmark's caps admit, in both families: the
+    # cell's n is never among the dominated ones of its column
+    cache: dict = {}
+    checked = skipped = 0
+    for sign in "+-":
+        plan = _witness_plan(BENCH_CAPS, sign)
+        columns: dict = {}
+        for n, s, k in plan:
+            columns.setdefault((s, k), []).append(n)
+        for n, s, k in plan:
+            recs = scan_family([n], [s], [k], signs=(sign,), degree_cap=300,
+                               cache=cache)
+            for i, rec in enumerate(recs):
+                assert rec.residual <= 1e-9
+                turn = cmath.exp(2j * math.pi * 0.6180339887 * i)
+                for f in (0.5, 0.99):
+                    z0 = rec.root + f * BENCH_EPS * turn
+                    out = _dominated(z0, BENCH_EPS, s, k, sign, columns[s, k])
+                    assert n not in out, (n, s, k, sign, rec.root, f)
+                    checked += 1
+                    skipped += len(out)
+    assert checked == 2 * 2892
+    # the test is not vacuous: other members of the columns are skipped
+    assert skipped > 1000
+
+
+def test_density_witness_matches_solving_every_cell():
+    # on the benchmark's targets and caps, the two-pass search returns
+    # what a loop that solves every cell of the plan in order returns:
+    # the first cell with a certified root within eps gives the witness,
+    # its closest such root; a miss reports the closest certified root,
+    # the earliest in plan order on a tie
+    full: dict = {}
+    for z0 in _bench_targets():
+        sign = "+" if abs(z0) <= 1 else "-"
+        want = None
+        best, best_d = None, math.inf
+        for n, s, k in _witness_plan(BENCH_CAPS, sign):
+            recs = scan_family([n], [s], [k], signs=(sign,), degree_cap=300,
+                               cache=full)
+            hit, hit_d = None, BENCH_EPS
+            for rec in recs:
+                d = abs(rec.root - z0)
+                if rec.residual <= 1e-9 and d < best_d:
+                    best, best_d = rec, d
+                if rec.residual <= 1e-9 and d < hit_d:
+                    hit, hit_d = rec, d
+            if hit is not None:
+                want = Witness(z0, BENCH_EPS, hit, hit_d, 0)
+                break
+        if want is None:
+            want = NotFound(z0, BENCH_EPS, best, best_d, BENCH_CAPS, 0)
+        got = density_witness(z0, BENCH_EPS, BENCH_CAPS, cache={})
+        assert got == want, z0
+
+
+def _log_moduli_240(s, k, sign, z):
+    """log |lambda1|, log |lambda2| and log |sigma| at z, at 240 bits."""
+    out = []
+    with mpmath.workprec(240):
+        w = mpmath.mpc(z)
+        for p in (*family_lambdas(s, k, sign), sigma()):
+            lo, cs = p.dense_coeffs()
+            out.append(float(mpmath.log(abs(mpmath.polyval(cs[::-1], w)
+                                            * w**lo))))
+    return out
+
+
+def test_arc_bounds_hold_the_240_bit_moduli():
+    # discs on circles about benchmark-like targets, and two discs that
+    # sit on a zero of lambda2 and on a cyclotomic zero of sigma, where
+    # the lower bound must drop to 0; points inside each disc, its centre
+    # and its rim included
+    rng = random.Random(12)
+    cyclotomic = cmath.exp(2j * math.pi / 3)
+    for s, k, sign in ((1, 1, "+"), (2, 3, "+"), (2, 2, "-"), (4, 4, "+")):
+        tables = _term_tables(s, k, sign)
+        zero = complex(tables[-1][1][0][0])
+        centres = [0.7 * cmath.exp(2j * math.pi * rng.random())
+                   for _ in range(6)] + [zero, cyclotomic]
+        for c in centres:
+            for rho in (0.02, 0.003):
+                logL, logU, _ = _arc_bounds(tables, np.array([c]), rho)
+                if c == zero:
+                    assert logL[1, 0] == -np.inf
+                if c == cyclotomic:
+                    assert logL[2, 0] == -np.inf
+                for j in range(12):
+                    f = (0.0, 0.5, 0.999)[j % 3]
+                    z = c + f * rho * cmath.exp(2j * math.pi * j / 12)
+                    for t, v in enumerate(_log_moduli_240(s, k, sign, z)):
+                        assert logL[t, 0] <= v <= logU[t, 0], (s, k, c, z, t)
+
+
+def test_arc_discs_cover_their_arcs():
+    # every point of each arc, its ends included, lies in the arc's disc
+    # when both are taken at 240 bits
+    for z0, radius in ((0.6 + 0.2j, 0.15), (-1.3 + 0.4j, 0.3), (0.3j, 0.29)):
+        for m in (16, 128):
+            arcs = np.arange(m)
+            c, rho = _arc_discs(z0, radius, arcs, m)
+            with mpmath.workprec(240):
+                for j in range(0, m, max(1, m // 16)):
+                    for f in (0.0, 0.25, 0.5, 0.75, 1.0):
+                        t = 2 * mpmath.pi * (j + mpmath.mpf(f)) / m
+                        z = mpmath.mpc(z0) + radius * mpmath.expj(t)
+                        assert abs(z - mpmath.mpc(c[j])) <= rho
+
+
+def test_dominance_skips_nothing_when_the_disc_reaches_zero():
+    # the members have a pole at 0: a disc with eps >= |z0| is never
+    # ruled out, while a smaller disc about the same target is
+    for z0 in (0.6 + 0.2j, 1.3 - 0.4j):
+        sign = "+" if abs(z0) <= 1 else "-"
+        plan = _witness_plan(BENCH_CAPS, sign)
+        for s in (1, 2):
+            for k in (1, 2, 3):
+                ns = [n for n, s2, k2 in plan if (s2, k2) == (s, k)]
+                for eps in (abs(z0), 2 * abs(z0)):
+                    assert _dominated(z0, eps, s, k, sign, ns) == set()
+        assert _dominated_cells(z0, abs(z0), plan, sign) == set()
+        assert _dominated_cells(z0, 0.5 * BENCH_EPS, plan, sign)
