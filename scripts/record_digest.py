@@ -5,7 +5,7 @@
 
 Imports ``yamada`` from ``DIR/src`` and the benchmark's request streams
 from ``DIR/perfbench`` (read only; nothing is written there).
-DIR defaults to the tree this script sits in.  Eight kinds of line,
+DIR defaults to the tree this script sits in.  Nine kinds of line,
 printed in this order; ``--only`` keeps the named kinds (``--only
 exact,resolve,graph,replace`` checks the exact layer in seconds):
 
@@ -18,6 +18,10 @@ exact,resolve,graph,replace`` checks the exact layer in seconds):
                            instead: cell n s k sign i re im residual,
                            i the record's index in the cell and the
                            last three in float.hex
+  curve s k sha256         limit_curve_points(s, k) at the default grid
+                           for each of the 24 (s, k) columns the sweep
+                           samples (s = 1-4, k = 1-6), over float.hex
+                           of re and im of each point
   density re im sha256     witness_to_dict of density_witness at the
                            benchmark's probe, each lattice target and
                            its conjugate, under the benchmark's caps
@@ -61,9 +65,9 @@ A diff of two ``--only cell --per-record`` outputs names every record
 that moved, with both values of each moved field; a change of root
 order also shows, as changed lines at every index it shifts.
 
-The ``solved`` kind reads only the public density_witness, so this
-copy run with ``--tree`` on a tree that predates the kind prints it
-for that tree too.
+The ``solved`` and ``curve`` kinds read only the public
+density_witness and limit_curve_points, so this copy run with
+``--tree`` on a tree that predates a kind prints it for that tree too.
 
 A parent/child diff across the change that removed the package's
 rational-function type passes both runs ``--only
@@ -84,6 +88,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # the cells a sweep run sends at --seconds 30: two rounds of 24
 SWEEP_CELLS = 48
+# the (s, k) columns whose limit curves the sweep samples
+SWEEP_S = range(1, 5)
+SWEEP_K = range(1, 7)
 POLY_SEED = 20240817
 # the requests of one exact cycle
 EXACT_CYCLE = 25
@@ -169,6 +176,14 @@ def _cell_lines(args, workloads, yamada):
             yield "cell", n, s, k, sign, _sha(map(_record_fields, recs))
 
 
+def _curve_lines(args, workloads, yamada):
+    for s, k in itertools.product(SWEEP_S, SWEEP_K):
+        points = yamada.roots.limit_curve_points(s, k)
+        yield "curve", s, k, _sha(
+            f"{z.real.hex()} {z.imag.hex()}" for z in points
+        )
+
+
 def _density_targets(workloads) -> list[complex]:
     """The benchmark's probe, each lattice target and its conjugate."""
     targets = [workloads.PROBE]
@@ -247,6 +262,7 @@ def _replace_lines(args, workloads, yamada):
 # the kinds of line, in the order they are printed
 SECTIONS = {
     "cell": _cell_lines,
+    "curve": _curve_lines,
     "density": _density_lines,
     "solved": _solved_lines,
     "poly": _poly_lines,

@@ -172,6 +172,18 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> LaurentPoly:
+        """self^n, with p^0 = 1 for every p (the zero polynomial too).
+
+        A negative n is allowed only for a monomial with unit coefficient.
+        A positive power is one integer power by Kronecker substitution
+        (Harvey, JSC 2009): the dense coefficients c_i are packed into one
+        Python int as sum c_i 2^(w i), that int is raised to the n-th
+        power, and the coefficients of p^n are read back as its signed
+        w-bit slots.  No coefficient of p^n exceeds B = (sum |c_i|)^n in
+        modulus, so w is a whole number of bytes with 2^(w-1) > B; adding
+        2^(w-1) to every slot makes each one a nonnegative w-bit number,
+        and the slots are then plain bytes of the sum.
+        """
         if not isinstance(n, int):
             raise ValueError("LaurentPoly powers must be integers")
         if n < 0:
@@ -181,15 +193,32 @@ class LaurentPoly:
                 if coeff in (1, -1):
                     return LaurentPoly.monomial(coeff if n % 2 else 1, exp * n)
             raise ValueError("negative power of a non-invertible Laurent polynomial")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if n == 0:
+            return LaurentPoly.one()
+        if not self.terms:
+            return LaurentPoly.zero()
+        lo, cs = self.dense_coeffs()
+        bound = sum(abs(c) for c in cs) ** n
+        width = bound.bit_length() // 8 + 1  # bytes per slot
+        w = 8 * width
+        packed = 0
+        for c in reversed(cs):
+            packed = (packed << w) + c
+        slots = (len(cs) - 1) * n + 1
+        half = 1 << (w - 1)
+        offset = int.from_bytes(
+            (bytes(width - 1) + b"\x80") * slots, "little"
+        )
+        raw = (packed**n + offset).to_bytes(width * slots, "little")
+        out: dict[int, int] = {}
+        for j in range(slots):
+            slot = raw[j * width : (j + 1) * width]
+            c = int.from_bytes(slot, "little") - half
+            if c:
+                out[lo * n + j] = c
+        r = LaurentPoly.__new__(LaurentPoly)
+        r.terms = out
+        return r
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by A^k."""

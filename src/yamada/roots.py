@@ -134,8 +134,11 @@ class NotFound:
 # polynomial root extraction
 
 _GOLDEN = 0.6180339887498949
+_U = np.finfo(float).eps / 2  # unit roundoff of float64
 # _aberth stops once the moving set has kept its size this many
-# iterations while every residual is below _STALL_BELOW
+# iterations while every moving point is stuck: at or below its
+# residual floor, or, for an evaluator without one, with every residual
+# below _STALL_BELOW
 _STALL_ITERS = 20
 _STALL_BELOW = 1e-6
 
@@ -232,7 +235,7 @@ def _dense_eval(
 
 
 def _aberth(
-    evaluate, z: np.ndarray, max_iter: int, chunk: int = 512
+    evaluate, z: np.ndarray, max_iter: int, floor=None, chunk: int = 512
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simultaneous Aberth-Ehrlich iteration with per-point freezing,
     from the starting points z (updated in place).
@@ -253,13 +256,20 @@ def _aberth(
     evaluating converged approximations).
 
     The iteration stops early on a stall: once the number of moving
-    points has stayed the same for _STALL_ITERS iterations while every
-    residual is below _STALL_BELOW.  The stuck points are then as good
-    as double precision gets them, and the callers' polish and refine
-    take them from there.  The best full configuration seen (by worst
-    residual) is kept as a fallback in case the last stragglers wander
-    by the stall or the iteration cap; only that fallback is evaluated
-    in full a second time.  Returns the points and their residuals.
+    points has stayed the same for _STALL_ITERS iterations and every
+    moving point is stuck.  With floor, a callable giving the proven
+    float64 rounding floor of the residual at given points (for the
+    family evaluator, _residual_floor), a point is stuck when its
+    residual is at or below its floor: double precision cannot tell it
+    from a root, so no further step can improve it.  The floor is only
+    evaluated, at the moving points, once the count has held for
+    _STALL_ITERS iterations.  Without floor (the dense evaluator), every
+    point is stuck once the worst residual is below _STALL_BELOW.  The
+    callers' polish and refine take the stuck points from there.  The
+    best full configuration seen (by worst residual) is kept as a
+    fallback in case the last stragglers wander by the stall or the
+    iteration cap; only that fallback is evaluated in full a second
+    time.  Returns the points and their residuals.
     """
     freeze_tol = 100.0 * len(z) * np.finfo(float).eps
     best = z.copy()
@@ -277,7 +287,11 @@ def _aberth(
                 return z, res
             still = still + 1 if len(idx) == moving else 0
             moving = len(idx)
-            if still >= _STALL_ITERS and score < _STALL_BELOW:
+            if still >= _STALL_ITERS and (
+                score < _STALL_BELOW
+                if floor is None
+                else bool(np.all(res[idx] <= floor(z[idx])))
+            ):
                 break
             rep = np.empty(len(idx), dtype=complex)
             for a in range(0, len(idx), chunk):
@@ -442,6 +456,34 @@ def _gap_vectorized(
     return np.abs(v1 * zs ** lo1) - np.abs(v2 * zs ** lo2)
 
 
+def _grid_moduli(
+    p: LaurentPoly, thetas: np.ndarray, radii: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """|p(r e^{i theta})| on the polar grid thetas x radii as one matrix
+    product, and the slack of limit_curve_points at each radius (infinite
+    where its bound is not claimed).
+
+    For p = sum_j c_j z^(j + lo), |p(r e^{i theta})| is the modulus of
+    sum_j e^{i j theta} c_j r^(j + lo), since e^{i lo theta} has modulus
+    one: the (angles, D) matrices cos(j theta) and sin(j theta), stacked,
+    times the (D, radial) matrix c_j r^(j + lo) give the real and
+    imaginary parts at every grid point.
+    """
+    lo, cs = p.dense_coeffs()
+    j = np.arange(len(cs))
+    c = np.array(cs, dtype=float)
+    phase = thetas[:, None] * j
+    waves = np.vstack([np.cos(phase), np.sin(phase)])
+    powers = radii ** (j + lo)[:, None]
+    re, im = np.split(waves @ (c[:, None] * powers), 2)
+    weights = np.abs(c) * (1 + np.abs(j + lo))
+    slack = 64 * len(cs) * _U * (weights @ powers)
+    reach = abs(lo) + len(cs)
+    top = math.log(len(cs) * float(np.max(np.abs(c))))
+    safe = np.abs(np.log(radii)) * reach + top < 300
+    return np.sqrt(re * re + im * im), np.where(safe, slack, np.inf)
+
+
 def limit_curve_points(
     s: int,
     k: int,
@@ -461,6 +503,25 @@ def limit_curve_points(
     come back sorted by angle then radius, deterministically for fixed
     arguments.  The grid needs angles >= 1, radial >= 1 and 0 < r_lo <
     r_hi; anything else raises ValueError.
+
+    The grid's gaps come from _grid_moduli, one matrix product per
+    lambda over the angles up to the half turn: the lambdas have real
+    coefficients, so the moduli at theta and -theta agree and the other
+    rows are copies.  Only the signs of the grid's gaps are used, and a
+    sign is taken from the product only where the gap exceeds the slack
+    of both lambdas, 64 D u sum_j (1 + |j + lo|) |c_j| r^(j + lo) each
+    (u = 2^-53, D terms).  That bounds, with room to spare, both the
+    distance of the product's moduli from the true ones and the error of
+    _gap_vectorized's complex Horner pass at the rounded grid point: the
+    rounding of the phases j theta and of 2 pi / angles that the mirror
+    copies inherit, of the cosines, sines, powers and D-term sums, and
+    for Horner its running bound, z^lo and the rounding of the point.  So
+    there the product's sign is the sign _gap_vectorized gives.  Every
+    other grid point takes _gap_vectorized's value, as the bisection does
+    throughout, and so does every radius where some power or sum could
+    leave the range e^{+-300} in which those bounds hold (its slack is
+    infinite): the points are bit for bit those of a grid evaluated by
+    _gap_vectorized alone.
     """
     if angles < 1 or radial < 1:
         raise ValueError(
@@ -475,13 +536,20 @@ def limit_curve_points(
     l1, l2 = family_lambdas(s, k, "+")
     radii = np.geomspace(r_lo, r_hi, radial)
     step = 2 * math.pi / angles
-    thetas = step * np.arange(angles)
+    rows = np.arange(angles)
+    thetas = step * rows
     units = np.exp(1j * thetas)
-    grid = radii[None, :] * units[:, None]
+    # row a holds the moduli of row min(a, angles - a), its mirror image
+    mirror = np.minimum(rows, angles - rows)
+    half = thetas[: angles // 2 + 1]
     with np.errstate(all="ignore"):
-        gaps = _gap_vectorized(grid, l1, l2)
-    finite = np.isfinite(gaps)
-    found: list[tuple[float, float]] = []
+        m1, slack1 = _grid_moduli(l1, half, radii)
+        m2, slack2 = _grid_moduli(l2, half, radii)
+        gaps = (m1 - m2)[mirror]
+        ai, ri = np.nonzero(~(np.abs(gaps) > slack1 + slack2))
+        gaps[ai, ri] = _gap_vectorized(radii[ri] * units[ai], l1, l2)
+    # 0 marks a point without a usable sign
+    signs = np.where(np.isfinite(gaps), np.sign(gaps), 0.0)
 
     def bisect(lo, hi, glo, point, scale=1.0):
         """Midpoints of the sign-change brackets [lo, hi] (the gap is glo
@@ -500,21 +568,13 @@ def limit_curve_points(
         return 0.5 * (lo + hi)
 
     # sign changes along each ray, bisected in radius
-    ai, ri = np.nonzero(
-        finite[:, :-1]
-        & finite[:, 1:]
-        & (np.sign(gaps[:, :-1]) * np.sign(gaps[:, 1:]) < 0)
-    )
+    ai, ri = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
     us = units[ai]
     mids = bisect(radii[ri], radii[ri + 1], gaps[ai, ri], lambda m: m * us)
-    found.extend((float(thetas[a]), float(m)) for a, m in zip(ai, mids))
+    ts, rs = [thetas[ai]], [mids]
 
     # sign changes along each circle, bisected in angle
-    rolled = np.vstack([gaps[1:], gaps[:1]])
-    frolled = np.vstack([finite[1:], finite[:1]])
-    ai, ri = np.nonzero(
-        finite & frolled & (np.sign(gaps) * np.sign(rolled) < 0)
-    )
+    ai, ri = np.nonzero(signs * np.roll(signs, -1, axis=0) < 0)
     rad = radii[ri]
     mids = bisect(
         thetas[ai],
@@ -523,12 +583,15 @@ def limit_curve_points(
         lambda t: rad * np.exp(1j * t),
         rad,
     )
-    found.extend(
-        (float(t) % (2 * math.pi), float(r)) for t, r in zip(mids, rad)
-    )
+    ts.append(np.mod(mids, 2 * math.pi))
+    rs.append(rad)
 
-    found.sort()
-    return [r * cmath.exp(1j * t) for t, r in found]
+    t, r = np.concatenate(ts), np.concatenate(rs)
+    order = np.lexsort((r, t))
+    return [
+        b * cmath.exp(1j * a)
+        for a, b in zip(t[order].tolist(), r[order].tolist())
+    ]
 
 
 def omega_member(z: complex) -> bool:
@@ -607,6 +670,8 @@ def _power_tables(s: int, k: int, sign: str) -> tuple:
 
 _REFINE_ABOVE = 1e-10
 _PREC = 240
+# a point of _refine_mp stops once its correction is below _SETTLED |z|
+_SETTLED = mpmath.mpf((1, -70))
 
 
 def _horner_fixed(cs: tuple, x: int, y: int) -> tuple[int, int, int, int]:
@@ -675,30 +740,41 @@ def _refine_mp(
     _family_roots_full flags both members of any overlapping pair), so
     no flagged point starts inside it; that term only steers the step,
     and the Newton ratio and the residual never see it.
+
+    A point stops once its correction is below _SETTLED |z| (2^-70 |z|,
+    far below the 2^-53 |z| spacing of the doubles the points are
+    rounded to); that last correction is still applied, and the point
+    keeps its place in the repulsion of the others, which are evaluated
+    and moved from the same iterate (a Jacobi sweep).  The refine ends
+    when every point has stopped, or after 40 sweeps.  A point that
+    starts within about 2^-35 |z| of its root stops after two 240-bit
+    evaluations, and the residual at the rounded point is a third.
     """
     mpf, mpc = mpmath.mpf, mpmath.mpc
     terms = _mp_terms(n, s, k, sign)
     f = _PREC
     with mpmath.mp.workprec(f):
         zs = [mpc(w) for w in flagged]
-        target = mpf(10) ** -30
+        moving = range(len(zs))
         for _ in range(40):
             pts = [_fixed(z) for z in zs]
-            vals = [terms(z, *xy) for z, xy in zip(zs, pts)]
-            worst = max(
-                abs(b1 + b2) / (abs(b1) + abs(b2)) for b1, b2, _ in vals
-            )
-            if worst < target:
-                break
             zd = np.array([complex(z) for z in zs])
             far = (1.0 / (zd[:, None] - frozen[None, :])).sum(axis=1)
             near = _repulsion_fixed(pts)
-            news = []
-            for z, (b1, b2, dq), (rr, ri), w in zip(zs, vals, near, far):
-                rep = mpc(mpf((rr, -f)), mpf((ri, -f))) + complex(w)
+            still = []
+            for i in moving:
+                z = zs[i]
+                b1, b2, dq = terms(z, *pts[i])
+                rr, ri = near[i]
+                rep = mpc(mpf((rr, -f)), mpf((ri, -f))) + complex(far[i])
                 step = z * (b1 + b2) / dq
-                news.append(z - step / (1 - step * rep))
-            zs = news
+                move = step / (1 - step * rep)
+                zs[i] = z - move
+                if abs(move) >= _SETTLED * abs(z):
+                    still.append(i)
+            moving = still
+            if not moving:
+                break
         out = np.array([complex(z) for z in zs], dtype=complex)
     return out, _residuals_mp(n, s, k, sign, out)
 
@@ -831,9 +907,6 @@ def _family_ratio(
     return res, ratio
 
 
-_U = np.finfo(float).eps / 2  # unit roundoff of float64
-
-
 def _horner_running(
     stack: np.ndarray, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -852,27 +925,21 @@ def _horner_running(
 
 
 @np.errstate(all="ignore")
-def _inclusion_radii(
-    n: int, tables: tuple, lo: int, d: int, z: np.ndarray
-) -> np.ndarray:
-    """Upper bounds on d |q(z)/q'(z)| for the reduced family polynomial q
-    of degree d at the points z: the disc of that radius about each point
-    holds a root of q (the inclusion disc MPSolve certifies with; Bini &
-    Fiorentino, Numer. Algorithms 2000).
+def _bounded_terms(n: int, tables: tuple, z: np.ndarray) -> tuple:
+    """The terms T1, T2, h1, h2 of _family_terms at the points z, with
+    bounds on their rounding errors: (T1, T2, h1, h2, del1, del2, e1,
+    e2), T_i within del_i |T_i| and h_i within e_i of its true value.
+    The parts are evaluated by Horner's rule with a running error bound
+    (_horner_running), the same operations as _part_values, so the terms
+    are the bits _family_ratio works with.
 
-    q/q' = N z / (z D - lo N) with N = T1 + T2 and D = T1 h1 + T2 h2 in
-    the terms of _family_terms, all rescaled by the same exp(-m), which
-    cancels.  The float64 values of N and of z D - lo N are turned into
-    an upper bound on |N| and a lower bound on |z D - lo N| with the
-    error model below (u = 2^-53; every budget is at least twice its
+    The error model (u = 2^-53; every budget is at least twice its
     first-order constant, which also covers the second-order terms and
     the rounding of the bound arithmetic itself):
 
-    - parts: the eight rows are evaluated here by Horner's rule with a
-      running error bound (_horner_running).  Step k rounds a complex
-      product (within sqrt5 u of it) and a sum (within u), so the value
-      is within
-      (sqrt5 + 1) u mu of the row, mu = sum_k |s_k| |z|^k over the
+    - parts: step k of Horner's rule rounds a complex product (within
+      sqrt5 u of it) and a sum (within u), so a row is within
+      (sqrt5 + 1) u mu of its value, mu = sum_k |s_k| |z|^k over the
       partial sums s_k; the budget is 8 u mu.  numpy forms z^e with
       |e| < 100 by repeated multiplication, within (sqrt5 |e| + 4) u,
       budget (4 |e| + 8) u; from |e| = 100 on it goes through exp and
@@ -887,11 +954,8 @@ def _inclusion_radii(
     - log derivatives: d/a from values off by f and e = rho |a| is within
       (|d/a| rho + f/|a|) / (1 - rho) + 8 u |d/a|; the weighted sums h_i
       add 4 u times their terms.
-    - N, D and z D - lo N: each product or sum adds 4 u (2 u for N)
-      times the moduli of its operands.
 
-    A part with rho >= 1, a radius that comes out non-finite, or a lower
-    bound on |z D - lo N| that is not positive gives an infinite radius.
+    A part with rho >= 1 makes the bounds that depend on it infinite.
     """
     parts, stack, _ = tables
     az = np.abs(z)
@@ -934,6 +998,46 @@ def _inclusion_radii(
     b2 = b2 + 4 * _U * (np.abs(t2) + np.abs(t2 - m))
     del1 = np.expm1(b1) + 8 * _U * np.exp(b1)
     del2 = np.expm1(b2) + 8 * _U * np.exp(b2)
+    return T1, T2, h1, h2, del1, del2, e1, e2
+
+
+@np.errstate(all="ignore")
+def _residual_floor(n: int, tables: tuple, z: np.ndarray) -> np.ndarray:
+    """The float64 floor of _family_ratio's residual |T1 + T2| / (|T1| +
+    |T2|) at the points z: (del1 |T1| + del2 |T2| + 2 u |N|) / (|T1| +
+    |T2|) with the bounds of _bounded_terms, pushed out by 8 u for the
+    rounding of the quotient.  At a point where the true N = T1 + T2
+    vanishes, the computed residual is at most this, so a residual at or
+    below its floor is one double precision cannot tell from a root's.
+    A point whose bounds are infinite has an infinite floor."""
+    T1, T2, _, _, del1, del2, _, _ = _bounded_terms(n, tables, z)
+    m1, m2 = np.abs(T1), np.abs(T2)
+    eN = del1 * m1 + del2 * m2 + 2 * _U * np.abs(T1 + T2)
+    floor = eN / (m1 + m2) * (1 + 8 * _U)
+    return np.where(np.isnan(floor), np.inf, floor)
+
+
+@np.errstate(all="ignore")
+def _inclusion_radii(
+    n: int, tables: tuple, lo: int, d: int, z: np.ndarray
+) -> np.ndarray:
+    """Upper bounds on d |q(z)/q'(z)| for the reduced family polynomial q
+    of degree d at the points z: the disc of that radius about each point
+    holds a root of q (the inclusion disc MPSolve certifies with; Bini &
+    Fiorentino, Numer. Algorithms 2000).
+
+    q/q' = N z / (z D - lo N) with N = T1 + T2 and D = T1 h1 + T2 h2 in
+    the terms of _family_terms, all rescaled by the same exp(-m), which
+    cancels.  The float64 values of N and of z D - lo N are turned into
+    an upper bound on |N| and a lower bound on |z D - lo N| with the
+    error bounds of _bounded_terms; each product or sum in N, D and
+    z D - lo N adds 4 u (2 u for N) times the moduli of its operands.
+
+    A radius that comes out non-finite, or a lower bound on |z D - lo N|
+    that is not positive, gives an infinite radius.
+    """
+    T1, T2, h1, h2, del1, del2, e1, e2 = _bounded_terms(n, tables, z)
+    az = np.abs(z)
     m1, m2 = np.abs(T1), np.abs(T2)
     N = T1 + T2
     D = T1 * h1 + T2 * h2
@@ -1090,7 +1194,9 @@ def _family_roots_full(
     roots (_dense_solve), and each root is reported i times, with the
     residual of the structured evaluation, or of _residuals_mp where
     that is above _REFINE_ABOVE; nothing is refined.  Among the members
-    the benchmarks visit, only n = 1 members have repeated roots.
+    the benchmarks visit, only n = 1 members have repeated roots, so an
+    n = 1 member is tested before any solve, and one with repeated roots
+    is never solved whole.
     """
     p = family_polynomial(n, s, k, sign, degree_cap=degree_cap)
     degree = len(p.dense_coeffs()[1]) - 1
@@ -1102,15 +1208,19 @@ def _family_roots_full(
     lo, coeffs = p.dense_coeffs()
     d = len(coeffs) - 1
     evaluate = partial(_family_ratio, n, tables, lo)
-    if d == 0:
-        z = np.empty(0, dtype=complex)
-    elif d == 1:
-        z = np.array([complex(-coeffs[0] / coeffs[1])])
-    else:
-        z, _ = _aberth(evaluate, _initial_points(coeffs), max_iter)
-    z, res = _polish(evaluate, z, polish_rounds)
-    overlap = _overlapping(z, _inclusion_radii(n, tables, lo, d, z))
-    parts = _square_free_parts(coeffs) if overlap.any() else None
+    parts = _square_free_parts(coeffs) if n == 1 and d > 1 else None
+    if parts is None:
+        if d == 0:
+            z = np.empty(0, dtype=complex)
+        elif d == 1:
+            z = np.array([complex(-coeffs[0] / coeffs[1])])
+        else:
+            floor = partial(_residual_floor, n, tables)
+            z, _ = _aberth(evaluate, _initial_points(coeffs), max_iter, floor)
+        z, res = _polish(evaluate, z, polish_rounds)
+        overlap = _overlapping(z, _inclusion_radii(n, tables, lo, d, z))
+        if overlap.any() and n > 1:
+            parts = _square_free_parts(coeffs)
     if parts:
         z = np.concatenate([
             np.repeat(_dense_solve(a, max_iter, polish_rounds)[0], i)
@@ -1399,8 +1509,12 @@ def _cell_records(
     return recs
 
 
-def _witness_plan(caps: SearchCaps, sign: str) -> list[tuple[int, int, int]]:
-    """Visit order for the witness search: coarse shells first.
+@lru_cache(maxsize=None)
+def _witness_plan(
+    caps: SearchCaps, sign: str
+) -> tuple[tuple[int, int, int], ...]:
+    """Visit order for the witness search: coarse shells first, as a
+    tuple computed once per (caps, sign).
 
     The capped box is peeled along its halving chain (caps, half caps,
     half of that, down to the unit box) and cells are grouped by the
@@ -1446,7 +1560,7 @@ def _witness_plan(caps: SearchCaps, sign: str) -> list[tuple[int, int, int]]:
                     break
                 cells.append((depth(n, s, k, deg), n, s, k))
     cells.sort(key=lambda c: c[0])  # stable: keeps k,s,n order inside a shell
-    return [(n, s, k) for _, n, s, k in cells]
+    return tuple((n, s, k) for _, n, s, k in cells)
 
 
 def density_witness(

@@ -65,6 +65,31 @@ def test_pow_matches_repeated_multiplication():
             acc = acc * p
 
 
+def test_kronecker_pow_matches_schoolbook_products():
+    # the packed power against repeated schoolbook products for n = 0..30:
+    # negative, zero and large coefficients (inner zeros included), whole
+    # slots of cancellation, monomials and the zero polynomial
+    rng = random.Random(20261018)
+    cases = [
+        LaurentPoly.zero(),
+        LaurentPoly.monomial(-3, -2),
+        LaurentPoly.monomial(1, 0),
+        LaurentPoly({4: -1, -4: 1}),
+        LaurentPoly({0: 1, 1: -1}),
+        LaurentPoly({-1: 255, 0: -256, 2: 2**40}),
+        sigma(),
+    ]
+    cases += [rand_poly(rng, max_terms=5, exp_range=4) for _ in range(12)]
+    for p in cases:
+        acc = LaurentPoly.one()
+        for n in range(31):
+            got = p ** n
+            assert got == acc, (p, n)
+            assert all(got.terms.values())
+            acc = acc * p
+    assert LaurentPoly.zero() ** 0 == LaurentPoly.one()
+
+
 def test_exact_div_recovers_factor():
     rng = random.Random(99)
     checked = 0

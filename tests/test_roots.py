@@ -41,6 +41,7 @@ from yamada.roots import (
     _polish,
     _power_tables,
     _repulsion_fixed,
+    _residual_floor,
     _square_free_mod_p,
     _square_free_parts,
     _term_tables,
@@ -287,21 +288,40 @@ def _reduced_member(n, s, k):
 
 
 def test_aberth_evaluates_only_moving_points_family():
-    # the refinement cell stalls with every residual below 1e-6 and
-    # stops on it, long before the iteration cap; in (16, 4, 4) one
-    # stuck point stays above 1e-6, so that solve still runs to the cap
-    # and takes the best-seen fallback, whose one full evaluation this
-    # also covers
-    for n, capped in ((12, False), (16, True)):
+    # with the family's residual floor, the refinement cell and (16, 4, 4)
+    # both stall long before the iteration cap, every point still moving
+    # at or below its floor.  Under the 1e-6 rule (16, 4, 4) ran to the
+    # cap: a stuck point sat at residual 1.2e-6, a few per cent of its
+    # floor, where no step can improve it
+    for n in (12, 16):
         evaluate, _, coeffs = _reduced_member(n, 4, 4)
+        floor = partial(_residual_floor, n, _power_tables(4, 4, "+"))
         rec = MovingPointsRecorder(evaluate, _initial_points(coeffs))
-        z, res = _aberth(rec, rec.z, 400)
+        z, res = _aberth(rec, rec.z, 400, floor)
         rec.check_result(z, res)
         assert rec.frozen and rec.partial_calls > 0
-        if capped:
-            assert rec.fallback is not None and rec.calls == 402
-        else:
-            assert rec.calls < 400 and float(res.max()) < 1e-6
+        assert rec.calls < 400
+        stuck = res > rec.freeze_tol
+        assert stuck.any() and np.all(res[stuck] <= floor(z[stuck]))
+
+
+def test_aberth_falls_back_to_the_best_configuration_at_the_cap():
+    # one point drifts away from where its residual is smallest and never
+    # reaches its floor: the solve runs to the cap and returns the best
+    # configuration seen, the starting one, with one full evaluation
+    def evaluate(x):
+        off = np.abs(x - 3.0)
+        near = off < 10.0
+        res = np.where(near, 1e-3 * (1.0 + off), 1e-20)
+        return res, np.where(near, -0.01 + 0j, 0j)
+
+    start = np.array([20.0, -20.0, 3.0, 20j], dtype=complex)
+    rec = MovingPointsRecorder(evaluate, start.copy())
+    z, res = _aberth(rec, rec.z, 50, lambda x: np.zeros(len(x)))
+    rec.check_result(z, res)
+    assert rec.fallback is not None and rec.calls == 52
+    assert np.array_equal(z, start) and float(res.max()) == 1e-3
+    assert abs(rec.z[2] - 3.0) > 0.4
 
 
 def test_aberth_stops_when_the_moving_set_stalls():
@@ -328,6 +348,49 @@ def test_aberth_stops_when_the_moving_set_stalls():
         assert calls[0] == 4 and set(calls[1:]) == {1}
         assert len(calls) == 1 + iterations
         assert float(res.max()) == level
+
+    # with a floor, the same stuck point at residual 1e-5 stops the solve
+    # when it is at or below its floor and not when it is above; the
+    # floor is evaluated only at the moving point, and only once the
+    # moving set has kept its size for 20 iterations
+    for bound, iterations, floor_calls in ((1e-5, 20, 1), (5e-6, 50, 30)):
+        calls, floors = [], []
+        inner = stuck(1e-5)
+
+        def evaluate(x):
+            calls.append(len(x))
+            return inner(x)
+
+        def floor(x):
+            floors.append(len(x))
+            return np.full(len(x), bound)
+
+        z = np.array([0.0, 1.0, 3.0, -2.0j], dtype=complex)
+        _, res = _aberth(evaluate, z, 50, floor)
+        assert len(calls) == 1 + iterations
+        assert floors == [1] * floor_calls
+        assert float(res.max()) == 1e-5
+
+
+def test_residual_floor_holds_at_refined_roots():
+    # at the records of (16, 4, 4), certified at 240 bits, the float64
+    # residual never exceeds its floor; moved off by 1e-7 relative, every
+    # point's residual is above it, so the floor does not hide a point
+    # that is not a root
+    n, s, k = 16, 4, 4
+    tables = _power_tables(s, k, "+")
+    evaluate, _, _ = _reduced_member(n, s, k)
+    roots, _, _ = _family_roots_full(n, s, k, "+", 1e-9, 4000)
+    # the two exact cyclotomic roots are not roots of the reduced q
+    z = np.array(roots)
+    z = z[np.abs(z * z + z + 1) > 1e-6]
+    assert len(z) == len(roots) - 2
+    res, _ = evaluate(z)
+    floor = _residual_floor(n, tables, z)
+    assert np.all(np.isfinite(floor)) and np.all(res <= floor)
+    assert np.any(res > 1e-6)
+    off = z * (1 + 1e-7)
+    assert np.all(evaluate(off)[0] > _residual_floor(n, tables, off))
 
 
 def test_aberth_evaluates_only_moving_points_dense():
@@ -538,6 +601,62 @@ def test_limit_curve_points_rejects_unsampleable_grids():
     ):
         with pytest.raises(ValueError):
             limit_curve_points(2, 2, **grid)
+
+
+def _curve_by_horner(monkeypatch, s, k, **grid):
+    """limit_curve_points with every grid point taken from
+    _gap_vectorized, as before the matrix grid: the product's slack is
+    made infinite, so no sign is taken from it."""
+    def unsure(p, thetas, radii):
+        return np.zeros((len(thetas), len(radii))), np.full(len(radii), np.inf)
+
+    with monkeypatch.context() as m:
+        m.setattr(roots_module, "_grid_moduli", unsure)
+        return limit_curve_points(s, k, **grid)
+
+
+def test_matrix_grid_gives_the_horner_grid_curve(monkeypatch):
+    # bit for bit the curve of the complex Horner grid, on the default
+    # grid and on edge grids (at r_lo = 1e-3 the (4, 4) column has a grid
+    # point 1e-10 off the curve, where the two evaluations can disagree
+    # in sign; the slack sends it back to _gap_vectorized).  The last
+    # grid reaches radii where the powers leave the range of the slack's
+    # bound, and those radii are evaluated by _gap_vectorized alone
+    grids = [dict(), dict(angles=1), dict(radial=1), dict(r_lo=1e-3),
+             dict(r_hi=1e3), dict(angles=97, radial=53, r_lo=1e-3, r_hi=1e3),
+             dict(angles=90, radial=60, r_lo=1e-12, r_hi=1e12)]
+    for s, k in ((1, 1), (2, 3), (4, 4), (3, 6)):
+        for grid in grids:
+            want = _curve_by_horner(monkeypatch, s, k, **grid)
+            assert limit_curve_points(s, k, **grid) == want, (s, k, grid)
+
+
+def test_matrix_grid_moduli_within_their_slack():
+    # the product's moduli against 240-bit values at the rounded grid
+    # points: within the slack wherever it claims to hold, and that is
+    # every radius of the default grid; the slack is small enough that
+    # nearly every grid point takes its sign from the product
+    angles, radial = 72, 24
+    radii = np.geomspace(0.05, 20.0, radial)
+    thetas = 2 * math.pi / angles * np.arange(angles)
+    units = np.exp(1j * thetas)
+    for s, k in ((1, 1), (4, 4), (4, 6)):
+        l1, l2 = family_lambdas(s, k, "+")
+        gaps = []
+        for p in (l1, l2):
+            mod, slack = roots_module._grid_moduli(p, thetas, radii)
+            assert np.isfinite(slack).all()
+            with mpmath.workprec(240):
+                for a in range(0, angles, 5):
+                    for r in range(radial):
+                        z = mpmath.mpc(complex(radii[r] * units[a]))
+                        true = abs(mpmath.fsum(
+                            c * z**e for e, c in p.terms.items()))
+                        assert abs(mod[a, r] - true) <= slack[r]
+            gaps.append((mod, slack))
+        (m1, s1), (m2, s2) = gaps
+        sure = np.abs(m1 - m2) > s1 + s2
+        assert sure.mean() > 0.99
 
 
 def test_family_roots_accumulate_on_curve():
@@ -753,6 +872,73 @@ def test_square_free_solve_of_repeated_root_members(monkeypatch):
         assert len(seen) == degree
         assert max(same.sum(axis=1)) > 1
     assert refines == []
+
+
+def test_refine_evaluations_per_point(monkeypatch):
+    # a point that starts at double precision stops after two 240-bit
+    # evaluations, and its residual at the rounded double is a third
+    # (the residual target of 1e-30 took four).
+    # In the refinement cell some points start at the float64 floor,
+    # about 1e-10 off, and their second correction is still above 2^-70:
+    # only those take a fourth evaluation
+    calls = [0]
+    points = [0]
+    inner_terms = roots_module._mp_terms
+    inner_refine = roots_module._refine_mp
+
+    def counted_terms(*args):
+        terms = inner_terms(*args)
+
+        def counted(*a):
+            calls[0] += 1
+            return terms(*a)
+        return counted
+
+    def counted_refine(*args):
+        points[0] += len(args[4])
+        return inner_refine(*args)
+
+    monkeypatch.setattr(roots_module, "_mp_terms", counted_terms)
+    monkeypatch.setattr(roots_module, "_refine_mp", counted_refine)
+    for cell, late in (((17, 3, 4), 0), ((6, 4, 2), 0), ((12, 4, 4), 4)):
+        calls[0] = points[0] = 0
+        roots, res, _ = _family_roots_full(*cell, "+", 1e-9, 4000)
+        assert points[0] > 0 and max(res) <= 1e-9
+        assert calls[0] == 3 * points[0] + late, cell
+
+
+def test_witness_plan_is_computed_once_and_doubles_by_appending():
+    caps = SearchCaps(4, 3, 8, 500)
+    for sign in "+-":
+        plan = _witness_plan(caps, sign)
+        assert isinstance(plan, tuple)
+        assert _witness_plan(caps, sign) is plan
+        doubled = _witness_plan(caps.doubled(), sign)
+        assert len(doubled) > len(plan)
+        assert doubled[: len(plan)] == plan
+
+
+def test_repeated_root_members_are_never_solved_whole(monkeypatch):
+    # an n = 1 member with repeated roots is split into its square-free
+    # parts before any Aberth solve: every solve is of a part, of lower
+    # degree than the reduced member
+    sizes = []
+    inner = roots_module._aberth
+
+    def counted(evaluate, z, *args):
+        sizes.append(len(z))
+        return inner(evaluate, z, *args)
+
+    monkeypatch.setattr(roots_module, "_aberth", counted)
+    for s, k in ((2, 2), (2, 3), (3, 2), (3, 6)):
+        sizes.clear()
+        _, coeffs = exact_div(
+            family_polynomial(1, s, k, "+"), _CYCLOTOMIC
+        ).dense_coeffs()
+        assert _square_free_parts(coeffs)
+        roots, res, degree = _family_roots_full(1, s, k, "+", 1e-9, 4000)
+        assert len(roots) == degree and max(res) <= 1e-9
+        assert max(sizes, default=0) < len(coeffs) - 1
 
 
 def test_square_free_parts_of_a_planted_product():
