@@ -34,14 +34,17 @@ exact,resolve,graph,replace`` checks the exact layer in seconds):
   poly seed i d sha256     roots and residuals of _find_roots_full on
                            seeded random integer polynomials of degree
                            5-60, in float.hex
-  exact seed i sha256      str() of the output of request i of one
-                           exact cycle (workloads.exact_stream, seeded
-                           as perfbench/run.py seeds it), per seed
+  exact seed i sha256      str() of the output of request i of the
+                           three exact cycles (75 requests) that
+                           perfbench/run.py --workload exact sends at
+                           --seconds 30 (workloads.exact_stream, seeded
+                           as run.py seeds it), per seed
   resolve i sha256         str() of resolve(code, spins) for every
-                           state, in yamada_r's order, of the i-th
-                           distinct diagram whose state sum those
-                           cycles request: pins the state graphs' edge
-                           order and vertex names, which key the H memo
+                           state, in yamada_r_state_sum's order, of
+                           the i-th distinct diagram whose R those
+                           cycles request: pins the state graphs'
+                           edge order and vertex names, which key the
+                           state sum's flow memo
   graph i sha256           str() of yamada_h and of flow_polynomial on
                            seeded random multigraphs with 0-7 vertices
                            and 0-12 edges (loops, bridges and isolated
@@ -92,8 +95,8 @@ SWEEP_CELLS = 48
 SWEEP_S = range(1, 5)
 SWEEP_K = range(1, 7)
 POLY_SEED = 20240817
-# the requests of one exact cycle
-EXACT_CYCLE = 25
+# the requests an exact run sends at --seconds 30: three cycles of 25
+EXACT_REQUESTS = 75
 GRAPH_SEED = 20240819
 GRAPHS = 400
 REPLACE_SEED = 20240820
@@ -225,7 +228,7 @@ def _poly_lines(args, workloads, yamada):
 def _exact_lines(args, workloads, yamada):
     for seed in args.seeds:
         stream = workloads.exact_stream(random.Random(f"exact-{seed}"))
-        for i, req in enumerate(itertools.islice(stream, EXACT_CYCLE)):
+        for i, req in enumerate(itertools.islice(stream, EXACT_REQUESTS)):
             yield "exact", seed, i, _sha([str(req.call())])
 
 
@@ -234,7 +237,7 @@ def _resolve_lines(args, workloads, yamada):
     codes = []
     for seed in args.seeds:
         stream = workloads.exact_stream(random.Random(f"exact-{seed}"))
-        for req in itertools.islice(stream, EXACT_CYCLE):
+        for req in itertools.islice(stream, EXACT_REQUESTS):
             if req.kind == "family_r":
                 codes.append(replace.build_family_diagram(*req.spec[1:]))
             elif req.kind == "moves_r":

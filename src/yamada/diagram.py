@@ -1,5 +1,7 @@
-"""Combinatorial diagram codes for spatial graphs and their state-sum
-Yamada polynomial R.
+"""Combinatorial diagram codes for spatial graphs and their Yamada
+polynomial R, by a memoised skein over the diagram's blocks (yamada_r),
+with the state sum over all spin states kept as its oracle
+(yamada_r_state_sum).
 
 A code lists graph vertices and crossings, each carrying counterclockwise
 cyclic lists of half-edge ids, plus arcs pairing up all half-edges.  Each
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import YamadaError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, signed_slots, slot_width
 # yamada_h is not called here; it stays a name of this module because
 # perfbench/tracing.py times the calls made through diagram.yamada_h
 from .multigraph import (
@@ -322,8 +324,470 @@ def resolve(code: DiagramCode, spins: Mapping[int, int]) -> Multigraph:
 
 
 def yamada_r(code: DiagramCode, max_crossings: int | None = 14) -> LaurentPoly:
+    """Yamada polynomial R of a diagram by a memoised skein.
+
+    R(D) = A R(D+) + A^-1 R(D-) + R(D0) on any one crossing, where D+ and
+    D- weld its ends by the +1 and -1 spins and D0 makes it a graph
+    vertex; this is the state sum over the 3^c spin assignments summed
+    one crossing at a time.  Between expansions each diagram is cut into
+    blocks, with no state sum looked at:
+    - R(D1 u D2) = R(D1) R(D2) over split components;
+    - R(D1 .v D2) = -R(D1) R(D2) at a graph vertex v whose removal
+      disconnects the diagram, and a loop at a vertex gives a factor
+      -sigma;
+    - a vertex of degree 2 is suppressed (H does not see it), one of
+      degree 0 gives -1, one of degree 1 or an arc whose removal
+      disconnects the diagram gives R = 0 (every state graph then has a
+      bridge);
+    - a block without crossings is its graph's H, through signed_flow.
+    A block with crossings is expanded on the crossing _next_crossing
+    picks.  Every block is memoised on its canonical code (_canonical), so
+    isomorphic blocks reached along different branches are computed once;
+    the memo lives for one call.  No Reidemeister simplification is made.
+    A code whose arcs do not pair up its half-edges raises.
+
+    Every value is carried as Q(D) = A^c R(D), a polynomial in A and t
+    with integer coefficients (H = signed F at t = sigma + 1), packed into
+    one Python int (_Skein).  The at most 2c + 1 coefficient lists in t
+    of the result go through sigma + 1 once each (at_sigma_plus_one), as
+    in yamada_r_state_sum, whose 3^c loop is kept as the oracle.
+    max_crossings is the guard on c (None disables it)."""
+    c = len(code.crossings)
+    if max_crossings is not None and c > max_crossings:
+        raise TooLarge(f"{c} crossings exceeds the guard {max_crossings}")
+    rots, overs, mate = _darts(code)
+    arcs = len(mate) // 2
+    # every coefficient of Q is a sum over the 3^c states of the flow
+    # coefficients of a state graph, at most 2^arcs in modulus together,
+    # and its degree in t is at most the state graph's edge count
+    width = slot_width((3**c) << arcs)
+    sk = _Skein(8 * width, arcs + 1)
+    slots = signed_slots(sk.value(rots, overs, mate), width, (2 * c + 1) * (arcs + 1))
+    total = LaurentPoly.zero()
+    for a in range(2 * c + 1):
+        coeffs = slots[a * (arcs + 1) : (a + 1) * (arcs + 1)]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        total = total + at_sigma_plus_one(coeffs).shift(a - c)
+    return total
+
+
+def _darts(code: DiagramCode) -> tuple[list, list, list[int]]:
+    """The code with its half-edges numbered 0, 1, ...: the sites'
+    counterclockwise dart tuples (vertices first), for each site None (a
+    vertex) or the parity of the positions of its over pair (a crossing),
+    and the arc mate of every dart.  Raises unless the arcs pair up the
+    half-edges of the sites, each on one site."""
+    index: dict = {}
+    rots, overs = [], []
+    for _, ends in code.vertices:
+        rots.append(tuple(index.setdefault(h, len(index)) for h in ends))
+        overs.append(None)
+    for _, ends, over in code.crossings:
+        rots.append(tuple(index.setdefault(h, len(index)) for h in ends))
+        overs.append(ends.index(over[0]) % 2)
+    if len(index) < sum(len(r) for r in rots):
+        raise DuplicateHalfEdge("a half-edge appears twice on the sites")
+    mate = [-1] * len(index)
+    for a, b in code.arcs:
+        if a not in index or b not in index:
+            raise DanglingHalfEdge(f"arc {(a, b)} has an end on no site")
+        mate[index[a]] = index[b]
+        mate[index[b]] = index[a]
+    if 2 * len(code.arcs) != len(index) or -1 in mate:
+        raise DanglingHalfEdge("the arcs do not pair up the half-edges")
+    return rots, overs, mate
+
+
+class _Skein:
+    """The memo of one yamada_r call and the packing of its values.
+
+    A value Q = sum q_(a,i) A^a t^i is the integer Q(2^(T t_bits),
+    2^t_bits), with T = arcs + 1 slots of t_bits bits per power of A:
+    sums of values, products and multiplication by powers of A are sums,
+    products and shifts of the ints, exact whatever their size.  Only
+    the result is read back slot by slot, and yamada_r sizes the slots
+    so that its coefficients and degrees in t fit."""
+
+    def __init__(self, t_bits: int, t_slots: int):
+        self.t_bits = t_bits
+        self.a_bits = t_bits * t_slots
+        self.memo: dict = {}
+        self.flow_memo: dict = {}
+
+    def value(
+        self, rots: list, overs: list, mate: list[int], work: list[int] | None = None
+    ) -> int:
+        """Packed Q of the diagram given as in _darts; rots and mate are
+        changed in place.  work lists the vertices that may break the
+        vertex rules below (all of them when None): the others have
+        degree 3 or more and no loop."""
+        n = len(rots)
+        site_of = [0] * len(mate)
+        for i, r in enumerate(rots):
+            for d in r:
+                site_of[d] = i
+        # vertex rules: loops (-sigma each), degree 0 (-1), degree 1 (0),
+        # degree 2 (suppressed, which may close a loop at another vertex)
+        if work is None:
+            work = [i for i, o in enumerate(overs) if o is None]
+        live = [True] * n
+        negate, circles, dead = False, 0, 0
+        while work:
+            i = work.pop()
+            if not live[i]:
+                continue
+            r = rots[i]
+            keep = tuple(d for d in r if site_of[mate[d]] != i)
+            if len(keep) < len(r):
+                loops = (len(r) - len(keep)) // 2
+                circles += loops
+                negate ^= loops % 2 == 1
+                r = rots[i] = keep
+            if len(r) > 2:
+                continue
+            if len(r) == 1:
+                return 0
+            live[i] = False
+            dead += 1
+            if not r:
+                negate = not negate
+                continue
+            p, q = mate[r[0]], mate[r[1]]
+            mate[p] = q
+            mate[q] = p
+            j = site_of[p]
+            if j == site_of[q] and overs[j] is None:
+                work.append(j)
+        if dead:
+            rots = [r for r, a in zip(rots, live) if a]
+            overs = [o for o, a in zip(overs, live) if a]
+            for i, r in enumerate(rots):
+                for d in r:
+                    site_of[d] = i
+        v = 1
+        if rots:
+            split = _groups(rots, overs, mate, site_of)
+            if split is None:
+                return 0
+            count, comps, group_of = split
+            if count == 1:
+                v = self.block(rots, overs, mate, site_of)
+            else:
+                # each group with the darts it holds at the vertices it
+                # shares, which are the ones that may now break the rules
+                parts = [([], [], []) for _ in range(count)]
+                for r, o in zip(rots, overs):
+                    g = group_of[r[0]]
+                    if o is None and any(group_of[d] != g for d in r):
+                        split_r: dict[int, list[int]] = {}
+                        for d in r:
+                            split_r.setdefault(group_of[d], []).append(d)
+                        for h, ds in split_r.items():
+                            part = parts[h]
+                            part[2].append(len(part[0]))
+                            part[0].append(tuple(ds))
+                            part[1].append(None)
+                    else:
+                        parts[g][0].append(r)
+                        parts[g][1].append(o)
+                v = -1 if (count - comps) % 2 else 1
+                for part_rots, part_overs, part_work in parts:
+                    v *= self.value(part_rots, part_overs, mate, part_work)
+                    if not v:
+                        return 0
+        for _ in range(circles):
+            v = (v << self.t_bits) - v
+        return -v if negate else v
+
+    def block(self, rots: list, overs: list, mate: list[int], site_of: list[int]) -> int:
+        """Packed Q of a block, memoised on its canonical code."""
+        key = _canonical(rots, overs, mate, site_of)
+        v = self.memo.get(key)
+        if v is None:
+            v = self.memo[key] = self.expand(key)
+        return v
+
+    def expand(self, key: tuple) -> int:
+        """Q of the block with canonical code key: H of its graph if it has
+        no crossing, else Q = A^2 Q(D+) + Q(D-) + A Q(D0) on the crossing
+        _next_crossing picks."""
+        rots, overs, mates = [], [], []
+        at = 0
+        while at < len(key):
+            dsc = key[at]
+            k = dsc if dsc > 0 else 4
+            rots.append(tuple(range(len(mates), len(mates) + k)))
+            overs.append(None if dsc > 0 else (0 if dsc == -1 else 1))
+            mates += key[at + 1 : at + 1 + k]
+            at += k + 1
+        site_of = [i for i, r in enumerate(rots) for _ in r]
+        x = _next_crossing(rots, overs, mates, site_of)
+        if x is None:
+            edges = tuple(
+                (d, site_of[d], site_of[m]) for d, m in enumerate(mates) if d < m
+            )
+            coeffs = signed_flow(Multigraph(tuple(range(len(rots))), edges), self.flow_memo)
+            v = 0
+            for c in reversed(coeffs):
+                v = (v << self.t_bits) + c
+            return v
+        r = rots[x]
+        a, b, c, d = r if overs[x] == 0 else r[1:] + r[:1]
+        del rots[x], overs[x]
+        # the vertices next to the crossing may close a loop when its ends
+        # are welded (numbered as in rots, which no longer holds x)
+        near = {site_of[mates[e]] for e in r} - {x}
+        near = [j - (j > x) for j in near if overs[j - (j > x)] is None]
+        v = 0
+        for welds, shift in ((((a, b), (c, d)), 2 * self.a_bits), (((a, d), (c, b)), 0)):
+            m = list(mates)
+            closed = 0
+            for p, q in welds:
+                if m[p] == q:
+                    closed += 1
+                else:
+                    m[m[p]], m[m[q]] = m[q], m[p]
+            w = self.value(list(rots), list(overs), m, list(near))
+            for _ in range(closed):
+                w = (w << self.t_bits) - w
+            v += w << shift
+        rots.insert(x, r)
+        overs.insert(x, None)
+        return v + (self.value(rots, overs, list(mates), [x]) << self.a_bits)
+
+
+def _next_crossing(
+    rots: list, overs: list, mates: list[int], site_of: list[int]
+) -> int | None:
+    """The crossing to expand first: the one with the fewest darts whose
+    arcs lead to other crossings, so the expansion works inward from the
+    graph vertices and the loops, the first in the order of the sites on
+    a tie; None if there is no crossing."""
+    best = pick = None
+    for i, o in enumerate(overs):
+        if o is not None:
+            k = 0
+            for d in rots[i]:
+                j = site_of[mates[d]]
+                if j != i and overs[j] is not None:
+                    k += 1
+            if best is None or k < best:
+                best, pick = k, i
+    return pick
+
+
+def _groups(
+    rots: list, overs: list, mate: list[int], site_of: list[int]
+) -> tuple[int, int, dict[int, int]] | None:
+    """Cut the diagram at its graph vertices: the blocks of its site graph
+    (sites as nodes, arcs as edges), those that share a crossing merged
+    into one group.  Returns None if an arc is a bridge, else the number
+    of groups, the number of connected components and, when there is
+    more than one group, the group of every dart.  A connected diagram of
+    g groups is g - 1 one-point unions at graph vertices.  Blocks by
+    Hopcroft-Tarjan lowpoints, iteratively, each arc named by its
+    smaller dart; loops (only crossings have any) join their crossing."""
+    n = len(rots)
+    index = [-1] * n
+    low = [0] * n
+    block_of: dict[int, int] = {}
+    pending: list[int] = []
+    blocks = comps = counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        comps += 1
+        index[root] = low[root] = counter
+        counter += 1
+        stack = [(root, -1, iter(rots[root]))]
+        while stack:
+            s, parc, it = stack[-1]
+            for d in it:
+                m = mate[d]
+                t = site_of[m]
+                if t == s:
+                    continue
+                arc = d if d < m else m
+                if arc == parc:
+                    continue
+                if index[t] < 0:
+                    pending.append(arc)
+                    index[t] = low[t] = counter
+                    counter += 1
+                    stack.append((t, arc, iter(rots[t])))
+                    break
+                if index[t] < index[s]:
+                    pending.append(arc)
+                    if index[t] < low[s]:
+                        low[s] = index[t]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[s] < low[p]:
+                        low[p] = low[s]
+                    if low[s] >= index[p]:
+                        if low[s] > index[p]:
+                            return None
+                        while True:
+                            a = pending.pop()
+                            block_of[a] = blocks
+                            if a == parc:
+                                break
+                        blocks += 1
+    if comps == 1 and blocks <= 1:
+        # one block, or one site (a crossing with two loops)
+        return 1, 1, {}
+    into = list(range(blocks))
+
+    def find(x: int) -> int:
+        while into[x] != x:
+            into[x] = x = into[into[x]]
+        return x
+
+    for i, o in enumerate(overs):
+        if o is not None:
+            found = [
+                find(block_of[d if d < mate[d] else mate[d]])
+                for d in rots[i]
+                if site_of[mate[d]] != i
+            ]
+            for b in found[1:]:
+                into[find(b)] = found[0]
+    label: dict = {}
+    group_of: dict[int, int] = {}
+    for i, r in enumerate(rots):
+        if overs[i] is None:
+            for d in r:
+                m = mate[d]
+                group_of[d] = label.setdefault(
+                    find(block_of[d if d < m else m]), len(label)
+                )
+        else:
+            own = next(
+                (
+                    find(block_of[d if d < mate[d] else mate[d]])
+                    for d in r
+                    if site_of[mate[d]] != i
+                ),
+                ("lone", i),
+            )
+            g = label.setdefault(own, len(label))
+            for d in r:
+                group_of[d] = g
+    return len(label), comps, group_of
+
+
+def _canonical(rots: list, overs: list, mate: list[int], site_of: list[int]) -> tuple:
+    """Canonical code of a connected diagram, equal for two diagrams
+    exactly when one is the other with its sites and darts renamed.
+
+    From a start dart, a breadth-first search numbers the sites in the
+    order it reaches them and each site's darts counterclockwise from the
+    dart it was entered by, site i taking the dart numbers from the sum
+    of the earlier degrees on.  The code lists, site by site, the site's
+    descriptor (its degree for a vertex, -1 or -2 for a crossing entered
+    by an over or an under dart) and the numbers of its darts' mates; it
+    is therefore also the renamed diagram, a crossing's over pair at even
+    positions for -1.  The code is the least over the start darts whose
+    local invariant is the rarest, the least such invariant on a tie:
+    the descriptors seen from the dart and from its mate and, for both
+    ends, a hash of the descriptors the site's mates see.  That choice
+    does not depend on the names.  A start whose code equals the least
+    one so far gives an automorphism, and no start in the orbit of a
+    tried one under the automorphisms found is tried; a code is given up
+    at the first site where it exceeds the least one."""
+    n = len(rots)
+    pos_of = [0] * len(mate)
+    desc = [0] * len(mate)
+    for r, o in zip(rots, overs):
+        if o is None:
+            k = len(r)
+            for j, d in enumerate(r):
+                pos_of[d] = j
+                desc[d] = k
+        else:
+            for j, d in enumerate(r):
+                pos_of[d] = j
+                desc[d] = -1 - (j - o) % 2
+    sig = [hash(tuple(sorted([desc[mate[d]] for d in r]))) for r in rots]
+    count: dict[tuple, int] = {}
+    inv = {}
+    for i, r in enumerate(rots):
+        for d in r:
+            m = mate[d]
+            v = inv[d] = (desc[d], desc[m], sig[i], sig[site_of[m]])
+            count[v] = count.get(v, 0) + 1
+    rarest = min(count, key=lambda v: (count[v], v))
+    starts = [d for d in inv if inv[d] == rarest]
+    deg = [len(r) for r in rots]
+    best: list[int] | None = None
+    best_seq: list[int] = []
+    autos: list[dict[int, int]] = []
+    covered: set[int] = set()
+    for d0 in starts:
+        if d0 in covered:
+            continue
+        s0 = site_of[d0]
+        num = [-1] * n
+        num[s0] = 0
+        order = [s0]
+        entry = [pos_of[d0]]
+        offs = [0]
+        total = deg[s0]
+        code: list[int] = []
+        seq: list[int] = []
+        add = code.append
+        less = best is None
+        for i in range(n):
+            e = entry[i]
+            r = rots[order[i]]
+            if e:
+                r = r[e:] + r[:e]
+            start = len(code)
+            add(desc[r[0]])
+            seq += r
+            for d in r:
+                m = mate[d]
+                t = site_of[m]
+                j = num[t]
+                if j < 0:
+                    j = num[t] = len(order)
+                    order.append(t)
+                    entry.append(pos_of[m])
+                    offs.append(total)
+                    total += deg[t]
+                add(offs[j] + (pos_of[m] - entry[j]) % deg[t])
+            if not less:
+                mine, theirs = code[start:], best[start : len(code)]
+                if mine != theirs:
+                    if mine > theirs:
+                        break
+                    less = True
+        else:
+            if less:
+                best, best_seq = code, seq
+            else:
+                # equal codes: the two numberings differ by an automorphism
+                autos.append(dict(zip(best_seq, seq)))
+        covered.add(d0)
+        if autos:
+            todo = list(covered)
+            while todo:
+                x = todo.pop()
+                for f in autos:
+                    y = f[x]
+                    if y not in covered:
+                        covered.add(y)
+                        todo.append(y)
+    return tuple(best)
+
+
+def yamada_r_state_sum(code: DiagramCode, max_crossings: int | None = 14) -> LaurentPoly:
     """State-sum Yamada polynomial over all 3^c spin assignments, each state
-    weighted by A^(plus spins - minus spins).
+    weighted by A^(plus spins - minus spins): the definition, kept as the
+    oracle of yamada_r.  Exponential by construction.
 
     The states of one weight w share one integer sum of their signed flow
     polynomials (signed_flow, with one memo for the whole sum), and each

@@ -179,10 +179,9 @@ class LaurentPoly:
         (Harvey, JSC 2009): the dense coefficients c_i are packed into one
         Python int as sum c_i 2^(w i), that int is raised to the n-th
         power, and the coefficients of p^n are read back as its signed
-        w-bit slots.  No coefficient of p^n exceeds B = (sum |c_i|)^n in
-        modulus, so w is a whole number of bytes with 2^(w-1) > B; adding
-        2^(w-1) to every slot makes each one a nonnegative w-bit number,
-        and the slots are then plain bytes of the sum.
+        w-bit slots (signed_slots).  No coefficient of p^n exceeds
+        B = (sum |c_i|)^n in modulus, so w is 8 times the number of bytes
+        slot_width gives for B.
         """
         if not isinstance(n, int):
             raise ValueError("LaurentPoly powers must be integers")
@@ -198,26 +197,17 @@ class LaurentPoly:
         if not self.terms:
             return LaurentPoly.zero()
         lo, cs = self.dense_coeffs()
-        bound = sum(abs(c) for c in cs) ** n
-        width = bound.bit_length() // 8 + 1  # bytes per slot
-        w = 8 * width
+        width = slot_width(sum(abs(c) for c in cs) ** n)
         packed = 0
         for c in reversed(cs):
-            packed = (packed << w) + c
+            packed = (packed << 8 * width) + c
         slots = (len(cs) - 1) * n + 1
-        half = 1 << (w - 1)
-        offset = int.from_bytes(
-            (bytes(width - 1) + b"\x80") * slots, "little"
-        )
-        raw = (packed**n + offset).to_bytes(width * slots, "little")
-        out: dict[int, int] = {}
-        for j in range(slots):
-            slot = raw[j * width : (j + 1) * width]
-            c = int.from_bytes(slot, "little") - half
-            if c:
-                out[lo * n + j] = c
         r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = out
+        r.terms = {
+            lo * n + j: c
+            for j, c in enumerate(signed_slots(packed**n, width, slots))
+            if c
+        }
         return r
 
     def shift(self, k: int) -> LaurentPoly:
@@ -288,6 +278,27 @@ def variable() -> LaurentPoly:
 def sigma() -> LaurentPoly:
     """The loop constant A + 1 + A^-1."""
     return LaurentPoly({1: 1, 0: 1, -1: 1})
+
+
+def slot_width(bound: int) -> int:
+    """Bytes per slot of a Kronecker-packed integer whose coefficients
+    are at most bound in modulus: the least whole number w of bytes
+    with 2^(8w - 1) > bound."""
+    return bound.bit_length() // 8 + 1
+
+
+def signed_slots(packed: int, width: int, slots: int) -> list[int]:
+    """The coefficients c_j of packed = sum c_j 2^(8 width j), j below
+    slots, each c_j at most 2^(8 width - 1) - 1 in modulus.  Adding
+    2^(8 width - 1) to every slot makes each one a nonnegative number
+    of width bytes, and the slots are then plain bytes of the sum."""
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    raw = (packed + offset).to_bytes(width * slots, "little")
+    return [
+        int.from_bytes(raw[j : j + width], "little") - half
+        for j in range(0, width * slots, width)
+    ]
 
 
 _TERM_RE = re.compile(

@@ -8,7 +8,8 @@ of degree 1 sits on a bridge, so F = 0.  A vertex of degree 2 on edges e
 and f gives F(G) = F(G/e) with no delete branch, since G - e has the
 bridge f; every such series edge is contracted in one pass.  Otherwise the
 smallest edge id decides: zero if it is a bridge, else contract minus
-delete, with no search for bridges elsewhere (they cancel further down).
+delete, taken at once over its whole class of parallel edges, with no
+search for bridges elsewhere (they cancel further down).
 H is a specialisation of F: H(G) = (-1)^(|V|+|E|) F_G(sigma + 1), and
 sigma + 1 = A^-1 (1 + A)^2.  signed_flow gives the integer coefficients
 of the signed F and at_sigma_plus_one applies the substitution by Horner
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import zip_longest
+from math import comb
 from typing import Iterable
 
 from .errors import YamadaError
@@ -135,7 +136,10 @@ def _flow(edges: list[Edge], memo: dict) -> list[int]:
     vertex of degree 2 on edges e and f gives F(G) = F(G/e) (deleting e
     would leave f a bridge; _series_contract takes every such edge at
     once), and otherwise the smallest edge id e gives 0 if it is a bridge
-    and contract minus delete if not.
+    and contract minus delete if not, unrolled over the class P of e and
+    the edges parallel to it, k = |P|: F(G) = S_k F(G/P) + (-1)^k F(G - P)
+    with S_k = ((t - 1)^k - (-1)^k) / t, two minors where edge by edge
+    there would be k + 1.
 
     Contract minus delete holds for every non-loop edge, so a bridge
     elsewhere needs no search: it survives in both minors, which then
@@ -169,29 +173,43 @@ def _flow_core(core: list[Edge], memo: dict) -> list[int]:
     if low == 2:
         return _flow(_series_contract(core, degree), memo)
     eid, u, v = min(core)
-    # is e a bridge?  grow u's side over the other edges until it reaches v
-    side = {u}
-    grown = True
-    while grown and v not in side:
-        grown = False
-        for i, a, b in core:
-            if (a in side) != (b in side) and i != eid:
-                side.add(a)
-                side.add(b)
-                grown = True
-    if v not in side:
-        return []
+    # the class P of e and its parallel edges: with k = |P|, contracting
+    # e leaves k - 1 loops and deleting it leaves k - 1 parallel edges, so
+    # F(G) = (t - 1)^(k-1) F(G/P) - F(G - e), unrolled down to
+    # F(G) = S_k F(G/P) + (-1)^k F(G - P), S_k = ((t - 1)^k - (-1)^k) / t
+    parallel = {i for i, a, b in core if (a, b) == (u, v) or (b, a) == (u, v)}
+    k = len(parallel)
+    if k == 1:
+        # is e a bridge?  grow u's side over the other edges until it
+        # reaches v
+        side = {u}
+        grown = True
+        while grown and v not in side:
+            grown = False
+            for i, a, b in core:
+                if (a in side) != (b in side) and i != eid:
+                    side.add(a)
+                    side.add(b)
+                    grown = True
+        if v not in side:
+            return []
     keep, drop = min(u, v), max(u, v)
-    rest = [e for e in core if e[0] != eid]
+    rest = [e for e in core if e[0] not in parallel]
     merged = [
         (i, keep if a == drop else a, keep if b == drop else b)
         for i, a, b in rest
     ]
-    value = [
-        c - d
-        for c, d in zip_longest(_flow(merged, memo), _flow(rest, memo), fillvalue=0)
-    ]
-    return value if any(value) else []
+    sign = -1 if k % 2 else 1
+    value = [sign * c for c in _flow(rest, memo)]
+    s_k = [comb(k, i) * (-1) ** (k - i) for i in range(1, k + 1)]
+    for i, c in enumerate(_flow(merged, memo)):
+        if len(value) < i + k:
+            value.extend([0] * (i + k - len(value)))
+        for j, x in enumerate(s_k):
+            value[i + j] += c * x
+    while value and not value[-1]:
+        value.pop()
+    return value
 
 
 def _series_contract(core: list[Edge], degree: dict[int, int]) -> list[Edge]:
@@ -311,8 +329,8 @@ def yamada_h_subset_sum(g: Multigraph, max_edges: int | None = 14) -> LaurentPol
 def flow_polynomial(g: Multigraph, max_edges: int | None = 16) -> LaurentPoly:
     """Integer flow polynomial F_G in the variable t: 1 on edgeless graphs,
     factor (t-1) per loop, series edges contracted, else on the smallest
-    edge id 0 if it is a bridge and contract minus delete otherwise (so any
-    bridge gives 0).  The same recursion gives yamada_h, since
+    edge id 0 if it is a bridge and contract minus delete otherwise, over
+    its whole parallel class at once (so any bridge gives 0).  The same recursion gives yamada_h, since
     H(G) = (-1)^(|V|+|E|) F_G(sigma + 1)."""
     if max_edges is not None and len(g.edges) > max_edges:
         raise TooLarge(f"{len(g.edges)} edges exceeds the guard {max_edges}")

@@ -498,11 +498,13 @@ def limit_curve_points(
 
     A branch running radially never changes the gap's sign along a ray,
     so a ray-only scan misses it entirely; scanning the circles as well
-    (with wraparound) catches those.  Bisection stops once the bracket is
-    shorter than refine (arc length, for the circle passes).  The points
-    come back sorted by angle then radius, deterministically for fixed
-    arguments.  The grid needs angles >= 1, radial >= 1 and 0 < r_lo <
-    r_hi; anything else raises ValueError.
+    (with wraparound) catches those.  Each bracket is bisected until it
+    is no longer than refine (arc length, for the circle passes), each on
+    its own: a bracket that is short enough is not halved again while
+    wider ones still are.  The points come back sorted by angle then
+    radius, deterministically for fixed arguments.  The grid needs
+    angles >= 1, radial >= 1 and 0 < r_lo < r_hi; anything else raises
+    ValueError.
 
     The grid's gaps come from _grid_moduli, one matrix product per
     lambda over the angles up to the half turn: the lambdas have real
@@ -553,24 +555,37 @@ def limit_curve_points(
 
     def bisect(lo, hi, glo, point, scale=1.0):
         """Midpoints of the sign-change brackets [lo, hi] (the gap is glo
-        at lo), halved until each is shorter than refine once multiplied
-        by scale; point maps the bracket parameter to z."""
+        at lo), each halved until it is no longer than refine once
+        multiplied by scale, and then left alone; point(m, i) maps the
+        parameters m of the brackets i to z."""
+        out = np.empty(len(lo))
+        i = np.arange(len(lo))
+        scale = np.broadcast_to(scale, i.shape)
         with np.errstate(all="ignore"):
             for _ in range(80):
-                if not len(lo) or float(np.max((hi - lo) * scale)) <= refine:
+                wide = (hi - lo) * scale > refine
+                if not wide.all():
+                    out[i[~wide]] = 0.5 * (lo[~wide] + hi[~wide])
+                    i, lo, hi, glo, scale = (
+                        x[wide] for x in (i, lo, hi, glo, scale)
+                    )
+                if not len(i):
                     break
                 mid = 0.5 * (lo + hi)
-                gm = _gap_vectorized(point(mid), l1, l2)
+                gm = _gap_vectorized(point(mid, i), l1, l2)
                 left = np.sign(gm) * np.sign(glo) > 0
                 lo = np.where(left, mid, lo)
                 glo = np.where(left, gm, glo)
                 hi = np.where(left, hi, mid)
-        return 0.5 * (lo + hi)
+        out[i] = 0.5 * (lo + hi)
+        return out
 
     # sign changes along each ray, bisected in radius
     ai, ri = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
     us = units[ai]
-    mids = bisect(radii[ri], radii[ri + 1], gaps[ai, ri], lambda m: m * us)
+    mids = bisect(
+        radii[ri], radii[ri + 1], gaps[ai, ri], lambda m, i: m * us[i]
+    )
     ts, rs = [thetas[ai]], [mids]
 
     # sign changes along each circle, bisected in angle
@@ -580,7 +595,7 @@ def limit_curve_points(
         thetas[ai],
         thetas[ai] + step,
         gaps[ai, ri],
-        lambda t: rad * np.exp(1j * t),
+        lambda t, i: rad[i] * np.exp(1j * t),
         rad,
     )
     ts.append(np.mod(mids, 2 * math.pi))

@@ -26,8 +26,10 @@ from yamada.diagram import (
     smooth_crossing,
     validate,
     yamada_r,
+    yamada_r_state_sum,
 )
-from yamada.replace import build_family_diagram
+from yamada.multigraph import TooLarge
+from yamada.replace import build_family_diagram, family_polynomial
 
 A = variable()
 S = sigma()
@@ -128,6 +130,17 @@ def test_genus_diagnostic():
     assert validate(quad).genus == 1
     for k in range(5):
         assert validate(build_twist(k)).planar
+
+
+def test_yamada_r_refuses_codes_whose_arcs_miss_half_edges():
+    with pytest.raises(DanglingHalfEdge):
+        yamada_r(make_code([(1, (1, 2, 3))], [], [(1, 2)]))
+    with pytest.raises(DanglingHalfEdge):
+        yamada_r(make_code([(1, (1, 2))], [], [(1, 2), (3, 4)]))
+    with pytest.raises(DanglingHalfEdge):
+        yamada_r(make_code([(1, (1, 2, 3, 4))], [], [(1, 2), (1, 3), (3, 4)]))
+    with pytest.raises(DuplicateHalfEdge):
+        yamada_r(make_code([(1, (1, 2)), (2, (2, 3))], [], [(1, 3)]))
 
 
 def test_resolve_needs_every_spin():
@@ -284,6 +297,8 @@ def test_string_ids_give_the_same_state_sum():
 
 
 def test_skein_expansion():
+    # the relation yamada_r is built on, checked with the state sum alone:
+    # R(D) = A R(D+) + A^-1 R(D-) + R(D0) on the first crossing
     rng = random.Random(99)
     for _ in range(25):
         code = random_code(rng)
@@ -291,11 +306,93 @@ def test_skein_expansion():
             continue
         cid = code.crossing_ids()[0]
         total = (
-            A * yamada_r(smooth_crossing(code, cid, 1))
-            + A ** -1 * yamada_r(smooth_crossing(code, cid, -1))
-            + yamada_r(smooth_crossing(code, cid, 0))
+            A * yamada_r_state_sum(smooth_crossing(code, cid, 1))
+            + A ** -1 * yamada_r_state_sum(smooth_crossing(code, cid, -1))
+            + yamada_r_state_sum(smooth_crossing(code, cid, 0))
         )
+        assert yamada_r_state_sum(code) == total
         assert yamada_r(code) == total
+
+
+def grown(base, rng, crossings):
+    """base grown by R1 and R2 insertions on random arcs to the given
+    number of crossings, then with about a third of its crossings
+    flipped, so the R2 bigons need not cancel."""
+    code = base
+    while len(code.crossings) < crossings:
+        arcs = list(code.arcs)
+        if crossings - len(code.crossings) >= 2 and rng.random() < 0.5:
+            a, b = rng.sample(arcs, 2)
+            code = apply_move(code, "r2_insert", arc_a=a, arc_b=b)
+        else:
+            code = apply_move(
+                code, "r1_insert", arc=rng.choice(arcs), sign=rng.choice("+-")
+            )
+    flipped = code
+    for cid in code.crossing_ids():
+        if rng.random() < 0.3:
+            flipped = flip_over(flipped, cid)
+    return code, flipped
+
+
+def test_skein_matches_state_sum_on_grown_diagrams():
+    rng = random.Random(14)
+    for base in (cycle_code(2), cycle_code(4), theta_code(3), theta_code(4)):
+        for c in (2, 4, 6, 7):
+            for code in grown(base, rng, c):
+                validate(code)
+                for d in (code, mirror(code), with_string_ids(code)):
+                    assert yamada_r(d) == yamada_r_state_sum(d)
+
+
+def renamed(code, tag):
+    """The same diagram with every id a string starting with tag."""
+    def h(ends):
+        return tuple(f"{tag}{x}" for x in ends)
+
+    return make_code(
+        [(f"{tag}{vid}", h(ends)) for vid, ends in code.vertices],
+        [(f"{tag}{cid}", h(ends), h(over)) for cid, ends, over in code.crossings],
+        [h(a) for a in code.arcs],
+    )
+
+
+def test_one_point_union_and_split_laws_with_crossings():
+    left = renamed(build_family_diagram(2, 1, 2), "a")
+    right = renamed(mirror(build_family_diagram(1, 1, 3)), "b")
+    r_left, r_right = yamada_r_state_sum(left), yamada_r_state_sum(right)
+    # left's vertex a1 and right's one vertex merged: a cut vertex with
+    # crossings on both sides
+    (vb, ends_b), = right.vertices
+    merged = [
+        (vid, ends + ends_b if vid == "a1" else ends) for vid, ends in left.vertices
+    ]
+    wedge = make_code(
+        merged, left.crossings + right.crossings, left.arcs + right.arcs
+    )
+    assert validate(wedge).planar
+    want = -(r_left * r_right)
+    assert yamada_r_state_sum(wedge) == want
+    assert yamada_r(wedge) == want
+    # the two side by side
+    split = make_code(
+        left.vertices + right.vertices,
+        left.crossings + right.crossings,
+        left.arcs + right.arcs,
+    )
+    assert yamada_r_state_sum(split) == r_left * r_right
+    assert yamada_r(split) == r_left * r_right
+
+
+def test_skein_reaches_past_the_state_sum_guard():
+    # 3^16 states each: no state sum gets there
+    for n, s, k in ((16, 1, 1), (2, 2, 4)):
+        code = build_family_diagram(n, s, k, max_crossings=None)
+        with pytest.raises(TooLarge):
+            yamada_r(code)
+        assert yamada_r(code, max_crossings=None) == family_polynomial(
+            n, s, k, "+", degree_cap=None
+        )
 
 
 def test_disjoint_and_wedge_laws():

@@ -279,6 +279,15 @@ def test_flow_polynomial_values():
     # theta_3 carries the flow polynomial (t-1)(t-2)
     expect = t_minus_1 * LaurentPoly({1: 1, 0: -2})
     assert flow_polynomial(theta_graph(3)) == expect
+    # s parallel edges: ((t-1)^s + (-1)^s (t-1)) / t, in one step of the
+    # recursion, which takes a whole parallel class at once
+    t = LaurentPoly({1: 1})
+    for s in range(1, 9):
+        want = exact_div(t_minus_1 ** s + (-1) ** s * t_minus_1, t)
+        assert flow_polynomial(theta_graph(s)) == want
+        memo = {}
+        _flow(list(theta_graph(s).edges), memo)
+        assert len(memo) == 1
 
 
 def test_flow_deletion_contraction_on_random_graphs():
