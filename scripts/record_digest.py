@@ -5,9 +5,9 @@
 
 Imports ``yamada`` from ``DIR/src`` and the benchmark's request streams
 from ``DIR/perfbench`` (read only; nothing is written there).
-DIR defaults to the tree this script sits in.  Nine kinds of line,
+DIR defaults to the tree this script sits in.  Ten kinds of line,
 printed in this order; ``--only`` keeps the named kinds (``--only
-exact,resolve,graph,replace`` checks the exact layer in seconds):
+exact,resolve,graph,replace,chain`` checks the exact layer in seconds):
 
   cell n s k sign sha256   every distinct sweep cell of the given seeds
                            (the cells perfbench/run.py --workload sweep
@@ -56,6 +56,12 @@ exact,resolve,graph,replace`` checks the exact layer in seconds):
                            the labels a, b, c carrying a twist piece
                            (k = 0-4, either sign) or a bundle of 1-3
                            strands
+  chain i sha256           str() of chain_polynomial on the labelled
+                           graphs of the replace kind (i = 0-199),
+                           then on the distinct cycle and theta
+                           templates that the exact cycles of the
+                           given seeds send to h_edge_replace,
+                           labelled as workloads.py labels them
 
 Two trees give the same numbers to the bit exactly when a ``diff`` of
 their outputs is empty:
@@ -139,9 +145,10 @@ def _graph_rows(multigraph, rng: random.Random) -> list[str]:
     return [str(multigraph.yamada_h(g)), str(multigraph.flow_polynomial(g))]
 
 
-def _replace_row(yamada, rng: random.Random) -> str:
-    """h_edge_replace on one random labelled multigraph.  It has at least
-    as many edges as vertices, because older trees raise on fewer."""
+def _random_replace(yamada, rng: random.Random):
+    """One random labelled multigraph and its pieces, the input of a
+    replace line.  It has at least as many edges as vertices, because
+    older trees raise on fewer."""
     mg, rp = yamada.multigraph, yamada.replace
     nv = rng.randint(1, 4)
     ne = rng.randint(nv, 8)
@@ -159,7 +166,7 @@ def _replace_row(yamada, rng: random.Random) -> str:
                 mg.yamada_h(mg.theta_graph(s)),
                 (-1) ** (s - 1) * yamada.laurent.sigma() ** s,
             )
-    return str(rp.h_edge_replace(g, labels, pieces))
+    return g, labels, pieces
 
 
 def _cell_lines(args, workloads, yamada):
@@ -259,7 +266,26 @@ def _graph_lines(args, workloads, yamada):
 def _replace_lines(args, workloads, yamada):
     rng = random.Random(REPLACE_SEED)
     for i in range(REPLACES):
-        yield "replace", i, _sha([_replace_row(yamada, rng)])
+        out = yamada.replace.h_edge_replace(*_random_replace(yamada, rng))
+        yield "replace", i, _sha([str(out)])
+
+
+def _chain_lines(args, workloads, yamada):
+    chain = yamada.chain
+    rng = random.Random(REPLACE_SEED)
+    graphs = [_random_replace(yamada, rng)[:2] for _ in range(REPLACES)]
+    templates = {"cycle": chain.labelled_cycle, "theta": chain.labelled_theta}
+    shapes = set()
+    for seed in args.seeds:
+        stream = workloads.exact_stream(random.Random(f"exact-{seed}"))
+        for req in itertools.islice(stream, EXACT_REQUESTS):
+            if req.kind == "h_edge_replace":
+                shapes.add((req.spec[1], tuple(req.spec[2])))
+    for shape, ks in sorted(shapes):
+        g = templates[shape](len(ks))[0]
+        graphs.append((g, {eid: f"t{ks[eid]}" for eid, _, _ in g.edges}))
+    for i, (g, labels) in enumerate(graphs):
+        yield "chain", i, _sha([str(chain.chain_polynomial(g, labels))])
 
 
 # the kinds of line, in the order they are printed
@@ -273,6 +299,7 @@ SECTIONS = {
     "resolve": _resolve_lines,
     "graph": _graph_lines,
     "replace": _replace_lines,
+    "chain": _chain_lines,
 }
 
 
@@ -301,6 +328,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
 
     import workloads
+    import yamada.chain
     import yamada.diagram
     import yamada.laurent
     import yamada.multigraph

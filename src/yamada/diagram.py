@@ -180,7 +180,10 @@ def validate(code: DiagramCode) -> DiagramReport:
     return DiagramReport(faces=faces, genus=genus, planar=genus == 0)
 
 
-def _face_count(code: DiagramCode) -> int:
+def _face_maps(code: DiagramCode) -> tuple[dict[int, int], dict[int, int]]:
+    """(ccw_next, mate): each end's counterclockwise successor at its
+    site, and the other end of its arc.  A face walk goes
+    h -> mate[ccw_next[h]]."""
     ccw_next: dict[int, int] = {}
     for _, ends in code.vertices:
         for i, h in enumerate(ends):
@@ -192,6 +195,11 @@ def _face_count(code: DiagramCode) -> int:
     for a, b in code.arcs:
         mate[a] = b
         mate[b] = a
+    return ccw_next, mate
+
+
+def _face_count(code: DiagramCode) -> int:
+    ccw_next, mate = _face_maps(code)
     unvisited = set(mate)
     faces = 0
     while unvisited:
@@ -856,8 +864,17 @@ def mirror(code: DiagramCode) -> DiagramCode:
 
 
 def close_piece(code: DiagramCode) -> DiagramCode:
-    """Merge the two attachment vertices into one, concatenating their
-    counterclockwise end lists."""
+    """Merge the two attachment vertices into one at the corners of a face
+    they share, so a planar piece closes to a planar code.
+
+    A face walk (_face_maps) turns at a site through the corner between
+    an end h and its counterclockwise successor.  On
+    the first face (walking from u's ends in order) that also turns at v,
+    with corners (u_i, u_i+1) at u and (v_j, v_j+1) at v, v's end list,
+    read from v_j+1, goes into u's corner: the merged list is u's ends
+    from u_i+1 round to u_i, then v's from v_j+1 round to v_j.  That
+    splits the face in two and keeps the genus.  With no shared face the
+    lists are joined as they stand."""
     if code.attach is None:
         raise NoAttachPair("code has no attach pair")
     u, v = code.attach
@@ -872,6 +889,17 @@ def close_piece(code: DiagramCode) -> DiagramCode:
             rest.append((vid, ends))
     if u_ends is None or v_ends is None:
         raise NoAttachPair(f"attach pair {code.attach} must name two distinct vertices")
+    ccw_next, mate = _face_maps(code)
+    at_v = set(v_ends)
+    for i, start in enumerate(u_ends):
+        h = mate[ccw_next[start]]
+        while h != start and h not in at_v:
+            h = mate[ccw_next[h]]
+        if h in at_v:
+            j = v_ends.index(h)
+            u_ends = u_ends[i + 1 :] + u_ends[: i + 1]
+            v_ends = v_ends[j + 1 :] + v_ends[: j + 1]
+            break
     rest.append((u, u_ends + v_ends))
     return make_code(rest, code.crossings, code.arcs, None)
 

@@ -177,9 +177,9 @@ class LaurentPoly:
         A negative n is allowed only for a monomial with unit coefficient.
         A positive power is one integer power by Kronecker substitution
         (Harvey, JSC 2009): the dense coefficients c_i are packed into one
-        Python int as sum c_i 2^(w i), that int is raised to the n-th
-        power, and the coefficients of p^n are read back as its signed
-        w-bit slots (signed_slots).  No coefficient of p^n exceeds
+        Python int as sum c_i 2^(w i) (pack), that int is raised to the
+        n-th power, and the coefficients of p^n are read back as its
+        signed w-bit slots (signed_slots).  No coefficient of p^n exceeds
         B = (sum |c_i|)^n in modulus, so w is 8 times the number of bytes
         slot_width gives for B.
         """
@@ -196,16 +196,14 @@ class LaurentPoly:
             return LaurentPoly.one()
         if not self.terms:
             return LaurentPoly.zero()
-        lo, cs = self.dense_coeffs()
-        width = slot_width(sum(abs(c) for c in cs) ** n)
-        packed = 0
-        for c in reversed(cs):
-            packed = (packed << 8 * width) + c
-        slots = (len(cs) - 1) * n + 1
+        width = slot_width(sum(map(abs, self.terms.values())) ** n)
+        lo = self.min_exp() * n
         r = LaurentPoly.__new__(LaurentPoly)
         r.terms = {
-            lo * n + j: c
-            for j, c in enumerate(signed_slots(packed**n, width, slots))
+            lo + j: c
+            for j, c in enumerate(
+                signed_slots(pack(self, width) ** n, width, self.span() * n + 1)
+            )
             if c
         }
         return r
@@ -285,6 +283,20 @@ def slot_width(bound: int) -> int:
     are at most bound in modulus: the least whole number w of bytes
     with 2^(8w - 1) > bound."""
     return bound.bit_length() // 8 + 1
+
+
+def pack(p: LaurentPoly, width: int) -> int:
+    """The coefficients c_j of p A^-lo, lo the least exponent of p, packed
+    into one int as sum c_j 2^(8 width j), the inverse of signed_slots
+    for slots of width bytes; 0 for the zero polynomial."""
+    terms = p.terms
+    if not terms:
+        return 0
+    shift = 8 * width
+    packed = 0
+    for e in range(max(terms), min(terms) - 1, -1):
+        packed = (packed << shift) + terms.get(e, 0)
+    return packed
 
 
 def signed_slots(packed: int, width: int, slots: int) -> list[int]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import YamadaError
 from .laurent import LaurentPoly, sigma
@@ -179,20 +179,8 @@ def _flow_core(core: list[Edge], memo: dict) -> list[int]:
     # F(G) = S_k F(G/P) + (-1)^k F(G - P), S_k = ((t - 1)^k - (-1)^k) / t
     parallel = {i for i, a, b in core if (a, b) == (u, v) or (b, a) == (u, v)}
     k = len(parallel)
-    if k == 1:
-        # is e a bridge?  grow u's side over the other edges until it
-        # reaches v
-        side = {u}
-        grown = True
-        while grown and v not in side:
-            grown = False
-            for i, a, b in core:
-                if (a in side) != (b in side) and i != eid:
-                    side.add(a)
-                    side.add(b)
-                    grown = True
-        if v not in side:
-            return []
+    if k == 1 and is_bridge(core, eid, u, v):
+        return []
     keep, drop = min(u, v), max(u, v)
     rest = [e for e in core if e[0] not in parallel]
     merged = [
@@ -210,6 +198,22 @@ def _flow_core(core: list[Edge], memo: dict) -> list[int]:
     while value and not value[-1]:
         value.pop()
     return value
+
+
+def is_bridge(edges: Sequence[Edge], eid: int, u: int, v: int) -> bool:
+    """Whether the edge eid, with ends u != v, is a bridge of the graph
+    on the given edges: grow u's side over the other edges until it
+    reaches v or stops growing."""
+    side = {u}
+    grown = True
+    while grown and v not in side:
+        grown = False
+        for i, a, b in edges:
+            if (a in side) != (b in side) and i != eid:
+                side.add(a)
+                side.add(b)
+                grown = True
+    return v not in side
 
 
 def _series_contract(core: list[Edge], degree: dict[int, int]) -> list[Edge]:

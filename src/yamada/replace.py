@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 from .chain import chain_polynomial
 from .diagram import DiagramCode, make_code
 from .errors import YamadaError
-from .laurent import LaurentPoly, exact_div, sigma
+from .laurent import LaurentPoly, exact_div, pack, sigma, signed_slots, slot_width
 from .multigraph import Multigraph, TooLarge
 
 
@@ -180,6 +180,17 @@ def h_edge_replace(
     + r_closed_l.  So each term c w^i prod a_l^e_l of Ch adds
     c (-sigma)^i prod x_l^e_l y_l^(n_l-e_l), and one exact division by
     sigma^|E| ends the sum.  The piece's beta is zero exactly when y is.
+
+    The sum is accumulated in one Python int by Kronecker substitution
+    (Harvey, JSC 2009).  Every table entry x_l^e y_l^(n_l-e) and every
+    (-sigma)^i is packed once (laurent.pack; a zero entry, as x = 0 of a
+    k = 0 twist gives, packs as 0).  A term is then c times one integer
+    product of its packed factors, added into the accumulator shifted by
+    its least exponent, and the sum is read back once by
+    laurent.signed_slots.  No coefficient of the sum exceeds
+    B = sum over the terms of |c| 3^i prod_l ||x_l^e_l y_l^(n_l-e_l)||_1
+    in modulus (||.||_1 the sum of the moduli of the coefficients, 3 that
+    of sigma), so the slots are slot_width(B) bytes wide.
     """
     uses = Counter(labels[eid] for eid, _, _ in g.edges)
     s = sigma()
@@ -193,19 +204,45 @@ def h_edge_replace(
             raise BetaZero(f"piece for label {lab!r} has beta = 0")
         xy[lab] = x, y
     ch = chain_polynomial(g, labels)
-    # (position of l in ch.vars, [x_l^e y_l^(n_l - e) for e = 0..n_l]);
-    # labels without edges keep exponent 0 and factor 1, so they are skipped
-    slots = []
+    top = max((exps[0] for exps in ch.terms), default=0)
+    # factor tables, each at its position in the exponent vector: the
+    # powers (-sigma)^i, i = 0..top, at 0, then per label l with edges
+    # x_l^e y_l^(n_l - e) for e = 0..n_l; labels without edges keep
+    # exponent 0 and factor 1, so they are skipped
+    positions, tables = [0], [[(-s) ** i for i in range(top + 1)]]
     for j, lab in enumerate(ch.vars[1:], 1):
         if lab in xy:
             (x, y), n = xy[lab], uses[lab]
-            slots.append((j, [x**e * y ** (n - e) for e in range(n + 1)]))
-    total = LaurentPoly.zero()
+            positions.append(j)
+            tables.append([x**e * y ** (n - e) for e in range(n + 1)])
+    norms = [[sum(map(abs, f.terms.values())) for f in t] for t in tables]
+    bound = 0
     for exps, c in ch.terms.items():
-        term = (-s) ** exps[0] * c
-        for j, table in slots:
-            term = term * table[exps[j]]
-        total = total + term
+        b = abs(c)
+        for j, t in zip(positions, norms):
+            b *= t[exps[j]]
+        bound += b
+    width = slot_width(bound)
+    # a zero entry takes the exponent range [0, 0]: its terms add 0, and
+    # base and end still bound every term's range
+    lows = [[f.min_exp() if f else 0 for f in t] for t in tables]
+    base = sum(map(min, lows))
+    end = sum(max(f.max_exp() if f else 0 for f in t) for t in tables)
+    packed = [
+        [(pack(f, width), lo) for f, lo in zip(t, low)]
+        for t, low in zip(tables, lows)
+    ]
+    shift = 8 * width
+    acc = 0
+    for exps, c in ch.terms.items():
+        term, lo = c, -base
+        for j, t in zip(positions, packed):
+            factor, low = t[exps[j]]
+            term *= factor
+            lo += low
+        acc += term << shift * lo
+    coeffs = signed_slots(acc, width, end - base + 1)
+    total = LaurentPoly({base + j: c for j, c in enumerate(coeffs) if c})
     h = exact_div(total, s ** len(g.edges))
     return -h if (len(g.edges) - len(g.vertices)) % 2 else h
 

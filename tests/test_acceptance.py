@@ -40,6 +40,7 @@ from yamada.diagram import (
     smooth_crossing,
     validate,
     yamada_r,
+    yamada_r_state_sum,
 )
 from yamada.replace import (
     PieceInvariants,
@@ -241,6 +242,9 @@ def test_criterion_3_invariance():
     for trial in range(50):
         code = _random_code(rng)
         r = yamada_r(code)
+        # yamada_r is this expansion, so the 3^c state sum is the oracle
+        if r != yamada_r_state_sum(code):
+            bad.append(f"skein trial {trial}: differs from the state sum")
         for cid in code.crossing_ids():
             total = (
                 A * yamada_r(smooth_crossing(code, cid, 1))

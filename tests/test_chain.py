@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from yamada import chain
 from yamada.chain import (
     MissingAssignment,
     MultiPoly,
@@ -164,3 +165,72 @@ def test_labelled_json_round_trip():
 
     g2, labels2 = labelled_from_json(json.dumps(d))
     assert g2 == g and labels2 == labels
+
+
+def _with_labels(rng: random.Random, vertices, edges):
+    g = make_graph(vertices, [(i, u, v) for i, (u, v) in enumerate(edges)])
+    return g, {eid: f"a{rng.randint(1, 3)}" for eid, _, _ in g.edges}
+
+
+def bridged_graphs():
+    """Graphs with bridges, each bridge placed first in the edge order in
+    some cases and later in others: trees, barbells, pendant paths and a
+    bridge between two loops."""
+    rng = random.Random(20241019)
+    for n in range(1, 8):
+        # a path, then a random tree on n + 1 vertices
+        yield _with_labels(rng, range(n + 1), [(i, i + 1) for i in range(n)])
+        yield _with_labels(
+            rng, range(n + 1), [(rng.randrange(i), i) for i in range(1, n + 1)]
+        )
+    triangle = [(0, 1), (1, 2), (2, 0)]
+    for length in (1, 2, 3):
+        # two triangles joined by a path of `length` bridges, the path
+        # edges first, last or in the middle of the edge order
+        far = [(a + 2 + length, b + 2 + length) for a, b in triangle]
+        path = [(2 + i, 3 + i) for i in range(length)]
+        vertices = range(6 + length)
+        yield _with_labels(rng, vertices, path + triangle + far)
+        yield _with_labels(rng, vertices, triangle + far + path)
+        yield _with_labels(rng, vertices, triangle + path + far)
+    for cycle in (1, 2, 3, 4):
+        for tail in (1, 2, 3):
+            # an m-cycle with a pendant path of `tail` edges
+            ring = [(i, (i + 1) % cycle) for i in range(cycle)]
+            pendant = [(cycle - 1 + i, cycle + i) for i in range(tail)]
+            yield _with_labels(rng, range(cycle + tail), pendant + ring)
+            yield _with_labels(rng, range(cycle + tail), ring + pendant)
+    for loops in ((1, 1), (2, 1), (2, 2)):
+        # a bridge between two vertices that carry loops
+        edges = [(0, 1)] + [(0, 0)] * loops[0] + [(1, 1)] * loops[1]
+        yield _with_labels(rng, [0, 1], edges)
+        yield _with_labels(rng, [0, 1], edges[1:] + edges[:1])
+
+
+def test_chain_bridge_rule_agrees_with_flow_expansion():
+    count = 0
+    for g, labels in bridged_graphs():
+        assert chain_polynomial(g, labels) == chain_via_flows(g, labels), (
+            g, labels,
+        )
+        count += 1
+    assert count >= 50
+
+
+def test_chain_cycle_recursion_is_linear(monkeypatch):
+    # the deletion of a cycle edge leaves a path, whose edges are all
+    # bridges: plain deletion-contraction would make 2^(m+1) - 2 calls
+    calls = 0
+    recurse = chain._chain_recursive
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return recurse(*args)
+
+    monkeypatch.setattr(chain, "_chain_recursive", counted)
+    for m in range(1, 17):
+        calls = 0
+        g, labels = labelled_cycle(m)
+        chain_polynomial(g, labels)
+        assert calls <= 2 * m, (m, calls)

@@ -29,7 +29,11 @@ from yamada.diagram import (
     yamada_r_state_sum,
 )
 from yamada.multigraph import TooLarge
-from yamada.replace import build_family_diagram, family_polynomial
+from yamada.replace import (
+    build_family_diagram,
+    family_polynomial,
+    infinity_closed_form,
+)
 
 A = variable()
 S = sigma()
@@ -173,6 +177,17 @@ def test_twist_closure_values():
         expect = S * m_k - S * A ** (-2 * k)
         assert yamada_r(close_piece(build_twist(k, "+"))) == expect
         assert yamada_r(close_piece(build_twist(k, "-"))) == expect.mirror()
+
+
+def test_close_piece_keeps_twists_planar():
+    # the two posts merge at the corners of a face they share, so the
+    # closed twist stays planar, and R does not read the rotations
+    for k in range(5):
+        for sign in "+-":
+            closed = close_piece(build_twist(k, sign))
+            assert validate(closed).genus == 0, (k, sign)
+            assert yamada_r(closed) == yamada_r_state_sum(closed)
+            assert yamada_r(closed) == infinity_closed_form(k, sign).r_closed
 
 
 def test_closure_of_one_twist_is_curled_loop():

@@ -310,3 +310,29 @@ def test_h_edge_replace_rejects_beta_zero():
     big = cycle_graph(17)
     with pytest.raises(TooLarge):
         h_edge_replace(big, dict.fromkeys(range(17), "a"), {"a": theta_piece(2)})
+
+
+def test_h_edge_replace_matches_compose_on_templates():
+    # twist pieces k = 0..4 of both signs on the cycle, theta and bouquet
+    # templates with 1-8 edges; edges with the same piece share a label,
+    # and every template carries a k = 0 piece, whose x = -sigma r is 0
+    rng = random.Random(20241019)
+    templates = {
+        "cycle": cycle_graph,
+        "theta": theta_graph,
+        "bouquet": lambda m: make_graph([0], [(i, 0, 0) for i in range(m)]),
+    }
+    shared = 0
+    for shape, template in templates.items():
+        for m in range(1, 9):
+            ends = [(0, rng.choice("+-"))] + [
+                (rng.randint(0, 4), rng.choice("+-")) for _ in range(m - 1)
+            ]
+            rng.shuffle(ends)
+            labels = {i: f"t{k}{sign}" for i, (k, sign) in enumerate(ends)}
+            pieces = {f"t{k}{sign}": infinity_closed_form(k, sign) for k, sign in ends}
+            got = h_edge_replace(template(m), labels, pieces)
+            want = r_compose(shape, [infinity_closed_form(k, sign) for k, sign in ends])
+            assert got == want, (shape, ends)
+            shared += len(pieces) < m
+    assert shared >= 12
