@@ -163,7 +163,9 @@ def freeze_refine_cell(n: int, s: int, k: int, sign: str) -> None:
     expected to lean on the high-precision refine: the test reproduces
     the records to the bit, so it must be all roots, all certified and
     free of merged pairs."""
-    roots, residuals, degree = _family_roots_full(n, s, k, sign, None, 4000)
+    roots, residuals, degree = _family_roots_full(
+        n, s, k, sign, degree_cap=4000
+    )
     if len(roots) != degree:
         raise RuntimeError(f"({n},{s},{k},{sign}): {len(roots)} roots, "
                            f"degree {degree}")

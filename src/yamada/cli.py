@@ -197,12 +197,11 @@ def _cmd_roots_scan(args) -> str:
         args.ss,
         args.ks,
         signs=args.signs,
-        tol=args.tol,
         degree_cap=args.degree_cap,
         jobs=args.jobs,
     )
-    # a cell whose solve ran out of budget still returns all its records;
-    # say which ones are not certified rather than passing them silently
+    # every record comes back whatever its residual; say which cells hold
+    # records not certified at --tol rather than passing them silently
     above = Counter(
         (r.n, r.s, r.k, r.sign) for r in records if r.residual > args.tol
     )

@@ -8,20 +8,28 @@ where |sigma(z)| dominates a small cyclotomic minimum, and hunts through
 the (n, s, k) grid for a family root near a requested target, solving
 only the members where neither power term provably dominates near it.
 
-Family members are never solved through their dense coefficients.  Raising
-the lambdas to the n-th power spreads the coefficients over hundreds of
-orders of magnitude, and a double-precision Horner evaluation of such a
-polynomial is noise near the unit circle: the rounding floor (machine
-epsilon times the largest term) can exceed the true value by twenty
-orders.  Any dense method, ours or numpy's, then returns points that are
-roots only of a noise-perturbed polynomial.  Instead the two-power
-structure is evaluated directly: with E = lambda1^n / (sigma lambda2^n),
-computed as an exponential of n log(lambda1/lambda2) - log sigma from the
-small, perfectly conditioned lambda coefficients, a root is E = -1, the
-residual is |E + 1| / (|E| + 1), and the Newton correction follows from
-the log derivative.  The simultaneous Aberth-Ehrlich iteration then runs
-on that functional form; only the starting circles come from the exact
-integer coefficients.
+A family member is solved through dense coefficients only when it has
+repeated roots: each of its square-free factors (Yun) then goes through
+the dense path of _dense_solve, and its records still carry the
+structured residual (see _family_roots_full).  Every other member is not.
+Raising the lambdas to the n-th power spreads the coefficients over
+hundreds of orders of magnitude, and a double-precision Horner evaluation
+of such a polynomial is noise near the unit circle: the rounding floor
+(machine epsilon times the largest term) can exceed the true value by
+twenty orders.  Any dense method, ours or numpy's, then returns points
+that are roots only of a noise-perturbed polynomial.  Instead the
+two-power structure is evaluated directly: with
+E = lambda1^n / (sigma lambda2^n), computed as an exponential of
+n log(lambda1/lambda2) - log sigma from the small, perfectly conditioned
+lambda coefficients, a root is E = -1, the residual is
+|E + 1| / (|E| + 1), and the Newton correction follows from the log
+derivative.  The simultaneous Aberth-Ehrlich iteration then runs on that
+functional form; only the starting circles come from the exact integer
+coefficients.
+
+Everything the module evaluates of the pair lambda1, lambda2 comes from
+one record per (s, k, sign) column (_column): the solve, its bounds and
+its 240-bit refine, the exclusion test, and the limit curve.
 
 General Laurent polynomials (without the power-sum structure) still go
 through the dense path, with residuals normalized by the largest
@@ -38,7 +46,7 @@ import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
@@ -141,6 +149,11 @@ _U = np.finfo(float).eps / 2  # unit roundoff of float64
 # below _STALL_BELOW
 _STALL_ITERS = 20
 _STALL_BELOW = 1e-6
+# the iteration cap of every solve, and the polish rounds after it
+_MAX_ITER = 400
+_POLISH_ROUNDS = 3
+# _aberth sums its repulsions over _CHUNK rows of the pair matrix at a time
+_CHUNK = 512
 
 
 def _initial_points(coeffs: Sequence) -> np.ndarray:
@@ -235,7 +248,7 @@ def _dense_eval(
 
 
 def _aberth(
-    evaluate, z: np.ndarray, max_iter: int, floor=None, chunk: int = 512
+    evaluate, z: np.ndarray, max_iter: int, floor=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simultaneous Aberth-Ehrlich iteration with per-point freezing,
     from the starting points z (updated in place).
@@ -294,11 +307,11 @@ def _aberth(
             ):
                 break
             rep = np.empty(len(idx), dtype=complex)
-            for a in range(0, len(idx), chunk):
-                sub = idx[a : a + chunk]
+            for a in range(0, len(idx), _CHUNK):
+                sub = idx[a : a + _CHUNK]
                 blk = z[sub, None] - z[None, :]
                 blk[np.arange(len(sub)), sub] = np.inf
-                rep[a : a + chunk] = (1.0 / blk).sum(axis=1)
+                rep[a : a + _CHUNK] = (1.0 / blk).sum(axis=1)
             step = ratio[idx] / (1.0 - ratio[idx] * rep)
             bad = ~np.isfinite(step)
             if bad.any():
@@ -351,7 +364,7 @@ def _root_key(z: complex) -> tuple:
 
 
 def _ordered(
-    z: Iterable, res: Iterable, tol: float | None, key=_root_key
+    z: Iterable, res: Iterable, tol: float | None = None, key=_root_key
 ) -> tuple[list[complex], list[float]]:
     """Roots and residuals in key order, or NoConvergence carrying both
     when some residual is above tol (None skips the gate)."""
@@ -371,10 +384,7 @@ def _ordered(
 
 
 def _find_roots_full(
-    p: LaurentPoly,
-    tol: float | None = 1e-9,
-    max_iter: int = 400,
-    polish_rounds: int = 3,
+    p: LaurentPoly, tol: float | None = 1e-9
 ) -> tuple[list[complex], list[float], int]:
     """All roots of the Laurent polynomial p with their residuals.
 
@@ -391,13 +401,11 @@ def _find_roots_full(
     d = len(coeffs) - 1
     if d == 0:
         return [], [], 0
-    z, res = _dense_solve(coeffs, max_iter, polish_rounds)
+    z, res = _dense_solve(coeffs)
     return (*_ordered(z, res, tol, _phase_key), d)
 
 
-def _dense_solve(
-    coeffs: list[int], max_iter: int, polish_rounds: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _dense_solve(coeffs: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """The points and dense residuals of the Aberth solve and polish of
     the integer polynomial coeffs (ascending, degree at least 1), its
     coefficients scaled by their max absolute value by correctly rounded
@@ -408,8 +416,8 @@ def _dense_solve(
     if len(coeffs) == 2:
         z = np.array([complex(-coeffs[0] / coeffs[1])])
     else:
-        z, _ = _aberth(evaluate, _initial_points(cs), max_iter)
-    return _polish(evaluate, z, polish_rounds)
+        z, _ = _aberth(evaluate, _initial_points(cs), _MAX_ITER)
+    return _polish(evaluate, z, _POLISH_ROUNDS)
 
 
 def find_roots(p: LaurentPoly, tol: float = 1e-9) -> list[complex]:
@@ -421,6 +429,106 @@ def find_roots(p: LaurentPoly, tol: float = 1e-9) -> list[complex]:
     """
     roots, _, _ = _find_roots_full(p, tol)
     return roots
+
+
+# ---------------------------------------------------------------------------
+# one (s, k, sign) column: the pair lambda1, lambda2 of all its members
+
+_CYCLOTOMIC = LaurentPoly({0: 1, 1: 1, 2: 1})
+_CYCLOTOMIC_ROOTS = (
+    complex(-0.5, -0.8660254037844386),
+    complex(-0.5, 0.8660254037844386),
+)
+
+
+@dataclass(frozen=True, eq=False)
+class _Column:
+    """What the module evaluates of one (s, k, sign) column, whose members
+    lambda1^n + sigma lambda2^n all share the pair lambda1, lambda2;
+    _column builds it once per column.
+
+    parts holds (lo, exact coefficients, ascending) of lambda1, lambda2,
+    lambda1 / c and sigma / c, where c is z^2 + z + 1 when it divides
+    lambda1 (cyclotomic; it always divides sigma) and 1 otherwise: the
+    roots of c are zeros of both power terms at once, with no
+    cancellation between the terms that a residual could certify.  exps
+    are the low exponents of the four parts, then of their derivatives.
+    coprime is False when the lambdas share a factor, which puts roots
+    of the family outside every tool here; _family_roots_full refuses
+    such a column (no cell this module is asked about has one).
+
+    stack is the read-only (m, 8) float matrix of the four parts' rows,
+    then of their derivatives' rows, zero-padded at the high end so that
+    one polyval call evaluates all eight (high zeros leave every Horner
+    step of a shorter row unchanged at finite z); row(j) is part j's row
+    without the padding.  The coefficients are small integers, so all of
+    this evaluates to full precision.
+
+    lows and bounds serve the exclusion test, for lambda1, lambda2 and
+    sigma: their low exponents as a (3, 1) column, and the (m', 6) matrix
+    of their coefficients and then of the absolute values of those,
+    padded the same way, or None when a coefficient is not exact as a
+    double (no bound is then claimed).  discs, their zero discs
+    (_zero_discs), are built on first use.
+    """
+
+    parts: tuple
+    exps: tuple
+    cyclotomic: bool
+    coprime: bool
+    stack: np.ndarray
+    lows: np.ndarray
+    bounds: np.ndarray | None
+
+    def row(self, j: int) -> tuple[int, np.ndarray]:
+        """(lo, float coefficients) of part j, without the padding."""
+        lo, cs = self.parts[j]
+        return lo, self.stack[: len(cs), j]
+
+    @cached_property
+    def discs(self) -> tuple:
+        terms = (*self.parts[:2], sigma().dense_coeffs())
+        return tuple(_zero_discs(cs) for _, cs in terms)
+
+
+@lru_cache(maxsize=None)
+def _column(s: int, k: int, sign: str) -> _Column:
+    """The column record of (s, k, sign); see _Column."""
+    l1, l2 = family_lambdas(s, k, sign)
+    coprime = len(_poly_gcd(l1.dense_coeffs()[1], l2.dense_coeffs()[1])) == 1
+    try:
+        l1_red = exact_div(l1, _CYCLOTOMIC)
+        cyclotomic = True
+    except YamadaError:
+        l1_red = l1
+        cyclotomic = False
+    sig_red = exact_div(sigma(), _CYCLOTOMIC) if cyclotomic else sigma()
+    parts = tuple(
+        (lo, tuple(cs))
+        for lo, cs in (p.dense_coeffs() for p in (l1, l2, l1_red, sig_red))
+    )
+    stack = np.zeros((max(len(cs) for _, cs in parts), 8))
+    for j, (lo, cs) in enumerate(parts):
+        c = np.array([float(x) for x in cs], dtype=float)
+        stack[: len(c), j] = c
+        stack[: len(c), 4 + j] = c * (lo + np.arange(len(c)))
+    stack.flags.writeable = False
+    terms = (*parts[:2], sigma().dense_coeffs())
+    bounds = None
+    if all(abs(c) <= 2**53 for _, cs in terms for c in cs):
+        coeffs = np.zeros((max(len(cs) for _, cs in terms), 3))
+        for j, (_, cs) in enumerate(terms):
+            coeffs[: len(cs), j] = [float(c) for c in cs]
+        bounds = np.hstack([coeffs, np.abs(coeffs)])
+    return _Column(
+        parts=parts,
+        exps=tuple(e for e, _ in parts) + tuple(e - 1 for e, _ in parts),
+        cyclotomic=cyclotomic,
+        coprime=coprime,
+        stack=stack,
+        lows=np.array([[lo] for lo, _ in terms], dtype=float),
+        bounds=bounds,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -446,22 +554,22 @@ def limit_curve_gap(z: complex, s: int, k: int) -> float:
     return abs(l1.eval_complex(z)) - abs(l2.eval_complex(z))
 
 
-def _gap_vectorized(
-    zs: np.ndarray, l1: LaurentPoly, l2: LaurentPoly
-) -> np.ndarray:
-    lo1, c1 = l1.dense_coeffs()
-    lo2, c2 = l2.dense_coeffs()
-    v1 = np.polynomial.polynomial.polyval(zs, np.array(c1, dtype=float))
-    v2 = np.polynomial.polynomial.polyval(zs, np.array(c2, dtype=float))
+def _gap_vectorized(zs: np.ndarray, column: _Column) -> np.ndarray:
+    """|lambda1(z)| - |lambda2(z)| at the points zs, by one complex Horner
+    pass over each lambda's row of the column."""
+    (lo1, c1), (lo2, c2) = column.row(0), column.row(1)
+    v1 = np.polynomial.polynomial.polyval(zs, c1)
+    v2 = np.polynomial.polynomial.polyval(zs, c2)
     return np.abs(v1 * zs ** lo1) - np.abs(v2 * zs ** lo2)
 
 
 def _grid_moduli(
-    p: LaurentPoly, thetas: np.ndarray, radii: np.ndarray
+    row: tuple[int, np.ndarray], thetas: np.ndarray, radii: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """|p(r e^{i theta})| on the polar grid thetas x radii as one matrix
-    product, and the slack of limit_curve_points at each radius (infinite
-    where its bound is not claimed).
+    product, for p the row (lo, c) of a column, and the slack of
+    limit_curve_points at each radius (infinite where its bound is not
+    claimed).
 
     For p = sum_j c_j z^(j + lo), |p(r e^{i theta})| is the modulus of
     sum_j e^{i j theta} c_j r^(j + lo), since e^{i lo theta} has modulus
@@ -469,17 +577,16 @@ def _grid_moduli(
     times the (D, radial) matrix c_j r^(j + lo) give the real and
     imaginary parts at every grid point.
     """
-    lo, cs = p.dense_coeffs()
-    j = np.arange(len(cs))
-    c = np.array(cs, dtype=float)
+    lo, c = row
+    j = np.arange(len(c))
     phase = thetas[:, None] * j
     waves = np.vstack([np.cos(phase), np.sin(phase)])
     powers = radii ** (j + lo)[:, None]
     re, im = np.split(waves @ (c[:, None] * powers), 2)
     weights = np.abs(c) * (1 + np.abs(j + lo))
-    slack = 64 * len(cs) * _U * (weights @ powers)
-    reach = abs(lo) + len(cs)
-    top = math.log(len(cs) * float(np.max(np.abs(c))))
+    slack = 64 * len(c) * _U * (weights @ powers)
+    reach = abs(lo) + len(c)
+    top = math.log(len(c) * float(np.max(np.abs(c))))
     safe = np.abs(np.log(radii)) * reach + top < 300
     return np.sqrt(re * re + im * im), np.where(safe, slack, np.inf)
 
@@ -535,7 +642,7 @@ def limit_curve_points(
             f"the radii need 0 < r_lo < r_hi, not r_lo = {r_lo!r} and"
             f" r_hi = {r_hi!r}"
         )
-    l1, l2 = family_lambdas(s, k, "+")
+    column = _column(s, k, "+")
     radii = np.geomspace(r_lo, r_hi, radial)
     step = 2 * math.pi / angles
     rows = np.arange(angles)
@@ -545,11 +652,11 @@ def limit_curve_points(
     mirror = np.minimum(rows, angles - rows)
     half = thetas[: angles // 2 + 1]
     with np.errstate(all="ignore"):
-        m1, slack1 = _grid_moduli(l1, half, radii)
-        m2, slack2 = _grid_moduli(l2, half, radii)
+        m1, slack1 = _grid_moduli(column.row(0), half, radii)
+        m2, slack2 = _grid_moduli(column.row(1), half, radii)
         gaps = (m1 - m2)[mirror]
         ai, ri = np.nonzero(~(np.abs(gaps) > slack1 + slack2))
-        gaps[ai, ri] = _gap_vectorized(radii[ri] * units[ai], l1, l2)
+        gaps[ai, ri] = _gap_vectorized(radii[ri] * units[ai], column)
     # 0 marks a point without a usable sign
     signs = np.where(np.isfinite(gaps), np.sign(gaps), 0.0)
 
@@ -572,7 +679,7 @@ def limit_curve_points(
                 if not len(i):
                     break
                 mid = 0.5 * (lo + hi)
-                gm = _gap_vectorized(point(mid, i), l1, l2)
+                gm = _gap_vectorized(point(mid, i), column)
                 left = np.sign(gm) * np.sign(glo) > 0
                 lo = np.where(left, mid, lo)
                 glo = np.where(left, gm, glo)
@@ -627,62 +734,6 @@ def omega_member(z: complex) -> bool:
 # ---------------------------------------------------------------------------
 # family roots through the two-power structure
 
-_CYCLOTOMIC = LaurentPoly({0: 1, 1: 1, 2: 1})
-_CYCLOTOMIC_ROOTS = (
-    complex(-0.5, -0.8660254037844386),
-    complex(-0.5, 0.8660254037844386),
-)
-
-
-@lru_cache(maxsize=None)
-def _power_tables(s: int, k: int, sign: str) -> tuple:
-    """Evaluation tables for one family's power-sum structure.
-
-    Returns (parts, stack, has_cyclotomic), one part for each of
-    lambda1, lambda2, lambda1 / c and sigma / c, where c is the
-    cyclotomic z^2 + z + 1 when it divides lambda1 (it always divides
-    sigma) and the constant 1 otherwise.  A part is (lo, exact): the
-    leading exponent and the integer coefficients (ascending, for the
-    high precision pass).  stack is the read-only (m, 8) float matrix
-    whose columns are the four parts' coefficient rows and then their
-    four derivative rows (the derivative of z^lo p has exponents
-    starting at lo - 1), each zero-padded at the high end to the longest
-    row, so one polyval call evaluates all eight; high zeros leave every
-    Horner step of a shorter row unchanged at finite z.  Factoring c out
-    matters because its roots are zeros of both power terms at once: the
-    polynomial vanishes there without any cancellation between the
-    terms, which no residual built on their competition can certify.
-    The lambdas have small integer coefficients, so all of this
-    evaluates to full precision.
-
-    The two lambdas sharing a factor of their own would put roots of the
-    family outside every tool here, so that case is refused loudly (it
-    does not happen for any cell this module is asked about).
-    """
-    l1, l2 = family_lambdas(s, k, sign)
-    if len(_poly_gcd(l1.dense_coeffs()[1], l2.dense_coeffs()[1])) > 1:
-        raise YamadaError(
-            f"the two power terms for (s, k) = ({s}, {k}) share a factor;"
-            " the family root structure is degenerate there"
-        )
-    try:
-        l1_red = exact_div(l1, _CYCLOTOMIC)
-        has_cyc = True
-    except YamadaError:
-        l1_red = l1
-        has_cyc = False
-    sig_red = exact_div(sigma(), _CYCLOTOMIC) if has_cyc else sigma()
-    dense = [p.dense_coeffs() for p in (l1, l2, l1_red, sig_red)]
-    parts = tuple((lo, tuple(cs)) for lo, cs in dense)
-    stack = np.zeros((max(len(cs) for _, cs in parts), 8))
-    for j, (lo, cs) in enumerate(parts):
-        c = np.array([float(x) for x in cs], dtype=float)
-        stack[: len(c), j] = c
-        stack[: len(c), 4 + j] = c * (lo + np.arange(len(c)))
-    stack.flags.writeable = False
-    return parts, stack, has_cyc
-
-
 _REFINE_ABOVE = 1e-10
 _PREC = 240
 # a point of _refine_mp stops once its correction is below _SETTLED |z|
@@ -722,22 +773,18 @@ def _repulsion_fixed(pts: list[tuple[int, int]]) -> list[list[int]]:
 
 
 def _refine_mp(
-    n: int,
-    s: int,
-    k: int,
-    sign: str,
-    flagged: np.ndarray,
-    frozen: np.ndarray,
+    n: int, column: _Column, flagged: np.ndarray, frozen: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Aberth refinement of a few flagged points, certified at 240 bits.
+    """Aberth refinement of a few flagged points of the member n of the
+    column, certified at 240 bits.
 
     Where the two power terms have near-coincident zeros (the tightest
     pair over the working grid sits 1.2e-5 apart), their values at a
     family root fall so far below their own coefficient scale that the
     double-precision residual floors around 1e-7 regardless of how good
     the point is.  The points are fine; the certificate needs more bits.
-    This refines just the flagged points against the exact integer
-    tables, then rounds each result back to a double and reports the
+    This refines just the flagged points against the column's exact
+    integer parts, then rounds each result back to a double and reports the
     residual evaluated at 240 bits at the rounded point, so the record
     stays an honest statement about the root actually returned.
 
@@ -766,7 +813,7 @@ def _refine_mp(
     evaluations, and the residual at the rounded point is a third.
     """
     mpf, mpc = mpmath.mpf, mpmath.mpc
-    terms = _mp_terms(n, s, k, sign)
+    terms = _mp_terms(n, column)
     f = _PREC
     with mpmath.mp.workprec(f):
         zs = [mpc(w) for w in flagged]
@@ -791,7 +838,7 @@ def _refine_mp(
             if not moving:
                 break
         out = np.array([complex(z) for z in zs], dtype=complex)
-    return out, _residuals_mp(n, s, k, sign, out)
+    return out, _residuals_mp(n, column, out)
 
 
 def _fixed(z) -> tuple[int, int]:
@@ -800,12 +847,12 @@ def _fixed(z) -> tuple[int, int]:
     return to_fixed(z.real._mpf_, _PREC), to_fixed(z.imag._mpf_, _PREC)
 
 
-def _mp_terms(n: int, s: int, k: int, sign: str):
-    """The function terms(z, x, y) of the member (n, s, k, sign) at 240
+def _mp_terms(n: int, column: _Column):
+    """The function terms(z, x, y) of the member n of the column at 240
     bits, (x, y) being _fixed(z): b1 and b2 over a common power of z, and
     z times the derivative of b1 + b2 over the same power.  It must run
     under mpmath.mp.workprec(_PREC)."""
-    parts = _power_tables(s, k, sign)[0]
+    parts = column.parts
     (lo1, _), (lo2, _), (lo1c, _), (lo2s, _) = parts
     # b1 and b2 carry z^e1 and z^e2; dividing both by the smaller power
     # leaves the residual and the Newton step as they are
@@ -837,12 +884,10 @@ def _mp_terms(n: int, s: int, k: int, sign: str):
     return terms
 
 
-def _residuals_mp(
-    n: int, s: int, k: int, sign: str, z: np.ndarray
-) -> np.ndarray:
-    """The residual |b1 + b2| / (|b1| + |b2|) of the member (n, s, k,
-    sign) evaluated at 240 bits at each double z."""
-    terms = _mp_terms(n, s, k, sign)
+def _residuals_mp(n: int, column: _Column, z: np.ndarray) -> np.ndarray:
+    """The residual |b1 + b2| / (|b1| + |b2|) of the member n of the
+    column evaluated at 240 bits at each double z."""
+    terms = _mp_terms(n, column)
     res = np.empty(len(z), dtype=float)
     with mpmath.mp.workprec(_PREC):
         for i, zd in enumerate(z):
@@ -852,20 +897,18 @@ def _residuals_mp(
     return res
 
 
-def _part_values(tables: tuple, z: np.ndarray) -> list[np.ndarray]:
-    """The four parts of _power_tables' tables at the points z, then
-    their four derivatives: one Horner pass over the stacked matrix, each
-    row then times its power of z.
+def _part_values(column: _Column, z: np.ndarray) -> list[np.ndarray]:
+    """The column's four parts at the points z, then their four
+    derivatives: one Horner pass over its stack, each row then times its
+    power of z.
 
     The power is z ** e with a Python int e.  The broadcast form
     z[None] ** exps[:, None] takes numpy's general power loop, whose
     bits differ from the reciprocal numpy uses for a scalar e = -1
     (sigma / c has that exponent), so it would move the roots.
     """
-    parts, stack, _ = tables
-    exps = [e for e, _ in parts] + [e - 1 for e, _ in parts]
-    rows = np.polynomial.polynomial.polyval(z, stack)
-    return [row * z**e for row, e in zip(rows, exps)]
+    rows = np.polynomial.polynomial.polyval(z, column.stack)
+    return [row * z**e for row, e in zip(rows, column.exps)]
 
 
 def _family_terms(n: int, values: list) -> tuple:
@@ -896,7 +939,7 @@ def _family_terms(n: int, values: list) -> tuple:
 
 
 def _family_ratio(
-    n: int, tables: tuple, lo: int, z: np.ndarray
+    n: int, column: _Column, lo: int, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual and Newton ratio for the reduced family polynomial at z.
 
@@ -912,7 +955,7 @@ def _family_ratio(
     into the dense degree-d form q = z^-lo Q, whose far field pulls
     strays back in with steps of z/d; the ratio returned is q/q'.
     """
-    _, _, m, T1, T2, h1, h2 = _family_terms(n, _part_values(tables, z))
+    _, _, m, T1, T2, h1, h2 = _family_terms(n, _part_values(column, z))
     dead = ~np.isfinite(m)
     res = np.abs(T1 + T2) / (np.abs(T1) + np.abs(T2))
     ratio = (T1 + T2) / (T1 * h1 + T2 * h2)
@@ -940,7 +983,7 @@ def _horner_running(
 
 
 @np.errstate(all="ignore")
-def _bounded_terms(n: int, tables: tuple, z: np.ndarray) -> tuple:
+def _bounded_terms(n: int, column: _Column, z: np.ndarray) -> tuple:
     """The terms T1, T2, h1, h2 of _family_terms at the points z, with
     bounds on their rounding errors: (T1, T2, h1, h2, del1, del2, e1,
     e2), T_i within del_i |T_i| and h_i within e_i of its true value.
@@ -972,12 +1015,10 @@ def _bounded_terms(n: int, tables: tuple, z: np.ndarray) -> tuple:
 
     A part with rho >= 1 makes the bounds that depend on it infinite.
     """
-    parts, stack, _ = tables
     az = np.abs(z)
-    row, mu = _horner_running(stack, z)
-    exps = [e for e, _ in parts] + [e - 1 for e, _ in parts]
+    row, mu = _horner_running(column.stack, z)
     values, err = [], []
-    for s_row, m_row, e in zip(row, mu, exps):
+    for s_row, m_row, e in zip(row, mu, column.exps):
         v = s_row * z**e
         if abs(e) < 100:
             power = (4 * abs(e) + 8) * _U
@@ -1017,7 +1058,7 @@ def _bounded_terms(n: int, tables: tuple, z: np.ndarray) -> tuple:
 
 
 @np.errstate(all="ignore")
-def _residual_floor(n: int, tables: tuple, z: np.ndarray) -> np.ndarray:
+def _residual_floor(n: int, column: _Column, z: np.ndarray) -> np.ndarray:
     """The float64 floor of _family_ratio's residual |T1 + T2| / (|T1| +
     |T2|) at the points z: (del1 |T1| + del2 |T2| + 2 u |N|) / (|T1| +
     |T2|) with the bounds of _bounded_terms, pushed out by 8 u for the
@@ -1025,7 +1066,7 @@ def _residual_floor(n: int, tables: tuple, z: np.ndarray) -> np.ndarray:
     vanishes, the computed residual is at most this, so a residual at or
     below its floor is one double precision cannot tell from a root's.
     A point whose bounds are infinite has an infinite floor."""
-    T1, T2, _, _, del1, del2, _, _ = _bounded_terms(n, tables, z)
+    T1, T2, _, _, del1, del2, _, _ = _bounded_terms(n, column, z)
     m1, m2 = np.abs(T1), np.abs(T2)
     eN = del1 * m1 + del2 * m2 + 2 * _U * np.abs(T1 + T2)
     floor = eN / (m1 + m2) * (1 + 8 * _U)
@@ -1034,7 +1075,7 @@ def _residual_floor(n: int, tables: tuple, z: np.ndarray) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def _inclusion_radii(
-    n: int, tables: tuple, lo: int, d: int, z: np.ndarray
+    n: int, column: _Column, lo: int, d: int, z: np.ndarray
 ) -> np.ndarray:
     """Upper bounds on d |q(z)/q'(z)| for the reduced family polynomial q
     of degree d at the points z: the disc of that radius about each point
@@ -1051,7 +1092,7 @@ def _inclusion_radii(
     A radius that comes out non-finite, or a lower bound on |z D - lo N|
     that is not positive, gives an infinite radius.
     """
-    T1, T2, h1, h2, del1, del2, e1, e2 = _bounded_terms(n, tables, z)
+    T1, T2, h1, h2, del1, del2, e1, e2 = _bounded_terms(n, column, z)
     az = np.abs(z)
     m1, m2 = np.abs(T1), np.abs(T2)
     N = T1 + T2
@@ -1174,16 +1215,10 @@ def _square_free_parts(
 
 
 def _family_roots_full(
-    n: int,
-    s: int,
-    k: int,
-    sign: str = "+",
-    tol: float | None = 1e-9,
-    degree_cap: int | None = 4000,
-    max_iter: int = 400,
-    polish_rounds: int = 3,
+    n: int, s: int, k: int, sign: str = "+", *, degree_cap: int | None = 4000
 ) -> tuple[list[complex], list[float], int]:
-    """All roots of one family member with structured residuals.
+    """All roots of one family member with structured residuals, each
+    returned whatever its residual: no tolerance enters.
 
     Any cyclotomic factor shared by the two power terms is divided out
     exactly first; its roots are known in closed form and come back with
@@ -1215,14 +1250,19 @@ def _family_roots_full(
     """
     p = family_polynomial(n, s, k, sign, degree_cap=degree_cap)
     degree = len(p.dense_coeffs()[1]) - 1
-    tables = _power_tables(s, k, sign)
+    column = _column(s, k, sign)
+    if not column.coprime:
+        raise YamadaError(
+            f"the two power terms for (s, k) = ({s}, {k}) share a factor;"
+            " the family root structure is degenerate there"
+        )
     exact: list[complex] = []
-    if tables[2]:
+    if column.cyclotomic:
         p = exact_div(p, _CYCLOTOMIC)
         exact = list(_CYCLOTOMIC_ROOTS)
     lo, coeffs = p.dense_coeffs()
     d = len(coeffs) - 1
-    evaluate = partial(_family_ratio, n, tables, lo)
+    evaluate = partial(_family_ratio, n, column, lo)
     parts = _square_free_parts(coeffs) if n == 1 and d > 1 else None
     if parts is None:
         if d == 0:
@@ -1230,28 +1270,26 @@ def _family_roots_full(
         elif d == 1:
             z = np.array([complex(-coeffs[0] / coeffs[1])])
         else:
-            floor = partial(_residual_floor, n, tables)
-            z, _ = _aberth(evaluate, _initial_points(coeffs), max_iter, floor)
-        z, res = _polish(evaluate, z, polish_rounds)
-        overlap = _overlapping(z, _inclusion_radii(n, tables, lo, d, z))
+            floor = partial(_residual_floor, n, column)
+            z, _ = _aberth(evaluate, _initial_points(coeffs), _MAX_ITER, floor)
+        z, res = _polish(evaluate, z, _POLISH_ROUNDS)
+        overlap = _overlapping(z, _inclusion_radii(n, column, lo, d, z))
         if overlap.any() and n > 1:
             parts = _square_free_parts(coeffs)
     if parts:
         z = np.concatenate([
-            np.repeat(_dense_solve(a, max_iter, polish_rounds)[0], i)
+            np.repeat(_dense_solve(a)[0], i)
             for i, a in parts
         ])
         res, _ = evaluate(z)
         high = res > _REFINE_ABOVE
         if high.any():
-            res[high] = _residuals_mp(n, s, k, sign, z[high])
+            res[high] = _residuals_mp(n, column, z[high])
     else:
         shaky = overlap | (res > _REFINE_ABOVE)
         if shaky.any():
-            z[shaky], res[shaky] = _refine_mp(
-                n, s, k, sign, z[shaky], z[~shaky]
-            )
-    roots, residuals = _ordered([*z, *exact], [*res] + [0.0] * len(exact), tol)
+            z[shaky], res[shaky] = _refine_mp(n, column, z[shaky], z[~shaky])
+    roots, residuals = _ordered([*z, *exact], [*res] + [0.0] * len(exact))
     return roots, residuals, degree
 
 
@@ -1302,28 +1340,6 @@ def _zero_discs(cs: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return w, np.where(np.isfinite(r) & (low > 0), r, np.inf)
 
 
-@lru_cache(maxsize=None)
-def _term_tables(s: int, k: int, sign: str) -> tuple | None:
-    """What the exclusion test needs of one (s, k, sign) column, for
-    lambda1, lambda2 and sigma in that order: their low exponents (a
-    (3, 1) column), the (m, 6) matrix whose columns are their
-    coefficients and then the absolute values of those (each zero-padded
-    at the high end, which leaves every Horner step of a shorter row
-    exact), and their zero discs (_zero_discs).  None when a coefficient
-    is not exact as a double; no bound is then claimed."""
-    dense = [
-        p.dense_coeffs() for p in (*family_lambdas(s, k, sign), sigma())
-    ]
-    if any(abs(c) > 2**53 for _, cs in dense for c in cs):
-        return None
-    stack = np.zeros((max(len(cs) for _, cs in dense), 3))
-    for j, (_, cs) in enumerate(dense):
-        stack[: len(cs), j] = [float(c) for c in cs]
-    lows = np.array([[lo] for lo, _ in dense], dtype=float)
-    discs = tuple(_zero_discs(cs) for _, cs in dense)
-    return lows, np.hstack([stack, np.abs(stack)]), discs
-
-
 def _zero_free(discs: tuple, z0: complex, radius: float) -> bool:
     """True when the closed disc |z - z0| <= radius meets none of the
     zero discs, so holds no zero; the 4 u factors cover the rounding of
@@ -1348,10 +1364,10 @@ def _arc_discs(
 
 @np.errstate(all="ignore")
 def _arc_bounds(
-    tables: tuple, c: np.ndarray, rho: float
+    column: _Column, c: np.ndarray, rho: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bounds on log|P| over each disc |z - c_j| <= rho, for P = lambda1,
-    lambda2 and sigma (the rows of _term_tables): the arrays (logL, logU,
+    lambda2 and sigma (the column's bounds): the arrays (logL, logU,
     at) of shape (3, len(c)), with logL <= log|P(z)| <= logU on the disc
     and at the float value of log|P(c_j)|.
 
@@ -1369,7 +1385,7 @@ def _arc_bounds(
     sums and products that form them, and of the linear test that
     _dominated makes of them.
     """
-    lows, both, _ = tables
+    lows, both = column.lows, column.bounds
     a = len(c)
     t = np.abs(c)
     t_lo = t * (1 - 4 * _U)
@@ -1422,10 +1438,10 @@ def _dominated(
     that does not dominate there cannot dominate on the circle.
     """
     ns = sorted(set(ns))
-    tables = _term_tables(s, k, sign)
-    if not ns or tables is None or not 0 < radius < abs(z0):
+    column = _column(s, k, sign)
+    if not ns or column.bounds is None or not 0 < radius < abs(z0):
         return set()
-    free = [_zero_free(d, z0, radius) for d in tables[-1]]
+    free = [_zero_free(d, z0, radius) for d in column.discs]
     nv = np.array(ns, dtype=float)[:, None]
     # alive[t, i]: term t + 1 may still dominate for ns[i]
     alive = np.array([[free[0]] * len(ns), [free[1] and free[2]] * len(ns)])
@@ -1436,7 +1452,7 @@ def _dominated(
     for split in range(_ARC_SPLITS + 1):
         if not need.any():
             break
-        logL, logU, at = _arc_bounds(tables, *_arc_discs(z0, radius, arcs, m))
+        logL, logU, at = _arc_bounds(column, *_arc_discs(z0, radius, arcs, m))
         won = np.array([
             nv * (logL[0] - logU[1]) > logU[2],
             nv * (logL[1] - logU[0]) > -logL[2],
@@ -1484,7 +1500,6 @@ def _cell_records(
     s: int,
     k: int,
     sign: str,
-    tol: float | None,
     degree_cap: int | None,
     cache: dict,
 ) -> tuple[RootRecord, ...]:
@@ -1499,7 +1514,7 @@ def _cell_records(
     if key in cache:
         return cache[key]
     if sign == "-":
-        plus = _cell_records(n, s, k, "+", tol, degree_cap, cache)
+        plus = _cell_records(n, s, k, "+", degree_cap, cache)
         recs = tuple(
             sorted(
                 (replace(r, root=1.0 / r.root, sign="-") for r in plus),
@@ -1507,13 +1522,9 @@ def _cell_records(
             )
         )
     else:
-        try:
-            roots, residuals, degree = _family_roots_full(
-                n, s, k, "+", tol, degree_cap
-            )
-        except NoConvergence as err:
-            roots, residuals = err.roots, err.residuals
-            degree = len(roots)
+        roots, residuals, degree = _family_roots_full(
+            n, s, k, "+", degree_cap=degree_cap
+        )
         recs = tuple(
             RootRecord(
                 root=root, n=n, s=s, k=k, sign="+", residual=res, degree=degree
@@ -1682,7 +1693,7 @@ def density_witness(
                 yield cell
 
     for cell, recs in _cell_stream(
-        first_pass(), (sign,), tol, caps.degree_cap, cache, jobs
+        first_pass(), (sign,), caps.degree_cap, cache, jobs
     ):
         hit = read(cell, recs)
         if hit is not None:
@@ -1699,7 +1710,7 @@ def density_witness(
             radius = best_d
             skip = _dominated_cells(z0, radius, deferred[i:], sign)
         if cell not in skip:
-            read(cell, _cell_records(*cell, sign, tol, caps.degree_cap, cache))
+            read(cell, _cell_records(*cell, sign, caps.degree_cap, cache))
     return NotFound(
         target=z0,
         epsilon=eps,
@@ -1710,20 +1721,20 @@ def density_witness(
     )
 
 
-def _scan_cell(args) -> dict:
+def _scan_cell(
+    n: int, s: int, k: int, signs: tuple[str, ...], degree_cap: int | None
+) -> dict:
     """Worker for _cell_stream: one cell's records for the given signs,
     solved in a fresh cache that is returned whole."""
-    n, s, k, signs, tol, degree_cap = args
     local: dict = {}
     for sign in signs:
-        _cell_records(n, s, k, sign, tol, degree_cap, local)
+        _cell_records(n, s, k, sign, degree_cap, local)
     return local
 
 
 def _cell_stream(
     cells: Iterable[tuple[int, int, int]],
     signs: tuple[str, ...],
-    tol: float | None,
     degree_cap: int | None,
     cache: dict,
     jobs: int,
@@ -1743,7 +1754,7 @@ def _cell_stream(
         return [
             r
             for sign in signs
-            for r in _cell_records(*cell, sign, tol, degree_cap, cache)
+            for r in _cell_records(*cell, sign, degree_cap, cache)
         ]
 
     if jobs <= 1:
@@ -1763,7 +1774,7 @@ def _cell_stream(
         for cell in cells:
             task = None
             if any(cell + (sign,) not in cache for sign in signs):
-                task = pool.submit(_scan_cell, (*cell, signs, tol, degree_cap))
+                task = pool.submit(_scan_cell, *cell, signs, degree_cap)
             ahead.append((cell, task))
             if len(ahead) == 2 * jobs:
                 yield land(*ahead.popleft())
@@ -1777,8 +1788,8 @@ def scan_family(
     ns: Iterable[int],
     ss: Iterable[int],
     ks: Iterable[int],
+    *,
     signs: Sequence[str] = ("+",),
-    tol: float | None = 1e-9,
     degree_cap: int | None = 4000,
     jobs: int = 1,
     cache: dict | None = None,
@@ -1786,7 +1797,11 @@ def scan_family(
     """Root records for every family member in the grid, sorted by
     (n, s, k, sign, root angle): the cells are visited in that order and
     each cell's records come in root order.  jobs > 1 fans the cells out
-    over processes (_cell_stream)."""
+    over processes (_cell_stream).
+
+    The records depend on no tolerance: every root comes back with its
+    residual for the caller to judge (the CLI's --tol only chooses which
+    cells get a warning line)."""
     for sign in signs:
         if sign not in ("+", "-"):
             raise ValueError("signs must be '+' or '-'")
@@ -1794,7 +1809,6 @@ def scan_family(
     stream = _cell_stream(
         cells,
         tuple(sorted(set(signs))),
-        tol,
         degree_cap,
         {} if cache is None else cache,
         jobs if len(cells) > 1 else 1,

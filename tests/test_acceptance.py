@@ -306,7 +306,10 @@ def test_criterion_4_root_quality():
                 plus = [
                     r.root for r in _CACHE[(n, s, k, "+")]
                 ]
-                minus, _, _ = _family_roots_full(n, s, k, "-", 1e-9, None)
+                minus, mres, _ = _family_roots_full(
+                    n, s, k, "-", degree_cap=None
+                )
+                assert max(mres) <= 1e-9
                 inv = np.array([1.0 / z for z in plus])
                 direct = np.array(minus)
                 for z in inv:
@@ -387,7 +390,8 @@ def test_criterion_6_curve_clustering():
 
     fractions = []
     for n in (8, 16, 24, 32):
-        roots, _, _ = _family_roots_full(n, 2, 2, "+", 1e-9, None)
+        roots, res, _ = _family_roots_full(n, 2, 2, degree_cap=None)
+        assert max(res) <= 1e-9
         dists = [np.abs(curve - z).min() for z in roots]
         fractions.append(sum(1 for d in dists if d <= 0.05) / len(dists))
 

@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from yamada.cli import main
 from yamada.laurent import LaurentPoly, PoleAtZero, exact_div, sigma
 from yamada.replace import family_lambdas, family_polynomial
 from yamada import roots as roots_module
@@ -27,6 +28,7 @@ from yamada.roots import (
     _aberth,
     _arc_bounds,
     _arc_discs,
+    _column,
     _dense_eval,
     _dominated,
     _dominated_cells,
@@ -39,12 +41,10 @@ from yamada.roots import (
     _overlapping,
     _part_values,
     _polish,
-    _power_tables,
     _repulsion_fixed,
     _residual_floor,
     _square_free_mod_p,
     _square_free_parts,
-    _term_tables,
     _witness_plan,
     density_witness,
     find_roots,
@@ -154,7 +154,7 @@ def test_family_matches_dense_on_small_members():
     # to near machine precision
     for n, s, k in [(2, 1, 1), (3, 2, 1), (2, 2, 2)]:
         dense, _, _ = _find_roots_full(family_polynomial(n, s, k))
-        structured, _, _ = _family_roots_full(n, s, k, "+", None, 4000)
+        structured, _, _ = _family_roots_full(n, s, k)
         assert close_sets(dense, structured, 1e-10)
 
 
@@ -163,7 +163,7 @@ def test_family_dense_disagreement_is_conditioning_not_error():
     # of the coefficient scale: both solvers certify their residuals, and
     # the pairing gap stays within what those certificates allow
     dense, dres, _ = _find_roots_full(family_polynomial(4, 2, 2))
-    structured, sres, _ = _family_roots_full(4, 2, 2, "+", None, 4000)
+    structured, sres, _ = _family_roots_full(4, 2, 2)
     assert close_sets(dense, structured, 1e-3)
     assert max(dres) <= 1e-9 and max(sres) <= 1e-9
 
@@ -171,7 +171,7 @@ def test_family_dense_disagreement_is_conditioning_not_error():
 def test_family_refinement_cell():
     # the cell with the closest lambda near-pair: double evaluation floors
     # near 8e-7 there, the high-precision rescue must still certify 1e-9
-    roots, res, degree = _family_roots_full(12, 4, 4, "+", None, 4000)
+    roots, res, degree = _family_roots_full(12, 4, 4)
     assert degree == 325
     assert len(roots) == degree
     assert max(res) <= 1e-9
@@ -191,7 +191,7 @@ def test_horner_fixed_matches_polyval():
     # points fill all 240 fraction bits, not just a double's 53
     points = [0.3 + 0.4j, -0.05 + 0.02j, -2.5 + 1.7j, 4.0 - 0.5j,
               -0.8408559583846054 - 1.551641061573222e-06j]
-    parts = _power_tables(4, 4, "+")[0]
+    parts = _column(4, 4, "+").parts
     fill = 2**180 // 3
     for z in points:
         x = int(math.ldexp(z.real, 240)) + fill
@@ -220,9 +220,9 @@ def test_part_values_stack_is_bit_exact():
     pv = np.polynomial.polynomial.polyval
     exponents = set()
     for cell in [(4, 4, "+"), (2, 3, "-"), (1, 1, "+")]:
-        tables = _power_tables(*cell)
-        got = _part_values(tables, z)
-        for j, (lo, cs) in enumerate(tables[0]):
+        column = _column(*cell)
+        got = _part_values(column, z)
+        for j, (lo, cs) in enumerate(column.parts):
             c = np.array([float(x) for x in cs])
             dc = c * (lo + np.arange(len(c)))
             assert np.array_equal(got[j], pv(z, c) * z**lo)
@@ -280,11 +280,11 @@ class MovingPointsRecorder:
 def _reduced_member(n, s, k):
     """The family evaluator of (n, s, k, +), the low exponent and the
     integer coefficients of its reduced polynomial q."""
-    tables = _power_tables(s, k, "+")
+    column = _column(s, k, "+")
     p = family_polynomial(n, s, k, "+")
-    assert tables[2]
+    assert column.cyclotomic
     lo, coeffs = exact_div(p, _CYCLOTOMIC).dense_coeffs()
-    return partial(_family_ratio, n, tables, lo), lo, coeffs
+    return partial(_family_ratio, n, column, lo), lo, coeffs
 
 
 def test_aberth_evaluates_only_moving_points_family():
@@ -295,7 +295,7 @@ def test_aberth_evaluates_only_moving_points_family():
     # floor, where no step can improve it
     for n in (12, 16):
         evaluate, _, coeffs = _reduced_member(n, 4, 4)
-        floor = partial(_residual_floor, n, _power_tables(4, 4, "+"))
+        floor = partial(_residual_floor, n, _column(4, 4, "+"))
         rec = MovingPointsRecorder(evaluate, _initial_points(coeffs))
         z, res = _aberth(rec, rec.z, 400, floor)
         rec.check_result(z, res)
@@ -378,19 +378,20 @@ def test_residual_floor_holds_at_refined_roots():
     # point's residual is above it, so the floor does not hide a point
     # that is not a root
     n, s, k = 16, 4, 4
-    tables = _power_tables(s, k, "+")
+    column = _column(s, k, "+")
     evaluate, _, _ = _reduced_member(n, s, k)
-    roots, _, _ = _family_roots_full(n, s, k, "+", 1e-9, 4000)
+    roots, res, _ = _family_roots_full(n, s, k)
+    assert max(res) <= 1e-9
     # the two exact cyclotomic roots are not roots of the reduced q
     z = np.array(roots)
     z = z[np.abs(z * z + z + 1) > 1e-6]
     assert len(z) == len(roots) - 2
     res, _ = evaluate(z)
-    floor = _residual_floor(n, tables, z)
+    floor = _residual_floor(n, column, z)
     assert np.all(np.isfinite(floor)) and np.all(res <= floor)
     assert np.any(res > 1e-6)
     off = z * (1 + 1e-7)
-    assert np.all(evaluate(off)[0] > _residual_floor(n, tables, off))
+    assert np.all(evaluate(off)[0] > _residual_floor(n, column, off))
 
 
 def test_aberth_evaluates_only_moving_points_dense():
@@ -426,7 +427,7 @@ def _newton_radius_240(n, s, k, lo, d, z):
     """d |q(z) / q'(z)| for the reduced polynomial q = z^-lo Q of the
     member (n, s, k, +) at the float z, evaluated at 240 bits from the
     exact parts with _horner_fixed."""
-    parts = _power_tables(s, k, "+")[0]
+    parts = _column(s, k, "+").parts
     x, y = (int(math.ldexp(t, 240)) for t in (z.real, z.imag))
     with mpmath.workprec(240):
         w = mpmath.mpc(mpmath.mpf((x, -240)), mpmath.mpf((y, -240)))
@@ -464,11 +465,11 @@ def test_inclusion_radius_bounds_the_240_bit_value():
     for n, s, k in ((4, 2, 2), (12, 4, 4), (16, 4, 4)):
         _, lo, coeffs = _reduced_member(n, s, k)
         d = len(coeffs) - 1
-        roots, _, _ = _family_roots_full(n, s, k, "+", None, 4000)
+        roots, _, _ = _family_roots_full(n, s, k)
         roots = [w for w in roots if abs(w * w + w + 1) > 1e-9]
         assert len(roots) == d
         z = np.array(roots + (near if k == 4 else []))
-        r = _inclusion_radii(n, _power_tables(s, k, "+"), lo, d, z)
+        r = _inclusion_radii(n, _column(s, k, "+"), lo, d, z)
         assert np.isfinite(r).all()
         for w, bound in zip(z, r):
             true = _newton_radius_240(n, s, k, lo, d, w)
@@ -482,12 +483,12 @@ def test_disc_gate_flags_a_planted_near_pair():
     n, s, k = 4, 2, 2
     evaluate, lo, coeffs = _reduced_member(n, s, k)
     d = len(coeffs) - 1
-    tables = _power_tables(s, k, "+")
+    column = _column(s, k, "+")
     z, _ = _aberth(evaluate, _initial_points(coeffs), 400)
     z, _ = _polish(evaluate, z, 3)
-    assert not _overlapping(z, _inclusion_radii(n, tables, lo, d, z)).any()
+    assert not _overlapping(z, _inclusion_radii(n, column, lo, d, z)).any()
     z[1] = z[0] + 1e-12 * abs(z[0])
-    flagged = _overlapping(z, _inclusion_radii(n, tables, lo, d, z))
+    flagged = _overlapping(z, _inclusion_radii(n, column, lo, d, z))
     assert np.nonzero(flagged)[0].tolist() == [0, 1]
 
 
@@ -507,7 +508,7 @@ def test_family_crowded_roots_stay_apart():
     # 47 of the 431 reduced points of (16, 4, 4) go to the refine for
     # their residual, 9 of them with overlapping discs as well; a refine
     # that merged a pair would return two copies of one root
-    roots, res, degree = _family_roots_full(16, 4, 4, "+", None, 4000)
+    roots, res, degree = _family_roots_full(16, 4, 4)
     assert len(roots) == degree and max(res) <= 1e-9
     z = np.array(roots)
     gap = np.abs(z[:, None] - z[None, :])
@@ -516,14 +517,21 @@ def test_family_crowded_roots_stay_apart():
 
 
 def test_family_polish_stability():
-    a, _, _ = _family_roots_full(6, 2, 2, "+", None, 4000, polish_rounds=3)
-    b, _, _ = _family_roots_full(6, 2, 2, "+", None, 4000, polish_rounds=6)
-    assert max(abs(x - y) for x, y in zip(a, b)) < 1e-10
+    # three more polish rounds on the returned points move none of them
+    # by more than 1e-10 (the two exact cyclotomic roots are not roots of
+    # the reduced q that the polish works on)
+    evaluate, _, _ = _reduced_member(6, 2, 2)
+    roots, _, _ = _family_roots_full(6, 2, 2)
+    z = np.array(roots)
+    z = z[np.abs(z * z + z + 1) > 1e-6]
+    assert len(z) == len(roots) - 2
+    again, _ = _polish(evaluate, z.copy(), 3)
+    assert float(np.max(np.abs(again - z))) < 1e-10
 
 
 def test_mirror_family_direct_solve_reciprocity():
-    plus, _, _ = _family_roots_full(6, 2, 3, "+", None, 4000)
-    minus, _, _ = _family_roots_full(6, 2, 3, "-", None, 4000)
+    plus, _, _ = _family_roots_full(6, 2, 3, "+")
+    minus, _, _ = _family_roots_full(6, 2, 3, "-")
     assert close_sets([1.0 / z for z in plus], minus, 1e-8)
 
 
@@ -552,6 +560,35 @@ def test_scan_family_empty_grid():
 def test_scan_family_rejects_bad_sign():
     with pytest.raises(ValueError):
         scan_family([2], [1], [1], signs=("x",))
+
+
+def test_scan_family_takes_its_options_by_keyword():
+    # a stale positional tolerance fails instead of landing in an option
+    with pytest.raises(TypeError):
+        scan_family([2], [1], [1], ("+",), 1e-9)
+
+
+def test_scan_family_returns_every_record_of_an_uncertified_cell(
+    monkeypatch, capsys
+):
+    # with the residual rule of the refine switched off, the refinement
+    # cell leaves 34 of its 325 records above 1e-9.  scan_family still
+    # returns every record of both signs, the + ones exactly the roots and
+    # residuals of the solve, and roots-scan exits 0 and names the cell
+    monkeypatch.setattr(roots_module, "_REFINE_ABOVE", math.inf)
+    roots, res, degree = _family_roots_full(12, 4, 4)
+    assert degree == 325 and sum(r > 1e-9 for r in res) == 34
+    records = scan_family([12], [4], [4], signs=("+", "-"))
+    assert len(records) == 650
+    plus = [r for r in records if r.sign == "+"]
+    assert [r.root for r in plus] == roots
+    assert [r.residual for r in plus] == res
+    assert all(r.degree == degree for r in records)
+    assert main(["roots-scan", "--ns", "12", "--ss", "4", "--ks", "4"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: cell n=12 s=4 k=4 sign=+: 34 records with residual"
+        " above tol 1e-09\n"
+    )
 
 
 def test_scan_family_parallel_matches_serial():
@@ -641,10 +678,11 @@ def test_matrix_grid_moduli_within_their_slack():
     thetas = 2 * math.pi / angles * np.arange(angles)
     units = np.exp(1j * thetas)
     for s, k in ((1, 1), (4, 4), (4, 6)):
-        l1, l2 = family_lambdas(s, k, "+")
+        column = _column(s, k, "+")
         gaps = []
-        for p in (l1, l2):
-            mod, slack = roots_module._grid_moduli(p, thetas, radii)
+        for j, p in enumerate(family_lambdas(s, k, "+")):
+            row = column.row(j)
+            mod, slack = roots_module._grid_moduli(row, thetas, radii)
             assert np.isfinite(slack).all()
             with mpmath.workprec(240):
                 for a in range(0, angles, 5):
@@ -661,7 +699,7 @@ def test_matrix_grid_moduli_within_their_slack():
 
 def test_family_roots_accumulate_on_curve():
     curve = np.array(limit_curve_points(2, 2))
-    roots, _, _ = _family_roots_full(20, 2, 2, "+", None, 4000)
+    roots, _, _ = _family_roots_full(20, 2, 2)
     dmin = np.abs(np.array(roots)[:, None] - curve[None, :]).min(axis=1)
     assert float((dmin <= 0.05).mean()) >= 0.85
 
@@ -857,7 +895,7 @@ def test_square_free_solve_of_repeated_root_members(monkeypatch):
 
     monkeypatch.setattr(roots_module, "_refine_mp", counted)
     for n, s, k in ((1, 2, 2), (1, 2, 3), (1, 4, 6)):
-        roots, res, degree = _family_roots_full(n, s, k, "+", 1e-9, 4000)
+        roots, res, degree = _family_roots_full(n, s, k)
         assert len(roots) == degree and max(res) <= 1e-9
         coeffs = family_polynomial(n, s, k, "+").dense_coeffs()[1]
         z = np.array(roots)
@@ -895,14 +933,14 @@ def test_refine_evaluations_per_point(monkeypatch):
         return counted
 
     def counted_refine(*args):
-        points[0] += len(args[4])
+        points[0] += len(args[2])
         return inner_refine(*args)
 
     monkeypatch.setattr(roots_module, "_mp_terms", counted_terms)
     monkeypatch.setattr(roots_module, "_refine_mp", counted_refine)
     for cell, late in (((17, 3, 4), 0), ((6, 4, 2), 0), ((12, 4, 4), 4)):
         calls[0] = points[0] = 0
-        roots, res, _ = _family_roots_full(*cell, "+", 1e-9, 4000)
+        roots, res, _ = _family_roots_full(*cell)
         assert points[0] > 0 and max(res) <= 1e-9
         assert calls[0] == 3 * points[0] + late, cell
 
@@ -936,7 +974,7 @@ def test_repeated_root_members_are_never_solved_whole(monkeypatch):
             family_polynomial(1, s, k, "+"), _CYCLOTOMIC
         ).dense_coeffs()
         assert _square_free_parts(coeffs)
-        roots, res, degree = _family_roots_full(1, s, k, "+", 1e-9, 4000)
+        roots, res, degree = _family_roots_full(1, s, k)
         assert len(roots) == degree and max(res) <= 1e-9
         assert max(sizes, default=0) < len(coeffs) - 1
 
@@ -1058,13 +1096,13 @@ def test_arc_bounds_hold_the_240_bit_moduli():
     rng = random.Random(12)
     cyclotomic = cmath.exp(2j * math.pi / 3)
     for s, k, sign in ((1, 1, "+"), (2, 3, "+"), (2, 2, "-"), (4, 4, "+")):
-        tables = _term_tables(s, k, sign)
-        zero = complex(tables[-1][1][0][0])
+        column = _column(s, k, sign)
+        zero = complex(column.discs[1][0][0])
         centres = [0.7 * cmath.exp(2j * math.pi * rng.random())
                    for _ in range(6)] + [zero, cyclotomic]
         for c in centres:
             for rho in (0.02, 0.003):
-                logL, logU, _ = _arc_bounds(tables, np.array([c]), rho)
+                logL, logU, _ = _arc_bounds(column, np.array([c]), rho)
                 if c == zero:
                     assert logL[1, 0] == -np.inf
                 if c == cyclotomic:
