@@ -33,7 +33,11 @@ exact,resolve,graph,replace,chain`` checks the exact layer in seconds):
                            mirrors), so a diff shows skipped cells
   poly seed i d sha256     roots and residuals of _find_roots_full on
                            seeded random integer polynomials of degree
-                           5-60, in float.hex
+                           5-60, in float.hex; with --per-record, one
+                           line per record instead, in the order
+                           _find_roots_full returns them: poly seed i
+                           re im residual, i the polynomial's index and
+                           the last three in float.hex
   exact seed i sha256      str() of the output of request i of the
                            three exact cycles (75 requests) that
                            perfbench/run.py --workload exact sends at
@@ -72,7 +76,12 @@ their outputs is empty:
 
 A diff of two ``--only cell --per-record`` outputs names every record
 that moved, with both values of each moved field; a change of root
-order also shows, as changed lines at every index it shifts.
+order also shows, as changed lines at every index it shifts.  A
+``poly`` line carries no record index, so two ``--only poly
+--per-record`` outputs that differ only in root order give an empty
+diff once both are sorted:
+
+    diff <(sort a.txt) <(sort b.txt)
 
 The ``solved`` and ``curve`` kinds read only the public
 density_witness and limit_curve_points, so this copy run with
@@ -229,7 +238,11 @@ def _poly_lines(args, workloads, yamada):
         z, res, _ = yamada.roots._find_roots_full(p, tol=None)
         rows = [f"{w.real.hex()} {w.imag.hex()} {float(r).hex()}"
                 for w, r in zip(z, res)]
-        yield "poly", POLY_SEED, i, degree, _sha(rows)
+        if args.per_record:
+            for row in rows:
+                yield "poly", POLY_SEED, i, row
+        else:
+            yield "poly", POLY_SEED, i, degree, _sha(rows)
 
 
 def _exact_lines(args, workloads, yamada):
@@ -322,7 +335,8 @@ def main(argv=None) -> int:
     ap.add_argument("--only", type=_kinds_arg, default=set(SECTIONS),
                     help="comma-separated kinds of line to print")
     ap.add_argument("--per-record", action="store_true",
-                    help="print one cell line per record instead of per cell")
+                    help="print one cell or poly line per record instead"
+                         " of one per cell or polynomial")
     args = ap.parse_args(argv)
     tree = args.tree.resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]

@@ -270,9 +270,7 @@ def at_sigma_plus_one(coeffs: list[int]) -> LaurentPoly:
     return LaurentPoly({j - d: c for j, c in enumerate(acc) if c})
 
 
-def yamada_h(
-    g: Multigraph, max_edges: int | None = 16, memo: dict | None = None
-) -> LaurentPoly:
+def yamada_h(g: Multigraph, max_edges: int | None = 16) -> LaurentPoly:
     """Yamada polynomial H of an abstract multigraph.
 
     H(G) = (-1)^(|V|+|E|) F_G(sigma + 1), with F the flow polynomial: the
@@ -282,12 +280,12 @@ def yamada_h(
     signed F and at_sigma_plus_one turns them into H; a state sum adds the
     signed F of its states first and converts once per weight.
     Exponential in the worst case; max_edges is the recursion guard (None
-    disables it).  A memo dictionary may be passed in to share reached
-    minors (keyed on their loopless core) across related calls.
+    disables it).  Related calls share reached minors through the memo of
+    signed_flow.
     """
     if max_edges is not None and len(g.edges) > max_edges:
         raise TooLarge(f"{len(g.edges)} edges exceeds the guard {max_edges}")
-    return at_sigma_plus_one(signed_flow(g, memo))
+    return at_sigma_plus_one(signed_flow(g))
 
 
 def yamada_h_subset_sum(g: Multigraph, max_edges: int | None = 14) -> LaurentPoly:

@@ -33,10 +33,14 @@ its 240-bit refine, the exclusion test, and the limit curve.
 
 General Laurent polynomials (without the power-sum structure) still go
 through the dense path, with residuals normalized by the largest
-evaluated term |c_j z^j|; see _dense_eval.  Records for the negative
-family are the exact reciprocals of the positive ones (mirror identity),
-which halves the grid work; the residual carries over unchanged because
-E at the reciprocal point of the mirrored family is the same number.
+evaluated term |c_j z^j|; see _dense_eval.  Both paths share one Aberth
+driver with one stall rule (a point is stuck once its residual is at or
+below its proven float64 floor: _residual_floor on the family path,
+_dense_floor on the dense one), and both report roots in _root_key's
+order.  Records for the negative family are the exact reciprocals of
+the positive ones (mirror identity), which halves the grid work; the
+residual carries over unchanged because E at the reciprocal point of the
+mirrored family is the same number.
 """
 
 from __future__ import annotations
@@ -144,11 +148,8 @@ class NotFound:
 _GOLDEN = 0.6180339887498949
 _U = np.finfo(float).eps / 2  # unit roundoff of float64
 # _aberth stops once the moving set has kept its size this many
-# iterations while every moving point is stuck: at or below its
-# residual floor, or, for an evaluator without one, with every residual
-# below _STALL_BELOW
+# iterations while every moving point is at or below its residual floor
 _STALL_ITERS = 20
-_STALL_BELOW = 1e-6
 # the iteration cap of every solve, and the polish rounds after it
 _MAX_ITER = 400
 _POLISH_ROUNDS = 3
@@ -215,30 +216,18 @@ def _dense_eval(
     q(w) = w^d p(1/w): the identity |p(z)| = |z|^d |q(1/z)| keeps both
     factors of the residual finite without ever exponentiating |z|^d.
     """
-
-    def horner(x, desc):
-        t = np.abs(x)
-        p = np.full_like(x, desc[0])
-        dp = np.zeros_like(x)
-        m = np.full_like(t, abs(desc[0]))
-        for a in desc[1:]:
-            dp = dp * x + p
-            p = p * x + a
-            m = np.maximum(m * t, abs(a))
-        return p, dp, t, m
-
     d = len(cs) - 1
     res = np.empty(len(z), dtype=float)
     ratio = np.empty_like(z)
     inner = np.abs(z) <= 1.0
     if inner.any():
-        p, dp, _, m = horner(z[inner], cs[::-1])
+        p, dp, _, m = _dense_horner(z[inner], cs[::-1])
         res[inner] = np.abs(p) / (guard + m)
         ratio[inner] = p / dp
     if not inner.all():
         zo = z[~inner]
         w = 1.0 / zo
-        q, dq, t, m = horner(w, cs)
+        q, dq, t, m = _dense_horner(w, cs)
         # both |p(z)| and the largest term carry the common factor
         # |z|^d, which cancels; the guard shrinks by the same factor
         # and t^d underflows harmlessly for large |z|
@@ -247,8 +236,64 @@ def _dense_eval(
     return res, ratio
 
 
+def _dense_horner(x: np.ndarray, desc: np.ndarray) -> tuple:
+    """Horner's rule for the descending coefficients desc at the points
+    x, carrying the derivative and the largest term max_j |c_j x^j|
+    along: (value, derivative, |x|, largest term)."""
+    t = np.abs(x)
+    p = np.full_like(x, desc[0])
+    dp = np.zeros_like(x)
+    m = np.full_like(t, abs(desc[0]))
+    for a in desc[1:]:
+        dp = dp * x + p
+        p = p * x + a
+        m = np.maximum(m * t, abs(a))
+    return p, dp, t, m
+
+
+@np.errstate(all="ignore")
+def _dense_floor(cs: np.ndarray, guard: float, z: np.ndarray) -> np.ndarray:
+    """The float64 floor of _dense_eval's residual at the points z: at a
+    root of the polynomial whose coefficients cs rounds (the exact
+    integer one scaled by its largest coefficient), or at the double
+    nearest such a root, the residual _dense_eval computes is at most
+    this.  A residual at or below its floor is one double precision
+    cannot tell from a root's.
+
+    The floor is budget u mu over _dense_eval's own denominator (the same
+    bits, from _dense_horner; t^0 = 1 inside the unit circle), pushed out
+    by 8 u for the rounding of the quotient, with mu = sum_k |s_k| |x|^k
+    over the partial sums s_k of the pass at x = z, or at w = 1/z on the
+    reversed branch (_horner_running).  The first-order error terms, in
+    units of u mu (u = 2^-53):
+
+    - the Horner pass: sqrt5 + 1 (Higham, Accuracy and Stability of
+      Numerical Algorithms, 5.1);
+    - the scaled coefficients, each within u of its exact value: since
+      c_j = s_j - x s_(j+1), sum_j |c_j| |x|^j <= 2 mu, so 2;
+    - the point, within u |x| of the root: the value moves by at most
+      |p'(x)| |x| u, and p'(x) = sum_k s_(k+1) x^k, so 1;
+    - on the reversed branch, w = 1/z, within 6 u |w| by numpy's
+      complex division (Smith's algorithm), so 6.
+
+    That is 6.24 inside the unit circle and 12.24 outside; the budgets,
+    16 and 32, are at least twice those, which also covers the
+    second-order terms and the rounding of mu itself.
+    """
+    floor = np.empty(len(z), dtype=float)
+    inner = np.abs(z) <= 1.0
+    for at, x, desc, k, budget in (
+        (inner, z[inner], cs[::-1], 0, 16),
+        (~inner, 1.0 / z[~inner], cs, len(cs) - 1, 32),
+    ):
+        _, _, t, m = _dense_horner(x, desc)
+        _, mu = _horner_running(desc[::-1, None], x)
+        floor[at] = budget * _U * mu[0] / (guard * t**k + m)
+    return floor * (1 + 8 * _U)
+
+
 def _aberth(
-    evaluate, z: np.ndarray, max_iter: int, floor=None
+    evaluate, z: np.ndarray, max_iter: int, floor
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simultaneous Aberth-Ehrlich iteration with per-point freezing,
     from the starting points z (updated in place).
@@ -270,19 +315,18 @@ def _aberth(
 
     The iteration stops early on a stall: once the number of moving
     points has stayed the same for _STALL_ITERS iterations and every
-    moving point is stuck.  With floor, a callable giving the proven
-    float64 rounding floor of the residual at given points (for the
-    family evaluator, _residual_floor), a point is stuck when its
-    residual is at or below its floor: double precision cannot tell it
-    from a root, so no further step can improve it.  The floor is only
-    evaluated, at the moving points, once the count has held for
-    _STALL_ITERS iterations.  Without floor (the dense evaluator), every
-    point is stuck once the worst residual is below _STALL_BELOW.  The
-    callers' polish and refine take the stuck points from there.  The
-    best full configuration seen (by worst residual) is kept as a
-    fallback in case the last stragglers wander by the stall or the
-    iteration cap; only that fallback is evaluated in full a second
-    time.  Returns the points and their residuals.
+    moving point is stuck.  floor is a callable giving the proven float64
+    rounding floor of evaluate's residual at given points (_residual_floor
+    for the family evaluator, _dense_floor for the dense one), and a
+    point is stuck when its residual is at or below its floor: double
+    precision cannot tell it from a root, so no further step can improve
+    it.  The floor is only evaluated, at the moving points, once the
+    count has held for _STALL_ITERS iterations.  The callers' polish and
+    refine take the stuck points from there.  The best full configuration
+    seen (by worst residual) is kept as a fallback in case the last
+    stragglers wander by the stall or the iteration cap; only that
+    fallback is evaluated in full a second time.  Returns the points and
+    their residuals.
     """
     freeze_tol = 100.0 * len(z) * np.finfo(float).eps
     best = z.copy()
@@ -300,11 +344,7 @@ def _aberth(
                 return z, res
             still = still + 1 if len(idx) == moving else 0
             moving = len(idx)
-            if still >= _STALL_ITERS and (
-                score < _STALL_BELOW
-                if floor is None
-                else bool(np.all(res[idx] <= floor(z[idx])))
-            ):
+            if still >= _STALL_ITERS and np.all(res[idx] <= floor(z[idx])):
                 break
             rep = np.empty(len(idx), dtype=complex)
             for a in range(0, len(idx), _CHUNK):
@@ -345,31 +385,28 @@ def _polish(
     return z, res
 
 
-def _phase_key(z: complex) -> tuple:
-    """The order dense roots are reported in: by angle, then modulus."""
-    return (cmath.phase(z), abs(z), z.real, z.imag)
-
-
 def _root_key(z: complex) -> tuple:
-    """The order family roots are reported in: by angle, then modulus.
+    """The order roots are reported in, on the family and the dense path
+    alike: by angle, then modulus.
 
     A root with |im| <= 1e-30 |z| counts as real, at angle 0 on the
     positive and -pi on the negative axis.  Its imaginary part is then
-    the noise of a 240-bit refine, and cmath.phase would put a negative
-    real root first or last by the sign of that noise.
+    noise (of a 240-bit refine, or a signed zero of the float64 solve),
+    and cmath.phase would put a negative real root first or last by the
+    sign of that noise.
     """
     if abs(z.imag) <= 1e-30 * abs(z):
         return (-math.pi if z.real < 0 else 0.0, abs(z), z.real, z.imag)
-    return _phase_key(z)
+    return (cmath.phase(z), abs(z), z.real, z.imag)
 
 
 def _ordered(
-    z: Iterable, res: Iterable, tol: float | None = None, key=_root_key
+    z: Iterable, res: Iterable, tol: float | None = None
 ) -> tuple[list[complex], list[float]]:
-    """Roots and residuals in key order, or NoConvergence carrying both
-    when some residual is above tol (None skips the gate)."""
+    """Roots and residuals in _root_key order, or NoConvergence carrying
+    both when some residual is above tol (None skips the gate)."""
     pool = sorted(
-        zip(map(complex, z), map(float, res)), key=lambda t: key(t[0])
+        zip(map(complex, z), map(float, res)), key=lambda t: _root_key(t[0])
     )
     roots = [t[0] for t in pool]
     residuals = [t[1] for t in pool]
@@ -402,7 +439,7 @@ def _find_roots_full(
     if d == 0:
         return [], [], 0
     z, res = _dense_solve(coeffs)
-    return (*_ordered(z, res, tol, _phase_key), d)
+    return (*_ordered(z, res, tol), d)
 
 
 def _dense_solve(coeffs: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -416,7 +453,8 @@ def _dense_solve(coeffs: list[int]) -> tuple[np.ndarray, np.ndarray]:
     if len(coeffs) == 2:
         z = np.array([complex(-coeffs[0] / coeffs[1])])
     else:
-        z, _ = _aberth(evaluate, _initial_points(cs), _MAX_ITER)
+        floor = partial(_dense_floor, cs, 1 / big)
+        z, _ = _aberth(evaluate, _initial_points(cs), _MAX_ITER, floor)
     return _polish(evaluate, z, _POLISH_ROUNDS)
 
 
@@ -448,10 +486,15 @@ class _Column:
     _column builds it once per column.
 
     parts holds (lo, exact coefficients, ascending) of lambda1, lambda2,
-    lambda1 / c and sigma / c, where c is z^2 + z + 1 when it divides
-    lambda1 (cyclotomic; it always divides sigma) and 1 otherwise: the
-    roots of c are zeros of both power terms at once, with no
-    cancellation between the terms that a residual could certify.  exps
+    lambda1 / c and sigma / c, where c is z^2 + z + 1: the roots of c are
+    zeros of both power terms at once, with no cancellation between the
+    terms that a residual could certify.  c divides sigma = z^-1 c, and
+    it divides lambda1 in every column: each twist piece has both of its
+    invariants divisible by sigma, so the theta numerator is sigma^s M
+    and r_theta = sigma M / (1 + sigma); sigma is prime to 1 + sigma =
+    z^-1 (1 + z)^2, so sigma divides r_theta, and c divides lambda1 =
+    -r_theta; the mirror keeps sigma, so the same holds for sign -.  The
+    divisions are exact_div, which raises if that ever fails.  exps
     are the low exponents of the four parts, then of their derivatives.
     coprime is False when the lambdas share a factor, which puts roots
     of the family outside every tool here; _family_roots_full refuses
@@ -474,7 +517,6 @@ class _Column:
 
     parts: tuple
     exps: tuple
-    cyclotomic: bool
     coprime: bool
     stack: np.ndarray
     lows: np.ndarray
@@ -496,16 +538,10 @@ def _column(s: int, k: int, sign: str) -> _Column:
     """The column record of (s, k, sign); see _Column."""
     l1, l2 = family_lambdas(s, k, sign)
     coprime = len(_poly_gcd(l1.dense_coeffs()[1], l2.dense_coeffs()[1])) == 1
-    try:
-        l1_red = exact_div(l1, _CYCLOTOMIC)
-        cyclotomic = True
-    except YamadaError:
-        l1_red = l1
-        cyclotomic = False
-    sig_red = exact_div(sigma(), _CYCLOTOMIC) if cyclotomic else sigma()
+    reduced = (exact_div(l1, _CYCLOTOMIC), exact_div(sigma(), _CYCLOTOMIC))
     parts = tuple(
         (lo, tuple(cs))
-        for lo, cs in (p.dense_coeffs() for p in (l1, l2, l1_red, sig_red))
+        for lo, cs in (p.dense_coeffs() for p in (l1, l2, *reduced))
     )
     stack = np.zeros((max(len(cs) for _, cs in parts), 8))
     for j, (lo, cs) in enumerate(parts):
@@ -523,7 +559,6 @@ def _column(s: int, k: int, sign: str) -> _Column:
     return _Column(
         parts=parts,
         exps=tuple(e for e, _ in parts) + tuple(e - 1 for e, _ in parts),
-        cyclotomic=cyclotomic,
         coprime=coprime,
         stack=stack,
         lows=np.array([[lo] for lo, _ in terms], dtype=float),
@@ -916,8 +951,8 @@ def _family_terms(n: int, values: list) -> tuple:
     the eight part values of _part_values at some points.
 
     The working polynomial is Q = lambda1^(n-1) (lambda1/c)
-    + (sigma/c) lambda2^n, the family member with any shared cyclotomic
-    factor c stripped (c = 1 reduces this to the plain power sum).  Each
+    + (sigma/c) lambda2^n, the family member with the cyclotomic factor
+    c = z^2 + z + 1 that both terms share stripped (see _Column).  Each
     term's log t_i is formed from the logs of the parts, and both are
     rescaled by the larger real part m: T_i = exp(t_i - m), so a root is
     T1 + T2 = 0 and nothing can overflow (|T_i| <= 1).  h_i is the
@@ -1220,14 +1255,14 @@ def _family_roots_full(
     """All roots of one family member with structured residuals, each
     returned whatever its residual: no tolerance enters.
 
-    Any cyclotomic factor shared by the two power terms is divided out
-    exactly first; its roots are known in closed form and come back with
-    residual zero (they are exact roots, placed to double precision).
-    The exact integer coefficients of the reduced polynomial fix the
-    degree and the starting circles (their magnitudes are taken in log
-    form, since they overflow floats long before the caps do); every
-    evaluation afterwards goes through the power-sum form, which stays
-    conditioned at any n.
+    The cyclotomic factor z^2 + z + 1 that the two power terms share (see
+    _Column) is divided out exactly first; its roots are known in closed
+    form and come back with residual zero (they are exact roots, placed
+    to double precision).  The exact integer coefficients of the reduced
+    polynomial fix the degree and the starting circles (their magnitudes
+    are taken in log form, since they overflow floats long before the
+    caps do); every evaluation afterwards goes through the power-sum
+    form, which stays conditioned at any n.
 
     After the Aberth solve and the polish, each of the d points of the
     reduced polynomial gets its inclusion disc (_inclusion_radii).  Only
@@ -1256,11 +1291,7 @@ def _family_roots_full(
             f"the two power terms for (s, k) = ({s}, {k}) share a factor;"
             " the family root structure is degenerate there"
         )
-    exact: list[complex] = []
-    if column.cyclotomic:
-        p = exact_div(p, _CYCLOTOMIC)
-        exact = list(_CYCLOTOMIC_ROOTS)
-    lo, coeffs = p.dense_coeffs()
+    lo, coeffs = exact_div(p, _CYCLOTOMIC).dense_coeffs()
     d = len(coeffs) - 1
     evaluate = partial(_family_ratio, n, column, lo)
     parts = _square_free_parts(coeffs) if n == 1 and d > 1 else None
@@ -1289,7 +1320,7 @@ def _family_roots_full(
         shaky = overlap | (res > _REFINE_ABOVE)
         if shaky.any():
             z[shaky], res[shaky] = _refine_mp(n, column, z[shaky], z[~shaky])
-    roots, residuals = _ordered([*z, *exact], [*res] + [0.0] * len(exact))
+    roots, residuals = _ordered([*z, *_CYCLOTOMIC_ROOTS], [*res, 0.0, 0.0])
     return roots, residuals, degree
 
 

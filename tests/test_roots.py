@@ -30,6 +30,7 @@ from yamada.roots import (
     _arc_discs,
     _column,
     _dense_eval,
+    _dense_floor,
     _dominated,
     _dominated_cells,
     _family_ratio,
@@ -38,6 +39,7 @@ from yamada.roots import (
     _horner_fixed,
     _inclusion_radii,
     _initial_points,
+    _ordered,
     _overlapping,
     _part_values,
     _polish,
@@ -282,7 +284,6 @@ def _reduced_member(n, s, k):
     integer coefficients of its reduced polynomial q."""
     column = _column(s, k, "+")
     p = family_polynomial(n, s, k, "+")
-    assert column.cyclotomic
     lo, coeffs = exact_div(p, _CYCLOTOMIC).dense_coeffs()
     return partial(_family_ratio, n, column, lo), lo, coeffs
 
@@ -325,41 +326,18 @@ def test_aberth_falls_back_to_the_best_configuration_at_the_cap():
 
 
 def test_aberth_stops_when_the_moving_set_stalls():
-    # one point never settles: with its residual below 1e-6 the solve
-    # stops once the moving set has kept its size for 20 iterations,
-    # above 1e-6 it runs to the cap
-    def stuck(level):
-        def evaluate(x):
-            res = np.full(len(x), 1e-20)
-            res[np.abs(x - 3.0) < 1.0] = level
-            return res, np.zeros_like(x)
-        return evaluate
-
-    for level, iterations in ((1e-7, 20), (1e-5, 50)):
-        calls = []
-        inner = stuck(level)
-
-        def evaluate(x):
-            calls.append(len(x))
-            return inner(x)
-
-        z = np.array([0.0, 1.0, 3.0, -2.0j], dtype=complex)
-        _, res = _aberth(evaluate, z, 50)
-        assert calls[0] == 4 and set(calls[1:]) == {1}
-        assert len(calls) == 1 + iterations
-        assert float(res.max()) == level
-
-    # with a floor, the same stuck point at residual 1e-5 stops the solve
-    # when it is at or below its floor and not when it is above; the
-    # floor is evaluated only at the moving point, and only once the
-    # moving set has kept its size for 20 iterations
+    # one point never settles, at residual 1e-5: the solve stops when it
+    # is at or below its floor and not when it is above; the floor is
+    # evaluated only at the moving point, and only once the moving set
+    # has kept its size for 20 iterations
     for bound, iterations, floor_calls in ((1e-5, 20, 1), (5e-6, 50, 30)):
         calls, floors = [], []
-        inner = stuck(1e-5)
 
         def evaluate(x):
             calls.append(len(x))
-            return inner(x)
+            res = np.full(len(x), 1e-20)
+            res[np.abs(x - 3.0) < 1.0] = 1e-5
+            return res, np.zeros_like(x)
 
         def floor(x):
             floors.append(len(x))
@@ -367,6 +345,7 @@ def test_aberth_stops_when_the_moving_set_stalls():
 
         z = np.array([0.0, 1.0, 3.0, -2.0j], dtype=complex)
         _, res = _aberth(evaluate, z, 50, floor)
+        assert calls[0] == 4 and set(calls[1:]) == {1}
         assert len(calls) == 1 + iterations
         assert floors == [1] * floor_calls
         assert float(res.max()) == 1e-5
@@ -401,9 +380,59 @@ def test_aberth_evaluates_only_moving_points_dense():
     rec = MovingPointsRecorder(
         partial(_dense_eval, cs, 1 / big), _initial_points(cs)
     )
-    z, res = _aberth(rec, rec.z, 400)
+    z, res = _aberth(rec, rec.z, 400, partial(_dense_floor, cs, 1 / big))
     rec.check_result(z, res)
     assert len(z) == 40 and rec.frozen and rec.partial_calls > 0
+
+
+def test_dense_floor_holds_at_rounded_roots():
+    # the 240-bit roots of a random integer polynomial and of one with a
+    # triple root (+-sqrt(3/2), outside the unit circle), rounded to
+    # doubles: the dense residual at each is at or below its floor.  A
+    # simple root moved 1e-7 relative is above it; a triple root moved
+    # that little is not, since its value then falls as the cube of the
+    # move, below float64 noise, but moved 1e-4 relative it is.  Both
+    # branches of the evaluator are met, inside and outside |z| = 1
+    triple = LaurentPoly({2: 2, 0: -3}) ** 3 * LaurentPoly({3: 1, 1: 2, 0: -5})
+    moduli = []
+    for p in (random_int_poly(random.Random(1), 30), triple):
+        _, coeffs = p.dense_coeffs()
+        big = max(abs(c) for c in coeffs)
+        cs = np.array([c / big for c in coeffs])
+        evaluate = partial(_dense_eval, cs, 1 / big)
+        floor = partial(_dense_floor, cs, 1 / big)
+        with mpmath.workprec(240):
+            exact = mpmath.polyroots(coeffs[::-1], maxsteps=400, extraprec=480)
+        z = np.array([complex(w) for w in exact])
+        assert len(z) == len(coeffs) - 1
+        moduli += np.abs(z).tolist()
+        assert np.all(evaluate(z)[0] <= floor(z))
+        repeated = np.abs(z * z - 1.5) < 1e-12
+        assert repeated.sum() == (6 if p is triple else 0)
+        for move, points in ((1e-7, ~repeated), (1e-4, repeated)):
+            off = z[points] * (1 + move)
+            assert np.all(evaluate(off)[0] > floor(off))
+    assert min(moduli) < 1 < max(moduli)
+
+
+def test_ordered_puts_a_real_root_by_its_sign_not_its_noise():
+    # the imaginary part of a real root is noise, so its sign must not
+    # move the root: -2 sorts first (angle -pi) and 0.5 at angle 0,
+    # whatever the sign of the noise
+    pair = [complex(0.1, 1.0), complex(0.1, -1.0)]
+    for a, b in [(0.0, 0.0), (-0.0, -0.0), (1e-40, -1e-40), (-1e-40, 1e-40),
+                 (0.0, -1e-40), (-0.0, 1e-40)]:
+        z = [complex(0.5, b), *pair, complex(-2.0, a)]
+        roots, res = _ordered(z, range(4))
+        assert [w.real for w in roots] == [-2.0, 0.1, 0.5, 0.1]
+        assert res == [3.0, 2.0, 0.0, 1.0]
+    # the dense path orders the same way: its root -2 comes out with
+    # imaginary part +0.0, which cmath.phase alone puts at +pi, last
+    p = LaurentPoly({1: 1, 0: 2}) * LaurentPoly({2: 1, 0: 1})
+    roots, _, _ = _find_roots_full(p * LaurentPoly({1: 2, 0: -1}))
+    assert close_sets(roots, [-2.0, -1j, 0.5, 1j], 1e-12)
+    assert [round(w.real) for w in roots] == [-2, 0, 0, 0]
+    assert roots[1].imag < 0 < roots[3].imag
 
 
 def test_repulsion_fixed_matches_mpc_sum():
@@ -484,7 +513,8 @@ def test_disc_gate_flags_a_planted_near_pair():
     evaluate, lo, coeffs = _reduced_member(n, s, k)
     d = len(coeffs) - 1
     column = _column(s, k, "+")
-    z, _ = _aberth(evaluate, _initial_points(coeffs), 400)
+    floor = partial(_residual_floor, n, column)
+    z, _ = _aberth(evaluate, _initial_points(coeffs), 400, floor)
     z, _ = _polish(evaluate, z, 3)
     assert not _overlapping(z, _inclusion_radii(n, column, lo, d, z)).any()
     z[1] = z[0] + 1e-12 * abs(z[0])
