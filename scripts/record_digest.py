@@ -235,7 +235,7 @@ def _poly_lines(args, workloads, yamada):
     for i in range(args.polys):
         degree = rng.randint(5, 60)
         p = _random_poly(yamada.laurent, rng, degree)
-        z, res, _ = yamada.roots._find_roots_full(p, tol=None)
+        z, res, _ = yamada.roots._find_roots_full(p)
         rows = [f"{w.real.hex()} {w.imag.hex()} {float(r).hex()}"
                 for w, r in zip(z, res)]
         if args.per_record:

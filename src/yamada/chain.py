@@ -280,19 +280,19 @@ def labelled_from_json(text: str) -> tuple[Multigraph, dict[int, str]]:
     return labelled_from_dict(json.loads(text))
 
 
-def labelled_cycle(n: int, distinct: bool = True) -> tuple[Multigraph, dict[int, str]]:
+def labelled_cycle(n: int) -> tuple[Multigraph, dict[int, str]]:
     g = make_graph(range(n), [(i, i, (i + 1) % n) for i in range(n)])
-    labels = {i: (f"a{i + 1}" if distinct else "a") for i in range(n)}
+    labels = {i: f"a{i + 1}" for i in range(n)}
     return g, labels
 
 
-def labelled_theta(s: int, distinct: bool = True) -> tuple[Multigraph, dict[int, str]]:
+def labelled_theta(s: int) -> tuple[Multigraph, dict[int, str]]:
     g = make_graph([0, 1], [(i, 0, 1) for i in range(s)])
-    labels = {i: (f"a{i + 1}" if distinct else "a") for i in range(s)}
+    labels = {i: f"a{i + 1}" for i in range(s)}
     return g, labels
 
 
-def labelled_bouquet(q: int, distinct: bool = True) -> tuple[Multigraph, dict[int, str]]:
+def labelled_bouquet(q: int) -> tuple[Multigraph, dict[int, str]]:
     g = make_graph([0], [(i, 0, 0) for i in range(q)])
-    labels = {i: (f"a{i + 1}" if distinct else "a") for i in range(q)}
+    labels = {i: f"a{i + 1}" for i in range(q)}
     return g, labels

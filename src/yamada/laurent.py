@@ -92,9 +92,6 @@ class LaurentPoly:
         """max_exp - min_exp; 0 for monomials and for the zero polynomial."""
         return 0 if not self.terms else max(self.terms) - min(self.terms)
 
-    def coeff(self, exp: int) -> int:
-        return self.terms.get(exp, 0)
-
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self.terms.items(), reverse=True))
 

@@ -130,7 +130,10 @@ def family_lambdas(
     """The two powers of the family, lambda1 = -r and lambda2 =
     (r + r_closed) / sigma for the theta bead of s twist bands of length
     k, so that the n-cycle of beads has invariant lambda1^n + sigma
-    lambda2^n.  Every n of a sweep and every root evaluation reuse them."""
+    lambda2^n.  Every n of a sweep and every root evaluation reuse them.
+    Every lambda path comes through here, so s and k are checked here."""
+    if s < 1 or k < 1:
+        raise ValueError("family parameters must all be at least 1")
     tw = infinity_closed_form(k, sign)
     bead_r = r_compose("theta", [tw] * s)
     bead_closed = r_compose("bouquet", [tw] * s)
@@ -142,10 +145,10 @@ def family_polynomial(
 ) -> LaurentPoly:
     """Exact invariant of the n-cycle of theta bundles of s twist bands of
     length k.  The degree estimate is checked before the expensive cycle
-    powers are formed."""
-    if n < 1 or s < 1 or k < 1:
+    powers are formed.  n is checked here, s and k by family_lambdas."""
+    if n < 1:
         raise ValueError("family parameters must all be at least 1")
-    estimate = family_degree_estimate(n, s, k, sign)
+    estimate = family_degree_estimate(n, s, k)
     if degree_cap is not None and estimate > degree_cap:
         raise DegreeCap(
             f"predicted degree {estimate} exceeds the cap {degree_cap}"
@@ -154,12 +157,13 @@ def family_polynomial(
     return l1**n + sigma() * l2**n
 
 
-def family_degree_estimate(n: int, s: int, k: int, sign: str = "+") -> int:
+def family_degree_estimate(n: int, s: int, k: int) -> int:
     """Upper bound on the coefficient span of family_polynomial, cheap
     enough to drive sweep planning without forming the cycle powers.  The
     sigma factor adds 2 to the second term's span; the bound carries 2
-    more, as the sweep and witness plans were drawn with it."""
-    l1, l2 = family_lambdas(s, k, sign)
+    more, as the sweep and witness plans were drawn with it.  It is the
+    same for both signs: the mirror A -> A^-1 keeps every span."""
+    l1, l2 = family_lambdas(s, k, "+")
     return max(n * l1.span(), n * l2.span() + 4)
 
 

@@ -29,7 +29,7 @@ coefficients.
 
 Everything the module evaluates of the pair lambda1, lambda2 comes from
 one record per (s, k, sign) column (_column): the solve, its bounds and
-its 240-bit refine, the exclusion test, and the limit curve.
+its 240-bit refine, the exclusion test, the limit curve and its gap.
 
 General Laurent polynomials (without the power-sum structure) still go
 through the dense path, with residuals normalized by the largest
@@ -292,11 +292,10 @@ def _dense_floor(cs: np.ndarray, guard: float, z: np.ndarray) -> np.ndarray:
     return floor * (1 + 8 * _U)
 
 
-def _aberth(
-    evaluate, z: np.ndarray, max_iter: int, floor
-) -> tuple[np.ndarray, np.ndarray]:
+def _aberth(evaluate, z: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
     """Simultaneous Aberth-Ehrlich iteration with per-point freezing,
-    from the starting points z (updated in place).
+    from the starting points z (updated in place), for at most _MAX_ITER
+    iterations.
 
     evaluate(z) returns (residuals, newton_ratios) at the points z: a
     scale-free residual that reaches machine scale at a root, and the
@@ -334,7 +333,7 @@ def _aberth(
     moving, still = -1, 0
     with np.errstate(all="ignore"):
         res, ratio = evaluate(z)
-        for it in range(max_iter):
+        for it in range(_MAX_ITER):
             score = float(np.max(res))
             if score < best_score:
                 best_score = score
@@ -367,15 +366,13 @@ def _aberth(
     return z, res
 
 
-def _polish(
-    evaluate, z: np.ndarray, rounds: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Newton steps that are only kept when they lower the residual;
-    evaluate is the same kind of evaluator _aberth takes.  Returns the
-    points and their residuals."""
+def _polish(evaluate, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_POLISH_ROUNDS Newton steps that are only kept when they lower the
+    residual; evaluate is the same kind of evaluator _aberth takes.
+    Returns the points and their residuals."""
     with np.errstate(all="ignore"):
         res, ratio = evaluate(z)
-        for _ in range(rounds):
+        for _ in range(_POLISH_ROUNDS):
             z2 = z - ratio
             r2, ratio2 = evaluate(z2)
             better = r2 < res
@@ -400,37 +397,22 @@ def _root_key(z: complex) -> tuple:
     return (cmath.phase(z), abs(z), z.real, z.imag)
 
 
-def _ordered(
-    z: Iterable, res: Iterable, tol: float | None = None
-) -> tuple[list[complex], list[float]]:
-    """Roots and residuals in _root_key order, or NoConvergence carrying
-    both when some residual is above tol (None skips the gate)."""
+def _ordered(z: Iterable, res: Iterable) -> tuple[list[complex], list[float]]:
+    """Roots and residuals in _root_key order."""
     pool = sorted(
         zip(map(complex, z), map(float, res)), key=lambda t: _root_key(t[0])
     )
-    roots = [t[0] for t in pool]
-    residuals = [t[1] for t in pool]
-    if tol is not None and any(r > tol for r in residuals):
-        worst = max(residuals)
-        raise NoConvergence(
-            f"worst residual {worst:.3e} above tolerance {tol:.3e}",
-            roots,
-            residuals,
-        )
-    return roots, residuals
+    return [t[0] for t in pool], [t[1] for t in pool]
 
 
-def _find_roots_full(
-    p: LaurentPoly, tol: float | None = 1e-9
-) -> tuple[list[complex], list[float], int]:
-    """All roots of the Laurent polynomial p with their residuals.
+def _find_roots_full(p: LaurentPoly) -> tuple[list[complex], list[float], int]:
+    """All roots of the Laurent polynomial p with their residuals and the
+    degree, each root returned whatever its residual: no tolerance enters.
 
     The power-of-A shift that clears negative exponents is stripped, so a
     root at zero never appears.  Coefficients are scaled by their max
     absolute value by correctly rounded integer division before any float
     touches them.
-    tol = None skips the convergence gate and returns whatever the
-    iteration settled on.
     """
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial has no well-defined roots")
@@ -439,7 +421,7 @@ def _find_roots_full(
     if d == 0:
         return [], [], 0
     z, res = _dense_solve(coeffs)
-    return (*_ordered(z, res, tol), d)
+    return (*_ordered(z, res), d)
 
 
 def _dense_solve(coeffs: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -454,18 +436,26 @@ def _dense_solve(coeffs: list[int]) -> tuple[np.ndarray, np.ndarray]:
         z = np.array([complex(-coeffs[0] / coeffs[1])])
     else:
         floor = partial(_dense_floor, cs, 1 / big)
-        z, _ = _aberth(evaluate, _initial_points(cs), _MAX_ITER, floor)
-    return _polish(evaluate, z, _POLISH_ROUNDS)
+        z, _ = _aberth(evaluate, _initial_points(cs), floor)
+    return _polish(evaluate, z)
 
 
 def find_roots(p: LaurentPoly, tol: float = 1e-9) -> list[complex]:
     """All complex roots of p, each with term-normalized residual
-    |p(root)| / (1 + max_j |c_j root^j|) at most tol.
+    |p(root)| / (1 + max_j |c_j root^j|) at most tol, or NoConvergence
+    carrying the roots and residuals of _find_roots_full when some
+    residual is above tol.
 
     Roots of the A^m shift that clears negative exponents are artifacts
     and never reported.  A nonzero constant has no roots and returns [].
     """
-    roots, _, _ = _find_roots_full(p, tol)
+    roots, residuals, _ = _find_roots_full(p)
+    if any(r > tol for r in residuals):
+        raise NoConvergence(
+            f"worst residual {max(residuals):.3e} above tolerance {tol:.3e}",
+            roots,
+            residuals,
+        )
     return roots
 
 
@@ -504,8 +494,10 @@ class _Column:
     then of their derivatives' rows, zero-padded at the high end so that
     one polyval call evaluates all eight (high zeros leave every Horner
     step of a shorter row unchanged at finite z); row(j) is part j's row
-    without the padding.  The coefficients are small integers, so all of
-    this evaluates to full precision.
+    without the padding.  exact is False when some entry of stack is not
+    its integer exactly as a double (from s = 17 for most k, derivative
+    entries included); _bounded_terms then claims no bound, so the
+    residual floor and the inclusion radii are infinite.
 
     lows and bounds serve the exclusion test, for lambda1, lambda2 and
     sigma: their low exponents as a (3, 1) column, and the (m', 6) matrix
@@ -519,6 +511,7 @@ class _Column:
     exps: tuple
     coprime: bool
     stack: np.ndarray
+    exact: bool
     lows: np.ndarray
     bounds: np.ndarray | None
 
@@ -549,6 +542,12 @@ def _column(s: int, k: int, sign: str) -> _Column:
         stack[: len(c), j] = c
         stack[: len(c), 4 + j] = c * (lo + np.arange(len(c)))
     stack.flags.writeable = False
+    exact = all(
+        float(v) == v
+        for lo, cs in parts
+        for j, c in enumerate(cs)
+        for v in (c, c * (lo + j))
+    )
     terms = (*parts[:2], sigma().dense_coeffs())
     bounds = None
     if all(abs(c) <= 2**53 for _, cs in terms for c in cs):
@@ -561,6 +560,7 @@ def _column(s: int, k: int, sign: str) -> _Column:
         exps=tuple(e for e, _ in parts) + tuple(e - 1 for e, _ in parts),
         coprime=coprime,
         stack=stack,
+        exact=exact,
         lows=np.array([[lo] for lo, _ in terms], dtype=float),
         bounds=bounds,
     )
@@ -572,7 +572,8 @@ def _column(s: int, k: int, sign: str) -> _Column:
 def limit_curve_gap(z: complex, s: int, k: int) -> float:
     """|lambda1(z)| - |lambda2(z)| for the two powers competing in the
     family polynomial; its zero set is where roots accumulate as the
-    cycle length grows.
+    cycle length grows.  It is _gap_vectorized at the one point z, on the
+    (s, k, +) column.
 
     Both lambdas are exact Laurent polynomials here (the divisions by
     sigma come out even), but points with sigma(z) = 0 or sigma(z) = -1
@@ -585,8 +586,8 @@ def limit_curve_gap(z: complex, s: int, k: int) -> float:
     sig = z + 1.0 + 1.0 / z
     if abs(sig) < 1e-12 or abs(sig + 1.0) < 1e-12:
         raise PoleEncountered(f"sigma({z}) is 0 or -1")
-    l1, l2 = family_lambdas(s, k, "+")
-    return abs(l1.eval_complex(z)) - abs(l2.eval_complex(z))
+    zs = np.array([z], dtype=complex)
+    return float(_gap_vectorized(zs, _column(s, k, "+"))[0])
 
 
 def _gap_vectorized(zs: np.ndarray, column: _Column) -> np.ndarray:
@@ -1049,6 +1050,8 @@ def _bounded_terms(n: int, column: _Column, z: np.ndarray) -> tuple:
       add 4 u times their terms.
 
     A part with rho >= 1 makes the bounds that depend on it infinite.
+    The model takes the coefficients of the stack as exact, so a column
+    that is not exact (_Column.exact) gets infinite bounds everywhere.
     """
     az = np.abs(z)
     row, mu = _horner_running(column.stack, z)
@@ -1061,6 +1064,8 @@ def _bounded_terms(n: int, column: _Column, z: np.ndarray) -> tuple:
             power = 8 * abs(e) * (1 + np.abs(np.log(az))) * _U
         values.append(v)
         err.append(8 * _U * m_row * az**e + (power + 8 * _U) * np.abs(v))
+    if not column.exact:
+        err = [np.full(az.shape, np.inf)] * 8
     t1, t2, m, T1, T2, h1, h2 = _family_terms(n, values)
     mag = [np.abs(v) for v in values]
     rho = [e / a for e, a in zip(err[:4], mag[:4])]
@@ -1302,8 +1307,8 @@ def _family_roots_full(
             z = np.array([complex(-coeffs[0] / coeffs[1])])
         else:
             floor = partial(_residual_floor, n, column)
-            z, _ = _aberth(evaluate, _initial_points(coeffs), _MAX_ITER, floor)
-        z, res = _polish(evaluate, z, _POLISH_ROUNDS)
+            z, _ = _aberth(evaluate, _initial_points(coeffs), floor)
+        z, res = _polish(evaluate, z)
         overlap = _overlapping(z, _inclusion_radii(n, column, lo, d, z))
         if overlap.any() and n > 1:
             parts = _square_free_parts(coeffs)
@@ -1567,11 +1572,10 @@ def _cell_records(
 
 
 @lru_cache(maxsize=None)
-def _witness_plan(
-    caps: SearchCaps, sign: str
-) -> tuple[tuple[int, int, int], ...]:
+def _witness_plan(caps: SearchCaps) -> tuple[tuple[int, int, int], ...]:
     """Visit order for the witness search: coarse shells first, as a
-    tuple computed once per (caps, sign).
+    tuple computed once per caps.  It serves both signs: the mirror
+    A -> A^-1 keeps every span, so the degree estimates are the same.
 
     The capped box is peeled along its halving chain (caps, half caps,
     half of that, down to the unit box) and cells are grouped by the
@@ -1612,7 +1616,7 @@ def _witness_plan(
     for k in range(1, caps.k_max + 1):
         for s in range(1, caps.s_max + 1):
             for n in range(1, caps.n_max + 1):
-                deg = family_degree_estimate(n, s, k, sign)
+                deg = family_degree_estimate(n, s, k)
                 if deg > caps.degree_cap:
                     break
                 cells.append((depth(n, s, k, deg), n, s, k))
@@ -1676,7 +1680,7 @@ def density_witness(
     sign = "+" if mod <= 1.0 else "-"
     if cache is None:
         cache = {}
-    plan = _witness_plan(caps, sign)
+    plan = _witness_plan(caps)
     if not plan:
         raise ValueError(f"the caps admit no cell to search: {caps}")
     best: RootRecord | None = None
@@ -1873,20 +1877,20 @@ def records_to_csv(records: Sequence[RootRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def records_to_svg(records: Sequence[RootRecord], size: int = 640) -> str:
+def records_to_svg(records: Sequence[RootRecord]) -> str:
     """Static scatter of the root cloud with the unit circle overlaid."""
-    half = size / 2.0
+    half = 320.0
     rmax = 1.0
     for r in records:
         rmax = max(rmax, abs(r.root))
     scale = (half - 10.0) / rmax
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}"'
-        f' height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-        f'<line x1="0" y1="{half:.1f}" x2="{size}" y2="{half:.1f}"'
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640"'
+        ' height="640" viewBox="0 0 640 640">',
+        '<rect width="640" height="640" fill="white"/>',
+        f'<line x1="0" y1="{half:.1f}" x2="640" y2="{half:.1f}"'
         ' stroke="#dddddd" stroke-width="1"/>',
-        f'<line x1="{half:.1f}" y1="0" x2="{half:.1f}" y2="{size}"'
+        f'<line x1="{half:.1f}" y1="0" x2="{half:.1f}" y2="640"'
         ' stroke="#dddddd" stroke-width="1"/>',
         f'<circle cx="{half:.1f}" cy="{half:.1f}" r="{scale:.2f}"'
         ' fill="none" stroke="#999999" stroke-width="1"/>',

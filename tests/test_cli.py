@@ -231,6 +231,18 @@ def test_curve_rejects_grids_it_cannot_sample():
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_curve_rejects_a_column_below_one():
+    # one check in family_lambdas, with family_polynomial's message, for
+    # every lambda path: lambda1 = 0 at k = 0, no theta at s = 0, no twist
+    # at k < 0
+    for s, k in (("1", "0"), ("0", "1"), ("2", "-1")):
+        code, out, err = run_cli("curve", "--s", s, "--k", k)
+        assert (code, out) == (1, ""), (s, k)
+        assert err == (
+            "error: ValueError: family parameters must all be at least 1\n"
+        ), (s, k, err)
+
+
 def test_curve_csv_header():
     code, out, _ = run_cli(
         "curve", "--s", "1", "--k", "1", "--angles", "24", "--radial", "16"

@@ -122,6 +122,42 @@ def test_validate_rejections():
         validate(make_code([(1, (1, 2))], [], [(1, 2)], attach=(1, 7)))
 
 
+_TWIST = build_twist(2)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: validate(make_code([(1, (1, 2))], [(2, (3, 3, 5, 6), (3, 5))],
+                                    [(1, 2), (3, 5), (3, 6)])),
+         BadCrossingArity),
+        (lambda: validate(make_code([(1, (1, 2))], [(2, (2, 4, 5, 6), (2, 5))],
+                                    [(1, 4), (2, 6), (5, 6)])),
+         DuplicateHalfEdge),
+        (lambda: validate(make_code([(1, (1, 2))], [(2, (3, 4, 5, 6), (3, 7))],
+                                    [(1, 2), (3, 4), (5, 6)])),
+         BadCrossingArity),
+        (lambda: yamada_r_state_sum(_TWIST, max_crossings=1), TooLarge),
+        (lambda: smooth_crossing(_TWIST, _TWIST.crossing_ids()[0], 2),
+         PartialAssignment),
+        (lambda: apply_move(_TWIST, "r1_remove",
+                            crossing=_TWIST.crossing_ids()[0]),
+         MoveNotApplicable),
+    ],
+    ids=[
+        "crossing-ends-not-distinct",
+        "crossing-end-on-a-vertex",
+        "over-pair-not-its-ends",
+        "state-sum-guard",
+        "smoothing-spin",
+        "r1-remove-not-a-kink",
+    ],
+)
+def test_input_checks_raise(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_genus_diagnostic():
     assert validate(theta_code(3)).planar
     # same theta with parallel rotations at both ends lives on the torus

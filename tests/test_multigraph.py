@@ -317,3 +317,13 @@ def test_json_round_trip_is_canonical():
         graph_from_json('{"vertices": [1], "edges": [[1, 1]]}')
     with pytest.raises(ValueError):
         graph_from_json('{"vertices": [1], "edges": [[1, 1, 5]]}')
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[(0, 0, 1), (0, 1, 0)], [(0, 0, 2)]],
+    ids=["duplicate-edge-id", "endpoint-outside"],
+)
+def test_make_graph_input_checks_raise(edges):
+    with pytest.raises(ValueError):
+        make_graph([0, 1], edges)

@@ -26,6 +26,7 @@ from yamada.replace import (
     DegreeCap,
     PieceInvariants,
     build_family_diagram,
+    family_lambdas,
     family_polynomial,
     h_edge_replace,
     infinity_closed_form,
@@ -336,3 +337,41 @@ def test_h_edge_replace_matches_compose_on_templates():
             assert got == want, (shape, ends)
             shared += len(pieces) < m
     assert shared >= 12
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: family_polynomial(0, 1, 1),
+        lambda: family_polynomial(1, 0, 1),
+        lambda: family_polynomial(1, 1, 0),
+        lambda: family_lambdas(2, -1, "+"),
+        lambda: build_family_diagram(0, 1, 1),
+        lambda: build_family_diagram(1, 1, -1),
+        lambda: infinity_closed_form(-1),
+        lambda: infinity_closed_form(1, "x"),
+    ],
+    ids=[
+        "family-n-0",
+        "family-s-0",
+        "family-k-0",
+        "lambdas-k-negative",
+        "diagram-n-0",
+        "diagram-k-negative",
+        "twist-k-negative",
+        "twist-bad-sign",
+    ],
+)
+def test_input_checks_raise(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_minus_lambdas_are_the_mirror_pair():
+    # the mirror A -> A^-1 keeps every span, so one degree estimate
+    # serves both signs
+    for s in range(1, 7):
+        for k in range(1, 9):
+            plus, minus = family_lambdas(s, k, "+"), family_lambdas(s, k, "-")
+            assert minus == tuple(p.mirror() for p in plus), (s, k)
+            assert [p.span() for p in minus] == [p.span() for p in plus]

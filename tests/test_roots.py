@@ -155,8 +155,9 @@ def test_family_matches_dense_on_small_members():
     # on well-separated cells the structured and the dense solver agree
     # to near machine precision
     for n, s, k in [(2, 1, 1), (3, 2, 1), (2, 2, 2)]:
-        dense, _, _ = _find_roots_full(family_polynomial(n, s, k))
+        dense, dres, _ = _find_roots_full(family_polynomial(n, s, k))
         structured, _, _ = _family_roots_full(n, s, k)
+        assert max(dres) <= 1e-9
         assert close_sets(dense, structured, 1e-10)
 
 
@@ -298,7 +299,7 @@ def test_aberth_evaluates_only_moving_points_family():
         evaluate, _, coeffs = _reduced_member(n, 4, 4)
         floor = partial(_residual_floor, n, _column(4, 4, "+"))
         rec = MovingPointsRecorder(evaluate, _initial_points(coeffs))
-        z, res = _aberth(rec, rec.z, 400, floor)
+        z, res = _aberth(rec, rec.z, floor)
         rec.check_result(z, res)
         assert rec.frozen and rec.partial_calls > 0
         assert rec.calls < 400
@@ -306,10 +307,12 @@ def test_aberth_evaluates_only_moving_points_family():
         assert stuck.any() and np.all(res[stuck] <= floor(z[stuck]))
 
 
-def test_aberth_falls_back_to_the_best_configuration_at_the_cap():
+def test_aberth_falls_back_to_the_best_configuration_at_the_cap(monkeypatch):
     # one point drifts away from where its residual is smallest and never
-    # reaches its floor: the solve runs to the cap and returns the best
-    # configuration seen, the starting one, with one full evaluation
+    # reaches its floor: the solve runs to the cap (50 here) and returns
+    # the best configuration seen, the starting one, with one full
+    # evaluation
+    monkeypatch.setattr(roots_module, "_MAX_ITER", 50)
     def evaluate(x):
         off = np.abs(x - 3.0)
         near = off < 10.0
@@ -318,18 +321,19 @@ def test_aberth_falls_back_to_the_best_configuration_at_the_cap():
 
     start = np.array([20.0, -20.0, 3.0, 20j], dtype=complex)
     rec = MovingPointsRecorder(evaluate, start.copy())
-    z, res = _aberth(rec, rec.z, 50, lambda x: np.zeros(len(x)))
+    z, res = _aberth(rec, rec.z, lambda x: np.zeros(len(x)))
     rec.check_result(z, res)
     assert rec.fallback is not None and rec.calls == 52
     assert np.array_equal(z, start) and float(res.max()) == 1e-3
     assert abs(rec.z[2] - 3.0) > 0.4
 
 
-def test_aberth_stops_when_the_moving_set_stalls():
+def test_aberth_stops_when_the_moving_set_stalls(monkeypatch):
     # one point never settles, at residual 1e-5: the solve stops when it
-    # is at or below its floor and not when it is above; the floor is
-    # evaluated only at the moving point, and only once the moving set
-    # has kept its size for 20 iterations
+    # is at or below its floor and not when it is above (then at the cap,
+    # 50 here); the floor is evaluated only at the moving point, and only
+    # once the moving set has kept its size for 20 iterations
+    monkeypatch.setattr(roots_module, "_MAX_ITER", 50)
     for bound, iterations, floor_calls in ((1e-5, 20, 1), (5e-6, 50, 30)):
         calls, floors = [], []
 
@@ -344,7 +348,7 @@ def test_aberth_stops_when_the_moving_set_stalls():
             return np.full(len(x), bound)
 
         z = np.array([0.0, 1.0, 3.0, -2.0j], dtype=complex)
-        _, res = _aberth(evaluate, z, 50, floor)
+        _, res = _aberth(evaluate, z, floor)
         assert calls[0] == 4 and set(calls[1:]) == {1}
         assert len(calls) == 1 + iterations
         assert floors == [1] * floor_calls
@@ -373,6 +377,26 @@ def test_residual_floor_holds_at_refined_roots():
     assert np.all(evaluate(off)[0] > _residual_floor(n, column, off))
 
 
+def test_a_column_with_rounded_entries_claims_no_bound():
+    # from s = 17 some entries of a column's stack (coefficients or the
+    # derivative entries c_j (lo + j)) pass 2^53 and are rounded, while
+    # the error model of _bounded_terms takes them as exact: such a column
+    # claims nothing: at the certified roots of (1, 17, 2) its floor and
+    # inclusion radii are infinite
+    assert _column(16, 2, "+").exact and _column(17, 1, "+").exact
+    n, s, k = 1, 17, 2
+    column = _column(s, k, "+")
+    assert not column.exact
+    roots, res, _ = _family_roots_full(n, s, k)
+    assert max(res) <= 1e-9
+    z = np.array(roots)
+    z = z[np.abs(z * z + z + 1) > 1e-6]
+    lo, coeffs = exact_div(family_polynomial(n, s, k), _CYCLOTOMIC).dense_coeffs()
+    assert np.all(_residual_floor(n, column, z) == np.inf)
+    radii = _inclusion_radii(n, column, lo, len(coeffs) - 1, z)
+    assert np.all(radii == np.inf)
+
+
 def test_aberth_evaluates_only_moving_points_dense():
     coeffs = random_int_poly(random.Random(40), 40).dense_coeffs()[1]
     big = max(abs(c) for c in coeffs)
@@ -380,7 +404,7 @@ def test_aberth_evaluates_only_moving_points_dense():
     rec = MovingPointsRecorder(
         partial(_dense_eval, cs, 1 / big), _initial_points(cs)
     )
-    z, res = _aberth(rec, rec.z, 400, partial(_dense_floor, cs, 1 / big))
+    z, res = _aberth(rec, rec.z, partial(_dense_floor, cs, 1 / big))
     rec.check_result(z, res)
     assert len(z) == 40 and rec.frozen and rec.partial_calls > 0
 
@@ -429,7 +453,8 @@ def test_ordered_puts_a_real_root_by_its_sign_not_its_noise():
     # the dense path orders the same way: its root -2 comes out with
     # imaginary part +0.0, which cmath.phase alone puts at +pi, last
     p = LaurentPoly({1: 1, 0: 2}) * LaurentPoly({2: 1, 0: 1})
-    roots, _, _ = _find_roots_full(p * LaurentPoly({1: 2, 0: -1}))
+    roots, res, _ = _find_roots_full(p * LaurentPoly({1: 2, 0: -1}))
+    assert max(res) <= 1e-9
     assert close_sets(roots, [-2.0, -1j, 0.5, 1j], 1e-12)
     assert [round(w.real) for w in roots] == [-2, 0, 0, 0]
     assert roots[1].imag < 0 < roots[3].imag
@@ -514,8 +539,8 @@ def test_disc_gate_flags_a_planted_near_pair():
     d = len(coeffs) - 1
     column = _column(s, k, "+")
     floor = partial(_residual_floor, n, column)
-    z, _ = _aberth(evaluate, _initial_points(coeffs), 400, floor)
-    z, _ = _polish(evaluate, z, 3)
+    z, _ = _aberth(evaluate, _initial_points(coeffs), floor)
+    z, _ = _polish(evaluate, z)
     assert not _overlapping(z, _inclusion_radii(n, column, lo, d, z)).any()
     z[1] = z[0] + 1e-12 * abs(z[0])
     flagged = _overlapping(z, _inclusion_radii(n, column, lo, d, z))
@@ -555,7 +580,7 @@ def test_family_polish_stability():
     z = np.array(roots)
     z = z[np.abs(z * z + z + 1) > 1e-6]
     assert len(z) == len(roots) - 2
-    again, _ = _polish(evaluate, z.copy(), 3)
+    again, _ = _polish(evaluate, z.copy())
     assert float(np.max(np.abs(again - z))) < 1e-10
 
 
@@ -977,13 +1002,12 @@ def test_refine_evaluations_per_point(monkeypatch):
 
 def test_witness_plan_is_computed_once_and_doubles_by_appending():
     caps = SearchCaps(4, 3, 8, 500)
-    for sign in "+-":
-        plan = _witness_plan(caps, sign)
-        assert isinstance(plan, tuple)
-        assert _witness_plan(caps, sign) is plan
-        doubled = _witness_plan(caps.doubled(), sign)
-        assert len(doubled) > len(plan)
-        assert doubled[: len(plan)] == plan
+    plan = _witness_plan(caps)
+    assert isinstance(plan, tuple)
+    assert _witness_plan(caps) is plan
+    doubled = _witness_plan(caps.doubled())
+    assert len(doubled) > len(plan)
+    assert doubled[: len(plan)] == plan
 
 
 def test_repeated_root_members_are_never_solved_whole(monkeypatch):
@@ -1055,7 +1079,7 @@ def test_dominated_never_skips_a_cell_with_a_root_within_eps():
     cache: dict = {}
     checked = skipped = 0
     for sign in "+-":
-        plan = _witness_plan(BENCH_CAPS, sign)
+        plan = _witness_plan(BENCH_CAPS)
         columns: dict = {}
         for n, s, k in plan:
             columns.setdefault((s, k), []).append(n)
@@ -1087,7 +1111,7 @@ def test_density_witness_matches_solving_every_cell():
         sign = "+" if abs(z0) <= 1 else "-"
         want = None
         best, best_d = None, math.inf
-        for n, s, k in _witness_plan(BENCH_CAPS, sign):
+        for n, s, k in _witness_plan(BENCH_CAPS):
             recs = scan_family([n], [s], [k], signs=(sign,), degree_cap=300,
                                cache=full)
             hit, hit_d = None, BENCH_EPS
@@ -1164,7 +1188,7 @@ def test_dominance_skips_nothing_when_the_disc_reaches_zero():
     # ruled out, while a smaller disc about the same target is
     for z0 in (0.6 + 0.2j, 1.3 - 0.4j):
         sign = "+" if abs(z0) <= 1 else "-"
-        plan = _witness_plan(BENCH_CAPS, sign)
+        plan = _witness_plan(BENCH_CAPS)
         for s in (1, 2):
             for k in (1, 2, 3):
                 ns = [n for n, s2, k2 in plan if (s2, k2) == (s, k)]
