@@ -2,6 +2,7 @@
 
     python3 scripts/record_digest.py [--tree DIR] [--seeds 1,2,3] [--polys 150]
                                      [--only KIND[,KIND]] [--per-record]
+    python3 scripts/record_digest.py [--tree DIR] [--seeds 1,2,3] --match DIR
 
 Imports ``yamada`` from ``DIR/src`` and the benchmark's request streams
 from ``DIR/perfbench`` (read only; nothing is written there).
@@ -87,6 +88,20 @@ The ``solved`` and ``curve`` kinds read only the public
 density_witness and limit_curve_points, so this copy run with
 ``--tree`` on a tree that predates a kind prints it for that tree too.
 
+``--match OTHER`` prints no digest.  It compares the ``--per-record``
+cell lines of the tree with those of the tree OTHER (run as a second
+process of this script) and, for every cell whose lines differ, prints
+
+  match n s k sign records A B move M residual RA RB
+
+with A and B the record counts of the tree and of OTHER, M the worst
+relative distance |a - b| / |b| over the nearest-neighbour match of the
+tree's roots onto OTHER's, and RA and RB the worst residual on each
+side; then one line ``match moved C of T cells``.  It exits 1, naming
+the cell, when the counts differ or the match is not one-to-one (equal
+roots, such as a repeated root reported once per multiplicity, are
+matched as one root with their count).
+
 A parent/child diff across the change that removed the package's
 rational-function type passes both runs ``--only
 cell,density,poly,exact,resolve,graph,replace``: the parent's copy of
@@ -100,8 +115,11 @@ import hashlib
 import itertools
 import json
 import random
+import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 # the cells a sweep run sends at --seconds 30: two rounds of 24
@@ -301,6 +319,64 @@ def _chain_lines(args, workloads, yamada):
         yield "chain", i, _sha([str(chain.chain_polynomial(g, labels))])
 
 
+def _cells_by_key(lines) -> dict:
+    """The per-record cell lines, as (re, im, residual) hex fields by
+    (n, s, k, sign)."""
+    out: dict = {}
+    for line in lines:
+        _, n, s, k, sign, _, re, im, res = line.split()
+        out.setdefault((int(n), int(s), int(k), sign), []).append((re, im, res))
+    return out
+
+
+def _worst_move(key, a: np.ndarray, b: np.ndarray) -> float:
+    """The worst |a_i - b_j| / |b_j| over the nearest-neighbour match of
+    the roots a onto b, which must be one-to-one on the distinct roots
+    with equal multiplicities; SystemExit naming the cell otherwise."""
+    ua, ca = np.unique(a, return_counts=True)
+    ub, cb = np.unique(b, return_counts=True)
+    dist = np.abs(ua[:, None] - ub[None, :])
+    near = dist.argmin(axis=1)
+    if (
+        len(ua) != len(ub)
+        or not (dist.argmin(axis=0)[near] == np.arange(len(ua))).all()
+        or not (ca == cb[near]).all()
+    ):
+        raise SystemExit(f"cell {key}: the nearest match is not one-to-one")
+    return float(np.max(np.abs(ua - ub[near]) / np.abs(ub[near])))
+
+
+def _match_lines(args, workloads, yamada):
+    """The match lines of --match; see the module docstring."""
+    per_record = argparse.Namespace(**{**vars(args), "per_record": True})
+    ours = _cells_by_key(
+        " ".join(map(str, f)) for f in _cell_lines(per_record, workloads, yamada)
+    )
+    other = subprocess.run(
+        [sys.executable, __file__, "--tree", str(args.match), "--only", "cell",
+         "--per-record", "--seeds", ",".join(map(str, args.seeds))],
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    theirs = _cells_by_key(other)
+    if ours.keys() != theirs.keys():
+        raise SystemExit("the two trees scan different cells")
+    moved = 0
+    for key in sorted(ours):
+        if ours[key] == theirs[key]:
+            continue
+        moved += 1
+        a, b = (
+            np.array([[float.fromhex(x) for x in r] for r in rows])
+            for rows in (ours[key], theirs[key])
+        )
+        if len(a) != len(b):
+            raise SystemExit(f"cell {key}: {len(a)} records against {len(b)}")
+        move = _worst_move(key, a[:, 0] + 1j * a[:, 1], b[:, 0] + 1j * b[:, 1])
+        yield ("match", *key, "records", len(a), len(b), "move", f"{move:.3e}",
+               "residual", f"{a[:, 2].max():.3e}", f"{b[:, 2].max():.3e}")
+    yield "match", "moved", moved, "of", len(ours), "cells"
+
+
 # the kinds of line, in the order they are printed
 SECTIONS = {
     "cell": _cell_lines,
@@ -337,6 +413,8 @@ def main(argv=None) -> int:
     ap.add_argument("--per-record", action="store_true",
                     help="print one cell or poly line per record instead"
                          " of one per cell or polynomial")
+    ap.add_argument("--match", type=Path, metavar="DIR",
+                    help="match the moved cells' records against the tree DIR")
     args = ap.parse_args(argv)
     tree = args.tree.resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
@@ -349,6 +427,10 @@ def main(argv=None) -> int:
     import yamada.replace
     import yamada.roots
 
+    if args.match:
+        for fields in _match_lines(args, workloads, yamada):
+            print(*fields)
+        return 0
     for kind, lines in SECTIONS.items():
         if kind in args.only:
             for fields in lines(args, workloads, yamada):

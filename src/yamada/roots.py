@@ -24,8 +24,10 @@ n log(lambda1/lambda2) - log sigma from the small, perfectly conditioned
 lambda coefficients, a root is E = -1, the residual is
 |E + 1| / (|E| + 1), and the Newton correction follows from the log
 derivative.  The simultaneous Aberth-Ehrlich iteration then runs on that
-functional form; only the starting circles come from the exact integer
-coefficients.
+functional form.  It starts a member with n >= 3 from the roots of its n
+branches lambda1 = t_j lambda2, t_j^n = -1 (_branch_starts), which is
+where the roots gather; other members start from circles fitted to the
+exact integer coefficients (_initial_points).
 
 Everything the module evaluates of the pair lambda1, lambda2 comes from
 one record per (s, k, sign) column (_column): the solve, its bounds and
@@ -159,6 +161,10 @@ _CHUNK = 512
 
 def _initial_points(coeffs: Sequence) -> np.ndarray:
     """Starting points from the upper convex hull of (i, log|c_i|).
+
+    The dense path starts every solve here (_dense_solve), and so does
+    the family path for members with n < 3, on a column that is not
+    exact, or where _branch_starts gives no starts.
 
     The coefficients may be exact integers far beyond float range; their
     magnitudes only enter through math.log, which takes ints of any size.
@@ -322,10 +328,13 @@ def _aberth(evaluate, z: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
     it.  The floor is only evaluated, at the moving points, once the
     count has held for _STALL_ITERS iterations.  The callers' polish and
     refine take the stuck points from there.  The best full configuration
-    seen (by worst residual) is kept as a fallback in case the last
-    stragglers wander by the stall or the iteration cap; only that
-    fallback is evaluated in full a second time.  Returns the points and
-    their residuals.
+    seen after a step (by worst residual) is kept as a fallback in case
+    the last stragglers wander by the stall or the iteration cap; only
+    that fallback is evaluated in full a second time.  The starts are
+    never the fallback: where some floor reaches 1 the worst residual is
+    about 1 throughout, and branch starts (_branch_starts) would then win
+    over every configuration the iteration reaches.  Returns the points
+    and their residuals.
     """
     freeze_tol = 100.0 * len(z) * np.finfo(float).eps
     best = z.copy()
@@ -335,7 +344,7 @@ def _aberth(evaluate, z: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
         res, ratio = evaluate(z)
         for it in range(_MAX_ITER):
             score = float(np.max(res))
-            if score < best_score:
+            if it and score < best_score:
                 best_score = score
                 best = z.copy()
             idx = np.nonzero(res > freeze_tol)[0]
@@ -499,6 +508,11 @@ class _Column:
     entries included); _bounded_terms then claims no bound, so the
     residual floor and the inclusion radii are infinite.
 
+    pair holds the branch rows of _branch_starts: the (2, D + 1) float
+    coefficients, ascending, of z^-L lambda1 and z^-L lambda2, with L the
+    lower of their two low exponents and D their joint exponent span, each
+    row zero-padded to that span.
+
     lows and bounds serve the exclusion test, for lambda1, lambda2 and
     sigma: their low exponents as a (3, 1) column, and the (m', 6) matrix
     of their coefficients and then of the absolute values of those,
@@ -512,6 +526,7 @@ class _Column:
     coprime: bool
     stack: np.ndarray
     exact: bool
+    pair: np.ndarray
     lows: np.ndarray
     bounds: np.ndarray | None
 
@@ -548,6 +563,12 @@ def _column(s: int, k: int, sign: str) -> _Column:
         for j, c in enumerate(cs)
         for v in (c, c * (lo + j))
     )
+    (lo1, c1), (lo2, c2) = parts[:2]
+    low = min(lo1, lo2)
+    pair = np.zeros((2, max(lo1 + len(c1), lo2 + len(c2)) - low))
+    for j, (lo, cs) in enumerate(parts[:2]):
+        pair[j, lo - low : lo - low + len(cs)] = [float(c) for c in cs]
+    pair.flags.writeable = False
     terms = (*parts[:2], sigma().dense_coeffs())
     bounds = None
     if all(abs(c) <= 2**53 for _, cs in terms for c in cs):
@@ -561,6 +582,7 @@ def _column(s: int, k: int, sign: str) -> _Column:
         coprime=coprime,
         stack=stack,
         exact=exact,
+        pair=pair,
         lows=np.array([[lo] for lo, _ in terms], dtype=float),
         bounds=bounds,
     )
@@ -1254,6 +1276,53 @@ def _square_free_parts(
     return parts
 
 
+def _branch_starts(n: int, column: _Column, d: int) -> np.ndarray | None:
+    """Aberth starts for the reduced member n of the column, of degree d,
+    from its n branches, or None when they do not give d finite points.
+
+    The member lambda1^n + sigma lambda2^n vanishes where lambda1 / lambda2
+    is an n-th root of -sigma, and its roots gather on |lambda1| =
+    |lambda2|, one on each branch (Beraha, Kahane & Weiss 1978; Sokal, CPC
+    2004).  With sigma dropped, the branches are the equations lambda1 =
+    t_j lambda2, t_j = exp(i pi (2j + 1) / n) for j = 0 ... n - 1; each
+    times z^-L is a polynomial of the joint span D of the lambdas, with
+    the rows of column.pair as its coefficients.  All n D of their roots
+    come from one batched eigenvalue solve of the n companion matrices.
+    A near-common zero of the lambdas is a root of every branch, so the
+    starts of a cluster sit at its zero too.
+
+    Every member checked (s, k <= 8 for n in {2, 3, 5}, and the sweep
+    grid) has n D = d + 1: the start with the largest _family_ratio
+    residual is dropped.  Any other count, a companion matrix that is not
+    finite (so no finite starts) or an eigenvalue solve that fails returns
+    None, and the caller starts from the circles of _initial_points; no
+    start is frozen before _aberth's first step.
+    """
+    a, b = column.pair
+    D = len(a) - 1
+    if n * D != d + 1:
+        return None
+    # t_j = -exp(i pi (2j + 1 - n) / n): exactly -1 on the middle branch
+    # of an odd n, and exact conjugates in pairs
+    t = -np.exp(1j * math.pi * (2 * np.arange(n) + 1 - n) / n)
+    rows = a - t[:, None] * b
+    # numpy.roots' companion form: first row -c_(D-1) / c_D ... -c_0 / c_D
+    comp = np.zeros((n, D, D), dtype=complex)
+    with np.errstate(all="ignore"):
+        comp[:, 0, :] = -rows[:, -2::-1] / rows[:, -1:]
+    comp[:, np.arange(1, D), np.arange(D - 1)] = 1.0
+    # a vanishing or overflowing top coefficient gives no finite starts
+    if not np.isfinite(comp).all():
+        return None
+    try:
+        z = np.linalg.eigvals(comp).ravel()
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(all="ignore"):
+        res, _ = _family_ratio(n, column, 0, z)
+    return np.delete(z, np.argmax(res))
+
+
 def _family_roots_full(
     n: int, s: int, k: int, sign: str = "+", *, degree_cap: int | None = 4000
 ) -> tuple[list[complex], list[float], int]:
@@ -1264,10 +1333,20 @@ def _family_roots_full(
     _Column) is divided out exactly first; its roots are known in closed
     form and come back with residual zero (they are exact roots, placed
     to double precision).  The exact integer coefficients of the reduced
-    polynomial fix the degree and the starting circles (their magnitudes
-    are taken in log form, since they overflow floats long before the
-    caps do); every evaluation afterwards goes through the power-sum
-    form, which stays conditioned at any n.
+    polynomial fix the degree; every evaluation goes through the
+    power-sum form, which stays conditioned at any n.
+
+    Aberth starts a member with n >= 3 on an exact column (_Column.exact)
+    from its branches (_branch_starts), and every other member from the
+    circles of _initial_points on the reduced coefficients (their
+    magnitudes taken in log form, since they overflow floats long before
+    the caps do).  The branch starts drop sigma, whose n-th root is
+    furthest from 1 for small n: for n = 2 they left more records above
+    1e-9 on (2, 12, 2).  On a column that is not exact every floor and
+    radius is infinite, so every point goes to the 240-bit refine, and
+    the count its sweeps leave above 1e-9 went up on some such members and
+    down on others with the branch starts; those members keep the
+    circles.
 
     After the Aberth solve and the polish, each of the d points of the
     reduced polynomial gets its inclusion disc (_inclusion_radii).  Only
@@ -1307,7 +1386,12 @@ def _family_roots_full(
             z = np.array([complex(-coeffs[0] / coeffs[1])])
         else:
             floor = partial(_residual_floor, n, column)
-            z, _ = _aberth(evaluate, _initial_points(coeffs), floor)
+            z = None
+            if n > 2 and column.exact:
+                z = _branch_starts(n, column, d)
+            if z is None:
+                z = _initial_points(coeffs)
+            z, _ = _aberth(evaluate, z, floor)
         z, res = _polish(evaluate, z)
         overlap = _overlapping(z, _inclusion_radii(n, column, lo, d, z))
         if overlap.any() and n > 1:

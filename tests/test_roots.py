@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import pathlib
@@ -14,7 +15,11 @@ import pytest
 
 from yamada.cli import main
 from yamada.laurent import LaurentPoly, PoleAtZero, exact_div, sigma
-from yamada.replace import family_lambdas, family_polynomial
+from yamada.replace import (
+    family_degree_estimate,
+    family_lambdas,
+    family_polynomial,
+)
 from yamada import roots as roots_module
 from yamada.roots import (
     NoConvergence,
@@ -28,6 +33,7 @@ from yamada.roots import (
     _aberth,
     _arc_bounds,
     _arc_discs,
+    _branch_starts,
     _column,
     _dense_eval,
     _dense_floor,
@@ -61,6 +67,7 @@ from yamada.roots import (
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def close_sets(a, b, tol):
@@ -178,9 +185,9 @@ def test_family_refinement_cell():
     assert degree == 325
     assert len(roots) == degree
     assert max(res) <= 1e-9
-    # and reproduce the records frozen with an all-mpmath refine: real
-    # parts and residuals to the bit, imaginary parts too except on the
-    # real axis, where both are 240-bit noise
+    # and reproduce the records that scripts/build_fixtures.py froze from
+    # this solve: real parts and residuals to the bit, imaginary parts too
+    # except on the real axis, where both are 240-bit noise
     d = json.loads((FIXTURES / "refine_12_4_4.json").read_text())
     assert d["cell"] == [12, 4, 4, "+"] and len(d["roots"]) == degree
     for z, r, (re, im, rr) in zip(roots, res, d["roots"]):
@@ -310,10 +317,14 @@ def test_aberth_evaluates_only_moving_points_family():
 def test_aberth_falls_back_to_the_best_configuration_at_the_cap(monkeypatch):
     # one point drifts away from where its residual is smallest and never
     # reaches its floor: the solve runs to the cap (50 here) and returns
-    # the best configuration seen, the starting one, with one full
-    # evaluation
+    # the best configuration seen after a step, the one after the first,
+    # with one full evaluation.  The starts themselves, where the residual
+    # is smallest, are never the fallback
     monkeypatch.setattr(roots_module, "_MAX_ITER", 50)
+    path = []
+
     def evaluate(x):
+        path.extend(x[np.abs(x - 3.0) < 10.0].tolist())
         off = np.abs(x - 3.0)
         near = off < 10.0
         res = np.where(near, 1e-3 * (1.0 + off), 1e-20)
@@ -324,7 +335,10 @@ def test_aberth_falls_back_to_the_best_configuration_at_the_cap(monkeypatch):
     z, res = _aberth(rec, rec.z, lambda x: np.zeros(len(x)))
     rec.check_result(z, res)
     assert rec.fallback is not None and rec.calls == 52
-    assert np.array_equal(z, start) and float(res.max()) == 1e-3
+    first = path[1]
+    assert path[0] == 3.0 and first != 3.0
+    assert np.array_equal(z, [20.0, -20.0, first, 20j])
+    assert float(res.max()) == 1e-3 * (1.0 + abs(first - 3.0))
     assert abs(rec.z[2] - 3.0) > 0.4
 
 
@@ -627,12 +641,12 @@ def test_scan_family_returns_every_record_of_an_uncertified_cell(
     monkeypatch, capsys
 ):
     # with the residual rule of the refine switched off, the refinement
-    # cell leaves 34 of its 325 records above 1e-9.  scan_family still
+    # cell leaves 35 of its 325 records above 1e-9.  scan_family still
     # returns every record of both signs, the + ones exactly the roots and
     # residuals of the solve, and roots-scan exits 0 and names the cell
     monkeypatch.setattr(roots_module, "_REFINE_ABOVE", math.inf)
     roots, res, degree = _family_roots_full(12, 4, 4)
-    assert degree == 325 and sum(r > 1e-9 for r in res) == 34
+    assert degree == 325 and sum(r > 1e-9 for r in res) == 35
     records = scan_family([12], [4], [4], signs=("+", "-"))
     assert len(records) == 650
     plus = [r for r in records if r.sign == "+"]
@@ -641,7 +655,7 @@ def test_scan_family_returns_every_record_of_an_uncertified_cell(
     assert all(r.degree == degree for r in records)
     assert main(["roots-scan", "--ns", "12", "--ss", "4", "--ks", "4"]) == 0
     assert capsys.readouterr().err == (
-        "warning: cell n=12 s=4 k=4 sign=+: 34 records with residual"
+        "warning: cell n=12 s=4 k=4 sign=+: 35 records with residual"
         " above tol 1e-09\n"
     )
 
@@ -965,6 +979,84 @@ def test_square_free_solve_of_repeated_root_members(monkeypatch):
         assert len(seen) == degree
         assert max(same.sum(axis=1)) > 1
     assert refines == []
+
+
+def test_branch_starts_give_one_start_per_root_on_the_sweep_grid():
+    # every member with n >= 2 of the benchmark's sweep grid (s <= 4,
+    # k <= 6, degree estimate at most 450): its n branches of span D have
+    # n D = d + 1 roots, and one is dropped, so exactly d finite starts
+    cells = 0
+    for s in range(1, 5):
+        for k in range(1, 7):
+            column = _column(s, k, "+")
+            span = column.pair.shape[1] - 1
+            for n in range(2, 25):
+                if family_degree_estimate(n, s, k) > 450:
+                    continue
+                member = exact_div(family_polynomial(n, s, k), _CYCLOTOMIC)
+                d = len(member.dense_coeffs()[1]) - 1
+                z = _branch_starts(n, column, d)
+                assert n * span == d + 1, (n, s, k)
+                assert z is not None and len(z) == d, (n, s, k)
+                assert np.isfinite(z).all()
+                # any other count gives no starts (the caller takes circles)
+                assert _branch_starts(n, column, d + 1) is None
+                cells += 1
+    assert cells > 400
+
+
+def test_branch_started_members_match_the_dense_oracle():
+    # members with n >= 3 start from their branches; on cells whose dense
+    # roots are well separated (checked first) the two solvers agree
+    for n, s, k in [(3, 1, 2), (4, 1, 3), (5, 1, 1), (6, 1, 2)]:
+        dense, dres, _ = _find_roots_full(family_polynomial(n, s, k))
+        x = np.array(dense)
+        gaps = np.abs(x[:, None] - x[None, :]) + np.diag(np.full(len(x), np.inf))
+        assert gaps.min() >= 0.1 and max(dres) <= 1e-9, (n, s, k)
+        structured, sres, _ = _family_roots_full(n, s, k)
+        assert max(sres) <= 1e-9
+        assert close_sets(dense, structured, 1e-12), (n, s, k)
+
+
+def test_sweep_cells_have_no_equal_records(monkeypatch):
+    # the cells of the benchmark's seed-1 sweep (two rounds of 24): no two
+    # records of a cell are equal, except the repeated roots of a member
+    # that has them (reported once per multiplicity)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    stream = workloads.sweep_stream(random.Random("sweep-1"))
+    cells = {tuple(req.spec[1:5]) for req in itertools.islice(stream, 48)}
+    checked = 0
+    for n, s, k, sign in sorted(cells):
+        member = exact_div(family_polynomial(n, s, k), _CYCLOTOMIC)
+        if _square_free_parts(member.dense_coeffs()[1]) is not None:
+            continue
+        records = scan_family([n], [s], [k], signs=(sign,))
+        roots = [r.root for r in records]
+        assert len(set(roots)) == len(roots) == records[0].degree, (n, s, k)
+        checked += 1
+    assert checked >= 40
+
+
+def test_branch_starts_cut_the_aberth_evaluations(monkeypatch):
+    # (16, 4, 4), 431 points to place after the cyclotomic pair, many of
+    # them around near-common zeros of the lambdas: from the circles
+    # Aberth took 161 evaluation calls, from the branches it takes at
+    # most 60
+    calls = [0]
+    inner = roots_module._aberth
+
+    def counted(evaluate, z, floor):
+        def ev(x):
+            calls[0] += 1
+            return evaluate(x)
+        return inner(ev, z, floor)
+
+    monkeypatch.setattr(roots_module, "_aberth", counted)
+    roots, res, degree = _family_roots_full(16, 4, 4)
+    assert degree == 433 and max(res) <= 1e-9
+    assert 0 < calls[0] <= 60
 
 
 def test_refine_evaluations_per_point(monkeypatch):
