@@ -543,6 +543,11 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+_DEGREE_CAP_HELP = (
+    "cap on the degree estimate of a member (not a bound on its degree)"
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="yamada",
@@ -614,7 +619,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True, help="strands per bundle")
     p.add_argument("--k", type=int, required=True, help="crossings per band")
     p.add_argument("--sign", choices=("+", "-"), default="+")
-    p.add_argument("--degree-cap", type=_cap_arg, default=4000)
+    p.add_argument("--degree-cap", type=_cap_arg, default=4000,
+                   help=_DEGREE_CAP_HELP + ", or none")
 
     p = add(name="roots-scan", handler=_cmd_roots_scan,
             help="root records over a family grid",
@@ -626,7 +632,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signs", type=_signs_arg, default=("+",),
                    help="comma-separated, e.g. +,-")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--degree-cap", type=_cap_arg, default=4000)
+    p.add_argument("--degree-cap", type=_cap_arg, default=4000,
+                   help=_DEGREE_CAP_HELP + ", or none")
     p.add_argument("--jobs", type=int, default=1)
 
     p = add(name="density", handler=_cmd_density,
@@ -639,7 +646,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=12)
     p.add_argument("--smax", type=int, default=6)
     p.add_argument("--nmax", type=int, default=24)
-    p.add_argument("--degree-cap", type=int, default=4000)
+    p.add_argument("--degree-cap", type=int, default=4000,
+                   help=_DEGREE_CAP_HELP)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--jobs", type=int, default=1)
 

@@ -31,7 +31,10 @@ class BetaZero(YamadaError):
 
 
 class DegreeCap(YamadaError):
-    pass
+    """A family member whose degree estimate (family_degree_estimate)
+    exceeds the cap.  The cap is read against that estimate, which is
+    not an upper bound: a member the cap lets through can have a larger
+    degree."""
 
 
 @dataclass(frozen=True)
@@ -158,11 +161,18 @@ def family_polynomial(
 
 
 def family_degree_estimate(n: int, s: int, k: int) -> int:
-    """Upper bound on the coefficient span of family_polynomial, cheap
+    """Estimate of the coefficient span of family_polynomial, cheap
     enough to drive sweep planning without forming the cycle powers.  The
-    sigma factor adds 2 to the second term's span; the bound carries 2
+    sigma factor adds 2 to the second term's span; the estimate carries 2
     more, as the sweep and witness plans were drawn with it.  It is the
-    same for both signs: the mirror A -> A^-1 keeps every span."""
+    same for both signs: the mirror A -> A^-1 keeps every span.
+
+    It is not an upper bound: max(n span lambda1, n span lambda2 + 4)
+    ignores that the two terms start at different powers, and the true
+    degree is larger in 108 of the 128 cells with n <= 8 and s, k <= 4
+    ((8, 1, 2) has degree 33 against an estimate of 20).  DegreeCap,
+    --degree-cap and _witness_plan read it as the estimate it is; a true
+    bound would move the witness plan's shells."""
     l1, l2 = family_lambdas(s, k, "+")
     return max(n * l1.span(), n * l2.span() + 4)
 

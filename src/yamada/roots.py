@@ -54,9 +54,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
 from itertools import zip_longest
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import YamadaError
@@ -536,6 +536,14 @@ class _Column:
         return lo, self.stack[: len(cs), j]
 
     @cached_property
+    def slopes(self) -> tuple:
+        """The exact coefficients j c_j of z p' for each part p, which
+        the 240-bit refine evaluates (_fixed_parts)."""
+        return tuple(
+            tuple(j * c for j, c in enumerate(cs)) for _, cs in self.parts
+        )
+
+    @cached_property
     def discs(self) -> tuple:
         terms = (*self.parts[:2], sigma().dense_coeffs())
         return tuple(_zero_discs(cs) for _, cs in terms)
@@ -794,22 +802,72 @@ def omega_member(z: complex) -> bool:
 
 _REFINE_ABOVE = 1e-10
 _PREC = 240
-# a point of _refine_mp stops once its correction is below _SETTLED |z|
-_SETTLED = mpmath.mpf((1, -70))
+_GUARD = 16
+# every 240-bit value but the iterates is a Gaussian float (a, b, e),
+# standing for (a + ib) 2^e, whose mantissa keeps at most _WIDTH bits;
+# the power table of _fixed_parts carries the same guard bits
+_WIDTH = _PREC + _GUARD
+# a point of _refine_mp stops once its correction is below 2^-_SETTLED |z|
+_SETTLED = 70
 
 
-def _horner_fixed(cs: tuple, x: int, y: int) -> tuple[int, int, int, int]:
-    """p(z) and p'(z) for the integer coefficients cs (ascending) at
-    z = (x + iy) / 2^_PREC, in one Horner pass over Gaussian integers on
-    the same fixed-point scale; every product is truncated back to it.
-    Returns (re p, im p, re p', im p')."""
-    f = _PREC
-    pr, pi = cs[-1] << f, 0
-    dr = di = 0
-    for c in cs[-2::-1]:
-        dr, di = ((dr * x - di * y) >> f) + pr, ((dr * y + di * x) >> f) + pi
-        pr, pi = ((pr * x - pi * y) >> f) + (c << f), (pr * y + pi * x) >> f
-    return pr, pi, dr, di
+def _gnorm(a: int, b: int, e: int) -> tuple[int, int, int]:
+    """(a + ib) 2^e with its mantissa truncated to _WIDTH bits."""
+    s = max(a.bit_length(), b.bit_length()) - _WIDTH
+    if s > 0:
+        return a >> s, b >> s, e + s
+    return a, b, e
+
+
+def _gmul(u: tuple, v: tuple) -> tuple[int, int, int]:
+    (a, b, e), (c, d, f) = u, v
+    return _gnorm(a * c - b * d, a * d + b * c, e + f)
+
+
+def _gadd(u: tuple, v: tuple) -> tuple[int, int, int]:
+    """u + v, aligned exactly before the one truncation, so a sum that
+    cancels keeps every bit the two mantissas had."""
+    (a, b, e), (c, d, f) = u, v
+    if e > f:
+        a, b, e = a << (e - f), b << (e - f), f
+    elif f > e:
+        c, d = c << (f - e), d << (f - e)
+    return _gnorm(a + c, b + d, e)
+
+
+def _gdiv(u: tuple, v: tuple) -> tuple[int, int, int]:
+    """u / v = u conj(v) / |v|^2, from one integer division: the
+    reciprocal of |v|^2 to _WIDTH bits."""
+    (a, b, e), (c, d, f) = u, v
+    m = c * c + d * d
+    k = m.bit_length() + _WIDTH
+    r = (1 << k) // m
+    return _gnorm((a * c + b * d) * r, (b * c - a * d) * r, e - f - k)
+
+
+def _gpow(u: tuple, k: int) -> tuple[int, int, int]:
+    """u^k for k >= 0, by squaring."""
+    out = (1, 0, 0)
+    while k:
+        if k & 1:
+            out = _gmul(out, u)
+        k >>= 1
+        if k:
+            u = _gmul(u, u)
+    return out
+
+
+def _fixed(z: complex) -> tuple[int, int]:
+    """The double z as a Gaussian integer on the fixed-point scale
+    2^-_PREC: each part exactly from 2^-188 up, floored below that."""
+    return (math.floor(math.ldexp(z.real, _PREC)),
+            math.floor(math.ldexp(z.imag, _PREC)))
+
+
+def _double(x: int, y: int) -> complex:
+    """The fixed-point Gaussian integer x + iy rounded to the nearest
+    complex double (int / int division rounds correctly)."""
+    return complex(x / (1 << _PREC), y / (1 << _PREC))
 
 
 def _repulsion_fixed(pts: list[tuple[int, int]]) -> list[list[int]]:
@@ -846,112 +904,131 @@ def _refine_mp(
     residual evaluated at 240 bits at the rounded point, so the record
     stays an honest statement about the root actually returned.
 
-    Only what the certificate and the overlapping discs need runs at 240
-    bits.  The four parts and their derivatives come from one
-    fixed-point Horner pass over Gaussian integers (_horner_fixed); the
-    power terms and the Newton ratio are formed in mpmath from those,
-    over a common power of z that cancels from both.  Flagged points
+    All of it runs in Python integers.  An iterate is a Gaussian integer
+    x + iy on the fixed-point scale 2^-240 (_fixed); the member's terms
+    and the Newton ratio come from _fixed_terms, and the step is formed
+    in Gaussian floats of _WIDTH bits (_gmul, _gdiv).  Flagged points
     whose discs overlap can sit closer than double resolution, so the
-    repulsion among the flagged points is summed in the same 240-bit
-    fixed point (_repulsion_fixed).  The rest of the configuration
-    enters the repulsion frozen, summed in float64 once per iteration at
-    the rounded iterates.  Every frozen point has an inclusion disc that
+    repulsion among the flagged points is summed on the same 2^-240
+    scale (_repulsion_fixed).  The rest of the configuration enters the
+    repulsion frozen, summed in float64 once per iteration at the
+    rounded iterates.  Every frozen point has an inclusion disc that
     holds a root and meets no other disc, flagged or frozen (the gate in
     _family_roots_full flags both members of any overlapping pair), so
     no flagged point starts inside it; that term only steers the step,
     and the Newton ratio and the residual never see it.
 
-    A point stops once its correction is below _SETTLED |z| (2^-70 |z|,
-    far below the 2^-53 |z| spacing of the doubles the points are
-    rounded to); that last correction is still applied, and the point
-    keeps its place in the repulsion of the others, which are evaluated
-    and moved from the same iterate (a Jacobi sweep).  The refine ends
-    when every point has stopped, or after 40 sweeps.  A point that
-    starts within about 2^-35 |z| of its root stops after two 240-bit
-    evaluations, and the residual at the rounded point is a third.
+    A point stops once its correction is below 2^-_SETTLED |z| (2^-70
+    |z|, far below the 2^-53 |z| spacing of the doubles the points are
+    rounded to; the test compares squared moduli as integers); that last
+    correction is still applied, and the point keeps its place in the
+    repulsion of the others, which are evaluated and moved from the same
+    iterate (a Jacobi sweep).  The refine ends when every point has
+    stopped, or after 40 sweeps.  A point that starts within about
+    2^-35 |z| of its root stops after two 240-bit evaluations, and the
+    residual at the rounded point is a third.
     """
-    mpf, mpc = mpmath.mpf, mpmath.mpc
-    terms = _mp_terms(n, column)
+    terms = _fixed_terms(n, column)
     f = _PREC
-    with mpmath.mp.workprec(f):
-        zs = [mpc(w) for w in flagged]
-        moving = range(len(zs))
-        for _ in range(40):
-            pts = [_fixed(z) for z in zs]
-            zd = np.array([complex(z) for z in zs])
-            far = (1.0 / (zd[:, None] - frozen[None, :])).sum(axis=1)
-            near = _repulsion_fixed(pts)
-            still = []
-            for i in moving:
-                z = zs[i]
-                b1, b2, dq = terms(z, *pts[i])
-                rr, ri = near[i]
-                rep = mpc(mpf((rr, -f)), mpf((ri, -f))) + complex(far[i])
-                step = z * (b1 + b2) / dq
-                move = step / (1 - step * rep)
-                zs[i] = z - move
-                if abs(move) >= _SETTLED * abs(z):
-                    still.append(i)
-            moving = still
-            if not moving:
-                break
-        out = np.array([complex(z) for z in zs], dtype=complex)
+    pts = [_fixed(w) for w in flagged]
+    moving = range(len(pts))
+    for _ in range(40):
+        zd = np.array([_double(x, y) for x, y in pts])
+        far = (1.0 / (zd[:, None] - frozen[None, :])).sum(axis=1)
+        near = _repulsion_fixed(pts)
+        still = []
+        for i in moving:
+            x, y = pts[i]
+            b1, b2, dq = terms(x, y)
+            fr, fi = _fixed(far[i])
+            rep = (near[i][0] + fr, near[i][1] + fi, -f)
+            # the Newton step z (b1 + b2) / dq, then the Aberth move
+            # step / (1 - step rep)
+            step = _gdiv(_gmul((x, y, -f), _gadd(b1, b2)), dq)
+            sr, si, se = _gmul(step, rep)
+            a, b, e = _gdiv(step, _gadd((1, 0, 0), (-sr, -si, se)))
+            e += f
+            mx, my = (a << e, b << e) if e >= 0 else (a >> -e, b >> -e)
+            pts[i] = x - mx, y - my
+            if (mx * mx + my * my) << 2 * _SETTLED >= x * x + y * y:
+                still.append(i)
+        moving = still
+        if not moving:
+            break
+    out = np.array([_double(x, y) for x, y in pts], dtype=complex)
     return out, _residuals_mp(n, column, out)
 
 
-def _fixed(z) -> tuple[int, int]:
-    """The mpc z as a Gaussian integer on the fixed-point scale 2^_PREC."""
-    to_fixed = mpmath.libmp.to_fixed
-    return to_fixed(z.real._mpf_, _PREC), to_fixed(z.imag._mpf_, _PREC)
+def _fixed_parts(column: _Column, x: int, y: int) -> list[tuple]:
+    """(p, z p') of each of the column's four parts at z = (x + iy) /
+    2^_PREC, as Gaussian floats.  One table of the powers z^j on the
+    fixed-point scale 2^-(_PREC + _GUARD) serves all four parts; each
+    product is truncated back to that scale, and p = sum c_j z^j and
+    z p' = sum j c_j z^j are then exact integer dot products."""
+    f = _PREC + _GUARD
+    x, y = x << _GUARD, y << _GUARD
+    xs, ys = [1 << f, x], [0, y]
+    a, b = x, y
+    for _ in range(len(column.stack) - 2):
+        a, b = (a * x - b * y) >> f, (a * y + b * x) >> f
+        xs.append(a)
+        ys.append(b)
+    return [
+        (_gnorm(sum(map(mul, cs, xs)), sum(map(mul, cs, ys)), -f),
+         _gnorm(sum(map(mul, js, xs)), sum(map(mul, js, ys)), -f))
+        for (_, cs), js in zip(column.parts, column.slopes)
+    ]
 
 
-def _mp_terms(n: int, column: _Column):
-    """The function terms(z, x, y) of the member n of the column at 240
-    bits, (x, y) being _fixed(z): b1 and b2 over a common power of z, and
-    z times the derivative of b1 + b2 over the same power.  It must run
-    under mpmath.mp.workprec(_PREC)."""
-    parts = column.parts
-    (lo1, _), (lo2, _), (lo1c, _), (lo2s, _) = parts
+def _fixed_terms(n: int, column: _Column):
+    """The function terms(x, y) of the member n of the column at
+    z = (x + iy) / 2^_PREC: the Gaussian floats b1 and b2 over a common
+    power of z, and z times the derivative of b1 + b2 over the same
+    power.  From the parts of _fixed_parts, the log derivative of z^lo p
+    times z is h = lo + z p' / p, one division; b1 = p1^(n-1) p1c and
+    b2 = p2s p2^n are powers by squaring."""
+    lows = [lo for lo, _ in column.parts]
+    lo1, lo2, lo1c, lo2s = lows
     # b1 and b2 carry z^e1 and z^e2; dividing both by the smaller power
     # leaves the residual and the Newton step as they are
     shift = (lo1 * (n - 1) + lo1c) - (lo2s + n * lo2)
-    mpf, mpc = mpmath.mpf, mpmath.mpc
-    f = _PREC
 
-    def terms(z, x, y):
+    def terms(x, y):
         ps, hs = [], []
-        for lo, cs in parts:
-            pr, pi, dr, di = _horner_fixed(cs, x, y)
-            # z d/dz (z^lo p) / (z^lo p) = (lo p + z p') / p
-            er = lo * pr + ((dr * x - di * y) >> f)
-            ei = lo * pi + ((dr * y + di * x) >> f)
-            p = mpc(mpf((pr, -f)), mpf((pi, -f)))
+        for lo, (p, zdp) in zip(lows, _fixed_parts(column, x, y)):
             ps.append(p)
-            hs.append(mpc(mpf((er, -f)), mpf((ei, -f))) / p)
+            hs.append(_gadd((lo, 0, 0), _gdiv(zdp, p)))
         p1, p2, p1c, p2s = ps
-        b1 = p1 ** (n - 1) * p1c
-        b2 = p2s * p2**n
-        if shift > 0:
-            b1 *= z**shift
-        elif shift < 0:
-            b2 *= z**-shift
-        h1 = (n - 1) * hs[0] + hs[2]
-        h2 = hs[3] + n * hs[1]
-        return b1, b2, b1 * h1 + b2 * h2
+        b1 = _gmul(_gpow(p1, n - 1), p1c)
+        b2 = _gmul(p2s, _gpow(p2, n))
+        if shift:
+            zs = _gpow((x, y, -_PREC), abs(shift))
+            if shift > 0:
+                b1 = _gmul(b1, zs)
+            else:
+                b2 = _gmul(b2, zs)
+        h1 = _gadd(_gmul((n - 1, 0, 0), hs[0]), hs[2])
+        h2 = _gadd(hs[3], _gmul((n, 0, 0), hs[1]))
+        return b1, b2, _gadd(_gmul(b1, h1), _gmul(b2, h2))
 
     return terms
 
 
 def _residuals_mp(n: int, column: _Column, z: np.ndarray) -> np.ndarray:
     """The residual |b1 + b2| / (|b1| + |b2|) of the member n of the
-    column evaluated at 240 bits at each double z."""
-    terms = _mp_terms(n, column)
+    column evaluated at 240 bits at each double z: the three moduli by
+    math.isqrt on one scale, and the quotient by one int / int division,
+    which Python rounds correctly."""
+    terms = _fixed_terms(n, column)
     res = np.empty(len(z), dtype=float)
-    with mpmath.mp.workprec(_PREC):
-        for i, zd in enumerate(z):
-            w = mpmath.mpc(complex(zd))
-            b1, b2, _ = terms(w, *_fixed(w))
-            res[i] = float(abs(b1 + b2) / (abs(b1) + abs(b2)))
+    for i, zd in enumerate(z):
+        b1, b2, _ = terms(*_fixed(zd))
+        s = _gadd(b1, b2)
+        e = min(b1[2], b2[2], s[2])
+        num, m1, m2 = (
+            math.isqrt(a * a + b * b) << (f - e) for a, b, f in (s, b1, b2)
+        )
+        res[i] = num / (m1 + m2)
     return res
 
 
@@ -1352,8 +1429,9 @@ def _family_roots_full(
     reduced polynomial gets its inclusion disc (_inclusion_radii).  Only
     the points whose residual is above _REFINE_ABOVE, or whose disc
     meets another point's disc (_overlapping), go to the 240-bit
-    _refine_mp: a point with an isolated disc already holds its own root
-    to double precision.  A record is still certified by its residual.
+    _refine_mp, which runs in Python integers on the 2^-240 fixed-point
+    scale: a point with an isolated disc already holds its own root to
+    double precision.  A record is still certified by its residual.
 
     Discs that overlap may mean a repeated root, where Aberth converges
     only linearly and the refine would split the root into a cluster.
@@ -1660,6 +1738,8 @@ def _witness_plan(caps: SearchCaps) -> tuple[tuple[int, int, int], ...]:
     """Visit order for the witness search: coarse shells first, as a
     tuple computed once per caps.  It serves both signs: the mirror
     A -> A^-1 keeps every span, so the degree estimates are the same.
+    A cell is in the caps when its family_degree_estimate is within the
+    degree cap; that is an estimate, not a bound on the member's degree.
 
     The capped box is peeled along its halving chain (caps, half caps,
     half of that, down to the unit box) and cells are grouped by the

@@ -6,6 +6,8 @@ import json
 import math
 import pathlib
 import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from functools import partial
 
@@ -42,7 +44,9 @@ from yamada.roots import (
     _family_ratio,
     _family_roots_full,
     _find_roots_full,
-    _horner_fixed,
+    _fixed,
+    _fixed_parts,
+    _fixed_terms,
     _inclusion_radii,
     _initial_points,
     _ordered,
@@ -51,6 +55,7 @@ from yamada.roots import (
     _polish,
     _repulsion_fixed,
     _residual_floor,
+    _residuals_mp,
     _square_free_mod_p,
     _square_free_parts,
     _witness_plan,
@@ -195,27 +200,70 @@ def test_family_refinement_cell():
         assert z.imag == im or max(abs(z.imag), abs(im)) < 1e-30 * abs(z)
 
 
-def test_horner_fixed_matches_polyval():
+def _mpc(u):
+    """The Gaussian float (a, b, e) of the 240-bit kernel as an mpc."""
+    a, b, e = u
+    return mpmath.mpc(mpmath.mpf((a, e)), mpmath.mpf((b, e)))
+
+
+def test_fixed_parts_match_polyval():
     # inside and outside the unit circle, and between the (4, 4) lambda
     # zeros that sit 1.2e-5 apart, where the parts nearly vanish; the
     # points fill all 240 fraction bits, not just a double's 53
     points = [0.3 + 0.4j, -0.05 + 0.02j, -2.5 + 1.7j, 4.0 - 0.5j,
               -0.8408559583846054 - 1.551641061573222e-06j]
-    parts = _column(4, 4, "+").parts
+    column = _column(4, 4, "+")
     fill = 2**180 // 3
     for z in points:
         x = int(math.ldexp(z.real, 240)) + fill
         y = int(math.ldexp(z.imag, 240)) - fill
+        got = _fixed_parts(column, x, y)
         with mpmath.workprec(300):
             zz = mpmath.mpc(mpmath.mpf((x, -240)), mpmath.mpf((y, -240)))
-        for _, cs in parts:
-            pr, pi, dr, di = _horner_fixed(cs, x, y)
-            with mpmath.workprec(240):
-                p, dp = mpmath.polyval(cs[::-1], zz, derivative=True)
-                got_p = mpmath.mpc(mpmath.mpf((pr, -240)), mpmath.mpf((pi, -240)))
-                got_dp = mpmath.mpc(mpmath.mpf((dr, -240)), mpmath.mpf((di, -240)))
-                assert abs(got_p - p) <= 1e-60 * abs(p)
-                assert abs(got_dp - dp) <= 1e-60 * abs(dp)
+            for (_, cs), (p, zdp) in zip(column.parts, got):
+                want, dp = mpmath.polyval(cs[::-1], zz, derivative=True)
+                assert abs(_mpc(p) - want) <= 1e-60 * abs(want)
+                assert abs(_mpc(zdp) - zz * dp) <= 1e-60 * abs(zz * dp)
+
+
+def test_fixed_terms_match_mpmath_at_the_fixture_roots():
+    # b1, b2 over their common power of z, and the residual as a double,
+    # against a 300-bit mpmath evaluation of the exact parts at every root
+    # of the refinement cell but the two cyclotomic ones (not roots of
+    # the reduced q: lambda1 vanishes there), and 1e-3 |z| off every
+    # tenth root, where the two terms differ in size
+    n = 12
+    column = _column(4, 4, "+")
+    terms = _fixed_terms(n, column)
+    (lo1, _), (lo2, _), (lo1c, _), (lo2s, _) = column.parts
+    common = min(lo1 * (n - 1) + lo1c, lo2s + n * lo2)
+    d = json.loads((FIXTURES / "refine_12_4_4.json").read_text())
+    zs = [complex(re, im) for re, im, _ in d["roots"]]
+    zs = [z for z in zs if abs(z * z + z + 1) > 1e-9]
+    assert len(zs) == 323
+    zs += [z * 1.001 for z in zs[::10]]
+    res = _residuals_mp(n, column, np.array(zs))
+    with mpmath.workprec(300):
+        for z, r in zip(zs, res):
+            w = mpmath.mpc(z)
+            l1, l2, l1c, l2s = (w**lo * mpmath.polyval(cs[::-1], w)
+                                for lo, cs in column.parts)
+            want1 = l1 ** (n - 1) * l1c / w**common
+            want2 = l2s * l2**n / w**common
+            b1, b2, _ = terms(*_fixed(z))
+            assert abs(_mpc(b1) - want1) <= 1e-60 * abs(want1)
+            assert abs(_mpc(b2) - want2) <= 1e-60 * abs(want2)
+            assert r == float(abs(want1 + want2) / (abs(want1) + abs(want2)))
+
+
+def test_import_leaves_mpmath_out():
+    # mpmath is the tests' independent oracle, not a library dependency
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import yamada.cli; "
+            "print('mpmath' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_part_values_stack_is_bit_exact():
@@ -494,16 +542,13 @@ def test_repulsion_fixed_matches_mpc_sum():
 def _newton_radius_240(n, s, k, lo, d, z):
     """d |q(z) / q'(z)| for the reduced polynomial q = z^-lo Q of the
     member (n, s, k, +) at the float z, evaluated at 240 bits from the
-    exact parts with _horner_fixed."""
+    exact parts with mpmath.polyval."""
     parts = _column(s, k, "+").parts
-    x, y = (int(math.ldexp(t, 240)) for t in (z.real, z.imag))
     with mpmath.workprec(240):
-        w = mpmath.mpc(mpmath.mpf((x, -240)), mpmath.mpf((y, -240)))
+        w = mpmath.mpc(z)
         vals, ders = [], []
         for e, cs in parts:
-            pr, pi, dr, di = _horner_fixed(cs, x, y)
-            p = mpmath.mpc(mpmath.mpf((pr, -240)), mpmath.mpf((pi, -240)))
-            dp = mpmath.mpc(mpmath.mpf((dr, -240)), mpmath.mpf((di, -240)))
+            p, dp = mpmath.polyval(cs[::-1], w, derivative=True)
             vals.append(w**e * p)
             ders.append(w ** (e - 1) * (e * p + w * dp))
         (l1, l2, l1c, l2s), (e1, e2, e1c, e2s) = vals, ders
@@ -1068,7 +1113,7 @@ def test_refine_evaluations_per_point(monkeypatch):
     # only those take a fourth evaluation
     calls = [0]
     points = [0]
-    inner_terms = roots_module._mp_terms
+    inner_terms = roots_module._fixed_terms
     inner_refine = roots_module._refine_mp
 
     def counted_terms(*args):
@@ -1083,7 +1128,7 @@ def test_refine_evaluations_per_point(monkeypatch):
         points[0] += len(args[2])
         return inner_refine(*args)
 
-    monkeypatch.setattr(roots_module, "_mp_terms", counted_terms)
+    monkeypatch.setattr(roots_module, "_fixed_terms", counted_terms)
     monkeypatch.setattr(roots_module, "_refine_mp", counted_refine)
     for cell, late in (((17, 3, 4), 0), ((6, 4, 2), 0), ((12, 4, 4), 4)):
         calls[0] = points[0] = 0
