@@ -1,7 +1,8 @@
 """Combinatorial diagram codes for spatial graphs and their Yamada
-polynomial R, by a memoised skein over the diagram's blocks (yamada_r),
-with the state sum over all spin states kept as its oracle
-(yamada_r_state_sum).
+polynomial R, by a skein over the diagram's blocks memoised up to
+isomorphism (yamada_r: an invariant bucket key, then a match of anchored
+breadth-first codes), with the state sum over all spin states kept as
+its oracle (yamada_r_state_sum).
 
 A code lists graph vertices and crossings, each carrying counterclockwise
 cyclic lists of half-edge ids, plus arcs pairing up all half-edges.  Each
@@ -349,8 +350,11 @@ def yamada_r(code: DiagramCode, max_crossings: int | None = 14) -> LaurentPoly:
       bridge);
     - a block without crossings is its graph's H, through signed_flow.
     A block with crossings is expanded on the crossing _next_crossing
-    picks.  Every block is memoised on its canonical code (_canonical), so
-    isomorphic blocks reached along different branches are computed once;
+    picks.  Every block is memoised up to isomorphism (_Skein.block), so
+    isomorphic blocks reached along different branches are computed once:
+    blocks are bucketed by a one-pass invariant (_classes), and a block
+    hits a stored one when its breadth-first code anchored at some dart
+    of its rarest class equals the stored code (_code), an isomorphism;
     the memo lives for one call.  No Reidemeister simplification is made.
     A code whose arcs do not pair up its half-edges raises.
 
@@ -446,12 +450,12 @@ class _Skein:
             if not live[i]:
                 continue
             r = rots[i]
-            keep = tuple(d for d in r if site_of[mate[d]] != i)
+            keep = [d for d in r if site_of[mate[d]] != i]
             if len(keep) < len(r):
                 loops = (len(r) - len(keep)) // 2
                 circles += loops
                 negate ^= loops % 2 == 1
-                r = rots[i] = keep
+                r = rots[i] = tuple(keep)
             if len(r) > 2:
                 continue
             if len(r) == 1:
@@ -509,31 +513,37 @@ class _Skein:
         return -v if negate else v
 
     def block(self, rots: list, overs: list, mate: list[int], site_of: list[int]) -> int:
-        """Packed Q of a block, memoised on its canonical code."""
-        key = _canonical(rots, overs, mate, site_of)
-        v = self.memo.get(key)
-        if v is None:
-            v = self.memo[key] = self.expand(key)
+        """Packed Q of a block, memoised up to isomorphism.
+
+        The memo maps a bucket key (_classes) to the codes of the blocks
+        expanded so far, each with its value.  A stored code is matched
+        by the block's codes anchored at each dart of its rarest class
+        (_code), each given up at its first number that differs; only a
+        full match is a hit, and a full match is an isomorphism.  On a
+        miss the block's code anchored at the first dart of that class
+        is stored with the block's value (expand)."""
+        pos_of, desc, key, starts = _classes(rots, overs, mate)
+        bucket = self.memo.get(key)
+        if bucket is None:
+            bucket = self.memo[key] = []
+        for code, v in bucket:
+            for d0 in starts:
+                if _code(rots, mate, site_of, pos_of, desc, d0, code):
+                    return v
+        code = _code(rots, mate, site_of, pos_of, desc, starts[0])
+        v = self.expand(rots, overs, mate, site_of)
+        bucket.append((code, v))
         return v
 
-    def expand(self, key: tuple) -> int:
-        """Q of the block with canonical code key: H of its graph if it has
-        no crossing, else Q = A^2 Q(D+) + Q(D-) + A Q(D0) on the crossing
-        _next_crossing picks."""
-        rots, overs, mates = [], [], []
-        at = 0
-        while at < len(key):
-            dsc = key[at]
-            k = dsc if dsc > 0 else 4
-            rots.append(tuple(range(len(mates), len(mates) + k)))
-            overs.append(None if dsc > 0 else (0 if dsc == -1 else 1))
-            mates += key[at + 1 : at + 1 + k]
-            at += k + 1
-        site_of = [i for i, r in enumerate(rots) for _ in r]
+    def expand(self, rots: list, overs: list, mates: list[int], site_of: list[int]) -> int:
+        """Packed Q of a block given as in value (rots and overs are
+        changed): H of its graph if it has no crossing, else
+        Q = A^2 Q(D+) + Q(D-) + A Q(D0) on the crossing _next_crossing
+        picks."""
         x = _next_crossing(rots, overs, mates, site_of)
         if x is None:
             edges = tuple(
-                (d, site_of[d], site_of[m]) for d, m in enumerate(mates) if d < m
+                (d, site_of[d], site_of[mates[d]]) for r in rots for d in r if d < mates[d]
             )
             coeffs = signed_flow(Multigraph(tuple(range(len(rots))), edges), self.flow_memo)
             v = 0
@@ -570,16 +580,21 @@ def _next_crossing(
 ) -> int | None:
     """The crossing to expand first: the one with the fewest darts whose
     arcs lead to other crossings, so the expansion works inward from the
-    graph vertices and the loops, the first in the order of the sites on
-    a tie; None if there is no crossing."""
+    graph vertices and the loops, and of those the one with the most
+    darts on its own loops.  An isomorphism keeps both counts, so only a
+    tie of both falls back to the order of the sites, the first winning;
+    None if there is no crossing."""
     best = pick = None
     for i, o in enumerate(overs):
         if o is not None:
+            # 5 per dart to another crossing, -1 per loop dart (at most 4)
             k = 0
             for d in rots[i]:
                 j = site_of[mates[d]]
-                if j != i and overs[j] is not None:
-                    k += 1
+                if j == i:
+                    k -= 1
+                elif overs[j] is not None:
+                    k += 5
             if best is None or k < best:
                 best, pick = k, i
     return pick
@@ -687,26 +702,16 @@ def _groups(
     return len(label), comps, group_of
 
 
-def _canonical(rots: list, overs: list, mate: list[int], site_of: list[int]) -> tuple:
-    """Canonical code of a connected diagram, equal for two diagrams
-    exactly when one is the other with its sites and darts renamed.
-
-    From a start dart, a breadth-first search numbers the sites in the
-    order it reaches them and each site's darts counterclockwise from the
-    dart it was entered by, site i taking the dart numbers from the sum
-    of the earlier degrees on.  The code lists, site by site, the site's
-    descriptor (its degree for a vertex, -1 or -2 for a crossing entered
-    by an over or an under dart) and the numbers of its darts' mates; it
-    is therefore also the renamed diagram, a crossing's over pair at even
-    positions for -1.  The code is the least over the start darts whose
-    local invariant is the rarest, the least such invariant on a tie:
-    the descriptors seen from the dart and from its mate and, for both
-    ends, a hash of the descriptors the site's mates see.  That choice
-    does not depend on the names.  A start whose code equals the least
-    one so far gives an automorphism, and no start in the orbit of a
-    tried one under the automorphisms found is tried; a code is given up
-    at the first site where it exceeds the least one."""
-    n = len(rots)
+def _classes(rots: list, overs: list, mate: list[int]) -> tuple:
+    """One pass over a connected diagram's darts: each dart's position on
+    its site and descriptor (its site's degree for a vertex, -1 or -2 for
+    an over or an under dart of a crossing), the memo's bucket key, and
+    the darts of the rarest class.  A dart's class is its descriptor and
+    its mate's; the key is the site count and the count of every class,
+    and the rarest class is the least class of the least count.  Renaming
+    the sites and darts changes none of these, so isomorphic diagrams
+    share a bucket, and an isomorphism maps the rarest class of the one
+    onto that of the other."""
     pos_of = [0] * len(mate)
     desc = [0] * len(mate)
     for r, o in zip(rots, overs):
@@ -716,80 +721,85 @@ def _canonical(rots: list, overs: list, mate: list[int], site_of: list[int]) -> 
                 pos_of[d] = j
                 desc[d] = k
         else:
-            for j, d in enumerate(r):
-                pos_of[d] = j
-                desc[d] = -1 - (j - o) % 2
-    sig = [hash(tuple(sorted([desc[mate[d]] for d in r]))) for r in rots]
-    count: dict[tuple, int] = {}
-    inv = {}
-    for i, r in enumerate(rots):
+            a, b, c, e = r
+            pos_of[b] = 1
+            pos_of[c] = 2
+            pos_of[e] = 3
+            desc[a] = desc[c] = -1 - o
+            desc[b] = desc[e] = o - 2
+    members: dict[tuple[int, int], list[int]] = {}
+    for r in rots:
+        for d in r:
+            v = (desc[d], desc[mate[d]])
+            ds = members.get(v)
+            if ds is None:
+                members[v] = [d]
+            else:
+                ds.append(d)
+    key = (len(rots), tuple(sorted([(v, len(ds)) for v, ds in members.items()])))
+    _, rarest = min([(len(ds), v) for v, ds in members.items()])
+    return pos_of, desc, key, members[rarest]
+
+
+def _code(
+    rots: list,
+    mate: list[int],
+    site_of: list[int],
+    pos_of: list[int],
+    desc: list[int],
+    d0: int,
+    against: list[int] | None = None,
+) -> list[int] | None:
+    """Code of a connected diagram anchored at its dart d0 (Weinberg's
+    breadth-first code of a planar map, 1966), equal for two diagrams and
+    two anchors exactly when a renaming of the sites and darts maps the
+    one diagram and anchor onto the other.
+
+    From d0, a breadth-first search numbers the sites in the order it
+    reaches them and each site's darts counterclockwise from the dart it
+    was entered by, site i taking the dart numbers from the sum of the
+    earlier degrees on.  The code lists, site by site, the site's
+    descriptor (its degree for a vertex, -1 or -2 for a crossing entered
+    by an over or an under dart) and the numbers of its darts' mates; it
+    is therefore also the renamed diagram, a crossing's over pair at even
+    positions for -1.  Given against, a code of the same length, the walk
+    stops with None at the first number where the two differ."""
+    s0 = site_of[d0]
+    num = [-1] * len(rots)
+    num[s0] = 0
+    order = [s0]
+    entry = [pos_of[d0]]
+    offs = [0]
+    total = len(rots[s0])
+    sizes = [total]
+    code: list[int] = []
+    add = code.append
+    for i, s in enumerate(order):
+        e = entry[i]
+        r = rots[s]
+        if e:
+            r = r[e:] + r[:e]
+        x = desc[r[0]]
+        if against is not None and against[len(code)] != x:
+            return None
+        add(x)
         for d in r:
             m = mate[d]
-            v = inv[d] = (desc[d], desc[m], sig[i], sig[site_of[m]])
-            count[v] = count.get(v, 0) + 1
-    rarest = min(count, key=lambda v: (count[v], v))
-    starts = [d for d in inv if inv[d] == rarest]
-    deg = [len(r) for r in rots]
-    best: list[int] | None = None
-    best_seq: list[int] = []
-    autos: list[dict[int, int]] = []
-    covered: set[int] = set()
-    for d0 in starts:
-        if d0 in covered:
-            continue
-        s0 = site_of[d0]
-        num = [-1] * n
-        num[s0] = 0
-        order = [s0]
-        entry = [pos_of[d0]]
-        offs = [0]
-        total = deg[s0]
-        code: list[int] = []
-        seq: list[int] = []
-        add = code.append
-        less = best is None
-        for i in range(n):
-            e = entry[i]
-            r = rots[order[i]]
-            if e:
-                r = r[e:] + r[:e]
-            start = len(code)
-            add(desc[r[0]])
-            seq += r
-            for d in r:
-                m = mate[d]
-                t = site_of[m]
-                j = num[t]
-                if j < 0:
-                    j = num[t] = len(order)
-                    order.append(t)
-                    entry.append(pos_of[m])
-                    offs.append(total)
-                    total += deg[t]
-                add(offs[j] + (pos_of[m] - entry[j]) % deg[t])
-            if not less:
-                mine, theirs = code[start:], best[start : len(code)]
-                if mine != theirs:
-                    if mine > theirs:
-                        break
-                    less = True
-        else:
-            if less:
-                best, best_seq = code, seq
-            else:
-                # equal codes: the two numberings differ by an automorphism
-                autos.append(dict(zip(best_seq, seq)))
-        covered.add(d0)
-        if autos:
-            todo = list(covered)
-            while todo:
-                x = todo.pop()
-                for f in autos:
-                    y = f[x]
-                    if y not in covered:
-                        covered.add(y)
-                        todo.append(y)
-    return tuple(best)
+            t = site_of[m]
+            j = num[t]
+            if j < 0:
+                j = num[t] = len(order)
+                order.append(t)
+                entry.append(pos_of[m])
+                offs.append(total)
+                k = len(rots[t])
+                sizes.append(k)
+                total += k
+            x = offs[j] + (pos_of[m] - entry[j]) % sizes[j]
+            if against is not None and against[len(code)] != x:
+                return None
+            add(x)
+    return code
 
 
 def yamada_r_state_sum(code: DiagramCode, max_crossings: int | None = 14) -> LaurentPoly:

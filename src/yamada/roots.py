@@ -805,7 +805,7 @@ _PREC = 240
 _GUARD = 16
 # every 240-bit value but the iterates is a Gaussian float (a, b, e),
 # standing for (a + ib) 2^e, whose mantissa keeps at most _WIDTH bits;
-# the power table of _fixed_parts carries the same guard bits
+# the power table of _fixed_powers carries the same guard bits
 _WIDTH = _PREC + _GUARD
 # a point of _refine_mp stops once its correction is below 2^-_SETTLED |z|
 _SETTLED = 70
@@ -959,12 +959,11 @@ def _refine_mp(
     return out, _residuals_mp(n, column, out)
 
 
-def _fixed_parts(column: _Column, x: int, y: int) -> list[tuple]:
-    """(p, z p') of each of the column's four parts at z = (x + iy) /
-    2^_PREC, as Gaussian floats.  One table of the powers z^j on the
-    fixed-point scale 2^-(_PREC + _GUARD) serves all four parts; each
-    product is truncated back to that scale, and p = sum c_j z^j and
-    z p' = sum j c_j z^j are then exact integer dot products."""
+def _fixed_powers(column: _Column, x: int, y: int) -> tuple[list[int], list[int]]:
+    """The real and imaginary parts of the powers z^j, j below the
+    column's stack length, of z = (x + iy) / 2^_PREC on the fixed-point
+    scale 2^-(_PREC + _GUARD), each product truncated back to that scale.
+    One table serves all four parts of the column."""
     f = _PREC + _GUARD
     x, y = x << _GUARD, y << _GUARD
     xs, ys = [1 << f, x], [0, y]
@@ -973,40 +972,58 @@ def _fixed_parts(column: _Column, x: int, y: int) -> list[tuple]:
         a, b = (a * x - b * y) >> f, (a * y + b * x) >> f
         xs.append(a)
         ys.append(b)
+    return xs, ys
+
+
+def _fixed_dot(cs: tuple, xs: list[int], ys: list[int]) -> tuple[int, int, int]:
+    """sum c_j z^j over the power table of _fixed_powers, an exact
+    integer dot product, as a Gaussian float."""
+    return _gnorm(sum(map(mul, cs, xs)), sum(map(mul, cs, ys)), -_PREC - _GUARD)
+
+
+def _fixed_parts(column: _Column, x: int, y: int) -> list[tuple]:
+    """(p, z p') of each of the column's four parts at z = (x + iy) /
+    2^_PREC, as Gaussian floats: p = sum c_j z^j and z p' = sum j c_j z^j
+    over one power table (_fixed_powers)."""
+    xs, ys = _fixed_powers(column, x, y)
     return [
-        (_gnorm(sum(map(mul, cs, xs)), sum(map(mul, cs, ys)), -f),
-         _gnorm(sum(map(mul, js, xs)), sum(map(mul, js, ys)), -f))
+        (_fixed_dot(cs, xs, ys), _fixed_dot(js, xs, ys))
         for (_, cs), js in zip(column.parts, column.slopes)
     ]
 
 
+def _fixed_members(n: int, column: _Column, ps: list, x: int, y: int) -> tuple:
+    """The Gaussian floats b1 = p1^(n-1) p1c and b2 = p2s p2^n of the
+    member n of the column, from its four part values ps at z = (x + iy)
+    / 2^_PREC, by powers by squaring.  b1 and b2 carry z^e1 and z^e2;
+    both are divided by the smaller power, which leaves the residual and
+    the Newton step as they are."""
+    (lo1, _), (lo2, _), (lo1c, _), (lo2s, _) = column.parts
+    shift = (lo1 * (n - 1) + lo1c) - (lo2s + n * lo2)
+    p1, p2, p1c, p2s = ps
+    b1 = _gmul(_gpow(p1, n - 1), p1c)
+    b2 = _gmul(p2s, _gpow(p2, n))
+    if shift:
+        zs = _gpow((x, y, -_PREC), abs(shift))
+        if shift > 0:
+            b1 = _gmul(b1, zs)
+        else:
+            b2 = _gmul(b2, zs)
+    return b1, b2
+
+
 def _fixed_terms(n: int, column: _Column):
     """The function terms(x, y) of the member n of the column at
-    z = (x + iy) / 2^_PREC: the Gaussian floats b1 and b2 over a common
-    power of z, and z times the derivative of b1 + b2 over the same
-    power.  From the parts of _fixed_parts, the log derivative of z^lo p
-    times z is h = lo + z p' / p, one division; b1 = p1^(n-1) p1c and
-    b2 = p2s p2^n are powers by squaring."""
+    z = (x + iy) / 2^_PREC: the Gaussian floats b1 and b2 of
+    _fixed_members, and z times the derivative of b1 + b2 over the same
+    power of z.  From the parts of _fixed_parts, the log derivative of
+    z^lo p times z is h = lo + z p' / p, one division."""
     lows = [lo for lo, _ in column.parts]
-    lo1, lo2, lo1c, lo2s = lows
-    # b1 and b2 carry z^e1 and z^e2; dividing both by the smaller power
-    # leaves the residual and the Newton step as they are
-    shift = (lo1 * (n - 1) + lo1c) - (lo2s + n * lo2)
 
     def terms(x, y):
-        ps, hs = [], []
-        for lo, (p, zdp) in zip(lows, _fixed_parts(column, x, y)):
-            ps.append(p)
-            hs.append(_gadd((lo, 0, 0), _gdiv(zdp, p)))
-        p1, p2, p1c, p2s = ps
-        b1 = _gmul(_gpow(p1, n - 1), p1c)
-        b2 = _gmul(p2s, _gpow(p2, n))
-        if shift:
-            zs = _gpow((x, y, -_PREC), abs(shift))
-            if shift > 0:
-                b1 = _gmul(b1, zs)
-            else:
-                b2 = _gmul(b2, zs)
+        parts = _fixed_parts(column, x, y)
+        b1, b2 = _fixed_members(n, column, [p for p, _ in parts], x, y)
+        hs = [_gadd((lo, 0, 0), _gdiv(zdp, p)) for lo, (p, zdp) in zip(lows, parts)]
         h1 = _gadd(_gmul((n - 1, 0, 0), hs[0]), hs[2])
         h2 = _gadd(hs[3], _gmul((n, 0, 0), hs[1]))
         return b1, b2, _gadd(_gmul(b1, h1), _gmul(b2, h2))
@@ -1016,13 +1033,16 @@ def _fixed_terms(n: int, column: _Column):
 
 def _residuals_mp(n: int, column: _Column, z: np.ndarray) -> np.ndarray:
     """The residual |b1 + b2| / (|b1| + |b2|) of the member n of the
-    column evaluated at 240 bits at each double z: the three moduli by
-    math.isqrt on one scale, and the quotient by one int / int division,
-    which Python rounds correctly."""
-    terms = _fixed_terms(n, column)
+    column evaluated at 240 bits at each double z: b1 and b2 alone, from
+    the parts' values and not their derivatives (_fixed_members), the
+    three moduli by math.isqrt on one scale, and the quotient by one
+    int / int division, which Python rounds correctly."""
     res = np.empty(len(z), dtype=float)
     for i, zd in enumerate(z):
-        b1, b2, _ = terms(*_fixed(zd))
+        x, y = _fixed(zd)
+        xs, ys = _fixed_powers(column, x, y)
+        ps = [_fixed_dot(cs, xs, ys) for _, cs in column.parts]
+        b1, b2 = _fixed_members(n, column, ps, x, y)
         s = _gadd(b1, b2)
         e = min(b1[2], b2[2], s[2])
         num, m1, m2 = (

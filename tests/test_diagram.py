@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from yamada import diagram
 from yamada.laurent import LaurentPoly, compare_up_to_unit, sigma, variable
 from yamada.multigraph import Multigraph, make_graph, yamada_h
 from yamada.diagram import (
@@ -444,6 +445,175 @@ def test_skein_reaches_past_the_state_sum_guard():
         assert yamada_r(code, max_crossings=None) == family_polynomial(
             n, s, k, "+", degree_cap=None
         )
+
+
+def skein_blocks(monkeypatch, code):
+    """The blocks one yamada_r call on code looks up in its memo, each as
+    (rots, overs, mate) in the skein's numbering, and the number of
+    blocks it expanded."""
+    blocks, expansions = [], [0]
+    block, expand = diagram._Skein.block, diagram._Skein.expand
+
+    def spy_block(self, rots, overs, mate, site_of):
+        blocks.append((list(rots), list(overs), list(mate)))
+        return block(self, rots, overs, mate, site_of)
+
+    def spy_expand(self, *block):
+        expansions[0] += 1
+        return expand(self, *block)
+
+    with monkeypatch.context() as m:
+        m.setattr(diagram._Skein, "block", spy_block)
+        m.setattr(diagram._Skein, "expand", spy_expand)
+        yamada_r(code)
+    return blocks, expansions[0]
+
+
+class StubSkein:
+    """A fresh memo whose expansion returns a new token each time, so a
+    lookup's value names the memo entry it hit."""
+
+    def __init__(self):
+        self.skein = diagram._Skein(8, 8)
+        self.skein.expand = self._expand
+        self.expansions = 0
+
+    def _expand(self, *block):
+        self.expansions += 1
+        return self.expansions
+
+    def lookup(self, rots, overs, mate):
+        site_of = [0] * len(mate)
+        for i, r in enumerate(rots):
+            for d in r:
+                site_of[d] = i
+        return self.skein.block(list(rots), list(overs), list(mate), site_of)
+
+
+def relabelled(rots, overs, mate, rng):
+    """The same block with its sites permuted, its darts renamed and each
+    rotation started at a random dart, a crossing's over parity moved
+    with it."""
+    size = len(mate) + 3
+    name = list(range(size))
+    rng.shuffle(name)
+    new_mate = [-1] * size
+    for r in rots:
+        for d in r:
+            new_mate[name[d]] = name[mate[d]]
+    new_rots, new_overs = [], []
+    for i in rng.sample(range(len(rots)), len(rots)):
+        r, o = rots[i], overs[i]
+        k = rng.randrange(len(r))
+        new_rots.append(tuple(name[d] for d in r[k:] + r[:k]))
+        new_overs.append(None if o is None else (o - k) % 2)
+    return new_rots, new_overs, new_mate
+
+
+def least_code(rots, overs, mate):
+    """A canonical form by brute force: the least breadth-first code over
+    every anchor dart.  The code from an anchor numbers the sites in the
+    order a breadth-first search from it reaches them and the darts of
+    each site counterclockwise from the one it was entered by, and lists
+    per site its kind (degree of a vertex; -1 or -2 for a crossing
+    entered over or under) and the numbers of its darts' mates."""
+    site = {d: i for i, r in enumerate(rots) for d in r}
+    pos = {d: j for r in rots for j, d in enumerate(r)}
+
+    def code_from(d0):
+        first = site[d0]
+        order, entry, number, base = [first], {first: pos[d0]}, {first: 0}, {first: 0}
+        total = len(rots[first])
+        out = []
+        for s in order:
+            e = entry[s]
+            r = rots[s][e:] + rots[s][:e]
+            if overs[s] is None:
+                out.append(len(r))
+            else:
+                out.append(-1 if (e - overs[s]) % 2 == 0 else -2)
+            for d in r:
+                m = mate[d]
+                t = site[m]
+                if t not in number:
+                    number[t] = len(order)
+                    order.append(t)
+                    entry[t] = pos[m]
+                    base[t] = total
+                    total += len(rots[t])
+                out.append(base[t] + (pos[m] - entry[t]) % len(rots[t]))
+        return tuple(out)
+
+    return min(code_from(d) for r in rots for d in r)
+
+
+def test_memo_hits_relabelled_blocks(monkeypatch):
+    # a relabelled copy of a block is the same block: it must hit the
+    # entry its original made, and expand nothing
+    rng = random.Random(21)
+    blocks = []
+    for code in (build_family_diagram(2, 2, 2), build_family_diagram(3, 1, 2),
+                 close_piece(build_twist(4, "-"))):
+        blocks += skein_blocks(monkeypatch, code)[0]
+    memo = StubSkein()
+    values = [memo.lookup(*b) for b in blocks]
+    stored = memo.expansions
+    for b, v in zip(blocks, values):
+        for _ in range(3):
+            assert memo.lookup(*relabelled(*b, rng)) == v
+    assert memo.expansions == stored
+
+
+def mirror_images(rots, overs, mate):
+    """A block's two mirror images: every crossing switched, and the
+    reflected map (every rotation reversed, the same strands over, which
+    moves a crossing's over pair to the other parity of positions)."""
+    switched = [None if o is None else 1 - o for o in overs]
+    return (rots, switched, mate), ([r[::-1] for r in rots], switched, mate)
+
+
+def test_memo_misses_mirror_images_of_a_chiral_block(monkeypatch):
+    # the closed 3-twist is chiral, so neither of its mirror images is the
+    # same block: both must miss
+    code = close_piece(build_twist(3, "+"))
+    assert yamada_r(mirror(code)) != yamada_r(code)
+    (block, *_), _ = skein_blocks(monkeypatch, code)
+    for image in mirror_images(*block):
+        memo = StubSkein()
+        assert memo.lookup(*block) == 1
+        assert memo.lookup(*image) == 2
+        assert memo.lookup(*relabelled(*image, random.Random(3))) == 2
+        assert memo.lookup(*relabelled(*block, random.Random(4))) == 1
+
+
+def test_memo_tells_blocks_from_their_mirror_images(monkeypatch):
+    # most mirror images share their block's bucket key; the memo must
+    # hit exactly when the brute-force canonical forms agree
+    blocks = []
+    for code in (build_family_diagram(2, 2, 2), close_piece(build_twist(4, "-"))):
+        blocks += skein_blocks(monkeypatch, code)[0]
+    hits = misses = 0
+    for block in blocks:
+        if all(o is None for o in block[1]):
+            continue
+        for image in mirror_images(*block):
+            memo = StubSkein()
+            memo.lookup(*block)
+            same = least_code(*image) == least_code(*block)
+            assert memo.lookup(*image) == (1 if same else 2)
+            hits += same
+            misses += not same
+    assert misses > 100 and hits > 0
+
+
+@pytest.mark.parametrize("nsk", [(2, 2, 2), (8, 1, 1)])
+def test_memo_expands_each_isomorphism_class_once(monkeypatch, nsk):
+    # complete and sound: one expansion per isomorphism class of the
+    # blocks the call reached, the classes decided by brute force
+    blocks, expansions = skein_blocks(monkeypatch, build_family_diagram(*nsk))
+    classes = {least_code(*b) for b in blocks}
+    assert len(blocks) > len(classes) > 1
+    assert expansions == len(classes)
 
 
 def test_disjoint_and_wedge_laws():

@@ -45,7 +45,10 @@ from yamada.roots import (
     _family_roots_full,
     _find_roots_full,
     _fixed,
+    _fixed_dot,
+    _fixed_members,
     _fixed_parts,
+    _fixed_powers,
     _fixed_terms,
     _inclusion_radii,
     _initial_points,
@@ -250,10 +253,16 @@ def test_fixed_terms_match_mpmath_at_the_fixture_roots():
                                 for lo, cs in column.parts)
             want1 = l1 ** (n - 1) * l1c / w**common
             want2 = l2s * l2**n / w**common
-            b1, b2, _ = terms(*_fixed(z))
+            x, y = _fixed(z)
+            b1, b2, _ = terms(x, y)
             assert abs(_mpc(b1) - want1) <= 1e-60 * abs(want1)
             assert abs(_mpc(b2) - want2) <= 1e-60 * abs(want2)
             assert r == float(abs(want1 + want2) / (abs(want1) + abs(want2)))
+            # the residual's values alone, without the parts' derivatives,
+            # are the same Gaussian floats bit for bit
+            xs, ys = _fixed_powers(column, x, y)
+            ps = [_fixed_dot(cs, xs, ys) for _, cs in column.parts]
+            assert _fixed_members(n, column, ps, x, y) == (b1, b2)
 
 
 def test_import_leaves_mpmath_out():
@@ -1111,24 +1120,22 @@ def test_refine_evaluations_per_point(monkeypatch):
     # In the refinement cell some points start at the float64 floor,
     # about 1e-10 off, and their second correction is still above 2^-70:
     # only those take a fourth evaluation
+    # Every 240-bit evaluation, a refine step or a residual, forms b1 and
+    # b2 once, through _fixed_members
     calls = [0]
     points = [0]
-    inner_terms = roots_module._fixed_terms
+    inner_members = roots_module._fixed_members
     inner_refine = roots_module._refine_mp
 
-    def counted_terms(*args):
-        terms = inner_terms(*args)
-
-        def counted(*a):
-            calls[0] += 1
-            return terms(*a)
-        return counted
+    def counted_members(*args):
+        calls[0] += 1
+        return inner_members(*args)
 
     def counted_refine(*args):
         points[0] += len(args[2])
         return inner_refine(*args)
 
-    monkeypatch.setattr(roots_module, "_fixed_terms", counted_terms)
+    monkeypatch.setattr(roots_module, "_fixed_members", counted_members)
     monkeypatch.setattr(roots_module, "_refine_mp", counted_refine)
     for cell, late in (((17, 3, 4), 0), ((6, 4, 2), 0), ((12, 4, 4), 4)):
         calls[0] = points[0] = 0
