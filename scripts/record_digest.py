@@ -22,11 +22,18 @@ exact,resolve,graph,replace,chain`` checks the exact layer in seconds):
   curve s k sha256         limit_curve_points(s, k) at the default grid
                            for each of the 24 (s, k) columns the sweep
                            samples (s = 1-4, k = 1-6), over float.hex
-                           of re and im of each point
+                           of re and im of each point; with
+                           --per-record, one line per point instead:
+                           curve s k i re im, in float.hex
   density re im sha256     witness_to_dict of density_witness at the
                            benchmark's probe, each lattice target and
                            its conjugate, under the benchmark's caps
-                           (one cache shared by the queries)
+                           (one cache shared by the queries); with
+                           --per-record, its found flag (1 or 0), its
+                           found or closest record and its uncertified
+                           count instead: density re im found n s k
+                           sign re im residual uncertified, the
+                           floats in float.hex
   solved re im count       len(cache) after a cold density_witness
                            call at each of those targets: the cells
                            the search solved (a cell of the negative
@@ -89,18 +96,24 @@ density_witness and limit_curve_points, so this copy run with
 ``--tree`` on a tree that predates a kind prints it for that tree too.
 
 ``--match OTHER`` prints no digest.  It compares the ``--per-record``
-cell lines of the tree with those of the tree OTHER (run as a second
-process of this script) and, for every cell whose lines differ, prints
+cell, curve and density lines of the tree with those of the tree OTHER
+(run as a second process of this script) and, for every cell, curve and
+density target whose lines differ, prints
 
   match n s k sign records A B move M residual RA RB
+  match curve s k points A B move M
+  match density re im found F cell n s k sign move M
 
-with A and B the record counts of the tree and of OTHER, M the worst
-relative distance |a - b| / |b| over the nearest-neighbour match of the
-tree's roots onto OTHER's, and RA and RB the worst residual on each
-side; then one line ``match moved C of T cells``.  It exits 1, naming
-the cell, when the counts differ or the match is not one-to-one (equal
-roots, such as a repeated root reported once per multiplicity, are
-matched as one root with their count).
+with A and B the record or point counts of the tree and of OTHER, M the
+worst relative distance |a - b| / |b| over the nearest-neighbour match
+of the tree's roots or points onto OTHER's (for a density target, that
+of its found or closest root), and RA and RB the worst residual on each
+side; after each kind, one line ``match moved C of T KIND lines``.  It
+exits 1, naming the cell or curve, when the counts differ or the match
+is not one-to-one (equal roots, such as a repeated root reported once
+per multiplicity, are matched as one root with their count), and,
+naming the target, when a density target's found flag, cell or
+uncertified count differs.
 
 A parent/child diff across the change that removed the package's
 rational-function type passes both runs ``--only
@@ -216,9 +229,12 @@ def _cell_lines(args, workloads, yamada):
 def _curve_lines(args, workloads, yamada):
     for s, k in itertools.product(SWEEP_S, SWEEP_K):
         points = yamada.roots.limit_curve_points(s, k)
-        yield "curve", s, k, _sha(
-            f"{z.real.hex()} {z.imag.hex()}" for z in points
-        )
+        rows = [f"{z.real.hex()} {z.imag.hex()}" for z in points]
+        if args.per_record:
+            for i, row in enumerate(rows):
+                yield "curve", s, k, i, row
+        else:
+            yield "curve", s, k, _sha(rows)
 
 
 def _density_targets(workloads) -> list[complex]:
@@ -235,8 +251,15 @@ def _density_lines(args, workloads, yamada):
         res = yamada.roots.density_witness(
             z0, workloads.EPS, workloads.CAPS, cache=cache
         )
-        d = json.dumps(yamada.roots.witness_to_dict(res), sort_keys=True)
-        yield "density", z0.real.hex(), z0.imag.hex(), _sha([d])
+        d = yamada.roots.witness_to_dict(res)
+        if args.per_record:
+            r = d["root"] if d["found"] else d["closest"]
+            yield ("density", z0.real.hex(), z0.imag.hex(), int(d["found"]),
+                   r["n"], r["s"], r["k"], r["sign"], r["re"].hex(),
+                   r["im"].hex(), float(r["residual"]).hex(), d["uncertified"])
+        else:
+            yield ("density", z0.real.hex(), z0.imag.hex(),
+                   _sha([json.dumps(d, sort_keys=True)]))
 
 
 def _solved_lines(args, workloads, yamada):
@@ -319,20 +342,29 @@ def _chain_lines(args, workloads, yamada):
         yield "chain", i, _sha([str(chain.chain_polynomial(g, labels))])
 
 
-def _cells_by_key(lines) -> dict:
-    """The per-record cell lines, as (re, im, residual) hex fields by
-    (n, s, k, sign)."""
+def _by_key(lines, width: int, skip: int = 0) -> dict:
+    """Per-record lines of one kind as lists of their value fields, by
+    the `width` fields after the kind; `skip` more fields (a record
+    index) are dropped."""
     out: dict = {}
     for line in lines:
-        _, n, s, k, sign, _, re, im, res = line.split()
-        out.setdefault((int(n), int(s), int(k), sign), []).append((re, im, res))
+        fields = str(line).split()
+        key = tuple(fields[1 : 1 + width])
+        out.setdefault(key, []).append(tuple(fields[1 + width + skip :]))
     return out
+
+
+def _complex(rows, at: int = 0) -> np.ndarray:
+    """The complex numbers whose real and imaginary parts are the hex
+    fields at and at + 1 of the rows."""
+    return np.array([complex(float.fromhex(r[at]), float.fromhex(r[at + 1]))
+                     for r in rows])
 
 
 def _worst_move(key, a: np.ndarray, b: np.ndarray) -> float:
     """The worst |a_i - b_j| / |b_j| over the nearest-neighbour match of
     the roots a onto b, which must be one-to-one on the distinct roots
-    with equal multiplicities; SystemExit naming the cell otherwise."""
+    with equal multiplicities; SystemExit naming the key otherwise."""
     ua, ca = np.unique(a, return_counts=True)
     ub, cb = np.unique(b, return_counts=True)
     dist = np.abs(ua[:, None] - ub[None, :])
@@ -342,39 +374,65 @@ def _worst_move(key, a: np.ndarray, b: np.ndarray) -> float:
         or not (dist.argmin(axis=0)[near] == np.arange(len(ua))).all()
         or not (ca == cb[near]).all()
     ):
-        raise SystemExit(f"cell {key}: the nearest match is not one-to-one")
+        raise SystemExit(f"{key}: the nearest match is not one-to-one")
     return float(np.max(np.abs(ua - ub[near]) / np.abs(ub[near])))
+
+
+def _moved(ours: dict, theirs: dict, kind: str):
+    """The keys whose lines differ between the two trees, in order, after
+    checking that both trees have the same keys."""
+    if ours.keys() != theirs.keys():
+        raise SystemExit(f"the two trees give different {kind} keys")
+    return [key for key in sorted(ours) if ours[key] != theirs[key]]
 
 
 def _match_lines(args, workloads, yamada):
     """The match lines of --match; see the module docstring."""
     per_record = argparse.Namespace(**{**vars(args), "per_record": True})
-    ours = _cells_by_key(
-        " ".join(map(str, f)) for f in _cell_lines(per_record, workloads, yamada)
-    )
     other = subprocess.run(
-        [sys.executable, __file__, "--tree", str(args.match), "--only", "cell",
-         "--per-record", "--seeds", ",".join(map(str, args.seeds))],
+        [sys.executable, __file__, "--tree", str(args.match), "--only",
+         "cell,curve,density", "--per-record",
+         "--seeds", ",".join(map(str, args.seeds))],
         capture_output=True, text=True, check=True,
     ).stdout.splitlines()
-    theirs = _cells_by_key(other)
-    if ours.keys() != theirs.keys():
-        raise SystemExit("the two trees scan different cells")
-    moved = 0
-    for key in sorted(ours):
-        if ours[key] == theirs[key]:
-            continue
-        moved += 1
-        a, b = (
-            np.array([[float.fromhex(x) for x in r] for r in rows])
-            for rows in (ours[key], theirs[key])
+    shapes = {"cell": (4, 1), "curve": (2, 1), "density": (2, 0)}
+    for kind, (width, skip) in shapes.items():
+        ours = _by_key(
+            (" ".join(map(str, f))
+             for f in SECTIONS[kind](per_record, workloads, yamada)),
+            width, skip,
         )
-        if len(a) != len(b):
-            raise SystemExit(f"cell {key}: {len(a)} records against {len(b)}")
-        move = _worst_move(key, a[:, 0] + 1j * a[:, 1], b[:, 0] + 1j * b[:, 1])
-        yield ("match", *key, "records", len(a), len(b), "move", f"{move:.3e}",
-               "residual", f"{a[:, 2].max():.3e}", f"{b[:, 2].max():.3e}")
-    yield "match", "moved", moved, "of", len(ours), "cells"
+        theirs = _by_key(
+            (line for line in other if line.startswith(kind + " ")),
+            width, skip,
+        )
+        moved = _moved(ours, theirs, kind)
+        for key in moved:
+            a, b = ours[key], theirs[key]
+            if kind == "density":
+                # found flag, cell and uncertified count must agree
+                if a[0][:5] + a[0][8:] != b[0][:5] + b[0][8:]:
+                    raise SystemExit(f"density {' '.join(key)}: {a[0]} against"
+                                     f" {b[0]}")
+                za, zb = _complex(a, 5)[0], _complex(b, 5)[0]
+                move = abs(za - zb) / abs(zb)
+                yield ("match", kind, *key, "found", a[0][0],
+                       "cell", *a[0][1:5], "move", f"{move:.3e}")
+                continue
+            if len(a) != len(b):
+                raise SystemExit(f"{kind} {key}: {len(a)} records against"
+                                 f" {len(b)}")
+            move = _worst_move((kind, *key), _complex(a), _complex(b))
+            if kind == "curve":
+                yield ("match", kind, *key, "points", len(a), len(b), "move",
+                       f"{move:.3e}")
+            else:
+                worst = [max(float.fromhex(r[2]) for r in rows)
+                         for rows in (a, b)]
+                yield ("match", *key, "records", len(a), len(b), "move",
+                       f"{move:.3e}", "residual", f"{worst[0]:.3e}",
+                       f"{worst[1]:.3e}")
+        yield "match", "moved", len(moved), "of", len(ours), f"{kind} lines"
 
 
 # the kinds of line, in the order they are printed

@@ -29,6 +29,22 @@ branches lambda1 = t_j lambda2, t_j^n = -1 (_branch_starts), which is
 where the roots gather; other members start from circles fitted to the
 exact integer coefficients (_initial_points).
 
+Every member has integer coefficients, so its roots are closed under
+conjugation, and a member that starts from its branches (on an exact
+column) is solved on half of them: the real points and the points
+above the real axis, each of the latter standing for itself and its
+conjugate (_half_solve).  Only half of the branches are solved, the real
+starts come from sign changes of the member on the real axis
+(_axis_starts), and the Aberth iteration, the polish and the 240-bit
+refine move the half configuration with the repulsion of the mirrored
+points.  The records are the points and their exact conjugates.  The
+real count is proven, not assumed: the half configuration is kept only
+when the d inclusion discs of the full one are finite and pairwise
+disjoint, so that each holds exactly one root, and a real point's disc,
+symmetric about the axis, a real one.  Otherwise the member is solved
+on the full configuration from all of its branches, and the fallback is
+counted in COUNTS.
+
 Everything the module evaluates of the pair lambda1, lambda2 comes from
 one record per (s, k, sign) column (_column): the solve, its bounds and
 its 240-bit refine, the exclusion test, the limit curve and its gap.
@@ -49,8 +65,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
 from itertools import zip_longest
@@ -164,7 +179,7 @@ def _initial_points(coeffs: Sequence) -> np.ndarray:
 
     The dense path starts every solve here (_dense_solve), and so does
     the family path for members with n < 3, on a column that is not
-    exact, or where _branch_starts gives no starts.
+    exact, or where the branches give no starts (_full_branch_starts).
 
     The coefficients may be exact integers far beyond float range; their
     magnitudes only enter through math.log, which takes ints of any size.
@@ -298,7 +313,9 @@ def _dense_floor(cs: np.ndarray, guard: float, z: np.ndarray) -> np.ndarray:
     return floor * (1 + 8 * _U)
 
 
-def _aberth(evaluate, z: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
+def _aberth(
+    evaluate, z: np.ndarray, floor, real: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Simultaneous Aberth-Ehrlich iteration with per-point freezing,
     from the starting points z (updated in place), for at most _MAX_ITER
     iterations.
@@ -308,6 +325,14 @@ def _aberth(evaluate, z: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
     Newton correction p/p' of the polynomial whose roots are sought.
     Both are pointwise, so evaluating a subset of the points gives the
     same bits as evaluating all of them.
+
+    real, when given, makes z a half configuration of a polynomial with
+    real coefficients: real[i] marks a point on the real axis, and every
+    other point stands for itself and its conjugate.  The repulsion sums
+    then also run over the conjugates of those points (a point's own
+    included), and a real point takes only the real part of its step, so
+    it stays on the axis and the configuration stays closed under
+    conjugation.  With real None every point stands for itself alone.
 
     A point whose residual reaches machine scale is frozen: it still
     repels the others but stops moving, so a resonant denominator at a
@@ -326,17 +351,20 @@ def _aberth(evaluate, z: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
     point is stuck when its residual is at or below its floor: double
     precision cannot tell it from a root, so no further step can improve
     it.  The floor is only evaluated, at the moving points, once the
-    count has held for _STALL_ITERS iterations.  The callers' polish and
-    refine take the stuck points from there.  The best full configuration
-    seen after a step (by worst residual) is kept as a fallback in case
-    the last stragglers wander by the stall or the iteration cap; only
-    that fallback is evaluated in full a second time.  The starts are
-    never the fallback: where some floor reaches 1 the worst residual is
-    about 1 throughout, and branch starts (_branch_starts) would then win
-    over every configuration the iteration reaches.  Returns the points
-    and their residuals.
+    count has held for _STALL_ITERS iterations.  A stall returns the
+    configuration it stopped at: every moving point is then at or below
+    its floor, so a worst residual cannot rank it against another one.
+    The callers' polish and refine take the stuck points from there.
+    Only at the iteration cap does the best configuration seen after a
+    step (by worst residual) replace the last one, if it is better, and
+    only that fallback is evaluated in full a second time.  The starts
+    are never the fallback: where some floor reaches 1 the worst residual
+    is about 1 throughout, and branch starts (_branch_starts) would then
+    win over every configuration the iteration reaches.  Returns the
+    points and their residuals.
     """
-    freeze_tol = 100.0 * len(z) * np.finfo(float).eps
+    size = len(z) if real is None else 2 * len(z) - int(real.sum())
+    freeze_tol = 100.0 * size * np.finfo(float).eps
     best = z.copy()
     best_score = math.inf
     moving, still = -1, 0
@@ -353,11 +381,12 @@ def _aberth(evaluate, z: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
             still = still + 1 if len(idx) == moving else 0
             moving = len(idx)
             if still >= _STALL_ITERS and np.all(res[idx] <= floor(z[idx])):
-                break
+                return z, res
+            others = z if real is None else _mirrored(z, real)
             rep = np.empty(len(idx), dtype=complex)
             for a in range(0, len(idx), _CHUNK):
                 sub = idx[a : a + _CHUNK]
-                blk = z[sub, None] - z[None, :]
+                blk = z[sub, None] - others[None, :]
                 blk[np.arange(len(sub)), sub] = np.inf
                 rep[a : a + _CHUNK] = (1.0 / blk).sum(axis=1)
             step = ratio[idx] / (1.0 - ratio[idx] * rep)
@@ -367,6 +396,8 @@ def _aberth(evaluate, z: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
                 step[bad] = 0.1 * (1.0 + np.abs(z[idx[bad]])) * np.exp(
                     2j * math.pi * _GOLDEN * (idx[bad] + it + 1)
                 )
+            if real is not None:
+                step = np.where(real[idx], step.real, step)
             z[idx] = z[idx] - step
             res[idx], ratio[idx] = evaluate(z[idx])
         if float(np.max(res)) > best_score:
@@ -375,20 +406,31 @@ def _aberth(evaluate, z: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
     return z, res
 
 
-def _polish(evaluate, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _polish(
+    evaluate, z: np.ndarray, real: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """_POLISH_ROUNDS Newton steps that are only kept when they lower the
-    residual; evaluate is the same kind of evaluator _aberth takes.
-    Returns the points and their residuals."""
+    residual; evaluate is the same kind of evaluator _aberth takes, and
+    real marks the points of a half configuration that take only the
+    real part of their step, as in _aberth.  Returns the points and
+    their residuals."""
     with np.errstate(all="ignore"):
         res, ratio = evaluate(z)
         for _ in range(_POLISH_ROUNDS):
-            z2 = z - ratio
+            step = ratio if real is None else np.where(real, ratio.real, ratio)
+            z2 = z - step
             r2, ratio2 = evaluate(z2)
             better = r2 < res
             z = np.where(better, z2, z)
             res = np.where(better, r2, res)
             ratio = np.where(better, ratio2, ratio)
     return z, res
+
+
+def _mirrored(z: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """The full configuration of the half configuration z: its points,
+    then the conjugates of those that real does not mark."""
+    return np.concatenate([z, z[~real].conj()])
 
 
 def _root_key(z: complex) -> tuple:
@@ -518,7 +560,8 @@ class _Column:
     of their coefficients and then of the absolute values of those,
     padded the same way, or None when a coefficient is not exact as a
     double (no bound is then claimed).  discs, their zero discs
-    (_zero_discs), are built on first use.
+    (_zero_discs), and axis, the real-axis table of the half solve
+    (_axis_starts), are built on first use.
     """
 
     parts: tuple
@@ -547,6 +590,23 @@ class _Column:
     def discs(self) -> tuple:
         terms = (*self.parts[:2], sigma().dense_coeffs())
         return tuple(_zero_discs(cs) for _, cs in terms)
+
+    @cached_property
+    def axis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, logs, signs) on the real axis at x = -r and r for the
+        default radii r of limit_curve_points, geomspace(0.05, 20, 240):
+        x of shape (2, 240), the negative ray then the positive one, and
+        log |p(x)| and the sign of p(x) of shape (3, 2, 240) for p =
+        lambda1, lambda2 and sigma, in float64."""
+        r = np.geomspace(0.05, 20.0, 240)
+        x = np.stack([-r, r])
+        values = [
+            np.polynomial.polynomial.polyval(x, c) * x**lo
+            for lo, c in (self.row(0), self.row(1))
+        ]
+        values = np.array([*values, x + 1.0 + 1.0 / x])
+        with np.errstate(divide="ignore"):
+            return x, np.log(np.abs(values)), np.sign(values)
 
 
 @lru_cache(maxsize=None)
@@ -667,7 +727,7 @@ def limit_curve_points(
     refine: float = 1e-8,
 ) -> list[complex]:
     """Sample the gap-zero set on a polar grid, bisecting every sign
-    change both along rays and along circles.
+    change both along rays and along circles, on the upper half-plane.
 
     A branch running radially never changes the gap's sign along a ray,
     so a ray-only scan misses it entirely; scanning the circles as well
@@ -679,17 +739,26 @@ def limit_curve_points(
     angles >= 1, radial >= 1 and 0 < r_lo < r_hi; anything else raises
     ValueError.
 
+    The lambdas have real coefficients, so the gap at conj z is the gap
+    at z, and the grid's rows past the half turn are mirror images of
+    the rows up to it.  Only those rows, theta in [0, pi], are evaluated
+    and only their brackets bisected: the rays up to the half turn, and
+    the circle arcs between two of those rows (for an odd angles, the
+    two rows either side of the half turn are mirror images, with no
+    sign change between them).  Every point off the real axis then comes
+    back with its exact conjugate, at angle 2 pi - theta.  A point on the
+    ray at 0, or at the half turn of an even angles, which is the
+    negative real axis exactly, has imaginary part 0.0.
+
     The grid's gaps come from _grid_moduli, one matrix product per
-    lambda over the angles up to the half turn: the lambdas have real
-    coefficients, so the moduli at theta and -theta agree and the other
-    rows are copies.  Only the signs of the grid's gaps are used, and a
-    sign is taken from the product only where the gap exceeds the slack
-    of both lambdas, 64 D u sum_j (1 + |j + lo|) |c_j| r^(j + lo) each
-    (u = 2^-53, D terms).  That bounds, with room to spare, both the
-    distance of the product's moduli from the true ones and the error of
-    _gap_vectorized's complex Horner pass at the rounded grid point: the
-    rounding of the phases j theta and of 2 pi / angles that the mirror
-    copies inherit, of the cosines, sines, powers and D-term sums, and
+    lambda over the angles up to the half turn.  Only the signs of the
+    grid's gaps are used, and a sign is taken from the product only
+    where the gap exceeds the slack of both lambdas, 64 D u sum_j (1 +
+    |j + lo|) |c_j| r^(j + lo) each (u = 2^-53, D terms).  That bounds,
+    with room to spare, both the distance of the product's moduli from
+    the true ones and the error of _gap_vectorized's complex Horner pass
+    at the rounded grid point: the rounding of the phases j theta and of
+    2 pi / angles, of the cosines, sines, powers and D-term sums, and
     for Horner its running bound, z^lo and the rounding of the point.  So
     there the product's sign is the sign _gap_vectorized gives.  Every
     other grid point takes _gap_vectorized's value, as the bisection does
@@ -711,16 +780,16 @@ def limit_curve_points(
     column = _column(s, k, "+")
     radii = np.geomspace(r_lo, r_hi, radial)
     step = 2 * math.pi / angles
-    rows = np.arange(angles)
-    thetas = step * rows
+    # the rows up to the half turn; the others are their mirror images
+    thetas = step * np.arange(angles // 2 + 1)
     units = np.exp(1j * thetas)
-    # row a holds the moduli of row min(a, angles - a), its mirror image
-    mirror = np.minimum(rows, angles - rows)
-    half = thetas[: angles // 2 + 1]
+    if angles % 2 == 0:
+        # the ray at the half turn is the negative real axis
+        units[-1] = -1.0
     with np.errstate(all="ignore"):
-        m1, slack1 = _grid_moduli(column.row(0), half, radii)
-        m2, slack2 = _grid_moduli(column.row(1), half, radii)
-        gaps = (m1 - m2)[mirror]
+        m1, slack1 = _grid_moduli(column.row(0), thetas, radii)
+        m2, slack2 = _grid_moduli(column.row(1), thetas, radii)
+        gaps = m1 - m2
         ai, ri = np.nonzero(~(np.abs(gaps) > slack1 + slack2))
         gaps[ai, ri] = _gap_vectorized(radii[ri] * units[ai], column)
     # 0 marks a point without a usable sign
@@ -759,10 +828,12 @@ def limit_curve_points(
     mids = bisect(
         radii[ri], radii[ri + 1], gaps[ai, ri], lambda m, i: m * us[i]
     )
-    ts, rs = [thetas[ai]], [mids]
+    ts, rs, axis = [thetas[ai]], [mids], [us.imag == 0]
 
-    # sign changes along each circle, bisected in angle
-    ai, ri = np.nonzero(signs * np.roll(signs, -1, axis=0) < 0)
+    # sign changes along each circle between two rows of the half turn,
+    # bisected in angle; for an odd angles, the rows on either side of
+    # the half turn are mirror images, with no sign change between them
+    ai, ri = np.nonzero(signs[:-1] * signs[1:] < 0)
     rad = radii[ri]
     mids = bisect(
         thetas[ai],
@@ -771,15 +842,21 @@ def limit_curve_points(
         lambda t, i: rad[i] * np.exp(1j * t),
         rad,
     )
-    ts.append(np.mod(mids, 2 * math.pi))
+    ts.append(mids)
     rs.append(rad)
+    axis.append(np.zeros(len(mids), dtype=bool))
 
-    t, r = np.concatenate(ts), np.concatenate(rs)
-    order = np.lexsort((r, t))
-    return [
-        b * cmath.exp(1j * a)
-        for a, b in zip(t[order].tolist(), r[order].tolist())
-    ]
+    t, r, real = (np.concatenate(x) for x in (ts, rs, axis))
+    z = np.array(
+        [b * cmath.exp(1j * a) for a, b in zip(t.tolist(), r.tolist())],
+        dtype=complex,
+    )
+    z[real] = z[real].real
+    # each point off the real axis and its conjugate, at angle 2 pi - t
+    t = np.concatenate([t, 2 * math.pi - t[~real]])
+    r = np.concatenate([r, r[~real]])
+    z = np.concatenate([z, z[~real].conj()])
+    return z[np.lexsort((r, t))].tolist()
 
 
 def omega_member(z: complex) -> bool:
@@ -801,6 +878,10 @@ def omega_member(z: complex) -> bool:
 # family roots through the two-power structure
 
 _REFINE_ABOVE = 1e-10
+# members of n >= 3 on exact columns that _family_roots_full finished on
+# the half configuration ("half") or solved in full ("fallback"); counted
+# in this process since import, for the tests and the benchmark to read
+COUNTS: Counter = Counter()
 _PREC = 240
 _GUARD = 16
 # every 240-bit value but the iterates is a Gaussian float (a, b, e),
@@ -870,26 +951,54 @@ def _double(x: int, y: int) -> complex:
     return complex(x / (1 << _PREC), y / (1 << _PREC))
 
 
-def _repulsion_fixed(pts: list[tuple[int, int]]) -> list[list[int]]:
+def _repulsion_fixed(
+    pts: list[tuple[int, int]], mirrored: Sequence[int] = ()
+) -> list[list[int]]:
     """The Aberth repulsion sum over j != i of 1 / (z_i - z_j) among the
     points z = (x + iy) / 2^_PREC, as Gaussian integers on the same
-    fixed-point scale; each pair is divided once and used twice."""
+    fixed-point scale; each pair is divided once and used twice.
+
+    The points whose indices are in mirrored also stand for their
+    conjugates, and every sum then runs over those conjugates too, a
+    point's own included.  Since 1 / (z_j - conj z_i) = -conj(1 / (z_i -
+    conj z_j)), a pair's mirror terms also take one division."""
     f2 = 2 * _PREC
     out = [[0, 0] for _ in pts]
+    mirror = [False] * len(pts)
+    for i in mirrored:
+        mirror[i] = True
     for i, (xi, yi) in enumerate(pts):
+        if mirror[i]:
+            # z_i - conj z_i = 2i y_i
+            out[i][1] += (-yi << f2 + 1) // (4 * yi * yi)
         for j in range(i + 1, len(pts)):
-            dx, dy = xi - pts[j][0], yi - pts[j][1]
+            xj, yj = pts[j]
+            dx, dy = xi - xj, yi - yj
             m = dx * dx + dy * dy
             tr, ti = (dx << f2) // m, (-dy << f2) // m
             out[i][0] += tr
             out[i][1] += ti
             out[j][0] -= tr
             out[j][1] -= ti
+            if mirror[i] or mirror[j]:
+                dy = yi + yj
+                m = dx * dx + dy * dy
+                tr, ti = (dx << f2) // m, (-dy << f2) // m
+                if mirror[j]:
+                    out[i][0] += tr
+                    out[i][1] += ti
+                if mirror[i]:
+                    out[j][0] -= tr
+                    out[j][1] += ti
     return out
 
 
 def _refine_mp(
-    n: int, column: _Column, flagged: np.ndarray, frozen: np.ndarray
+    n: int,
+    column: _Column,
+    flagged: np.ndarray,
+    frozen: np.ndarray,
+    real: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Aberth refinement of a few flagged points of the member n of the
     column, certified at 240 bits.
@@ -918,6 +1027,12 @@ def _refine_mp(
     no flagged point starts inside it; that term only steers the step,
     and the Newton ratio and the residual never see it.
 
+    real, when given, marks the flagged points of a half configuration
+    (see _aberth) that lie on the real axis; every other flagged point
+    also stands for its conjugate.  Those conjugates join the 240-bit
+    repulsion (_repulsion_fixed), a real point moves only along the axis,
+    and frozen must then hold the conjugates of the frozen points too.
+
     A point stops once its correction is below 2^-_SETTLED |z| (2^-70
     |z|, far below the 2^-53 |z| spacing of the doubles the points are
     rounded to; the test compares squared moduli as integers); that last
@@ -931,11 +1046,13 @@ def _refine_mp(
     terms = _fixed_terms(n, column)
     f = _PREC
     pts = [_fixed(w) for w in flagged]
+    axis = np.zeros(len(pts), dtype=bool) if real is None else real
+    mirrored = [] if real is None else np.nonzero(~real)[0].tolist()
     moving = range(len(pts))
     for _ in range(40):
         zd = np.array([_double(x, y) for x, y in pts])
         far = (1.0 / (zd[:, None] - frozen[None, :])).sum(axis=1)
-        near = _repulsion_fixed(pts)
+        near = _repulsion_fixed(pts, mirrored)
         still = []
         for i in moving:
             x, y = pts[i]
@@ -949,6 +1066,8 @@ def _refine_mp(
             a, b, e = _gdiv(step, _gadd((1, 0, 0), (-sr, -si, se)))
             e += f
             mx, my = (a << e, b << e) if e >= 0 else (a >> -e, b >> -e)
+            if axis[i]:
+                my = 0
             pts[i] = x - mx, y - my
             if (mx * mx + my * my) << 2 * _SETTLED >= x * x + y * y:
                 still.append(i)
@@ -1373,51 +1492,177 @@ def _square_free_parts(
     return parts
 
 
-def _branch_starts(n: int, column: _Column, d: int) -> np.ndarray | None:
+def _axis_starts(n: int, column: _Column) -> np.ndarray:
+    """Real starts of the member n of the column: one in each bracket of
+    its real-axis table (_Column.axis) where lambda1^n + sigma lambda2^n
+    changes sign, at the bracket's midpoint.
+
+    The sign at each point comes from the two terms' logs and signs: the
+    term with the larger log gives it, and on a tie of logs with opposite
+    signs the point has no sign and closes no bracket.  A bracket whose
+    end signs are right holds an odd number of real roots, so the count
+    is that of the member's real roots when no bracket holds three or
+    more, no pair of roots falls between two points and none lies
+    outside the table's radii.  Nothing relies on that: the half
+    configuration built on these starts is kept only when its inclusion
+    discs prove the count (_half_solve).
+    """
+    x, logs, signs = column.axis
+    l1 = n * logs[0]
+    l2 = logs[2] + n * logs[1]
+    s1 = signs[0] ** n
+    s2 = signs[2] * signs[1] ** n
+    sign = np.where(l1 > l2, s1, s2)
+    sign = np.where((l1 == l2) & (s1 != s2), 0.0, sign)
+    ray, i = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+    return 0.5 * (x[ray, i] + x[ray, i + 1])
+
+
+def _branch_roots(column: _Column, t: np.ndarray) -> np.ndarray | None:
+    """All roots of the branch equations z^-L (lambda1 - t_j lambda2) of
+    the column for the values t_j, from one batched eigenvalue solve of
+    their companion matrices in numpy.roots' form, or None when one is
+    not finite (a vanishing or overflowing top coefficient) or the solve
+    fails.  The rows of column.pair are real, so a real t gives real
+    matrices, whose eigenvalues are exactly real or exact conjugate
+    pairs."""
+    a, b = column.pair
+    rows = a - t[:, None] * b
+    m, D = rows.shape[0], rows.shape[1] - 1
+    comp = np.zeros((m, D, D), dtype=rows.dtype)
+    with np.errstate(all="ignore"):
+        comp[:, 0, :] = -rows[:, -2::-1] / rows[:, -1:]
+    comp[:, np.arange(1, D), np.arange(D - 1)] = 1.0
+    if not np.isfinite(comp).all():
+        return None
+    try:
+        return np.linalg.eigvals(comp).ravel()
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _branch_t(n: int) -> np.ndarray:
+    """The n values t_j = -exp(i pi (2j + 1 - n) / n), j = 0 ... n - 1,
+    of t^n = -1: exactly -1 on the middle branch of an odd n, and exact
+    conjugates in pairs, j and n - 1 - j, with Im t_j > 0 for 2j + 1 < n."""
+    return -np.exp(1j * math.pi * (2 * np.arange(n) + 1 - n) / n)
+
+
+def _full_branch_starts(n: int, column: _Column, d: int) -> np.ndarray | None:
+    """d Aberth starts for the reduced member n of the column, of degree
+    d, from all n of its branches (see _branch_starts), solved in one
+    batch, or None when they do not give n D = d + 1 finite roots: the
+    root with the largest _family_ratio residual is dropped.  The starts
+    of a conjugate pair of branches come from two solves, so they are not
+    exact conjugates, and a full Aberth solve from them can place a pair
+    of real roots that a configuration closed under conjugation cannot
+    reach.  _family_roots_full takes them when the half configuration
+    fails."""
+    D = column.pair.shape[1] - 1
+    z = _branch_roots(column, _branch_t(n)) if n * D == d + 1 else None
+    if z is None:
+        return None
+    with np.errstate(all="ignore"):
+        res, _ = _family_ratio(n, column, 0, z)
+    return np.delete(z, np.argmax(res))
+
+
+def _branch_starts(
+    n: int, column: _Column, d: int
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Aberth starts for the reduced member n of the column, of degree d,
-    from its n branches, or None when they do not give d finite points.
+    as a half configuration (z, real) (see _aberth): the real starts of
+    _axis_starts, then upper starts from the member's n branches.  None
+    when the branches do not give n D = d + 1 finite roots, or too few
+    upper starts for the real ones.
 
     The member lambda1^n + sigma lambda2^n vanishes where lambda1 / lambda2
     is an n-th root of -sigma, and its roots gather on |lambda1| =
     |lambda2|, one on each branch (Beraha, Kahane & Weiss 1978; Sokal, CPC
     2004).  With sigma dropped, the branches are the equations lambda1 =
-    t_j lambda2, t_j = exp(i pi (2j + 1) / n) for j = 0 ... n - 1; each
-    times z^-L is a polynomial of the joint span D of the lambdas, with
-    the rows of column.pair as its coefficients.  All n D of their roots
-    come from one batched eigenvalue solve of the n companion matrices.
-    A near-common zero of the lambdas is a root of every branch, so the
-    starts of a cluster sit at its zero too.
+    t_j lambda2, t_j^n = -1 (_branch_t); each times z^-L is a polynomial
+    of the joint span D of the lambdas, with the rows of column.pair as
+    its coefficients.  A near-common zero of the lambdas is a root of
+    every branch, so the starts of a cluster sit at its zero too.  Every
+    member checked (s, k <= 8 for n in {2, 3, 5}, and the sweep grid) has
+    n D = d + 1.
 
-    Every member checked (s, k <= 8 for n in {2, 3, 5}, and the sweep
-    grid) has n D = d + 1: the start with the largest _family_ratio
-    residual is dropped.  Any other count, a companion matrix that is not
-    finite (so no finite starts) or an eigenvalue solve that fails returns
-    None, and the caller starts from the circles of _initial_points; no
+    The rows are real, so the branch of conj t_j has the conjugate roots
+    of the branch of t_j, and only the ceil(n / 2) branches with Im t_j
+    >= 0 are solved (_branch_roots): those with Im t_j > 0 in one batch,
+    their roots folded into the upper half-plane (each stands for itself
+    and its conjugate, one root of a mirrored pair of branches), and for
+    an odd n the branch t = -1 as a real matrix, whose upper eigenvalues
+    join them.  Its real ones are dropped: the branch equations drop
+    sigma, so their real roots need not match the member's in number, and
+    the real starts come from the member itself (_axis_starts).  Of the
+    upper starts, the (d - r) / 2 with the smallest _family_ratio
+    residuals are kept for r real starts; an odd d - r gives None.  No
     start is frozen before _aberth's first step.
     """
-    a, b = column.pair
-    D = len(a) - 1
+    D = column.pair.shape[1] - 1
     if n * D != d + 1:
         return None
-    # t_j = -exp(i pi (2j + 1 - n) / n): exactly -1 on the middle branch
-    # of an odd n, and exact conjugates in pairs
-    t = -np.exp(1j * math.pi * (2 * np.arange(n) + 1 - n) / n)
-    rows = a - t[:, None] * b
-    # numpy.roots' companion form: first row -c_(D-1) / c_D ... -c_0 / c_D
-    comp = np.zeros((n, D, D), dtype=complex)
-    with np.errstate(all="ignore"):
-        comp[:, 0, :] = -rows[:, -2::-1] / rows[:, -1:]
-    comp[:, np.arange(1, D), np.arange(D - 1)] = 1.0
-    # a vanishing or overflowing top coefficient gives no finite starts
-    if not np.isfinite(comp).all():
+    upper = _branch_roots(column, _branch_t(n)[: n // 2])
+    mid = _branch_roots(column, np.array([-1.0])) if n % 2 else np.empty(0)
+    if upper is None or mid is None:
         return None
-    try:
-        z = np.linalg.eigvals(comp).ravel()
-    except np.linalg.LinAlgError:
+    upper = np.concatenate([
+        np.where(upper.imag < 0, upper.conj(), upper), mid[mid.imag > 0]
+    ])
+    reals = _axis_starts(n, column)
+    keep, odd = divmod(d - len(reals), 2)
+    if odd or not 0 <= keep <= len(upper):
         return None
     with np.errstate(all="ignore"):
-        res, _ = _family_ratio(n, column, 0, z)
-    return np.delete(z, np.argmax(res))
+        res, _ = _family_ratio(n, column, 0, upper)
+    best = np.sort(np.argsort(res, kind="stable")[:keep])
+    z = np.concatenate([reals.astype(complex), upper[best]])
+    return z, np.arange(len(z)) < len(reals)
+
+
+def _half_solve(
+    n: int, column: _Column, lo: int, d: int, z: np.ndarray, real: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The points and residuals of the reduced member n of the column, of
+    degree d and low exponent lo, from the half configuration (z, real)
+    of _branch_starts, or None when its inclusion discs do not prove it.
+
+    Aberth, the polish and the 240-bit refine move only the points of
+    the half configuration, the upper and the real ones, with the
+    repulsion of the others' conjugates (_aberth, _polish, _refine_mp).
+    After the polish each point gets its inclusion disc
+    (_inclusion_radii), and a conjugate the disc of its partner: q has
+    real coefficients, so |q / q'| is the same at both.  When all d discs
+    of the full configuration are finite and pairwise disjoint, each holds
+    exactly one root of q.  A real point's disc is symmetric about the
+    axis, so the one root it holds equals its own conjugate: it is real,
+    and the count of real roots is proven, not assumed.  Otherwise the
+    configuration is rejected.
+
+    The points whose residual is above _REFINE_ABOVE then go to the
+    refine, with the rest of the full configuration frozen.  Returns the
+    full configuration, the half one and then the conjugates of its upper
+    points, each conjugate with its partner's residual; a real point has
+    imaginary part 0.0.
+    """
+    evaluate = partial(_family_ratio, n, column, lo)
+    floor = partial(_residual_floor, n, column)
+    z, _ = _aberth(evaluate, z.copy(), floor, real)
+    z, res = _polish(evaluate, z, real)
+    radii = _inclusion_radii(n, column, lo, d, z)
+    if not np.isfinite(radii).all():
+        return None
+    discs = np.concatenate([radii, radii[~real]])
+    if _overlapping(_mirrored(z, real), discs).any():
+        return None
+    shaky = res > _REFINE_ABOVE
+    if shaky.any():
+        frozen = _mirrored(z[~shaky], real[~shaky])
+        z[shaky], res[shaky] = _refine_mp(
+            n, column, z[shaky], frozen, real[shaky]
+        )
+    return _mirrored(z, real), np.concatenate([res, res[~real]])
 
 
 def _family_roots_full(
@@ -1433,25 +1678,33 @@ def _family_roots_full(
     polynomial fix the degree; every evaluation goes through the
     power-sum form, which stays conditioned at any n.
 
-    Aberth starts a member with n >= 3 on an exact column (_Column.exact)
-    from its branches (_branch_starts), and every other member from the
-    circles of _initial_points on the reduced coefficients (their
-    magnitudes taken in log form, since they overflow floats long before
-    the caps do).  The branch starts drop sigma, whose n-th root is
-    furthest from 1 for small n: for n = 2 they left more records above
-    1e-9 on (2, 12, 2).  On a column that is not exact every floor and
-    radius is infinite, so every point goes to the 240-bit refine, and
-    the count its sweeps leave above 1e-9 went up on some such members and
-    down on others with the branch starts; those members keep the
-    circles.
+    A member with n >= 3 on an exact column (_Column.exact) is solved on
+    its half configuration first (_branch_starts, _half_solve): its real
+    points and its points above the axis, whose conjugates complete the
+    records, each conjugate with its partner's residual, and each real
+    record with imaginary part 0.0.  That is kept only when the inclusion
+    discs of all d points prove it (see _half_solve); otherwise the
+    member falls back to the full configuration below, from all of its
+    branches (_full_branch_starts), and COUNTS["fallback"] counts it
+    (COUNTS["half"] counts the others).  Every other member is solved on
+    the full configuration from the circles of _initial_points on the
+    reduced coefficients (their magnitudes taken in log form, since they
+    overflow floats long before the caps do).  The branch starts drop
+    sigma, whose n-th root is furthest from 1 for small n: for n = 2 they
+    left more records above 1e-9 on (2, 12, 2).  On a column that is not
+    exact every floor and radius is infinite, so every point goes to the
+    240-bit refine, and the count its sweeps leave above 1e-9 went up on
+    some such members and down on others with the branch starts; those
+    members keep the circles.
 
-    After the Aberth solve and the polish, each of the d points of the
-    reduced polynomial gets its inclusion disc (_inclusion_radii).  Only
-    the points whose residual is above _REFINE_ABOVE, or whose disc
-    meets another point's disc (_overlapping), go to the 240-bit
-    _refine_mp, which runs in Python integers on the 2^-240 fixed-point
-    scale: a point with an isolated disc already holds its own root to
-    double precision.  A record is still certified by its residual.
+    After the Aberth solve and the polish of the full configuration,
+    each of the d points of the reduced polynomial gets its inclusion
+    disc (_inclusion_radii).  Only the points whose residual is above
+    _REFINE_ABOVE, or whose disc meets another point's disc
+    (_overlapping), go to the 240-bit _refine_mp, which runs in Python
+    integers on the 2^-240 fixed-point scale: a point with an isolated
+    disc already holds its own root to double precision.  A record is
+    still certified by its residual.
 
     Discs that overlap may mean a repeated root, where Aberth converges
     only linearly and the refine would split the root into a cluster.
@@ -1476,6 +1729,11 @@ def _family_roots_full(
     lo, coeffs = exact_div(p, _CYCLOTOMIC).dense_coeffs()
     d = len(coeffs) - 1
     evaluate = partial(_family_ratio, n, column, lo)
+
+    def records(z, res):
+        roots, residuals = _ordered([*z, *_CYCLOTOMIC_ROOTS], [*res, 0.0, 0.0])
+        return roots, residuals, degree
+
     parts = _square_free_parts(coeffs) if n == 1 and d > 1 else None
     if parts is None:
         if d == 0:
@@ -1486,7 +1744,14 @@ def _family_roots_full(
             floor = partial(_residual_floor, n, column)
             z = None
             if n > 2 and column.exact:
-                z = _branch_starts(n, column, d)
+                starts = _branch_starts(n, column, d)
+                half = None
+                if starts is not None:
+                    half = _half_solve(n, column, lo, d, *starts)
+                COUNTS["fallback" if half is None else "half"] += 1
+                if half is not None:
+                    return records(*half)
+                z = _full_branch_starts(n, column, d)
             if z is None:
                 z = _initial_points(coeffs)
             z, _ = _aberth(evaluate, z, floor)
@@ -1507,8 +1772,7 @@ def _family_roots_full(
         shaky = overlap | (res > _REFINE_ABOVE)
         if shaky.any():
             z[shaky], res[shaky] = _refine_mp(n, column, z[shaky], z[~shaky])
-    roots, residuals = _ordered([*z, *_CYCLOTOMIC_ROOTS], [*res, 0.0, 0.0])
-    return roots, residuals, degree
+    return records(z, res)
 
 
 # ---------------------------------------------------------------------------
@@ -1986,6 +2250,10 @@ def _cell_stream(
             for key, recs in task.result().items():
                 cache.setdefault(key, recs)
         return cell, records(cell)
+
+    # imported here: the process pool costs an import of its own that
+    # every serial caller, and the CLI's start-up, would pay for nothing
+    from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(max_workers=jobs)
     ahead: deque = deque()

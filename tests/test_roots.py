@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from functools import partial
 
 import mpmath
@@ -52,6 +53,7 @@ from yamada.roots import (
     _fixed_terms,
     _inclusion_radii,
     _initial_points,
+    _mirrored,
     _ordered,
     _overlapping,
     _part_values,
@@ -194,13 +196,22 @@ def test_family_refinement_cell():
     assert len(roots) == degree
     assert max(res) <= 1e-9
     # and reproduce the records that scripts/build_fixtures.py froze from
-    # this solve: real parts and residuals to the bit, imaginary parts too
-    # except on the real axis, where both are 240-bit noise
+    # this solve to the bit: real parts, imaginary parts (0.0 on the real
+    # axis) and residuals
     d = json.loads((FIXTURES / "refine_12_4_4.json").read_text())
     assert d["cell"] == [12, 4, 4, "+"] and len(d["roots"]) == degree
     for z, r, (re, im, rr) in zip(roots, res, d["roots"]):
-        assert z.real == re and r == rr
-        assert z.imag == im or max(abs(z.imag), abs(im)) < 1e-30 * abs(z)
+        assert z == complex(re, im) and r == rr
+
+
+def test_refinement_cell_records_18_and_307_are_conjugates():
+    # two float64 points left unrefined below _REFINE_ABOVE: solved as
+    # one point of the half configuration and its mirror, they are exact
+    # conjugates with one residual
+    roots, res, _ = _family_roots_full(12, 4, 4)
+    assert roots[18] == roots[307].conjugate() and roots[18].imag < 0
+    assert abs(roots[18] + 0.8450302657707287 + 0.004210472517444679j) < 1e-10
+    assert res[18] == res[307]
 
 
 def _mpc(u):
@@ -266,13 +277,15 @@ def test_fixed_terms_match_mpmath_at_the_fixture_roots():
 
 
 def test_import_leaves_mpmath_out():
-    # mpmath is the tests' independent oracle, not a library dependency
+    # mpmath is the tests' independent oracle, not a library dependency;
+    # the process pool is imported only by a search that runs jobs > 1
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import yamada.cli; "
-            "print('mpmath' in sys.modules)")
-    out = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+            "print([m in sys.modules for m in sys.argv[2:]])")
+    names = ["mpmath", "concurrent.futures.process", "multiprocessing"]
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(src), *names],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False, False]"
 
 
 def test_part_values_stack_is_bit_exact():
@@ -397,6 +410,27 @@ def test_aberth_falls_back_to_the_best_configuration_at_the_cap(monkeypatch):
     assert np.array_equal(z, [20.0, -20.0, first, 20j])
     assert float(res.max()) == 1e-3 * (1.0 + abs(first - 3.0))
     assert abs(rec.z[2] - 3.0) > 0.4
+
+
+def test_aberth_returns_the_stall_configuration(monkeypatch):
+    # one point drifts away from where its residual is smallest, always at
+    # or below its floor: the moving set stalls after 20 iterations, and
+    # the solve returns that configuration, with no second evaluation,
+    # though the one after the first step had a smaller worst residual
+    monkeypatch.setattr(roots_module, "_MAX_ITER", 50)
+
+    def evaluate(x):
+        off = np.abs(x - 3.0)
+        near = off < 10.0
+        res = np.where(near, 1e-3 * (1.0 + off), 1e-20)
+        return res, np.where(near, -0.01 + 0j, 0j)
+
+    rec = MovingPointsRecorder(evaluate, np.array([20.0, 3.0, 20j]))
+    z, res = _aberth(rec, rec.z, lambda x: np.ones(len(x)))
+    rec.check_result(z, res)
+    assert rec.fallback is None and rec.calls == 21
+    assert z[0] == 20.0 and z[2] == 20j and abs(z[1] - 3.0) > 0.15
+    assert float(res.max()) == 1e-3 * (1.0 + abs(z[1] - 3.0))
 
 
 def test_aberth_stops_when_the_moving_set_stalls(monkeypatch):
@@ -539,13 +573,28 @@ def test_repulsion_fixed_matches_mpc_sum():
     with mpmath.workprec(300):
         zs = [mpmath.mpc(mpmath.mpf((x, -240)), mpmath.mpf((y, -240)))
               for x, y in pts]
-    got = _repulsion_fixed(pts)
-    with mpmath.workprec(240):
-        for i, z in enumerate(zs):
-            want = mpmath.fsum(1 / (z - w) for j, w in enumerate(zs) if j != i)
-            rep = mpmath.mpc(mpmath.mpf((got[i][0], -240)),
-                             mpmath.mpf((got[i][1], -240)))
-            assert abs(rep - want) <= 1e-60 * abs(want)
+    # with points 0, 2 and 3 also standing for their conjugates, every
+    # sum runs over those conjugates too, a point's own included; point 1
+    # is then taken on the real axis
+    mirrored = [0, 2, 3]
+    axis = pts[:1] + [(pts[1][0], 0)] + pts[2:]
+    with mpmath.workprec(300):
+        on_axis = [mpmath.mpc(mpmath.mpf((x, -240)), mpmath.mpf((y, -240)))
+                   for x, y in axis]
+        conjugates = [mpmath.conj(on_axis[j]) for j in mirrored]
+    for got, points, extra in (
+        (_repulsion_fixed(pts), zs, []),
+        (_repulsion_fixed(axis, mirrored), on_axis, conjugates),
+    ):
+        with mpmath.workprec(240):
+            for i, z in enumerate(points):
+                want = mpmath.fsum(
+                    1 / (z - w)
+                    for j, w in enumerate(points + extra) if j != i
+                )
+                rep = mpmath.mpc(mpmath.mpf((got[i][0], -240)),
+                                 mpmath.mpf((got[i][1], -240)))
+                assert abs(rep - want) <= 1e-60 * abs(want)
 
 
 def _newton_radius_240(n, s, k, lo, d, z):
@@ -668,8 +717,12 @@ def test_scan_family_counts_and_order():
                     _, cs = family_polynomial(n, s, k, sign).dense_coeffs()
                     expected += len(cs) - 1
     assert len(records) == expected
+    # a real root has imaginary part 0.0, and a negative one sorts at -pi
     keys = [
-        (r.n, r.s, r.k, r.sign, cmath.phase(r.root), abs(r.root))
+        (r.n, r.s, r.k, r.sign,
+         -math.pi if r.root.imag == 0 and r.root.real < 0
+         else cmath.phase(r.root),
+         abs(r.root))
         for r in records
     ]
     assert keys == sorted(keys)
@@ -749,6 +802,24 @@ def test_limit_curve_points_deterministic():
     a = limit_curve_points(2, 1, angles=90, radial=40)
     b = limit_curve_points(2, 1, angles=90, radial=40)
     assert a == b
+
+
+def test_limit_curve_points_come_with_their_conjugates():
+    # only the half turn is bisected: every point comes back with its
+    # exact conjugate, and a point on the real axis has imaginary part 0.0
+    # (the ray at the half turn of an even grid is the negative axis)
+    for s, k, grid in ((2, 2, dict(angles=180, radial=80)),
+                       (2, 3, dict(angles=97, radial=53)),
+                       (4, 4, dict()),
+                       (1, 1, dict(angles=1)),
+                       (3, 6, dict(angles=1, radial=300))):
+        pts = limit_curve_points(s, k, **grid)
+        assert pts, (s, k, grid)
+        mirror = Counter(z.conjugate() for z in pts)
+        assert Counter(pts) == mirror, (s, k, grid)
+        real = [z for z in pts if abs(z.imag) <= 1e-12 * abs(z)]
+        assert all(z.imag == 0 for z in real), (s, k, grid)
+    assert any(z.real < 0 and z.imag == 0 for z in limit_curve_points(2, 2))
 
 
 def test_limit_curve_points_rejects_unsampleable_grids():
@@ -1038,7 +1109,9 @@ def test_square_free_solve_of_repeated_root_members(monkeypatch):
 def test_branch_starts_give_one_start_per_root_on_the_sweep_grid():
     # every member with n >= 2 of the benchmark's sweep grid (s <= 4,
     # k <= 6, degree estimate at most 450): its n branches of span D have
-    # n D = d + 1 roots, and one is dropped, so exactly d finite starts
+    # n D = d + 1 roots, and the half configuration mirrors to exactly d
+    # finite starts, its real starts exactly on the axis and the others
+    # strictly above it
     cells = 0
     for s in range(1, 5):
         for k in range(1, 7):
@@ -1049,10 +1122,13 @@ def test_branch_starts_give_one_start_per_root_on_the_sweep_grid():
                     continue
                 member = exact_div(family_polynomial(n, s, k), _CYCLOTOMIC)
                 d = len(member.dense_coeffs()[1]) - 1
-                z = _branch_starts(n, column, d)
+                starts = _branch_starts(n, column, d)
                 assert n * span == d + 1, (n, s, k)
-                assert z is not None and len(z) == d, (n, s, k)
+                assert starts is not None, (n, s, k)
+                z, real = starts
+                assert len(_mirrored(z, real)) == d, (n, s, k)
                 assert np.isfinite(z).all()
+                assert (z[real].imag == 0).all() and (z[~real].imag > 0).all()
                 # any other count gives no starts (the caller takes circles)
                 assert _branch_starts(n, column, d + 1) is None
                 cells += 1
@@ -1093,6 +1169,76 @@ def test_sweep_cells_have_no_equal_records(monkeypatch):
     assert checked >= 40
 
 
+def test_sweep_cells_are_closed_under_conjugation(monkeypatch):
+    # the cells of the benchmark's sweep for seeds 1-3 (two rounds of 24
+    # each) whose member takes branch starts: each is solved on its half
+    # configuration, with no fallback, and its records of either sign are
+    # closed under conjugation bit for bit, each real one with imaginary
+    # part 0.0 (the negative family's records are exact reciprocals, and
+    # Python's complex division commutes with conjugation).  The cells of
+    # n <= 2 start from circles and keep the full configuration
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    cells = set()
+    for seed in (1, 2, 3):
+        stream = workloads.sweep_stream(random.Random(f"sweep-{seed}"))
+        cells |= {tuple(req.spec[1:5]) for req in itertools.islice(stream, 48)}
+    before = dict(roots_module.COUNTS)
+    cache: dict = {}
+    checked = reals = 0
+    for n, s, k, sign in sorted(cells):
+        if n < 3:
+            continue
+        records = scan_family([n], [s], [k], signs=(sign,), cache=cache)
+        roots = [r.root for r in records]
+        mirror = Counter(z.conjugate() for z in roots)
+        assert Counter(roots) == mirror, (n, s, k, sign)
+        pairs = {}
+        for r in records:
+            pairs.setdefault(r.root.conjugate(), r.residual)
+        assert all(pairs[r.root] == r.residual for r in records)
+        near = [z for z in roots if abs(z.imag) <= 1e-12 * abs(z)]
+        assert all(z.imag == 0 for z in near), (n, s, k, sign)
+        reals += len(near)
+        checked += 1
+    assert checked >= 70 and reals > 0
+    counts = roots_module.COUNTS
+    assert counts["fallback"] == before.get("fallback", 0)
+    assert counts["half"] > before.get("half", 0)
+
+
+def test_a_wrong_real_count_falls_back_to_the_full_solve(monkeypatch):
+    # (3, 1, 1) has the real roots -0.5225 and 1.0396.  With a real-axis
+    # scan that reports no sign change, the half configuration has no
+    # real point and cannot reach them: its discs are rejected, the
+    # fallback is counted, and the records are those of the full solve
+    # from the same starts, bit for bit
+    roots, _, degree = _family_roots_full(3, 1, 1)
+    real = sorted(z.real for z in roots if z.imag == 0)
+    assert len(real) == 2 and abs(real[0] + 0.5225) < 1e-4
+    assert abs(real[1] - 1.0396) < 1e-4
+    monkeypatch.setattr(roots_module, "_axis_starts",
+                        lambda n, column: np.empty(0))
+    half = roots_module._half_solve
+    verdicts = []
+
+    def recorded(*args):
+        out = half(*args)
+        verdicts.append(out is None)
+        return out
+
+    monkeypatch.setattr(roots_module, "_half_solve", recorded)
+    before = roots_module.COUNTS["fallback"]
+    got = _family_roots_full(3, 1, 1)
+    assert verdicts == [True]
+    assert roots_module.COUNTS["fallback"] == before + 1
+    monkeypatch.setattr(roots_module, "_half_solve", lambda *args: None)
+    assert _family_roots_full(3, 1, 1) == got
+    assert len(got[0]) == degree and max(got[1]) <= 1e-9
+    assert close_sets(got[0], roots, 1e-12)
+
+
 def test_branch_starts_cut_the_aberth_evaluations(monkeypatch):
     # (16, 4, 4), 431 points to place after the cyclotomic pair, many of
     # them around near-common zeros of the lambdas: from the circles
@@ -1101,11 +1247,11 @@ def test_branch_starts_cut_the_aberth_evaluations(monkeypatch):
     calls = [0]
     inner = roots_module._aberth
 
-    def counted(evaluate, z, floor):
+    def counted(evaluate, z, *args):
         def ev(x):
             calls[0] += 1
             return evaluate(x)
-        return inner(ev, z, floor)
+        return inner(ev, z, *args)
 
     monkeypatch.setattr(roots_module, "_aberth", counted)
     roots, res, degree = _family_roots_full(16, 4, 4)
@@ -1119,7 +1265,8 @@ def test_refine_evaluations_per_point(monkeypatch):
     # (the residual target of 1e-30 took four).
     # In the refinement cell some points start at the float64 floor,
     # about 1e-10 off, and their second correction is still above 2^-70:
-    # only those take a fourth evaluation
+    # only those take a fourth evaluation (one of the 18 points of its
+    # half configuration; of the 36 points of the full one, 4 did)
     # Every 240-bit evaluation, a refine step or a residual, forms b1 and
     # b2 once, through _fixed_members
     calls = [0]
@@ -1137,7 +1284,7 @@ def test_refine_evaluations_per_point(monkeypatch):
 
     monkeypatch.setattr(roots_module, "_fixed_members", counted_members)
     monkeypatch.setattr(roots_module, "_refine_mp", counted_refine)
-    for cell, late in (((17, 3, 4), 0), ((6, 4, 2), 0), ((12, 4, 4), 4)):
+    for cell, late in (((17, 3, 4), 0), ((6, 4, 2), 0), ((12, 4, 4), 1)):
         calls[0] = points[0] = 0
         roots, res, _ = _family_roots_full(*cell)
         assert points[0] > 0 and max(res) <= 1e-9
