@@ -1212,8 +1212,9 @@ def test_a_wrong_real_count_falls_back_to_the_full_solve(monkeypatch):
     # (3, 1, 1) has the real roots -0.5225 and 1.0396.  With a real-axis
     # scan that reports no sign change, the half configuration has no
     # real point and cannot reach them: its discs are rejected, the
-    # fallback is counted, and the records are those of the full solve
-    # from the same starts, bit for bit
+    # fallback is counted, and the rejected solve leaves no trace: the
+    # records are, bit for bit, those of the full solve from all n
+    # branches that a member takes when the half solve is skipped
     roots, _, degree = _family_roots_full(3, 1, 1)
     real = sorted(z.real for z in roots if z.imag == 0)
     assert len(real) == 2 and abs(real[0] + 0.5225) < 1e-4
