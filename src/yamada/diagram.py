@@ -1,8 +1,8 @@
 """Combinatorial diagram codes for spatial graphs and their Yamada
 polynomial R, by a skein over the diagram's blocks memoised up to
-isomorphism (yamada_r: an invariant bucket key, then a match of anchored
-breadth-first codes), with the state sum over all spin states kept as
-its oracle (yamada_r_state_sum).
+isomorphism (yamada_r: an invariant bucket key, then a dict lookup of
+anchored breadth-first codes), with the state sum over all spin states
+kept as its oracle (yamada_r_state_sum).
 
 A code lists graph vertices and crossings, each carrying counterclockwise
 cyclic lists of half-edge ids, plus arcs pairing up all half-edges.  Each
@@ -352,11 +352,12 @@ def yamada_r(code: DiagramCode, max_crossings: int | None = 14) -> LaurentPoly:
     A block with crossings is expanded on the crossing _next_crossing
     picks.  Every block is memoised up to isomorphism (_Skein.block), so
     isomorphic blocks reached along different branches are computed once:
-    blocks are bucketed by a one-pass invariant (_classes), and a block
-    hits a stored one when its breadth-first code anchored at some dart
-    of its rarest class equals the stored code (_code), an isomorphism;
-    the memo lives for one call.  No Reidemeister simplification is made.
-    A code whose arcs do not pair up its half-edges raises.
+    blocks are bucketed by a one-pass invariant (_classes), each bucket a
+    dict from breadth-first codes (_code) to values, and a block hits a
+    stored one when its code anchored at some dart of its rarest class is
+    a key of its bucket, an isomorphism; the memo lives for one call.  No
+    Reidemeister simplification is made.  A code whose arcs do not pair
+    up its half-edges raises.
 
     Every value is carried as Q(D) = A^c R(D), a polynomial in A and t
     with integer coefficients (H = signed F at t = sigma + 1), packed into
@@ -515,24 +516,26 @@ class _Skein:
     def block(self, rots: list, overs: list, mate: list[int], site_of: list[int]) -> int:
         """Packed Q of a block, memoised up to isomorphism.
 
-        The memo maps a bucket key (_classes) to the codes of the blocks
-        expanded so far, each with its value.  A stored code is matched
-        by the block's codes anchored at each dart of its rarest class
-        (_code), each given up at its first number that differs; only a
-        full match is a hit, and a full match is an isomorphism.  On a
-        miss the block's code anchored at the first dart of that class
-        is stored with the block's value (expand)."""
+        The memo maps a bucket key (_classes) to a dict from the codes of
+        the blocks expanded so far (_code) to their values.  The block's
+        code anchored at the first dart of its rarest class is looked up
+        first; only if the bucket holds other codes is its code at each
+        further dart of that class formed, once each, and looked up.  A
+        hit is an isomorphism.  On a miss the first code is stored with
+        the block's value (expand, which changes rots and overs)."""
         pos_of, desc, key, starts = _classes(rots, overs, mate)
-        bucket = self.memo.get(key)
-        if bucket is None:
-            bucket = self.memo[key] = []
-        for code, v in bucket:
-            for d0 in starts:
-                if _code(rots, mate, site_of, pos_of, desc, d0, code):
-                    return v
         code = _code(rots, mate, site_of, pos_of, desc, starts[0])
-        v = self.expand(rots, overs, mate, site_of)
-        bucket.append((code, v))
+        bucket = self.memo.setdefault(key, {})
+        # a value may be 0 (R = 0), so a miss is None
+        v = bucket.get(code)
+        if v is not None:
+            return v
+        if bucket:
+            for d0 in starts[1:]:
+                v = bucket.get(_code(rots, mate, site_of, pos_of, desc, d0))
+                if v is not None:
+                    return v
+        v = bucket[code] = self.expand(rots, overs, mate, site_of)
         return v
 
     def expand(self, rots: list, overs: list, mates: list[int], site_of: list[int]) -> int:
@@ -706,12 +709,13 @@ def _classes(rots: list, overs: list, mate: list[int]) -> tuple:
     """One pass over a connected diagram's darts: each dart's position on
     its site and descriptor (its site's degree for a vertex, -1 or -2 for
     an over or an under dart of a crossing), the memo's bucket key, and
-    the darts of the rarest class.  A dart's class is its descriptor and
-    its mate's; the key is the site count and the count of every class,
-    and the rarest class is the least class of the least count.  Renaming
-    the sites and darts changes none of these, so isomorphic diagrams
-    share a bucket, and an isomorphism maps the rarest class of the one
-    onto that of the other."""
+    the darts of the rarest class, the anchors of the memo's codes.  A
+    dart's class is its descriptor and its mate's; the key is the site
+    count and the count of every class, and the rarest class is the
+    least class of the least count.  Renaming the sites and darts
+    changes none of these, so isomorphic diagrams share a bucket, and an
+    isomorphism maps the rarest class of the one onto that of the
+    other."""
     pos_of = [0] * len(mate)
     desc = [0] * len(mate)
     for r, o in zip(rots, overs):
@@ -748,8 +752,7 @@ def _code(
     pos_of: list[int],
     desc: list[int],
     d0: int,
-    against: list[int] | None = None,
-) -> list[int] | None:
+) -> tuple[int, ...]:
     """Code of a connected diagram anchored at its dart d0 (Weinberg's
     breadth-first code of a planar map, 1966), equal for two diagrams and
     two anchors exactly when a renaming of the sites and darts maps the
@@ -762,8 +765,7 @@ def _code(
     descriptor (its degree for a vertex, -1 or -2 for a crossing entered
     by an over or an under dart) and the numbers of its darts' mates; it
     is therefore also the renamed diagram, a crossing's over pair at even
-    positions for -1.  Given against, a code of the same length, the walk
-    stops with None at the first number where the two differ."""
+    positions for -1."""
     s0 = site_of[d0]
     num = [-1] * len(rots)
     num[s0] = 0
@@ -779,10 +781,7 @@ def _code(
         r = rots[s]
         if e:
             r = r[e:] + r[:e]
-        x = desc[r[0]]
-        if against is not None and against[len(code)] != x:
-            return None
-        add(x)
+        add(desc[r[0]])
         for d in r:
             m = mate[d]
             t = site_of[m]
@@ -795,11 +794,8 @@ def _code(
                 k = len(rots[t])
                 sizes.append(k)
                 total += k
-            x = offs[j] + (pos_of[m] - entry[j]) % sizes[j]
-            if against is not None and against[len(code)] != x:
-                return None
-            add(x)
-    return code
+            add(offs[j] + (pos_of[m] - entry[j]) % sizes[j])
+    return tuple(code)
 
 
 def yamada_r_state_sum(code: DiagramCode, max_crossings: int | None = 14) -> LaurentPoly:

@@ -880,7 +880,7 @@ def omega_member(z: complex) -> bool:
 _REFINE_ABOVE = 1e-10
 # members of n >= 3 on exact columns that _family_roots_full finished on
 # the half configuration ("half") or solved in full ("fallback"); counted
-# in this process since import, for the tests and the benchmark to read
+# in this process since import, for the tests to read
 COUNTS: Counter = Counter()
 _PREC = 240
 _GUARD = 16
@@ -2091,8 +2091,9 @@ def density_witness(
     degree estimate exceeds the degree cap are outside the search space.
     If the caps run out, NotFound reports the closest certified root
     seen anywhere in the grid (None if there is none), the earliest in
-    visit order on a tie.  Caps that admit no cell at all raise
-    ValueError.
+    visit order on a tie.  Caps that admit no cell at all, an eps that
+    is not finite and positive or a tol that is not nonnegative (NaN
+    included) raise ValueError.
 
     Cells that provably hold no root near z0 are not solved.  The first
     pass visits the plan in order and defers every cell not in cache
@@ -2117,8 +2118,12 @@ def density_witness(
     its predecessors left, so it solves them one at a time.  The outcome
     is the one the sequential search returns.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    # written so that NaN fails too; a non-finite eps would reach the
+    # JSON output as NaN or Infinity
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, not {eps}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, not {tol}")
     mod = abs(z0)
     if not 0.05 <= mod <= 20.0:
         raise ValueError(
@@ -2225,12 +2230,13 @@ def _cell_stream(
     """((n, s, k), records for each of the signs in turn) for every cell,
     in the order given; the records also land in cache.
 
-    jobs > 1 keeps at most 2 * jobs cells ahead of the consumer and
-    solves the uncached ones in worker processes, one task per cell so
-    that a mirror pair shares its root computation; it still yields in
-    the given order, so a consumer sees exactly what the inline loop
-    gives it.  When the consumer stops
-    early, queued cells are cancelled and running ones finish unused.
+    jobs > 1 runs min(jobs, CPU count) worker processes (none if that is
+    1), keeps at most twice as many cells ahead of the consumer and
+    solves the uncached ones in the workers, one task per cell so that
+    a mirror pair shares its root computation; it still yields in the
+    given order, so a consumer sees exactly what the inline loop gives
+    it.  When the consumer stops early, queued cells are cancelled and
+    running ones finish unused.
     """
 
     def records(cell):
@@ -2240,6 +2246,11 @@ def _cell_stream(
             for r in _cell_records(*cell, sign, degree_cap, cache)
         ]
 
+    import os
+
+    # the pool forks all its workers at its first submit: no more of them
+    # than there are CPUs to run them
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         for cell in cells:
             yield cell, records(cell)

@@ -193,6 +193,12 @@ def test_density_json_has_no_infinity(monkeypatch):
     def refuse(name):
         raise ValueError(f"{name} is not JSON")
 
+    # an eps of NaN or infinity would print as NaN or Infinity: refused
+    for eps in ("nan", "inf"):
+        code, out, err = run_cli("density", "--z0", "0.5i", "--eps", eps,
+                                 "--kmax", "1", "--smax", "1", "--nmax", "2")
+        assert (code, out) == (1, ""), eps
+        assert err.startswith("error: ValueError: eps must be finite"), err
     monkeypatch.setattr(rt, "density_witness", no_certified)
     code, out, err = run_cli("density", "--z0", "0.5i", "--eps", "0.1")
     assert (code, err) == (0, "")

@@ -616,6 +616,32 @@ def test_memo_expands_each_isomorphism_class_once(monkeypatch, nsk):
     assert expansions == len(classes)
 
 
+def test_memo_forms_each_anchored_code_once(monkeypatch):
+    # a lookup walks its block at most once from each dart of the rarest
+    # class, however many codes its bucket holds
+    walks, seen = [], []
+    block, code = diagram._Skein.block, diagram._code
+
+    def spy_block(self, rots, overs, mate, site_of):
+        anchors = len(diagram._classes(rots, overs, mate)[3])
+        walks.append(0)  # the walks of the innermost lookup in progress
+        v = block(self, rots, overs, mate, site_of)
+        seen.append((walks.pop(), anchors))
+        return v
+
+    def spy_code(*args):
+        walks[-1] += 1
+        return code(*args)
+
+    monkeypatch.setattr(diagram._Skein, "block", spy_block)
+    monkeypatch.setattr(diagram, "_code", spy_code)
+    for nsk in ((2, 2, 2), (8, 1, 1)):
+        seen.clear()
+        yamada_r(build_family_diagram(*nsk))
+        assert len(seen) > 1 and any(a > 1 for _, a in seen)
+        assert all(1 <= w <= a for w, a in seen), nsk
+
+
 def test_disjoint_and_wedge_laws():
     b2 = bouquet_code(2)
     r2 = yamada_r(b2)

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import json
 import math
+import os
 import pathlib
 import random
 import subprocess
@@ -778,6 +779,36 @@ def test_scan_family_parallel_matches_serial():
         assert parallel == serial
 
 
+def test_cell_stream_caps_workers_at_cpu_count(monkeypatch):
+    # the pool forks all its workers at once, so jobs above the CPU count
+    # must not ask for more; the stub pool starts no process
+    import concurrent.futures
+
+    asked = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def submit(self, fn, *args):
+            done = concurrent.futures.Future()
+            done.set_result(fn(*args))
+            return done
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+    grid = ([2, 3], [1], [1, 2])
+    serial = scan_family(*grid, jobs=1)
+    for cpus, jobs, workers in ((4, 100000, 4), (4, 3, 3), (None, 100000, None),
+                                (1, 100000, None)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        asked.clear()
+        assert scan_family(*grid, jobs=jobs) == serial
+        assert asked == ([] if workers is None else [workers])
+
+
 def test_limit_curve_gap_finite_value():
     g = limit_curve_gap(0.5 + 0.5j, 2, 2)
     assert isinstance(g, float) and math.isfinite(g)
@@ -948,6 +979,12 @@ def test_density_witness_argument_guards():
         density_witness(0.01, 0.1)
     with pytest.raises(ValueError):
         density_witness(25.0, 0.1)
+    # NaN and infinity would reach the JSON output as NaN and Infinity
+    for eps in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="eps"):
+            density_witness(0.5j, eps)
+    with pytest.raises(ValueError, match="tol"):
+        density_witness(0.5j, 0.1, tol=math.nan)
 
 
 def test_density_witness_refuses_caps_without_cells():
