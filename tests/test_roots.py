@@ -4,7 +4,6 @@ import cmath
 import itertools
 import json
 import math
-import os
 import pathlib
 import random
 import subprocess
@@ -803,7 +802,7 @@ def test_cell_stream_caps_workers_at_cpu_count(monkeypatch):
     serial = scan_family(*grid, jobs=1)
     for cpus, jobs, workers in ((4, 100000, 4), (4, 3, 3), (None, 100000, None),
                                 (1, 100000, None)):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
         asked.clear()
         assert scan_family(*grid, jobs=jobs) == serial
         assert asked == ([] if workers is None else [workers])
