@@ -192,6 +192,9 @@ def _cmd_family(args) -> str:
 
 
 def _cmd_roots_scan(args) -> str:
+    # written so that NaN fails too: no residual is above a NaN tol
+    if not args.tol >= 0:
+        raise ValueError(f"tol must be nonnegative, not {args.tol}")
     records = rt.scan_family(
         args.ns,
         args.ss,

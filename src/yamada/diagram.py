@@ -611,24 +611,32 @@ def _groups(
     into one group.  Returns None if an arc is a bridge, else the number
     of groups, the number of connected components and, when there is
     more than one group, the group of every dart.  A connected diagram of
-    g groups is g - 1 one-point unions at graph vertices.  Blocks by
-    Hopcroft-Tarjan lowpoints, iteratively, each arc named by its
-    smaller dart; loops (only crossings have any) join their crossing."""
+    g groups is g - 1 one-point unions at graph vertices.
+
+    Blocks by Hopcroft-Tarjan lowpoints, iteratively, each arc named by
+    its smaller dart; loops (only crossings have any) join their
+    crossing.  The arcs of a block stay pending until it closes, and it
+    closes only at a graph vertex: a block that closes at a crossing is
+    left pending, and closes with the block of the crossing's parent
+    arc, so blocks that share a crossing close as one group.  Whatever
+    is still pending at the end of a component, the blocks that meet at
+    a crossing root, is one group."""
     n = len(rots)
     index = [-1] * n
     low = [0] * n
-    block_of: dict[int, int] = {}
+    arc_group: dict[int, int] = {}
     pending: list[int] = []
-    blocks = comps = counter = 0
+    groups = comps = counter = 0
     for root in range(n):
         if index[root] >= 0:
             continue
         comps += 1
         index[root] = low[root] = counter
         counter += 1
-        stack = [(root, -1, iter(rots[root]))]
+        # each frame holds where its tree arc sits in pending
+        stack = [(root, -1, iter(rots[root]), 0)]
         while stack:
-            s, parc, it = stack[-1]
+            s, parc, it, at = stack[-1]
             for d in it:
                 m = mate[d]
                 t = site_of[m]
@@ -638,10 +646,10 @@ def _groups(
                 if arc == parc:
                     continue
                 if index[t] < 0:
+                    stack.append((t, arc, iter(rots[t]), len(pending)))
                     pending.append(arc)
                     index[t] = low[t] = counter
                     counter += 1
-                    stack.append((t, arc, iter(rots[t])))
                     break
                 if index[t] < index[s]:
                     pending.append(arc)
@@ -653,34 +661,18 @@ def _groups(
                     p = stack[-1][0]
                     if low[s] < low[p]:
                         low[p] = low[s]
-                    if low[s] >= index[p]:
-                        if low[s] > index[p]:
-                            return None
-                        while True:
-                            a = pending.pop()
-                            block_of[a] = blocks
-                            if a == parc:
-                                break
-                        blocks += 1
-    if comps == 1 and blocks <= 1:
-        # one block, or one site (a crossing with two loops)
+                    if low[s] > index[p]:
+                        return None
+                    close = low[s] == index[p] and overs[p] is None
+                else:
+                    close = bool(pending)
+                if close:
+                    arc_group.update(dict.fromkeys(pending[at:], groups))
+                    del pending[at:]
+                    groups += 1
+    if comps == 1 and groups <= 1:
+        # one group, or one site (a crossing with two loops)
         return 1, 1, {}
-    into = list(range(blocks))
-
-    def find(x: int) -> int:
-        while into[x] != x:
-            into[x] = x = into[into[x]]
-        return x
-
-    for i, o in enumerate(overs):
-        if o is not None:
-            found = [
-                find(block_of[d if d < mate[d] else mate[d]])
-                for d in rots[i]
-                if site_of[mate[d]] != i
-            ]
-            for b in found[1:]:
-                into[find(b)] = found[0]
     label: dict = {}
     group_of: dict[int, int] = {}
     for i, r in enumerate(rots):
@@ -688,12 +680,12 @@ def _groups(
             for d in r:
                 m = mate[d]
                 group_of[d] = label.setdefault(
-                    find(block_of[d if d < m else m]), len(label)
+                    arc_group[d if d < m else m], len(label)
                 )
         else:
             own = next(
                 (
-                    find(block_of[d if d < mate[d] else mate[d]])
+                    arc_group[d if d < mate[d] else mate[d]]
                     for d in r
                     if site_of[mate[d]] != i
                 ),

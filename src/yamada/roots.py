@@ -33,17 +33,19 @@ Every member has integer coefficients, so its roots are closed under
 conjugation, and a member that starts from its branches (on an exact
 column) is solved on half of them: the real points and the points
 above the real axis, each of the latter standing for itself and its
-conjugate (_half_solve).  Only half of the branches are solved, the real
-starts come from sign changes of the member on the real axis
-(_axis_starts), and the Aberth iteration, the polish and the 240-bit
-refine move the half configuration with the repulsion of the mirrored
-points.  The records are the points and their exact conjugates.  The
-real count is proven, not assumed: the half configuration is kept only
-when the d inclusion discs of the full one are finite and pairwise
-disjoint, so that each holds exactly one root, and a real point's disc,
-symmetric about the axis, a real one.  Otherwise the member is solved
-on the full configuration from all of its branches, and the fallback is
-counted in COUNTS.
+conjugate.  Only half of the branches are solved, the real starts come
+from sign changes of the member on the real axis (_axis_starts), and
+the Aberth iteration, the polish and the 240-bit refine move the half
+configuration with the repulsion of the mirrored points.  The records
+are the points and their exact conjugates.  The real count is proven,
+not assumed: the half configuration is kept only when no two of the d
+inclusion discs of the full one meet, so that each holds exactly one
+root, and a real point's disc, symmetric about the axis, a real one.
+Otherwise the member is solved on the full configuration from all of
+its branches, and the fallback is counted in COUNTS.  Either
+configuration takes the same path (_family_roots_full): one solve and
+disc test (_solve), one refine of the points whose disc meets another
+or whose residual is above _REFINE_ABOVE, one record assembly.
 
 Everything the module evaluates of the pair lambda1, lambda2 comes from
 one record per (s, k, sign) column (_column): the solve, its bounds and
@@ -382,7 +384,7 @@ def _aberth(
             moving = len(idx)
             if still >= _STALL_ITERS and np.all(res[idx] <= floor(z[idx])):
                 return z, res
-            others = z if real is None else _mirrored(z, real)
+            others = _mirrored(z, real)
             rep = np.empty(len(idx), dtype=complex)
             for a in range(0, len(idx), _CHUNK):
                 sub = idx[a : a + _CHUNK]
@@ -427,10 +429,12 @@ def _polish(
     return z, res
 
 
-def _mirrored(z: np.ndarray, real: np.ndarray) -> np.ndarray:
+def _mirrored(z: np.ndarray, real: np.ndarray | None) -> np.ndarray:
     """The full configuration of the half configuration z: its points,
-    then the conjugates of those that real does not mark."""
-    return np.concatenate([z, z[~real].conj()])
+    then the conjugates of those that real does not mark (see _aberth);
+    z itself when real is None.  A real array (residuals, radii, a mask)
+    takes its values unchanged for the conjugates."""
+    return z if real is None else np.concatenate([z, z[~real].conj()])
 
 
 def _root_key(z: complex) -> tuple:
@@ -737,7 +741,7 @@ def limit_curve_points(
     wider ones still are.  The points come back sorted by angle then
     radius, deterministically for fixed arguments.  The grid needs
     angles >= 1, radial >= 1 and 0 < r_lo < r_hi; anything else raises
-    ValueError.
+    ValueError, and so does a refine that is not positive.
 
     The lambdas have real coefficients, so the gap at conj z is the gap
     at z, and the grid's rows past the half turn are mirror images of
@@ -777,6 +781,9 @@ def limit_curve_points(
             f"the radii need 0 < r_lo < r_hi, not r_lo = {r_lo!r} and"
             f" r_hi = {r_hi!r}"
         )
+    # written so that NaN fails too: no bracket is ever wider than NaN
+    if not refine > 0:
+        raise ValueError(f"refine must be positive, not {refine!r}")
     column = _column(s, k, "+")
     radii = np.geomspace(r_lo, r_hi, radial)
     step = 2 * math.pi / angles
@@ -861,7 +868,10 @@ def limit_curve_points(
 
 def omega_member(z: complex) -> bool:
     """Membership in the closed region where |sigma(z)| is at least the
-    smallest of 1, |z^3 + 2z^2 + z + 1| and its reciprocal-image twin."""
+    smallest of 1, |z^3 + 2z^2 + z + 1| and its reciprocal-image twin.
+    A z that is not finite raises ValueError."""
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, not {z}")
     if z == 0:
         raise PoleAtZero("the region test is undefined at zero")
     w = 1.0 / z
@@ -878,9 +888,10 @@ def omega_member(z: complex) -> bool:
 # family roots through the two-power structure
 
 _REFINE_ABOVE = 1e-10
-# members of n >= 3 on exact columns that _family_roots_full finished on
-# the half configuration ("half") or solved in full ("fallback"); counted
-# in this process since import, for the tests to read
+# members of n >= 3 on exact columns whose half configuration
+# _family_roots_full kept ("half") or, its discs meeting, replaced by the
+# full one ("fallback"); counted in this process since import, for the
+# tests to read
 COUNTS: Counter = Counter()
 _PREC = 240
 _GUARD = 16
@@ -1505,7 +1516,7 @@ def _axis_starts(n: int, column: _Column) -> np.ndarray:
     more, no pair of roots falls between two points and none lies
     outside the table's radii.  Nothing relies on that: the half
     configuration built on these starts is kept only when its inclusion
-    discs prove the count (_half_solve).
+    discs prove the count (_solve, _family_roots_full).
     """
     x, logs, signs = column.axis
     l1 = n * logs[0]
@@ -1556,8 +1567,8 @@ def _full_branch_starts(n: int, column: _Column, d: int) -> np.ndarray | None:
     of a conjugate pair of branches come from two solves, so they are not
     exact conjugates, and a full Aberth solve from them can place a pair
     of real roots that a configuration closed under conjugation cannot
-    reach.  _family_roots_full takes them when the half configuration
-    fails."""
+    reach.  _family_roots_full takes them when the discs of the half
+    configuration meet (_solve)."""
     D = column.pair.shape[1] - 1
     z = _branch_roots(column, _branch_t(n)) if n * D == d + 1 else None
     if z is None:
@@ -1621,48 +1632,35 @@ def _branch_starts(
     return z, np.arange(len(z)) < len(reals)
 
 
-def _half_solve(
-    n: int, column: _Column, lo: int, d: int, z: np.ndarray, real: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The points and residuals of the reduced member n of the column, of
-    degree d and low exponent lo, from the half configuration (z, real)
-    of _branch_starts, or None when its inclusion discs do not prove it.
+def _solve(
+    n: int,
+    column: _Column,
+    lo: int,
+    d: int,
+    z: np.ndarray,
+    real: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Aberth solve (for d >= 2) and the polish of the reduced member
+    n of the column, of degree d and low exponent lo, from the starts z:
+    the d points of a full configuration, or with real a half one (see
+    _aberth).  Returns the points, their residuals and the disc test of
+    the d-point full configuration (_mirrored's order): the mask of the
+    inclusion discs (_inclusion_radii) that meet another disc
+    (_overlapping).  A conjugate takes its partner's disc: q has real
+    coefficients, so |q / q'| is the same at both.
 
-    Aberth, the polish and the 240-bit refine move only the points of
-    the half configuration, the upper and the real ones, with the
-    repulsion of the others' conjugates (_aberth, _polish, _refine_mp).
-    After the polish each point gets its inclusion disc
-    (_inclusion_radii), and a conjugate the disc of its partner: q has
-    real coefficients, so |q / q'| is the same at both.  When all d discs
-    of the full configuration are finite and pairwise disjoint, each holds
-    exactly one root of q.  A real point's disc is symmetric about the
-    axis, so the one root it holds equals its own conjugate: it is real,
-    and the count of real roots is proven, not assumed.  Otherwise the
-    configuration is rejected.
-
-    The points whose residual is above _REFINE_ABOVE then go to the
-    refine, with the rest of the full configuration frozen.  Returns the
-    full configuration, the half one and then the conjugates of its upper
-    points, each conjugate with its partner's residual; a real point has
-    imaginary part 0.0.
+    Where no disc meets another, each holds exactly one root of q, and a
+    real point's disc, symmetric about the axis, holds a real one.  The
+    points are finite (the starts are, and _aberth and _polish take no
+    step that is not), so for d >= 2 an infinite disc meets every other
+    one: no meeting disc also proves every radius finite.
     """
     evaluate = partial(_family_ratio, n, column, lo)
-    floor = partial(_residual_floor, n, column)
-    z, _ = _aberth(evaluate, z.copy(), floor, real)
+    if d > 1:
+        z, _ = _aberth(evaluate, z, partial(_residual_floor, n, column), real)
     z, res = _polish(evaluate, z, real)
-    radii = _inclusion_radii(n, column, lo, d, z)
-    if not np.isfinite(radii).all():
-        return None
-    discs = np.concatenate([radii, radii[~real]])
-    if _overlapping(_mirrored(z, real), discs).any():
-        return None
-    shaky = res > _REFINE_ABOVE
-    if shaky.any():
-        frozen = _mirrored(z[~shaky], real[~shaky])
-        z[shaky], res[shaky] = _refine_mp(
-            n, column, z[shaky], frozen, real[shaky]
-        )
-    return _mirrored(z, real), np.concatenate([res, res[~real]])
+    discs = _mirrored(_inclusion_radii(n, column, lo, d, z), real)
+    return z, res, _overlapping(_mirrored(z, real), discs)
 
 
 def _family_roots_full(
@@ -1675,41 +1673,39 @@ def _family_roots_full(
     _Column) is divided out exactly first; its roots are known in closed
     form and come back with residual zero (they are exact roots, placed
     to double precision).  The exact integer coefficients of the reduced
-    polynomial fix the degree; every evaluation goes through the
-    power-sum form, which stays conditioned at any n.
+    polynomial q, of degree d, fix the degree; every evaluation goes
+    through the power-sum form, which stays conditioned at any n.
 
-    A member with n >= 3 on an exact column (_Column.exact) is solved on
-    its half configuration first (_branch_starts, _half_solve): its real
-    points and its points above the axis, whose conjugates complete the
-    records, each conjugate with its partner's residual, and each real
-    record with imaginary part 0.0.  That is kept only when the inclusion
-    discs of all d points prove it (see _half_solve); otherwise the
-    member falls back to the full configuration below, from all of its
-    branches (_full_branch_starts), and COUNTS["fallback"] counts it
-    (COUNTS["half"] counts the others).  Every other member is solved on
-    the full configuration from the circles of _initial_points on the
-    reduced coefficients (their magnitudes taken in log form, since they
-    overflow floats long before the caps do).  The branch starts drop
-    sigma, whose n-th root is furthest from 1 for small n: for n = 2 they
-    left more records above 1e-9 on (2, 12, 2).  On a column that is not
-    exact every floor and radius is infinite, so every point goes to the
-    240-bit refine, and the count its sweeps leave above 1e-9 went up on
-    some such members and down on others with the branch starts; those
-    members keep the circles.
+    One pipeline: starts, _solve, the 240-bit refine, the records.
+    - A member with n >= 3 on an exact column (_Column.exact) is solved
+      on the half configuration of _branch_starts first.  That is kept
+      only when no two of the d discs meet (see _solve), which proves
+      one root in each and the real count; COUNTS["half"] counts it.
+    - Otherwise the member is solved in full, from all of its branches
+      (_full_branch_starts) when the half configuration failed, and
+      COUNTS["fallback"] counts it; every other member starts from the
+      circles of _initial_points on the reduced coefficients (their
+      magnitudes taken in log form, since they overflow floats long
+      before the caps do).  The branch starts drop sigma, whose n-th
+      root is furthest from 1 for small n: for n = 2 they left more
+      records above 1e-9 on (2, 12, 2).  On a column that is not exact
+      every floor and radius is infinite, so every point goes to the
+      refine, and the count its sweeps leave above 1e-9 went up on some
+      such members and down on others with the branch starts; those
+      members keep the circles.
+    - The points whose disc meets another or whose residual is above
+      _REFINE_ABOVE go to _refine_mp, with the others frozen together
+      with their mirrors: a point with an isolated disc already holds
+      its own root to double precision.  A record is still certified
+      by its residual.  A kept half configuration has no meeting disc.
+    - The records are the points, then the conjugates of a half
+      configuration's upper points, each with its partner's residual; a
+      real point of a half configuration has imaginary part 0.0.
 
-    After the Aberth solve and the polish of the full configuration,
-    each of the d points of the reduced polynomial gets its inclusion
-    disc (_inclusion_radii).  Only the points whose residual is above
-    _REFINE_ABOVE, or whose disc meets another point's disc
-    (_overlapping), go to the 240-bit _refine_mp, which runs in Python
-    integers on the 2^-240 fixed-point scale: a point with an isolated
-    disc already holds its own root to double precision.  A record is
-    still certified by its residual.
-
-    Discs that overlap may mean a repeated root, where Aberth converges
-    only linearly and the refine would split the root into a cluster.
-    So an overlap first tests the reduced polynomial q for being
-    square-free (_square_free_parts).  If it is not, the points are
+    Discs that meet on the full configuration may mean a repeated root,
+    where Aberth converges only linearly and the refine would split the
+    root into a cluster.  So there, for n > 1, q is first tested for
+    being square-free (_square_free_parts).  If it is not, the points are
     replaced: each square-free part a_i of q is solved for its simple
     roots (_dense_solve), and each root is reported i times, with the
     residual of the structured evaluation, or of _residuals_mp where
@@ -1728,51 +1724,46 @@ def _family_roots_full(
         )
     lo, coeffs = exact_div(p, _CYCLOTOMIC).dense_coeffs()
     d = len(coeffs) - 1
-    evaluate = partial(_family_ratio, n, column, lo)
-
-    def records(z, res):
-        roots, residuals = _ordered([*z, *_CYCLOTOMIC_ROOTS], [*res, 0.0, 0.0])
-        return roots, residuals, degree
-
+    # the real mask of a kept half configuration; None for a full one
+    real = None
     parts = _square_free_parts(coeffs) if n == 1 and d > 1 else None
     if parts is None:
-        if d == 0:
-            z = np.empty(0, dtype=complex)
-        elif d == 1:
-            z = np.array([complex(-coeffs[0] / coeffs[1])])
-        else:
-            floor = partial(_residual_floor, n, column)
-            z = None
-            if n > 2 and column.exact:
-                starts = _branch_starts(n, column, d)
-                half = None
-                if starts is not None:
-                    half = _half_solve(n, column, lo, d, *starts)
-                COUNTS["fallback" if half is None else "half"] += 1
-                if half is not None:
-                    return records(*half)
-                z = _full_branch_starts(n, column, d)
-            if z is None:
+        branched = n > 2 and column.exact and d > 1
+        starts = _branch_starts(n, column, d) if branched else None
+        if starts is not None:
+            z, res, meets = _solve(n, column, lo, d, *starts)
+            real = None if meets.any() else starts[1]
+        if branched:
+            COUNTS["fallback" if real is None else "half"] += 1
+        if real is None:
+            z = _full_branch_starts(n, column, d) if branched else None
+            if d < 2:
+                z = np.array([-coeffs[0] / coeffs[1]] if d else [], complex)
+            elif z is None:
                 z = _initial_points(coeffs)
-            z, _ = _aberth(evaluate, z, floor)
-        z, res = _polish(evaluate, z)
-        overlap = _overlapping(z, _inclusion_radii(n, column, lo, d, z))
-        if overlap.any() and n > 1:
-            parts = _square_free_parts(coeffs)
+            z, res, meets = _solve(n, column, lo, d, z)
+            if meets.any() and n > 1:
+                parts = _square_free_parts(coeffs)
     if parts:
         z = np.concatenate([
             np.repeat(_dense_solve(a)[0], i)
             for i, a in parts
         ])
-        res, _ = evaluate(z)
+        res, _ = _family_ratio(n, column, lo, z)
         high = res > _REFINE_ABOVE
         if high.any():
             res[high] = _residuals_mp(n, column, z[high])
     else:
-        shaky = overlap | (res > _REFINE_ABOVE)
+        shaky = meets[: len(z)] | (res > _REFINE_ABOVE)
         if shaky.any():
-            z[shaky], res[shaky] = _refine_mp(n, column, z[shaky], z[~shaky])
-    return records(z, res)
+            frozen = _mirrored(z, real)[~_mirrored(shaky, real)]
+            sub = None if real is None else real[shaky]
+            z[shaky], res[shaky] = _refine_mp(n, column, z[shaky], frozen, sub)
+    roots, residuals = _ordered(
+        [*_mirrored(z, real), *_CYCLOTOMIC_ROOTS],
+        [*_mirrored(res, real), 0.0, 0.0],
+    )
+    return roots, residuals, degree
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,16 @@ def test_roots_scan_reports_cells_above_tol():
     )
     _, _, quiet = run_cli("roots-scan", "--ns", "1-3", "--ss", "1", "--ks", "1")
     assert quiet == ""
+    # no residual is above a NaN tol, so a tol that is not nonnegative is
+    # refused rather than silencing every warning
+    for tol in ("nan", "-1"):
+        code, out, err = run_cli(
+            "roots-scan", "--ns", "3", "--ss", "1", "--ks", "1", "--tol", tol
+        )
+        assert (code, out) == (1, ""), tol
+        assert err == (
+            f"error: ValueError: tol must be nonnegative, not {float(tol)}\n"
+        )
 
 
 def test_density_witness_json():
@@ -230,6 +240,8 @@ def test_curve_rejects_grids_it_cannot_sample():
         ["--radial", "0"],
         ["--r-lo", "0"],
         ["--r-lo", "2", "--r-hi", "1"],
+        ["--refine", "nan"],
+        ["--refine", "0"],
     ):
         code, out, err = run_cli("curve", "--s", "2", "--k", "2", *grid)
         assert (code, out) == (1, ""), grid
@@ -264,6 +276,9 @@ def test_omega_formats():
     assert code == 0 and out == "true\n"
     code, out, _ = run_cli("omega", "--z", "0.5i", "--format", "json")
     assert json.loads(out)["member"] is True
+    code, out, err = run_cli("omega", "--z", "nan")
+    assert (code, out) == (1, "")
+    assert err == "error: ValueError: z must be finite, not (nan+0j)\n"
 
 
 def test_out_flag_writes_file(tmp_path):

@@ -859,6 +859,9 @@ def test_limit_curve_points_rejects_unsampleable_grids():
         dict(radial=0),
         dict(r_lo=0.0),
         dict(r_lo=2.0, r_hi=1.0),
+        dict(refine=math.nan),
+        dict(refine=0.0),
+        dict(refine=-1e-8),
     ):
         with pytest.raises(ValueError):
             limit_curve_points(2, 2, **grid)
@@ -934,6 +937,9 @@ def test_omega_membership_examples():
     assert not omega_member(cmath.exp(2j * math.pi / 3))
     with pytest.raises(PoleAtZero):
         omega_member(0.0)
+    for z in (math.nan, complex(1.0, math.nan), complex(math.inf, 0.0)):
+        with pytest.raises(ValueError):
+            omega_member(z)
 
 
 def test_omega_false_point_fixture():
@@ -1247,31 +1253,32 @@ def test_sweep_cells_are_closed_under_conjugation(monkeypatch):
 def test_a_wrong_real_count_falls_back_to_the_full_solve(monkeypatch):
     # (3, 1, 1) has the real roots -0.5225 and 1.0396.  With a real-axis
     # scan that reports no sign change, the half configuration has no
-    # real point and cannot reach them: its discs are rejected, the
-    # fallback is counted, and the rejected solve leaves no trace: the
-    # records are, bit for bit, those of the full solve from all n
-    # branches that a member takes when the half solve is skipped
+    # real point and cannot reach them: its discs meet, the fallback is
+    # counted, and the rejected solve leaves no trace: the records are,
+    # bit for bit, those of the full solve from all n branches that a
+    # member takes when it has no branch starts for the half one
     roots, _, degree = _family_roots_full(3, 1, 1)
     real = sorted(z.real for z in roots if z.imag == 0)
     assert len(real) == 2 and abs(real[0] + 0.5225) < 1e-4
     assert abs(real[1] - 1.0396) < 1e-4
     monkeypatch.setattr(roots_module, "_axis_starts",
                         lambda n, column: np.empty(0))
-    half = roots_module._half_solve
+    solve = roots_module._solve
     verdicts = []
 
     def recorded(*args):
-        out = half(*args)
-        verdicts.append(out is None)
+        out = solve(*args)
+        verdicts.append((len(args) == 6, bool(out[2].any())))
         return out
 
-    monkeypatch.setattr(roots_module, "_half_solve", recorded)
+    monkeypatch.setattr(roots_module, "_solve", recorded)
     before = roots_module.COUNTS["fallback"]
     got = _family_roots_full(3, 1, 1)
-    assert verdicts == [True]
+    assert verdicts == [(True, True), (False, False)]
     assert roots_module.COUNTS["fallback"] == before + 1
-    monkeypatch.setattr(roots_module, "_half_solve", lambda *args: None)
+    monkeypatch.setattr(roots_module, "_branch_starts", lambda *args: None)
     assert _family_roots_full(3, 1, 1) == got
+    assert roots_module.COUNTS["fallback"] == before + 2
     assert len(got[0]) == degree and max(got[1]) <= 1e-9
     assert close_sets(got[0], roots, 1e-12)
 
