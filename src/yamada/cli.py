@@ -36,8 +36,11 @@ from . import roots as rt
 # argv plumbing
 
 def _complex_arg(text: str) -> complex:
-    """Complex numbers as users type them: 0.5i, -2, 1+2j, 0.3-0.7i."""
-    cleaned = text.strip().replace("i", "j")
+    """Complex numbers as users type them: 0.5i, -2, 1+2j, 0.3-0.7i, inf.
+    Only a trailing i is the imaginary unit; the i of inf stays."""
+    cleaned = text.strip()
+    if cleaned.endswith("i"):
+        cleaned = cleaned[:-1] + "j"
     if cleaned.startswith("+"):
         cleaned = cleaned[1:]
     try:

@@ -6,7 +6,9 @@ so for large n its roots pile up along the equal-modulus set
 member, samples that limit set, tests membership in the closed region
 where |sigma(z)| dominates a small cyclotomic minimum, and hunts through
 the (n, s, k) grid for a family root near a requested target, solving
-only the members where neither power term provably dominates near it.
+only the members where neither power term provably dominates near it
+and the argument of sigma lambda2^n / lambda1^n does not provably stay
+off every odd multiple of pi.
 
 A family member is solved through dense coefficients only when it has
 repeated roots: each of its square-free factors (Yun) then goes through
@@ -560,10 +562,11 @@ class _Column:
     row zero-padded to that span.
 
     lows and bounds serve the exclusion test, for lambda1, lambda2 and
-    sigma: their low exponents as a (3, 1) column, and the (m', 6) matrix
-    of their coefficients and then of the absolute values of those,
-    padded the same way, or None when a coefficient is not exact as a
-    double (no bound is then claimed).  discs, their zero discs
+    sigma written as z^lo p: their low exponents as a (3, 1) column, and
+    the (m', 12) matrix of the coefficients of the three p, of their
+    derivatives p', and then of the absolute values of those, padded the
+    same way, or None when an entry is not exact as a double (no bound
+    is then claimed).  discs, their zero discs
     (_zero_discs), and axis, the real-axis table of the half solve
     (_axis_starts), are built on first use.
     """
@@ -643,11 +646,14 @@ def _column(s: int, k: int, sign: str) -> _Column:
     pair.flags.writeable = False
     terms = (*parts[:2], sigma().dense_coeffs())
     bounds = None
-    if all(abs(c) <= 2**53 for _, cs in terms for c in cs):
+    if all(abs(c) * max(j, 1) <= 2**53
+           for _, cs in terms for j, c in enumerate(cs)):
         coeffs = np.zeros((max(len(cs) for _, cs in terms), 3))
         for j, (_, cs) in enumerate(terms):
             coeffs[: len(cs), j] = [float(c) for c in cs]
-        bounds = np.hstack([coeffs, np.abs(coeffs)])
+        slopes = np.zeros_like(coeffs)
+        slopes[:-1] = coeffs[1:] * np.arange(1, len(coeffs))[:, None]
+        bounds = np.hstack([coeffs, slopes, np.abs(coeffs), np.abs(slopes)])
     return _Column(
         parts=parts,
         exps=tuple(e for e, _ in parts) + tuple(e - 1 for e, _ in parts),
@@ -1767,16 +1773,20 @@ def _family_roots_full(
 
 
 # ---------------------------------------------------------------------------
-# exclusion by term dominance
+# exclusion by term dominance and by the argument of T2 / T1
 
 # the circle of an exclusion test starts as _ARCS arcs, and an arc that
 # leaves some n undecided is halved, at most _ARC_SPLITS times
 _ARCS = 16
 _ARC_SPLITS = 6
-# each log bound of _arc_bounds is pushed out by _LOG_SLACK (1 + |log|)
+# each log bound of _arc_bounds is pushed out by _LOG_SLACK (1 + |log|),
+# and each argument enclosure by _LOG_SLACK (1 + |arg| + wid)
 _LOG_SLACK = 1e-12
 # _dominated_cells widens its disc by _REACH |z0|
 _REACH = 1e-6
+# each round of the second pass of density_witness reaches _WIDEN times
+# further than the last
+_WIDEN = 1.5
 
 
 def _zero_discs(cs: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -1835,41 +1845,79 @@ def _arc_discs(
     return c, rho + 16 * _U * (abs(z0) + radius)
 
 
-@np.errstate(all="ignore")
-def _arc_bounds(
-    column: _Column, c: np.ndarray, rho: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bounds on log|P| over each disc |z - c_j| <= rho, for P = lambda1,
-    lambda2 and sigma (the column's bounds): the arrays (logL, logU,
-    at) of shape (3, len(c)), with logL <= log|P(z)| <= logU on the disc
-    and at the float value of log|P(c_j)|.
+def _powers(z: np.ndarray, m: int) -> np.ndarray:
+    """The powers z^0 .. z^(m - 1) of each point z, one row per point,
+    each by one more product than the last."""
+    out = np.ones((len(z), m), dtype=z.dtype)
+    np.cumprod(np.broadcast_to(z[:, None], (len(z), m - 1)), axis=1,
+               out=out[:, 1:])
+    return out
 
-    P = z^lo p with integer p.  The value p(c) is within 8 u mu of its
-    float Horner value (_horner_running), and over the disc p moves by at
-    most pt(|c| + rho) - pt(|c|), pt the polynomial of the absolute
-    coefficients: the k-th Taylor coefficient of p at c is at most that
-    of pt at |c| in modulus.  pt is evaluated at |c| (1 - 4u) and at
-    (|c| + rho) (1 + 4u), which brackets both arguments, with a relative
-    budget of (4 m + 8) u for its m Horner steps over nonnegative terms.
-    |z^lo| lies between the powers of |c| - rho and |c| + rho (each
-    pushed out by 4 u); a disc that reaches 0 gets the bound 0 or inf.
-    Every bound is pushed out by 4 u after each operation and the logs
-    by _LOG_SLACK (1 + |log|), far more than the rounding of the logs,
-    sums and products that form them, and of the linear test that
-    _dominated makes of them.
+
+@np.errstate(all="ignore")
+def _arc_bounds(column: _Column, c: np.ndarray, rho: float) -> tuple:
+    """Bounds on log|P| and arg P over each disc |z - c_j| <= rho, for
+    P = lambda1, lambda2 and sigma (the column's bounds): the arrays
+    (logL, logU, at, arg, wid) of shape (3, len(c)), with logL <=
+    log|P(z)| <= logU on the disc, at the float value of log|P(c_j)|,
+    arg the float value of arg p(c_j) + lo arg c_j, and every arg P(z)
+    on the disc within wid of arg modulo 2 pi; wid is inf where P may
+    vanish on the disc.
+
+    P = z^lo p with integer p of m coefficients.  The powers of c and of
+    the real points below are formed by repeated products, and p and its
+    derivative p' are dot products of those with the exact coefficients.
+    A complex product is within 3 u of its value (Higham, Accuracy and
+    Stability of Numerical Algorithms, lemma 3.5), so c^k is within 3 k
+    u (1 + 3 k u) of its value, and a dot product of length m, in any
+    summation order, adds gamma_2m per component: p(c) and p'(c) are
+    within (8 m + 8) u pt(|c|) and (8 m + 8) u pt'(|c|) of their float
+    values, pt the polynomial of the absolute coefficients.  Over the
+    disc p moves from p(c) by at most the spread |p'(c)| rho + pt(|c| +
+    rho) - pt(|c|) - pt'(|c|) rho: for k >= 2 the k-th Taylor
+    coefficient of p at c is at most that of pt at |c| in modulus.  pt
+    and pt' are evaluated at a = |c| (1 - 4u) and at b = (|c| + rho) (1
+    + 4u), which bracket both arguments, within a relative (4 m + 8) u
+    over their nonnegative terms; pt(b) - pt(a) - pt'(a) (b - a) is at
+    least the remainder at |c| and rho, since pt' grows on the positive
+    axis, and pt(b), pt'(b) bound pt(|c|), pt'(|c|).  |z^lo| lies
+    between the powers of |c| - rho and |c| + rho (each pushed out by 4
+    u); a disc that reaches 0 gets the bound 0 or inf.  Every bound is
+    pushed out by 4 u after each operation and the logs by _LOG_SLACK (1
+    + |log|), far more than the rounding of the logs, sums and products
+    that form them, and of the linear test that _dominated makes of
+    them.
+
+    The same pass encloses the argument, as the argument-principle
+    methods of Ying & Katz (Numer. Math. 1988) do.  On the disc p(z)
+    lies within delta = err + spread of the float value v of p(c), so
+    where delta < |v| its argument is within asin(delta / |v|) of arg v;
+    arg z is within asin(rho / |c|) of arg c, and lo multiplies it.  Both
+    ratios are pushed up by 4 u in numerator and denominator before the
+    asin, which is monotone, and wid by _LOG_SLACK (1 + |arg| + wid),
+    far more than the rounding of the angles, the asin and the sums.
     """
     lows, both = column.lows, column.bounds
-    a = len(c)
+    a, m = len(c), len(both)
     t = np.abs(c)
     t_lo = t * (1 - 4 * _U)
     t_hi = (t + rho) * (1 + 4 * _U)
-    # one Horner pass: p at c, and pt at t_hi and at t_lo
-    rows, mus = _horner_running(both, np.concatenate([c, t_hi, t_lo]))
-    val, mu = rows[:3, :a], mus[:3, :a]
-    gam = (4 * len(both) + 8) * _U
-    spread = rows[3:, a : 2 * a].real * (1 + gam)
-    spread = spread - rows[3:, 2 * a :].real * (1 - gam)
-    err = (8 * _U * mu + spread * (1 + 4 * _U)) * (1 + 4 * _U)
+    # one pass: p and p' at c, and pt and pt' at t_hi and at t_lo; einsum
+    # calls no BLAS, whose buffers would add to density's peak memory
+    pc = _powers(c, m)
+    pt = _powers(np.concatenate([t_hi, t_lo]), m)
+    val, slope = np.einsum("km,mc->ck", pc, both[:, :6]).reshape(2, 3, a)
+    real = np.einsum("km,mc->ck", pt, both[:, 6:]).reshape(2, 3, 2, a)
+    hi, dhi, lo, dlo = real.transpose(2, 0, 1, 3).reshape(4, 3, a)
+    gam = (4 * m + 8) * _U
+    fuzz = (8 * m + 8) * _U * (1 + gam) * (1 + 4 * _U)
+    slope = (np.abs(slope) + fuzz * dhi) * (1 + 4 * _U)
+    spread = hi * (1 + gam) - lo * (1 - gam)
+    step = (t_hi - t_lo) * (1 - 4 * _U)
+    spread = spread - dlo * (1 - gam) * step * (1 - 4 * _U)
+    spread = spread * (1 + 4 * _U) + slope * rho * (1 + 4 * _U)
+    spread = spread * (1 + 4 * _U)
+    err = (fuzz * hi + spread * (1 + 4 * _U)) * (1 + 4 * _U)
     av = np.abs(val)
     up = (av + err) * (1 + 4 * _U)
     low = (av * (1 - 4 * _U) - err) * (1 - 4 * _U)
@@ -1881,7 +1929,46 @@ def _arc_bounds(
     logL = np.log(np.maximum(low, 0.0)) + np.minimum(near, far)
     logU = logU + _LOG_SLACK * (1 + np.abs(logU))
     logL = logL - _LOG_SLACK * (1 + np.abs(logL))
-    return logL, logU, np.log(av) + lows * np.log(t)
+    # an asin of a ratio that is not below 1 is nan: no enclosure
+    lean = np.arcsin(err * (1 + 4 * _U) / (av * (1 - 4 * _U)))
+    turn = np.abs(lows) * np.arcsin(rho * (1 + 4 * _U) / t_lo)
+    wid = lean + np.where(lows == 0, 0.0, turn)
+    wid = np.where(np.isnan(wid), np.inf, wid)
+    arg = np.angle(val) + lows * np.angle(c)
+    wid = wid + _LOG_SLACK * (1 + np.abs(arg) + wid)
+    return logL, logU, np.log(av) + lows * np.log(t), arg, wid
+
+
+def _lifted(arg: np.ndarray) -> np.ndarray:
+    """The arguments arg of _arc_bounds on arcs in order around the
+    circle, one row per part, carried along it: each step from an arc to
+    the next is reduced modulo 2 pi to the nearest lift."""
+    lift = arg.copy()
+    turns = np.round(np.diff(arg, axis=1) / math.tau)
+    lift[:, 1:] -= math.tau * np.cumsum(turns, axis=1)
+    return lift
+
+
+def _carried(
+    closed: list, starts: np.ndarray, lift: np.ndarray, wid: np.ndarray
+) -> bool:
+    """Whether the lifted argument enclosures lift +- wid of the closed
+    arcs, (start in turns, lift, wid) each, and of the arcs starting at
+    starts carry one continuous branch of each part around the circle:
+    in order from angle 0, every enclosure is narrower than pi (wid <
+    pi / 2) and every two adjacent ones overlap.  Adjacent arcs share an
+    end point, whose argument lies in both enclosures, and only one lift
+    of an enclosure narrower than pi meets another such enclosure, so
+    the branch carried along the circle lies in the lifted enclosure on
+    each arc."""
+    order = np.argsort(np.concatenate([c[0] for c in closed] + [starts]))
+    lift = np.hstack([c[1] for c in closed] + [lift])[:, order]
+    wid = np.hstack([c[2] for c in closed] + [wid])[:, order]
+    reach = wid[:, 1:] + wid[:, :-1]
+    return bool(
+        (wid < math.pi / 2).all()
+        and (np.abs(np.diff(lift, axis=1)) <= reach).all()
+    )
 
 
 def _dominated(
@@ -1891,41 +1978,75 @@ def _dominated(
     the (s, k, sign) column provably has no zero in the closed disc
     |z - z0| <= radius.
 
-    The proof is Rouché's theorem: if one term strictly dominates the
-    other on the boundary circle, the sum has as many zeros inside as
-    that term, and none on the circle.  So T1 = lambda1^n may win only
-    when lambda1 has no zero in the disc, and T2 = sigma lambda2^n only
-    when neither sigma nor lambda2 has one (_zero_free on the discs of
-    _zero_discs).  The common cyclotomic zeros of the two terms thus
-    never let a disc that holds them be skipped.  A disc that reaches
-    the pole at 0 (radius >= |z0|) is never skipped.
+    Two proofs, either enough.  The first is Rouché's theorem: if one
+    term strictly dominates the other on the boundary circle, the sum
+    has as many zeros inside as that term, and none on the circle.  So
+    T1 = lambda1^n may win only when lambda1 has no zero in the disc,
+    and T2 = sigma lambda2^n only when neither sigma nor lambda2 has one
+    (_zero_free on the discs of _zero_discs).  The second is the
+    argument of T2 / T1, and needs all three zero-free: then h = log
+    sigma + n (log lambda2 - log lambda1) is analytic on the disc, and
+    the member vanishes exactly where h is an odd multiple of i pi.  Im
+    h is harmonic, so its range over the disc is its range over the
+    circle (maximum principle); if that holds no odd multiple of pi,
+    the member has no zero in the disc, even where the circle crosses
+    |T1| = |T2|.  The common cyclotomic zeros of the two terms thus never
+    let a disc that holds them be skipped.  A disc that reaches the pole
+    at 0 (radius >= |z0|) is never skipped.
 
     The circle is covered by _ARCS arcs, each inside a small disc about
     its midpoint, where _arc_bounds bounds |lambda1|, |lambda2| and
-    |sigma|.  On an arc, T1 wins for n when n (logL1 - logU2) > logU_sigma
-    and T2 when n (logL2 - logU1) > -logL_sigma: linear in n, so one
-    cover serves the whole column.  An arc that leaves some n undecided
-    is halved, at most _ARC_SPLITS times, and an n is kept only if one
-    term wins on every arc of its cover.  The float values at the arc
-    midpoints, which lie on the circle, only ever rule an n out: a term
-    that does not dominate there cannot dominate on the circle.
+    |sigma| and encloses their arguments.  On an arc, T1 wins for n when
+    n (logL1 - logU2) > logU_sigma and T2 when n (logL2 - logU1) >
+    -logL_sigma, and Im h lies within arg_sigma + n (arg2 - arg1) +-
+    (wid_sigma + n (wid1 + wid2)) on lifted arguments, each wid first
+    pushed out by _LOG_SLACK |lift|, far more than the rounding of the
+    lift and of that sum.  Both are linear in n, so one cover serves the
+    whole column.  The first
+    arcs are lifted in order around the circle (_lifted); an arc that
+    leaves some n undecided by both tests is halved, at most _ARC_SPLITS
+    times, and each half is lifted to the branch nearest its parent's.
+    An n is ruled out by dominance when one term wins on every arc of
+    its cover, and by the argument when every arc's Im h interval lies
+    between the two odd multiples of pi around Im h at the first arc's
+    midpoint and the lifts carry one branch around the circle
+    (_carried).  The float values at the arc midpoints, which lie on the
+    circle, only ever stop a test for an n: a term that does not
+    dominate there cannot dominate on the circle, and the argument is
+    not tried further once the midpoint values of Im h lie on both sides
+    of an odd multiple of pi.
+
+    COUNTS counts the columns tested ("columns") and the n ruled out by
+    dominance ("ruled_re") or by the argument alone ("ruled_im").
     """
     ns = sorted(set(ns))
     column = _column(s, k, sign)
     if not ns or column.bounds is None or not 0 < radius < abs(z0):
         return set()
+    COUNTS["columns"] += 1
     free = [_zero_free(d, z0, radius) for d in column.discs]
     nv = np.array(ns, dtype=float)[:, None]
     # alive[t, i]: term t + 1 may still dominate for ns[i]
     alive = np.array([[free[0]] * len(ns), [free[1] and free[2]] * len(ns)])
+    # turning[i]: the argument may still rule ns[i] out
+    turning = np.full(len(ns), all(free))
+    # ruled[0, i]: ns[i] is ruled out by dominance; ruled[1, i]: only by
+    # the argument
+    ruled = np.zeros((2, len(ns)), dtype=bool)
     m = _ARCS
     arcs = np.arange(m)
-    # need[t, i, j]: that is still to be shown on arc j
+    # need[t, i, j]: that term t + 1 wins for ns[i] is still to be shown
+    # on the open arc j
     need = np.repeat(alive[:, :, None], m, axis=2)
+    # the arcs closed so far, as (start in turns, lift, wid), for
+    # _carried
+    closed: list[tuple] = []
     for split in range(_ARC_SPLITS + 1):
-        if not need.any():
+        if not (need.any() or turning.any()):
             break
-        logL, logU, at = _arc_bounds(column, *_arc_discs(z0, radius, arcs, m))
+        logL, logU, at, arg, wid = _arc_bounds(
+            column, *_arc_discs(z0, radius, arcs, m)
+        )
         won = np.array([
             nv * (logL[0] - logU[1]) > logU[2],
             nv * (logL[1] - logU[0]) > -logL[2],
@@ -1933,15 +2054,45 @@ def _dominated(
         gap = nv * (at[0] - at[1]) - at[2]
         alive &= np.array([(gap > 0).all(axis=1), (gap < 0).all(axis=1)])
         need &= ~won & alive[:, :, None]
-        open_arcs = need.any(axis=(0, 1))
+        ruled[0] |= ~ruled[1] & (alive & ~need.any(axis=2)).any(axis=0)
+        turning &= ~ruled[0]
+        # looking[i, j]: the argument for ns[i] is still to be shown on
+        # the open arc j
+        looking = np.zeros((len(ns), len(arcs)), dtype=bool)
+        if turning.any():
+            if split == 0:
+                lift = _lifted(arg)
+            else:
+                lift = arg - math.tau * np.round((arg - parent) / math.tau)
+            wide = wid + _LOG_SLACK * np.abs(lift)
+            mid = lift[2] + nv * (lift[1] - lift[0])
+            half = wide[2] + nv * (wide[0] + wide[1])
+            if split == 0:
+                j = np.round(mid[:, :1] / math.tau)
+            turning &= (np.round(mid / math.tau) == j).all(axis=1)
+            held = (mid - half > (2 * j - 1) * math.pi) & (
+                mid + half < (2 * j + 1) * math.pi
+            )
+            looking = turning[:, None] & ~held
+            done = turning & ~looking.any(axis=1)
+            if done.any() and _carried(closed, arcs / m, lift, wid):
+                ruled[1] |= done
+            turning &= ~done
+        need &= ~ruled.any(axis=0)[None, :, None]
+        open_arcs = need.any(axis=(0, 1)) | looking.any(axis=0)
         if split == _ARC_SPLITS or not open_arcs.any():
             break
+        if turning.any():
+            shut = ~open_arcs
+            closed.append((arcs[shut] / m, lift[:, shut], wid[:, shut]))
+            parent = np.repeat(lift[:, open_arcs], 2, axis=1)
         arcs = np.stack([2 * arcs[open_arcs], 2 * arcs[open_arcs] + 1], axis=1)
         arcs = arcs.ravel()
         need = np.repeat(need[:, :, open_arcs], 2, axis=2)
         m *= 2
-    alive &= ~need.any(axis=2)
-    return {n for n, ok in zip(ns, alive.any(axis=0)) if ok}
+    COUNTS["ruled_re"] += int(ruled[0].sum())
+    COUNTS["ruled_im"] += int(ruled[1].sum())
+    return {n for n, ok in zip(ns, ruled.any(axis=0)) if ok}
 
 
 def _dominated_cells(
@@ -2088,16 +2239,24 @@ def density_witness(
 
     Cells that provably hold no root near z0 are not solved.  The first
     pass visits the plan in order and defers every cell not in cache
-    whose member is dominated on the eps disc (_dominated_cells: one of
+    whose member is ruled out on the eps disc (_dominated_cells: one of
     its two power terms wins on the whole boundary circle and has no
-    zero inside, so the member has no zero in the closed disc); each
-    (s, k) column is tested once, when the pass first reaches it.  A
-    deferred cell has no root to offer a Witness, so the Witness is the
-    one the full search returns.  Only on a miss, the second pass
-    revisits the deferred cells in plan order and solves one only if it
-    is not dominated on the disc of radius best_d, the closest distance
-    so far (re-tested whenever that shrinks); a skipped cell cannot hold
-    a record as close, so closest and distance are those of the full
+    zero inside, or lambda1, lambda2 and sigma have no zero inside and
+    the argument of sigma lambda2^n / lambda1^n stays off every odd
+    multiple of pi on the circle, so the member has no zero in the
+    closed disc); each (s, k) column is tested once, when the pass first
+    reaches it.  A deferred cell has no root to offer a Witness, so the
+    Witness is the one the full search returns.  Only on a miss, the
+    second pass revisits the deferred cells in rounds, each in plan
+    order: round j solves a cell only if it is not ruled out on the disc
+    of radius min(_WIDEN^j eps, best_d), best_d the closest distance so
+    far, and the next round takes the cells that were ruled out, until
+    the radius reaches best_d.  So the cells that may hold the closest
+    roots are solved first, and best_d shrinks early.  Within a round a
+    column is tested again only when the round reaches one of its cells
+    not yet ruled out and the radius has shrunk since the column's last
+    test.  A cell ruled out at best_d, which only shrinks, cannot hold a
+    record as close, so closest and distance are those of the full
     search too.  Cells already in cache are always read.  Either outcome
     counts the uncertified records of the cells it read, solved or
     cached; a skipped cell's records are never formed, so they are not
@@ -2183,13 +2342,22 @@ def density_witness(
                 distance=abs(hit.root - z0),
                 uncertified=uncertified,
             )
-    radius = None
-    for i, cell in enumerate(deferred):
-        if best_d != radius:
-            radius = best_d
-            skip = _dominated_cells(z0, radius, deferred[i:], sign)
-        if cell not in skip:
-            read(cell, _cell_records(*cell, sign, caps.degree_cap, cache))
+    rest, reach = deferred, eps
+    while rest:
+        reach *= _WIDEN
+        skip: set[tuple[int, int, int]] = set()
+        radii: dict[tuple[int, int], float] = {}
+        for i, cell in enumerate(rest):
+            column, radius = cell[1:], min(reach, best_d)
+            if cell not in skip and radii.get(column) != radius:
+                radii[column] = radius
+                later = [c for c in rest[i:] if c[1:] == column]
+                skip |= _dominated_cells(z0, radius, later, sign)
+            if cell not in skip:
+                read(cell, _cell_records(*cell, sign, caps.degree_cap, cache))
+        if reach >= best_d:
+            break
+        rest = [c for c in rest if c in skip]
     return NotFound(
         target=z0,
         epsilon=eps,

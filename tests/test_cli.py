@@ -6,7 +6,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from yamada.cli import main
+from yamada.cli import _complex_arg, main
 from yamada.diagram import build_twist, code_from_dict, code_to_json, yamada_r
 from yamada.laurent import parse_poly, sigma, variable
 from yamada.multigraph import cycle_graph, graph_from_dict, graph_to_json, theta_graph
@@ -279,6 +279,23 @@ def test_omega_formats():
     code, out, err = run_cli("omega", "--z", "nan")
     assert (code, out) == (1, "")
     assert err == "error: ValueError: z must be finite, not (nan+0j)\n"
+
+
+def test_complex_values_keep_the_i_of_inf():
+    # only a trailing i is the imaginary unit, so inf is read as inf and
+    # reaches the guards of omega and density, which exit 1, as 1e400
+    # does; values starting with a minus take the --z=-inf form
+    assert _complex_arg("inf") == complex("inf")
+    assert _complex_arg("-inf") == complex("-inf")
+    assert _complex_arg("0.5i") == 0.5j
+    assert _complex_arg("0.3-0.7i") == 0.3 - 0.7j
+    for z in ("--z=inf", "--z=-inf", "--z=inf+1j", "--z=1e400"):
+        code, out, err = run_cli("omega", z)
+        assert (code, out) == (1, ""), z
+        assert err.startswith("error: ValueError: z must be finite"), z
+    code, out, err = run_cli("density", "--z0", "inf", "--eps", "0.1")
+    assert (code, out) == (1, "")
+    assert "0.05 <= |z0| <= 20" in err
 
 
 def test_out_flag_writes_file(tmp_path):

@@ -64,6 +64,7 @@ from yamada.roots import (
     _square_free_mod_p,
     _square_free_parts,
     _witness_plan,
+    _zero_free,
     density_witness,
     find_roots,
     limit_curve_gap,
@@ -1413,6 +1414,7 @@ def test_dominated_never_skips_a_cell_with_a_root_within_eps():
     # cell's n is never among the dominated ones of its column
     cache: dict = {}
     checked = skipped = 0
+    before = dict(roots_module.COUNTS)
     for sign in "+-":
         plan = _witness_plan(BENCH_CAPS)
         columns: dict = {}
@@ -1431,8 +1433,64 @@ def test_dominated_never_skips_a_cell_with_a_root_within_eps():
                     checked += 1
                     skipped += len(out)
     assert checked == 2 * 2892
-    # the test is not vacuous: other members of the columns are skipped
+    # the test is not vacuous: other members of the columns are skipped,
+    # thousands of them by the argument of T2 / T1 alone
     assert skipped > 1000
+    by_argument = roots_module.COUNTS["ruled_im"] - before.get("ruled_im", 0)
+    assert by_argument > 5000
+
+
+def test_the_argument_rules_out_a_member_no_term_dominates():
+    # (3, 2, 2) about 0.6 + 0.2i: its closest root is 0.19 away, but the
+    # circle of radius 0.15 crosses |T1| = |T2|, so neither term
+    # dominates on it and Rouche's theorem proves nothing; the argument
+    # of T2 / T1 stays between two odd multiples of pi there
+    z0, eps, n, s, k = 0.6 + 0.2j, 0.15, 3, 2, 2
+    recs = scan_family([n], [s], [k])
+    assert min(abs(r.root - z0) for r in recs) > 0.19
+    l1, l2 = family_lambdas(s, k, "+")
+    gaps = []
+    for j in range(64):
+        z = z0 + eps * cmath.exp(2j * math.pi * j / 64)
+        t1 = abs(l1.eval_complex(z)) ** n
+        t2 = abs(sigma().eval_complex(z)) * abs(l2.eval_complex(z)) ** n
+        gaps.append(t1 - t2)
+    assert min(gaps) < 0 < max(gaps)
+    before = dict(roots_module.COUNTS)
+    assert _dominated(z0, eps, s, k, "+", [n]) == {n}
+    counts = roots_module.COUNTS
+    assert counts["ruled_im"] == before.get("ruled_im", 0) + 1
+    assert counts["ruled_re"] == before.get("ruled_re", 0)
+    assert counts["columns"] == before.get("columns", 0) + 1
+
+
+def test_the_argument_never_rules_out_a_disc_with_a_root():
+    # discs about the cyclotomic root of the n = 1 members, where sigma
+    # and lambda1 vanish together: T2 / T1 = sigma lambda2 / lambda1 has
+    # a tame argument on the circle, so only the zero-free guard keeps
+    # the argument from ruling the member out
+    omega = cmath.exp(2j * math.pi / 3)
+    for s, k in ((1, 1), (1, 2), (2, 2)):
+        roots, _, _ = _family_roots_full(1, s, k)
+        assert min(abs(z - omega) for z in roots) < 1e-15
+        for radius in (0.01, 0.05, 0.2):
+            z0 = omega + 0.3 * radius
+            assert 1 not in _dominated(z0, radius, s, k, "+", [1, 2, 3])
+    # discs with a root of the member just inside the rim, where Im h on
+    # the circle only grazes an odd multiple of pi, and no zero of
+    # lambda1, lambda2 or sigma inside, so that the argument is tried
+    tried = 0
+    for n, s, k in ((3, 1, 1), (4, 1, 1), (3, 2, 1), (4, 2, 2), (8, 2, 2)):
+        column = _column(s, k, "+")
+        for i, root in enumerate(scan_family([n], [s], [k])):
+            turn = cmath.exp(2j * math.pi * 0.6180339887 * i)
+            for radius, f in ((0.15, 0.99), (0.15, 0.999), (0.05, 0.99)):
+                z0 = root.root + f * radius * turn
+                if not 0 < radius < abs(z0):
+                    continue
+                tried += all(_zero_free(d, z0, radius) for d in column.discs)
+                assert n not in _dominated(z0, radius, s, k, "+", [n])
+    assert tried > 100
 
 
 def test_density_witness_matches_solving_every_cell():
@@ -1491,7 +1549,7 @@ def test_arc_bounds_hold_the_240_bit_moduli():
                    for _ in range(6)] + [zero, cyclotomic]
         for c in centres:
             for rho in (0.02, 0.003):
-                logL, logU, _ = _arc_bounds(column, np.array([c]), rho)
+                logL, logU, *_ = _arc_bounds(column, np.array([c]), rho)
                 if c == zero:
                     assert logL[1, 0] == -np.inf
                 if c == cyclotomic:
@@ -1501,6 +1559,43 @@ def test_arc_bounds_hold_the_240_bit_moduli():
                     z = c + f * rho * cmath.exp(2j * math.pi * j / 12)
                     for t, v in enumerate(_log_moduli_240(s, k, sign, z)):
                         assert logL[t, 0] <= v <= logU[t, 0], (s, k, c, z, t)
+
+
+def test_arc_bounds_enclose_the_240_bit_arguments():
+    # the discs of test_arc_bounds_hold_the_240_bit_moduli: at points
+    # inside each disc, its centre and its rim included, the argument of
+    # lambda1, lambda2 and sigma at 240 bits, on the branch nearest the
+    # enclosure's midpoint, lies within wid of it; a disc on a zero of
+    # lambda2, or on the cyclotomic zero of sigma (and of lambda1), gives
+    # no enclosure of that part
+    rng = random.Random(12)
+    cyclotomic = cmath.exp(2j * math.pi / 3)
+    for s, k, sign in ((1, 1, "+"), (2, 3, "+"), (2, 2, "-"), (4, 4, "+")):
+        column = _column(s, k, sign)
+        parts = (*family_lambdas(s, k, sign), sigma())
+        zero = complex(column.discs[1][0][0])
+        centres = [0.7 * cmath.exp(2j * math.pi * rng.random())
+                   for _ in range(6)] + [zero, cyclotomic]
+        for c in centres:
+            for rho in (0.02, 0.003):
+                _, _, _, arg, wid = _arc_bounds(column, np.array([c]), rho)
+                if c == zero:
+                    assert wid[1, 0] == np.inf
+                if c == cyclotomic:
+                    assert wid[0, 0] == wid[2, 0] == np.inf
+                for j in range(12):
+                    f = (0.0, 0.5, 0.999)[j % 3]
+                    z = c + f * rho * cmath.exp(2j * math.pi * j / 12)
+                    with mpmath.workprec(240):
+                        w, tau = mpmath.mpc(z), 2 * mpmath.pi
+                        for t, p in enumerate(parts):
+                            if wid[t, 0] == np.inf:
+                                continue
+                            lo, cs = p.dense_coeffs()
+                            v = mpmath.polyval(cs[::-1], w) * w**lo
+                            d = mpmath.arg(v) - arg[t, 0]
+                            d -= tau * mpmath.nint(d / tau)
+                            assert abs(d) <= wid[t, 0], (s, k, c, z, t)
 
 
 def test_arc_discs_cover_their_arcs():
