@@ -1440,6 +1440,30 @@ def test_dominated_never_skips_a_cell_with_a_root_within_eps():
     assert by_argument > 5000
 
 
+def test_ruled_out_members_have_no_root_on_the_benchmark_targets():
+    # every target of the density benchmark and the radii its two passes
+    # start from: no member that _dominated rules out, by either proof,
+    # has a certified record within the disc
+    cache: dict = {}
+    plan = _witness_plan(BENCH_CAPS)
+    columns: dict = {}
+    for n, s, k in plan:
+        columns.setdefault((s, k), []).append(n)
+    before = dict(roots_module.COUNTS)
+    for z0 in _bench_targets():
+        sign = "+" if abs(z0) <= 1 else "-"
+        for radius in (BENCH_EPS, 1.5 * BENCH_EPS, 2.25 * BENCH_EPS):
+            for (s, k), ns in columns.items():
+                for n in _dominated(z0, radius, s, k, sign, ns):
+                    recs = scan_family([n], [s], [k], signs=(sign,),
+                                       degree_cap=300, cache=cache)
+                    near = [r for r in recs if abs(r.root - z0) <= radius]
+                    assert not [r for r in near if r.residual <= 1e-9], (
+                        z0, radius, n, s, k)
+    by_argument = roots_module.COUNTS["ruled_im"] - before.get("ruled_im", 0)
+    assert by_argument > 1500
+
+
 def test_the_argument_rules_out_a_member_no_term_dominates():
     # (3, 2, 2) about 0.6 + 0.2i: its closest root is 0.19 away, but the
     # circle of radius 0.15 crosses |T1| = |T2|, so neither term
