@@ -59,7 +59,9 @@ evaluated term |c_j z^j|; see _dense_eval.  Both paths share one Aberth
 driver with one stall rule (a point is stuck once its residual is at or
 below its proven float64 floor: _residual_floor on the family path,
 _dense_floor on the dense one), and both report roots in _root_key's
-order.  Records for the negative family are the exact reciprocals of
+order.  Both floors, the inclusion discs, the zero discs and the
+exclusion test's bounds are read from one ball type (_Ball), whose
+operations carry their own rounding.  Records for the negative family are the exact reciprocals of
 the positive ones (mirror identity), which halves the grid work; the
 residual carries over unchanged because E at the reciprocal point of the
 mirrored family is the same number.
@@ -176,6 +178,168 @@ _MAX_ITER = 400
 _POLISH_ROUNDS = 3
 # _aberth sums its repulsions over _CHUNK rows of the pair matrix at a time
 _CHUNK = 512
+# every radius of a _Ball is pushed up by _UP, and a lower bound in one
+# down by _DOWN
+_UP = 1 + 128 * _U
+_DOWN = 1 - 128 * _U
+
+
+class _Ball:
+    """Arrays of complex discs |x - mid| <= rad, each holding the exact
+    value it stands for: the one error model of every proven float64
+    bound in this module (midpoint-radius arithmetic as in Rump, Acta
+    Numerica 2010, and Arb, Johansson 2017, at one precision).  rad is
+    an array of mid's shape or a scalar; exact doubles x are _Ball(x).
+    Every operation forms mid by the numpy expression the unbounded code
+    uses, so midpoints carry its very bits.
+
+    The rounding model (u = 2^-53; Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3), away from underflow: a sum, or a
+    product by a real, is within u of its value in modulus, a complex
+    product within 3 u (lemma 3.5), numpy's complex quotient, exp, hypot
+    and the real libm functions within 4 u, and its complex log within
+    4 u (1 + |log|).  Each operation's radius is what the operands'
+    radii propagate, plus k u |mid| for the rounding of mid (k u (1 +
+    |mid|) for log), at least twice the error above:
+
+    - a + b, a - b: ra + rb; k = 2.  k a, k integers below 2^53: |k| ra;
+      k = 2.  a b: |a| rb + |b| ra + ra rb; k = 4.
+    - a / b: (|a / b| rb + ra) / (|b| - rb), infinite unless rb < |b|;
+      k = 8.
+    - log a: -log(1 - ra / |a|), infinite unless ra < |a|, as |log(1 +
+      w)| <= -log(1 - |w|); k = 8.  The disc holds the branch log a +
+      log(1 + (x - a) / a), continuous on a's disc, so its imaginary
+      part encloses a branch of arg x there.
+    - exp a: |mid| expm1(ra), as |exp(w) - 1| <= expm1(|w|); k = 8.
+    - power(z, exps), numpy's z ** e at exact z: k = 4 |e| + 8 for |e|
+      < 100, where numpy multiplies (and takes one reciprocal), 8 |e| (1
+      + |log |z||) from 100 on, where it takes exp(e log z).
+    - horner(stack, z), exact coefficients at exact z: 8 u mu, mu = sum_k
+      |s_k| |z|^k over the computed partial sums, the running bound
+      (Higham 5.1; first-order constant sqrt5 + 1), valid to degree 10^13.
+    - over_disc: see there.
+
+    A radius is formed from nonnegative doubles by sums, products and
+    nondecreasing functions of upper bounds (the ratio of log is pushed
+    up before -log1p takes it), then multiplied by _UP = 1 + 128 u,
+    which covers its fewer than 100 roundings and the use of a float
+    |mid| for an exact modulus.  A lower bound X - Y is (X _DOWN - Y)
+    _DOWN.  A nan radius (0 times an infinite one) claims nothing: every
+    comparison with it fails, and readers needing a number take inf.
+    """
+
+    __slots__ = ("mid", "rad")
+    # an ndarray on the left of an operator defers to the ball's own
+    __array_ufunc__ = None
+
+    def __init__(self, mid, rad=0.0):
+        self.mid, self.rad = mid, rad
+
+    def __getitem__(self, i) -> "_Ball":
+        # a radius is a scalar or has the midpoints' shape
+        return _Ball(self.mid[i], self.rad[i] if np.ndim(self.rad) else self.rad)
+
+    @staticmethod
+    def _rounded(mid, rad, k) -> "_Ball":
+        """The ball about mid of the propagated radius rad plus k u
+        |mid|, pushed up by _UP."""
+        return _Ball(mid, (rad + k * _U * np.abs(mid)) * _UP)
+
+    def __add__(self, other) -> "_Ball":
+        if not isinstance(other, _Ball):
+            other = _Ball(other)
+        return _Ball._rounded(self.mid + other.mid, self.rad + other.rad, 2)
+
+    def __sub__(self, other) -> "_Ball":
+        if not isinstance(other, _Ball):
+            other = _Ball(other)
+        return _Ball._rounded(self.mid - other.mid, self.rad + other.rad, 2)
+
+    def __mul__(self, other) -> "_Ball":
+        if not isinstance(other, _Ball):
+            return _Ball._rounded(other * self.mid, np.abs(other) * self.rad, 2)
+        rad = (
+            np.abs(self.mid) * other.rad
+            + np.abs(other.mid) * self.rad
+            + self.rad * other.rad
+        )
+        return _Ball._rounded(self.mid * other.mid, rad, 4)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: "_Ball") -> "_Ball":
+        mid = self.mid / other.mid
+        low = (np.abs(other.mid) * _DOWN - other.rad) * _DOWN
+        rad = (np.abs(mid) * other.rad + self.rad) / low
+        return _Ball._rounded(mid, np.where(low > 0, rad, np.inf), 8)
+
+    def log(self) -> "_Ball":
+        ratio = np.minimum(self.rad / np.abs(self.mid) * _UP, 1.0)
+        return _Ball._rounded(np.log(self.mid), 8 * _U - np.log1p(-ratio), 8)
+
+    def exp(self) -> "_Ball":
+        mid = np.exp(self.mid)
+        return _Ball._rounded(mid, np.abs(mid) * np.expm1(self.rad), 8)
+
+    @staticmethod
+    def power(z: np.ndarray, exps: Sequence[int]) -> "_Ball":
+        """numpy's z ** e of the exact points z for each int e of exps,
+        one row per e."""
+        e = np.abs(np.array(exps))[:, None]
+        k = np.where(e < 100, 4 * e + 8, 8 * e * (1 + np.abs(np.log(np.abs(z)))))
+        return _Ball._rounded(np.array([z**e for e in exps]), 0.0, k)
+
+    @staticmethod
+    def horner(stack: np.ndarray, z: np.ndarray) -> "_Ball":
+        """The polynomials in the columns of the ascending coefficient
+        matrix stack at the points z, one row per column, by Horner's
+        rule in the order of numpy's polyval, which gives its bits."""
+        az = np.abs(z)
+        row = stack[-1][:, None] + 0 * z
+        mu = np.abs(row)
+        for c in stack[-2::-1]:
+            row = c[:, None] + row * z
+            mu = mu * az + np.abs(row)
+        return _Ball(row, 8 * _U * mu * _UP)
+
+    @staticmethod
+    def over_disc(table: np.ndarray, c: np.ndarray, rho: float) -> "_Ball":
+        """Balls of the polynomials p over the discs |z - c_j| <= rho, one
+        row per p: table is the (m, 4q) matrix of the exact coefficients
+        (ascending) of q polynomials p, of their derivatives p', of |p|'s
+        and of |p'|'s coefficients, and mid is p(c).
+
+        The powers of c, and of the real points a <= |c| and b >= |c| +
+        rho, are repeated products (_powers), and p, p', pt and pt' dot
+        products of those with the coefficients (einsum, which calls no
+        BLAS), pt being the polynomial of the absolute coefficients.  c^k
+        is within 3 k u |c|^k of its value and a dot product of m terms
+        adds gamma_m, so p(c) and p'(c) are within g1 pt(|c|) and g1
+        pt'(|c|) of their float values v and v', g1 = (6 m + 4) u, and
+        pt(b), pt(a) and pt'(a) within gamma_2m of theirs.  Over the disc
+        p moves from p(c) by at most |p'(c)| rho + pt(|c| + rho) - pt(|c|)
+        - pt'(|c|) rho, the centred Taylor bound: for k >= 2 the k-th
+        Taylor coefficient of p at c is at most that of pt at |c| in
+        modulus.  That remainder is at most pt(b) - pt(a) - pt'(a) (b -
+        a), since pt' grows on the positive axis, and the rounding of v
+        and v' adds at most g1 (pt(|c|) + pt'(|c|) rho) <= g1 pt(b).  So
+        p(z) lies within |v'| rho + (1 + g) pt(b) - pt(a) - pt'(a) (b -
+        a) of v, and g = (8 m + 16) u covers g1 and the float values of
+        pt(b), pt(a) and pt'(a).
+        """
+        q, m = table.shape[1] // 4, len(table)
+        t = np.abs(c)
+        a, b = t * _DOWN, (t + rho) * _UP
+        val, slope = np.einsum(
+            "km,mc->ck", _powers(c, m), table[:, : 2 * q]
+        ).reshape(2, q, len(c))
+        real = np.einsum(
+            "km,mc->ck", _powers(np.concatenate([b, a]), m), table[:, 2 * q :]
+        ).reshape(2, q, 2, len(c))
+        hi, lo, dlo = real[0, :, 0], real[0, :, 1], real[1, :, 1]
+        g = (8 * m + 16) * _U
+        low = (lo + dlo * (b - a) * _DOWN) * (1 - g)
+        return _Ball(val, (np.abs(slope) * rho + hi * (1 + g) - low) * _UP)
 
 
 def _initial_points(coeffs: Sequence) -> np.ndarray:
@@ -285,36 +449,26 @@ def _dense_floor(cs: np.ndarray, guard: float, z: np.ndarray) -> np.ndarray:
     this.  A residual at or below its floor is one double precision
     cannot tell from a root's.
 
-    The floor is budget u mu over _dense_eval's own denominator (the same
-    bits, from _dense_horner; t^0 = 1 inside the unit circle), pushed out
-    by 8 u for the rounding of the quotient, with mu = sum_k |s_k| |x|^k
-    over the partial sums s_k of the pass at x = z, or at w = 1/z on the
-    reversed branch (_horner_running).  The first-order error terms, in
-    units of u mu (u = 2^-53):
-
-    - the Horner pass: sqrt5 + 1 (Higham, Accuracy and Stability of
-      Numerical Algorithms, 5.1);
-    - the scaled coefficients, each within u of its exact value: since
-      c_j = s_j - x s_(j+1), sum_j |c_j| |x|^j <= 2 mu, so 2;
-    - the point, within u |x| of the root: the value moves by at most
-      |p'(x)| |x| u, and p'(x) = sum_k s_(k+1) x^k, so 1;
-    - on the reversed branch, w = 1/z, within 6 u |w| by numpy's
-      complex division (Smith's algorithm), so 6.
-
-    That is 6.24 inside the unit circle and 12.24 outside; the budgets,
-    16 and 32, are at least twice those, which also covers the
-    second-order terms and the rounding of mu itself.
+    The floor is twice the radius of the Horner ball (_Ball.horner, 8 u
+    mu) of the pass at x = z, or four times that of the pass at w = 1/z
+    on the reversed branch, over _dense_eval's own denominator (the same
+    bits, from _dense_horner; t^0 = 1 inside the unit circle), pushed up
+    for the rounding of the quotient.  Besides the Horner pass, the
+    scaled coefficients, each within u of its exact value, move the
+    value by at most 2 u mu (c_j = s_j - x s_(j+1)), the point, within u
+    |x| of the root, by u mu (p'(x) = sum_k s_(k+1) x^k), and w = 1/z,
+    within 4 u |w|, by 4 u mu more.
     """
     floor = np.empty(len(z), dtype=float)
     inner = np.abs(z) <= 1.0
-    for at, x, desc, k, budget in (
-        (inner, z[inner], cs[::-1], 0, 16),
-        (~inner, 1.0 / z[~inner], cs, len(cs) - 1, 32),
+    for at, x, desc, k, times in (
+        (inner, z[inner], cs[::-1], 0, 2),
+        (~inner, 1.0 / z[~inner], cs, len(cs) - 1, 4),
     ):
         _, _, t, m = _dense_horner(x, desc)
-        _, mu = _horner_running(desc[::-1, None], x)
-        floor[at] = budget * _U * mu[0] / (guard * t**k + m)
-    return floor * (1 + 8 * _U)
+        rad = _Ball.horner(desc[::-1, None], x).rad[0]
+        floor[at] = times * rad / (guard * t**k + m)
+    return floor * _UP
 
 
 def _aberth(
@@ -553,8 +707,9 @@ class _Column:
     step of a shorter row unchanged at finite z); row(j) is part j's row
     without the padding.  exact is False when some entry of stack is not
     its integer exactly as a double (from s = 17 for most k, derivative
-    entries included); _bounded_terms then claims no bound, so the
-    residual floor and the inclusion radii are infinite.
+    entries included); the balls of _bounded_terms, which take the stack
+    as exact, are then infinite, and so are the residual floor and the
+    inclusion radii.
 
     pair holds the branch rows of _branch_starts: the (2, D + 1) float
     coefficients, ascending, of z^-L lambda1 and z^-L lambda2, with L the
@@ -563,12 +718,11 @@ class _Column:
 
     lows and bounds serve the exclusion test, for lambda1, lambda2 and
     sigma written as z^lo p: their low exponents as a (3, 1) column, and
-    the (m', 12) matrix of the coefficients of the three p, of their
-    derivatives p', and then of the absolute values of those, padded the
+    the (m', 12) table of _Ball.over_disc for the three p, padded the
     same way, or None when an entry is not exact as a double (no bound
-    is then claimed).  discs, their zero discs
-    (_zero_discs), and axis, the real-axis table of the half solve
-    (_axis_starts), are built on first use.
+    is then claimed).  discs, their zero discs (_zero_discs), and axis,
+    the real-axis table of the half solve (_axis_starts), are built on
+    first use.
     """
 
     parts: tuple
@@ -1202,31 +1356,27 @@ def _part_values(column: _Column, z: np.ndarray) -> list[np.ndarray]:
     return [row * z**e for row, e in zip(rows, column.exps)]
 
 
-def _family_terms(n: int, values: list) -> tuple:
+def _family_terms(n: int, values: list, log=np.log) -> tuple:
     """The reduced family polynomial, term by term, in log space, from
-    the eight part values of _part_values at some points.
+    the eight part values of _part_values at some points, or from their
+    balls with log=_Ball.log: (t1, t2, h1, h2).
 
     The working polynomial is Q = lambda1^(n-1) (lambda1/c)
     + (sigma/c) lambda2^n, the family member with the cyclotomic factor
-    c = z^2 + z + 1 that both terms share stripped (see _Column).  Each
-    term's log t_i is formed from the logs of the parts, and both are
-    rescaled by the larger real part m: T_i = exp(t_i - m), so a root is
-    T1 + T2 = 0 and nothing can overflow (|T_i| <= 1).  h_i is the
-    term's log derivative.  Returns (t1, t2, m, T1, T2, h1, h2).
+    c = z^2 + z + 1 that both terms share stripped (see _Column).  t_i is
+    the log of its i-th term, formed from the logs of the parts, and h_i
+    the term's log derivative.
     """
     a1, a2, a1c, a2s, d1, d2, d1c, d2s = values
     if n == 1:
-        t1 = np.log(a1c)
+        t1 = log(a1c)
         h1 = d1c / a1c
     else:
-        t1 = (n - 1) * np.log(a1) + np.log(a1c)
+        t1 = (n - 1) * log(a1) + log(a1c)
         h1 = (n - 1) * d1 / a1 + d1c / a1c
-    t2 = np.log(a2s) + n * np.log(a2)
+    t2 = log(a2s) + n * log(a2)
     h2 = d2s / a2s + n * d2 / a2
-    m = np.maximum(t1.real, t2.real)
-    T1 = np.exp(t1 - m)
-    T2 = np.exp(t2 - m)
-    return t1, t2, m, T1, T2, h1, h2
+    return t1, t2, h1, h2
 
 
 def _family_ratio(
@@ -1234,8 +1384,10 @@ def _family_ratio(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual and Newton ratio for the reduced family polynomial at z.
 
-    With the terms of _family_terms, the residual |T1 + T2| / (|T1| +
-    |T2|) measures the value against the scale the evaluation actually
+    With the terms of _family_terms rescaled by the larger real part m of
+    their logs, T_i = exp(t_i - m), a root is T1 + T2 = 0 and nothing can
+    overflow (|T_i| <= 1).  The residual |T1 + T2| / (|T1| + |T2|)
+    measures the value against the scale the evaluation actually
     carries, and the Newton correction for Q is (T1 + T2) / (T1 h1 +
     T2 h2).
 
@@ -1246,7 +1398,10 @@ def _family_ratio(
     into the dense degree-d form q = z^-lo Q, whose far field pulls
     strays back in with steps of z/d; the ratio returned is q/q'.
     """
-    _, _, m, T1, T2, h1, h2 = _family_terms(n, _part_values(column, z))
+    t1, t2, h1, h2 = _family_terms(n, _part_values(column, z))
+    m = np.maximum(t1.real, t2.real)
+    T1 = np.exp(t1 - m)
+    T2 = np.exp(t2 - m)
     dead = ~np.isfinite(m)
     res = np.abs(T1 + T2) / (np.abs(T1) + np.abs(T2))
     ratio = (T1 + T2) / (T1 * h1 + T2 * h2)
@@ -1256,115 +1411,36 @@ def _family_ratio(
     return res, ratio
 
 
-def _horner_running(
-    stack: np.ndarray, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The polynomials in the columns of the ascending coefficient matrix
-    stack at the points z, one row per column, by Horner's rule, with
-    mu = sum_k |s_k| |z|^k over the partial sums s_k, the factor of the
-    running error bound (Higham, Accuracy and Stability of Numerical
-    Algorithms, 5.1)."""
-    az = np.abs(z)
-    row = stack[-1][:, None] + 0 * z
-    mu = np.abs(row)
-    for c in stack[-2::-1]:
-        row = c[:, None] + row * z
-        mu = mu * az + np.abs(row)
-    return row, mu
-
-
 @np.errstate(all="ignore")
 def _bounded_terms(n: int, column: _Column, z: np.ndarray) -> tuple:
-    """The terms T1, T2, h1, h2 of _family_terms at the points z, with
-    bounds on their rounding errors: (T1, T2, h1, h2, del1, del2, e1,
-    e2), T_i within del_i |T_i| and h_i within e_i of its true value.
-    The parts are evaluated by Horner's rule with a running error bound
-    (_horner_running), the same operations as _part_values, so the terms
-    are the bits _family_ratio works with.
-
-    The error model (u = 2^-53; every budget is at least twice its
-    first-order constant, which also covers the second-order terms and
-    the rounding of the bound arithmetic itself):
-
-    - parts: step k of Horner's rule rounds a complex product (within
-      sqrt5 u of it) and a sum (within u), so a row is within
-      (sqrt5 + 1) u mu of its value, mu = sum_k |s_k| |z|^k over the
-      partial sums s_k; the budget is 8 u mu.  numpy forms z^e with
-      |e| < 100 by repeated multiplication, within (sqrt5 |e| + 4) u,
-      budget (4 |e| + 8) u; from |e| = 100 on it goes through exp and
-      log, budget 8 |e| (1 + |log |z||) u.  Row times power adds 8 u.
-    - logs: a part with relative error rho < 1 has a log off by at most
-      -log(1 - rho) (modulo 2 pi i, which exp of an integer combination
-      does not see), plus 8 u (1 + |log|) for the rounding of log and of
-      the multiplication by n or n - 1.  The sum t_i and t_i - m add
-      4 u (|t_i| + |t_i - m|).
-    - exp: with B the bound on the error of t_i - m, T_i is within
-      (expm1(B) + 8 u exp(B)) |T_i| of its true value.
-    - log derivatives: d/a from values off by f and e = rho |a| is within
-      (|d/a| rho + f/|a|) / (1 - rho) + 8 u |d/a|; the weighted sums h_i
-      add 4 u times their terms.
-
-    A part with rho >= 1 makes the bounds that depend on it infinite.
-    The model takes the coefficients of the stack as exact, so a column
-    that is not exact (_Column.exact) gets infinite bounds everywhere.
-    """
-    az = np.abs(z)
-    row, mu = _horner_running(column.stack, z)
-    values, err = [], []
-    for s_row, m_row, e in zip(row, mu, column.exps):
-        v = s_row * z**e
-        if abs(e) < 100:
-            power = (4 * abs(e) + 8) * _U
-        else:
-            power = 8 * abs(e) * (1 + np.abs(np.log(az))) * _U
-        values.append(v)
-        err.append(8 * _U * m_row * az**e + (power + 8 * _U) * np.abs(v))
+    """Balls of the terms T1, T2, h1, h2 of _family_ratio at the points
+    z, their midpoints the very bits _family_ratio computes: the parts
+    by the Horner ball of the column's stack times the ball of numpy's
+    power of z, then the same expressions on balls.  The log balls may
+    hold other branches than the principal ones, which exp does not see:
+    they differ by whole multiples of 2 pi i.  The balls take the stack's
+    coefficients as exact, so on a column that is not exact
+    (_Column.exact) every radius is infinite."""
+    rows = _Ball.horner(column.stack, z)
     if not column.exact:
-        err = [np.full(az.shape, np.inf)] * 8
-    t1, t2, m, T1, T2, h1, h2 = _family_terms(n, values)
-    mag = [np.abs(v) for v in values]
-    rho = [e / a for e, a in zip(err[:4], mag[:4])]
-    ok = [r < 1 for r in rho]
-    g = [mag[4 + j] / mag[j] for j in range(4)]
-
-    def log_err(j):
-        lost = -np.log1p(-np.where(ok[j], rho[j], 0.0))
-        own = 8 * _U * (1 + np.abs(np.log(values[j])))
-        return np.where(ok[j], lost + own, np.inf)
-
-    def quot_err(j):
-        q = (g[j] * rho[j] + err[4 + j] / mag[j]) / (1 - rho[j])
-        return np.where(ok[j], q + 8 * _U * g[j], np.inf)
-
-    if n == 1:
-        b1 = log_err(2)
-        e1 = quot_err(2)
-    else:
-        b1 = (n - 1) * log_err(0) + log_err(2)
-        e1 = (n - 1) * quot_err(0) + quot_err(2)
-        e1 = e1 + 4 * _U * ((n - 1) * g[0] + g[2])
-    b2 = log_err(3) + n * log_err(1)
-    e2 = quot_err(3) + n * quot_err(1) + 4 * _U * (g[3] + n * g[1])
-    b1 = b1 + 4 * _U * (np.abs(t1) + np.abs(t1 - m))
-    b2 = b2 + 4 * _U * (np.abs(t2) + np.abs(t2 - m))
-    del1 = np.expm1(b1) + 8 * _U * np.exp(b1)
-    del2 = np.expm1(b2) + 8 * _U * np.exp(b2)
-    return T1, T2, h1, h2, del1, del2, e1, e2
+        rows = _Ball(rows.mid, np.inf)
+    values = rows * _Ball.power(z, column.exps)
+    t1, t2, h1, h2 = _family_terms(n, values, _Ball.log)
+    m = np.maximum(t1.mid.real, t2.mid.real)
+    return (t1 - m).exp(), (t2 - m).exp(), h1, h2
 
 
 @np.errstate(all="ignore")
 def _residual_floor(n: int, column: _Column, z: np.ndarray) -> np.ndarray:
     """The float64 floor of _family_ratio's residual |T1 + T2| / (|T1| +
-    |T2|) at the points z: (del1 |T1| + del2 |T2| + 2 u |N|) / (|T1| +
-    |T2|) with the bounds of _bounded_terms, pushed out by 8 u for the
-    rounding of the quotient.  At a point where the true N = T1 + T2
-    vanishes, the computed residual is at most this, so a residual at or
-    below its floor is one double precision cannot tell from a root's.
-    A point whose bounds are infinite has an infinite floor."""
-    T1, T2, _, _, del1, del2, _, _ = _bounded_terms(n, column, z)
-    m1, m2 = np.abs(T1), np.abs(T2)
-    eN = del1 * m1 + del2 * m2 + 2 * _U * np.abs(T1 + T2)
-    floor = eN / (m1 + m2) * (1 + 8 * _U)
+    |T2|) at the points z: the radius of the ball of T1 + T2 over |T1| +
+    |T2| (_bounded_terms), pushed up for the rounding of the quotient.
+    At a point where the true T1 + T2 vanishes, the computed residual is
+    at most this, so a residual at or below its floor is one double
+    precision cannot tell from a root's.  A point without a finite
+    bound has an infinite floor."""
+    T1, T2, _, _ = _bounded_terms(n, column, z)
+    floor = (T1 + T2).rad / (np.abs(T1.mid) + np.abs(T2.mid)) * _UP
     return np.where(np.isnan(floor), np.inf, floor)
 
 
@@ -1378,32 +1454,17 @@ def _inclusion_radii(
     Fiorentino, Numer. Algorithms 2000).
 
     q/q' = N z / (z D - lo N) with N = T1 + T2 and D = T1 h1 + T2 h2 in
-    the terms of _family_terms, all rescaled by the same exp(-m), which
-    cancels.  The float64 values of N and of z D - lo N are turned into
-    an upper bound on |N| and a lower bound on |z D - lo N| with the
-    error bounds of _bounded_terms; each product or sum in N, D and
-    z D - lo N adds 4 u (2 u for N) times the moduli of its operands.
-
-    A radius that comes out non-finite, or a lower bound on |z D - lo N|
-    that is not positive, gives an infinite radius.
+    the terms of _family_ratio, all rescaled by the same exp(-m), which
+    cancels; the bound is d (|mid| + rad) of its ball (_bounded_terms).
+    A radius that is not finite, as where the ball of z D - lo N may
+    hold 0, is infinite.
     """
-    T1, T2, h1, h2, del1, del2, e1, e2 = _bounded_terms(n, column, z)
-    az = np.abs(z)
-    m1, m2 = np.abs(T1), np.abs(T2)
+    T1, T2, h1, h2 = _bounded_terms(n, column, z)
     N = T1 + T2
-    D = T1 * h1 + T2 * h2
-    W = z * D - lo * N
-    aN, aD = np.abs(N), np.abs(D)
-    eN = del1 * m1 + del2 * m2 + 2 * _U * aN
-    eD = (
-        m1 * (del1 * (np.abs(h1) + e1) + e1)
-        + m2 * (del2 * (np.abs(h2) + e2) + e2)
-        + 4 * _U * (m1 * np.abs(h1) + m2 * np.abs(h2))
-    )
-    eW = az * eD + abs(lo) * eN + 4 * _U * (az * aD + abs(lo) * aN)
-    low = np.abs(W) - eW
-    r = d * (aN + eN) * az / low * (1 + 8 * _U)
-    return np.where(np.isfinite(r) & (low > 0), r, np.inf)
+    point = _Ball(z)
+    q = N * point / (point * (T1 * h1 + T2 * h2) - lo * N)
+    r = d * (np.abs(q.mid) + q.rad) * _UP
+    return np.where(np.isfinite(r), r, np.inf)
 
 
 def _overlapping(z: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -1779,9 +1840,8 @@ def _family_roots_full(
 # leaves some n undecided is halved, at most _ARC_SPLITS times
 _ARCS = 16
 _ARC_SPLITS = 6
-# each log bound of _arc_bounds is pushed out by _LOG_SLACK (1 + |log|),
-# and each argument enclosure by _LOG_SLACK (1 + |arg| + wid)
-_LOG_SLACK = 1e-12
+# 2 pi i, to within the rounding of 2 pi
+_TWO_PI_I = _Ball(complex(0.0, math.tau), math.tau * _U)
 # _dominated_cells widens its disc by _REACH |z0|
 _REACH = 1e-6
 # each round of the second pass of density_witness reaches _WIDEN times
@@ -1799,13 +1859,8 @@ def _zero_discs(cs: list[int]) -> tuple[np.ndarray, np.ndarray]:
     zeros of p are the eigenvalues of diag(w) - 1 W^T, and Gershgorin's
     theorem on its columns puts them in the union of the discs about
     w_j - W_j of radius (d - 1) |W_j|, so inside the discs about w_j of
-    radius d |W_j| (Carstensen, Numer. Math. 1991).
-
-    |p(w_j)| is bounded above by its float value plus the Horner running
-    bound 8 u mu (_horner_running), and the product below by its float
-    value times 1 - (4 d + 8) u: each difference is within u of its
-    value, each complex product within sqrt5 u and the modulus within
-    2 u.  Coincident centres, or a radius that is not finite, give an
+    radius d |W_j| (Carstensen, Numer. Math. 1991).  W_j is a ball
+    (_Ball); coincident centres, or a radius that is not finite, give an
     infinite radius.
     """
     d = len(cs) - 1
@@ -1813,14 +1868,16 @@ def _zero_discs(cs: list[int]) -> tuple[np.ndarray, np.ndarray]:
         return np.empty(0, dtype=complex), np.empty(0)
     c = np.array([float(x) for x in cs])
     w = np.roots(c[::-1]).astype(complex)
-    val, mu = _horner_running(c[:, None], w)
-    up = (np.abs(val[0]) + 8 * _U * mu[0]) * (1 + 4 * _U)
-    gaps = w[:, None] - w[None, :]
-    np.fill_diagonal(gaps, 1.0)
     with np.errstate(all="ignore"):
-        low = np.abs(np.prod(gaps, axis=1)) * (1 - (4 * d + 8) * _U)
-        r = d * up / (abs(c[-1]) * low) * (1 + 4 * _U)
-    return w, np.where(np.isfinite(r) & (low > 0), r, np.inf)
+        gaps = _Ball(w[:, None]) - _Ball(w)
+        np.fill_diagonal(gaps.mid, 1.0)
+        np.fill_diagonal(gaps.rad, 0.0)
+        low = _Ball(np.full(d, complex(c[-1])))
+        for k in range(d):
+            low = low * gaps[:, k]
+        W = _Ball.horner(c[:, None], w)[0] / low
+        r = d * (np.abs(W.mid) + W.rad) * _UP
+    return w, np.where(np.isfinite(r), r, np.inf)
 
 
 def _zero_free(discs: tuple, z0: complex, radius: float) -> bool:
@@ -1855,98 +1912,26 @@ def _powers(z: np.ndarray, m: int) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
-def _arc_bounds(column: _Column, c: np.ndarray, rho: float) -> tuple:
-    """Bounds on log|P| and arg P over each disc |z - c_j| <= rho, for
-    P = lambda1, lambda2 and sigma (the column's bounds): the arrays
-    (logL, logU, at, arg, wid) of shape (3, len(c)), with logL <=
-    log|P(z)| <= logU on the disc, at the float value of log|P(c_j)|,
-    arg the float value of arg p(c_j) + lo arg c_j, and every arg P(z)
-    on the disc within wid of arg modulo 2 pi; wid is inf where P may
-    vanish on the disc.
-
-    P = z^lo p with integer p of m coefficients.  The powers of c and of
-    the real points below are formed by repeated products, and p and its
-    derivative p' are dot products of those with the exact coefficients.
-    A complex product is within 3 u of its value (Higham, Accuracy and
-    Stability of Numerical Algorithms, lemma 3.5), so c^k is within 3 k
-    u (1 + 3 k u) of its value, and a dot product of length m, in any
-    summation order, adds gamma_2m per component: p(c) and p'(c) are
-    within (8 m + 8) u pt(|c|) and (8 m + 8) u pt'(|c|) of their float
-    values, pt the polynomial of the absolute coefficients.  Over the
-    disc p moves from p(c) by at most the spread |p'(c)| rho + pt(|c| +
-    rho) - pt(|c|) - pt'(|c|) rho: for k >= 2 the k-th Taylor
-    coefficient of p at c is at most that of pt at |c| in modulus.  pt
-    and pt' are evaluated at a = |c| (1 - 4u) and at b = (|c| + rho) (1
-    + 4u), which bracket both arguments, within a relative (4 m + 8) u
-    over their nonnegative terms; pt(b) - pt(a) - pt'(a) (b - a) is at
-    least the remainder at |c| and rho, since pt' grows on the positive
-    axis, and pt(b), pt'(b) bound pt(|c|), pt'(|c|).  |z^lo| lies
-    between the powers of |c| - rho and |c| + rho (each pushed out by 4
-    u); a disc that reaches 0 gets the bound 0 or inf.  Every bound is
-    pushed out by 4 u after each operation and the logs by _LOG_SLACK (1
-    + |log|), far more than the rounding of the logs, sums and products
-    that form them, and of the linear test that _dominated makes of
-    them.
-
-    The same pass encloses the argument, as the argument-principle
-    methods of Ying & Katz (Numer. Math. 1988) do.  On the disc p(z)
-    lies within delta = err + spread of the float value v of p(c), so
-    where delta < |v| its argument is within asin(delta / |v|) of arg v;
-    arg z is within asin(rho / |c|) of arg c, and lo multiplies it.  Both
-    ratios are pushed up by 4 u in numerator and denominator before the
-    asin, which is monotone, and wid by _LOG_SLACK (1 + |arg| + wid),
-    far more than the rounding of the angles, the asin and the sums.
-    """
-    lows, both = column.lows, column.bounds
-    a, m = len(c), len(both)
-    t = np.abs(c)
-    t_lo = t * (1 - 4 * _U)
-    t_hi = (t + rho) * (1 + 4 * _U)
-    # one pass: p and p' at c, and pt and pt' at t_hi and at t_lo; einsum
-    # calls no BLAS, whose buffers would add to density's peak memory
-    pc = _powers(c, m)
-    pt = _powers(np.concatenate([t_hi, t_lo]), m)
-    val, slope = np.einsum("km,mc->ck", pc, both[:, :6]).reshape(2, 3, a)
-    real = np.einsum("km,mc->ck", pt, both[:, 6:]).reshape(2, 3, 2, a)
-    hi, dhi, lo, dlo = real.transpose(2, 0, 1, 3).reshape(4, 3, a)
-    gam = (4 * m + 8) * _U
-    fuzz = (8 * m + 8) * _U * (1 + gam) * (1 + 4 * _U)
-    slope = (np.abs(slope) + fuzz * dhi) * (1 + 4 * _U)
-    spread = hi * (1 + gam) - lo * (1 - gam)
-    step = (t_hi - t_lo) * (1 - 4 * _U)
-    spread = spread - dlo * (1 - gam) * step * (1 - 4 * _U)
-    spread = spread * (1 + 4 * _U) + slope * rho * (1 + 4 * _U)
-    spread = spread * (1 + 4 * _U)
-    err = (fuzz * hi + spread * (1 + 4 * _U)) * (1 + 4 * _U)
-    av = np.abs(val)
-    up = (av + err) * (1 + 4 * _U)
-    low = (av * (1 - 4 * _U) - err) * (1 - 4 * _U)
-    r_min = (t_lo - rho) * (1 - 4 * _U)
-    near = lows * np.log(np.maximum(r_min, 0.0))
-    far = lows * np.log(t_hi)
-    near = np.where(lows == 0, 0.0, near)
-    logU = np.log(up) + np.maximum(near, far)
-    logL = np.log(np.maximum(low, 0.0)) + np.minimum(near, far)
-    logU = logU + _LOG_SLACK * (1 + np.abs(logU))
-    logL = logL - _LOG_SLACK * (1 + np.abs(logL))
-    # an asin of a ratio that is not below 1 is nan: no enclosure
-    lean = np.arcsin(err * (1 + 4 * _U) / (av * (1 - 4 * _U)))
-    turn = np.abs(lows) * np.arcsin(rho * (1 + 4 * _U) / t_lo)
-    wid = lean + np.where(lows == 0, 0.0, turn)
-    wid = np.where(np.isnan(wid), np.inf, wid)
-    arg = np.angle(val) + lows * np.angle(c)
-    wid = wid + _LOG_SLACK * (1 + np.abs(arg) + wid)
-    return logL, logU, np.log(av) + lows * np.log(t), arg, wid
+def _arc_bounds(column: _Column, c: np.ndarray, rho: float) -> _Ball:
+    """Balls of log P = log p + lo log z over each disc |z - c_j| <= rho,
+    for P = z^lo p = lambda1, lambda2 and sigma (the column's bounds), of
+    shape (3, len(c)): p over the disc (_Ball.over_disc), then logs.  On
+    each disc the real part of a ball bounds log |P|, and its imaginary
+    part encloses a branch of arg P continuous on the disc (the argument
+    enclosure of Ying & Katz, Numer. Math. 1988); the radius is infinite
+    where P may vanish on the disc."""
+    p = _Ball.over_disc(column.bounds, c, rho)
+    return p.log() + column.lows * _Ball(c, rho).log()
 
 
-def _lifted(arg: np.ndarray) -> np.ndarray:
-    """The arguments arg of _arc_bounds on arcs in order around the
-    circle, one row per part, carried along it: each step from an arc to
-    the next is reduced modulo 2 pi to the nearest lift."""
-    lift = arg.copy()
-    turns = np.round(np.diff(arg, axis=1) / math.tau)
-    lift[:, 1:] -= math.tau * np.cumsum(turns, axis=1)
-    return lift
+def _turns(arg: np.ndarray) -> np.ndarray:
+    """The whole turns to take off the arguments arg of arcs in order
+    around the circle, one row per part, that carry them along it: each
+    step from an arc to the next is reduced modulo 2 pi to the nearest
+    lift."""
+    turns = np.zeros_like(arg)
+    turns[:, 1:] = np.cumsum(np.round(np.diff(arg, axis=1) / math.tau), axis=1)
+    return turns
 
 
 def _carried(
@@ -1971,6 +1956,7 @@ def _carried(
     )
 
 
+@np.errstate(all="ignore")
 def _dominated(
     z0: complex, radius: float, s: int, k: int, sign: str, ns: Iterable[int]
 ) -> set[int]:
@@ -1995,22 +1981,22 @@ def _dominated(
     at 0 (radius >= |z0|) is never skipped.
 
     The circle is covered by _ARCS arcs, each inside a small disc about
-    its midpoint, where _arc_bounds bounds |lambda1|, |lambda2| and
-    |sigma| and encloses their arguments.  On an arc, T1 wins for n when
-    n (logL1 - logU2) > logU_sigma and T2 when n (logL2 - logU1) >
-    -logL_sigma, and Im h lies within arg_sigma + n (arg2 - arg1) +-
-    (wid_sigma + n (wid1 + wid2)) on lifted arguments, each wid first
-    pushed out by _LOG_SLACK |lift|, far more than the rounding of the
-    lift and of that sum.  Both are linear in n, so one cover serves the
-    whole column.  The first
-    arcs are lifted in order around the circle (_lifted); an arc that
-    leaves some n undecided by both tests is halved, at most _ARC_SPLITS
-    times, and each half is lifted to the branch nearest its parent's.
-    An n is ruled out by dominance when one term wins on every arc of
-    its cover, and by the argument when every arc's Im h interval lies
-    between the two odd multiples of pi around Im h at the first arc's
-    midpoint and the lifts carry one branch around the circle
-    (_carried).  The float values at the arc midpoints, which lie on the
+    its midpoint, where _arc_bounds gives balls of log lambda1, log
+    lambda2 and log sigma; the ball of h on an arc is log sigma + n (log
+    lambda2 - log lambda1) in the ball's arithmetic (_Ball), for every n
+    of the column from one cover.  T1 wins on an arc when the real part
+    of that ball lies below 0, and T2 when it lies above.  The first
+    arcs' logs are carried in order around the circle by whole turns
+    (_turns), which make K turns of h; an arc that leaves some n
+    undecided by both tests is halved, at most _ARC_SPLITS times, and
+    each half is carried to the branch nearest its parent's.  An n is
+    ruled out by dominance when one term wins on every arc of its cover,
+    and by the argument when on every arc the imaginary part of the ball
+    h - 2 pi i (K + j) lies strictly between -pi and pi, j the turns of
+    the carried Im h at the first arc's midpoint, and the carried logs
+    make one branch around the circle (_carried).  Each test compares a
+    float sum with 0 or with the double pi, below the true one, which
+    monotone rounding cannot turn.  The midpoints, which lie on the
     circle, only ever stop a test for an n: a term that does not
     dominate there cannot dominate on the circle, and the argument is
     not tried further once the midpoint values of Im h lie on both sides
@@ -2044,15 +2030,11 @@ def _dominated(
     for split in range(_ARC_SPLITS + 1):
         if not (need.any() or turning.any()):
             break
-        logL, logU, at, arg, wid = _arc_bounds(
-            column, *_arc_discs(z0, radius, arcs, m)
-        )
-        won = np.array([
-            nv * (logL[0] - logU[1]) > logU[2],
-            nv * (logL[1] - logU[0]) > -logL[2],
-        ])
-        gap = nv * (at[0] - at[1]) - at[2]
-        alive &= np.array([(gap > 0).all(axis=1), (gap < 0).all(axis=1)])
+        logs = _arc_bounds(column, *_arc_discs(z0, radius, arcs, m))
+        h = logs[2] + nv * (logs[1] - logs[0])
+        re = h.mid.real
+        won = np.array([re + h.rad < 0, re - h.rad > 0])
+        alive &= np.array([(re < 0).all(axis=1), (re > 0).all(axis=1)])
         need &= ~won & alive[:, :, None]
         ruled[0] |= ~ruled[1] & (alive & ~need.any(axis=2)).any(axis=0)
         turning &= ~ruled[0]
@@ -2060,22 +2042,23 @@ def _dominated(
         # the open arc j
         looking = np.zeros((len(ns), len(arcs)), dtype=bool)
         if turning.any():
+            arg = logs.mid.imag
             if split == 0:
-                lift = _lifted(arg)
+                turns = _turns(arg)
             else:
-                lift = arg - math.tau * np.round((arg - parent) / math.tau)
-            wide = wid + _LOG_SLACK * np.abs(lift)
-            mid = lift[2] + nv * (lift[1] - lift[0])
-            half = wide[2] + nv * (wide[0] + wide[1])
+                turns = np.round((arg - parent) / math.tau)
+            lift = arg - math.tau * turns
+            # the turns that carry h along, then those of h itself
+            carry = turns[2] + nv * (turns[1] - turns[0])
+            turn = np.round(h.mid.imag / math.tau) - carry
             if split == 0:
-                j = np.round(mid[:, :1] / math.tau)
-            turning &= (np.round(mid / math.tau) == j).all(axis=1)
-            held = (mid - half > (2 * j - 1) * math.pi) & (
-                mid + half < (2 * j + 1) * math.pi
-            )
+                j = turn[:, :1]
+            turning &= (turn == j).all(axis=1)
+            g = h - (carry + j) * _TWO_PI_I
+            held = np.abs(g.mid.imag) + g.rad < math.pi
             looking = turning[:, None] & ~held
             done = turning & ~looking.any(axis=1)
-            if done.any() and _carried(closed, arcs / m, lift, wid):
+            if done.any() and _carried(closed, arcs / m, lift, logs.rad):
                 ruled[1] |= done
             turning &= ~done
         need &= ~ruled.any(axis=0)[None, :, None]
@@ -2084,7 +2067,7 @@ def _dominated(
             break
         if turning.any():
             shut = ~open_arcs
-            closed.append((arcs[shut] / m, lift[:, shut], wid[:, shut]))
+            closed.append((arcs[shut] / m, lift[:, shut], logs.rad[:, shut]))
             parent = np.repeat(lift[:, open_arcs], 2, axis=1)
         arcs = np.stack([2 * arcs[open_arcs], 2 * arcs[open_arcs] + 1], axis=1)
         arcs = arcs.ravel()
@@ -2249,9 +2232,10 @@ def density_witness(
     Witness is the one the full search returns.  Only on a miss, the
     second pass revisits the deferred cells in rounds, each in plan
     order: round j solves a cell only if it is not ruled out on the disc
-    of radius min(_WIDEN^j eps, best_d), best_d the closest distance so
-    far, and the next round takes the cells that were ruled out, until
-    the radius reaches best_d.  So the cells that may hold the closest
+    of radius min(_WIDEN^j r, best_d), with r = max(eps, _REACH |z0|)
+    (_dominated_cells widens every disc by _REACH |z0|) and best_d the
+    closest distance so far, and the next round takes the cells that
+    were ruled out, until the radius reaches best_d.  So the cells that may hold the closest
     roots are solved first, and best_d shrinks early.  Within a round a
     column is tested again only when the round reaches one of its cells
     not yet ruled out and the radius has shrunk since the column's last
@@ -2342,7 +2326,9 @@ def density_witness(
                 distance=abs(hit.root - z0),
                 uncertified=uncertified,
             )
-    rest, reach = deferred, eps
+    # below _REACH |z0| the widened discs of _dominated_cells are all about
+    # the same one, so the rounds start there
+    rest, reach = deferred, max(eps, _REACH * mod)
     while rest:
         reach *= _WIDEN
         skip: set[tuple[int, int, int]] = set()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import itertools
 import json
 import math
@@ -33,9 +34,11 @@ from yamada.roots import (
     Witness,
     ZeroPolynomial,
     _CYCLOTOMIC,
+    _Ball,
     _aberth,
     _arc_bounds,
     _arc_discs,
+    _bounded_terms,
     _branch_starts,
     _column,
     _dense_eval,
@@ -44,6 +47,7 @@ from yamada.roots import (
     _dominated_cells,
     _family_ratio,
     _family_roots_full,
+    _family_terms,
     _find_roots_full,
     _fixed,
     _fixed_dot,
@@ -295,12 +299,16 @@ def test_part_values_stack_is_bit_exact():
     # the unit circle.  sigma / c carries the exponent -1 in all three
     # cells: there the broadcast power z[None] ** exps[:, None] would
     # take numpy's general power loop and return other bits than the
-    # reciprocal numpy uses for the scalar z ** -1
+    # reciprocal numpy uses for the scalar z ** -1.  The balls of the
+    # bounds carry the same bits as their midpoints: the Horner ball
+    # times the power ball gives the part values, and the balls of
+    # _bounded_terms the terms _family_ratio iterates on, for n = 1 and
+    # n > 1, exponents from 100 on included
     z = np.array([0.3 + 0.4j, -0.05 + 0.02j, 0.9 - 0.1j, -0.7j,
                   -2.5 + 1.7j, 4.0 - 0.5j, 1.3j, -1.1])
     pv = np.polynomial.polynomial.polyval
     exponents = set()
-    for cell in [(4, 4, "+"), (2, 3, "-"), (1, 1, "+")]:
+    for cell in [(4, 4, "+"), (2, 3, "-"), (1, 1, "+"), (6, 12, "+")]:
         column = _column(*cell)
         got = _part_values(column, z)
         for j, (lo, cs) in enumerate(column.parts):
@@ -309,7 +317,15 @@ def test_part_values_stack_is_bit_exact():
             assert np.array_equal(got[j], pv(z, c) * z**lo)
             assert np.array_equal(got[4 + j], pv(z, dc) * z ** (lo - 1))
             exponents |= {lo, lo - 1}
-    assert -1 in exponents
+        balls = _Ball.horner(column.stack, z) * _Ball.power(z, column.exps)
+        assert np.array_equal(balls.mid, got)
+        for n in (1, 7):
+            t1, t2, h1, h2 = _family_terms(n, got)
+            m = np.maximum(t1.real, t2.real)
+            want = (np.exp(t1 - m), np.exp(t2 - m), h1, h2)
+            for ball, value in zip(_bounded_terms(n, column, z), want):
+                assert np.array_equal(ball.mid, value)
+    assert -1 in exponents and min(exponents) <= -100
 
 
 class MovingPointsRecorder:
@@ -1547,6 +1563,21 @@ def test_density_witness_matches_solving_every_cell():
         assert got == want, z0
 
 
+def test_density_rounds_below_the_reach_repeat_no_test():
+    # below _REACH |z0| the second pass widens every disc to about the
+    # same one, so eps = 1e-300 tests as many columns as eps = 1e-40, and
+    # the outcome is the same apart from epsilon
+    z0 = 0.6 + 0.3j
+    columns, outcomes = [], []
+    for eps in (1e-300, 1e-40):
+        before = roots_module.COUNTS["columns"]
+        got = density_witness(z0, eps, BENCH_CAPS, cache={})
+        columns.append(roots_module.COUNTS["columns"] - before)
+        outcomes.append(dataclasses.replace(got, epsilon=0.0))
+    assert columns[0] == columns[1]
+    assert outcomes[0] == outcomes[1]
+
+
 def _log_moduli_240(s, k, sign, z):
     """log |lambda1|, log |lambda2| and log |sigma| at z, at 240 bits."""
     out = []
@@ -1573,7 +1604,10 @@ def test_arc_bounds_hold_the_240_bit_moduli():
                    for _ in range(6)] + [zero, cyclotomic]
         for c in centres:
             for rho in (0.02, 0.003):
-                logL, logU, *_ = _arc_bounds(column, np.array([c]), rho)
+                # a ball of infinite radius bounds nothing: (-inf, inf)
+                logs = _arc_bounds(column, np.array([c]), rho)
+                at = np.where(logs.rad < np.inf, logs.mid.real, 0.0)
+                logL, logU = at - logs.rad, at + logs.rad
                 if c == zero:
                     assert logL[1, 0] == -np.inf
                 if c == cyclotomic:
@@ -1602,7 +1636,8 @@ def test_arc_bounds_enclose_the_240_bit_arguments():
                    for _ in range(6)] + [zero, cyclotomic]
         for c in centres:
             for rho in (0.02, 0.003):
-                _, _, _, arg, wid = _arc_bounds(column, np.array([c]), rho)
+                logs = _arc_bounds(column, np.array([c]), rho)
+                arg, wid = logs.mid.imag, logs.rad
                 if c == zero:
                     assert wid[1, 0] == np.inf
                 if c == cyclotomic:
@@ -1620,6 +1655,130 @@ def test_arc_bounds_enclose_the_240_bit_arguments():
                             d = mpmath.arg(v) - arg[t, 0]
                             d -= tau * mpmath.nint(d / tau)
                             assert abs(d) <= wid[t, 0], (s, k, c, z, t)
+
+
+def _rim(ball, i, directions, rng):
+    """Points of the disc i of ball as (double midpoint, double offset)
+    pairs: on its rim in each of the given unit directions (of modulus 1,
+    as complex numbers), then two at random inside."""
+    mid, rad = complex(ball.mid[i]), float(np.broadcast_to(ball.rad, np.shape(ball.mid))[i])
+    turns = [cmath.exp(2j * math.pi * rng.random()) for _ in range(2)]
+    fracs = [1 - 2.0**-40] * len(directions) + [rng.random(), rng.random()]
+    return [(mid, rad * f * d) for f, d in zip(fracs, [*directions, *turns])]
+
+
+def _encloses(ball, i, exact):
+    """Whether the 240-bit value exact lies in the disc i of ball."""
+    rad = float(np.broadcast_to(ball.rad, np.shape(ball.mid))[i])
+    return abs(exact - mpmath.mpc(complex(ball.mid[i]))) <= rad
+
+
+def test_ball_operations_enclose_their_240_bit_values():
+    # each operation of _Ball on seeded discs: at points of its operands'
+    # discs, on their rims in the direction that moves the result most
+    # and at random inside, the 240-bit value of the operation lies in
+    # the result's disc.  Operands of radius 0 leave only the rounding
+    # of the midpoint to cover, large ones the second-order terms
+    rng = random.Random(27)
+
+    def operand(count, scale, spread=3):
+        mid = np.array([
+            10 ** rng.uniform(-spread, spread)
+            * cmath.exp(2j * math.pi * rng.random())
+            for _ in range(count)
+        ])
+        return _Ball(mid, scale * np.abs(mid) * np.array(
+            [rng.random() for _ in range(count)]))
+
+    def unit(w):
+        return w / abs(w)
+
+    with mpmath.workprec(240):
+        def mp(point):
+            return mpmath.mpc(point[0]) + mpmath.mpc(point[1])
+
+        for scale in (0.0, 1e-12, 0.3):
+            a, b = operand(12, scale), operand(12, scale)
+            k = np.array([float(rng.randint(-50, 50)) for _ in range(12)])
+            cases = [
+                (a + b, lambda x, y: x + y, lambda m, n: (1, 1)),
+                (a - b, lambda x, y: x - y, lambda m, n: (1, -1)),
+                (a * b, lambda x, y: x * y, lambda m, n: (unit(m), unit(n))),
+                (a / b, lambda x, y: x / y, lambda m, n: (unit(m), -unit(n))),
+            ]
+            for ball, f, worst in cases:
+                for i in range(12):
+                    da, db = worst(complex(a.mid[i]), complex(b.mid[i]))
+                    for pa, pb in zip(_rim(a, i, [da], rng), _rim(b, i, [db], rng)):
+                        assert _encloses(ball, i, f(mp(pa), mp(pb)))
+            # logs up to |log| = 460, whose rounding outgrows 8 u
+            wide = operand(12, scale, 200)
+            small = _Ball(a.mid / np.abs(a.mid) * 3, np.minimum(a.rad, 2.0))
+            unary = [
+                (a, k * a, lambda x, i: int(k[i]) * x, lambda m: 1),
+                (a, 7 * a, lambda x, i: 7 * x, lambda m: 1),
+                (wide, wide.log(), lambda x, i: mpmath.log(mpmath.mpc(
+                    complex(wide.mid[i]))) + mpmath.log(x / mpmath.mpc(
+                        complex(wide.mid[i]))), lambda m: -unit(m)),
+                (small, small.exp(), lambda x, i: mpmath.exp(x), lambda m: 1),
+            ]
+            for base, ball, f, worst in unary:
+                for i in range(12):
+                    for point in _rim(base, i, [worst(complex(base.mid[i]))], rng):
+                        assert _encloses(ball, i, f(mp(point), i))
+        # a sum of radii that rounds down: the push by _UP covers it
+        total = _Ball(np.zeros(1, complex), 1.0) + _Ball(np.zeros(1, complex), 2.0**-53)
+        assert _encloses(total, 0, 1 + mpmath.mpf(2) ** -53)
+        # numpy's powers of exact points, below and from |e| = 100 on,
+        # where numpy takes exp(e log z), which errs by more than (4 |e|
+        # + 8) u where |log z| is large
+        z = operand(12, 0.0).mid ** 0.02
+        far = np.array([r * cmath.exp(2j * math.pi * rng.random())
+                        for r in (0.01, 0.02, 60.0, 100.0) * 6])
+        for points, exps in (
+            (z, [-1, 0, 1, 2, 3, 7, -37, 99, -99, 100, -150, 257]),
+            (far, [100, 120, -120, 150, -150]),
+        ):
+            ball = _Ball.power(points, exps)
+            for r, e in enumerate(exps):
+                for i, w in enumerate(points):
+                    assert _encloses(ball[r], i, mpmath.mpc(complex(w)) ** e)
+        # Horner's rule and a polynomial over a disc, exact coefficients
+        for degree in (3, 20, 60):
+            cs = [[rng.randint(-9, 9) for _ in range(degree + 1)] for _ in range(3)]
+            stack = np.array(cs, dtype=float).T
+            ball = _Ball.horner(stack, z)
+            for r, c in enumerate(cs):
+                for i in range(12):
+                    w = mpmath.mpc(complex(z[i]))
+                    assert _encloses(ball[r], i, mpmath.polyval(c[::-1], w))
+            slopes = np.zeros_like(stack)
+            slopes[:-1] = stack[1:] * np.arange(1, degree + 1)[:, None]
+            table = np.hstack([stack, slopes, np.abs(stack), np.abs(slopes)])
+            for rho in (0.0, 1e-9, 0.05):
+                c = z * 0.9
+                ball = _Ball.over_disc(table, c, rho)
+                for r, coeffs in enumerate(cs):
+                    for i in range(12):
+                        disc = _Ball(c, rho)
+                        for point in _rim(disc, i, [1, 1j, -1, -1j], rng):
+                            value = mpmath.polyval(coeffs[::-1], mp(point))
+                            assert _encloses(ball[r], i, value)
+        # p = z^2 - 2z about its critical point 1, where p moves by the
+        # second-order term alone
+        table = np.array([[0.0, -2.0, 0.0, 2.0], [-2.0, 2.0, 2.0, 2.0],
+                          [1.0, 0.0, 1.0, 0.0]])
+        ball = _Ball.over_disc(table, np.array([1 + 0j]), 0.1)[0]
+        for point in _rim(_Ball(np.array([1 + 0j]), 0.1), 0, [1, 1j], rng):
+            w = mp(point)
+            assert _encloses(ball, 0, w * w - 2 * w)
+    # no bound where an operand's disc may hold 0 under a log or a
+    # quotient, or where the disc of z reaches 0
+    x = _Ball(np.array([1 + 1j, 2j]), np.array([1.5, 2.0]))
+    with np.errstate(divide="ignore"):
+        assert np.all(x.log().rad == np.inf)
+        assert np.all((_Ball(np.array([1j, 1.0])) / x).rad == np.inf)
+        assert _Ball(np.array([0.3 + 0.1j]), 0.5).log().rad[0] == np.inf
 
 
 def test_arc_discs_cover_their_arcs():
