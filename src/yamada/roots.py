@@ -196,11 +196,12 @@ class _Ball:
     The rounding model (u = 2^-53; Higham, Accuracy and Stability of
     Numerical Algorithms, ch. 3), away from underflow: a sum, or a
     product by a real, is within u of its value in modulus, a complex
-    product within 3 u (lemma 3.5), numpy's complex quotient, exp, hypot
-    and the real libm functions within 4 u, and its complex log within
-    4 u (1 + |log|).  Each operation's radius is what the operands'
-    radii propagate, plus k u |mid| for the rounding of mid (k u (1 +
-    |mid|) for log), at least twice the error above:
+    product within 3 u (lemma 3.5), numpy's complex quotient (Smith's
+    algorithm) within 6 u, exp, hypot and the real libm functions within
+    4 u, and the complex log within 4 u (1 + |log|).  Each operation's
+    radius is what the operands' radii propagate, plus k u |mid| for the
+    rounding of mid (k u (1 + |mid|) for log), above the error just
+    stated:
 
     - a + b, a - b: ra + rb; k = 2.  k a, k integers below 2^53: |k| ra;
       k = 2.  a b: |a| rb + |b| ra + ra rb; k = 4.
@@ -237,7 +238,8 @@ class _Ball:
 
     def __getitem__(self, i) -> "_Ball":
         # a radius is a scalar or has the midpoints' shape
-        return _Ball(self.mid[i], self.rad[i] if np.ndim(self.rad) else self.rad)
+        rad = self.rad[i] if np.ndim(self.rad) else self.rad
+        return _Ball(self.mid[i], rad)
 
     @staticmethod
     def _rounded(mid, rad, k) -> "_Ball":
@@ -257,7 +259,9 @@ class _Ball:
 
     def __mul__(self, other) -> "_Ball":
         if not isinstance(other, _Ball):
-            return _Ball._rounded(other * self.mid, np.abs(other) * self.rad, 2)
+            # an integer scale
+            rad = np.abs(other) * self.rad
+            return _Ball._rounded(other * self.mid, rad, 2)
         rad = (
             np.abs(self.mid) * other.rad
             + np.abs(other.mid) * self.rad
@@ -286,7 +290,8 @@ class _Ball:
         """numpy's z ** e of the exact points z for each int e of exps,
         one row per e."""
         e = np.abs(np.array(exps))[:, None]
-        k = np.where(e < 100, 4 * e + 8, 8 * e * (1 + np.abs(np.log(np.abs(z)))))
+        far = 8 * e * (1 + np.abs(np.log(np.abs(z))))
+        k = np.where(e < 100, 4 * e + 8, far)
         return _Ball._rounded(np.array([z**e for e in exps]), 0.0, k)
 
     @staticmethod
@@ -457,7 +462,7 @@ def _dense_floor(cs: np.ndarray, guard: float, z: np.ndarray) -> np.ndarray:
     scaled coefficients, each within u of its exact value, move the
     value by at most 2 u mu (c_j = s_j - x s_(j+1)), the point, within u
     |x| of the root, by u mu (p'(x) = sum_k s_(k+1) x^k), and w = 1/z,
-    within 4 u |w|, by 4 u mu more.
+    within 6 u |w|, by 6 u mu more.
     """
     floor = np.empty(len(z), dtype=float)
     inner = np.abs(z) <= 1.0

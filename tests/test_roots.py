@@ -1657,20 +1657,23 @@ def test_arc_bounds_enclose_the_240_bit_arguments():
                             assert abs(d) <= wid[t, 0], (s, k, c, z, t)
 
 
+def _radius(ball, i) -> float:
+    return float(np.broadcast_to(ball.rad, np.shape(ball.mid))[i])
+
+
 def _rim(ball, i, directions, rng):
-    """Points of the disc i of ball as (double midpoint, double offset)
-    pairs: on its rim in each of the given unit directions (of modulus 1,
-    as complex numbers), then two at random inside."""
-    mid, rad = complex(ball.mid[i]), float(np.broadcast_to(ball.rad, np.shape(ball.mid))[i])
+    """Points of the disc i of ball as (midpoint, offset) pairs of
+    doubles: on its rim in each of the unit directions given, then two
+    at random inside."""
+    mid, rad = complex(ball.mid[i]), _radius(ball, i)
     turns = [cmath.exp(2j * math.pi * rng.random()) for _ in range(2)]
     fracs = [1 - 2.0**-40] * len(directions) + [rng.random(), rng.random()]
     return [(mid, rad * f * d) for f, d in zip(fracs, [*directions, *turns])]
 
 
-def _encloses(ball, i, exact):
+def _encloses(ball, i, exact) -> bool:
     """Whether the 240-bit value exact lies in the disc i of ball."""
-    rad = float(np.broadcast_to(ball.rad, np.shape(ball.mid))[i])
-    return abs(exact - mpmath.mpc(complex(ball.mid[i]))) <= rad
+    return abs(exact - mpmath.mpc(complex(ball.mid[i]))) <= _radius(ball, i)
 
 
 def test_ball_operations_enclose_their_240_bit_values():
@@ -1687,47 +1690,57 @@ def test_ball_operations_enclose_their_240_bit_values():
             * cmath.exp(2j * math.pi * rng.random())
             for _ in range(count)
         ])
-        return _Ball(mid, scale * np.abs(mid) * np.array(
-            [rng.random() for _ in range(count)]))
+        fracs = np.array([rng.random() for _ in range(count)])
+        return _Ball(mid, scale * np.abs(mid) * fracs)
 
     def unit(w):
         return w / abs(w)
 
-    with mpmath.workprec(240):
-        def mp(point):
-            return mpmath.mpc(point[0]) + mpmath.mpc(point[1])
+    def mp(point):
+        return mpmath.mpc(point[0]) + mpmath.mpc(point[1])
 
+    with mpmath.workprec(240):
         for scale in (0.0, 1e-12, 0.3):
             a, b = operand(12, scale), operand(12, scale)
-            k = np.array([float(rng.randint(-50, 50)) for _ in range(12)])
-            cases = [
+            # (result, exact operation, worst directions on a's and b's
+            # rims)
+            binary = [
                 (a + b, lambda x, y: x + y, lambda m, n: (1, 1)),
                 (a - b, lambda x, y: x - y, lambda m, n: (1, -1)),
                 (a * b, lambda x, y: x * y, lambda m, n: (unit(m), unit(n))),
                 (a / b, lambda x, y: x / y, lambda m, n: (unit(m), -unit(n))),
             ]
-            for ball, f, worst in cases:
+            for ball, f, worst in binary:
                 for i in range(12):
                     da, db = worst(complex(a.mid[i]), complex(b.mid[i]))
-                    for pa, pb in zip(_rim(a, i, [da], rng), _rim(b, i, [db], rng)):
+                    pairs = zip(_rim(a, i, [da], rng), _rim(b, i, [db], rng))
+                    for pa, pb in pairs:
                         assert _encloses(ball, i, f(mp(pa), mp(pb)))
-            # logs up to |log| = 460, whose rounding outgrows 8 u
+            k = np.array([float(rng.randint(-50, 50)) for _ in range(12)])
+            # logs up to |log| = 460, whose rounding outgrows 8 u; the
+            # log holds the branch continuous on the operand's disc
             wide = operand(12, scale, 200)
-            small = _Ball(a.mid / np.abs(a.mid) * 3, np.minimum(a.rad, 2.0))
+            small = _Ball(3 * a.mid / np.abs(a.mid), np.minimum(a.rad, 2.0))
+
+            def log(x, i):
+                m = mpmath.mpc(complex(wide.mid[i]))
+                return mpmath.log(m) + mpmath.log(x / m)
+
+            # (operand, result, exact operation, worst direction)
             unary = [
                 (a, k * a, lambda x, i: int(k[i]) * x, lambda m: 1),
                 (a, 7 * a, lambda x, i: 7 * x, lambda m: 1),
-                (wide, wide.log(), lambda x, i: mpmath.log(mpmath.mpc(
-                    complex(wide.mid[i]))) + mpmath.log(x / mpmath.mpc(
-                        complex(wide.mid[i]))), lambda m: -unit(m)),
+                (wide, wide.log(), log, lambda m: -unit(m)),
                 (small, small.exp(), lambda x, i: mpmath.exp(x), lambda m: 1),
             ]
             for base, ball, f, worst in unary:
                 for i in range(12):
-                    for point in _rim(base, i, [worst(complex(base.mid[i]))], rng):
+                    rim = _rim(base, i, [worst(complex(base.mid[i]))], rng)
+                    for point in rim:
                         assert _encloses(ball, i, f(mp(point), i))
         # a sum of radii that rounds down: the push by _UP covers it
-        total = _Ball(np.zeros(1, complex), 1.0) + _Ball(np.zeros(1, complex), 2.0**-53)
+        zero = np.zeros(1, complex)
+        total = _Ball(zero, 1.0) + _Ball(zero, 2.0**-53)
         assert _encloses(total, 0, 1 + mpmath.mpf(2) ** -53)
         # numpy's powers of exact points, below and from |e| = 100 on,
         # where numpy takes exp(e log z), which errs by more than (4 |e|
@@ -1743,33 +1756,34 @@ def test_ball_operations_enclose_their_240_bit_values():
             for r, e in enumerate(exps):
                 for i, w in enumerate(points):
                     assert _encloses(ball[r], i, mpmath.mpc(complex(w)) ** e)
-        # Horner's rule and a polynomial over a disc, exact coefficients
+        # Horner's rule and polynomials over discs, exact coefficients
         for degree in (3, 20, 60):
-            cs = [[rng.randint(-9, 9) for _ in range(degree + 1)] for _ in range(3)]
+            cs = [[rng.randint(-9, 9) for _ in range(degree + 1)]
+                  for _ in range(3)]
             stack = np.array(cs, dtype=float).T
             ball = _Ball.horner(stack, z)
             for r, c in enumerate(cs):
-                for i in range(12):
-                    w = mpmath.mpc(complex(z[i]))
-                    assert _encloses(ball[r], i, mpmath.polyval(c[::-1], w))
+                for i, w in enumerate(z):
+                    value = mpmath.polyval(c[::-1], mpmath.mpc(complex(w)))
+                    assert _encloses(ball[r], i, value)
             slopes = np.zeros_like(stack)
             slopes[:-1] = stack[1:] * np.arange(1, degree + 1)[:, None]
             table = np.hstack([stack, slopes, np.abs(stack), np.abs(slopes)])
             for rho in (0.0, 1e-9, 0.05):
-                c = z * 0.9
-                ball = _Ball.over_disc(table, c, rho)
-                for r, coeffs in enumerate(cs):
+                discs = _Ball(z * 0.9, rho)
+                ball = _Ball.over_disc(table, discs.mid, rho)
+                for r, c in enumerate(cs):
                     for i in range(12):
-                        disc = _Ball(c, rho)
-                        for point in _rim(disc, i, [1, 1j, -1, -1j], rng):
-                            value = mpmath.polyval(coeffs[::-1], mp(point))
+                        for point in _rim(discs, i, [1, 1j, -1, -1j], rng):
+                            value = mpmath.polyval(c[::-1], mp(point))
                             assert _encloses(ball[r], i, value)
         # p = z^2 - 2z about its critical point 1, where p moves by the
         # second-order term alone
         table = np.array([[0.0, -2.0, 0.0, 2.0], [-2.0, 2.0, 2.0, 2.0],
                           [1.0, 0.0, 1.0, 0.0]])
-        ball = _Ball.over_disc(table, np.array([1 + 0j]), 0.1)[0]
-        for point in _rim(_Ball(np.array([1 + 0j]), 0.1), 0, [1, 1j], rng):
+        disc = _Ball(np.array([1 + 0j]), 0.1)
+        ball = _Ball.over_disc(table, disc.mid, 0.1)[0]
+        for point in _rim(disc, 0, [1, 1j], rng):
             w = mp(point)
             assert _encloses(ball, 0, w * w - 2 * w)
     # no bound where an operand's disc may hold 0 under a log or a
