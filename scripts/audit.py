@@ -1,6 +1,9 @@
-"""Audit the family solve on cells past the benchmark's grid.
+"""Audit the family solve on cells past the benchmark's grid, or the
+exclusion tests of the density search.
 
     python3 scripts/audit.py [--cells SET[,SET...]] [--against DIR]
+                             [--json OUT] [--tree DIR]
+    python3 scripts/audit.py --density [--targets N] [--against DIR]
                              [--json OUT] [--tree DIR]
 
 Solves each cell (n, s, k) of the sets, sign +, with
@@ -23,22 +26,48 @@ A SET is ``past-grid``, the 91 exact-column members with n = 3-6, s =
 cells (2, 10, 2), (8, 5, 6), (16, 5, 6) and (24, 5, 6); or one cell
 ``n:s:k``.  The default is ``past-grid``.
 
-``--against DIR`` audits the same cells on the tree DIR too (a checkout
-of another commit, run as a second process of this script) and prints,
-for every cell whose degree, path, count above 1e-9 or worst residual
-differs,
+``--density`` runs one cold ``roots.density_witness`` at each of the 81
+targets of the density benchmark (its probe, each lattice target and
+its conjugate, read from ``DIR/perfbench/workloads.py`` with the
+benchmark's eps and caps; nothing is written there) and prints one line
+per target (``--targets N`` keeps the first N):
+
+  target re im columns C ruled_re R ruled_im I arcs A solved S seconds T
+
+C counts the (s, k) columns the exclusion test (``roots._dominated``)
+was run on, R and I the members it ruled out by dominance and by the
+argument of T2 / T1 alone, A the arc discs it evaluated (all read from
+``roots.COUNTS``; a tree that does not count arcs reads 0), S the cells
+the search solved (the size of its cache, as ``record_digest.py``'s
+``solved`` lines count them) and T the process time of the query.  A
+last line sums them:
+
+  total targets N columns C ruled_re R ruled_im I arcs A solved S seconds T
+
+``--against DIR`` audits the same cells or targets on the tree DIR too
+(a checkout of another commit, run as a second process of this script)
+and prints, for every cell whose degree, path, count above 1e-9 or worst
+residual differs,
 
   changed n s k degree D D' path P P' above A A' worst W W'
+
+or every target whose counts differ,
+
+  changed re im columns C C' ruled_re R R' ruled_im I I' arcs A A'
+  solved S S'
 
 with the primed values DIR's, then its total line and one line
 
   against changed X more_above Y half_to_fallback Z
+  against changed X more_solved Y fewer_ruled Z
 
 counting the changed cells, the cells with more records above 1e-9 than
-on DIR, and those that went from half on DIR to fallback.  Every count
-but the seconds is the same on two runs of one tree.  ``--json OUT``
-writes both audits, the changed cells and the commit of each tree
-(scripts/compare.py's commit_of) to OUT.
+on DIR and those that went from half on DIR to fallback; or the changed
+targets, those that solve more cells than on DIR and those with fewer
+members ruled out.  Every count but the seconds is the same on two runs
+of one tree.  ``--json OUT`` writes both audits, the changed cells or
+targets and the commit of each tree (scripts/compare.py's commit_of) to
+OUT.
 """
 
 from __future__ import annotations
@@ -57,6 +86,9 @@ ROOT = Path(__file__).resolve().parents[1]
 NAMED = [(2, 10, 2), (8, 5, 6), (16, 5, 6), (24, 5, 6)]
 TOL = 1e-9
 FIELDS = ("degree", "path", "above", "worst")
+# the COUNTS of the exclusion test that a density line reports
+DENSITY_COUNTS = ("columns", "ruled_re", "ruled_im", "arcs")
+DENSITY_FIELDS = DENSITY_COUNTS + ("solved",)
 
 
 def cells_of(spec: str) -> list[tuple[int, int, int]]:
@@ -107,6 +139,31 @@ def audit(spec: str) -> list[dict]:
     return out
 
 
+def audit_density(tree: Path, count: int | None) -> list[dict]:
+    """One record per density benchmark target, the first count of them
+    (all for None), each a cold query in this process."""
+    sys.path.insert(0, str(tree / "perfbench"))
+    import workloads
+    from yamada import roots
+
+    targets = [workloads.PROBE]
+    for z0 in workloads.density_lattice():
+        targets += [z0, z0.conjugate()]
+    out = []
+    for z0 in targets[:count]:
+        before = dict(roots.COUNTS)
+        cache: dict = {}
+        start = time.process_time()
+        roots.density_witness(z0, workloads.EPS, workloads.CAPS, cache=cache)
+        seconds = time.process_time() - start
+        out.append({
+            "re": z0.real, "im": z0.imag,
+            **{f: roots.COUNTS[f] - before.get(f, 0) for f in DENSITY_COUNTS},
+            "solved": len(cache), "seconds": seconds,
+        })
+    return out
+
+
 def totals(cells: list[dict]) -> dict:
     return {
         "cells": len(cells),
@@ -115,6 +172,18 @@ def totals(cells: list[dict]) -> dict:
         "above": sum(c["above"] for c in cells),
         "seconds": sum(c["seconds"] for c in cells),
     }
+
+
+def density_totals(targets: list[dict]) -> dict:
+    return {
+        "targets": len(targets),
+        **{f: sum(t[f] for t in targets) for f in DENSITY_FIELDS},
+        "seconds": sum(t["seconds"] for t in targets),
+    }
+
+
+def _pairs(row: dict, fields) -> str:
+    return " ".join(f"{f} {row[f]}" for f in fields)
 
 
 def print_audit(cells: list[dict]) -> None:
@@ -127,20 +196,91 @@ def print_audit(cells: list[dict]) -> None:
           f" {t['fallback']} above {t['above']} seconds {t['seconds']:.3f}")
 
 
+def print_density(targets: list[dict]) -> None:
+    for t in targets:
+        print(f"target {t['re']:+.6f} {t['im']:+.6f}"
+              f" {_pairs(t, DENSITY_FIELDS)} seconds {t['seconds']:.3f}")
+    t = density_totals(targets)
+    print(f"total targets {t['targets']} {_pairs(t, DENSITY_FIELDS)}"
+          f" seconds {t['seconds']:.3f}")
+
+
+def against_cells(this: list[dict], theirs: dict) -> list[dict]:
+    """Print the cells that differ from DIR's and the summary lines."""
+    changed = []
+    more = down = 0
+    for a, b in zip(this, theirs["audit"]):
+        if all(a[f] == b[f] for f in FIELDS):
+            continue
+        changed.append({"this": a, "against": b})
+        more += a["above"] > b["above"]
+        down += b["path"] == "half" and a["path"] == "fallback"
+        print(f"changed {a['n']} {a['s']} {a['k']}"
+              f" degree {a['degree']} {b['degree']}"
+              f" path {a['path']} {b['path']}"
+              f" above {a['above']} {b['above']}"
+              f" worst {a['worst']:.3e} {b['worst']:.3e}")
+    t = theirs["totals"]
+    print(f"total against cells {t['cells']} half {t['half']} fallback"
+          f" {t['fallback']} above {t['above']} seconds"
+          f" {t['seconds']:.3f}")
+    print(f"against changed {len(changed)} more_above {more}"
+          f" half_to_fallback {down}")
+    return changed
+
+
+def against_density(this: list[dict], theirs: dict) -> list[dict]:
+    """Print the targets whose counts differ from DIR's and the summary
+    lines."""
+    changed = []
+    more = fewer = 0
+    for a, b in zip(this, theirs["audit"]):
+        if all(a[f] == b[f] for f in DENSITY_FIELDS):
+            continue
+        changed.append({"this": a, "against": b})
+        more += a["solved"] > b["solved"]
+        fewer += (a["ruled_re"] + a["ruled_im"]
+                  < b["ruled_re"] + b["ruled_im"])
+        print(f"changed {a['re']:+.6f} {a['im']:+.6f} "
+              + " ".join(f"{f} {a[f]} {b[f]}" for f in DENSITY_FIELDS))
+    t = theirs["totals"]
+    print(f"total against targets {t['targets']} {_pairs(t, DENSITY_FIELDS)}"
+          f" seconds {t['seconds']:.3f}")
+    print(f"against changed {len(changed)} more_solved {more}"
+          f" fewer_ruled {fewer}")
+    return changed
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--cells", default="past-grid", metavar="SET[,SET...]")
+    ap.add_argument("--density", action="store_true",
+                    help="audit the exclusion tests of the density"
+                         " benchmark's queries instead of cells")
+    ap.add_argument("--targets", type=int, metavar="N",
+                    help="with --density, audit the first N targets only")
     ap.add_argument("--against", type=Path, metavar="DIR")
     ap.add_argument("--json", type=Path, metavar="OUT")
     ap.add_argument("--tree", type=Path, default=ROOT, metavar="DIR")
     args = ap.parse_args(argv)
-    sys.path.insert(0, str(args.tree.resolve() / "src"))
-    this = audit(args.cells)
-    print_audit(this)
+    tree = args.tree.resolve()
+    sys.path.insert(0, str(tree / "src"))
+    if args.density:
+        this = audit_density(tree, args.targets)
+        print_density(this)
+        sums, compare = density_totals(this), against_density
+        mode = ["--density"]
+        if args.targets is not None:
+            mode += ["--targets", str(args.targets)]
+    else:
+        this = audit(args.cells)
+        print_audit(this)
+        sums, compare = totals(this), against_cells
+        mode = ["--cells", args.cells]
     result = {
-        "cells": args.cells,
-        "this": {**commit_of(args.tree.resolve()), "audit": this,
-                 "totals": totals(this)},
+        "cells": None if args.density else args.cells,
+        "density": args.density,
+        "this": {**commit_of(tree), "audit": this, "totals": sums},
         "against": None,
         "changed": [],
     }
@@ -148,30 +288,13 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "against.json"
             subprocess.run(
-                [sys.executable, __file__, "--cells", args.cells,
+                [sys.executable, __file__, *mode,
                  "--tree", str(args.against), "--json", str(out)],
                 check=True, stdout=subprocess.DEVNULL,
             )
             theirs = json.loads(out.read_text())["this"]
         result["against"] = theirs
-        more = down = 0
-        for a, b in zip(this, theirs["audit"]):
-            if all(a[f] == b[f] for f in FIELDS):
-                continue
-            result["changed"].append({"this": a, "against": b})
-            more += a["above"] > b["above"]
-            down += b["path"] == "half" and a["path"] == "fallback"
-            print(f"changed {a['n']} {a['s']} {a['k']}"
-                  f" degree {a['degree']} {b['degree']}"
-                  f" path {a['path']} {b['path']}"
-                  f" above {a['above']} {b['above']}"
-                  f" worst {a['worst']:.3e} {b['worst']:.3e}")
-        t = theirs["totals"]
-        print(f"total against cells {t['cells']} half {t['half']} fallback"
-              f" {t['fallback']} above {t['above']} seconds"
-              f" {t['seconds']:.3f}")
-        print(f"against changed {len(result['changed'])} more_above {more}"
-              f" half_to_fallback {down}")
+        result["changed"] = compare(this, theirs)
     if args.json is not None:
         args.json.write_text(json.dumps(result, indent=1) + "\n")
     return 0

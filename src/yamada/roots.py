@@ -7,8 +7,9 @@ member, samples that limit set, tests membership in the closed region
 where |sigma(z)| dominates a small cyclotomic minimum, and hunts through
 the (n, s, k) grid for a family root near a requested target, solving
 only the members where neither power term provably dominates near it
-and the argument of sigma lambda2^n / lambda1^n does not provably stay
-off every odd multiple of pi.
+and h = log(sigma lambda2^n / lambda1^n) does not provably wind zero
+times about every odd multiple of i pi along the circle (the argument
+principle's count of the zeros inside).
 
 A family member is solved through dense coefficients only when it has
 repeated roots: each of its square-free factors (Yun) then goes through
@@ -212,6 +213,11 @@ class _Ball:
       log(1 + (x - a) / a), continuous on a's disc, so its imaginary
       part encloses a branch of arg x there.
     - exp a: |mid| expm1(ra), as |exp(w) - 1| <= expm1(|w|); k = 8.
+    - arg a, a real ball: asin(ra / |a|), infinite unless ra < |a|, as
+      x / a lies in the disc about 1 of radius ra / |a|, whose points
+      make an angle of at most asin(ra / |a|) with 1 (the tangents from
+      0); k = 8.  The disc holds the branch arg a + arg(x / a), continuous
+      on a's disc.
     - power(z, exps), numpy's z ** e at exact z: k = 4 |e| + 8 for |e|
       < 100, where numpy multiplies (and takes one reciprocal), 8 |e| (1
       + |log |z||) from 100 on, where it takes exp(e log z).
@@ -284,6 +290,11 @@ class _Ball:
     def exp(self) -> "_Ball":
         mid = np.exp(self.mid)
         return _Ball._rounded(mid, np.abs(mid) * np.expm1(self.rad), 8)
+
+    def arg(self) -> "_Ball":
+        ratio = self.rad / np.abs(self.mid) * _UP
+        rad = np.where(ratio < 1, np.arcsin(np.minimum(ratio, 1.0)), np.inf)
+        return _Ball._rounded(np.angle(self.mid), rad, 8)
 
     @staticmethod
     def power(z: np.ndarray, exps: Sequence[int]) -> "_Ball":
@@ -1053,10 +1064,13 @@ def omega_member(z: complex) -> bool:
 # family roots through the two-power structure
 
 _REFINE_ABOVE = 1e-10
-# members of n >= 3 on exact columns whose half configuration
+# counted in this process since import, for the tests and the audit to
+# read: members of n >= 3 on exact columns whose half configuration
 # _family_roots_full kept ("half") or, its discs meeting, replaced by the
-# full one ("fallback"); counted in this process since import, for the
-# tests to read
+# full one ("fallback"); and of the exclusion test (_dominated), the
+# columns tested ("columns"), the arc discs evaluated ("arcs") and the
+# members ruled out by dominance ("ruled_re") or by the argument alone,
+# its winding count ("ruled_im")
 COUNTS: Counter = Counter()
 _PREC = 240
 _GUARD = 16
@@ -1839,14 +1853,18 @@ def _family_roots_full(
 
 
 # ---------------------------------------------------------------------------
-# exclusion by term dominance and by the argument of T2 / T1
+# exclusion by term dominance and by the count of the zeros from the
+# argument of T2 / T1
 
 # the circle of an exclusion test starts as _ARCS arcs, and an arc that
 # leaves some n undecided is halved, at most _ARC_SPLITS times
-_ARCS = 16
-_ARC_SPLITS = 6
-# 2 pi i, to within the rounding of 2 pi
-_TWO_PI_I = _Ball(complex(0.0, math.tau), math.tau * _U)
+_ARCS = 128
+_ARC_SPLITS = 3
+# i pi, to within the rounding of pi
+_PI_I = _Ball(complex(0.0, math.pi), math.pi * _U)
+# an argument enclosure is narrower than pi when its half-width is below
+# this double, below pi / 2 by a margin that its rounding cannot cross
+_HALF_PI = math.pi / 2 * _DOWN
 # _dominated_cells widens its disc by _REACH |z0|
 _REACH = 1e-6
 # each round of the second pass of density_witness reaches _WIDEN times
@@ -1939,26 +1957,86 @@ def _turns(arg: np.ndarray) -> np.ndarray:
     return turns
 
 
-def _carried(
-    closed: list, starts: np.ndarray, lift: np.ndarray, wid: np.ndarray
-) -> bool:
-    """Whether the lifted argument enclosures lift +- wid of the closed
-    arcs, (start in turns, lift, wid) each, and of the arcs starting at
-    starts carry one continuous branch of each part around the circle:
-    in order from angle 0, every enclosure is narrower than pi (wid <
-    pi / 2) and every two adjacent ones overlap.  Adjacent arcs share an
-    end point, whose argument lies in both enclosures, and only one lift
-    of an enclosure narrower than pi meets another such enclosure, so
-    the branch carried along the circle lies in the lifted enclosure on
-    each arc."""
-    order = np.argsort(np.concatenate([c[0] for c in closed] + [starts]))
-    lift = np.hstack([c[1] for c in closed] + [lift])[:, order]
-    wid = np.hstack([c[2] for c in closed] + [wid])[:, order]
+def _carried(lift: np.ndarray, wid: np.ndarray) -> bool:
+    """Whether the lifted argument enclosures lift +- wid of arcs in
+    order around the circle, one row per part, carry one continuous
+    branch of each part along it: every enclosure is narrower than pi
+    (wid < pi / 2) and every two adjacent ones overlap.  Adjacent arcs
+    share an end point, whose argument lies in both enclosures, and only
+    one lift of an enclosure narrower than pi meets another such
+    enclosure, so the branch carried along the circle lies in the lifted
+    enclosure on each arc."""
     reach = wid[:, 1:] + wid[:, :-1]
     return bool(
         (wid < math.pi / 2).all()
         and (np.abs(np.diff(lift, axis=1)) <= reach).all()
     )
+
+
+def _winding(g: _Ball) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whether 1 + exp(h), h analytic on the closed disc, provably has no
+    zero inside its circle, from balls g of h on the arcs of a cover in
+    order around the circle, one row per member: on each arc h lies in
+    the arc's ball up to one multiple of 2 pi i for the whole circle.
+
+    The zeros are the points where h is an odd multiple w of i pi, and by
+    the argument principle h takes the value w inside as often as h - w
+    winds about 0 along the circle (Ying & Katz, Numer. Math. 1988).  A
+    lattice point w outside the bounding box of a row's balls is not
+    wound about.  For each w inside it, the argument of h - w on an arc
+    lies in the ball (g - w).arg (_Ball.arg), which needs the ball to
+    exclude w, and the enclosure must be narrower than pi; the
+    enclosures of adjacent arcs hold the argument at their common end
+    point, so they overlap, and only one lift of the step between their
+    midpoints meets both.  Those steps, each the nearest lift of the
+    difference of the midpoint arguments, sum to 2 pi times the winding
+    number; since the differences themselves sum to 0 around the
+    circle, the winding number is minus the sum of the whole turns taken
+    off them.  The box is widened by 64 u of its extent, and the turns
+    are exact when every enclosure is below _HALF_PI and the step stays
+    within the sum of the two half-widths, so rounding cannot turn a
+    count.
+
+    Returns, per row, whether every w in its box is proven wound 0 times
+    about (zero) and whether the midpoints alone wind about some w
+    (wound: h then takes w inside, or the arcs are too coarse to tell),
+    and per arc whether it stood in the way of a proof for a row not
+    wound (bad): its ball is infinite, meets a w of the row's box, or
+    its enclosure misses one of its neighbours'.
+    """
+    lo = (g.mid.imag - g.rad).min(axis=1)
+    hi = (g.mid.imag + g.rad).max(axis=1)
+    finite = np.isfinite(lo + hi)
+    slack = 64 * _U * (1 + np.abs(lo) + np.abs(hi))
+    first = np.ceil(((lo - slack) / math.pi - 1) / 2)
+    count = np.floor(((hi + slack) / math.pi - 1) / 2) - first + 1
+    count = np.where(finite & (count > 0), count, 0).astype(int)
+    bad = np.zeros(g.mid.shape[1], dtype=bool)
+    if not finite.all():
+        ball = g[~finite]
+        bad = ~(np.isfinite(ball.mid) & np.isfinite(ball.rad)).all(axis=0)
+    if not count.any():
+        return finite, np.zeros(len(count), dtype=bool), bad
+    # one row of pairs per member and lattice point (2 j + 1) i pi
+    row = np.repeat(np.arange(len(count)), count)
+    j = first[row] + np.arange(len(row)) - np.repeat(
+        np.cumsum(count) - count, count)
+    a = (g[row] - (2 * j + 1)[:, None] * _PI_I).arg()
+    # the step from each arc to the next, the last to the first included
+    arg = np.concatenate([a.mid, a.mid[:, :1]], axis=1)
+    wid = np.concatenate([a.rad, a.rad[:, :1]], axis=1)
+    step = arg[:, 1:] - arg[:, :-1]
+    turn = np.round(step / math.tau)
+    meets = np.abs(step - math.tau * turn) <= wid[:, 1:] + wid[:, :-1]
+    # an arc is held when its enclosure is narrow and meets both
+    # neighbours'
+    held = (a.rad < _HALF_PI) & meets
+    held[:, 1:] &= meets[:, :-1]
+    held[:, 0] &= meets[:, -1]
+    wound = np.bincount(row, turn.sum(axis=1) != 0, len(count)) > 0
+    stuck = np.bincount(row, ~held.all(axis=1), len(count)) > 0
+    bad |= (~held[~wound[row]]).any(axis=0)
+    return finite & ~wound & ~stuck, wound, bad
 
 
 @np.errstate(all="ignore")
@@ -1974,16 +2052,17 @@ def _dominated(
     has as many zeros inside as that term, and none on the circle.  So
     T1 = lambda1^n may win only when lambda1 has no zero in the disc,
     and T2 = sigma lambda2^n only when neither sigma nor lambda2 has one
-    (_zero_free on the discs of _zero_discs).  The second is the
-    argument of T2 / T1, and needs all three zero-free: then h = log
-    sigma + n (log lambda2 - log lambda1) is analytic on the disc, and
-    the member vanishes exactly where h is an odd multiple of i pi.  Im
-    h is harmonic, so its range over the disc is its range over the
-    circle (maximum principle); if that holds no odd multiple of pi,
-    the member has no zero in the disc, even where the circle crosses
-    |T1| = |T2|.  The common cyclotomic zeros of the two terms thus never
-    let a disc that holds them be skipped.  A disc that reaches the pole
-    at 0 (radius >= |z0|) is never skipped.
+    (_zero_free on the discs of _zero_discs).  The second is a count of
+    the zeros, and needs all three zero-free: then h = log sigma + n
+    (log lambda2 - log lambda1) is analytic on the disc, the member
+    vanishes exactly where h is an odd multiple of i pi, and the
+    argument principle counts those points inside by the winding of h
+    about each along the circle (_winding).  A count of 0 about every
+    odd multiple of i pi rules the member out, even where the circle
+    crosses |T1| = |T2|; where Im h stays between two of them it is the
+    maximum principle's band.  The common cyclotomic zeros of the two
+    terms thus never let a disc that holds them be skipped.  A disc that
+    reaches the pole at 0 (radius >= |z0|) is never skipped.
 
     The circle is covered by _ARCS arcs, each inside a small disc about
     its midpoint, where _arc_bounds gives balls of log lambda1, log
@@ -1996,19 +2075,19 @@ def _dominated(
     undecided by both tests is halved, at most _ARC_SPLITS times, and
     each half is carried to the branch nearest its parent's.  An n is
     ruled out by dominance when one term wins on every arc of its cover,
-    and by the argument when on every arc the imaginary part of the ball
-    h - 2 pi i (K + j) lies strictly between -pi and pi, j the turns of
-    the carried Im h at the first arc's midpoint, and the carried logs
-    make one branch around the circle (_carried).  Each test compares a
-    float sum with 0 or with the double pi, below the true one, which
-    monotone rounding cannot turn.  The midpoints, which lie on the
-    circle, only ever stop a test for an n: a term that does not
-    dominate there cannot dominate on the circle, and the argument is
-    not tried further once the midpoint values of Im h lie on both sides
-    of an odd multiple of pi.
+    and by the count when the balls h - 2 pi i K over the whole cover,
+    closed arcs included, wind 0 times about every odd multiple of i pi
+    and the carried logs make one branch around the circle (_carried).
+    Dominance compares a float sum with 0, which monotone rounding
+    cannot turn, and _winding keeps the count's margins.  The midpoints,
+    which lie on the circle, only ever stop a test for an n: a term that
+    does not dominate there cannot dominate on the circle, and the count
+    is not tried further once the midpoint values of h wind about an odd
+    multiple of i pi.
 
-    COUNTS counts the columns tested ("columns") and the n ruled out by
-    dominance ("ruled_re") or by the argument alone ("ruled_im").
+    COUNTS counts the columns tested ("columns"), the arc discs
+    evaluated ("arcs") and the n ruled out by dominance ("ruled_re") or
+    by the argument alone ("ruled_im").
     """
     ns = sorted(set(ns))
     column = _column(s, k, sign)
@@ -2019,22 +2098,24 @@ def _dominated(
     nv = np.array(ns, dtype=float)[:, None]
     # alive[t, i]: term t + 1 may still dominate for ns[i]
     alive = np.array([[free[0]] * len(ns), [free[1] and free[2]] * len(ns)])
-    # turning[i]: the argument may still rule ns[i] out
+    # turning[i]: the count may still rule ns[i] out
     turning = np.full(len(ns), all(free))
     # ruled[0, i]: ns[i] is ruled out by dominance; ruled[1, i]: only by
-    # the argument
+    # the count
     ruled = np.zeros((2, len(ns)), dtype=bool)
     m = _ARCS
     arcs = np.arange(m)
     # need[t, i, j]: that term t + 1 wins for ns[i] is still to be shown
     # on the open arc j
     need = np.repeat(alive[:, :, None], m, axis=2)
-    # the arcs closed so far, as (start in turns, lift, wid), for
-    # _carried
-    closed: list[tuple] = []
+    # the cover of the count, in order around the circle: per arc the
+    # lifted logs, their wid and the balls of the carried h for every n;
+    # fresh marks the arcs of this level in it
+    cover: list = []
     for split in range(_ARC_SPLITS + 1):
         if not (need.any() or turning.any()):
             break
+        COUNTS["arcs"] += len(arcs)
         logs = _arc_bounds(column, *_arc_discs(z0, radius, arcs, m))
         h = logs[2] + nv * (logs[1] - logs[0])
         re = h.mid.real
@@ -2043,9 +2124,8 @@ def _dominated(
         need &= ~won & alive[:, :, None]
         ruled[0] |= ~ruled[1] & (alive & ~need.any(axis=2)).any(axis=0)
         turning &= ~ruled[0]
-        # looking[i, j]: the argument for ns[i] is still to be shown on
-        # the open arc j
-        looking = np.zeros((len(ns), len(arcs)), dtype=bool)
+        # looking[j]: the count for some n still needs the open arc j
+        looking = np.zeros(len(arcs), dtype=bool)
         if turning.any():
             arg = logs.mid.imag
             if split == 0:
@@ -2053,26 +2133,29 @@ def _dominated(
             else:
                 turns = np.round((arg - parent) / math.tau)
             lift = arg - math.tau * turns
-            # the turns that carry h along, then those of h itself
-            carry = turns[2] + nv * (turns[1] - turns[0])
-            turn = np.round(h.mid.imag / math.tau) - carry
+            # h carried along the circle by the turns of the logs
+            g = h - 2 * (turns[2] + nv * (turns[1] - turns[0])) * _PI_I
             if split == 0:
-                j = turn[:, :1]
-            turning &= (turn == j).all(axis=1)
-            g = h - (carry + j) * _TWO_PI_I
-            held = np.abs(g.mid.imag) + g.rad < math.pi
-            looking = turning[:, None] & ~held
-            done = turning & ~looking.any(axis=1)
-            if done.any() and _carried(closed, arcs / m, lift, logs.rad):
-                ruled[1] |= done
-            turning &= ~done
+                cover, fresh = [lift, logs.rad, g.mid, g.rad], slice(None)
+            else:
+                for f, x in zip(cover, (lift, logs.rad, g.mid, g.rad)):
+                    f[:, fresh] = x
+            rows = np.flatnonzero(turning)
+            zero, wound, bad = _winding(_Ball(cover[2][rows], cover[3][rows]))
+            if zero.any() and _carried(cover[0], cover[1]):
+                ruled[1, rows[zero]] = True
+            turning[rows[zero | wound]] = False
+            looking = bad[fresh]
         need &= ~ruled.any(axis=0)[None, :, None]
-        open_arcs = need.any(axis=(0, 1)) | looking.any(axis=0)
+        open_arcs = need.any(axis=(0, 1)) | looking
         if split == _ARC_SPLITS or not open_arcs.any():
             break
         if turning.any():
-            shut = ~open_arcs
-            closed.append((arcs[shut] / m, lift[:, shut], logs.rad[:, shut]))
+            # each open arc of the cover makes room for its two halves
+            opened = np.zeros(cover[0].shape[1], dtype=bool)
+            opened[fresh] = open_arcs
+            cover = [np.repeat(f, 1 + opened, axis=1) for f in cover]
+            fresh = np.repeat(opened, 1 + opened)
             parent = np.repeat(lift[:, open_arcs], 2, axis=1)
         arcs = np.stack([2 * arcs[open_arcs], 2 * arcs[open_arcs] + 1], axis=1)
         arcs = arcs.ravel()
@@ -2090,9 +2173,11 @@ def _dominated_cells(
     sign: str,
 ) -> set[tuple[int, int, int]]:
     """The cells (n, s, k) whose sign member provably has no zero within
-    radius of z0, by _dominated, one call per (s, k) column.  The radius
-    is widened by _REACH |z0| first, so that a record a little off its
-    exact root is never left outside the disc while it lies inside."""
+    radius of z0, by _dominated (a power term that dominates on the
+    circle, or a count of 0 zeros inside from the winding of h), one
+    call per (s, k) column.  The radius is widened by _REACH |z0| first,
+    so that a record a little off its exact root is never left outside
+    the disc while it lies inside."""
     columns: dict[tuple[int, int], list[int]] = {}
     for n, s, k in cells:
         columns.setdefault((s, k), []).append(n)
@@ -2230,26 +2315,26 @@ def density_witness(
     whose member is ruled out on the eps disc (_dominated_cells: one of
     its two power terms wins on the whole boundary circle and has no
     zero inside, or lambda1, lambda2 and sigma have no zero inside and
-    the argument of sigma lambda2^n / lambda1^n stays off every odd
-    multiple of pi on the circle, so the member has no zero in the
-    closed disc); each (s, k) column is tested once, when the pass first
-    reaches it.  A deferred cell has no root to offer a Witness, so the
-    Witness is the one the full search returns.  Only on a miss, the
-    second pass revisits the deferred cells in rounds, each in plan
-    order: round j solves a cell only if it is not ruled out on the disc
-    of radius min(_WIDEN^j r, best_d), with r = max(eps, _REACH |z0|)
-    (_dominated_cells widens every disc by _REACH |z0|) and best_d the
-    closest distance so far, and the next round takes the cells that
-    were ruled out, until the radius reaches best_d.  So the cells that may hold the closest
-    roots are solved first, and best_d shrinks early.  Within a round a
-    column is tested again only when the round reaches one of its cells
-    not yet ruled out and the radius has shrunk since the column's last
-    test.  A cell ruled out at best_d, which only shrinks, cannot hold a
-    record as close, so closest and distance are those of the full
-    search too.  Cells already in cache are always read.  Either outcome
-    counts the uncertified records of the cells it read, solved or
-    cached; a skipped cell's records are never formed, so they are not
-    counted.
+    h, the log of sigma lambda2^n / lambda1^n, winds zero times along
+    the circle about every odd multiple of i pi, so that by the argument
+    principle the member has no zero in the closed disc); each (s, k)
+    column is tested once, when the pass first reaches it.  A deferred
+    cell has no root to offer a Witness, so the Witness is the one the
+    full search returns.  Only on a miss, the second pass revisits the
+    deferred cells in rounds, each in plan order: round j solves a cell
+    only if it is not ruled out on the disc of radius min(_WIDEN^j r,
+    best_d), with r = max(eps, _REACH |z0|) (_dominated_cells widens
+    every disc by _REACH |z0|) and best_d the closest distance so far,
+    and the next round takes the cells that were ruled out, until the
+    radius reaches best_d.  So the cells that may hold the closest roots
+    are solved first, and best_d shrinks early.  Within a round a column
+    is tested again only when the round reaches one of its cells not yet
+    ruled out and the radius has shrunk since the column's last test.  A
+    cell ruled out at best_d, which only shrinks, cannot hold a record
+    as close, so closest and distance are those of the full search too.
+    Cells already in cache are always read.  Either outcome counts the
+    uncertified records of the cells it read, solved or cached; a
+    skipped cell's records are never formed, so they are not counted.
 
     jobs > 1 solves upcoming cells of the first pass in worker
     processes (_cell_stream) while the results are still consumed in

@@ -1,4 +1,5 @@
-"""scripts/audit.py: two cells against a copy of this tree."""
+"""scripts/audit.py: two cells, and the exclusion tests of two density
+targets, against a copy of this tree."""
 
 import json
 import shutil
@@ -35,3 +36,36 @@ def test_audit_two_cells_against_a_copy(tmp_path):
         assert [(c["n"], c["s"], c["k"]) for c in audit] == [(3, 5, 1), (1, 2, 2)]
         assert all(c["degree"] > 0 and c["above"] == 0 for c in audit)
     assert result["against"]["tree"] == str(other.resolve())
+
+
+def test_audit_density_two_targets_against_a_copy(tmp_path):
+    other = tmp_path / "other"
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, other / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "out"))
+    out = tmp_path / "audit.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "audit.py"), "--density",
+         "--targets", "2", "--against", str(other), "--json", str(out)],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    targets = [line.split() for line in lines if line.startswith("target ")]
+    assert len(targets) == 2
+    fields = ["columns", "ruled_re", "ruled_im", "arcs", "solved", "seconds"]
+    for t in targets:
+        assert t[3::2] == fields
+    # the probe misses every cell: every column is tested, and the
+    # exclusion test evaluates arcs
+    probe = dict(zip(targets[0][3::2], targets[0][4::2]))
+    assert int(probe["columns"]) > 0 and int(probe["arcs"]) > 0
+    assert lines[-1] == "against changed 0 more_solved 0 fewer_ruled 0"
+    result = json.loads(out.read_text())
+    assert result["density"] and result["changed"] == []
+    mine, theirs = result["this"], result["against"]
+    assert len(mine["audit"]) == len(theirs["audit"]) == 2
+    for a, b in zip(mine["audit"], theirs["audit"]):
+        assert all(a[f] == b[f] for f in fields[:-1])
+    assert mine["totals"]["targets"] == 2
+    assert theirs["tree"] == str(other.resolve())

@@ -1458,7 +1458,7 @@ def test_dominated_never_skips_a_cell_with_a_root_within_eps():
 
 def test_ruled_out_members_have_no_root_on_the_benchmark_targets():
     # every target of the density benchmark and the radii its two passes
-    # start from: no member that _dominated rules out, by either proof,
+    # reach (0.506 on the targets of modulus 1.608): no member that _dominated rules out, by either proof,
     # has a certified record within the disc
     cache: dict = {}
     plan = _witness_plan(BENCH_CAPS)
@@ -1468,7 +1468,8 @@ def test_ruled_out_members_have_no_root_on_the_benchmark_targets():
     before = dict(roots_module.COUNTS)
     for z0 in _bench_targets():
         sign = "+" if abs(z0) <= 1 else "-"
-        for radius in (BENCH_EPS, 1.5 * BENCH_EPS, 2.25 * BENCH_EPS):
+        for radius in (BENCH_EPS, 1.5 * BENCH_EPS, 2.25 * BENCH_EPS,
+                       3.375 * BENCH_EPS):
             for (s, k), ns in columns.items():
                 for n in _dominated(z0, radius, s, k, sign, ns):
                     recs = scan_family([n], [s], [k], signs=(sign,),
@@ -1531,6 +1532,60 @@ def test_the_argument_never_rules_out_a_disc_with_a_root():
                 tried += all(_zero_free(d, z0, radius) for d in column.discs)
                 assert n not in _dominated(z0, radius, s, k, "+", [n])
     assert tried > 100
+
+
+def test_the_count_rules_out_a_member_whose_argument_crosses_pi():
+    # (5, 2, 2) about a benchmark lattice target: its closest root is
+    # 0.203 away and lambda1, lambda2 and sigma have no zero in the disc,
+    # but Im h along the circle crosses an odd multiple of pi, so no band
+    # between two of them holds it; h winds about none of them, and only
+    # the count rules the member out
+    z0, eps, n, s, k = (0.6143350021534211 - 0.09730110548784239j, 0.15,
+                        5, 2, 2)
+    recs = scan_family([n], [s], [k])
+    assert min(abs(r.root - z0) for r in recs if r.residual <= 1e-9) > 0.2
+    column = _column(s, k, "+")
+    assert all(_zero_free(d, z0, eps) for d in column.discs)
+    # Im h / pi, sampled along the circle and unwrapped, takes an odd
+    # integer
+    l1, l2 = family_lambdas(s, k, "+")
+    values = []
+    for j in range(4097):
+        z = z0 + eps * cmath.exp(2j * math.pi * j / 4096)
+        values.append(sigma().eval_complex(z)
+                      * (l2.eval_complex(z) / l1.eval_complex(z)) ** n)
+    im = np.unwrap(np.angle(values)) / math.pi
+    assert abs(im[-1] - im[0]) < 1e-9
+    assert np.ceil((im.min() - 1) / 2) <= np.floor((im.max() - 1) / 2)
+    before = dict(roots_module.COUNTS)
+    assert n in _dominated(z0, eps, s, k, "+", range(1, 9))
+    counts = roots_module.COUNTS
+    assert counts["ruled_im"] - before.get("ruled_im", 0) == 5
+    assert _dominated(z0, eps, s, k, "+", [n]) == {n}
+    assert counts["ruled_im"] - before.get("ruled_im", 0) == 6
+    assert counts["ruled_re"] - before.get("ruled_re", 0) == 3
+    assert counts["columns"] == before.get("columns", 0) + 2
+    assert counts["arcs"] >= before.get("arcs", 0) + 2 * roots_module._ARCS
+
+
+def test_the_count_never_rules_out_a_root_between_two_midpoints():
+    # discs with a root of the member a hair inside the rim, on the
+    # boundary between two arcs at every level of the cover: the polygon
+    # of the arc midpoints passes inside the root, so h at the midpoints
+    # need not wind about the odd multiple of i pi the root maps to, and
+    # only the balls, which cannot exclude it, keep the member in
+    tried = 0
+    for n, s, k in ((3, 1, 1), (4, 2, 2), (5, 2, 2), (8, 2, 2)):
+        column = _column(s, k, "+")
+        for i, root in enumerate(scan_family([n], [s], [k])):
+            turn = cmath.exp(2j * math.pi * (i % 128) / 128)
+            for radius, f in ((0.15, 1 - 1e-6), (0.05, 1 - 1e-8)):
+                z0 = root.root - f * radius * turn
+                if not 0 < radius < abs(z0):
+                    continue
+                tried += all(_zero_free(d, z0, radius) for d in column.discs)
+                assert n not in _dominated(z0, radius, s, k, "+", [n])
+    assert tried > 30
 
 
 def test_density_witness_matches_solving_every_cell():
@@ -1726,12 +1781,17 @@ def test_ball_operations_enclose_their_240_bit_values():
                 m = mpmath.mpc(complex(wide.mid[i]))
                 return mpmath.log(m) + mpmath.log(x / m)
 
+            def arg(x, i):
+                m = mpmath.mpc(complex(a.mid[i]))
+                return mpmath.arg(m) + mpmath.arg(x / m)
+
             # (operand, result, exact operation, worst direction)
             unary = [
                 (a, k * a, lambda x, i: int(k[i]) * x, lambda m: 1),
                 (a, 7 * a, lambda x, i: 7 * x, lambda m: 1),
                 (wide, wide.log(), log, lambda m: -unit(m)),
                 (small, small.exp(), lambda x, i: mpmath.exp(x), lambda m: 1),
+                (a, a.arg(), arg, lambda m: 1j * unit(m)),
             ]
             for base, ball, f, worst in unary:
                 for i in range(12):
@@ -1786,11 +1846,12 @@ def test_ball_operations_enclose_their_240_bit_values():
         for point in _rim(disc, 0, [1, 1j], rng):
             w = mp(point)
             assert _encloses(ball, 0, w * w - 2 * w)
-    # no bound where an operand's disc may hold 0 under a log or a
-    # quotient, or where the disc of z reaches 0
+    # no bound where an operand's disc may hold 0 under a log, an
+    # argument or a quotient, or where the disc of z reaches 0
     x = _Ball(np.array([1 + 1j, 2j]), np.array([1.5, 2.0]))
     with np.errstate(divide="ignore"):
         assert np.all(x.log().rad == np.inf)
+        assert np.all(x.arg().rad == np.inf)
         assert np.all((_Ball(np.array([1j, 1.0])) / x).rad == np.inf)
         assert _Ball(np.array([0.3 + 0.1j]), 0.5).log().rad[0] == np.inf
 
