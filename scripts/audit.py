@@ -263,6 +263,8 @@ def main(argv=None) -> int:
     ap.add_argument("--json", type=Path, metavar="OUT")
     ap.add_argument("--tree", type=Path, default=ROOT, metavar="DIR")
     args = ap.parse_args(argv)
+    if args.targets is not None and not args.density:
+        ap.error("--targets needs --density")
     tree = args.tree.resolve()
     sys.path.insert(0, str(tree / "src"))
     if args.density:
