@@ -2077,13 +2077,15 @@ def _dominated(
     ruled out by dominance when one term wins on every arc of its cover,
     and by the count when the balls h - 2 pi i K over the whole cover,
     closed arcs included, wind 0 times about every odd multiple of i pi
-    and the carried logs make one branch around the circle (_carried).
-    Dominance compares a float sum with 0, which monotone rounding
-    cannot turn, and _winding keeps the count's margins.  The midpoints,
-    which lie on the circle, only ever stop a test for an n: a term that
-    does not dominate there cannot dominate on the circle, and the count
-    is not tried further once the midpoint values of h wind about an odd
-    multiple of i pi.
+    and the carried logs make one branch around the circle (_carried);
+    an arc that stands in the way of the count, or where the enclosure
+    of a part is not narrower than pi, is halved while some n may still
+    be ruled out by it.  Dominance compares a float sum with 0, which
+    monotone rounding cannot turn, and _winding keeps the count's
+    margins.  The midpoints, which lie on the circle, only ever stop a
+    test for an n: a term that does not dominate there cannot dominate
+    on the circle, and the count is not tried further once the midpoint
+    values of h wind about an odd multiple of i pi.
 
     COUNTS counts the columns tested ("columns"), the arc discs
     evaluated ("arcs") and the n ruled out by dominance ("ruled_re") or
@@ -2145,7 +2147,8 @@ def _dominated(
             if zero.any() and _carried(cover[0], cover[1]):
                 ruled[1, rows[zero]] = True
             turning[rows[zero | wound]] = False
-            looking = bad[fresh]
+            # the carry needs every part's enclosure narrower than pi
+            looking = bad[fresh] | ~(logs.rad < math.pi / 2).all(axis=0)
         need &= ~ruled.any(axis=0)[None, :, None]
         open_arcs = need.any(axis=(0, 1)) | looking
         if split == _ARC_SPLITS or not open_arcs.any():
