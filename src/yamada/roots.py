@@ -916,8 +916,8 @@ def limit_curve_points(
     its own: a bracket that is short enough is not halved again while
     wider ones still are.  The points come back sorted by angle then
     radius, deterministically for fixed arguments.  The grid needs
-    angles >= 1, radial >= 1 and 0 < r_lo < r_hi; anything else raises
-    ValueError, and so does a refine that is not positive.
+    angles >= 1, radial >= 1 and finite radii 0 < r_lo < r_hi; anything
+    else raises ValueError, and so does a refine that is not positive.
 
     The lambdas have real coefficients, so the gap at conj z is the gap
     at z, and the grid's rows past the half turn are mirror images of
@@ -952,9 +952,9 @@ def limit_curve_points(
             f"the grid needs angles >= 1 and radial >= 1, not {angles} and"
             f" {radial}"
         )
-    if not 0 < r_lo < r_hi:
+    if not 0 < r_lo < r_hi < math.inf:
         raise ValueError(
-            f"the radii need 0 < r_lo < r_hi, not r_lo = {r_lo!r} and"
+            f"the radii need 0 < r_lo < r_hi < inf, not r_lo = {r_lo!r} and"
             f" r_hi = {r_hi!r}"
         )
     # written so that NaN fails too: no bracket is ever wider than NaN
@@ -1947,62 +1947,56 @@ def _arc_bounds(column: _Column, c: np.ndarray, rho: float) -> _Ball:
     return p.log() + column.lows * _Ball(c, rho).log()
 
 
-def _turns(arg: np.ndarray) -> np.ndarray:
-    """The whole turns to take off the arguments arg of arcs in order
-    around the circle, one row per part, that carry them along it: each
-    step from an arc to the next is reduced modulo 2 pi to the nearest
-    lift."""
-    turns = np.zeros_like(arg)
-    turns[:, 1:] = np.cumsum(np.round(np.diff(arg, axis=1) / math.tau), axis=1)
-    return turns
+def _steps(arg: np.ndarray, wid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The steps around the circle of argument enclosures arg +- wid on
+    arcs in circle order, one row per function, the step from the last
+    arc to the first included: per step the whole turns to take off it
+    for its nearest lift, and per arc whether it is held, its enclosure
+    below _HALF_PI and meeting both neighbours' lifted enclosures.
 
-
-def _carried(lift: np.ndarray, wid: np.ndarray) -> bool:
-    """Whether the lifted argument enclosures lift +- wid of arcs in
-    order around the circle, one row per part, carry one continuous
-    branch of each part along it: every enclosure is narrower than pi
-    (wid < pi / 2) and every two adjacent ones overlap.  Adjacent arcs
-    share an end point, whose argument lies in both enclosures, and only
-    one lift of an enclosure narrower than pi meets another such
-    enclosure, so the branch carried along the circle lies in the lifted
-    enclosure on each arc."""
-    reach = wid[:, 1:] + wid[:, :-1]
-    return bool(
-        (wid < math.pi / 2).all()
-        and (np.abs(np.diff(lift, axis=1)) <= reach).all()
-    )
+    The carry: adjacent arcs share an end point, whose argument on a
+    branch continuous along the circle lies in both enclosures, so that
+    branch steps between the two midpoints by a lift of their difference
+    within the sum of the half-widths, which meets both enclosures; with
+    both half-widths below _HALF_PI that sum is below pi, so no other
+    lift does, and it is the nearest lift by a margin that rounding
+    cannot cross.  An arc whose step misses a neighbour is not held, as
+    its enclosures cannot both be right.  Along a row whose arcs are all
+    held, the branch carried from the first arc lies on each arc in its
+    enclosure less 2 pi times the turns of the steps before it, and
+    minus the sum of all the turns is the winding number about 0, since
+    the differences themselves sum to 0.
+    """
+    step = np.concatenate([arg[:, 1:], arg[:, :1]], axis=1) - arg
+    turn = np.round(step / math.tau)
+    reach = wid + np.concatenate([wid[:, 1:], wid[:, :1]], axis=1)
+    meets = np.abs(step - math.tau * turn) <= reach
+    held = (wid < _HALF_PI) & meets
+    held[:, 1:] &= meets[:, :-1]
+    held[:, 0] &= meets[:, -1]
+    return turn, held
 
 
 def _winding(g: _Ball) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Whether 1 + exp(h), h analytic on the closed disc, provably has no
     zero inside its circle, from balls g of h on the arcs of a cover in
-    order around the circle, one row per member: on each arc h lies in
-    the arc's ball up to one multiple of 2 pi i for the whole circle.
+    circle order, one row per member, which hold h on every arc up to
+    one multiple of 2 pi i for the whole circle.
 
-    The zeros are the points where h is an odd multiple w of i pi, and by
-    the argument principle h takes the value w inside as often as h - w
-    winds about 0 along the circle (Ying & Katz, Numer. Math. 1988).  A
-    lattice point w outside the bounding box of a row's balls is not
-    wound about.  For each w inside it, the argument of h - w on an arc
-    lies in the ball (g - w).arg (_Ball.arg), which needs the ball to
-    exclude w, and the enclosure must be narrower than pi; the
-    enclosures of adjacent arcs hold the argument at their common end
-    point, so they overlap, and only one lift of the step between their
-    midpoints meets both.  Those steps, each the nearest lift of the
-    difference of the midpoint arguments, sum to 2 pi times the winding
-    number; since the differences themselves sum to 0 around the
-    circle, the winding number is minus the sum of the whole turns taken
-    off them.  The box is widened by 64 u of its extent, and the turns
-    are exact when every enclosure is below _HALF_PI and the step stays
-    within the sum of the two half-widths, so rounding cannot turn a
-    count.
+    The count: the zeros are the points where h is an odd multiple w of
+    i pi, and by the argument principle h takes the value w inside as
+    often as h - w winds about 0 along the circle (Ying & Katz, Numer.
+    Math. 1988), which _steps reads from the argument enclosures (g -
+    w).arg (_Ball.arg) when every arc is held.  A w outside the bounding
+    box of a row's balls is not wound about.  The box slack: the box's
+    ends and their lattice indices (x / pi - 1) / 2 are rounded, so the
+    box is widened by 64 u of its extent first, which no w of the exact
+    box can fall outside.
 
     Returns, per row, whether every w in its box is proven wound 0 times
     about (zero) and whether the midpoints alone wind about some w
-    (wound: h then takes w inside, or the arcs are too coarse to tell),
-    and per arc whether it stood in the way of a proof for a row not
-    wound (bad): its ball is infinite, meets a w of the row's box, or
-    its enclosure misses one of its neighbours'.
+    (wound), and per arc whether it stood in the way of a proof for a
+    row not wound (bad): its ball is infinite, or it is not held.
     """
     lo = (g.mid.imag - g.rad).min(axis=1)
     hi = (g.mid.imag + g.rad).max(axis=1)
@@ -2022,17 +2016,7 @@ def _winding(g: _Ball) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     j = first[row] + np.arange(len(row)) - np.repeat(
         np.cumsum(count) - count, count)
     a = (g[row] - (2 * j + 1)[:, None] * _PI_I).arg()
-    # the step from each arc to the next, the last to the first included
-    arg = np.concatenate([a.mid, a.mid[:, :1]], axis=1)
-    wid = np.concatenate([a.rad, a.rad[:, :1]], axis=1)
-    step = arg[:, 1:] - arg[:, :-1]
-    turn = np.round(step / math.tau)
-    meets = np.abs(step - math.tau * turn) <= wid[:, 1:] + wid[:, :-1]
-    # an arc is held when its enclosure is narrow and meets both
-    # neighbours'
-    held = (a.rad < _HALF_PI) & meets
-    held[:, 1:] &= meets[:, :-1]
-    held[:, 0] &= meets[:, -1]
+    turn, held = _steps(a.mid, a.rad)
     wound = np.bincount(row, turn.sum(axis=1) != 0, len(count)) > 0
     stuck = np.bincount(row, ~held.all(axis=1), len(count)) > 0
     bad |= (~held[~wound[row]]).any(axis=0)
@@ -2045,51 +2029,48 @@ def _dominated(
 ) -> set[int]:
     """The n in ns for which the member lambda1^n + sigma lambda2^n of
     the (s, k, sign) column provably has no zero in the closed disc
-    |z - z0| <= radius.
+    |z - z0| <= radius.  A disc that reaches the pole at 0 (radius >=
+    |z0|) is never skipped.
 
-    Two proofs, either enough.  The first is Rouché's theorem: if one
-    term strictly dominates the other on the boundary circle, the sum
-    has as many zeros inside as that term, and none on the circle.  So
-    T1 = lambda1^n may win only when lambda1 has no zero in the disc,
-    and T2 = sigma lambda2^n only when neither sigma nor lambda2 has one
-    (_zero_free on the discs of _zero_discs).  The second is a count of
-    the zeros, and needs all three zero-free: then h = log sigma + n
-    (log lambda2 - log lambda1) is analytic on the disc, the member
-    vanishes exactly where h is an odd multiple of i pi, and the
-    argument principle counts those points inside by the winding of h
-    about each along the circle (_winding).  A count of 0 about every
-    odd multiple of i pi rules the member out, even where the circle
-    crosses |T1| = |T2|; where Im h stays between two of them it is the
-    maximum principle's band.  The common cyclotomic zeros of the two
-    terms thus never let a disc that holds them be skipped.  A disc that
-    reaches the pole at 0 (radius >= |z0|) is never skipped.
+    The cover: the circle is covered by _ARCS arcs, each inside a small
+    disc about its midpoint, where _arc_bounds gives balls of log
+    lambda1, log lambda2 and log sigma, and the ball of h = log sigma +
+    n (log lambda2 - log lambda1) on an arc follows for every n of the
+    column.  The cover is kept in circle order; an arc of the newest
+    level that leaves some n undecided is replaced in place by its two
+    halves, at most _ARC_SPLITS times, and both proofs below read the
+    whole cover at every level.
 
-    The circle is covered by _ARCS arcs, each inside a small disc about
-    its midpoint, where _arc_bounds gives balls of log lambda1, log
-    lambda2 and log sigma; the ball of h on an arc is log sigma + n (log
-    lambda2 - log lambda1) in the ball's arithmetic (_Ball), for every n
-    of the column from one cover.  T1 wins on an arc when the real part
-    of that ball lies below 0, and T2 when it lies above.  The first
-    arcs' logs are carried in order around the circle by whole turns
-    (_turns), which make K turns of h; an arc that leaves some n
-    undecided by both tests is halved, at most _ARC_SPLITS times, and
-    each half is carried to the branch nearest its parent's.  An n is
-    ruled out by dominance when one term wins on every arc of its cover,
-    and by the count when the balls h - 2 pi i K over the whole cover,
-    closed arcs included, wind 0 times about every odd multiple of i pi
-    and the carried logs make one branch around the circle (_carried);
-    an arc that stands in the way of the count, or where the enclosure
-    of a part is not narrower than pi, is halved while some n may still
-    be ruled out by it.  Dominance compares a float sum with 0, which
-    monotone rounding cannot turn, and _winding keeps the count's
-    margins.  The midpoints, which lie on the circle, only ever stop a
-    test for an n: a term that does not dominate there cannot dominate
-    on the circle, and the count is not tried further once the midpoint
-    values of h wind about an odd multiple of i pi.
+    Dominance, by Rouché's theorem: if one term strictly dominates the
+    other on the circle, the sum has as many zeros inside as that term,
+    and none on the circle.  T1 = lambda1^n wins on an arc when the real
+    part of the ball of h lies below 0, and T2 = sigma lambda2^n when it
+    lies above, a float sum compared with 0, which monotone rounding
+    cannot turn; the halves of an arc inherit its wins.
+
+    The count: h less 2 pi i times the turns that carry the three logs
+    around the circle (_steps) goes to _winding, and an n is ruled out
+    when it winds 0 times about every odd multiple of i pi, even where
+    the circle crosses |T1| = |T2|; where Im h stays between two of them
+    this is the maximum principle's band.  It rules out or stops an n
+    only on a level where every arc of the logs is held, and the arcs
+    that are not held, or that _winding finds in the way, are halved.
+
+    Zero-free parts: T1 may win only when lambda1 has no zero in the
+    disc, T2 only when neither sigma nor lambda2 has one, and the count
+    needs all three zero-free (_zero_free on the discs of _zero_discs),
+    so that h is analytic on the disc and the member vanishes exactly
+    where h is an odd multiple of i pi.  So the common cyclotomic zeros
+    of the two terms never let a disc that holds them be skipped.
+
+    The midpoint stops: the midpoints lie on the circle, so they only
+    ever stop a test for an n.  A term that does not dominate at one
+    cannot dominate on the circle, and the count is not tried further
+    once the midpoint values of h wind about an odd multiple of i pi.
 
     COUNTS counts the columns tested ("columns"), the arc discs
     evaluated ("arcs") and the n ruled out by dominance ("ruled_re") or
-    by the argument alone ("ruled_im").
+    by the count alone ("ruled_im").
     """
     ns = sorted(set(ns))
     column = _column(s, k, sign)
@@ -2097,6 +2078,8 @@ def _dominated(
         return set()
     COUNTS["columns"] += 1
     free = [_zero_free(d, z0, radius) for d in column.discs]
+    if not (free[0] or free[1] and free[2]):
+        return set()
     nv = np.array(ns, dtype=float)[:, None]
     # alive[t, i]: term t + 1 may still dominate for ns[i]
     alive = np.array([[free[0]] * len(ns), [free[1] and free[2]] * len(ns)])
@@ -2107,62 +2090,51 @@ def _dominated(
     ruled = np.zeros((2, len(ns)), dtype=bool)
     m = _ARCS
     arcs = np.arange(m)
-    # need[t, i, j]: that term t + 1 wins for ns[i] is still to be shown
-    # on the open arc j
-    need = np.repeat(alive[:, :, None], m, axis=2)
-    # the cover of the count, in order around the circle: per arc the
-    # lifted logs, their wid and the balls of the carried h for every n;
-    # fresh marks the arcs of this level in it
-    cover: list = []
+    # the cover, in circle order: per arc the balls of the logs and of h
+    # for every n, and won[t, i, arc], term t + 1 wins there for ns[i];
+    # fresh selects the arcs of this level
+    cover = [np.empty((3, m), complex), np.empty((3, m)),
+             np.empty((len(ns), m), complex), np.empty((len(ns), m))]
+    won = np.zeros((2, len(ns), m), dtype=bool)
+    fresh = slice(None)
     for split in range(_ARC_SPLITS + 1):
-        if not (need.any() or turning.any()):
-            break
         COUNTS["arcs"] += len(arcs)
         logs = _arc_bounds(column, *_arc_discs(z0, radius, arcs, m))
         h = logs[2] + nv * (logs[1] - logs[0])
+        for f, x in zip(cover, (logs.mid, logs.rad, h.mid, h.rad)):
+            f[:, fresh] = x
         re = h.mid.real
-        won = np.array([re + h.rad < 0, re - h.rad > 0])
+        won[:, :, fresh] |= np.array([re + h.rad < 0, re - h.rad > 0])
         alive &= np.array([(re < 0).all(axis=1), (re > 0).all(axis=1)])
-        need &= ~won & alive[:, :, None]
-        ruled[0] |= ~ruled[1] & (alive & ~need.any(axis=2)).any(axis=0)
+        ruled[0] |= ~ruled[1] & (alive & won.all(axis=2)).any(axis=0)
         turning &= ~ruled[0]
-        # looking[j]: the count for some n still needs the open arc j
+        # looking[j]: the count for some n still needs the arc j
         looking = np.zeros(len(arcs), dtype=bool)
         if turning.any():
-            arg = logs.mid.imag
-            if split == 0:
-                turns = _turns(arg)
-            else:
-                turns = np.round((arg - parent) / math.tau)
-            lift = arg - math.tau * turns
-            # h carried along the circle by the turns of the logs
-            g = h - 2 * (turns[2] + nv * (turns[1] - turns[0])) * _PI_I
-            if split == 0:
-                cover, fresh = [lift, logs.rad, g.mid, g.rad], slice(None)
-            else:
-                for f, x in zip(cover, (lift, logs.rad, g.mid, g.rad)):
-                    f[:, fresh] = x
+            turn, held = _steps(cover[0].imag, cover[1])
+            turns = np.cumsum(turn, axis=1) - turn
             rows = np.flatnonzero(turning)
-            zero, wound, bad = _winding(_Ball(cover[2][rows], cover[3][rows]))
-            if zero.any() and _carried(cover[0], cover[1]):
+            g = _Ball(cover[2][rows], cover[3][rows]) - 2 * (
+                turns[2] + nv[rows] * (turns[1] - turns[0])) * _PI_I
+            zero, wound, bad = _winding(g)
+            if held.all():
                 ruled[1, rows[zero]] = True
-            turning[rows[zero | wound]] = False
-            # the carry needs every part's enclosure narrower than pi
-            looking = bad[fresh] | ~(logs.rad < math.pi / 2).all(axis=0)
-        need &= ~ruled.any(axis=0)[None, :, None]
-        open_arcs = need.any(axis=(0, 1)) | looking
+                turning[rows[zero | wound]] = False
+            looking = (bad | ~held.all(axis=0))[fresh]
+        # live[t, i, j]: term t + 1 may still dominate for ns[i], not
+        # ruled out, but has not won on the arc j of this level yet
+        live = (alive & ~ruled.any(axis=0))[:, :, None] & ~won[:, :, fresh]
+        open_arcs = looking | live.any(axis=(0, 1))
         if split == _ARC_SPLITS or not open_arcs.any():
             break
-        if turning.any():
-            # each open arc of the cover makes room for its two halves
-            opened = np.zeros(cover[0].shape[1], dtype=bool)
-            opened[fresh] = open_arcs
-            cover = [np.repeat(f, 1 + opened, axis=1) for f in cover]
-            fresh = np.repeat(opened, 1 + opened)
-            parent = np.repeat(lift[:, open_arcs], 2, axis=1)
+        # each open arc of the cover is replaced by its two halves
+        opened = np.zeros(won.shape[2], dtype=bool)
+        opened[fresh] = open_arcs
+        cover = [np.repeat(f, 1 + opened, axis=1) for f in cover]
+        won = np.repeat(won, 1 + opened, axis=2)
+        fresh = np.repeat(opened, 1 + opened)
         arcs = np.stack([2 * arcs[open_arcs], 2 * arcs[open_arcs] + 1], axis=1)
         arcs = arcs.ravel()
-        need = np.repeat(need[:, :, open_arcs], 2, axis=2)
         m *= 2
     COUNTS["ruled_re"] += int(ruled[0].sum())
     COUNTS["ruled_im"] += int(ruled[1].sum())

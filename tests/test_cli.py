@@ -240,6 +240,7 @@ def test_curve_rejects_grids_it_cannot_sample():
         ["--radial", "0"],
         ["--r-lo", "0"],
         ["--r-lo", "2", "--r-hi", "1"],
+        ["--r-hi", "inf"],
         ["--refine", "nan"],
         ["--refine", "0"],
     ):

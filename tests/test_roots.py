@@ -55,6 +55,7 @@ from yamada.roots import (
     _fixed_parts,
     _fixed_powers,
     _fixed_terms,
+    _HALF_PI,
     _inclusion_radii,
     _initial_points,
     _mirrored,
@@ -67,6 +68,8 @@ from yamada.roots import (
     _residuals_mp,
     _square_free_mod_p,
     _square_free_parts,
+    _steps,
+    _winding,
     _witness_plan,
     _zero_free,
     density_witness,
@@ -876,6 +879,7 @@ def test_limit_curve_points_rejects_unsampleable_grids():
         dict(radial=0),
         dict(r_lo=0.0),
         dict(r_lo=2.0, r_hi=1.0),
+        dict(r_hi=math.inf),
         dict(refine=math.nan),
         dict(refine=0.0),
         dict(refine=-1e-8),
@@ -1588,6 +1592,54 @@ def test_the_count_never_rules_out_a_root_between_two_midpoints():
                 tried += all(_zero_free(d, z0, radius) for d in column.discs)
                 assert n not in _dominated(z0, radius, s, k, "+", [n])
     assert tried > 200
+
+
+def test_steps_turns_and_holds_synthetic_enclosures():
+    # narrow enclosures about the principal arguments of 16 points going
+    # once around 0 anticlockwise, the jump of the principal branch on
+    # the wrap step from the last arc to the first: one turn off it, a
+    # winding number of 1; reversed, -1
+    arg = -math.pi + 2 * math.pi * (np.arange(16) + 0.5) / 16
+    wid = np.full((1, 16), 0.25)
+    turn, held = _steps(arg[None], wid)
+    assert turn[0, :-1].tolist() == [0] * 15 and turn[0, -1] == -1
+    assert held.all()
+    turn, held = _steps(arg[None, ::-1], wid)
+    assert turn.sum() == 1 and held.all()
+    # a jump of 4 > pi between the narrow enclosures of arcs 31 and 32,
+    # the rest of the row closing the circle in short steps: the nearest
+    # lift of the jump, 4 - 2 pi, is further than the two half-widths,
+    # so neither arc is held, and every other arc is
+    delta = (2 * math.pi - 4.0) / 63
+    row = delta * np.arange(64) + np.where(np.arange(64) >= 32, 4.0, 0.0)
+    turn, held = _steps(row[None], np.full((1, 64), 0.05))
+    assert turn.sum() == 0
+    assert np.flatnonzero(~held[0]).tolist() == [31, 32]
+    # an enclosure as wide as _HALF_PI is not held, though it meets both
+    # neighbours
+    wide = np.full((1, 8), 0.05)
+    wide[0, 2] = _HALF_PI
+    turn, held = _steps(np.zeros((1, 8)), wide)
+    assert turn.sum() == 0
+    assert held[0].tolist() == [True, True, False] + [True] * 5
+
+
+def test_winding_box_keeps_a_lattice_point_its_rounding_would_drop():
+    # a row of balls about 11 pi i of radius 3e-15, whose exact bottom
+    # reaches below 11 pi while the float difference rounds back to the
+    # midpoint, 2.2e-15 above it: there (x / pi - 1) / 2 reads
+    # 5.000000000000001, so a box without its slack starts at j = 6 and
+    # holds no lattice point.  The mirror row's top reaches -11 pi the
+    # same way.  Both rows hold their lattice point, so neither is zero
+    x, r = 34.55751918948773, 3e-15
+    assert x - r == x
+    with mpmath.workprec(200):
+        assert mpmath.mpf(x) - r <= 11 * mpmath.pi < x
+    assert math.ceil((x / math.pi - 1) / 2) == 6
+    assert math.floor((-x / math.pi - 1) / 2) == -7
+    g = _Ball(np.array([[1j * x] * 8, [-1j * x] * 8]), np.full((2, 8), r))
+    zero, wound, bad = _winding(g)
+    assert not zero.any() and not wound.any() and bad.all()
 
 
 def test_density_witness_matches_solving_every_cell():
