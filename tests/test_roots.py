@@ -1594,6 +1594,31 @@ def test_the_count_never_rules_out_a_root_between_two_midpoints():
     assert tried > 200
 
 
+def test_the_count_rules_nothing_on_a_level_whose_logs_do_not_carry(
+        monkeypatch):
+    # the member of test_the_argument_rules_out_a_member_no_term_dominates,
+    # which only the count rules out, with every arc of the three logs
+    # made not held: no level carries, so the count rules nothing out and
+    # halves every arc up to the cap
+    steps = roots_module._steps
+
+    def uncarried(arg, wid):
+        turn, held = steps(arg, wid)
+        if sys._getframe(1).f_code.co_name == "_dominated":
+            held[:] = False
+        return turn, held
+
+    z0, eps, n, s, k = 0.6 + 0.2j, 0.15, 3, 2, 2
+    assert _dominated(z0, eps, s, k, "+", [n]) == {n}
+    monkeypatch.setattr(roots_module, "_steps", uncarried)
+    before = dict(roots_module.COUNTS)
+    assert _dominated(z0, eps, s, k, "+", [n]) == set()
+    counts = roots_module.COUNTS
+    assert counts["ruled_im"] == before.get("ruled_im", 0)
+    arcs = roots_module._ARCS * (2 ** (roots_module._ARC_SPLITS + 1) - 1)
+    assert counts["arcs"] - before.get("arcs", 0) == arcs
+
+
 def test_steps_turns_and_holds_synthetic_enclosures():
     # narrow enclosures about the principal arguments of 16 points going
     # once around 0 anticlockwise, the jump of the principal branch on
