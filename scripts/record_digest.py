@@ -19,12 +19,17 @@ exact,resolve,graph,replace,chain`` checks the exact layer in seconds):
                            instead: cell n s k sign i re im residual,
                            i the record's index in the cell and the
                            last three in float.hex
-  curve s k sha256         limit_curve_points(s, k) at the default grid
-                           for each of the 24 (s, k) columns the sweep
-                           samples (s = 1-4, k = 1-6), over float.hex
+  curve s k GRID sha256    limit_curve_points(s, k) for each of the 24
+                           (s, k) columns the sweep samples (s = 1-4,
+                           k = 1-6) on three grids: GRID is default
+                           (the default grid), 97x53 (angles=97,
+                           radial=53, where the two rows either side
+                           of the half turn are mirror images) and
+                           refine1e-3 (refine=1e-3, where the arc
+                           length stops most brackets), over float.hex
                            of re and im of each point; with
                            --per-record, one line per point instead:
-                           curve s k i re im, in float.hex
+                           curve s k GRID i re im, in float.hex
   density re im sha256     witness_to_dict of density_witness at the
                            benchmark's probe, each lattice target and
                            its conjugate, under the benchmark's caps
@@ -101,7 +106,7 @@ cell, curve and density lines of the tree with those of the tree OTHER
 density target whose lines differ, prints
 
   match n s k sign records A B move M residual RA RB
-  match curve s k points A B move M
+  match curve s k GRID points A B move M
   match density re im found F cell n s k sign move M
 
 with A and B the record or point counts of the tree and of OTHER, M the
@@ -140,6 +145,12 @@ SWEEP_CELLS = 48
 # the (s, k) columns whose limit curves the sweep samples
 SWEEP_S = range(1, 5)
 SWEEP_K = range(1, 7)
+# the grids of the curve lines, by the name that keys them
+CURVE_GRIDS = {
+    "default": {},
+    "97x53": {"angles": 97, "radial": 53},
+    "refine1e-3": {"refine": 1e-3},
+}
 POLY_SEED = 20240817
 # the requests an exact run sends at --seconds 30: three cycles of 25
 EXACT_REQUESTS = 75
@@ -228,13 +239,14 @@ def _cell_lines(args, workloads, yamada):
 
 def _curve_lines(args, workloads, yamada):
     for s, k in itertools.product(SWEEP_S, SWEEP_K):
-        points = yamada.roots.limit_curve_points(s, k)
-        rows = [f"{z.real.hex()} {z.imag.hex()}" for z in points]
-        if args.per_record:
-            for i, row in enumerate(rows):
-                yield "curve", s, k, i, row
-        else:
-            yield "curve", s, k, _sha(rows)
+        for grid, options in CURVE_GRIDS.items():
+            points = yamada.roots.limit_curve_points(s, k, **options)
+            rows = [f"{z.real.hex()} {z.imag.hex()}" for z in points]
+            if args.per_record:
+                for i, row in enumerate(rows):
+                    yield "curve", s, k, grid, i, row
+            else:
+                yield "curve", s, k, grid, _sha(rows)
 
 
 def _density_targets(workloads) -> list[complex]:
@@ -395,7 +407,7 @@ def _match_lines(args, workloads, yamada):
          "--seeds", ",".join(map(str, args.seeds))],
         capture_output=True, text=True, check=True,
     ).stdout.splitlines()
-    shapes = {"cell": (4, 1), "curve": (2, 1), "density": (2, 0)}
+    shapes = {"cell": (4, 1), "curve": (3, 1), "density": (2, 0)}
     for kind, (width, skip) in shapes.items():
         ours = _by_key(
             (" ".join(map(str, f))

@@ -483,32 +483,13 @@ class _Skein:
             split = _groups(rots, overs, mate, site_of)
             if split is None:
                 return 0
-            count, comps, group_of = split
-            if count == 1:
+            v, parts = split
+            if not parts:
                 v = self.block(rots, overs, mate, site_of)
-            else:
-                # each group with the darts it holds at the vertices it
-                # shares, which are the ones that may now break the rules
-                parts = [([], [], []) for _ in range(count)]
-                for r, o in zip(rots, overs):
-                    g = group_of[r[0]]
-                    if o is None and any(group_of[d] != g for d in r):
-                        split_r: dict[int, list[int]] = {}
-                        for d in r:
-                            split_r.setdefault(group_of[d], []).append(d)
-                        for h, ds in split_r.items():
-                            part = parts[h]
-                            part[2].append(len(part[0]))
-                            part[0].append(tuple(ds))
-                            part[1].append(None)
-                    else:
-                        parts[g][0].append(r)
-                        parts[g][1].append(o)
-                v = -1 if (count - comps) % 2 else 1
-                for part_rots, part_overs, part_work in parts:
-                    v *= self.value(part_rots, part_overs, mate, part_work)
-                    if not v:
-                        return 0
+            for part_rots, part_overs, part_work in parts:
+                v *= self.value(part_rots, part_overs, mate, part_work)
+                if not v:
+                    return 0
         for _ in range(circles):
             v = (v << self.t_bits) - v
         return -v if negate else v
@@ -605,13 +586,18 @@ def _next_crossing(
 
 def _groups(
     rots: list, overs: list, mate: list[int], site_of: list[int]
-) -> tuple[int, int, dict[int, int]] | None:
+) -> tuple[int, list[tuple[list, list, list[int]]]] | None:
     """Cut the diagram at its graph vertices: the blocks of its site graph
     (sites as nodes, arcs as edges), those that share a crossing merged
-    into one group.  Returns None if an arc is a bridge, else the number
-    of groups, the number of connected components and, when there is
-    more than one group, the group of every dart.  A connected diagram of
-    g groups is g - 1 one-point unions at graph vertices.
+    into one group.  Returns None if an arc is a bridge, else the sign
+    (-1)^(g - c) of g groups in c connected components (a connected
+    diagram of g groups is g - 1 one-point unions at graph vertices,
+    each a factor -1) and the parts: none when the diagram is one
+    group, else for each group, in the order of its first dart, its
+    rots, its overs and the indices of its split vertices.  A vertex
+    shared by several groups is split into one vertex per group, with
+    that group's darts; those are the only vertices that may now break
+    the vertex rules.
 
     Blocks by Hopcroft-Tarjan lowpoints, iteratively, each arc named by
     its smaller dart; loops (only crossings have any) join their
@@ -672,16 +658,20 @@ def _groups(
                     groups += 1
     if comps == 1 and groups <= 1:
         # one group, or one site (a crossing with two loops)
-        return 1, 1, {}
-    label: dict = {}
-    group_of: dict[int, int] = {}
+        return 1, []
+    parts: dict = {}
     for i, r in enumerate(rots):
         if overs[i] is None:
+            split: dict = {}
             for d in r:
                 m = mate[d]
-                group_of[d] = label.setdefault(
-                    arc_group[d if d < m else m], len(label)
-                )
+                split.setdefault(arc_group[d if d < m else m], []).append(d)
+            for g, ds in split.items():
+                part = parts.setdefault(g, ([], [], []))
+                if len(split) > 1:
+                    part[2].append(len(part[0]))
+                part[0].append(tuple(ds))
+                part[1].append(None)
         else:
             own = next(
                 (
@@ -691,10 +681,10 @@ def _groups(
                 ),
                 ("lone", i),
             )
-            g = label.setdefault(own, len(label))
-            for d in r:
-                group_of[d] = g
-    return len(label), comps, group_of
+            part = parts.setdefault(own, ([], [], []))
+            part[0].append(r)
+            part[1].append(overs[i])
+    return (-1 if (len(parts) - comps) % 2 else 1), list(parts.values())
 
 
 def _classes(rots: list, overs: list, mate: list[int]) -> tuple:

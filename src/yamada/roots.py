@@ -675,7 +675,11 @@ def find_roots(p: LaurentPoly, tol: float = 1e-9) -> list[complex]:
 
     Roots of the A^m shift that clears negative exponents are artifacts
     and never reported.  A nonzero constant has no roots and returns [].
+    A tol that is not nonnegative (NaN included) raises ValueError.
     """
+    # written so that NaN fails too: no residual is above a NaN tol
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, not {tol}")
     roots, residuals, _ = _find_roots_full(p)
     if any(r > tol for r in residuals):
         raise NoConvergence(
@@ -849,8 +853,10 @@ def limit_curve_gap(z: complex, s: int, k: int) -> float:
     sigma come out even), but points with sigma(z) = 0 or sigma(z) = -1
     are rejected anyway: there the second term's coefficient sigma or the
     theta normalization 1 + sigma vanishes and the two-power reading of
-    the family breaks down.
+    the family breaks down.  A z that is not finite raises ValueError.
     """
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, not {z}")
     if z == 0:
         raise PoleEncountered("z = 0 is outside the Laurent domain")
     sig = z + 1.0 + 1.0 / z
@@ -911,13 +917,19 @@ def limit_curve_points(
 
     A branch running radially never changes the gap's sign along a ray,
     so a ray-only scan misses it entirely; scanning the circles as well
-    (with wraparound) catches those.  Each bracket is bisected until it
-    is no longer than refine (arc length, for the circle passes), each on
-    its own: a bracket that is short enough is not halved again while
-    wider ones still are.  The points come back sorted by angle then
-    radius, deterministically for fixed arguments.  The grid needs
-    angles >= 1, radial >= 1 and finite radii 0 < r_lo < r_hi; anything
-    else raises ValueError, and so does a refine that is not positive.
+    catches those.  Both kinds of bracket go into one list: a radius
+    interval on a ray, with scale 1, and an angle interval on a circle,
+    with scale its radius, so that the scaled width is the length along
+    the ray or the arc.  One loop halves them all, each step evaluating
+    the midpoints of every open bracket in one _gap_vectorized call, and
+    a bracket closes once its scaled width is at most refine: a bracket
+    that is short enough is not halved again while wider ones still
+    are.  Each point is its bracket's midpoint, the same double whatever
+    brackets share a step, since _gap_vectorized is pointwise.  The
+    points come back sorted by angle then radius, deterministically for
+    fixed arguments.  The grid needs angles >= 1, radial >= 1 and finite
+    radii 0 < r_lo < r_hi; anything else raises ValueError, and so does
+    a refine that is not positive.
 
     The lambdas have real coefficients, so the gap at conj z is the gap
     at z, and the grid's rows past the half turn are mirror images of
@@ -978,58 +990,36 @@ def limit_curve_points(
     # 0 marks a point without a usable sign
     signs = np.where(np.isfinite(gaps), np.sign(gaps), 0.0)
 
-    def bisect(lo, hi, glo, point, scale=1.0):
-        """Midpoints of the sign-change brackets [lo, hi] (the gap is glo
-        at lo), each halved until it is no longer than refine once
-        multiplied by scale, and then left alone; point(m, i) maps the
-        parameters m of the brackets i to z."""
-        out = np.empty(len(lo))
-        i = np.arange(len(lo))
-        scale = np.broadcast_to(scale, i.shape)
-        with np.errstate(all="ignore"):
-            for _ in range(80):
-                wide = (hi - lo) * scale > refine
-                if not wide.all():
-                    out[i[~wide]] = 0.5 * (lo[~wide] + hi[~wide])
-                    i, lo, hi, glo, scale = (
-                        x[wide] for x in (i, lo, hi, glo, scale)
-                    )
-                if not len(i):
-                    break
-                mid = 0.5 * (lo + hi)
-                gm = _gap_vectorized(point(mid, i), column)
-                left = np.sign(gm) * np.sign(glo) > 0
-                lo = np.where(left, mid, lo)
-                glo = np.where(left, gm, glo)
-                hi = np.where(left, hi, mid)
-        out[i] = 0.5 * (lo + hi)
-        return out
-
-    # sign changes along each ray, bisected in radius
-    ai, ri = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
-    us = units[ai]
-    mids = bisect(
-        radii[ri], radii[ri + 1], gaps[ai, ri], lambda m, i: m * us[i]
-    )
-    ts, rs, axis = [thetas[ai]], [mids], [us.imag == 0]
-
-    # sign changes along each circle between two rows of the half turn,
-    # bisected in angle; for an odd angles, the rows on either side of
-    # the half turn are mirror images, with no sign change between them
-    ai, ri = np.nonzero(signs[:-1] * signs[1:] < 0)
-    rad = radii[ri]
-    mids = bisect(
-        thetas[ai],
-        thetas[ai] + step,
-        gaps[ai, ri],
-        lambda t, i: rad[i] * np.exp(1j * t),
-        rad,
-    )
-    ts.append(mids)
-    rs.append(rad)
-    axis.append(np.zeros(len(mids), dtype=bool))
-
-    t, r, real = (np.concatenate(x) for x in (ts, rs, axis))
+    # the sign changes along each ray (in radius, scale 1), then along
+    # each circle between two rows of the half turn (in angle, scale the
+    # radius); for an odd angles, the rows on either side of the half
+    # turn are mirror images, with no sign change between them
+    ray_a, ray_r = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
+    arc_a, arc_r = np.nonzero(signs[:-1] * signs[1:] < 0)
+    ray = np.arange(len(ray_a) + len(arc_a)) < len(ray_a)
+    ai, ri = np.concatenate([ray_a, arc_a]), np.concatenate([ray_r, arc_r])
+    lo = np.concatenate([radii[ray_r], thetas[arc_a]])
+    hi = np.concatenate([radii[ray_r + 1], thetas[arc_a] + step])
+    scale = np.concatenate([np.ones(len(ray_a)), radii[arc_r]])
+    glo = gaps[ai, ri]
+    with np.errstate(all="ignore"):
+        for _ in range(80):
+            i = np.flatnonzero((hi - lo) * scale > refine)
+            if not len(i):
+                break
+            mid = 0.5 * (lo[i] + hi[i])
+            z = np.where(
+                ray[i], mid * units[ai[i]], scale[i] * np.exp(1j * mid)
+            )
+            gm = _gap_vectorized(z, column)
+            left = np.sign(gm) * np.sign(glo[i]) > 0
+            lo[i] = np.where(left, mid, lo[i])
+            glo[i] = np.where(left, gm, glo[i])
+            hi[i] = np.where(left, hi[i], mid)
+    mid = 0.5 * (lo + hi)
+    t = np.where(ray, thetas[ai], mid)
+    r = np.where(ray, mid, scale)
+    real = np.where(ray, units[ai].imag == 0, False)
     z = np.array(
         [b * cmath.exp(1j * a) for a, b in zip(t.tolist(), r.tolist())],
         dtype=complex,
@@ -2281,9 +2271,9 @@ def density_witness(
     degree estimate exceeds the degree cap are outside the search space.
     If the caps run out, NotFound reports the closest certified root
     seen anywhere in the grid (None if there is none), the earliest in
-    visit order on a tie.  Caps that admit no cell at all, an eps that
-    is not finite and positive or a tol that is not nonnegative (NaN
-    included) raise ValueError.
+    visit order on a tie.  Caps that are not ints or admit no cell at
+    all, an eps that is not finite and positive or a tol that is not
+    nonnegative (NaN included) raise ValueError.
 
     Cells that provably hold no root near z0 are not solved.  The first
     pass visits the plan in order and defers every cell not in cache
@@ -2323,6 +2313,9 @@ def density_witness(
         raise ValueError(f"eps must be finite and positive, not {eps}")
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, not {tol}")
+    for name, cap in vars(caps).items():
+        if not isinstance(cap, int):
+            raise ValueError(f"caps.{name} must be an int, not {cap!r}")
     mod = abs(z0)
     if not 0.05 <= mod <= 20.0:
         raise ValueError(

@@ -169,6 +169,16 @@ def test_no_convergence_carries_partial_roots():
     assert max(exc.value.residuals) > 1e-22
 
 
+def test_find_roots_refuses_a_tol_that_is_not_nonnegative():
+    # a NaN tol would certify every residual, and a negative one would
+    # report a converged solve as NoConvergence
+    p = LaurentPoly({0: -2, 2: 1})
+    for tol in (math.nan, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            find_roots(p, tol=tol)
+    assert len(find_roots(p)) == 2
+
+
 def test_family_422_all_residuals_small():
     records = scan_family([4], [2], [2])
     assert len(records) == 37
@@ -840,6 +850,12 @@ def test_limit_curve_gap_poles():
         limit_curve_gap(cmath.exp(2j * math.pi / 3), 2, 2)  # sigma = 0
     with pytest.raises(PoleEncountered):
         limit_curve_gap(-1.0, 2, 2)  # sigma = -1
+    # a point that is not finite fails before the pole checks, which it
+    # would pass with a NaN gap
+    for z in (complex(math.inf), complex(-math.inf), complex(math.nan),
+              complex(1, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            limit_curve_gap(z, 1, 1)
 
 
 def test_limit_curve_points_lie_on_curve():
@@ -870,6 +886,29 @@ def test_limit_curve_points_come_with_their_conjugates():
         real = [z for z in pts if abs(z.imag) <= 1e-12 * abs(z)]
         assert all(z.imag == 0 for z in real), (s, k, grid)
     assert any(z.real < 0 and z.imag == 0 for z in limit_curve_points(2, 2))
+
+
+def test_limit_curve_points_stop_within_refine_of_a_sign_change():
+    # every point is the midpoint of a bracket no longer than refine
+    # along its ray or its arc, so the gap changes sign within refine / 2
+    # of it, radially or along its circle; beyond |z| = 2 an angle
+    # bracket of width refine would be too long an arc, and below
+    # |z| = 1 a radius bracket of width refine |z| too long a segment
+    refine = 1e-3
+    d = refine / 2 * (1 + 1e-9)
+    far = 0
+    for s, k in ((1, 1), (2, 2), (3, 5), (4, 6)):
+        pts = limit_curve_points(s, k, angles=90, radial=40, refine=refine)
+        far += sum(abs(z) > 2 for z in pts)
+        for z in pts:
+            step = d / abs(z)
+            pairs = ((z * (1 - step), z * (1 + step)),
+                     (z * cmath.exp(-1j * step), z * cmath.exp(1j * step)))
+            assert any(
+                limit_curve_gap(a, s, k) * limit_curve_gap(b, s, k) <= 0
+                for a, b in pairs
+            ), (s, k, z)
+    assert far
 
 
 def test_limit_curve_points_rejects_unsampleable_grids():
@@ -1011,6 +1050,15 @@ def test_density_witness_argument_guards():
             density_witness(0.5j, eps)
     with pytest.raises(ValueError, match="tol"):
         density_witness(0.5j, 0.1, tol=math.nan)
+
+
+def test_density_witness_refuses_caps_that_are_not_ints():
+    # the plan halves the caps with //, which a None or a float breaks
+    for caps, field in ((SearchCaps(2, 1, 2, None), "degree_cap"),
+                        (SearchCaps(2.0, 1, 2, 4000), "k_max"),
+                        (SearchCaps(2, 1, "8", 4000), "n_max")):
+        with pytest.raises(ValueError, match=field):
+            density_witness(0.5j, 0.1, caps=caps)
 
 
 def test_density_witness_refuses_caps_without_cells():
