@@ -11,15 +11,16 @@ Solves each cell (n, s, k) of the sets, sign +, with
 ``yamada`` from ``DIR/src`` (``--tree``, default the tree this script
 sits in), and prints one line per cell:
 
-  cell n s k degree D path P above A worst W seconds T
+  cell n s k degree D path P above A worst W refined R seconds T
 
 D is the member's degree, P the configuration the solve kept (``half``
 or ``fallback``, read from ``roots.COUNTS``; ``-`` for a member that
 never tries the half one), A the records with a residual above 1e-9, W
-the worst residual and T the process time of the solve.  A last line
-sums them:
+the worst residual, R the points the solve sent to the 240-bit refine
+(``roots.COUNTS["refined"]``; a tree that does not count them reads 0)
+and T the process time of the solve.  A last line sums them:
 
-  total cells C half H fallback F above A seconds T
+  total cells C half H fallback F above A refined R seconds T
 
 A SET is ``past-grid``, the 91 exact-column members with n = 3-6, s =
 5-8, k = 1-8 and family_degree_estimate at most 260; ``named``, the
@@ -46,10 +47,10 @@ last line sums them:
 
 ``--against DIR`` audits the same cells or targets on the tree DIR too
 (a checkout of another commit, run as a second process of this script)
-and prints, for every cell whose degree, path, count above 1e-9 or worst
-residual differs,
+and prints, for every cell whose degree, path, count above 1e-9, worst
+residual or refined count differs,
 
-  changed n s k degree D D' path P P' above A A' worst W W'
+  changed n s k degree D D' path P P' above A A' worst W W' refined R R'
 
 or every target whose counts differ,
 
@@ -85,7 +86,7 @@ from compare import commit_of
 ROOT = Path(__file__).resolve().parents[1]
 NAMED = [(2, 10, 2), (8, 5, 6), (16, 5, 6), (24, 5, 6)]
 TOL = 1e-9
-FIELDS = ("degree", "path", "above", "worst")
+FIELDS = ("degree", "path", "above", "worst", "refined")
 # the COUNTS of the exclusion test that a density line reports
 DENSITY_COUNTS = ("columns", "ruled_re", "ruled_im", "arcs")
 DENSITY_FIELDS = DENSITY_COUNTS + ("solved",)
@@ -134,7 +135,9 @@ def audit(spec: str) -> list[dict]:
         out.append({
             "n": n, "s": s, "k": k, "degree": degree, "path": path,
             "above": sum(r > TOL for r in residuals),
-            "worst": max(residuals, default=0.0), "seconds": seconds,
+            "worst": max(residuals, default=0.0),
+            "refined": roots.COUNTS["refined"] - before.get("refined", 0),
+            "seconds": seconds,
         })
     return out
 
@@ -170,6 +173,7 @@ def totals(cells: list[dict]) -> dict:
         "half": sum(c["path"] == "half" for c in cells),
         "fallback": sum(c["path"] == "fallback" for c in cells),
         "above": sum(c["above"] for c in cells),
+        "refined": sum(c["refined"] for c in cells),
         "seconds": sum(c["seconds"] for c in cells),
     }
 
@@ -190,10 +194,11 @@ def print_audit(cells: list[dict]) -> None:
     for c in cells:
         print(f"cell {c['n']} {c['s']} {c['k']} degree {c['degree']} path"
               f" {c['path']} above {c['above']} worst {c['worst']:.3e}"
-              f" seconds {c['seconds']:.3f}")
+              f" refined {c['refined']} seconds {c['seconds']:.3f}")
     t = totals(cells)
     print(f"total cells {t['cells']} half {t['half']} fallback"
-          f" {t['fallback']} above {t['above']} seconds {t['seconds']:.3f}")
+          f" {t['fallback']} above {t['above']} refined {t['refined']}"
+          f" seconds {t['seconds']:.3f}")
 
 
 def print_density(targets: list[dict]) -> None:
@@ -219,11 +224,12 @@ def against_cells(this: list[dict], theirs: dict) -> list[dict]:
               f" degree {a['degree']} {b['degree']}"
               f" path {a['path']} {b['path']}"
               f" above {a['above']} {b['above']}"
-              f" worst {a['worst']:.3e} {b['worst']:.3e}")
+              f" worst {a['worst']:.3e} {b['worst']:.3e}"
+              f" refined {a['refined']} {b['refined']}")
     t = theirs["totals"]
     print(f"total against cells {t['cells']} half {t['half']} fallback"
-          f" {t['fallback']} above {t['above']} seconds"
-          f" {t['seconds']:.3f}")
+          f" {t['fallback']} above {t['above']} refined {t['refined']}"
+          f" seconds {t['seconds']:.3f}")
     print(f"against changed {len(changed)} more_above {more}"
           f" half_to_fallback {down}")
     return changed

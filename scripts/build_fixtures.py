@@ -14,8 +14,11 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+import mpmath
+
 from yamada.diagram import DiagramCode, code_to_dict, make_code, yamada_r
 from yamada.laurent import compare_up_to_unit
+from yamada.replace import family_polynomial
 from yamada.roots import _family_roots_full, omega_member
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures"
@@ -183,6 +186,60 @@ def freeze_refine_cell(n: int, s: int, k: int, sign: str) -> None:
     print(f"wrote {path.name} ({degree} roots)")
 
 
+def freeze_oracle_roots(n: int, s: int, k: int, sign: str, bits: int = 400) -> None:
+    """Freeze every root of one family member at `bits` bits: Newton on
+    the exact integer polynomial from each record of the solve, at twice
+    that precision (the member's huge coefficients cancel near its
+    roots), until the step is below 2^-bits |z|.  An imaginary part below
+    2^-bits |z| is written as 0, so that no record's noise decides the
+    order.  The roots are written only if each Newton run settled, they
+    are pairwise distinct (apart by more than 2^-(bits / 2) relative) and
+    their count is the degree, so that they are all the roots, whatever
+    the solve got wrong."""
+    _, coeffs = family_polynomial(n, s, k, sign, degree_cap=None).dense_coeffs()
+    degree = len(coeffs) - 1
+    desc = coeffs[::-1]
+    records, _, _ = _family_roots_full(n, s, k, sign, degree_cap=None)
+    found = []
+    with mpmath.workprec(2 * bits):
+        settle = mpmath.mpf(2) ** -bits
+        for z0 in records:
+            z = mpmath.mpc(z0)
+            for _ in range(100):
+                value, slope = mpmath.polyval(desc, z, derivative=True)
+                step = value / slope
+                z -= step
+                if abs(step) <= settle * abs(z):
+                    break
+            else:
+                raise RuntimeError(f"({n},{s},{k},{sign}): Newton from {z0} "
+                                   "did not settle")
+            if abs(z.imag) <= settle * abs(z):
+                z = mpmath.mpc(z.real, 0)
+            found.append(z)
+        if len(found) != degree:
+            raise RuntimeError(f"({n},{s},{k},{sign}): {len(found)} roots, "
+                               f"degree {degree}")
+        gap = min(
+            abs(a - b) / max(abs(a), abs(b))
+            for i, a in enumerate(found)
+            for b in found[i + 1 :]
+        )
+        if gap <= mpmath.mpf(2) ** (-bits // 2):
+            raise RuntimeError(f"({n},{s},{k},{sign}): two roots are not "
+                               "told apart")
+        found.sort(key=lambda z: (float(mpmath.arg(z)), float(abs(z))))
+        rows = ",\n  ".join(
+            json.dumps([mpmath.nstr(z.real, 125), mpmath.nstr(z.imag, 125)])
+            for z in found
+        )
+    head = json.dumps({"cell": [n, s, k, sign], "degree": degree,
+                       "bits": bits})[:-1]
+    path = OUT / f"oracle_{n}_{s}_{k}.json"
+    path.write_text(f'{head}, "roots": [\n  {rows}\n]}}\n')
+    print(f"wrote {path.name} ({degree} roots, separation {float(gap):.1e})")
+
+
 def freeze_pair(name: str, move: str, relation: str, left, right) -> None:
     rl = yamada_r(left)
     rr = yamada_r(right)
@@ -223,6 +280,7 @@ def main() -> None:
     )
 
     freeze_refine_cell(12, 4, 4, "+")
+    freeze_oracle_roots(2, 10, 2, "+")
 
     point = find_omega_false_point()
     path = OUT / "omega_false_point.json"

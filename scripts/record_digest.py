@@ -108,17 +108,21 @@ density target whose lines differ, prints
   match n s k sign records A B move M residual RA RB
   match curve s k GRID points A B move M
   match density re im found F cell n s k sign move M
+  match density re im differs found F F' cell n s k sign n' s' k' sign'
+        uncertified U U' root Z Z'
 
 with A and B the record or point counts of the tree and of OTHER, M the
 worst relative distance |a - b| / |b| over the nearest-neighbour match
 of the tree's roots or points onto OTHER's (for a density target, that
 of its found or closest root), and RA and RB the worst residual on each
-side; after each kind, one line ``match moved C of T KIND lines``.  It
-exits 1, naming the cell or curve, when the counts differ or the match
-is not one-to-one (equal roots, such as a repeated root reported once
-per multiplicity, are matched as one root with their count), and,
-naming the target, when a density target's found flag, cell or
-uncertified count differs.
+side; after each kind, one line ``match moved C of T KIND lines``.  A
+density target whose found flag, cell or uncertified count differs
+takes the ``differs`` line, with OTHER's values primed and Z the found
+or closest root on each side (to 5 decimals).  It exits 1, naming the
+cell or curve, when the counts differ or the match is not one-to-one
+(equal roots, such as a repeated root reported once per multiplicity,
+are matched as one root with their count), and after the density
+summary when some target took a ``differs`` line.
 
 A parent/child diff across the change that removed the package's
 rational-function type passes both runs ``--only
@@ -408,6 +412,7 @@ def _match_lines(args, workloads, yamada):
         capture_output=True, text=True, check=True,
     ).stdout.splitlines()
     shapes = {"cell": (4, 1), "curve": (3, 1), "density": (2, 0)}
+    differs = 0
     for kind, (width, skip) in shapes.items():
         ours = _by_key(
             (" ".join(map(str, f))
@@ -422,11 +427,16 @@ def _match_lines(args, workloads, yamada):
         for key in moved:
             a, b = ours[key], theirs[key]
             if kind == "density":
+                za, zb = _complex(a, 5)[0], _complex(b, 5)[0]
                 # found flag, cell and uncertified count must agree
                 if a[0][:5] + a[0][8:] != b[0][:5] + b[0][8:]:
-                    raise SystemExit(f"density {' '.join(key)}: {a[0]} against"
-                                     f" {b[0]}")
-                za, zb = _complex(a, 5)[0], _complex(b, 5)[0]
+                    differs += 1
+                    yield ("match", kind, *key, "differs",
+                           "found", a[0][0], b[0][0],
+                           "cell", *a[0][1:5], *b[0][1:5],
+                           "uncertified", a[0][8], b[0][8],
+                           "root", f"{za:.5f}", f"{zb:.5f}")
+                    continue
                 move = abs(za - zb) / abs(zb)
                 yield ("match", kind, *key, "found", a[0][0],
                        "cell", *a[0][1:5], "move", f"{move:.3e}")
@@ -445,6 +455,9 @@ def _match_lines(args, workloads, yamada):
                        f"{move:.3e}", "residual", f"{worst[0]:.3e}",
                        f"{worst[1]:.3e}")
         yield "match", "moved", len(moved), "of", len(ours), f"{kind} lines"
+    if differs:
+        raise SystemExit(f"{differs} density lines differ in found flag, cell"
+                         " or uncertified count")
 
 
 # the kinds of line, in the order they are printed

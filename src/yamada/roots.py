@@ -23,10 +23,10 @@ twenty orders.  Any dense method, ours or numpy's, then returns points
 that are roots only of a noise-perturbed polynomial.  Instead the
 two-power structure is evaluated directly: with
 E = lambda1^n / (sigma lambda2^n), computed as an exponential of
-n log(lambda1/lambda2) - log sigma from the small, perfectly conditioned
-lambda coefficients, a root is E = -1, the residual is
-|E + 1| / (|E| + 1), and the Newton correction follows from the log
-derivative.  The simultaneous Aberth-Ehrlich iteration then runs on that
+n log(lambda1/lambda2) - log sigma from the lambdas, each a few
+products in the paper's closed forms (_closed_parts), a root is E = -1,
+the residual is |E + 1| / (|E| + 1), and the Newton correction follows
+from the log derivative.  The simultaneous Aberth-Ehrlich iteration then runs on that
 functional form.  It starts a member with n >= 3 from the roots of its n
 branches lambda1 = t_j lambda2, t_j^n = -1 (_branch_starts), which is
 where the roots gather; other members start from circles fitted to the
@@ -51,8 +51,9 @@ disc test (_solve), one refine of the points whose disc meets another
 or whose residual is above _REFINE_ABOVE, one record assembly.
 
 Everything the module evaluates of the pair lambda1, lambda2 comes from
-one record per (s, k, sign) column (_column): the solve, its bounds and
-its 240-bit refine, the exclusion test, the limit curve and its gap.
+one record per (s, k, sign) column (_column): the solve and its bounds
+(from the closed forms), its 240-bit refine, the exclusion test, the
+limit curve and its gap (from the exact coefficients).
 
 General Laurent polynomials (without the power-sum structure) still go
 through the dense path, with residuals normalized by the largest
@@ -204,8 +205,8 @@ class _Ball:
     rounding of mid (k u (1 + |mid|) for log), above the error just
     stated:
 
-    - a + b, a - b: ra + rb; k = 2.  k a, k integers below 2^53: |k| ra;
-      k = 2.  a b: |a| rb + |b| ra + ra rb; k = 4.
+    - a + b, a - b: ra + rb; k = 2.  -a: ra, exact.  k a, k integers
+      below 2^53: |k| ra; k = 2.  a b: |a| rb + |b| ra + ra rb; k = 4.
     - a / b: (|a / b| rb + ra) / (|b| - rb), infinite unless rb < |b|;
       k = 8.
     - log a: -log(1 - ra / |a|), infinite unless ra < |a|, as |log(1 +
@@ -218,9 +219,6 @@ class _Ball:
       make an angle of at most asin(ra / |a|) with 1 (the tangents from
       0); k = 8.  The disc holds the branch arg a + arg(x / a), continuous
       on a's disc.
-    - power(z, exps), numpy's z ** e at exact z: k = 4 |e| + 8 for |e|
-      < 100, where numpy multiplies (and takes one reciprocal), 8 |e| (1
-      + |log |z||) from 100 on, where it takes exp(e log z).
     - horner(stack, z), exact coefficients at exact z: 8 u mu, mu = sum_k
       |s_k| |z|^k over the computed partial sums, the running bound
       (Higham 5.1; first-order constant sqrt5 + 1), valid to degree 10^13.
@@ -263,6 +261,12 @@ class _Ball:
             other = _Ball(other)
         return _Ball._rounded(self.mid - other.mid, self.rad + other.rad, 2)
 
+    def __rsub__(self, other) -> "_Ball":
+        return _Ball(other) - self
+
+    def __neg__(self) -> "_Ball":
+        return _Ball(-self.mid, self.rad)
+
     def __mul__(self, other) -> "_Ball":
         if not isinstance(other, _Ball):
             # an integer scale
@@ -295,15 +299,6 @@ class _Ball:
         ratio = self.rad / np.abs(self.mid) * _UP
         rad = np.where(ratio < 1, np.arcsin(np.minimum(ratio, 1.0)), np.inf)
         return _Ball._rounded(np.angle(self.mid), rad, 8)
-
-    @staticmethod
-    def power(z: np.ndarray, exps: Sequence[int]) -> "_Ball":
-        """numpy's z ** e of the exact points z for each int e of exps,
-        one row per e."""
-        e = np.abs(np.array(exps))[:, None]
-        far = 8 * e * (1 + np.abs(np.log(np.abs(z))))
-        k = np.where(e < 100, 4 * e + 8, far)
-        return _Ball._rounded(np.array([z**e for e in exps]), 0.0, k)
 
     @staticmethod
     def horner(stack: np.ndarray, z: np.ndarray) -> "_Ball":
@@ -715,21 +710,22 @@ class _Column:
     and r_theta = sigma M / (1 + sigma); sigma is prime to 1 + sigma =
     z^-1 (1 + z)^2, so sigma divides r_theta, and c divides lambda1 =
     -r_theta; the mirror keeps sigma, so the same holds for sign -.  The
-    divisions are exact_div, which raises if that ever fails.  exps
-    are the low exponents of the four parts, then of their derivatives.
-    coprime is False when the lambdas share a factor, which puts roots
-    of the family outside every tool here; _family_roots_full refuses
-    such a column (no cell this module is asked about has one).
+    divisions are exact_div, which raises if that ever fails.  s, k and
+    sign name the column, and the float64 values of the four parts and
+    of their derivatives, plain or as balls, come from those three alone
+    (_closed_parts).  coprime is False when the lambdas share a factor,
+    which puts roots of the family outside every tool here;
+    _family_roots_full refuses such a column (no cell this module is
+    asked about has one).
 
-    stack is the read-only (m, 8) float matrix of the four parts' rows,
-    then of their derivatives' rows, zero-padded at the high end so that
-    one polyval call evaluates all eight (high zeros leave every Horner
-    step of a shorter row unchanged at finite z); row(j) is part j's row
-    without the padding.  exact is False when some entry of stack is not
-    its integer exactly as a double (from s = 17 for most k, derivative
-    entries included); the balls of _bounded_terms, which take the stack
-    as exact, are then infinite, and so are the residual floor and the
-    inclusion radii.
+    stack is the read-only (m, 4) float matrix of the four parts' rows,
+    zero-padded at the high end; row(j) is part j's row without the
+    padding.  The limit curve evaluates lambda1 and lambda2 from their
+    rows by Horner (_gap_vectorized, _grid_moduli, axis), and the tests
+    take the rows as an oracle.  exact is False when some coefficient of
+    a part, or of its derivative (c_j (lo + j)), is not its integer
+    exactly as a double (from s = 17 for most k); the members of such a
+    column keep the circle starts (_family_roots_full).
 
     pair holds the branch rows of _branch_starts: the (2, D + 1) float
     coefficients, ascending, of z^-L lambda1 and z^-L lambda2, with L the
@@ -745,8 +741,10 @@ class _Column:
     first use.
     """
 
+    s: int
+    k: int
+    sign: str
     parts: tuple
-    exps: tuple
     coprime: bool
     stack: np.ndarray
     exact: bool
@@ -800,11 +798,9 @@ def _column(s: int, k: int, sign: str) -> _Column:
         (lo, tuple(cs))
         for lo, cs in (p.dense_coeffs() for p in (l1, l2, *reduced))
     )
-    stack = np.zeros((max(len(cs) for _, cs in parts), 8))
-    for j, (lo, cs) in enumerate(parts):
-        c = np.array([float(x) for x in cs], dtype=float)
-        stack[: len(c), j] = c
-        stack[: len(c), 4 + j] = c * (lo + np.arange(len(c)))
+    stack = np.zeros((max(len(cs) for _, cs in parts), 4))
+    for j, (_, cs) in enumerate(parts):
+        stack[: len(cs), j] = [float(c) for c in cs]
     stack.flags.writeable = False
     exact = all(
         float(v) == v
@@ -829,8 +825,10 @@ def _column(s: int, k: int, sign: str) -> _Column:
         slopes[:-1] = coeffs[1:] * np.arange(1, len(coeffs))[:, None]
         bounds = np.hstack([coeffs, slopes, np.abs(coeffs), np.abs(slopes)])
     return _Column(
+        s=s,
+        k=k,
+        sign=sign,
         parts=parts,
-        exps=tuple(e for e, _ in parts) + tuple(e - 1 for e, _ in parts),
         coprime=coprime,
         stack=stack,
         exact=exact,
@@ -927,9 +925,9 @@ def limit_curve_points(
     are.  Each point is its bracket's midpoint, the same double whatever
     brackets share a step, since _gap_vectorized is pointwise.  The
     points come back sorted by angle then radius, deterministically for
-    fixed arguments.  The grid needs angles >= 1, radial >= 1 and finite
-    radii 0 < r_lo < r_hi; anything else raises ValueError, and so does
-    a refine that is not positive.
+    fixed arguments.  The grid needs ints angles >= 1 and radial >= 1
+    and finite radii 0 < r_lo < r_hi; anything else raises ValueError,
+    and so does a refine that is not positive.
 
     The lambdas have real coefficients, so the gap at conj z is the gap
     at z, and the grid's rows past the half turn are mirror images of
@@ -959,6 +957,9 @@ def limit_curve_points(
     infinite): the points are bit for bit those of a grid evaluated by
     _gap_vectorized alone.
     """
+    for name, size in (("angles", angles), ("radial", radial)):
+        if not isinstance(size, int):
+            raise ValueError(f"{name} must be an int, not {size!r}")
     if angles < 1 or radial < 1:
         raise ValueError(
             f"the grid needs angles >= 1 and radial >= 1, not {angles} and"
@@ -1057,7 +1058,8 @@ _REFINE_ABOVE = 1e-10
 # counted in this process since import, for the tests and the audit to
 # read: members of n >= 3 on exact columns whose half configuration
 # _family_roots_full kept ("half") or, its discs meeting, replaced by the
-# full one ("fallback"); and of the exclusion test (_dominated), the
+# full one ("fallback"), and the points it sent to the 240-bit refine
+# ("refined"); and of the exclusion test (_dominated), the
 # columns tested ("columns"), the arc discs evaluated ("arcs") and the
 # members ruled out by dominance ("ruled_re") or by the argument alone,
 # its winding count ("ruled_im")
@@ -1184,10 +1186,11 @@ def _refine_mp(
     column, certified at 240 bits.
 
     Where the two power terms have near-coincident zeros (the tightest
-    pair over the working grid sits 1.2e-5 apart), their values at a
-    family root fall so far below their own coefficient scale that the
-    double-precision residual floors around 1e-7 regardless of how good
-    the point is.  The points are fine; the certificate needs more bits.
+    pair over the working grid sits 1.2e-5 apart), a family root is
+    ill-conditioned: even from the closed forms (_closed_parts) the
+    double-precision residual there floors between about 1e-9 and 1e-7
+    ((20, 2, 6) near -0.8909), above _REFINE_ABOVE, however good the
+    point is.  The points are fine; the certificate needs more bits.
     This refines just the flagged points against the column's exact
     integer parts, then rounds each result back to a double and reports the
     residual evaluated at 240 bits at the rounded point, so the record
@@ -1351,18 +1354,106 @@ def _residuals_mp(n: int, column: _Column, z: np.ndarray) -> np.ndarray:
     return res
 
 
+@lru_cache(maxsize=None)
+def _twist_terms(k: int) -> tuple:
+    """t = (-1)^(k-1) (u^(k-1) + u^(k+1)) of _closed_parts, its derivative
+    in z, w = (u^-1 + 1 + u) u^2k + t and b = u^2k - t as sums of
+    monomials c u^j: tuples of (j, c), highest power first, without the
+    zero coefficients.  The monomials that cancel (u^3 in w for k = 2,
+    u^2 in b for k = 1) cancel here, in the integers, and not in the
+    floats of the evaluation: at the real root of (4, 2, 2) near -0.70623
+    that cut the relative error of w from 4.4e-15 to 2.7e-15, and the
+    member's float64 residual there fell below _aberth's freezing
+    tolerance."""
+    sgn = (-1) ** (k - 1)
+    t = Counter({k - 1: sgn, k + 1: sgn})
+    dt = Counter({j + 1: -j * c for j, c in t.items()})
+    w = Counter({2 * k - 1: 1, 2 * k: 1, 2 * k + 1: 1})
+    w.update(t)
+    b = Counter({2 * k: 1})
+    b.subtract(t)
+    return tuple(
+        tuple(sorted(((j, c) for j, c in terms.items() if c), reverse=True))
+        for terms in (t, dt, w, b)
+    )
+
+
+def _monomial_sum(terms: tuple, p: list):
+    """sum c u^j over the pairs (j, c) of terms, at least one, from the
+    powers p[j] = u^j, with + and - for the coefficients +-1."""
+    v = None
+    for j, c in terms:
+        x = p[j] if abs(c) == 1 else abs(c) * p[j]
+        if v is None:
+            v = x if c > 0 else -x
+        else:
+            v = v + x if c > 0 else v - x
+    return v
+
+
+def _closed_parts(s: int, k: int, sign: str, z, u) -> list:
+    """lambda1, lambda2, lambda1 / c and sigma / c of the (s, k, sign)
+    column at z, then their four derivatives, from the paper's closed
+    forms, with u = 1 / z.  Only +, -, * and integer constants touch z
+    and u, so the one code runs on float arrays, on balls (_Ball) and on
+    LaurentPoly alike.
+
+    With t = (-1)^(k-1) (z + u) z^-k the twist factor (twist_scale), q =
+    z^-2k, w = sigma q + t, b = q - t and a = sigma b, the theta and
+    bouquet of s twist bands (r_compose, infinity_closed_form) give
+    lambda2 = t h_(s-1), lambda1 = lambda2 - w^s and lambda1 / c = u (t b
+    h_(s-2) - q w^(s-1)), where h_m = sum_(j <= m) a^j w^(m-j) = a h_(m-1)
+    + w^m (h_0 = 1, h_-1 = 0), and sigma / c = u; t, w and b are sums of
+    monomials of u (_twist_terms).  Each value is a few products of
+    small numbers, whatever the degree, so it keeps its
+    relative accuracy where the dense coefficients cancel (near the
+    near-common zeros of the lambdas).  The derivatives follow by the
+    product rule.  Sign - is the mirror z -> 1/z of sign +: each part p
+    of it is P(u) for the part P of sign +, so p' = -u^2 P'(u), except
+    that c(1/z) = z^-2 c(z) puts a factor u^2 on lambda1 / c; sigma / c
+    is u for both signs.
+    """
+    if sign == "-":
+        uu = u * u
+        p1, p2, g, _, d1, d2, dg, _ = _closed_parts(s, k, "+", u, z)
+        return [p1, p2, uu * g, u,
+                -(uu * d1), -(uu * d2), -(uu * (2 * u * g + uu * dg)), -uu]
+    p = [1, u]
+    for _ in range(2 * k):
+        p.append(p[-1] * u)
+    t, dt, w, b = (_monomial_sum(terms, p) for terms in _twist_terms(k))
+    uu, q, dq = p[2], p[2 * k], -2 * k * p[2 * k + 1]
+    sig = z + 1 + u
+    dsig = 1 - uu
+    dw = dsig * q + sig * dq + dt
+    db = dq - dt
+    # x = lambda1 / (c u) and ws = w^s, each with its derivative; for
+    # s > 1 the loop leaves wm = w^(s-1), h = h_(s-1) and low = t b
+    # h_(s-2)
+    lam2, dlam2, x, dx = t, dt, -q, -dq
+    if s > 1:
+        a, da = sig * b, dsig * b + sig * db
+        tb, dtb = t * b, dt * b + t * db
+        wm, dwm = w, dw
+        low, dlow = tb, dtb
+        h, dh = a + w, da + dw
+        for m in range(2, s):
+            low, dlow = tb * h, dtb * h + tb * dh
+            wm, dwm = wm * w, m * (wm * dw)
+            h, dh = a * h + wm, da * h + a * dh + dwm
+        lam2, dlam2 = t * h, dt * h + t * dh
+        x, dx = low - q * wm, dlow - (dq * wm + q * dwm)
+        ws, dws = wm * w, s * (wm * dw)
+    else:
+        ws, dws = w, dw
+    return [lam2 - ws, lam2, u * x, u,
+            dlam2 - dws, dlam2, u * dx - uu * x, -uu]
+
+
 def _part_values(column: _Column, z: np.ndarray) -> list[np.ndarray]:
     """The column's four parts at the points z, then their four
-    derivatives: one Horner pass over its stack, each row then times its
-    power of z.
-
-    The power is z ** e with a Python int e.  The broadcast form
-    z[None] ** exps[:, None] takes numpy's general power loop, whose
-    bits differ from the reciprocal numpy uses for a scalar e = -1
-    (sigma / c has that exponent), so it would move the roots.
-    """
-    rows = np.polynomial.polynomial.polyval(z, column.stack)
-    return [row * z**e for row, e in zip(rows, column.exps)]
+    derivatives, from the closed forms (_closed_parts)."""
+    return _closed_parts(column.s, column.k, column.sign, z, 1 / z)
 
 
 def _family_terms(n: int, values: list, log=np.log) -> tuple:
@@ -1423,17 +1514,16 @@ def _family_ratio(
 @np.errstate(all="ignore")
 def _bounded_terms(n: int, column: _Column, z: np.ndarray) -> tuple:
     """Balls of the terms T1, T2, h1, h2 of _family_ratio at the points
-    z, their midpoints the very bits _family_ratio computes: the parts
-    by the Horner ball of the column's stack times the ball of numpy's
-    power of z, then the same expressions on balls.  The log balls may
-    hold other branches than the principal ones, which exp does not see:
-    they differ by whole multiples of 2 pi i.  The balls take the stack's
-    coefficients as exact, so on a column that is not exact
-    (_Column.exact) every radius is infinite."""
-    rows = _Ball.horner(column.stack, z)
-    if not column.exact:
-        rows = _Ball(rows.mid, np.inf)
-    values = rows * _Ball.power(z, column.exps)
+    z, their midpoints the very bits _family_ratio computes: the closed
+    forms of the parts (_closed_parts) on the exact point z and the ball
+    of 1 / z, whose only constants are small exact integers, then the
+    same expressions on balls.  The log balls may hold other branches
+    than the principal ones, which exp does not see: they differ by
+    whole multiples of 2 pi i."""
+    point = _Ball(z)
+    values = _closed_parts(
+        column.s, column.k, column.sign, point, _Ball(1.0) / point
+    )
     t1, t2, h1, h2 = _family_terms(n, values, _Ball.log)
     m = np.maximum(t1.mid.real, t2.mid.real)
     return (t1 - m).exp(), (t2 - m).exp(), h1, h2
@@ -1764,11 +1854,13 @@ def _family_roots_full(
       magnitudes taken in log form, since they overflow floats long
       before the caps do).  The branch starts drop sigma, whose n-th
       root is furthest from 1 for small n: for n = 2 they left more
-      records above 1e-9 on (2, 12, 2).  On a column that is not exact
-      every floor and radius is infinite, so every point goes to the
-      refine, and the count its sweeps leave above 1e-9 went up on some
-      such members and down on others with the branch starts; those
-      members keep the circles.
+      records above 1e-9 on (2, 12, 2).  A column that is not exact
+      keeps the circles.  That gate dates from when its floors and radii
+      were infinite and every point went to the refine; the branch
+      starts then left more records above 1e-9 on some such members and
+      fewer on others.  Its floors and radii now come from the closed
+      forms like every other column's, and the branch starts have not
+      been measured there again.
     - The points whose disc meets another or whose residual is above
       _REFINE_ABOVE go to _refine_mp, with the others frozen together
       with their mirrors: a point with an isolated disc already holds
@@ -1825,13 +1917,16 @@ def _family_roots_full(
             np.repeat(_dense_solve(a)[0], i)
             for i, a in parts
         ])
-        res, _ = _family_ratio(n, column, lo, z)
+        # a point on a repeated root may make the Newton ratio 0 / 0
+        with np.errstate(all="ignore"):
+            res, _ = _family_ratio(n, column, lo, z)
         high = res > _REFINE_ABOVE
         if high.any():
             res[high] = _residuals_mp(n, column, z[high])
     else:
         shaky = meets[: len(z)] | (res > _REFINE_ABOVE)
         if shaky.any():
+            COUNTS["refined"] += int(shaky.sum())
             frozen = _mirrored(z, real)[~_mirrored(shaky, real)]
             sub = None if real is None else real[shaky]
             z[shaky], res[shaky] = _refine_mp(n, column, z[shaky], frozen, sub)

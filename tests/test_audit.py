@@ -28,6 +28,8 @@ def test_audit_two_cells_against_a_copy(tmp_path):
     # (3, 5, 1) keeps its half configuration; an n = 1 member never
     # tries one
     assert [c[7] for c in cells] == ["half", "-"]
+    # neither sends a point to the 240-bit refine
+    assert [c[12:14] for c in cells] == [["refined", "0"]] * 2
     assert lines[-1] == "against changed 0 more_above 0 half_to_fallback 0"
     result = json.loads(out.read_text())
     assert result["changed"] == []

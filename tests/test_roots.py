@@ -40,6 +40,7 @@ from yamada.roots import (
     _arc_discs,
     _bounded_terms,
     _branch_starts,
+    _closed_parts,
     _column,
     _dense_eval,
     _dense_floor,
@@ -207,8 +208,8 @@ def test_family_dense_disagreement_is_conditioning_not_error():
 
 
 def test_family_refinement_cell():
-    # the cell with the closest lambda near-pair: double evaluation floors
-    # near 8e-7 there, the high-precision rescue must still certify 1e-9
+    # the cell with the closest lambda near-pair: the high-precision
+    # rescue must still certify 1e-9 at the point it refines
     roots, res, degree = _family_roots_full(12, 4, 4)
     assert degree == 325
     assert len(roots) == degree
@@ -220,6 +221,39 @@ def test_family_refinement_cell():
     assert d["cell"] == [12, 4, 4, "+"] and len(d["roots"]) == degree
     for z, r, (re, im, rr) in zip(roots, res, d["roots"]):
         assert z == complex(re, im) and r == rr
+
+
+def test_family_roots_hold_every_oracle_root_of_2_10_2():
+    # every root of (2, 10, 2), frozen at 400 bits by
+    # scripts/build_fixtures.py, lies within 1e-9 |z| of exactly one
+    # record.  Two of them sit where lambda1 and lambda2 are about 1e-6,
+    # where a Horner evaluation of the dense coefficients is noise
+    d = json.loads((FIXTURES / "oracle_2_10_2.json").read_text())
+    roots, _, degree = _family_roots_full(2, 10, 2)
+    assert d["cell"] == [2, 10, 2, "+"] and d["bits"] == 400
+    assert len(d["roots"]) == degree == 99
+    z = np.array(roots)
+    for re, im in d["roots"]:
+        w = complex(float(re), float(im))
+        assert np.sum(np.abs(z - w) <= 1e-9 * abs(w)) == 1, w
+
+
+def test_family_roots_count_the_refined_points(monkeypatch):
+    # COUNTS["refined"] grows by the points sent to the 240-bit refine:
+    # two in the refinement cell, none in (6, 4, 2)
+    points = [0]
+    inner = roots_module._refine_mp
+
+    def counted(*args):
+        points[0] += len(args[2])
+        return inner(*args)
+
+    monkeypatch.setattr(roots_module, "_refine_mp", counted)
+    for cell, refined in (((12, 4, 4), 2), ((6, 4, 2), 0)):
+        before, points[0] = roots_module.COUNTS["refined"], 0
+        _family_roots_full(*cell)
+        grown = roots_module.COUNTS["refined"] - before
+        assert grown == points[0] == refined, cell
 
 
 def test_refinement_cell_records_18_and_307_are_conjugates():
@@ -306,39 +340,53 @@ def test_import_leaves_mpmath_out():
     assert out.stdout.strip() == "[False, False, False]"
 
 
-def test_part_values_stack_is_bit_exact():
-    # one polyval over the stacked matrix gives, row by row, the bits of
-    # the eight separate polyval calls it replaced, inside and outside
-    # the unit circle.  sigma / c carries the exponent -1 in all three
-    # cells: there the broadcast power z[None] ** exps[:, None] would
-    # take numpy's general power loop and return other bits than the
-    # reciprocal numpy uses for the scalar z ** -1.  The balls of the
-    # bounds carry the same bits as their midpoints: the Horner ball
-    # times the power ball gives the part values, and the balls of
-    # _bounded_terms the terms _family_ratio iterates on, for n = 1 and
-    # n > 1, exponents from 100 on included
+def test_closed_parts_are_the_column_parts_exactly():
+    # run on LaurentPoly, the closed forms are the column's exact parts
+    # and their derivatives sum (lo + j) c_j z^(lo + j - 1), for both
+    # signs (the mirror's factor z^-2 on lambda1 / c and the sign of the
+    # twist factor included)
+    z = LaurentPoly.monomial(1, 1)
+    for s, k, sign in itertools.product(range(1, 9), range(1, 7), "+-"):
+        got = _closed_parts(s, k, sign, z, z**-1)
+        for j, (lo, cs) in enumerate(_column(s, k, sign).parts):
+            e = range(lo, lo + len(cs))
+            assert got[j] == LaurentPoly(zip(e, cs)), (s, k, sign, j)
+            slope = LaurentPoly((i - 1, i * c) for i, c in zip(e, cs) if i)
+            assert got[4 + j] == slope, (s, k, sign, j)
+    # on float arrays and on balls the same code gives the same bits:
+    # the balls of _bounded_terms have for midpoints the terms
+    # _family_ratio iterates on, for n = 1 and n > 1
     z = np.array([0.3 + 0.4j, -0.05 + 0.02j, 0.9 - 0.1j, -0.7j,
                   -2.5 + 1.7j, 4.0 - 0.5j, 1.3j, -1.1])
-    pv = np.polynomial.polynomial.polyval
-    exponents = set()
     for cell in [(4, 4, "+"), (2, 3, "-"), (1, 1, "+"), (6, 12, "+")]:
         column = _column(*cell)
         got = _part_values(column, z)
-        for j, (lo, cs) in enumerate(column.parts):
-            c = np.array([float(x) for x in cs])
-            dc = c * (lo + np.arange(len(c)))
-            assert np.array_equal(got[j], pv(z, c) * z**lo)
-            assert np.array_equal(got[4 + j], pv(z, dc) * z ** (lo - 1))
-            exponents |= {lo, lo - 1}
-        balls = _Ball.horner(column.stack, z) * _Ball.power(z, column.exps)
-        assert np.array_equal(balls.mid, got)
         for n in (1, 7):
             t1, t2, h1, h2 = _family_terms(n, got)
             m = np.maximum(t1.real, t2.real)
             want = (np.exp(t1 - m), np.exp(t2 - m), h1, h2)
             for ball, value in zip(_bounded_terms(n, column, z), want):
                 assert np.array_equal(ball.mid, value)
-    assert -1 in exponents and min(exponents) <= -100
+
+
+def test_closed_parts_are_finite_wherever_horner_is():
+    # on the radii of the limit curve, 0.05 to 20, the closed forms are
+    # finite at every point where the Horner rows of the dense
+    # coefficients are, for both signs and s, k <= 8
+    r = np.geomspace(0.05, 20.0, 240)
+    z = (r[:, None] * np.exp(1j * math.pi * np.arange(13) / 12)).ravel()
+    pv = np.polynomial.polynomial.polyval
+    with np.errstate(all="ignore"):
+        for s, k, sign in itertools.product(range(1, 9), range(1, 9), "+-"):
+            column = _column(s, k, sign)
+            got = _part_values(column, z)
+            for j, (lo, cs) in enumerate(column.parts):
+                c = np.array([float(x) for x in cs])
+                dc = c * (lo + np.arange(len(c)))
+                for value, row in ((got[j], pv(z, c) * z**lo),
+                                   (got[4 + j], pv(z, dc) * z ** (lo - 1))):
+                    finite = np.isfinite(value[np.isfinite(row)])
+                    assert np.all(finite), (s, k, sign, j)
 
 
 class MovingPointsRecorder:
@@ -491,45 +539,70 @@ def test_aberth_stops_when_the_moving_set_stalls(monkeypatch):
 
 
 def test_residual_floor_holds_at_refined_roots():
-    # at the records of (16, 4, 4), certified at 240 bits, the float64
-    # residual never exceeds its floor; moved off by 1e-7 relative, every
-    # point's residual is above it, so the floor does not hide a point
-    # that is not a root
-    n, s, k = 16, 4, 4
-    column = _column(s, k, "+")
-    evaluate, _, _ = _reduced_member(n, s, k)
-    roots, res, _ = _family_roots_full(n, s, k)
-    assert max(res) <= 1e-9
-    # the two exact cyclotomic roots are not roots of the reduced q
-    z = np.array(roots)
-    z = z[np.abs(z * z + z + 1) > 1e-6]
-    assert len(z) == len(roots) - 2
-    res, _ = evaluate(z)
-    floor = _residual_floor(n, column, z)
-    assert np.all(np.isfinite(floor)) and np.all(res <= floor)
-    assert np.any(res > 1e-6)
-    off = z * (1 + 1e-7)
-    assert np.all(evaluate(off)[0] > _residual_floor(n, column, off))
+    # at the records of (16, 4, 4) and of (20, 2, 6), certified at 240
+    # bits, the float64 residual never exceeds its floor; moved off by
+    # 1e-7 relative, every point's residual is above it, so the floor
+    # does not hide a point that is not a root.  In the real cluster of
+    # each, within 1e-4 of -0.840856 and -0.890894, some float64 residuals are above
+    # _REFINE_ABOVE (1e-10) and still within their floors, which lie
+    # between 1e-9 and 1e-7: double precision cannot tell those points
+    # from roots
+    for n, s, k, centre in ((16, 4, 4, -0.840856), (20, 2, 6, -0.890894)):
+        column = _column(s, k, "+")
+        evaluate, _, _ = _reduced_member(n, s, k)
+        roots, res, _ = _family_roots_full(n, s, k)
+        assert max(res) <= 1e-9
+        # the two exact cyclotomic roots are not roots of the reduced q
+        z = np.array(roots)
+        z = z[np.abs(z * z + z + 1) > 1e-6]
+        assert len(z) == len(roots) - 2
+        res, _ = evaluate(z)
+        floor = _residual_floor(n, column, z)
+        assert np.all(np.isfinite(floor)) and np.all(res <= floor)
+        cluster = np.abs(z - centre) < 1e-4
+        assert np.any(res[cluster] > 1e-10)
+        assert np.all((floor[cluster] > 1e-9) & (floor[cluster] < 1e-7))
+        off = z * (1 + 1e-7)
+        assert np.all(evaluate(off)[0] > _residual_floor(n, column, off))
 
 
-def test_a_column_with_rounded_entries_claims_no_bound():
-    # from s = 17 some entries of a column's stack (coefficients or the
-    # derivative entries c_j (lo + j)) pass 2^53 and are rounded, while
-    # the error model of _bounded_terms takes them as exact: such a column
-    # claims nothing: at the certified roots of (1, 17, 2) its floor and
-    # inclusion radii are infinite
+def test_a_column_with_rounded_entries_gets_finite_bounds():
+    # from s = 17 some coefficients of a column's parts, or of their
+    # derivatives, pass 2^53 and are rounded as doubles (_Column.exact).
+    # The balls of _bounded_terms read no coefficient, only the small
+    # integers of the closed forms, so on the column (17, 2) the floors
+    # are finite at the records of (1, 17, 2) and of (2, 17, 2), the
+    # cyclotomic ones aside.  Every root of (1, 17, 2) is repeated, 16 or
+    # 17 times, so its inclusion radii are not finite; those of (2, 17,
+    # 2), whose roots are simple,
+    # are, and each inclusion disc holds a root of the reduced
+    # polynomial, found by Newton at 400 bits from the disc's centre
     assert _column(16, 2, "+").exact and _column(17, 1, "+").exact
-    n, s, k = 1, 17, 2
+    s, k = 17, 2
     column = _column(s, k, "+")
     assert not column.exact
-    roots, res, _ = _family_roots_full(n, s, k)
-    assert max(res) <= 1e-9
-    z = np.array(roots)
-    z = z[np.abs(z * z + z + 1) > 1e-6]
-    lo, coeffs = exact_div(family_polynomial(n, s, k), _CYCLOTOMIC).dense_coeffs()
-    assert np.all(_residual_floor(n, column, z) == np.inf)
+    for n in (1, 2):
+        roots, res, _ = _family_roots_full(n, s, k)
+        assert max(res) <= 1e-9
+        z = np.array(roots)
+        z = z[np.abs(z * z + z + 1) > 1e-6]
+        assert np.all(np.isfinite(_residual_floor(n, column, z)))
+    p = exact_div(family_polynomial(n, s, k), _CYCLOTOMIC)
+    lo, coeffs = p.dense_coeffs()
     radii = _inclusion_radii(n, column, lo, len(coeffs) - 1, z)
-    assert np.all(radii == np.inf)
+    assert np.all(np.isfinite(radii))
+    with mpmath.workprec(400):
+        # the member's coefficients cancel: steps stop falling near 1e-61
+        settled = mpmath.mpf(2) ** -120
+        for w, r in zip(z.tolist(), radii.tolist()):
+            x = mpmath.mpc(w)
+            for _ in range(50):
+                value, slope = mpmath.polyval(coeffs[::-1], x, derivative=True)
+                x -= value / slope
+                if abs(value / slope) <= settled * abs(x):
+                    break
+            assert abs(value / slope) <= settled * abs(x)
+            assert abs(x - w) <= r
 
 
 def test_aberth_evaluates_only_moving_points_dense():
@@ -777,22 +850,22 @@ def test_scan_family_takes_its_options_by_keyword():
 def test_scan_family_returns_every_record_of_an_uncertified_cell(
     monkeypatch, capsys
 ):
-    # with the residual rule of the refine switched off, the refinement
-    # cell leaves 35 of its 325 records above 1e-9.  scan_family still
-    # returns every record of both signs, the + ones exactly the roots and
+    # with the residual rule of the refine switched off, (16, 5, 6)
+    # leaves 2 of its 705 records above 1e-9.  scan_family still returns
+    # every record of both signs, the + ones exactly the roots and
     # residuals of the solve, and roots-scan exits 0 and names the cell
     monkeypatch.setattr(roots_module, "_REFINE_ABOVE", math.inf)
-    roots, res, degree = _family_roots_full(12, 4, 4)
-    assert degree == 325 and sum(r > 1e-9 for r in res) == 35
-    records = scan_family([12], [4], [4], signs=("+", "-"))
-    assert len(records) == 650
+    roots, res, degree = _family_roots_full(16, 5, 6)
+    assert degree == 705 and sum(r > 1e-9 for r in res) == 2
+    records = scan_family([16], [5], [6], signs=("+", "-"))
+    assert len(records) == 1410
     plus = [r for r in records if r.sign == "+"]
     assert [r.root for r in plus] == roots
     assert [r.residual for r in plus] == res
     assert all(r.degree == degree for r in records)
-    assert main(["roots-scan", "--ns", "12", "--ss", "4", "--ks", "4"]) == 0
+    assert main(["roots-scan", "--ns", "16", "--ss", "5", "--ks", "6"]) == 0
     assert capsys.readouterr().err == (
-        "warning: cell n=12 s=4 k=4 sign=+: 35 records with residual"
+        "warning: cell n=16 s=5 k=6 sign=+: 2 records with residual"
         " above tol 1e-09\n"
     )
 
@@ -922,6 +995,8 @@ def test_limit_curve_points_rejects_unsampleable_grids():
         dict(refine=math.nan),
         dict(refine=0.0),
         dict(refine=-1e-8),
+        dict(angles=2.5),
+        dict(radial=40.5),
     ):
         with pytest.raises(ValueError):
             limit_curve_points(2, 2, **grid)
@@ -1375,13 +1450,12 @@ def test_branch_starts_cut_the_aberth_evaluations(monkeypatch):
 def test_refine_evaluations_per_point(monkeypatch):
     # a point that starts at double precision stops after two 240-bit
     # evaluations, and its residual at the rounded double is a third
-    # (the residual target of 1e-30 took four).
-    # In the refinement cell some points start at the float64 floor,
-    # about 1e-10 off, and their second correction is still above 2^-70:
-    # only those take a fourth evaluation (one of the 18 points of its
-    # half configuration; of the 36 points of the full one, 4 did)
-    # Every 240-bit evaluation, a refine step or a residual, forms b1 and
-    # b2 once, through _fixed_members
+    # (the residual target of 1e-30 took four).  A point that starts
+    # further off, where its second correction is still above 2^-70,
+    # takes a fourth; (17, 3, 5) refines 7 points and the refinement
+    # cell 2, all from double precision.  Every 240-bit evaluation, a
+    # refine step or a residual, forms b1 and b2 once, through
+    # _fixed_members
     calls = [0]
     points = [0]
     inner_members = roots_module._fixed_members
@@ -1397,11 +1471,11 @@ def test_refine_evaluations_per_point(monkeypatch):
 
     monkeypatch.setattr(roots_module, "_fixed_members", counted_members)
     monkeypatch.setattr(roots_module, "_refine_mp", counted_refine)
-    for cell, late in (((17, 3, 4), 0), ((6, 4, 2), 0), ((12, 4, 4), 1)):
+    for cell, refined in (((17, 3, 5), 7), ((12, 4, 4), 2)):
         calls[0] = points[0] = 0
         roots, res, _ = _family_roots_full(*cell)
-        assert points[0] > 0 and max(res) <= 1e-9
-        assert calls[0] == 3 * points[0] + late, cell
+        assert points[0] == refined and max(res) <= 1e-9
+        assert calls[0] == 3 * points[0], cell
 
 
 def test_witness_plan_is_computed_once_and_doubles_by_appending():
@@ -1916,6 +1990,8 @@ def test_ball_operations_enclose_their_240_bit_values():
             unary = [
                 (a, k * a, lambda x, i: int(k[i]) * x, lambda m: 1),
                 (a, 7 * a, lambda x, i: 7 * x, lambda m: 1),
+                (a, -a, lambda x, i: -x, lambda m: 1),
+                (a, 3 - a, lambda x, i: 3 - x, lambda m: 1),
                 (wide, wide.log(), log, lambda m: -unit(m)),
                 (small, small.exp(), lambda x, i: mpmath.exp(x), lambda m: 1),
                 (a, a.arg(), arg, lambda m: 1j * unit(m)),
@@ -1929,20 +2005,7 @@ def test_ball_operations_enclose_their_240_bit_values():
         zero = np.zeros(1, complex)
         total = _Ball(zero, 1.0) + _Ball(zero, 2.0**-53)
         assert _encloses(total, 0, 1 + mpmath.mpf(2) ** -53)
-        # numpy's powers of exact points, below and from |e| = 100 on,
-        # where numpy takes exp(e log z), which errs by more than (4 |e|
-        # + 8) u where |log z| is large
         z = operand(12, 0.0).mid ** 0.02
-        far = np.array([r * cmath.exp(2j * math.pi * rng.random())
-                        for r in (0.01, 0.02, 60.0, 100.0) * 6])
-        for points, exps in (
-            (z, [-1, 0, 1, 2, 3, 7, -37, 99, -99, 100, -150, 257]),
-            (far, [100, 120, -120, 150, -150]),
-        ):
-            ball = _Ball.power(points, exps)
-            for r, e in enumerate(exps):
-                for i, w in enumerate(points):
-                    assert _encloses(ball[r], i, mpmath.mpc(complex(w)) ** e)
         # Horner's rule and polynomials over discs, exact coefficients
         for degree in (3, 20, 60):
             cs = [[rng.randint(-9, 9) for _ in range(degree + 1)]
