@@ -18,7 +18,11 @@ or ``fallback``, read from ``roots.COUNTS``; ``-`` for a member that
 never tries the half one), A the records with a residual above 1e-9, W
 the worst residual, R the points the solve sent to the 240-bit refine
 (``roots.COUNTS["refined"]``; a tree that does not count them reads 0)
-and T the process time of the solve.  A last line sums them:
+and T the process time of the solve.  A cell with frozen oracle roots
+(``tests/fixtures/oracle_<n>_<s>_<k>.json`` of the tree this script
+sits in, so that both trees of ``--against`` meet the same oracle)
+prints ``oracle M of N`` before its seconds: M of its N oracle roots z
+have exactly one record within 1e-9 |z|.  A last line sums them:
 
   total cells C half H fallback F above A refined R seconds T
 
@@ -48,9 +52,12 @@ last line sums them:
 ``--against DIR`` audits the same cells or targets on the tree DIR too
 (a checkout of another commit, run as a second process of this script)
 and prints, for every cell whose degree, path, count above 1e-9, worst
-residual or refined count differs,
+residual, refined count or oracle count differs,
 
   changed n s k degree D D' path P P' above A A' worst W W' refined R R'
+          oracle M M'
+
+(M and M' read ``-`` for a cell without frozen roots)
 
 or every target whose counts differ,
 
@@ -86,7 +93,8 @@ from compare import commit_of
 ROOT = Path(__file__).resolve().parents[1]
 NAMED = [(2, 10, 2), (8, 5, 6), (16, 5, 6), (24, 5, 6)]
 TOL = 1e-9
-FIELDS = ("degree", "path", "above", "worst", "refined")
+FIELDS = ("degree", "path", "above", "worst", "refined", "oracle")
+FIXTURES = ROOT / "tests" / "fixtures"
 # the COUNTS of the exclusion test that a density line reports
 DENSITY_COUNTS = ("columns", "ruled_re", "ruled_im", "arcs")
 DENSITY_FIELDS = DENSITY_COUNTS + ("solved",)
@@ -124,7 +132,7 @@ def audit(spec: str) -> list[dict]:
     for n, s, k in cells_of(spec):
         before = dict(roots.COUNTS)
         start = time.process_time()
-        _, residuals, degree = roots._family_roots_full(
+        records, residuals, degree = roots._family_roots_full(
             n, s, k, "+", degree_cap=None
         )
         seconds = time.process_time() - start
@@ -137,9 +145,30 @@ def audit(spec: str) -> list[dict]:
             "above": sum(r > TOL for r in residuals),
             "worst": max(residuals, default=0.0),
             "refined": roots.COUNTS["refined"] - before.get("refined", 0),
+            "oracle": oracle_count(n, s, k, records),
             "seconds": seconds,
         })
     return out
+
+
+def oracle_count(n: int, s: int, k: int, records: list) -> list[int] | None:
+    """[M, N] for the cell's N frozen oracle roots (sign +), M of them
+    with exactly one record within TOL |z|; None without a fixture."""
+    path = FIXTURES / f"oracle_{n}_{s}_{k}.json"
+    if not path.exists():
+        return None
+    fixture = json.loads(path.read_text())
+    if fixture["cell"] != [n, s, k, "+"]:
+        raise SystemExit(f"{path} holds the cell {fixture['cell']}")
+    oracle = [complex(float(re), float(im)) for re, im in fixture["roots"]]
+    hits = sum(
+        sum(abs(r - z) <= TOL * abs(z) for r in records) == 1 for z in oracle
+    )
+    return [hits, len(oracle)]
+
+
+def _oracle(c: dict) -> str:
+    return "-" if c["oracle"] is None else str(c["oracle"][0])
 
 
 def audit_density(tree: Path, count: int | None) -> list[dict]:
@@ -194,7 +223,10 @@ def print_audit(cells: list[dict]) -> None:
     for c in cells:
         print(f"cell {c['n']} {c['s']} {c['k']} degree {c['degree']} path"
               f" {c['path']} above {c['above']} worst {c['worst']:.3e}"
-              f" refined {c['refined']} seconds {c['seconds']:.3f}")
+              f" refined {c['refined']}"
+              + ("" if c["oracle"] is None
+                 else f" oracle {c['oracle'][0]} of {c['oracle'][1]}")
+              + f" seconds {c['seconds']:.3f}")
     t = totals(cells)
     print(f"total cells {t['cells']} half {t['half']} fallback"
           f" {t['fallback']} above {t['above']} refined {t['refined']}"
@@ -225,7 +257,8 @@ def against_cells(this: list[dict], theirs: dict) -> list[dict]:
               f" path {a['path']} {b['path']}"
               f" above {a['above']} {b['above']}"
               f" worst {a['worst']:.3e} {b['worst']:.3e}"
-              f" refined {a['refined']} {b['refined']}")
+              f" refined {a['refined']} {b['refined']}"
+              f" oracle {_oracle(a)} {_oracle(b)}")
     t = theirs["totals"]
     print(f"total against cells {t['cells']} half {t['half']} fallback"
           f" {t['fallback']} above {t['above']} refined {t['refined']}"

@@ -51,9 +51,10 @@ disc test (_solve), one refine of the points whose disc meets another
 or whose residual is above _REFINE_ABOVE, one record assembly.
 
 Everything the module evaluates of the pair lambda1, lambda2 comes from
-one record per (s, k, sign) column (_column): the solve and its bounds
-(from the closed forms), its 240-bit refine, the exclusion test, the
-limit curve and its gap (from the exact coefficients).
+one record per (s, k, sign) column (_column): the solve, its bounds and
+its 240-bit refine (from the closed forms, _closed_parts, on doubles,
+on balls and on 240-bit Gaussian floats), the exclusion test, the limit
+curve and its gap (from the exact coefficients).
 
 General Laurent polynomials (without the power-sum structure) still go
 through the dense path, with residuals normalized by the largest
@@ -77,7 +78,6 @@ from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
 from itertools import zip_longest
-from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -710,22 +710,23 @@ class _Column:
     and r_theta = sigma M / (1 + sigma); sigma is prime to 1 + sigma =
     z^-1 (1 + z)^2, so sigma divides r_theta, and c divides lambda1 =
     -r_theta; the mirror keeps sigma, so the same holds for sign -.  The
-    divisions are exact_div, which raises if that ever fails.  s, k and
-    sign name the column, and the float64 values of the four parts and
-    of their derivatives, plain or as balls, come from those three alone
-    (_closed_parts).  coprime is False when the lambdas share a factor,
-    which puts roots of the family outside every tool here;
-    _family_roots_full refuses such a column (no cell this module is
-    asked about has one).
+    divisions are exact_div, which raises if that ever fails; the tests
+    take these exact parts as the oracle of the closed forms.  s, k and
+    sign name the column, and the values of the four parts and of their
+    derivatives, in float64, as balls or at 240 bits, come from those
+    three alone (_closed_parts).  coprime is False when the lambdas
+    share a factor, which puts roots of the family outside every tool
+    here; _family_roots_full refuses such a column (no cell this module
+    is asked about has one).
 
-    stack is the read-only (m, 4) float matrix of the four parts' rows,
-    zero-padded at the high end; row(j) is part j's row without the
-    padding.  The limit curve evaluates lambda1 and lambda2 from their
-    rows by Horner (_gap_vectorized, _grid_moduli, axis), and the tests
-    take the rows as an oracle.  exact is False when some coefficient of
-    a part, or of its derivative (c_j (lo + j)), is not its integer
-    exactly as a double (from s = 17 for most k); the members of such a
-    column keep the circle starts (_family_roots_full).
+    stack is the read-only (m, 2) float matrix of the rows of lambda1
+    and lambda2, zero-padded at the high end; row(j), j = 0 or 1, is
+    lambda(j+1)'s row without the padding.  The limit curve evaluates
+    the two from their rows by Horner (_gap_vectorized, _grid_moduli,
+    axis).  exact is False when some coefficient of a part, or of its
+    derivative (c_j (lo + j)), is not its integer exactly as a double
+    (from s = 17 for most k); the members of such a column keep the
+    circle starts (_family_roots_full).
 
     pair holds the branch rows of _branch_starts: the (2, D + 1) float
     coefficients, ascending, of z^-L lambda1 and z^-L lambda2, with L the
@@ -753,17 +754,9 @@ class _Column:
     bounds: np.ndarray | None
 
     def row(self, j: int) -> tuple[int, np.ndarray]:
-        """(lo, float coefficients) of part j, without the padding."""
+        """(lo, float coefficients) of lambda(j+1), without the padding."""
         lo, cs = self.parts[j]
         return lo, self.stack[: len(cs), j]
-
-    @cached_property
-    def slopes(self) -> tuple:
-        """The exact coefficients j c_j of z p' for each part p, which
-        the 240-bit refine evaluates (_fixed_parts)."""
-        return tuple(
-            tuple(j * c for j, c in enumerate(cs)) for _, cs in self.parts
-        )
 
     @cached_property
     def discs(self) -> tuple:
@@ -798,8 +791,8 @@ def _column(s: int, k: int, sign: str) -> _Column:
         (lo, tuple(cs))
         for lo, cs in (p.dense_coeffs() for p in (l1, l2, *reduced))
     )
-    stack = np.zeros((max(len(cs) for _, cs in parts), 4))
-    for j, (_, cs) in enumerate(parts):
+    stack = np.zeros((max(len(cs) for _, cs in parts[:2]), 2))
+    for j, (_, cs) in enumerate(parts[:2]):
         stack[: len(cs), j] = [float(c) for c in cs]
     stack.flags.writeable = False
     exact = all(
@@ -1058,66 +1051,93 @@ _REFINE_ABOVE = 1e-10
 # counted in this process since import, for the tests and the audit to
 # read: members of n >= 3 on exact columns whose half configuration
 # _family_roots_full kept ("half") or, its discs meeting, replaced by the
-# full one ("fallback"), and the points it sent to the 240-bit refine
-# ("refined"); and of the exclusion test (_dominated), the
+# full one ("fallback"), the points it sent to the 240-bit refine
+# ("refined") and the 240-bit evaluations of a member (_fixed_terms)
+# there ("refine_evals"); and of the exclusion test (_dominated), the
 # columns tested ("columns"), the arc discs evaluated ("arcs") and the
 # members ruled out by dominance ("ruled_re") or by the argument alone,
 # its winding count ("ruled_im")
 COUNTS: Counter = Counter()
 _PREC = 240
 _GUARD = 16
-# every 240-bit value but the iterates is a Gaussian float (a, b, e),
-# standing for (a + ib) 2^e, whose mantissa keeps at most _WIDTH bits;
-# the power table of _fixed_powers carries the same guard bits
+# every 240-bit value but the iterates is a Gaussian float (_Gauss) whose
+# mantissa keeps at most _WIDTH bits
 _WIDTH = _PREC + _GUARD
 # a point of _refine_mp stops once its correction is below 2^-_SETTLED |z|
 _SETTLED = 70
 
 
-def _gnorm(a: int, b: int, e: int) -> tuple[int, int, int]:
-    """(a + ib) 2^e with its mantissa truncated to _WIDTH bits."""
-    s = max(a.bit_length(), b.bit_length()) - _WIDTH
-    if s > 0:
-        return a >> s, b >> s, e + s
-    return a, b, e
+class _Gauss:
+    """The Gaussian float (a + ib) 2^e of the 240-bit refine, with
+    integers a, b and e, its mantissa truncated to _WIDTH bits by every
+    operation; an int operand c stands for (c, 0, 0).  + and - align the
+    two mantissas exactly before the one truncation, so a sum that
+    cancels keeps every bit the two had; / takes one integer division,
+    the reciprocal of |v|^2 to _WIDTH bits; ** is by squaring, for
+    exponents >= 0.  Only +, -, * and integer constants touch z in
+    _closed_parts, which runs on this type unchanged."""
 
+    __slots__ = ("a", "b", "e")
 
-def _gmul(u: tuple, v: tuple) -> tuple[int, int, int]:
-    (a, b, e), (c, d, f) = u, v
-    return _gnorm(a * c - b * d, a * d + b * c, e + f)
+    def __init__(self, a: int, b: int = 0, e: int = 0):
+        s, t = a.bit_length(), b.bit_length()
+        s = (s if s > t else t) - _WIDTH
+        if s > 0:
+            a, b, e = a >> s, b >> s, e + s
+        self.a, self.b, self.e = a, b, e
 
+    def __add__(self, other) -> "_Gauss":
+        a, b, e = self.a, self.b, self.e
+        if type(other) is int:
+            c, d, f = other, 0, 0
+        else:
+            c, d, f = other.a, other.b, other.e
+        if e > f:
+            a, b, e = a << (e - f), b << (e - f), f
+        elif f > e:
+            c, d = c << (f - e), d << (f - e)
+        return _Gauss(a + c, b + d, e)
 
-def _gadd(u: tuple, v: tuple) -> tuple[int, int, int]:
-    """u + v, aligned exactly before the one truncation, so a sum that
-    cancels keeps every bit the two mantissas had."""
-    (a, b, e), (c, d, f) = u, v
-    if e > f:
-        a, b, e = a << (e - f), b << (e - f), f
-    elif f > e:
-        c, d = c << (f - e), d << (f - e)
-    return _gnorm(a + c, b + d, e)
+    __radd__ = __add__
 
+    def __sub__(self, other) -> "_Gauss":
+        return self + -other
 
-def _gdiv(u: tuple, v: tuple) -> tuple[int, int, int]:
-    """u / v = u conj(v) / |v|^2, from one integer division: the
-    reciprocal of |v|^2 to _WIDTH bits."""
-    (a, b, e), (c, d, f) = u, v
-    m = c * c + d * d
-    k = m.bit_length() + _WIDTH
-    r = (1 << k) // m
-    return _gnorm((a * c + b * d) * r, (b * c - a * d) * r, e - f - k)
+    def __rsub__(self, other) -> "_Gauss":
+        return -self + other
 
+    def __neg__(self) -> "_Gauss":
+        return _Gauss(-self.a, -self.b, self.e)
 
-def _gpow(u: tuple, k: int) -> tuple[int, int, int]:
-    """u^k for k >= 0, by squaring."""
-    out = (1, 0, 0)
-    while k:
-        if k & 1:
-            out = _gmul(out, u)
-        k >>= 1
-        if k:
-            u = _gmul(u, u)
-    return out
+    def __mul__(self, other) -> "_Gauss":
+        a, b = self.a, self.b
+        if type(other) is int:
+            return _Gauss(a * other, b * other, self.e)
+        c, d = other.a, other.b
+        return _Gauss(a * c - b * d, a * d + b * c, self.e + other.e)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: "_Gauss") -> "_Gauss":
+        a, b, c, d = self.a, self.b, other.a, other.b
+        m = c * c + d * d
+        k = m.bit_length() + _WIDTH
+        r = (1 << k) // m
+        return _Gauss((a * c + b * d) * r, (b * c - a * d) * r,
+                      self.e - other.e - k)
+
+    def __rtruediv__(self, other: int) -> "_Gauss":
+        return _Gauss(other) / self
+
+    def __pow__(self, k: int) -> "_Gauss":
+        out, u = _Gauss(1), self
+        while k:
+            if k & 1:
+                out = out * u
+            k >>= 1
+            if k:
+                u = u * u
+        return out
 
 
 def _fixed(z: complex) -> tuple[int, int]:
@@ -1191,24 +1211,25 @@ def _refine_mp(
     double-precision residual there floors between about 1e-9 and 1e-7
     ((20, 2, 6) near -0.8909), above _REFINE_ABOVE, however good the
     point is.  The points are fine; the certificate needs more bits.
-    This refines just the flagged points against the column's exact
-    integer parts, then rounds each result back to a double and reports the
+    This refines just the flagged points against the same closed forms at
+    240 bits, then rounds each result back to a double and reports the
     residual evaluated at 240 bits at the rounded point, so the record
     stays an honest statement about the root actually returned.
 
     All of it runs in Python integers.  An iterate is a Gaussian integer
     x + iy on the fixed-point scale 2^-240 (_fixed); the member's terms
-    and the Newton ratio come from _fixed_terms, and the step is formed
-    in Gaussian floats of _WIDTH bits (_gmul, _gdiv).  Flagged points
-    whose discs overlap can sit closer than double resolution, so the
-    repulsion among the flagged points is summed on the same 2^-240
-    scale (_repulsion_fixed).  The rest of the configuration enters the
-    repulsion frozen, summed in float64 once per iteration at the
-    rounded iterates.  Every frozen point has an inclusion disc that
-    holds a root and meets no other disc, flagged or frozen (the gate in
-    _family_roots_full flags both members of any overlapping pair), so
-    no flagged point starts inside it; that term only steers the step,
-    and the Newton ratio and the residual never see it.
+    b1 and b2 and the derivative of their sum come from _fixed_terms,
+    and the step is formed in Gaussian floats of _WIDTH bits (_Gauss).
+    Flagged points whose discs overlap can sit closer than double
+    resolution, so the repulsion among the flagged points is summed on
+    the same 2^-240 scale (_repulsion_fixed).  The rest of the
+    configuration enters the repulsion frozen, summed in float64 once
+    per iteration at the rounded iterates.  Every frozen point has an
+    inclusion disc that holds a root and meets no other disc, flagged or
+    frozen (the gate in _family_roots_full flags both members of any
+    overlapping pair), so no flagged point starts inside it; that term
+    only steers the step, and the Newton ratio and the residual never
+    see it.
 
     real, when given, marks the flagged points of a half configuration
     (see _aberth) that lie on the real axis; every other flagged point
@@ -1226,7 +1247,6 @@ def _refine_mp(
     2^-35 |z| of its root stops after two 240-bit evaluations, and the
     residual at the rounded point is a third.
     """
-    terms = _fixed_terms(n, column)
     f = _PREC
     pts = [_fixed(w) for w in flagged]
     axis = np.zeros(len(pts), dtype=bool) if real is None else real
@@ -1239,15 +1259,13 @@ def _refine_mp(
         still = []
         for i in moving:
             x, y = pts[i]
-            b1, b2, dq = terms(x, y)
+            b1, b2, slope = _fixed_terms(n, column, x, y)
             fr, fi = _fixed(far[i])
-            rep = (near[i][0] + fr, near[i][1] + fi, -f)
-            # the Newton step z (b1 + b2) / dq, then the Aberth move
-            # step / (1 - step rep)
-            step = _gdiv(_gmul((x, y, -f), _gadd(b1, b2)), dq)
-            sr, si, se = _gmul(step, rep)
-            a, b, e = _gdiv(step, _gadd((1, 0, 0), (-sr, -si, se)))
-            e += f
+            rep = _Gauss(near[i][0] + fr, near[i][1] + fi, -f)
+            # the Newton step, then the Aberth move step / (1 - step rep)
+            step = (b1 + b2) / slope
+            move = step / (1 - step * rep)
+            a, b, e = move.a, move.b, move.e + f
             mx, my = (a << e, b << e) if e >= 0 else (a >> -e, b >> -e)
             if axis[i]:
                 my = 0
@@ -1261,94 +1279,41 @@ def _refine_mp(
     return out, _residuals_mp(n, column, out)
 
 
-def _fixed_powers(column: _Column, x: int, y: int) -> tuple[list[int], list[int]]:
-    """The real and imaginary parts of the powers z^j, j below the
-    column's stack length, of z = (x + iy) / 2^_PREC on the fixed-point
-    scale 2^-(_PREC + _GUARD), each product truncated back to that scale.
-    One table serves all four parts of the column."""
-    f = _PREC + _GUARD
-    x, y = x << _GUARD, y << _GUARD
-    xs, ys = [1 << f, x], [0, y]
-    a, b = x, y
-    for _ in range(len(column.stack) - 2):
-        a, b = (a * x - b * y) >> f, (a * y + b * x) >> f
-        xs.append(a)
-        ys.append(b)
-    return xs, ys
-
-
-def _fixed_dot(cs: tuple, xs: list[int], ys: list[int]) -> tuple[int, int, int]:
-    """sum c_j z^j over the power table of _fixed_powers, an exact
-    integer dot product, as a Gaussian float."""
-    return _gnorm(sum(map(mul, cs, xs)), sum(map(mul, cs, ys)), -_PREC - _GUARD)
-
-
-def _fixed_parts(column: _Column, x: int, y: int) -> list[tuple]:
-    """(p, z p') of each of the column's four parts at z = (x + iy) /
-    2^_PREC, as Gaussian floats: p = sum c_j z^j and z p' = sum j c_j z^j
-    over one power table (_fixed_powers)."""
-    xs, ys = _fixed_powers(column, x, y)
-    return [
-        (_fixed_dot(cs, xs, ys), _fixed_dot(js, xs, ys))
-        for (_, cs), js in zip(column.parts, column.slopes)
-    ]
-
-
-def _fixed_members(n: int, column: _Column, ps: list, x: int, y: int) -> tuple:
-    """The Gaussian floats b1 = p1^(n-1) p1c and b2 = p2s p2^n of the
-    member n of the column, from its four part values ps at z = (x + iy)
-    / 2^_PREC, by powers by squaring.  b1 and b2 carry z^e1 and z^e2;
-    both are divided by the smaller power, which leaves the residual and
-    the Newton step as they are."""
-    (lo1, _), (lo2, _), (lo1c, _), (lo2s, _) = column.parts
-    shift = (lo1 * (n - 1) + lo1c) - (lo2s + n * lo2)
-    p1, p2, p1c, p2s = ps
-    b1 = _gmul(_gpow(p1, n - 1), p1c)
-    b2 = _gmul(p2s, _gpow(p2, n))
-    if shift:
-        zs = _gpow((x, y, -_PREC), abs(shift))
-        if shift > 0:
-            b1 = _gmul(b1, zs)
-        else:
-            b2 = _gmul(b2, zs)
-    return b1, b2
-
-
-def _fixed_terms(n: int, column: _Column):
-    """The function terms(x, y) of the member n of the column at
-    z = (x + iy) / 2^_PREC: the Gaussian floats b1 and b2 of
-    _fixed_members, and z times the derivative of b1 + b2 over the same
-    power of z.  From the parts of _fixed_parts, the log derivative of
-    z^lo p times z is h = lo + z p' / p, one division."""
-    lows = [lo for lo, _ in column.parts]
-
-    def terms(x, y):
-        parts = _fixed_parts(column, x, y)
-        b1, b2 = _fixed_members(n, column, [p for p, _ in parts], x, y)
-        hs = [_gadd((lo, 0, 0), _gdiv(zdp, p)) for lo, (p, zdp) in zip(lows, parts)]
-        h1 = _gadd(_gmul((n - 1, 0, 0), hs[0]), hs[2])
-        h2 = _gadd(hs[3], _gmul((n, 0, 0), hs[1]))
-        return b1, b2, _gadd(_gmul(b1, h1), _gmul(b2, h2))
-
-    return terms
+def _fixed_terms(n: int, column: _Column, x: int, y: int, slope: bool = True):
+    """The Gaussian floats b1 = lambda1^(n-1) (lambda1 / c) and b2 =
+    (sigma / c) lambda2^n of the member n of the column at z = (x + iy)
+    / 2^_PREC, from the closed forms of the parts (_closed_parts) on the
+    exact point z and 1 / z to _WIDTH bits, then, with slope, the
+    derivative of b1 + b2 in z by the product rule.  Each call is one
+    240-bit evaluation, counted in COUNTS["refine_evals"]."""
+    COUNTS["refine_evals"] += 1
+    z = _Gauss(x, y, -_PREC)
+    p1, p2, g, h, d1, d2, dg, dh = _closed_parts(
+        column.s, column.k, column.sign, z, 1 / z
+    )
+    q1 = p1 ** (n - 2) if n > 1 else None
+    q2 = p2 ** (n - 1)
+    b1 = q1 * p1 * g if n > 1 else g
+    b2 = h * q2 * p2
+    if not slope:
+        return b1, b2
+    db1 = q1 * ((n - 1) * (d1 * g) + p1 * dg) if n > 1 else dg
+    return b1, b2, db1 + (dh * p2 + n * (h * d2)) * q2
 
 
 def _residuals_mp(n: int, column: _Column, z: np.ndarray) -> np.ndarray:
     """The residual |b1 + b2| / (|b1| + |b2|) of the member n of the
-    column evaluated at 240 bits at each double z: b1 and b2 alone, from
-    the parts' values and not their derivatives (_fixed_members), the
-    three moduli by math.isqrt on one scale, and the quotient by one
-    int / int division, which Python rounds correctly."""
+    column evaluated at 240 bits at each double z: b1 and b2 alone,
+    without their derivative (_fixed_terms), the three moduli by
+    math.isqrt on one scale, and the quotient by one int / int division,
+    which Python rounds correctly."""
     res = np.empty(len(z), dtype=float)
     for i, zd in enumerate(z):
-        x, y = _fixed(zd)
-        xs, ys = _fixed_powers(column, x, y)
-        ps = [_fixed_dot(cs, xs, ys) for _, cs in column.parts]
-        b1, b2 = _fixed_members(n, column, ps, x, y)
-        s = _gadd(b1, b2)
-        e = min(b1[2], b2[2], s[2])
+        b1, b2 = _fixed_terms(n, column, *_fixed(zd), slope=False)
+        s = b1 + b2
+        e = min(b1.e, b2.e, s.e)
         num, m1, m2 = (
-            math.isqrt(a * a + b * b) << (f - e) for a, b, f in (s, b1, b2)
+            math.isqrt(v.a * v.a + v.b * v.b) << (v.e - e) for v in (s, b1, b2)
         )
         res[i] = num / (m1 + m2)
     return res
@@ -1839,8 +1804,10 @@ def _family_roots_full(
     _Column) is divided out exactly first; its roots are known in closed
     form and come back with residual zero (they are exact roots, placed
     to double precision).  The exact integer coefficients of the reduced
-    polynomial q, of degree d, fix the degree; every evaluation goes
-    through the power-sum form, which stays conditioned at any n.
+    polynomial q, of degree d, fix the degree; every evaluation, in
+    float64 and in the 240-bit refine alike, goes through the power-sum
+    form and the closed forms of its parts (_closed_parts), which stay
+    conditioned at any n.
 
     One pipeline: starts, _solve, the 240-bit refine, the records.
     - A member with n >= 3 on an exact column (_Column.exact) is solved

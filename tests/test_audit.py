@@ -71,3 +71,18 @@ def test_audit_density_two_targets_against_a_copy(tmp_path):
         assert all(a[f] == b[f] for f in fields[:-1])
     assert mine["totals"]["targets"] == 2
     assert theirs["tree"] == str(other.resolve())
+
+
+def test_audit_reads_the_frozen_oracle_roots():
+    # (2, 10, 2) has its 99 roots frozen at 400 bits: each has exactly
+    # one record within 1e-9 |z|; a cell without a fixture prints none
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "audit.py"),
+         "--cells", "2:10:2,3:5:1"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cells = [line.split() for line in proc.stdout.splitlines()
+             if line.startswith("cell ")]
+    assert cells[0][14:18] == ["oracle", "99", "of", "99"]
+    assert cells[1][14] == "seconds"

@@ -51,11 +51,8 @@ from yamada.roots import (
     _family_terms,
     _find_roots_full,
     _fixed,
-    _fixed_dot,
-    _fixed_members,
-    _fixed_parts,
-    _fixed_powers,
     _fixed_terms,
+    _Gauss,
     _HALF_PI,
     _inclusion_radii,
     _initial_points,
@@ -267,42 +264,47 @@ def test_refinement_cell_records_18_and_307_are_conjugates():
 
 
 def _mpc(u):
-    """The Gaussian float (a, b, e) of the 240-bit kernel as an mpc."""
-    a, b, e = u
-    return mpmath.mpc(mpmath.mpf((a, e)), mpmath.mpf((b, e)))
+    """The Gaussian float (a + ib) 2^e of the 240-bit kernel as an mpc."""
+    return mpmath.mpc(mpmath.mpf((u.a, u.e)), mpmath.mpf((u.b, u.e)))
 
 
-def test_fixed_parts_match_polyval():
-    # inside and outside the unit circle, and between the (4, 4) lambda
-    # zeros that sit 1.2e-5 apart, where the parts nearly vanish; the
-    # points fill all 240 fraction bits, not just a double's 53
+def test_fixed_closed_parts_match_mpmath():
+    # the closed forms on 240-bit Gaussian floats against a 300-bit
+    # evaluation of the column's exact parts: inside and outside the unit
+    # circle, and between the (4, 4) lambda zeros that sit 1.2e-5 apart,
+    # where the parts nearly vanish; the points fill all 240 fraction
+    # bits, not just a double's 53.  s = 1 runs no loop, and k = 1, 2
+    # are the monomials that _twist_terms cancels
     points = [0.3 + 0.4j, -0.05 + 0.02j, -2.5 + 1.7j, 4.0 - 0.5j,
               -0.8408559583846054 - 1.551641061573222e-06j]
-    column = _column(4, 4, "+")
     fill = 2**180 // 3
-    for z in points:
-        x = int(math.ldexp(z.real, 240)) + fill
-        y = int(math.ldexp(z.imag, 240)) - fill
-        got = _fixed_parts(column, x, y)
-        with mpmath.workprec(300):
-            zz = mpmath.mpc(mpmath.mpf((x, -240)), mpmath.mpf((y, -240)))
-            for (_, cs), (p, zdp) in zip(column.parts, got):
-                want, dp = mpmath.polyval(cs[::-1], zz, derivative=True)
-                assert abs(_mpc(p) - want) <= 1e-60 * abs(want)
-                assert abs(_mpc(zdp) - zz * dp) <= 1e-60 * abs(zz * dp)
+    for (s, k), sign in itertools.product(
+            [(1, 1), (1, 2), (2, 1), (4, 4)], "+-"):
+        column = _column(s, k, sign)
+        for z in points:
+            x = int(math.ldexp(z.real, 240)) + fill
+            y = int(math.ldexp(z.imag, 240)) - fill
+            g = _Gauss(x, y, -240)
+            got = _closed_parts(s, k, sign, g, 1 / g)
+            with mpmath.workprec(300):
+                zz = mpmath.mpc(mpmath.mpf((x, -240)), mpmath.mpf((y, -240)))
+                for j, (lo, cs) in enumerate(column.parts):
+                    p, dp = mpmath.polyval(cs[::-1], zz, derivative=True)
+                    want = zz**lo * p
+                    slope = zz**lo * dp + lo * zz ** (lo - 1) * p
+                    for value, true in ((got[j], want), (got[4 + j], slope)):
+                        assert abs(_mpc(value) - true) <= 1e-60 * abs(true), (
+                            s, k, sign, z, j)
 
 
 def test_fixed_terms_match_mpmath_at_the_fixture_roots():
-    # b1, b2 over their common power of z, and the residual as a double,
-    # against a 300-bit mpmath evaluation of the exact parts at every root
-    # of the refinement cell but the two cyclotomic ones (not roots of
-    # the reduced q: lambda1 vanishes there), and 1e-3 |z| off every
-    # tenth root, where the two terms differ in size
+    # b1, b2 and the residual as a double, against a 300-bit mpmath
+    # evaluation of the exact parts at every root of the refinement cell
+    # but the two cyclotomic ones (not roots of the reduced q: lambda1
+    # vanishes there), and 1e-3 |z| off every tenth root, where the two
+    # terms differ in size
     n = 12
     column = _column(4, 4, "+")
-    terms = _fixed_terms(n, column)
-    (lo1, _), (lo2, _), (lo1c, _), (lo2s, _) = column.parts
-    common = min(lo1 * (n - 1) + lo1c, lo2s + n * lo2)
     d = json.loads((FIXTURES / "refine_12_4_4.json").read_text())
     zs = [complex(re, im) for re, im, _ in d["roots"]]
     zs = [z for z in zs if abs(z * z + z + 1) > 1e-9]
@@ -314,18 +316,18 @@ def test_fixed_terms_match_mpmath_at_the_fixture_roots():
             w = mpmath.mpc(z)
             l1, l2, l1c, l2s = (w**lo * mpmath.polyval(cs[::-1], w)
                                 for lo, cs in column.parts)
-            want1 = l1 ** (n - 1) * l1c / w**common
-            want2 = l2s * l2**n / w**common
+            want1 = l1 ** (n - 1) * l1c
+            want2 = l2s * l2**n
             x, y = _fixed(z)
-            b1, b2, _ = terms(x, y)
+            b1, b2, _ = _fixed_terms(n, column, x, y)
             assert abs(_mpc(b1) - want1) <= 1e-60 * abs(want1)
             assert abs(_mpc(b2) - want2) <= 1e-60 * abs(want2)
             assert r == float(abs(want1 + want2) / (abs(want1) + abs(want2)))
-            # the residual's values alone, without the parts' derivatives,
-            # are the same Gaussian floats bit for bit
-            xs, ys = _fixed_powers(column, x, y)
-            ps = [_fixed_dot(cs, xs, ys) for _, cs in column.parts]
-            assert _fixed_members(n, column, ps, x, y) == (b1, b2)
+            # the residual's values alone, without the derivative, are
+            # the same Gaussian floats bit for bit
+            alone = _fixed_terms(n, column, x, y, slope=False)
+            assert [(v.a, v.b, v.e) for v in alone] == [
+                (v.a, v.b, v.e) for v in (b1, b2)]
 
 
 def test_import_leaves_mpmath_out():
@@ -1447,35 +1449,23 @@ def test_branch_starts_cut_the_aberth_evaluations(monkeypatch):
     assert 0 < calls[0] <= 60
 
 
-def test_refine_evaluations_per_point(monkeypatch):
+def test_refine_evaluations_per_point():
     # a point that starts at double precision stops after two 240-bit
     # evaluations, and its residual at the rounded double is a third
     # (the residual target of 1e-30 took four).  A point that starts
     # further off, where its second correction is still above 2^-70,
     # takes a fourth; (17, 3, 5) refines 7 points and the refinement
     # cell 2, all from double precision.  Every 240-bit evaluation, a
-    # refine step or a residual, forms b1 and b2 once, through
-    # _fixed_members
-    calls = [0]
-    points = [0]
-    inner_members = roots_module._fixed_members
-    inner_refine = roots_module._refine_mp
-
-    def counted_members(*args):
-        calls[0] += 1
-        return inner_members(*args)
-
-    def counted_refine(*args):
-        points[0] += len(args[2])
-        return inner_refine(*args)
-
-    monkeypatch.setattr(roots_module, "_fixed_members", counted_members)
-    monkeypatch.setattr(roots_module, "_refine_mp", counted_refine)
+    # refine step or a residual, is one call of _fixed_terms, counted in
+    # COUNTS["refine_evals"]
+    counts = roots_module.COUNTS
     for cell, refined in (((17, 3, 5), 7), ((12, 4, 4), 2)):
-        calls[0] = points[0] = 0
+        before = dict(counts)
         roots, res, _ = _family_roots_full(*cell)
-        assert points[0] == refined and max(res) <= 1e-9
-        assert calls[0] == 3 * points[0], cell
+        grown = {key: counts[key] - before.get(key, 0)
+                 for key in ("refined", "refine_evals")}
+        assert max(res) <= 1e-9
+        assert grown == {"refined": refined, "refine_evals": 3 * refined}, cell
 
 
 def test_witness_plan_is_computed_once_and_doubles_by_appending():
