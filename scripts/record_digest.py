@@ -112,17 +112,18 @@ density target whose lines differ, prints
         uncertified U U' root Z Z'
 
 with A and B the record or point counts of the tree and of OTHER, M the
-worst relative distance |a - b| / |b| over the nearest-neighbour match
-of the tree's roots or points onto OTHER's (for a density target, that
-of its found or closest root), and RA and RB the worst residual on each
-side; after each kind, one line ``match moved C of T KIND lines``.  A
-density target whose found flag, cell or uncertified count differs
-takes the ``differs`` line, with OTHER's values primed and Z the found
-or closest root on each side (to 5 decimals).  It exits 1, naming the
-cell or curve, when the counts differ or the match is not one-to-one
-(equal roots, such as a repeated root reported once per multiplicity,
-are matched as one root with their count), and after the density
-summary when some target took a ``differs`` line.
+worst relative distance |a - b| / |b| over the one-to-one match of the
+tree's roots or points onto OTHER's, taken as multisets, that makes the
+sum of those distances least (scipy's linear_sum_assignment; a repeated
+root is matched copy by copy, also where one tree places its copies at
+two doubles; for a density target, M is the move of its found or
+closest root), and RA and RB the worst residual on each side; after
+each kind, one line ``match moved C of T KIND lines``.  A density
+target whose found flag, cell or uncertified count differs takes the
+``differs`` line, with OTHER's values primed and Z the found or closest
+root on each side (to 5 decimals).  It exits 1, naming the cell or
+curve, when the counts differ, and after the density summary when some
+target took a ``differs`` line.
 
 A parent/child diff across the change that removed the package's
 rational-function type passes both runs ``--only
@@ -142,6 +143,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 ROOT = Path(__file__).resolve().parents[1]
 # the cells a sweep run sends at --seconds 30: two rounds of 24
@@ -377,21 +379,13 @@ def _complex(rows, at: int = 0) -> np.ndarray:
                      for r in rows])
 
 
-def _worst_move(key, a: np.ndarray, b: np.ndarray) -> float:
-    """The worst |a_i - b_j| / |b_j| over the nearest-neighbour match of
-    the roots a onto b, which must be one-to-one on the distinct roots
-    with equal multiplicities; SystemExit naming the key otherwise."""
-    ua, ca = np.unique(a, return_counts=True)
-    ub, cb = np.unique(b, return_counts=True)
-    dist = np.abs(ua[:, None] - ub[None, :])
-    near = dist.argmin(axis=1)
-    if (
-        len(ua) != len(ub)
-        or not (dist.argmin(axis=0)[near] == np.arange(len(ua))).all()
-        or not (ca == cb[near]).all()
-    ):
-        raise SystemExit(f"{key}: the nearest match is not one-to-one")
-    return float(np.max(np.abs(ua - ub[near]) / np.abs(ub[near])))
+def _worst_move(a: np.ndarray, b: np.ndarray) -> float:
+    """The worst |a_i - b_j| / |b_j| over the one-to-one match of the
+    roots a onto the roots b (two multisets of one size) that makes the
+    sum of those relative distances least."""
+    cost = np.abs(a[:, None] - b[None, :]) / np.abs(b)[None, :]
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
 
 
 def _moved(ours: dict, theirs: dict, kind: str):
@@ -444,7 +438,7 @@ def _match_lines(args, workloads, yamada):
             if len(a) != len(b):
                 raise SystemExit(f"{kind} {key}: {len(a)} records against"
                                  f" {len(b)}")
-            move = _worst_move((kind, *key), _complex(a), _complex(b))
+            move = _worst_move(_complex(a), _complex(b))
             if kind == "curve":
                 yield ("match", kind, *key, "points", len(a), len(b), "move",
                        f"{move:.3e}")

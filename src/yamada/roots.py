@@ -11,17 +11,18 @@ and h = log(sigma lambda2^n / lambda1^n) does not provably wind zero
 times about every odd multiple of i pi along the circle (the argument
 principle's count of the zeros inside).
 
-A family member is solved through dense coefficients only when it has
-repeated roots: each of its square-free factors (Yun) then goes through
-the dense path of _dense_solve, and its records still carry the
-structured residual (see _family_roots_full).  Every other member is not.
-Raising the lambdas to the n-th power spreads the coefficients over
-hundreds of orders of magnitude, and a double-precision Horner evaluation
-of such a polynomial is noise near the unit circle: the rounding floor
-(machine epsilon times the largest term) can exceed the true value by
-twenty orders.  Any dense method, ours or numpy's, then returns points
-that are roots only of a noise-perturbed polynomial.  Instead the
-two-power structure is evaluated directly: with
+The member n = 1 is -sigma^s b^s exactly, with b of _closed_parts, so
+its roots, repeated ones included, are known in closed form: only z^2k
+b, of degree at most k + 1, goes through the dense path of _dense_solve,
+and its records still carry the structured residual (_first_member).  No
+other member is solved through dense coefficients, and none checked has
+a repeated root.  Raising the lambdas to the n-th power spreads the
+coefficients over hundreds of orders of magnitude, and a double-precision
+Horner evaluation of such a polynomial is noise near the unit circle: the
+rounding floor (machine epsilon times the largest term) can exceed the
+true value by twenty orders.  Any dense method, ours or numpy's, then
+returns points that are roots only of a noise-perturbed polynomial.
+Instead the two-power structure is evaluated directly: with
 E = lambda1^n / (sigma lambda2^n), computed as an exponential of
 n log(lambda1/lambda2) - log sigma from the lambdas, each a few
 products in the paper's closed forms (_closed_parts), a root is E = -1,
@@ -29,8 +30,9 @@ the residual is |E + 1| / (|E| + 1), and the Newton correction follows
 from the log derivative.  The simultaneous Aberth-Ehrlich iteration then runs on that
 functional form.  It starts a member with n >= 3 from the roots of its n
 branches lambda1 = t_j lambda2, t_j^n = -1 (_branch_starts), which is
-where the roots gather; other members start from circles fitted to the
-exact integer coefficients (_initial_points).
+where the roots gather; the members with n = 2, and those of columns
+whose coefficients are not exact doubles, start from circles fitted to
+the exact integer coefficients (_initial_points).
 
 Every member has integer coefficients, so its roots are closed under
 conjugation, and a member that starts from its branches (on an exact
@@ -77,7 +79,6 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
-from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -86,7 +87,6 @@ from .errors import YamadaError
 from .laurent import (
     LaurentPoly,
     PoleAtZero,
-    _divexact,
     _poly_gcd,
     exact_div,
     sigma,
@@ -719,19 +719,18 @@ class _Column:
     here; _family_roots_full refuses such a column (no cell this module
     is asked about has one).
 
-    stack is the read-only (m, 2) float matrix of the rows of lambda1
-    and lambda2, zero-padded at the high end; row(j), j = 0 or 1, is
-    lambda(j+1)'s row without the padding.  The limit curve evaluates
-    the two from their rows by Horner (_gap_vectorized, _grid_moduli,
-    axis).  exact is False when some coefficient of a part, or of its
-    derivative (c_j (lo + j)), is not its integer exactly as a double
-    (from s = 17 for most k); the members of such a column keep the
-    circle starts (_family_roots_full).
+    exact is False when some coefficient of a part, or of its derivative
+    (c_j (lo + j)), is not its integer exactly as a double (from s = 17
+    for most k); the members of such a column keep the circle starts
+    (_family_roots_full).
 
-    pair holds the branch rows of _branch_starts: the (2, D + 1) float
-    coefficients, ascending, of z^-L lambda1 and z^-L lambda2, with L the
-    lower of their two low exponents and D their joint exponent span, each
-    row zero-padded to that span.
+    pair is the read-only (2, D + 1) float matrix of the coefficients,
+    ascending, of z^-L lambda1 and z^-L lambda2, with L the lower of
+    their two low exponents and D their joint exponent span, each row
+    zero-padded to that span: the branch rows of _branch_starts.  row(j),
+    j = 0 or 1, is lambda(j+1)'s slice of it, without the padding; the
+    limit curve evaluates the two lambdas from those rows by Horner
+    (_gap_vectorized, _grid_moduli, axis).
 
     lows and bounds serve the exclusion test, for lambda1, lambda2 and
     sigma written as z^lo p: their low exponents as a (3, 1) column, and
@@ -747,7 +746,6 @@ class _Column:
     sign: str
     parts: tuple
     coprime: bool
-    stack: np.ndarray
     exact: bool
     pair: np.ndarray
     lows: np.ndarray
@@ -756,7 +754,8 @@ class _Column:
     def row(self, j: int) -> tuple[int, np.ndarray]:
         """(lo, float coefficients) of lambda(j+1), without the padding."""
         lo, cs = self.parts[j]
-        return lo, self.stack[: len(cs), j]
+        start = lo - min(self.parts[0][0], self.parts[1][0])
+        return lo, self.pair[j, start : start + len(cs)]
 
     @cached_property
     def discs(self) -> tuple:
@@ -791,10 +790,6 @@ def _column(s: int, k: int, sign: str) -> _Column:
         (lo, tuple(cs))
         for lo, cs in (p.dense_coeffs() for p in (l1, l2, *reduced))
     )
-    stack = np.zeros((max(len(cs) for _, cs in parts[:2]), 2))
-    for j, (_, cs) in enumerate(parts[:2]):
-        stack[: len(cs), j] = [float(c) for c in cs]
-    stack.flags.writeable = False
     exact = all(
         float(v) == v
         for lo, cs in parts
@@ -823,7 +818,6 @@ def _column(s: int, k: int, sign: str) -> _Column:
         sign=sign,
         parts=parts,
         coprime=coprime,
-        stack=stack,
         exact=exact,
         pair=pair,
         lows=np.array([[lo] for lo, _ in terms], dtype=float),
@@ -1560,80 +1554,6 @@ def _overlapping(z: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
-# a prime below 2^31: a product of two residues fits in an int64
-_PRIME = 2**31 - 1
-
-
-def _square_free_mod_p(coeffs: list[int]) -> bool:
-    """True when gcd(q, q') mod _PRIME is a nonzero constant for the
-    integer polynomial q = coeffs (ascending) and _PRIME does not divide
-    its leading coefficient.  q mod p then has q's degree and no repeated
-    factor, so q has none over Q either.  False proves nothing.
-
-    Euclid's algorithm over F_p on int64 vectors: each step cancels the
-    top coefficient of the dividend with one vector operation."""
-    p = _PRIME
-    if coeffs[-1] % p == 0:
-        return False
-
-    def trim(x):
-        nz = np.nonzero(x)[0]
-        return x[: nz[-1] + 1] if len(nz) else x[:0]
-
-    a = np.array([c % p for c in coeffs], dtype=np.int64)
-    b = trim(a[1:] * np.arange(1, len(a)) % p)
-    while len(b) > 1:
-        inv = pow(int(b[-1]), p - 2, p)
-        db = len(b) - 1
-        a = a.copy()
-        for i in range(len(a) - 1, db - 1, -1):
-            f = int(a[i]) * inv % p
-            if f:
-                a[i - db : i + 1] = (a[i - db : i + 1] - f * b) % p
-        a, b = b, trim(a[:db])
-    return len(b) == 1
-
-
-def _square_free_parts(
-    coeffs: list[int],
-) -> list[tuple[int, list[int]]] | None:
-    """None when the integer polynomial q = coeffs (ascending) is
-    square-free, else its square-free factorization: pairs (i, a_i) with
-    q a constant times the product of the a_i^i, each a_i primitive,
-    non-constant, square-free and prime to the others.
-
-    The mod-p test (_square_free_mod_p) settles the usual case; the
-    factorization is Yun's algorithm (Yun, SYMSAC 1976) over Z, with the
-    primitive-PRS gcd and exact division.  Every division is exact over
-    Z by Gauss's lemma, since each divisor is primitive."""
-    if _square_free_mod_p(coeffs):
-        return None
-
-    def deriv(f):
-        return [i * c for i, c in enumerate(f)][1:]
-
-    def minus(f, g):
-        out = [x - y for x, y in zip_longest(f, g, fillvalue=0)]
-        while out and not out[-1]:
-            out.pop()
-        return out
-
-    g = _poly_gcd(coeffs, deriv(coeffs))
-    if len(g) == 1:
-        return None
-    b, c = _divexact(coeffs, g), _divexact(deriv(coeffs), g)
-    parts = []
-    i = 1
-    while len(b) > 1:
-        dd = minus(c, deriv(b))
-        a = _poly_gcd(b, dd)
-        b, c = _divexact(b, a), _divexact(dd, a)
-        if len(a) > 1:
-            parts.append((i, a))
-        i += 1
-    return parts
-
-
 def _axis_starts(n: int, column: _Column) -> np.ndarray:
     """Real starts of the member n of the column: one in each bracket of
     its real-axis table (_Column.axis) where lambda1^n + sigma lambda2^n
@@ -1771,8 +1691,8 @@ def _solve(
     z: np.ndarray,
     real: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Aberth solve (for d >= 2) and the polish of the reduced member
-    n of the column, of degree d and low exponent lo, from the starts z:
+    """The Aberth solve and the polish of the reduced member n of the
+    column, of degree d and low exponent lo, from the starts z:
     the d points of a full configuration, or with real a half one (see
     _aberth).  Returns the points, their residuals and the disc test of
     the d-point full configuration (_mirrored's order): the mask of the
@@ -1784,14 +1704,48 @@ def _solve(
     real point's disc, symmetric about the axis, holds a real one.  The
     points are finite (the starts are, and _aberth and _polish take no
     step that is not), so for d >= 2 an infinite disc meets every other
-    one: no meeting disc also proves every radius finite.
+    one: no meeting disc also proves every radius finite.  Every member
+    solved here has n >= 2, and every such member checked (n = 2 and 3
+    for s, k <= 12, both signs) has d >= 3.
     """
     evaluate = partial(_family_ratio, n, column, lo)
-    if d > 1:
-        z, _ = _aberth(evaluate, z, partial(_residual_floor, n, column), real)
+    z, _ = _aberth(evaluate, z, partial(_residual_floor, n, column), real)
     z, res = _polish(evaluate, z, real)
     discs = _mirrored(_inclusion_radii(n, column, lo, d, z), real)
     return z, res, _overlapping(_mirrored(z, real), discs)
+
+
+def _first_member(column: _Column) -> tuple[np.ndarray, np.ndarray, int]:
+    """The roots of the member n = 1 of the column, apart from the
+    cyclotomic pair, each as often as it is a root of the member, with
+    their residuals, and the number of times the member has the pair.
+
+    The theta and bouquet of s twist bands give lambda1 + sigma lambda2 =
+    -a^s = -sigma^s b^s exactly, with a = sigma b and b of _closed_parts,
+    where z^2k b = B = 1 - (-1)^(k-1) (z^(k+1) + z^(k-1)) has degree k + 1
+    (for k = 1, b is the constant -1).  At a root omega of c = z^2 + z +
+    1, B(omega) = 1 - (-omega)^k, so c divides B exactly when 6 | k, and
+    then once (e = 1; the tests check that B / c^e is square-free and
+    prime to c).  As sigma = z^-1 c, the member's roots are those of B /
+    c^e, each s times, from one dense solve of degree at most k + 1
+    (_dense_solve), and the pair s (1 + e) times; sign - is the mirror,
+    whose B is reversed.  The residuals are _family_ratio's, or
+    _residuals_mp's where that is above _REFINE_ABOVE; nothing is
+    refined."""
+    s, k = column.s, column.k
+    e = int(k % 6 == 0)
+    B = LaurentPoly({2 * k - j: c for j, c in _twist_terms(k)[3]})
+    _, cs = exact_div(B, _CYCLOTOMIC**e).dense_coeffs()
+    if column.sign == "-":
+        cs = cs[::-1]
+    z = _dense_solve(cs)[0] if len(cs) > 1 else np.empty(0, complex)
+    # a repeated root makes the Newton ratio 0 / 0
+    with np.errstate(all="ignore"):
+        res, _ = _family_ratio(1, column, 0, z)
+    high = res > _REFINE_ABOVE
+    if high.any():
+        res[high] = _residuals_mp(1, column, z[high])
+    return np.repeat(z, s), np.repeat(res, s), s * (1 + e)
 
 
 def _family_roots_full(
@@ -1803,13 +1757,17 @@ def _family_roots_full(
     The cyclotomic factor z^2 + z + 1 that the two power terms share (see
     _Column) is divided out exactly first; its roots are known in closed
     form and come back with residual zero (they are exact roots, placed
-    to double precision).  The exact integer coefficients of the reduced
-    polynomial q, of degree d, fix the degree; every evaluation, in
-    float64 and in the 240-bit refine alike, goes through the power-sum
-    form and the closed forms of its parts (_closed_parts), which stay
-    conditioned at any n.
+    to double precision), as often as they are roots of the member.  The
+    member n = 1 has repeated roots for s >= 2 or 6 | k, all known in
+    closed form before any solve (_first_member).  No member with n =
+    2-6 and s, k <= 8 has a repeated root.  For n >= 2 the exact integer
+    coefficients of the reduced polynomial q, of degree d, fix the
+    degree; every evaluation, in float64 and in the 240-bit refine
+    alike, goes through the power-sum form and the closed forms of its
+    parts (_closed_parts), which stay conditioned at any n.
 
-    One pipeline: starts, _solve, the 240-bit refine, the records.
+    One pipeline for n >= 2: starts, _solve, the 240-bit refine, the
+    records.
     - A member with n >= 3 on an exact column (_Column.exact) is solved
       on the half configuration of _branch_starts first.  That is kept
       only when no two of the d discs meet (see _solve), which proves
@@ -1836,18 +1794,6 @@ def _family_roots_full(
     - The records are the points, then the conjugates of a half
       configuration's upper points, each with its partner's residual; a
       real point of a half configuration has imaginary part 0.0.
-
-    Discs that meet on the full configuration may mean a repeated root,
-    where Aberth converges only linearly and the refine would split the
-    root into a cluster.  So there, for n > 1, q is first tested for
-    being square-free (_square_free_parts).  If it is not, the points are
-    replaced: each square-free part a_i of q is solved for its simple
-    roots (_dense_solve), and each root is reported i times, with the
-    residual of the structured evaluation, or of _residuals_mp where
-    that is above _REFINE_ABOVE; nothing is refined.  Among the members
-    the benchmarks visit, only n = 1 members have repeated roots, so an
-    n = 1 member is tested before any solve, and one with repeated roots
-    is never solved whole.
     """
     p = family_polynomial(n, s, k, sign, degree_cap=degree_cap)
     degree = len(p.dense_coeffs()[1]) - 1
@@ -1857,13 +1803,15 @@ def _family_roots_full(
             f"the two power terms for (s, k) = ({s}, {k}) share a factor;"
             " the family root structure is degenerate there"
         )
-    lo, coeffs = exact_div(p, _CYCLOTOMIC).dense_coeffs()
-    d = len(coeffs) - 1
     # the real mask of a kept half configuration; None for a full one
     real = None
-    parts = _square_free_parts(coeffs) if n == 1 and d > 1 else None
-    if parts is None:
-        branched = n > 2 and column.exact and d > 1
+    if n == 1:
+        z, res, copies = _first_member(column)
+    else:
+        copies = 1
+        lo, coeffs = exact_div(p, _CYCLOTOMIC).dense_coeffs()
+        d = len(coeffs) - 1
+        branched = n > 2 and column.exact
         starts = _branch_starts(n, column, d) if branched else None
         if starts is not None:
             z, res, meets = _solve(n, column, lo, d, *starts)
@@ -1872,25 +1820,9 @@ def _family_roots_full(
             COUNTS["fallback" if real is None else "half"] += 1
         if real is None:
             z = _full_branch_starts(n, column, d) if branched else None
-            if d < 2:
-                z = np.array([-coeffs[0] / coeffs[1]] if d else [], complex)
-            elif z is None:
+            if z is None:
                 z = _initial_points(coeffs)
             z, res, meets = _solve(n, column, lo, d, z)
-            if meets.any() and n > 1:
-                parts = _square_free_parts(coeffs)
-    if parts:
-        z = np.concatenate([
-            np.repeat(_dense_solve(a)[0], i)
-            for i, a in parts
-        ])
-        # a point on a repeated root may make the Newton ratio 0 / 0
-        with np.errstate(all="ignore"):
-            res, _ = _family_ratio(n, column, lo, z)
-        high = res > _REFINE_ABOVE
-        if high.any():
-            res[high] = _residuals_mp(n, column, z[high])
-    else:
         shaky = meets[: len(z)] | (res > _REFINE_ABOVE)
         if shaky.any():
             COUNTS["refined"] += int(shaky.sum())
@@ -1898,8 +1830,8 @@ def _family_roots_full(
             sub = None if real is None else real[shaky]
             z[shaky], res[shaky] = _refine_mp(n, column, z[shaky], frozen, sub)
     roots, residuals = _ordered(
-        [*_mirrored(z, real), *_CYCLOTOMIC_ROOTS],
-        [*_mirrored(res, real), 0.0, 0.0],
+        [*_mirrored(z, real), *(_CYCLOTOMIC_ROOTS * copies)],
+        [*_mirrored(res, real), *((0.0, 0.0) * copies)],
     )
     return roots, residuals, degree
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from yamada.cli import main
-from yamada.laurent import LaurentPoly, PoleAtZero, exact_div, sigma
+from yamada.laurent import LaurentPoly, PoleAtZero, _poly_gcd, exact_div, sigma
 from yamada.replace import (
     family_degree_estimate,
     family_lambdas,
@@ -64,8 +64,6 @@ from yamada.roots import (
     _repulsion_fixed,
     _residual_floor,
     _residuals_mp,
-    _square_free_mod_p,
-    _square_free_parts,
     _steps,
     _winding,
     _witness_plan,
@@ -1242,13 +1240,54 @@ def test_witness_serialization_both_branches():
 
 
 # ---------------------------------------------------------------------------
-# square-free solves of members with repeated roots
+# the members n = 1 in closed form
 
-def _multiplicity(coeffs, z, cluster):
+def _twist_b(k: int) -> LaurentPoly:
+    """B = z^2k b = 1 - (-1)^(k-1) (z^(k+1) + z^(k-1)), from b = z^-2k -
+    t and the twist factor t = (-1)^(k-1) (z + z^-1) z^-k."""
+    sgn = (-1) ** (k - 1)
+    return LaurentPoly({0: 1}) - LaurentPoly({k + 1: sgn, k - 1: sgn})
+
+
+def test_n1_member_is_minus_sigma_b_to_the_s():
+    # the theta and bouquet of s twist bands: lambda1 + sigma lambda2 =
+    # -a^s = -sigma^s b^s exactly, with b = z^-2k B; sign - is the mirror
+    # z -> 1/z
+    for s, k, sign in itertools.product(range(1, 9), range(1, 9), "+-"):
+        b = _twist_b(k).shift(-2 * k)
+        if sign == "-":
+            b = b.mirror()
+        l1, l2 = family_lambdas(s, k, sign)
+        assert l1 + sigma() * l2 == -((sigma() * b) ** s), (s, k, sign)
+
+
+def test_twist_b_is_square_free_and_meets_c_only_for_six_dividing_k():
+    # B(omega) = 1 - (-omega)^k at a root omega of c = z^2 + z + 1, so c
+    # divides B exactly when 6 | k (e = 1), and B / c^e is square-free
+    # and prime to c; B has degree k + 1 (for k = 1 it is -z^2)
+    c = _CYCLOTOMIC.dense_coeffs()[1]
+    for k in range(1, 61):
+        B = _twist_b(k)
+        lo, cs = B.dense_coeffs()
+        assert lo + len(cs) - 1 == k + 1
+        e = len(_poly_gcd(cs, c)) > 1
+        assert e == (k % 6 == 0), k
+        if e:
+            cs = exact_div(B, _CYCLOTOMIC).dense_coeffs()[1]
+        slope = [j * x for j, x in enumerate(cs)][1:]
+        assert len(cs) == 1 or len(_poly_gcd(cs, slope)) == 1, k
+        assert len(_poly_gcd(cs, c)) == 1, k
+
+
+def _multiplicity(coeffs, z):
     """The multiplicity of the nonzero point z as a root of the integer
     polynomial sum_k coeffs[k] z^k, read off at 240 bits: the first
-    derivative that is not small against its own term scale.  cluster is the number of records placed at z; every lower
-    derivative must vanish to the scale a double point allows."""
+    derivative that is not small against its own term scale.  On the n =
+    1 cells of the sweep grid, the derivatives below the multiplicity
+    keep at most 2.3e-16 of their scale at a record, and the first one
+    that does not vanish at least 2.5e-7 (its terms cancel: the fourth
+    derivative of (1, 4, 5, +) at the cyclotomic root), so the cut is
+    1e-10."""
     with mpmath.workprec(240):
         w = mpmath.mpc(z)
         cs = [mpmath.mpf(c) for c in coeffs]
@@ -1256,18 +1295,20 @@ def _multiplicity(coeffs, z, cluster):
             terms = [c * math.perm(k, j) * w ** (k - j)
                      for k, c in enumerate(cs) if k >= j]
             value = abs(mpmath.fsum(terms))
-            scale = mpmath.fsum(abs(t) for t in terms)
-            if value > 1e-6 * scale:
+            if value > 1e-10 * mpmath.fsum(abs(t) for t in terms):
                 return j
-            assert j >= cluster or value <= 1e-10 * scale
     raise AssertionError("every derivative vanishes")
 
 
+# the n = 1 cells of the benchmark's sweep grid, with both signs
+N1_CELLS = list(itertools.product(range(1, 5), range(1, 7), "+-"))
+
+
 def test_square_free_solve_of_repeated_root_members(monkeypatch):
-    # the n = 1 members with repeated roots are solved factor by factor
-    # (Yun) and never reach the 240-bit refine; each value comes back as
-    # often as it is a root of the exact member, the two cyclotomic roots
-    # included (one exact record plus the copies from the reduced q)
+    # every n = 1 member of the sweep grid is solved from its closed form
+    # (-sigma^s b^s) and never reaches the 240-bit refine: one record per
+    # degree, and each value comes back exactly as often as it is a root
+    # of the exact member, the cyclotomic roots included
     refines = []
     inner = roots_module._refine_mp
 
@@ -1276,22 +1317,50 @@ def test_square_free_solve_of_repeated_root_members(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(roots_module, "_refine_mp", counted)
-    for n, s, k in ((1, 2, 2), (1, 2, 3), (1, 4, 6)):
-        roots, res, degree = _family_roots_full(n, s, k)
-        assert len(roots) == degree and max(res) <= 1e-9
-        coeffs = family_polynomial(n, s, k, "+").dense_coeffs()[1]
-        z = np.array(roots)
-        same = np.abs(z[:, None] - z[None, :]) <= 1e-12 * np.abs(z)[:, None]
-        seen = set()
-        for i, w in enumerate(roots):
-            if i in seen:
-                continue
-            group = set(np.nonzero(same[i])[0].tolist())
-            seen |= group
-            assert _multiplicity(coeffs, w, len(group)) == len(group)
-        assert len(seen) == degree
-        assert max(same.sum(axis=1)) > 1
-    assert refines == []
+    repeated = 0
+    for s, k, sign in N1_CELLS:
+        roots, res, degree = _family_roots_full(1, s, k, sign)
+        assert len(roots) == degree and max(res) <= 1e-9, (s, k, sign)
+        coeffs = family_polynomial(1, s, k, sign).dense_coeffs()[1]
+        for w, count in Counter(roots).items():
+            assert _multiplicity(coeffs, w) == count, (s, k, sign, w)
+        repeated += len(set(roots)) < len(roots)
+    assert refines == [] and repeated == 38
+
+
+def test_cyclotomic_copies_are_the_rounded_roots():
+    # every copy of a root of c = z^2 + z + 1 in the records of an n = 1
+    # member is the correctly rounded root with residual 0.0, as is the
+    # pair stripped from every member; the member has the pair s (1 + e)
+    # times, with e = 1 when 6 | k
+    exact = [complex(-0.5, math.sqrt(3) / 2), complex(-0.5, -math.sqrt(3) / 2)]
+    for s, k, sign in N1_CELLS:
+        roots, res, _ = _family_roots_full(1, s, k, sign)
+        near = [(z, r) for z, r in zip(roots, res)
+                if min(abs(z - w) for w in exact) < 1e-6]
+        copies = s * (1 + (k % 6 == 0))
+        assert Counter(z for z, _ in near) == dict.fromkeys(exact, copies), (
+            s, k, sign)
+        assert all(r == 0.0 for _, r in near), (s, k, sign)
+
+
+def test_density_tie_names_one_cell():
+    # (1, 1, 3, -) and (1, 2, 3, -) share the real root sqrt(phi) of the
+    # reversed z^6 b, from the same dense solve, so the two records are
+    # one double; the density benchmark's NotFound queries on either side
+    # of the axis both name the first cell of the plan, with that root
+    targets = [z for z in _bench_targets()
+               if abs(complex(z.real, abs(z.imag)) - 1.3250 - 0.2099j) < 1e-3]
+    assert len(targets) == 2
+    closest = []
+    for z0 in targets:
+        out = density_witness(z0, BENCH_EPS, BENCH_CAPS)
+        assert isinstance(out, NotFound)
+        rec = out.closest
+        assert (rec.n, rec.s, rec.k, rec.sign) == (1, 1, 3, "-")
+        closest.append(rec.root)
+    assert closest[0] == closest[1]
+    assert abs(closest[0] - math.sqrt((1 + math.sqrt(5)) / 2)) < 1e-12
 
 
 def test_branch_starts_give_one_start_per_root_on_the_sweep_grid():
@@ -1339,7 +1408,8 @@ def test_branch_started_members_match_the_dense_oracle():
 def test_sweep_cells_have_no_equal_records(monkeypatch):
     # the cells of the benchmark's seed-1 sweep (two rounds of 24): no two
     # records of a cell are equal, except the repeated roots of a member
-    # that has them (reported once per multiplicity)
+    # that has them (reported once per multiplicity): the members n = 1
+    # with s >= 2 or 6 | k, whose multiplicities are checked above
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
@@ -1347,8 +1417,7 @@ def test_sweep_cells_have_no_equal_records(monkeypatch):
     cells = {tuple(req.spec[1:5]) for req in itertools.islice(stream, 48)}
     checked = 0
     for n, s, k, sign in sorted(cells):
-        member = exact_div(family_polynomial(n, s, k), _CYCLOTOMIC)
-        if _square_free_parts(member.dense_coeffs()[1]) is not None:
+        if n == 1 and (s > 1 or k % 6 == 0):
             continue
         records = scan_family([n], [s], [k], signs=(sign,))
         roots = [r.root for r in records]
@@ -1479,9 +1548,9 @@ def test_witness_plan_is_computed_once_and_doubles_by_appending():
 
 
 def test_repeated_root_members_are_never_solved_whole(monkeypatch):
-    # an n = 1 member with repeated roots is split into its square-free
-    # parts before any Aberth solve: every solve is of a part, of lower
-    # degree than the reduced member
+    # an n = 1 member with repeated roots is never solved whole: its only
+    # Aberth solve is of z^2k b / c^e, of degree at most k + 1, far below
+    # that of the reduced member
     sizes = []
     inner = roots_module._aberth
 
@@ -1495,26 +1564,11 @@ def test_repeated_root_members_are_never_solved_whole(monkeypatch):
         _, coeffs = exact_div(
             family_polynomial(1, s, k, "+"), _CYCLOTOMIC
         ).dense_coeffs()
-        assert _square_free_parts(coeffs)
+        slope = [j * c for j, c in enumerate(coeffs)][1:]
+        assert len(_poly_gcd(coeffs, slope)) > 1
         roots, res, degree = _family_roots_full(1, s, k)
         assert len(roots) == degree and max(res) <= 1e-9
-        assert max(sizes, default=0) < len(coeffs) - 1
-
-
-def test_square_free_parts_of_a_planted_product():
-    # (z - 2)^3 (z + 1) (z^2 + 1)^2, times 6: Yun's parts by multiplicity
-    p = LaurentPoly({1: 1, 0: -2}) ** 3 * LaurentPoly({1: 1, 0: 1})
-    p = p * LaurentPoly({2: 1, 0: 1}) ** 2 * LaurentPoly({0: 6})
-    parts = _square_free_parts(p.dense_coeffs()[1])
-    assert parts == [(1, [1, 1]), (2, [1, 0, 1]), (3, [-2, 1])]
-    assert not _square_free_mod_p(p.dense_coeffs()[1])
-    # square-free members pass the mod-p test and have no parts
-    for n, s, k in ((2, 2, 2), (4, 2, 3), (1, 1, 1)):
-        q = family_polynomial(n, s, k, "+").dense_coeffs()[1]
-        assert _square_free_mod_p(q) and _square_free_parts(q) is None
-    # a leading coefficient the prime divides proves nothing
-    assert not _square_free_mod_p([1, 0, 2**31 - 1])
-    assert _square_free_parts([1, 0, 2**31 - 1]) is None
+        assert len(sizes) == 1 and sizes[0] <= k + 1 < len(coeffs) - 1
 
 
 # ---------------------------------------------------------------------------
