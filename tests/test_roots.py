@@ -1285,9 +1285,9 @@ def _multiplicity(coeffs, z):
     derivative that is not small against its own term scale.  On the n =
     1 cells of the sweep grid, the derivatives below the multiplicity
     keep at most 2.3e-16 of their scale at a record, and the first one
-    that does not vanish at least 2.5e-7 (its terms cancel: the fourth
-    derivative of (1, 4, 5, +) at the cyclotomic root), so the cut is
-    1e-10."""
+    that does not vanish at least 2.5e-7, as its terms cancel (5.1e-7
+    for the fourth derivative of (1, 4, 5, +) at the cyclotomic root),
+    so the cut is 1e-10."""
     with mpmath.workprec(240):
         w = mpmath.mpc(z)
         cs = [mpmath.mpf(c) for c in coeffs]
