@@ -26,10 +26,12 @@ have exactly one record within 1e-9 |z|.  A last line sums them:
 
   total cells C half H fallback F above A refined R seconds T
 
-A SET is ``past-grid``, the 91 exact-column members with n = 3-6, s =
-5-8, k = 1-8 and family_degree_estimate at most 260; ``named``, the
-cells (2, 10, 2), (8, 5, 6), (16, 5, 6) and (24, 5, 6); or one cell
-``n:s:k``.  The default is ``past-grid``.
+A SET is ``past-grid``, the 91 members with n = 3-6, s = 5-8, k = 1-8
+and family_degree_estimate at most 260; ``named``, the cells (2, 10,
+2), (8, 5, 6), (16, 5, 6) and (24, 5, 6); ``past-cap``, the members n
+= 3 and 4 of the columns (17, 2), (17, 4), (17, 6), (18, 7), (19, 5),
+(20, 6) and (22, 3), whose coefficients pass 2^53, and (2, 16, 6); or
+one cell ``n:s:k``.  The default is ``past-grid``.
 
 ``--density`` runs one cold ``roots.density_witness`` at each of the 81
 targets of the density benchmark (its probe, each lattice target and
@@ -92,6 +94,11 @@ from compare import commit_of
 
 ROOT = Path(__file__).resolve().parents[1]
 NAMED = [(2, 10, 2), (8, 5, 6), (16, 5, 6), (24, 5, 6)]
+PAST_CAP = [
+    (n, s, k)
+    for s, k in ((17, 2), (17, 4), (17, 6), (18, 7), (19, 5), (20, 6), (22, 3))
+    for n in (3, 4)
+] + [(2, 16, 6)]
 TOL = 1e-9
 FIELDS = ("degree", "path", "above", "worst", "refined", "oracle")
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -116,6 +123,8 @@ def cells_of(spec: str) -> list[tuple[int, int, int]]:
             ]
         elif item == "named":
             out += NAMED
+        elif item == "past-cap":
+            out += PAST_CAP
         else:
             parts = item.split(":")
             if len(parts) != 3 or not all(p.isdigit() for p in parts):

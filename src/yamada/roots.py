@@ -30,13 +30,12 @@ the residual is |E + 1| / (|E| + 1), and the Newton correction follows
 from the log derivative.  The simultaneous Aberth-Ehrlich iteration then runs on that
 functional form.  It starts a member with n >= 3 from the roots of its n
 branches lambda1 = t_j lambda2, t_j^n = -1 (_branch_starts), which is
-where the roots gather; the members with n = 2, and those of columns
-whose coefficients are not exact doubles, start from circles fitted to
-the exact integer coefficients (_initial_points).
+where the roots gather; the members with n = 2 start from circles
+fitted to the exact integer coefficients (_initial_points).
 
 Every member has integer coefficients, so its roots are closed under
-conjugation, and a member that starts from its branches (on an exact
-column) is solved on half of them: the real points and the points
+conjugation, and a member that starts from its branches is solved on
+half of them: the real points and the points
 above the real axis, each of the latter standing for itself and its
 conjugate.  Only half of the branches are solved, the real starts come
 from sign changes of the member on the real axis (_axis_starts), and
@@ -56,7 +55,9 @@ Everything the module evaluates of the pair lambda1, lambda2 comes from
 one record per (s, k, sign) column (_column): the solve, its bounds and
 its 240-bit refine (from the closed forms, _closed_parts, on doubles,
 on balls and on 240-bit Gaussian floats), the exclusion test, the limit
-curve and its gap (from the exact coefficients).
+curve's grid (from the float rows), and the limit curve's gap and the
+half solve's real-axis table (from the paper's two-power form,
+_two_power).
 
 General Laurent polynomials (without the power-sum structure) still go
 through the dense path, with residuals normalized by the largest
@@ -357,8 +358,8 @@ def _initial_points(coeffs: Sequence) -> np.ndarray:
     """Starting points from the upper convex hull of (i, log|c_i|).
 
     The dense path starts every solve here (_dense_solve), and so does
-    the family path for members with n < 3, on a column that is not
-    exact, or where the branches give no starts (_full_branch_starts).
+    the family path for members with n = 2, or where the branches give
+    no starts (_full_branch_starts).
 
     The coefficients may be exact integers far beyond float range; their
     magnitudes only enter through math.log, which takes ints of any size.
@@ -719,18 +720,12 @@ class _Column:
     here; _family_roots_full refuses such a column (no cell this module
     is asked about has one).
 
-    exact is False when some coefficient of a part, or of its derivative
-    (c_j (lo + j)), is not its integer exactly as a double (from s = 17
-    for most k); the members of such a column keep the circle starts
-    (_family_roots_full).
-
     pair is the read-only (2, D + 1) float matrix of the coefficients,
     ascending, of z^-L lambda1 and z^-L lambda2, with L the lower of
     their two low exponents and D their joint exponent span, each row
     zero-padded to that span: the branch rows of _branch_starts.  row(j),
-    j = 0 or 1, is lambda(j+1)'s slice of it, without the padding; the
-    limit curve evaluates the two lambdas from those rows by Horner
-    (_gap_vectorized, _grid_moduli, axis).
+    j = 0 or 1, is lambda(j+1)'s slice of it, without the padding, from
+    which the limit curve's grid takes its moduli (_grid_moduli).
 
     lows and bounds serve the exclusion test, for lambda1, lambda2 and
     sigma written as z^lo p: their low exponents as a (3, 1) column, and
@@ -746,7 +741,6 @@ class _Column:
     sign: str
     parts: tuple
     coprime: bool
-    exact: bool
     pair: np.ndarray
     lows: np.ndarray
     bounds: np.ndarray | None
@@ -763,21 +757,20 @@ class _Column:
         return tuple(_zero_discs(cs) for _, cs in terms)
 
     @cached_property
-    def axis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x, logs, signs) on the real axis at x = -r and r for the
-        default radii r of limit_curve_points, geomspace(0.05, 20, 240):
-        x of shape (2, 240), the negative ray then the positive one, and
-        log |p(x)| and the sign of p(x) of shape (3, 2, 240) for p =
-        lambda1, lambda2 and sigma, in float64."""
-        r = np.geomspace(0.05, 20.0, 240)
-        x = np.stack([-r, r])
-        values = [
-            np.polynomial.polynomial.polyval(x, c) * x**lo
-            for lo, c in (self.row(0), self.row(1))
-        ]
-        values = np.array([*values, x + 1.0 + 1.0 / x])
+    def axis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(x, log |lambda1 / lambda2|, log |sigma|, signs) on the real
+        axis at x = -r and r, r = geomspace(0.05, 20, 240), the rays as
+        the rows of each (2, 240) array, and the signs of lambda1, lambda2
+        and sigma (3, 2, 240), from _two_power, where nothing overflows."""
+        x = np.geomspace(0.05, 20.0, 240) * np.array([[-1.0], [1.0]])
+        z = x if self.sign == "+" else 1 / x
+        sig, over, r, base = _two_power(z, self.s, self.k)
+        p, q = np.where(over, [sig * r + 1, r - 1], [sig + r, 1 - r])
+        lead = np.sign(1 + sig) * np.sign(base) ** self.s
+        signs = np.array([-lead * np.sign(p), lead * np.sign(q), np.sign(sig)])
         with np.errstate(divide="ignore"):
-            return x, np.log(np.abs(values)), np.sign(values)
+            logs = np.log(np.abs(p)) - np.log(np.abs(q))
+            return x, logs, np.log(np.abs(sig)), signs
 
 
 @lru_cache(maxsize=None)
@@ -789,12 +782,6 @@ def _column(s: int, k: int, sign: str) -> _Column:
     parts = tuple(
         (lo, tuple(cs))
         for lo, cs in (p.dense_coeffs() for p in (l1, l2, *reduced))
-    )
-    exact = all(
-        float(v) == v
-        for lo, cs in parts
-        for j, c in enumerate(cs)
-        for v in (c, c * (lo + j))
     )
     (lo1, c1), (lo2, c2) = parts[:2]
     low = min(lo1, lo2)
@@ -818,7 +805,6 @@ def _column(s: int, k: int, sign: str) -> _Column:
         sign=sign,
         parts=parts,
         coprime=coprime,
-        exact=exact,
         pair=pair,
         lows=np.array([[lo] for lo, _ in terms], dtype=float),
         bounds=bounds,
@@ -831,33 +817,58 @@ def _column(s: int, k: int, sign: str) -> _Column:
 def limit_curve_gap(z: complex, s: int, k: int) -> float:
     """|lambda1(z)| - |lambda2(z)| for the two powers competing in the
     family polynomial; its zero set is where roots accumulate as the
-    cycle length grows.  It is _gap_vectorized at the one point z, on the
-    (s, k, +) column.
+    cycle length grows.  It is _gap_vectorized's bracket |p|^2 - |q|^2 at
+    z times |base|^s / (|1 + sigma| (|p| + |q|)) (_two_power), so its
+    sign is the one limit_curve_points bisects.
 
-    Both lambdas are exact Laurent polynomials here (the divisions by
-    sigma come out even), but points with sigma(z) = 0 or sigma(z) = -1
-    are rejected anyway: there the second term's coefficient sigma or the
-    theta normalization 1 + sigma vanishes and the two-power reading of
-    the family breaks down.  A z that is not finite raises ValueError.
+    Points with sigma(z) = 0 or sigma(z) = -1 are rejected: there the
+    second term's coefficient sigma or the theta normalization 1 + sigma
+    vanishes and the two-power reading of the family breaks down.  A z
+    that is not finite raises ValueError.
     """
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, not {z}")
     if z == 0:
         raise PoleEncountered("z = 0 is outside the Laurent domain")
-    sig = z + 1.0 + 1.0 / z
-    if abs(sig) < 1e-12 or abs(sig + 1.0) < 1e-12:
-        raise PoleEncountered(f"sigma({z}) is 0 or -1")
     zs = np.array([z], dtype=complex)
-    return float(_gap_vectorized(zs, _column(s, k, "+"))[0])
+    sig, over, r, base = _two_power(zs, s, k)
+    if abs(sig[0]) < 1e-12 or abs(sig[0] + 1.0) < 1e-12:
+        raise PoleEncountered(f"sigma({z}) is 0 or -1")
+    size = np.abs(np.where(over, sig * r + 1, sig + r)) + np.abs(r - 1)
+    scale = np.abs(base) ** s / np.abs(1 + sig)
+    return float((scale * _gap_vectorized(zs, s, k) / size)[0])
 
 
-def _gap_vectorized(zs: np.ndarray, column: _Column) -> np.ndarray:
-    """|lambda1(z)| - |lambda2(z)| at the points zs, by one complex Horner
-    pass over each lambda's row of the column."""
-    (lo1, c1), (lo2, c2) = column.row(0), column.row(1)
-    v1 = np.polynomial.polynomial.polyval(zs, c1)
-    v2 = np.polynomial.polynomial.polyval(zs, c2)
-    return np.abs(v1 * zs ** lo1) - np.abs(v2 * zs ** lo2)
+def _two_power(z: np.ndarray, s: int, k: int) -> tuple:
+    """(sigma, over, r, base): the pair of the (s, k, +) column at the
+    points z in the paper's two-power form.  With w and b of _closed_parts
+    and a = sigma b, (1 + sigma) lambda2 = w^s - a^s and (1 + sigma)
+    lambda1 = -(sigma w^s + a^s) exactly (checked in the tests).  over
+    masks |a| > |w|; base is w, or a under the mask, and r = (a / w)^s, or
+    (w / a)^s under it, so |r| <= 1 at any s.  Then lambda1 / lambda2 =
+    -p / q and (1 + sigma) lambda2 = base^s q, with p = sigma + r and q =
+    1 - r, or p = sigma r + 1 and q = r - 1 under the mask.  Sign - is
+    the mirror: its pair at z is this one at 1 / z."""
+    u = 1 / z
+    powers = [u**j for j in range(2 * k + 2)]
+    w, b = (_monomial_sum(terms, powers) for terms in _twist_terms(k)[2:])
+    sig = z + 1 + u
+    a = sig * b
+    over = np.abs(a) > np.abs(w)
+    base, top = np.where(over, [a, w], [w, a])
+    return sig, over, (top / base) ** s, base
+
+
+def _gap_vectorized(zs: np.ndarray, s: int, k: int) -> np.ndarray:
+    """The sign of |lambda1| - |lambda2| at the points zs: the bracket
+    |p|^2 - |q|^2 of _two_power expanded, |sigma|^2 - 1 + 2 Re((1 +
+    sigma) conj r), or (|sigma|^2 - 1) |r|^2 + 2 Re((1 + sigma) r) under
+    the mask (the |r|^2 terms cancel), which keeps its accuracy where
+    |r| is tiny and |p| - |q| would cancel."""
+    sig, over, r, _ = _two_power(zs, s, k)
+    cross = np.where(over, (1 + sig) * r, (1 + sig) * r.conj()).real
+    norm = sig.real**2 + sig.imag**2 - 1
+    return np.where(over, norm * (r.real**2 + r.imag**2), norm) + 2 * cross
 
 
 def _grid_moduli(
@@ -932,17 +943,15 @@ def limit_curve_points(
     grid's gaps are used, and a sign is taken from the product only
     where the gap exceeds the slack of both lambdas, 64 D u sum_j (1 +
     |j + lo|) |c_j| r^(j + lo) each (u = 2^-53, D terms).  That bounds,
-    with room to spare, both the distance of the product's moduli from
-    the true ones and the error of _gap_vectorized's complex Horner pass
-    at the rounded grid point: the rounding of the phases j theta and of
-    2 pi / angles, of the cosines, sines, powers and D-term sums, and
-    for Horner its running bound, z^lo and the rounding of the point.  So
-    there the product's sign is the sign _gap_vectorized gives.  Every
-    other grid point takes _gap_vectorized's value, as the bisection does
+    with room to spare, the distance of the product's moduli from the
+    true ones: the rounding of the phases j theta and of 2 pi / angles,
+    of the cosines, sines, powers and D-term sums.  So there the
+    product's sign is the true sign.  Every other grid point takes its
+    sign from _gap_vectorized, the two-power form, as the bisection does
     throughout, and so does every radius where some power or sum could
     leave the range e^{+-300} in which those bounds hold (its slack is
-    infinite): the points are bit for bit those of a grid evaluated by
-    _gap_vectorized alone.
+    infinite); the tests check that the points are bit for bit those of
+    a grid evaluated by _gap_vectorized alone.
     """
     for name, size in (("angles", angles), ("radial", radial)):
         if not isinstance(size, int):
@@ -974,7 +983,7 @@ def limit_curve_points(
         m2, slack2 = _grid_moduli(column.row(1), thetas, radii)
         gaps = m1 - m2
         ai, ri = np.nonzero(~(np.abs(gaps) > slack1 + slack2))
-        gaps[ai, ri] = _gap_vectorized(radii[ri] * units[ai], column)
+        gaps[ai, ri] = _gap_vectorized(radii[ri] * units[ai], s, k)
     # 0 marks a point without a usable sign
     signs = np.where(np.isfinite(gaps), np.sign(gaps), 0.0)
 
@@ -999,7 +1008,7 @@ def limit_curve_points(
             z = np.where(
                 ray[i], mid * units[ai[i]], scale[i] * np.exp(1j * mid)
             )
-            gm = _gap_vectorized(z, column)
+            gm = _gap_vectorized(z, s, k)
             left = np.sign(gm) * np.sign(glo[i]) > 0
             lo[i] = np.where(left, mid, lo[i])
             glo[i] = np.where(left, gm, glo[i])
@@ -1043,7 +1052,7 @@ def omega_member(z: complex) -> bool:
 
 _REFINE_ABOVE = 1e-10
 # counted in this process since import, for the tests and the audit to
-# read: members of n >= 3 on exact columns whose half configuration
+# read: members of n >= 3 whose half configuration
 # _family_roots_full kept ("half") or, its discs meeting, replaced by the
 # full one ("fallback"), the points it sent to the 240-bit refine
 # ("refined") and the 240-bit evaluations of a member (_fixed_terms)
@@ -1560,7 +1569,8 @@ def _axis_starts(n: int, column: _Column) -> np.ndarray:
     changes sign, at the bracket's midpoint.
 
     The sign at each point comes from the two terms' logs and signs: the
-    term with the larger log gives it, and on a tie of logs with opposite
+    term with the larger log gives it, lambda1^n where n log |lambda1 /
+    lambda2| exceeds log |sigma|, and on a tie of logs with opposite
     signs the point has no sign and closes no bracket.  A bracket whose
     end signs are right holds an odd number of real roots, so the count
     is that of the member's real roots when no bracket holds three or
@@ -1569,13 +1579,11 @@ def _axis_starts(n: int, column: _Column) -> np.ndarray:
     configuration built on these starts is kept only when its inclusion
     discs prove the count (_solve, _family_roots_full).
     """
-    x, logs, signs = column.axis
-    l1 = n * logs[0]
-    l2 = logs[2] + n * logs[1]
+    x, ratio, l2, signs = column.axis
     s1 = signs[0] ** n
     s2 = signs[2] * signs[1] ** n
-    sign = np.where(l1 > l2, s1, s2)
-    sign = np.where((l1 == l2) & (s1 != s2), 0.0, sign)
+    sign = np.where(n * ratio > l2, s1, s2)
+    sign = np.where((n * ratio == l2) & (s1 != s2), 0.0, sign)
     ray, i = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
     return 0.5 * (x[ray, i] + x[ray, i + 1])
 
@@ -1768,8 +1776,8 @@ def _family_roots_full(
 
     One pipeline for n >= 2: starts, _solve, the 240-bit refine, the
     records.
-    - A member with n >= 3 on an exact column (_Column.exact) is solved
-      on the half configuration of _branch_starts first.  That is kept
+    - A member with n >= 3 is solved on the half configuration of
+      _branch_starts first.  That is kept
       only when no two of the d discs meet (see _solve), which proves
       one root in each and the real count; COUNTS["half"] counts it.
     - Otherwise the member is solved in full, from all of its branches
@@ -1779,13 +1787,7 @@ def _family_roots_full(
       magnitudes taken in log form, since they overflow floats long
       before the caps do).  The branch starts drop sigma, whose n-th
       root is furthest from 1 for small n: for n = 2 they left more
-      records above 1e-9 on (2, 12, 2).  A column that is not exact
-      keeps the circles.  That gate dates from when its floors and radii
-      were infinite and every point went to the refine; the branch
-      starts then left more records above 1e-9 on some such members and
-      fewer on others.  Its floors and radii now come from the closed
-      forms like every other column's, and the branch starts have not
-      been measured there again.
+      records above 1e-9 on (2, 12, 2).
     - The points whose disc meets another or whose residual is above
       _REFINE_ABOVE go to _refine_mp, with the others frozen together
       with their mirrors: a point with an isolated disc already holds
@@ -1811,15 +1813,14 @@ def _family_roots_full(
         copies = 1
         lo, coeffs = exact_div(p, _CYCLOTOMIC).dense_coeffs()
         d = len(coeffs) - 1
-        branched = n > 2 and column.exact
-        starts = _branch_starts(n, column, d) if branched else None
+        starts = _branch_starts(n, column, d) if n > 2 else None
         if starts is not None:
             z, res, meets = _solve(n, column, lo, d, *starts)
             real = None if meets.any() else starts[1]
-        if branched:
+        if n > 2:
             COUNTS["fallback" if real is None else "half"] += 1
         if real is None:
-            z = _full_branch_starts(n, column, d) if branched else None
+            z = _full_branch_starts(n, column, d) if n > 2 else None
             if z is None:
                 z = _initial_points(coeffs)
             z, res, meets = _solve(n, column, lo, d, z)

@@ -568,7 +568,7 @@ def test_residual_floor_holds_at_refined_roots():
 
 def test_a_column_with_rounded_entries_gets_finite_bounds():
     # from s = 17 some coefficients of a column's parts, or of their
-    # derivatives, pass 2^53 and are rounded as doubles (_Column.exact).
+    # derivatives, pass 2^53 and are rounded as doubles.
     # The balls of _bounded_terms read no coefficient, only the small
     # integers of the closed forms, so on the column (17, 2) the floors
     # are finite at the records of (1, 17, 2) and of (2, 17, 2), the
@@ -577,10 +577,10 @@ def test_a_column_with_rounded_entries_gets_finite_bounds():
     # 2), whose roots are simple,
     # are, and each inclusion disc holds a root of the reduced
     # polynomial, found by Newton at 400 bits from the disc's centre
-    assert _column(16, 2, "+").exact and _column(17, 1, "+").exact
     s, k = 17, 2
     column = _column(s, k, "+")
-    assert not column.exact
+    assert any(float(v) != v for lo, cs in column.parts
+               for j, c in enumerate(cs) for v in (c, c * (lo + j)))
     for n in (1, 2):
         roots, res, _ = _family_roots_full(n, s, k)
         assert max(res) <= 1e-9
@@ -1002,10 +1002,10 @@ def test_limit_curve_points_rejects_unsampleable_grids():
             limit_curve_points(2, 2, **grid)
 
 
-def _curve_by_horner(monkeypatch, s, k, **grid):
-    """limit_curve_points with every grid point taken from
-    _gap_vectorized, as before the matrix grid: the product's slack is
-    made infinite, so no sign is taken from it."""
+def _curve_by_gap(monkeypatch, s, k, **grid):
+    """limit_curve_points on the grid evaluated by the gap alone: the
+    product's slack is made infinite, so no sign is taken from it and
+    every grid point takes _gap_vectorized's."""
     def unsure(p, thetas, radii):
         return np.zeros((len(thetas), len(radii))), np.full(len(radii), np.inf)
 
@@ -1014,19 +1014,20 @@ def _curve_by_horner(monkeypatch, s, k, **grid):
         return limit_curve_points(s, k, **grid)
 
 
-def test_matrix_grid_gives_the_horner_grid_curve(monkeypatch):
-    # bit for bit the curve of the complex Horner grid, on the default
-    # grid and on edge grids (at r_lo = 1e-3 the (4, 4) column has a grid
-    # point 1e-10 off the curve, where the two evaluations can disagree
-    # in sign; the slack sends it back to _gap_vectorized).  The last
-    # grid reaches radii where the powers leave the range of the slack's
-    # bound, and those radii are evaluated by _gap_vectorized alone
+def test_matrix_grid_gives_the_gap_grid_curve(monkeypatch):
+    # bit for bit the curve of the grid evaluated by the gap alone, on
+    # the default grid and on edge grids (at r_lo = 1e-3 the (4, 4)
+    # column has a grid point 1e-10 off the curve, where the two
+    # evaluations can disagree in sign; the slack sends it back to
+    # _gap_vectorized).  The last grid reaches radii where the powers
+    # leave the range of the slack's bound, and those radii are
+    # evaluated by _gap_vectorized alone
     grids = [dict(), dict(angles=1), dict(radial=1), dict(r_lo=1e-3),
              dict(r_hi=1e3), dict(angles=97, radial=53, r_lo=1e-3, r_hi=1e3),
              dict(angles=90, radial=60, r_lo=1e-12, r_hi=1e12)]
     for s, k in ((1, 1), (2, 3), (4, 4), (3, 6)):
         for grid in grids:
-            want = _curve_by_horner(monkeypatch, s, k, **grid)
+            want = _curve_by_gap(monkeypatch, s, k, **grid)
             assert limit_curve_points(s, k, **grid) == want, (s, k, grid)
 
 
@@ -1259,6 +1260,81 @@ def test_n1_member_is_minus_sigma_b_to_the_s():
             b = b.mirror()
         l1, l2 = family_lambdas(s, k, sign)
         assert l1 + sigma() * l2 == -((sigma() * b) ** s), (s, k, sign)
+
+
+def test_pair_is_the_two_power_form():
+    # (1 + sigma) lambda2 = w^s - a^s and (1 + sigma) lambda1 = -(sigma
+    # w^s + a^s) exactly, with w = z^-2k (sigma + T), a = z^-2k sigma (1 -
+    # T) and T = (-1)^(k-1) z^k (sigma - 1), the form _two_power reads;
+    # sign - is the mirror z -> 1/z
+    one = LaurentPoly({0: 1})
+    for s, k, sign in itertools.product(range(1, 9), range(1, 7), "+-"):
+        T = LaurentPoly({k: (-1) ** (k - 1)}) * (sigma() - one)
+        w = (sigma() + T).shift(-2 * k)
+        a = (sigma() * (one - T)).shift(-2 * k)
+        if sign == "-":
+            w, a = w.mirror(), a.mirror()
+        l1, l2 = family_lambdas(s, k, sign)
+        assert (one + sigma()) * l2 == w**s - a**s, (s, k, sign)
+        assert (one + sigma()) * l1 == -(sigma() * w**s + a**s), (s, k, sign)
+
+
+def _mp_gap(s, k):
+    """|lambda1| - |lambda2| at 300 bits from the exact coefficients of
+    family_lambdas, evaluated by mpmath (not by the library)."""
+    rows = [p.dense_coeffs() for p in family_lambdas(s, k, "+")]
+
+    def gap(z):
+        with mpmath.workprec(300):
+            x = mpmath.mpc(z)
+            l1, l2 = (mpmath.polyval(cs[::-1], x) * x**lo for lo, cs in rows)
+            return abs(l1) - abs(l2)
+
+    return gap
+
+
+def _changes_sign(gap, z, h, radial_only=False):
+    steps = [(z * (1 - h), z * (1 + h))]
+    if not radial_only:
+        steps.append((z * cmath.exp(-1j * h), z * cmath.exp(1j * h)))
+    return any(gap(a) * gap(b) <= 0 for a, b in steps)
+
+
+def test_limit_curve_points_on_the_mpmath_gap():
+    # every real point of the s = 3 curves has a sign change of the
+    # 300-bit gap within 1e-8 relative along the axis (the parent put
+    # nine of them 0.8-4.6e-6 off, from Horner's cancellation on the
+    # dense rows), and a fixed sample of 30 points of each larger-s
+    # curve has one within 1e-6, radially or along its circle (the
+    # parent missed 4, 85 and 97 of 150 there)
+    for k in range(1, 7):
+        gap = _mp_gap(3, k)
+        real = [z for z in limit_curve_points(3, k) if z.imag == 0]
+        assert real, k
+        for z in real:
+            assert _changes_sign(gap, z, 1e-8, radial_only=True), (3, k, z)
+    for s, k in ((8, 2), (12, 4), (16, 2)):
+        gap = _mp_gap(s, k)
+        pts = limit_curve_points(s, k)
+        for z in pts[:: max(1, len(pts) // 30)][:30]:
+            assert _changes_sign(gap, z, 1e-6), (s, k, z)
+
+
+def test_a_member_past_the_caps_keeps_its_half_configuration():
+    # (3, 17, 6): the real-axis table and the gap read the pair from the
+    # two-power form, which does not overflow at s = 17, and the member
+    # starts from its branches like any other n >= 3; the parent sent it
+    # to circle starts and returned 2 records at residual 1.0
+    import warnings
+
+    before = dict(roots_module.COUNTS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots, res, degree = _family_roots_full(3, 17, 6, degree_cap=None)
+    counts = roots_module.COUNTS
+    assert counts["half"] == before.get("half", 0) + 1
+    assert counts["fallback"] == before.get("fallback", 0)
+    assert len(roots) == degree and max(res) <= 1e-9
 
 
 def test_twist_b_is_square_free_and_meets_c_only_for_six_dividing_k():
