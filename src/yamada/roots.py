@@ -765,7 +765,7 @@ class _Column:
         x = np.geomspace(0.05, 20.0, 240) * np.array([[-1.0], [1.0]])
         z = x if self.sign == "+" else 1 / x
         sig, over, r, base = _two_power(z, self.s, self.k)
-        p, q = np.where(over, [sig * r + 1, r - 1], [sig + r, 1 - r])
+        p, q = _pq(sig, over, r)
         lead = np.sign(1 + sig) * np.sign(base) ** self.s
         signs = np.array([-lead * np.sign(p), lead * np.sign(q), np.sign(sig)])
         with np.errstate(divide="ignore"):
@@ -817,26 +817,25 @@ def _column(s: int, k: int, sign: str) -> _Column:
 def limit_curve_gap(z: complex, s: int, k: int) -> float:
     """|lambda1(z)| - |lambda2(z)| for the two powers competing in the
     family polynomial; its zero set is where roots accumulate as the
-    cycle length grows.  It is _gap_vectorized's bracket |p|^2 - |q|^2 at
-    z times |base|^s / (|1 + sigma| (|p| + |q|)) (_two_power), so its
-    sign is the one limit_curve_points bisects.
+    cycle length grows.  It is _bracket's |p|^2 - |q|^2 at z times
+    |base|^s / (|1 + sigma| (|p| + |q|)) (_two_power), so its sign is
+    the one limit_curve_points bisects.
 
     Points with sigma(z) = 0 or sigma(z) = -1 are rejected: there the
     second term's coefficient sigma or the theta normalization 1 + sigma
     vanishes and the two-power reading of the family breaks down.  A z
-    that is not finite raises ValueError.
+    that is not finite, or s or k below 1, raises ValueError.
     """
-    if not cmath.isfinite(z):
-        raise ValueError(f"z must be finite, not {z}")
+    if s < 1 or k < 1 or not cmath.isfinite(z):
+        raise ValueError(f"need s, k at least 1 and z finite: {s, k, z}")
     if z == 0:
         raise PoleEncountered("z = 0 is outside the Laurent domain")
-    zs = np.array([z], dtype=complex)
-    sig, over, r, base = _two_power(zs, s, k)
+    sig, over, r, base = _two_power(np.array([z], dtype=complex), s, k)
     if abs(sig[0]) < 1e-12 or abs(sig[0] + 1.0) < 1e-12:
         raise PoleEncountered(f"sigma({z}) is 0 or -1")
-    size = np.abs(np.where(over, sig * r + 1, sig + r)) + np.abs(r - 1)
-    scale = np.abs(base) ** s / np.abs(1 + sig)
-    return float((scale * _gap_vectorized(zs, s, k) / size)[0])
+    p, q = _pq(sig, over, r)
+    scale = np.abs(base) ** s / (np.abs(1 + sig) * (np.abs(p) + np.abs(q)))
+    return float((scale * _bracket(sig, over, r))[0])
 
 
 def _two_power(z: np.ndarray, s: int, k: int) -> tuple:
@@ -844,11 +843,10 @@ def _two_power(z: np.ndarray, s: int, k: int) -> tuple:
     points z in the paper's two-power form.  With w and b of _closed_parts
     and a = sigma b, (1 + sigma) lambda2 = w^s - a^s and (1 + sigma)
     lambda1 = -(sigma w^s + a^s) exactly (checked in the tests).  over
-    masks |a| > |w|; base is w, or a under the mask, and r = (a / w)^s, or
-    (w / a)^s under it, so |r| <= 1 at any s.  Then lambda1 / lambda2 =
-    -p / q and (1 + sigma) lambda2 = base^s q, with p = sigma + r and q =
-    1 - r, or p = sigma r + 1 and q = r - 1 under the mask.  Sign - is
-    the mirror: its pair at z is this one at 1 / z."""
+    masks |a| > |w|; base is w, or a under the mask, and r = (a / w)^s,
+    or (w / a)^s under it, so |r| <= 1 at any s.  Then lambda1 / lambda2
+    = -p / q and (1 + sigma) lambda2 = base^s q, with p and q of _pq.
+    Sign - is the mirror: its pair at z is this one at 1 / z."""
     u = 1 / z
     powers = [u**j for j in range(2 * k + 2)]
     w, b = (_monomial_sum(terms, powers) for terms in _twist_terms(k)[2:])
@@ -859,13 +857,17 @@ def _two_power(z: np.ndarray, s: int, k: int) -> tuple:
     return sig, over, (top / base) ** s, base
 
 
-def _gap_vectorized(zs: np.ndarray, s: int, k: int) -> np.ndarray:
-    """The sign of |lambda1| - |lambda2| at the points zs: the bracket
-    |p|^2 - |q|^2 of _two_power expanded, |sigma|^2 - 1 + 2 Re((1 +
-    sigma) conj r), or (|sigma|^2 - 1) |r|^2 + 2 Re((1 + sigma) r) under
-    the mask (the |r|^2 terms cancel), which keeps its accuracy where
-    |r| is tiny and |p| - |q| would cancel."""
-    sig, over, r, _ = _two_power(zs, s, k)
+def _pq(sig: np.ndarray, over: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(p, q) of _two_power: p = sigma + r and q = 1 - r, or p = sigma r
+    + 1 and q = r - 1 under the mask."""
+    return np.where(over, [sig * r + 1, r - 1], [sig + r, 1 - r])
+
+
+def _bracket(sig: np.ndarray, over: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The sign of |lambda1| - |lambda2|: |p|^2 - |q|^2 of _pq expanded,
+    |sigma|^2 - 1 + 2 Re((1 + sigma) conj r), or (|sigma|^2 - 1) |r|^2 +
+    2 Re((1 + sigma) r) under the mask (the |r|^2 terms cancel), which
+    keeps its accuracy where |r| is tiny and |p| - |q| would cancel."""
     cross = np.where(over, (1 + sig) * r, (1 + sig) * r.conj()).real
     norm = sig.real**2 + sig.imag**2 - 1
     return np.where(over, norm * (r.real**2 + r.imag**2), norm) + 2 * cross
@@ -917,13 +919,13 @@ def limit_curve_points(
     interval on a ray, with scale 1, and an angle interval on a circle,
     with scale its radius, so that the scaled width is the length along
     the ray or the arc.  One loop halves them all, each step evaluating
-    the midpoints of every open bracket in one _gap_vectorized call, and
-    a bracket closes once its scaled width is at most refine: a bracket
+    the midpoints of every open bracket in one _bracket call, and a
+    bracket closes once its scaled width is at most refine: a bracket
     that is short enough is not halved again while wider ones still
     are.  Each point is its bracket's midpoint, the same double whatever
-    brackets share a step, since _gap_vectorized is pointwise.  The
-    points come back sorted by angle then radius, deterministically for
-    fixed arguments.  The grid needs ints angles >= 1 and radial >= 1
+    brackets share a step, since _bracket is pointwise.  The points come
+    back sorted by angle then radius, deterministically for fixed
+    arguments.  The grid needs ints angles >= 1 and radial >= 1
     and finite radii 0 < r_lo < r_hi; anything else raises ValueError,
     and so does a refine that is not positive.
 
@@ -947,11 +949,11 @@ def limit_curve_points(
     true ones: the rounding of the phases j theta and of 2 pi / angles,
     of the cosines, sines, powers and D-term sums.  So there the
     product's sign is the true sign.  Every other grid point takes its
-    sign from _gap_vectorized, the two-power form, as the bisection does
+    sign from _bracket, the two-power form, as the bisection does
     throughout, and so does every radius where some power or sum could
     leave the range e^{+-300} in which those bounds hold (its slack is
     infinite); the tests check that the points are bit for bit those of
-    a grid evaluated by _gap_vectorized alone.
+    a grid evaluated by _bracket alone.
     """
     for name, size in (("angles", angles), ("radial", radial)):
         if not isinstance(size, int):
@@ -983,7 +985,7 @@ def limit_curve_points(
         m2, slack2 = _grid_moduli(column.row(1), thetas, radii)
         gaps = m1 - m2
         ai, ri = np.nonzero(~(np.abs(gaps) > slack1 + slack2))
-        gaps[ai, ri] = _gap_vectorized(radii[ri] * units[ai], s, k)
+        gaps[ai, ri] = _bracket(*_two_power(radii[ri] * units[ai], s, k)[:3])
     # 0 marks a point without a usable sign
     signs = np.where(np.isfinite(gaps), np.sign(gaps), 0.0)
 
@@ -1008,7 +1010,7 @@ def limit_curve_points(
             z = np.where(
                 ray[i], mid * units[ai[i]], scale[i] * np.exp(1j * mid)
             )
-            gm = _gap_vectorized(z, s, k)
+            gm = _bracket(*_two_power(z, s, k)[:3])
             left = np.sign(gm) * np.sign(glo[i]) > 0
             lo[i] = np.where(left, mid, lo[i])
             glo[i] = np.where(left, gm, glo[i])

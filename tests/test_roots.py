@@ -65,6 +65,7 @@ from yamada.roots import (
     _residual_floor,
     _residuals_mp,
     _steps,
+    _two_power,
     _winding,
     _witness_plan,
     _zero_free,
@@ -1005,7 +1006,7 @@ def test_limit_curve_points_rejects_unsampleable_grids():
 def _curve_by_gap(monkeypatch, s, k, **grid):
     """limit_curve_points on the grid evaluated by the gap alone: the
     product's slack is made infinite, so no sign is taken from it and
-    every grid point takes _gap_vectorized's."""
+    every grid point takes _bracket's."""
     def unsure(p, thetas, radii):
         return np.zeros((len(thetas), len(radii))), np.full(len(radii), np.inf)
 
@@ -1019,9 +1020,9 @@ def test_matrix_grid_gives_the_gap_grid_curve(monkeypatch):
     # the default grid and on edge grids (at r_lo = 1e-3 the (4, 4)
     # column has a grid point 1e-10 off the curve, where the two
     # evaluations can disagree in sign; the slack sends it back to
-    # _gap_vectorized).  The last grid reaches radii where the powers
+    # _bracket).  The last grid reaches radii where the powers
     # leave the range of the slack's bound, and those radii are
-    # evaluated by _gap_vectorized alone
+    # evaluated by _bracket alone
     grids = [dict(), dict(angles=1), dict(radial=1), dict(r_lo=1e-3),
              dict(r_hi=1e3), dict(angles=97, radial=53, r_lo=1e-3, r_hi=1e3),
              dict(angles=90, radial=60, r_lo=1e-12, r_hi=1e12)]
@@ -1318,6 +1319,22 @@ def test_limit_curve_points_on_the_mpmath_gap():
         pts = limit_curve_points(s, k)
         for z in pts[:: max(1, len(pts) // 30)][:30]:
             assert _changes_sign(gap, z, 1e-6), (s, k, z)
+
+
+def test_limit_curve_gap_is_the_mpmath_gap():
+    # the rescaled bracket is |lambda1| - |lambda2| itself, on both sides
+    # of the |a| > |w| mask of _two_power, and s, k below 1 are rejected
+    for s, k in ((3, 2), (8, 2)):
+        gap = _mp_gap(s, k)
+        sides = set()
+        for z in (0.5 + 0.5j, -0.7 + 0.2j, 1.5j, 3.0):
+            sides.add(bool(_two_power(np.array([z]), s, k)[1][0]))
+            want = float(gap(z))
+            assert limit_curve_gap(z, s, k) == pytest.approx(want, rel=1e-9)
+        assert sides == {False, True}, (s, k)
+    for s, k in ((0, 2), (2, 0), (-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="at least 1"):
+            limit_curve_gap(0.5 + 0.5j, s, k)
 
 
 def test_a_member_past_the_caps_keeps_its_half_configuration():
