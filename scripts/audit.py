@@ -11,20 +11,22 @@ Solves each cell (n, s, k) of the sets, sign +, with
 ``yamada`` from ``DIR/src`` (``--tree``, default the tree this script
 sits in), and prints one line per cell:
 
-  cell n s k degree D path P above A worst W refined R seconds T
+  cell n s k degree D path P above A worst W refined R seconds T aberth B
 
 D is the member's degree, P the configuration the solve kept (``half``
 or ``fallback``, read from ``roots.COUNTS``; ``-`` for a member that
 never tries the half one), A the records with a residual above 1e-9, W
 the worst residual, R the points the solve sent to the 240-bit refine
-(``roots.COUNTS["refined"]``; a tree that does not count them reads 0)
-and T the process time of the solve.  A cell with frozen oracle roots
+(``roots.COUNTS["refined"]``; a tree that does not count them reads 0),
+T the process time of the solve and B the points its float64 Aberth
+iterations evaluated (``roots.COUNTS["aberth_evals"]``, 0 likewise).
+A cell with frozen oracle roots
 (``tests/fixtures/oracle_<n>_<s>_<k>.json`` of the tree this script
 sits in, so that both trees of ``--against`` meet the same oracle)
 prints ``oracle M of N`` before its seconds: M of its N oracle roots z
 have exactly one record within 1e-9 |z|.  A last line sums them:
 
-  total cells C half H fallback F above A refined R seconds T
+  total cells C half H fallback F above A refined R seconds T aberth B
 
 A SET is ``past-grid``, the 91 members with n = 3-6, s = 5-8, k = 1-8
 and family_degree_estimate at most 260; ``named``, the cells (2, 10,
@@ -154,6 +156,8 @@ def audit(spec: str) -> list[dict]:
             "above": sum(r > TOL for r in residuals),
             "worst": max(residuals, default=0.0),
             "refined": roots.COUNTS["refined"] - before.get("refined", 0),
+            "aberth": roots.COUNTS["aberth_evals"]
+            - before.get("aberth_evals", 0),
             "oracle": oracle_count(n, s, k, records),
             "seconds": seconds,
         })
@@ -212,6 +216,7 @@ def totals(cells: list[dict]) -> dict:
         "fallback": sum(c["path"] == "fallback" for c in cells),
         "above": sum(c["above"] for c in cells),
         "refined": sum(c["refined"] for c in cells),
+        "aberth": sum(c["aberth"] for c in cells),
         "seconds": sum(c["seconds"] for c in cells),
     }
 
@@ -235,11 +240,11 @@ def print_audit(cells: list[dict]) -> None:
               f" refined {c['refined']}"
               + ("" if c["oracle"] is None
                  else f" oracle {c['oracle'][0]} of {c['oracle'][1]}")
-              + f" seconds {c['seconds']:.3f}")
+              + f" seconds {c['seconds']:.3f} aberth {c['aberth']}")
     t = totals(cells)
     print(f"total cells {t['cells']} half {t['half']} fallback"
           f" {t['fallback']} above {t['above']} refined {t['refined']}"
-          f" seconds {t['seconds']:.3f}")
+          f" seconds {t['seconds']:.3f} aberth {t['aberth']}")
 
 
 def print_density(targets: list[dict]) -> None:
@@ -271,7 +276,7 @@ def against_cells(this: list[dict], theirs: dict) -> list[dict]:
     t = theirs["totals"]
     print(f"total against cells {t['cells']} half {t['half']} fallback"
           f" {t['fallback']} above {t['above']} refined {t['refined']}"
-          f" seconds {t['seconds']:.3f}")
+          f" seconds {t['seconds']:.3f} aberth {t['aberth']}")
     print(f"against changed {len(changed)} more_above {more}"
           f" half_to_fallback {down}")
     return changed

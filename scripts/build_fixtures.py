@@ -8,6 +8,8 @@ byte-identical files.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import pathlib
 import sys
@@ -19,7 +21,7 @@ import mpmath
 from yamada.diagram import DiagramCode, code_to_dict, make_code, yamada_r
 from yamada.laurent import compare_up_to_unit
 from yamada.replace import family_polynomial
-from yamada.roots import _family_roots_full, omega_member
+from yamada.roots import _family_roots_full, limit_curve_points, omega_member
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 
@@ -240,6 +242,23 @@ def freeze_oracle_roots(n: int, s: int, k: int, sign: str, bits: int = 400) -> N
     print(f"wrote {path.name} ({degree} roots, separation {float(gap):.1e})")
 
 
+def freeze_curve_digests() -> None:
+    """Freeze the sha256 of the limit curve of each of the 24 (s, k)
+    columns the sweep samples (s = 1-4, k = 1-6) on the default grid,
+    over "re im\\n" in float.hex for each point, as the curve lines of
+    scripts/record_digest.py hash them.  A change that moves one point
+    of one curve by one bit changes its digest."""
+    digests = {}
+    for s, k in itertools.product(range(1, 5), range(1, 7)):
+        rows = "".join(
+            f"{z.real.hex()} {z.imag.hex()}\n" for z in limit_curve_points(s, k)
+        )
+        digests[f"{s} {k}"] = hashlib.sha256(rows.encode()).hexdigest()
+    path = OUT / "curve_digests.json"
+    path.write_text(json.dumps(digests, indent=1) + "\n")
+    print(f"wrote {path.name} ({len(digests)} curves)")
+
+
 def freeze_pair(name: str, move: str, relation: str, left, right) -> None:
     rl = yamada_r(left)
     rr = yamada_r(right)
@@ -281,6 +300,7 @@ def main() -> None:
 
     freeze_refine_cell(12, 4, 4, "+")
     freeze_oracle_roots(2, 10, 2, "+")
+    freeze_curve_digests()
 
     point = find_omega_false_point()
     path = OUT / "omega_false_point.json"

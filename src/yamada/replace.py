@@ -149,6 +149,15 @@ def family_polynomial(
     """Exact invariant of the n-cycle of theta bundles of s twist bands of
     length k.  The degree estimate is checked before the expensive cycle
     powers are formed.  n is checked here, s and k by family_lambdas."""
+    l1, l2 = _capped_lambdas(n, s, k, sign, degree_cap)
+    return l1**n + sigma() * l2**n
+
+
+def _capped_lambdas(
+    n: int, s: int, k: int, sign: str, degree_cap: int | None
+) -> tuple[LaurentPoly, LaurentPoly]:
+    """family_lambdas(s, k, sign) once n and the degree cap are checked,
+    for family_polynomial and family_span alike."""
     if n < 1:
         raise ValueError("family parameters must all be at least 1")
     estimate = family_degree_estimate(n, s, k)
@@ -156,8 +165,32 @@ def family_polynomial(
         raise DegreeCap(
             f"predicted degree {estimate} exceeds the cap {degree_cap}"
         )
-    l1, l2 = family_lambdas(s, k, sign)
-    return l1**n + sigma() * l2**n
+    return family_lambdas(s, k, sign)
+
+
+def family_span(n: int, s: int, k: int, sign: str = "+",
+                degree_cap: int | None = 4000) -> tuple[int, int]:
+    """(min_exp, max_exp) of family_polynomial(n, s, k, sign), mostly
+    without forming the cycle powers, and with its checks and its
+    DegreeCap, for the roots module to size a member by.
+
+    sigma = A^-1 + 1 + A has end coefficients 1, so lambda1^n + sigma
+    lambda2^n has its lowest exponent at min(n lo1, n lo2 - 1) and its
+    highest at max(n hi1, n hi2 + 1), for lambda_i spanning lo_i..hi_i,
+    unless the two terms meet at an end and their end coefficients
+    there, c1^n + c2^n for the end coefficients c_i of lambda_i, cancel.
+    Only then is the member formed (8 of the 1052 sweep-grid members of
+    both signs; the tests check the span on every member with n <= 10
+    and s, k <= 6)."""
+    l1, l2 = _capped_lambdas(n, s, k, sign, degree_cap)
+    low = (n * l1.min_exp(), n * l2.min_exp() - 1)
+    high = (n * l1.max_exp(), n * l2.max_exp() + 1)
+    for (a, b), e1, e2 in ((low, l1.min_exp(), l2.min_exp()),
+                           (high, l1.max_exp(), l2.max_exp())):
+        if a == b and l1.terms[e1] ** n + l2.terms[e2] ** n == 0:
+            p = l1**n + sigma() * l2**n
+            return p.min_exp(), p.max_exp()
+    return min(low), max(high)
 
 
 def family_degree_estimate(n: int, s: int, k: int) -> int:
@@ -172,7 +205,8 @@ def family_degree_estimate(n: int, s: int, k: int) -> int:
     degree is larger in 108 of the 128 cells with n <= 8 and s, k <= 4
     ((8, 1, 2) has degree 33 against an estimate of 20).  DegreeCap,
     --degree-cap and _witness_plan read it as the estimate it is; a true
-    bound would move the witness plan's shells."""
+    bound would move the witness plan's shells.  The true span is
+    family_span's."""
     l1, l2 = family_lambdas(s, k, "+")
     return max(n * l1.span(), n * l2.span() + 4)
 

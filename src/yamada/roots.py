@@ -78,7 +78,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Iterable, Iterator, Sequence
 
@@ -92,7 +92,12 @@ from .laurent import (
     exact_div,
     sigma,
 )
-from .replace import family_degree_estimate, family_lambdas, family_polynomial
+from .replace import (
+    family_degree_estimate,
+    family_lambdas,
+    family_polynomial,
+    family_span,
+)
 
 
 class ZeroPolynomial(YamadaError):
@@ -173,9 +178,10 @@ class NotFound:
 
 _GOLDEN = 0.6180339887498949
 _U = np.finfo(float).eps / 2  # unit roundoff of float64
-# _aberth stops once the moving set has kept its size this many
-# iterations while every moving point is at or below its residual floor
-_STALL_ITERS = 20
+# _aberth tests for a stall (every moving point at or below its residual
+# floor) once the moving set has kept its size for _STALL_WAIT
+# iterations, then each time that count doubles
+_STALL_WAIT = 3
 # the iteration cap of every solve, and the polish rounds after it
 _MAX_ITER = 400
 _POLISH_ROUNDS = 3
@@ -185,6 +191,18 @@ _CHUNK = 512
 # down by _DOWN
 _UP = 1 + 128 * _U
 _DOWN = 1 - 128 * _U
+# counted in this process since import, for the tests and the audit to
+# read: the points _aberth evaluates ("aberth_evals") and its solves that
+# end on a proven stall ("stalls"); the points limit_curve_points leaves
+# to _bracket ("curve_evals"); members of n >= 3 whose half configuration
+# _family_roots_full kept ("half") or, its discs meeting, replaced by the
+# full one ("fallback"), the points it sent to the 240-bit refine
+# ("refined") and the 240-bit evaluations of a member (_fixed_terms)
+# there ("refine_evals"); and of the exclusion test (_dominated), the
+# columns tested ("columns"), the arc discs evaluated ("arcs") and the
+# members ruled out by dominance ("ruled_re") or by the argument alone,
+# its winding count ("ruled_im")
+COUNTS: Counter = Counter()
 
 
 class _Ball:
@@ -513,21 +531,26 @@ def _aberth(
     its stored values stay exact (MPSolve's Aberth iteration also stops
     evaluating converged approximations).
 
-    The iteration stops early on a stall: once the number of moving
-    points has stayed the same for _STALL_ITERS iterations and every
-    moving point is stuck.  floor is a callable giving the proven float64
-    rounding floor of evaluate's residual at given points (_residual_floor
-    for the family evaluator, _dense_floor for the dense one), and a
-    point is stuck when its residual is at or below its floor: double
-    precision cannot tell it from a root, so no further step can improve
-    it.  The floor is only evaluated, at the moving points, once the
-    count has held for _STALL_ITERS iterations.  A stall returns the
-    configuration it stopped at: every moving point is then at or below
-    its floor, so a worst residual cannot rank it against another one.
-    The callers' polish and refine take the stuck points from there.
-    Only at the iteration cap does the best configuration seen after a
-    step (by worst residual) replace the last one, if it is better, and
-    only that fallback is evaluated in full a second time.  The starts
+    The iteration stops early on a stall: the number of moving points
+    has stayed the same for some iterations and every moving point is
+    stuck.  floor is a callable giving the proven float64 rounding floor
+    of evaluate's residual at given points (_residual_floor for the
+    family evaluator, _dense_floor for the dense one), and a point is
+    stuck when its residual is at or below its floor: double precision
+    cannot tell it from a root, so no further step can improve it.  The
+    floor is only evaluated, at the moving points, once the count has
+    held for _STALL_WAIT (3) iterations, then at 6, 12, 24 and so on: a
+    stuck point moves within float64 noise, so a late first test only
+    repeats steps that change nothing, and the doubling keeps the tests
+    of a long stretch few.  COUNTS counts the points evaluated
+    ("aberth_evals") and the solves that end on a stall ("stalls").  A
+    stall returns the configuration it stopped at: every moving point is
+    then at or below its floor, so a worst residual cannot rank it
+    against another one.  The callers' polish and refine take the stuck
+    points from there.  Only at the iteration cap does the best
+    configuration seen after a step (by worst residual) replace the last
+    one, if it is better, and only that fallback is evaluated in full a
+    second time.  The starts
     are never the fallback: where some floor reaches 1 the worst residual
     is about 1 throughout, and branch starts (_branch_starts) would then
     win over every configuration the iteration reaches.  Returns the
@@ -537,9 +560,10 @@ def _aberth(
     freeze_tol = 100.0 * size * np.finfo(float).eps
     best = z.copy()
     best_score = math.inf
-    moving, still = -1, 0
+    moving, still, wait = -1, 0, _STALL_WAIT
     with np.errstate(all="ignore"):
         res, ratio = evaluate(z)
+        COUNTS["aberth_evals"] += len(z)
         for it in range(_MAX_ITER):
             score = float(np.max(res))
             if it and score < best_score:
@@ -548,10 +572,16 @@ def _aberth(
             idx = np.nonzero(res > freeze_tol)[0]
             if len(idx) == 0:
                 return z, res
-            still = still + 1 if len(idx) == moving else 0
+            if len(idx) == moving:
+                still += 1
+            else:
+                still, wait = 0, _STALL_WAIT
             moving = len(idx)
-            if still >= _STALL_ITERS and np.all(res[idx] <= floor(z[idx])):
-                return z, res
+            if still == wait:
+                wait *= 2
+                if np.all(res[idx] <= floor(z[idx])):
+                    COUNTS["stalls"] += 1
+                    return z, res
             others = _mirrored(z, real)
             rep = np.empty(len(idx), dtype=complex)
             for a in range(0, len(idx), _CHUNK):
@@ -570,9 +600,11 @@ def _aberth(
                 step = np.where(real[idx], step.real, step)
             z[idx] = z[idx] - step
             res[idx], ratio[idx] = evaluate(z[idx])
+            COUNTS["aberth_evals"] += len(idx)
         if float(np.max(res)) > best_score:
             z = best
             res, _ = evaluate(z)
+            COUNTS["aberth_evals"] += len(z)
     return z, res
 
 
@@ -761,7 +793,8 @@ class _Column:
         """(x, log |lambda1 / lambda2|, log |sigma|, signs) on the real
         axis at x = -r and r, r = geomspace(0.05, 20, 240), the rays as
         the rows of each (2, 240) array, and the signs of lambda1, lambda2
-        and sigma (3, 2, 240), from _two_power, where nothing overflows."""
+        and sigma (3, 2, 240), from _two_power, where nothing overflows;
+        base has the sign of w or a there, since z^2k > 0 on the axis."""
         x = np.geomspace(0.05, 20.0, 240) * np.array([[-1.0], [1.0]])
         z = x if self.sign == "+" else 1 / x
         sig, over, r, base = _two_power(z, self.s, self.k)
@@ -818,8 +851,8 @@ def limit_curve_gap(z: complex, s: int, k: int) -> float:
     """|lambda1(z)| - |lambda2(z)| for the two powers competing in the
     family polynomial; its zero set is where roots accumulate as the
     cycle length grows.  It is _bracket's |p|^2 - |q|^2 at z times
-    |base|^s / (|1 + sigma| (|p| + |q|)) (_two_power), so its sign is
-    the one limit_curve_points bisects.
+    (|base| / |z|^2k)^s / (|1 + sigma| (|p| + |q|)) (_two_power), so its
+    sign is the one limit_curve_points bisects.
 
     Points with sigma(z) = 0 or sigma(z) = -1 are rejected: there the
     second term's coefficient sigma or the theta normalization 1 + sigma
@@ -834,27 +867,36 @@ def limit_curve_gap(z: complex, s: int, k: int) -> float:
     if abs(sig[0]) < 1e-12 or abs(sig[0] + 1.0) < 1e-12:
         raise PoleEncountered(f"sigma({z}) is 0 or -1")
     p, q = _pq(sig, over, r)
-    scale = np.abs(base) ** s / (np.abs(1 + sig) * (np.abs(p) + np.abs(q)))
+    scale = (np.abs(base) / abs(z) ** (2 * k)) ** s / (
+        np.abs(1 + sig) * (np.abs(p) + np.abs(q))
+    )
     return float((scale * _bracket(sig, over, r))[0])
 
 
 def _two_power(z: np.ndarray, s: int, k: int) -> tuple:
     """(sigma, over, r, base): the pair of the (s, k, +) column at the
-    points z in the paper's two-power form.  With w and b of _closed_parts
-    and a = sigma b, (1 + sigma) lambda2 = w^s - a^s and (1 + sigma)
-    lambda1 = -(sigma w^s + a^s) exactly (checked in the tests).  over
-    masks |a| > |w|; base is w, or a under the mask, and r = (a / w)^s,
-    or (w / a)^s under it, so |r| <= 1 at any s.  Then lambda1 / lambda2
-    = -p / q and (1 + sigma) lambda2 = base^s q, with p and q of _pq.
-    Sign - is the mirror: its pair at z is this one at 1 / z."""
-    u = 1 / z
-    powers = [u**j for j in range(2 * k + 2)]
-    w, b = (_monomial_sum(terms, powers) for terms in _twist_terms(k)[2:])
-    sig = z + 1 + u
-    a = sig * b
+    points z in the paper's two-power form.  With T = (-1)^(k-1) z^k
+    (sigma - 1), z^k from k - 1 products, a' = sigma (1 - T) and w' =
+    sigma + T are a z^2k and w z^2k for w and b of _closed_parts and a =
+    sigma b, and (1 + sigma) lambda2 = w^s - a^s and (1 + sigma) lambda1
+    = -(sigma w^s + a^s) exactly (checked in the tests).  over masks |a'|
+    > |w'|; base is w', or a' under the mask, and r = (a' / w')^s, or
+    (w' / a')^s under it, in which z^2k cancels, so |r| <= 1 at any s.
+    Then lambda1 / lambda2 = -p / q and (1 + sigma) lambda2 = (base /
+    z^2k)^s q, with p and q of _pq.  Sign - is the mirror: its pair at z
+    is this one at 1 / z."""
+    sig = z + 1 + 1 / z
+    zk = z
+    for _ in range(k - 1):
+        zk = zk * z
+    T = zk * (sig - 1)
+    if k % 2 == 0:
+        T = -T
+    a = sig * (1 - T)
+    w = sig + T
     over = np.abs(a) > np.abs(w)
-    base, top = np.where(over, [a, w], [w, a])
-    return sig, over, (top / base) ** s, base
+    base = np.where(over, a, w)
+    return sig, over, (np.where(over, w, a) / base) ** s, base
 
 
 def _pq(sig: np.ndarray, over: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -874,7 +916,7 @@ def _bracket(sig: np.ndarray, over: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _grid_moduli(
-    row: tuple[int, np.ndarray], thetas: np.ndarray, radii: np.ndarray
+    row: tuple[int, np.ndarray], waves: np.ndarray, radii: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """|p(r e^{i theta})| on the polar grid thetas x radii as one matrix
     product, for p the row (lo, c) of a column, and the slack of
@@ -885,14 +927,14 @@ def _grid_moduli(
     sum_j e^{i j theta} c_j r^(j + lo), since e^{i lo theta} has modulus
     one: the (angles, D) matrices cos(j theta) and sin(j theta), stacked,
     times the (D, radial) matrix c_j r^(j + lo) give the real and
-    imaginary parts at every grid point.
+    imaginary parts at every grid point.  waves is that stack for the
+    angles thetas, with D columns or more (j = 0, 1, ...), so that the
+    rows of a column share one table; only the first len(c) are read.
     """
     lo, c = row
     j = np.arange(len(c))
-    phase = thetas[:, None] * j
-    waves = np.vstack([np.cos(phase), np.sin(phase)])
     powers = radii ** (j + lo)[:, None]
-    re, im = np.split(waves @ (c[:, None] * powers), 2)
+    re, im = np.split(waves[:, : len(c)] @ (c[:, None] * powers), 2)
     weights = np.abs(c) * (1 + np.abs(j + lo))
     slack = 64 * len(c) * _U * (weights @ powers)
     reach = abs(lo) + len(c)
@@ -919,15 +961,20 @@ def limit_curve_points(
     interval on a ray, with scale 1, and an angle interval on a circle,
     with scale its radius, so that the scaled width is the length along
     the ray or the arc.  One loop halves them all, each step evaluating
-    the midpoints of every open bracket in one _bracket call, and a
+    the midpoints of the open brackets only, in one _bracket call, and a
     bracket closes once its scaled width is at most refine: a bracket
     that is short enough is not halved again while wider ones still
-    are.  Each point is its bracket's midpoint, the same double whatever
-    brackets share a step, since _bracket is pointwise.  The points come
-    back sorted by angle then radius, deterministically for fixed
-    arguments.  The grid needs ints angles >= 1 and radial >= 1
-    and finite radii 0 < r_lo < r_hi; anything else raises ValueError,
-    and so does a refine that is not positive.
+    are.  A grid point whose gap is 0 or not finite starts no bracket.
+    The loop carries the sign of the gap at each bracket's lo as a flag,
+    and a midpoint replaces lo only where its value has that strict
+    sign; a value of 0 or NaN replaces hi.  Each point is its bracket's
+    midpoint, the same double whatever brackets share a step, since
+    _bracket is pointwise.  COUNTS["curve_evals"] counts the points
+    _bracket decides: the midpoints and the grid points the product
+    leaves to it.  The points come back sorted by angle then radius,
+    deterministically for fixed arguments.  The grid needs ints angles
+    >= 1 and radial >= 1 and finite radii 0 < r_lo < r_hi; anything else
+    raises ValueError, and so does a refine that is not positive.
 
     The lambdas have real coefficients, so the gap at conj z is the gap
     at z, and the grid's rows past the half turn are mirror images of
@@ -980,12 +1027,17 @@ def limit_curve_points(
     if angles % 2 == 0:
         # the ray at the half turn is the negative real axis
         units[-1] = -1.0
+    # one cos/sin table for both rows, up to the longer one
+    width = max(len(cs) for _, cs in column.parts[:2])
+    phase = thetas[:, None] * np.arange(width)
+    waves = np.vstack([np.cos(phase), np.sin(phase)])
     with np.errstate(all="ignore"):
-        m1, slack1 = _grid_moduli(column.row(0), thetas, radii)
-        m2, slack2 = _grid_moduli(column.row(1), thetas, radii)
+        m1, slack1 = _grid_moduli(column.row(0), waves, radii)
+        m2, slack2 = _grid_moduli(column.row(1), waves, radii)
         gaps = m1 - m2
         ai, ri = np.nonzero(~(np.abs(gaps) > slack1 + slack2))
         gaps[ai, ri] = _bracket(*_two_power(radii[ri] * units[ai], s, k)[:3])
+    COUNTS["curve_evals"] += len(ai)
     # 0 marks a point without a usable sign
     signs = np.where(np.isfinite(gaps), np.sign(gaps), 0.0)
 
@@ -1000,21 +1052,27 @@ def limit_curve_points(
     lo = np.concatenate([radii[ray_r], thetas[arc_a]])
     hi = np.concatenate([radii[ray_r + 1], thetas[arc_a] + step])
     scale = np.concatenate([np.ones(len(ray_a)), radii[arc_r]])
-    glo = gaps[ai, ri]
+    # the brackets still open, and the sign of the gap at each lo
+    i = np.flatnonzero((hi - lo) * scale > refine)
+    up = gaps[ai, ri] > 0
     with np.errstate(all="ignore"):
         for _ in range(80):
-            i = np.flatnonzero((hi - lo) * scale > refine)
             if not len(i):
                 break
             mid = 0.5 * (lo[i] + hi[i])
-            z = np.where(
-                ray[i], mid * units[ai[i]], scale[i] * np.exp(1j * mid)
-            )
+            # the rays come first in i, then the arcs
+            rays = np.searchsorted(i, len(ray_a))
+            z = np.concatenate([
+                mid[:rays] * units[ai[i[:rays]]],
+                scale[i[rays:]] * np.exp(1j * mid[rays:]),
+            ])
             gm = _bracket(*_two_power(z, s, k)[:3])
-            left = np.sign(gm) * np.sign(glo[i]) > 0
+            COUNTS["curve_evals"] += len(i)
+            # lo moves only on lo's strict sign; 0 and NaN move hi
+            left = np.where(up[i], gm > 0, gm < 0)
             lo[i] = np.where(left, mid, lo[i])
-            glo[i] = np.where(left, gm, glo[i])
             hi[i] = np.where(left, hi[i], mid)
+            i = i[(hi[i] - lo[i]) * scale[i] > refine]
     mid = 0.5 * (lo + hi)
     t = np.where(ray, thetas[ai], mid)
     r = np.where(ray, mid, scale)
@@ -1053,16 +1111,6 @@ def omega_member(z: complex) -> bool:
 # family roots through the two-power structure
 
 _REFINE_ABOVE = 1e-10
-# counted in this process since import, for the tests and the audit to
-# read: members of n >= 3 whose half configuration
-# _family_roots_full kept ("half") or, its discs meeting, replaced by the
-# full one ("fallback"), the points it sent to the 240-bit refine
-# ("refined") and the 240-bit evaluations of a member (_fixed_terms)
-# there ("refine_evals"); and of the exclusion test (_dominated), the
-# columns tested ("columns"), the arc discs evaluated ("arcs") and the
-# members ruled out by dominance ("ruled_re") or by the argument alone,
-# its winding count ("ruled_im")
-COUNTS: Counter = Counter()
 _PREC = 240
 _GUARD = 16
 # every 240-bit value but the iterates is a Gaussian float (_Gauss) whose
@@ -1168,7 +1216,12 @@ def _repulsion_fixed(
     The points whose indices are in mirrored also stand for their
     conjugates, and every sum then runs over those conjugates too, a
     point's own included.  Since 1 / (z_j - conj z_i) = -conj(1 / (z_i -
-    conj z_j)), a pair's mirror terms also take one division."""
+    conj z_j)), a pair's mirror terms also take one division.
+
+    Two points that coincide, a point that coincides with the conjugate
+    another stands for, or a point on the real axis that stands for its
+    conjugate leave a sum without a value; each raises YamadaError,
+    which names the points."""
     f2 = 2 * _PREC
     out = [[0, 0] for _ in pts]
     mirror = [False] * len(pts)
@@ -1176,12 +1229,22 @@ def _repulsion_fixed(
         mirror[i] = True
     for i, (xi, yi) in enumerate(pts):
         if mirror[i]:
+            if not yi:
+                raise YamadaError(
+                    f"no repulsion: point {i} at {_double(xi, yi)} is on the"
+                    " real axis and stands for its conjugate"
+                )
             # z_i - conj z_i = 2i y_i
             out[i][1] += (-yi << f2 + 1) // (4 * yi * yi)
         for j in range(i + 1, len(pts)):
             xj, yj = pts[j]
             dx, dy = xi - xj, yi - yj
             m = dx * dx + dy * dy
+            if not m:
+                raise YamadaError(
+                    f"no repulsion: points {i} and {j} coincide at"
+                    f" {_double(xi, yi)}"
+                )
             tr, ti = (dx << f2) // m, (-dy << f2) // m
             out[i][0] += tr
             out[i][1] += ti
@@ -1190,6 +1253,11 @@ def _repulsion_fixed(
             if mirror[i] or mirror[j]:
                 dy = yi + yj
                 m = dx * dx + dy * dy
+                if not m:
+                    raise YamadaError(
+                        f"no repulsion: point {i} at {_double(xi, yi)} is the"
+                        f" conjugate of point {j} at {_double(xj, yj)}"
+                    )
                 tr, ti = (dx << f2) // m, (-dy << f2) // m
                 if mirror[j]:
                     out[i][0] += tr
@@ -1770,11 +1838,13 @@ def _family_roots_full(
     to double precision), as often as they are roots of the member.  The
     member n = 1 has repeated roots for s >= 2 or 6 | k, all known in
     closed form before any solve (_first_member).  No member with n =
-    2-6 and s, k <= 8 has a repeated root.  For n >= 2 the exact integer
-    coefficients of the reduced polynomial q, of degree d, fix the
-    degree; every evaluation, in float64 and in the 240-bit refine
-    alike, goes through the power-sum form and the closed forms of its
-    parts (_closed_parts), which stay conditioned at any n.
+    2-6 and s, k <= 8 has a repeated root.  The member's exact span
+    (family_span, from the end exponents of the lambdas) fixes the
+    degree, and d = degree - 2 that of the reduced polynomial q; the
+    member itself is only formed for circle starts.  Every evaluation,
+    in float64 and in the 240-bit refine alike, goes through the
+    power-sum form and the closed forms of its parts (_closed_parts),
+    which stay conditioned at any n.
 
     One pipeline for n >= 2: starts, _solve, the 240-bit refine, the
     records.
@@ -1785,7 +1855,7 @@ def _family_roots_full(
     - Otherwise the member is solved in full, from all of its branches
       (_full_branch_starts) when the half configuration failed, and
       COUNTS["fallback"] counts it; every other member starts from the
-      circles of _initial_points on the reduced coefficients (their
+      circles of _initial_points on the exact coefficients of q (their
       magnitudes taken in log form, since they overflow floats long
       before the caps do).  The branch starts drop sigma, whose n-th
       root is furthest from 1 for small n: for n = 2 they left more
@@ -1799,8 +1869,8 @@ def _family_roots_full(
       configuration's upper points, each with its partner's residual; a
       real point of a half configuration has imaginary part 0.0.
     """
-    p = family_polynomial(n, s, k, sign, degree_cap=degree_cap)
-    degree = len(p.dense_coeffs()[1]) - 1
+    lo, hi = family_span(n, s, k, sign, degree_cap=degree_cap)
+    degree = hi - lo
     column = _column(s, k, sign)
     if not column.coprime:
         raise YamadaError(
@@ -1813,8 +1883,7 @@ def _family_roots_full(
         z, res, copies = _first_member(column)
     else:
         copies = 1
-        lo, coeffs = exact_div(p, _CYCLOTOMIC).dense_coeffs()
-        d = len(coeffs) - 1
+        d = degree - 2
         starts = _branch_starts(n, column, d) if n > 2 else None
         if starts is not None:
             z, res, meets = _solve(n, column, lo, d, *starts)
@@ -1824,7 +1893,8 @@ def _family_roots_full(
         if real is None:
             z = _full_branch_starts(n, column, d) if n > 2 else None
             if z is None:
-                z = _initial_points(coeffs)
+                p = family_polynomial(n, s, k, sign, degree_cap=degree_cap)
+                z = _initial_points(exact_div(p, _CYCLOTOMIC).dense_coeffs()[1])
             z, res, meets = _solve(n, column, lo, d, z)
         shaky = meets[: len(z)] | (res > _REFINE_ABOVE)
         if shaky.any():
@@ -2176,7 +2246,13 @@ def _cell_records(
         plus = _cell_records(n, s, k, "+", degree_cap, cache)
         recs = tuple(
             sorted(
-                (replace(r, root=1.0 / r.root, sign="-") for r in plus),
+                (
+                    RootRecord(
+                        root=1.0 / r.root, n=n, s=s, k=k, sign="-",
+                        residual=r.residual, degree=r.degree,
+                    )
+                    for r in plus
+                ),
                 key=lambda r: _root_key(r.root),
             )
         )

@@ -28,6 +28,7 @@ from yamada.replace import (
     build_family_diagram,
     family_lambdas,
     family_polynomial,
+    family_span,
     h_edge_replace,
     infinity_closed_form,
     r_compose,
@@ -189,6 +190,27 @@ def test_family_degree_cap():
     # cap of None disables the check
     p = family_polynomial(4, 2, 2, "+", degree_cap=None)
     assert not p.is_zero()
+
+
+def test_family_span_is_the_member_span():
+    # on every member with n <= 10 and s, k <= 6, both signs, the span
+    # read from the lambdas' ends is family_polynomial's, the 12 whose
+    # end terms cancel included; the cap and the checks are its too
+    cancelling = 0
+    for n, s, k, sign in itertools.product(
+        range(1, 11), range(1, 7), range(1, 7), "+-"
+    ):
+        p = family_polynomial(n, s, k, sign, degree_cap=None)
+        assert family_span(n, s, k, sign, None) == (p.min_exp(), p.max_exp())
+        l1, l2 = family_lambdas(s, k, sign)
+        cancelling += p.min_exp() > min(n * l1.min_exp(), n * l2.min_exp() - 1)
+        cancelling += p.max_exp() < max(n * l1.max_exp(), n * l2.max_exp() + 1)
+    assert cancelling == 12
+    with pytest.raises(DegreeCap):
+        family_span(20, 4, 6, "+", degree_cap=100)
+    for call in (lambda: family_span(0, 1, 1), lambda: family_span(1, 0, 1)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_build_family_diagram_shape():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from yamada.cli import main
+from yamada.errors import YamadaError
 from yamada.laurent import LaurentPoly, PoleAtZero, _poly_gcd, exact_div, sigma
 from yamada.replace import (
     family_degree_estimate,
@@ -493,12 +495,14 @@ def test_aberth_falls_back_to_the_best_configuration_at_the_cap(monkeypatch):
 
 def test_aberth_returns_the_stall_configuration(monkeypatch):
     # one point drifts away from where its residual is smallest, always at
-    # or below its floor: the moving set stalls after 20 iterations, and
+    # or below its floor: the moving set stalls after 3 iterations, and
     # the solve returns that configuration, with no second evaluation,
     # though the one after the first step had a smaller worst residual
     monkeypatch.setattr(roots_module, "_MAX_ITER", 50)
+    path = []
 
     def evaluate(x):
+        path.extend(x[np.abs(x - 3.0) < 10.0].tolist())
         off = np.abs(x - 3.0)
         near = off < 10.0
         res = np.where(near, 1e-3 * (1.0 + off), 1e-20)
@@ -507,8 +511,9 @@ def test_aberth_returns_the_stall_configuration(monkeypatch):
     rec = MovingPointsRecorder(evaluate, np.array([20.0, 3.0, 20j]))
     z, res = _aberth(rec, rec.z, lambda x: np.ones(len(x)))
     rec.check_result(z, res)
-    assert rec.fallback is None and rec.calls == 21
-    assert z[0] == 20.0 and z[2] == 20j and abs(z[1] - 3.0) > 0.15
+    assert rec.fallback is None and rec.calls == 4
+    assert z[0] == 20.0 and z[2] == 20j and z[1] == path[-1]
+    assert abs(z[1] - 3.0) > abs(path[1] - 3.0) > 0
     assert float(res.max()) == 1e-3 * (1.0 + abs(z[1] - 3.0))
 
 
@@ -516,10 +521,12 @@ def test_aberth_stops_when_the_moving_set_stalls(monkeypatch):
     # one point never settles, at residual 1e-5: the solve stops when it
     # is at or below its floor and not when it is above (then at the cap,
     # 50 here); the floor is evaluated only at the moving point, and only
-    # once the moving set has kept its size for 20 iterations
+    # once the moving set has kept its size for 3 iterations, then for 6,
+    # 12, 24 and 48.  COUNTS counts the points evaluated and the stall
     monkeypatch.setattr(roots_module, "_MAX_ITER", 50)
-    for bound, iterations, floor_calls in ((1e-5, 20, 1), (5e-6, 50, 30)):
+    for bound, iterations, floor_calls in ((1e-5, 3, 1), (5e-6, 50, 5)):
         calls, floors = [], []
+        before = Counter(roots_module.COUNTS)
 
         def evaluate(x):
             calls.append(len(x))
@@ -537,6 +544,9 @@ def test_aberth_stops_when_the_moving_set_stalls(monkeypatch):
         assert len(calls) == 1 + iterations
         assert floors == [1] * floor_calls
         assert float(res.max()) == 1e-5
+        counts = roots_module.COUNTS
+        assert counts["aberth_evals"] - before["aberth_evals"] == sum(calls)
+        assert counts["stalls"] - before["stalls"] == (iterations < 50)
 
 
 def test_residual_floor_holds_at_refined_roots():
@@ -667,6 +677,22 @@ def test_ordered_puts_a_real_root_by_its_sign_not_its_noise():
     assert close_sets(roots, [-2.0, -1j, 0.5, 1j], 1e-12)
     assert [round(w.real) for w in roots] == [-2, 0, 0, 0]
     assert roots[1].imag < 0 < roots[3].imag
+
+
+def test_repulsion_fixed_names_the_points_without_a_sum():
+    # two coincident points, a point on the conjugate of one that stands
+    # for it, and a point on the real axis that stands for its conjugate
+    # raise YamadaError naming them, not ZeroDivisionError
+    a, b = _fixed(0.5 + 0.25j), _fixed(-1.5 + 2.0j)
+    conj = (a[0], -a[1])
+    axis = _fixed(0.75)
+    for pts, mirrored, names in (
+        ([a, b, a], (), "points 0 and 2"),
+        ([b, a, conj], (1,), "point 1 at"),
+        ([a, axis], (1,), "point 1 at"),
+    ):
+        with pytest.raises(YamadaError, match=names):
+            _repulsion_fixed(pts, mirrored)
 
 
 def test_repulsion_fixed_matches_mpc_sum():
@@ -1007,8 +1033,9 @@ def _curve_by_gap(monkeypatch, s, k, **grid):
     """limit_curve_points on the grid evaluated by the gap alone: the
     product's slack is made infinite, so no sign is taken from it and
     every grid point takes _bracket's."""
-    def unsure(p, thetas, radii):
-        return np.zeros((len(thetas), len(radii))), np.full(len(radii), np.inf)
+    def unsure(p, waves, radii):
+        shape = (len(waves) // 2, len(radii))
+        return np.zeros(shape), np.full(len(radii), np.inf)
 
     with monkeypatch.context() as m:
         m.setattr(roots_module, "_grid_moduli", unsure)
@@ -1043,10 +1070,12 @@ def test_matrix_grid_moduli_within_their_slack():
     units = np.exp(1j * thetas)
     for s, k in ((1, 1), (4, 4), (4, 6)):
         column = _column(s, k, "+")
+        phase = thetas[:, None] * np.arange(column.pair.shape[1])
+        waves = np.vstack([np.cos(phase), np.sin(phase)])
         gaps = []
         for j, p in enumerate(family_lambdas(s, k, "+")):
             row = column.row(j)
-            mod, slack = roots_module._grid_moduli(row, thetas, radii)
+            mod, slack = roots_module._grid_moduli(row, waves, radii)
             assert np.isfinite(slack).all()
             with mpmath.workprec(240):
                 for a in range(0, angles, 5):
@@ -1059,6 +1088,40 @@ def test_matrix_grid_moduli_within_their_slack():
         (m1, s1), (m2, s2) = gaps
         sure = np.abs(m1 - m2) > s1 + s2
         assert sure.mean() > 0.99
+
+
+def test_limit_curve_points_count_their_midpoints(monkeypatch):
+    # (2, 3) on the default grid: the product decides every grid point,
+    # and the bisection evaluates 15,820 midpoints over 26 halvings, the
+    # count of the loop that halved every bracket's copy in full;
+    # COUNTS["curve_evals"] counts them with the grid's leftovers
+    sizes = []
+    bracket = roots_module._bracket
+
+    def counted(sig, over, r):
+        sizes.append(len(sig))
+        return bracket(sig, over, r)
+
+    monkeypatch.setattr(roots_module, "_bracket", counted)
+    before = roots_module.COUNTS["curve_evals"]
+    limit_curve_points(2, 3)
+    assert len(sizes) == 27 and sizes[0] == 0
+    assert sum(sizes[1:]) == 15820
+    assert roots_module.COUNTS["curve_evals"] - before == sum(sizes)
+
+
+def test_limit_curve_points_match_their_frozen_digests():
+    # the 24 sweep columns on the default grid, against the sha256 of
+    # their points' float.hex, frozen by scripts/build_fixtures.py
+    path = pathlib.Path(__file__).parent / "fixtures" / "curve_digests.json"
+    want = json.loads(path.read_text())
+    got = {}
+    for s, k in itertools.product(range(1, 5), range(1, 7)):
+        rows = "".join(
+            f"{z.real.hex()} {z.imag.hex()}\n" for z in limit_curve_points(s, k)
+        )
+        got[f"{s} {k}"] = hashlib.sha256(rows.encode()).hexdigest()
+    assert got == want
 
 
 def test_family_roots_accumulate_on_curve():
