@@ -910,7 +910,7 @@ def _bracket(sig: np.ndarray, over: np.ndarray, r: np.ndarray) -> np.ndarray:
     |sigma|^2 - 1 + 2 Re((1 + sigma) conj r), or (|sigma|^2 - 1) |r|^2 +
     2 Re((1 + sigma) r) under the mask (the |r|^2 terms cancel), which
     keeps its accuracy where |r| is tiny and |p| - |q| would cancel."""
-    cross = np.where(over, (1 + sig) * r, (1 + sig) * r.conj()).real
+    cross = ((1 + sig) * np.where(over, r, r.conj())).real
     norm = sig.real**2 + sig.imag**2 - 1
     return np.where(over, norm * (r.real**2 + r.imag**2), norm) + 2 * cross
 
@@ -940,7 +940,10 @@ def _grid_moduli(
     reach = abs(lo) + len(c)
     top = math.log(len(c) * float(np.max(np.abs(c))))
     safe = np.abs(np.log(radii)) * reach + top < 300
-    return np.sqrt(re * re + im * im), np.where(safe, slack, np.inf)
+    # sqrt(re^2 + im^2), the product's halves squared in place
+    mod = re * re
+    mod += np.multiply(im, im, out=im)
+    return np.sqrt(mod, out=mod), np.where(safe, slack, np.inf)
 
 
 def limit_curve_points(
@@ -965,9 +968,10 @@ def limit_curve_points(
     bracket closes once its scaled width is at most refine: a bracket
     that is short enough is not halved again while wider ones still
     are.  A grid point whose gap is 0 or not finite starts no bracket.
-    The loop carries the sign of the gap at each bracket's lo as a flag,
-    and a midpoint replaces lo only where its value has that strict
-    sign; a value of 0 or NaN replaces hi.  Each point is its bracket's
+    The loop halves compact copies of the open brackets, with the sign
+    of the gap at each lo as +-1, and a midpoint replaces lo only where
+    its value times that sign is positive: a value of 0 or NaN replaces
+    hi.  Each point is its bracket's
     midpoint, the same double whatever brackets share a step, since
     _bracket is pointwise.  COUNTS["curve_evals"] counts the points
     _bracket decides: the midpoints and the grid points the product
@@ -1034,45 +1038,60 @@ def limit_curve_points(
     with np.errstate(all="ignore"):
         m1, slack1 = _grid_moduli(column.row(0), waves, radii)
         m2, slack2 = _grid_moduli(column.row(1), waves, radii)
-        gaps = m1 - m2
-        ai, ri = np.nonzero(~(np.abs(gaps) > slack1 + slack2))
+        gaps = np.subtract(m1, m2, out=m1)
+        ai, ri = np.nonzero(~(np.abs(gaps, out=m2) > slack1 + slack2))
         gaps[ai, ri] = _bracket(*_two_power(radii[ri] * units[ai], s, k)[:3])
     COUNTS["curve_evals"] += len(ai)
-    # 0 marks a point without a usable sign
-    signs = np.where(np.isfinite(gaps), np.sign(gaps), 0.0)
+    # the points with a usable sign, either way; a gap of 0 or one that
+    # is not finite has neither
+    finite = np.isfinite(gaps)
+    pos, neg = (gaps > 0) & finite, (gaps < 0) & finite
 
     # the sign changes along each ray (in radius, scale 1), then along
     # each circle between two rows of the half turn (in angle, scale the
     # radius); for an odd angles, the rows on either side of the half
     # turn are mirror images, with no sign change between them
-    ray_a, ray_r = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
-    arc_a, arc_r = np.nonzero(signs[:-1] * signs[1:] < 0)
+    ray_a, ray_r = np.nonzero(
+        pos[:, :-1] & neg[:, 1:] | neg[:, :-1] & pos[:, 1:]
+    )
+    arc_a, arc_r = np.nonzero(pos[:-1] & neg[1:] | neg[:-1] & pos[1:])
     ray = np.arange(len(ray_a) + len(arc_a)) < len(ray_a)
     ai, ri = np.concatenate([ray_a, arc_a]), np.concatenate([ray_r, arc_r])
     lo = np.concatenate([radii[ray_r], thetas[arc_a]])
     hi = np.concatenate([radii[ray_r + 1], thetas[arc_a] + step])
     scale = np.concatenate([np.ones(len(ray_a)), radii[arc_r]])
-    # the brackets still open, and the sign of the gap at each lo
+    # the brackets still open, as their indices i and their own copies
+    # of lo, hi, the scale, the ray's unit and the sign of the gap at lo
+    # (+-1), the rays first; the copies are written back and the closed
+    # brackets leave them whenever one closes, and once more at the end
     i = np.flatnonzero((hi - lo) * scale > refine)
-    up = gaps[ai, ri] > 0
+    rays = int(np.searchsorted(i, len(ray_a)))
+    olo, ohi, oscale = lo[i], hi[i], scale[i]
+    unit = units[ai[i[:rays]]]
+    sign = np.sign(gaps[ai[i], ri[i]])
     with np.errstate(all="ignore"):
         for _ in range(80):
             if not len(i):
                 break
-            mid = 0.5 * (lo[i] + hi[i])
-            # the rays come first in i, then the arcs
-            rays = np.searchsorted(i, len(ray_a))
+            mid = 0.5 * (olo + ohi)
             z = np.concatenate([
-                mid[:rays] * units[ai[i[:rays]]],
-                scale[i[rays:]] * np.exp(1j * mid[rays:]),
+                mid[:rays] * unit, oscale[rays:] * np.exp(1j * mid[rays:])
             ])
             gm = _bracket(*_two_power(z, s, k)[:3])
             COUNTS["curve_evals"] += len(i)
             # lo moves only on lo's strict sign; 0 and NaN move hi
-            left = np.where(up[i], gm > 0, gm < 0)
-            lo[i] = np.where(left, mid, lo[i])
-            hi[i] = np.where(left, hi[i], mid)
-            i = i[(hi[i] - lo[i]) * scale[i] > refine]
+            left = gm * sign > 0
+            olo = np.where(left, mid, olo)
+            ohi = np.where(left, ohi, mid)
+            keep = (ohi - olo) * oscale > refine
+            if not keep.all():
+                lo[i], hi[i] = olo, ohi
+                unit = unit[keep[:rays]]
+                rays = len(unit)
+                i, olo, ohi, oscale, sign = (
+                    x[keep] for x in (i, olo, ohi, oscale, sign)
+                )
+    lo[i], hi[i] = olo, ohi
     mid = 0.5 * (lo + hi)
     t = np.where(ray, thetas[ai], mid)
     r = np.where(ray, mid, scale)
