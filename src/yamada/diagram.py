@@ -1,8 +1,10 @@
 """Combinatorial diagram codes for spatial graphs and their Yamada
-polynomial R, by a skein over the diagram's blocks memoised up to
-isomorphism (yamada_r: an invariant bucket key, then a dict lookup of
-anchored breadth-first codes), with the state sum over all spin states
-kept as its oracle (yamada_r_state_sum).
+polynomial R: split into two-post pieces composed by edge replacement
+where the diagram allows it (yamada_r), else by a skein over the
+diagram's blocks memoised up to isomorphism (yamada_r_skein: an
+invariant bucket key, then a dict lookup of anchored breadth-first
+codes), with the state sum over all spin states kept as the oracle of
+both (yamada_r_state_sum).
 
 A code lists graph vertices and crossings, each carrying counterclockwise
 cyclic lists of half-edge ids, plus arcs pairing up all half-edges.  Each
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -67,6 +70,12 @@ class MoveNotApplicable(YamadaError):
 
 Vertex = tuple[int, tuple[int, ...]]
 Crossing = tuple[int, tuple[int, int, int, int], tuple[int, int]]
+
+# what yamada_r did, for the tests to read: the diagrams it split into
+# two-post pieces ("split"), the pieces it solved ("pieces") under how
+# many distinct labels ("labels"), and the skein runs, one per diagram
+# that did not split and two per piece ("skein")
+COUNTS: Counter = Counter()
 
 
 def _rotate_min_first(ends: tuple[int, ...]) -> tuple[int, ...]:
@@ -333,7 +342,123 @@ def resolve(code: DiagramCode, spins: Mapping[int, int]) -> Multigraph:
 
 
 def yamada_r(code: DiagramCode, max_crossings: int | None = 14) -> LaurentPoly:
-    """Yamada polynomial R of a diagram by a memoised skein.
+    """Yamada polynomial R of a diagram: from its two-post pieces by the
+    edge replacement theorem where it splits into them, else by the
+    memoised skein (yamada_r_skein).
+
+    A branch vertex is a graph vertex with three or more ends.  The other
+    sites, crossings and vertices of degree at most 2, fall into pieces,
+    the connected parts of the arcs between them; an arc between two
+    branch vertices is a piece of its own, the plain edge.  When there
+    are at least 2 pieces and at most 16 (chain_polynomial's guard), and
+    each touches exactly two distinct branch vertices, its posts, then
+    R(D) = h_edge_replace(skeleton, labels, pieces): the skeleton has the
+    branch vertices as its vertices and one edge per piece between its
+    posts, and a piece's pair is r = R of the piece with its posts apart
+    (each post a vertex with the piece's ends of it) and r_closed = R
+    with the two posts merged into one vertex; pieces with equal pairs
+    share a label.  That holds whatever the rotations at the posts: R is
+    a sum over states of H of abstract graphs, a crossing's spins act
+    inside its piece, and each state graph is the skeleton with every
+    edge replaced by its piece's state graph, which the theorem composes
+    (Read & Whitehead, Discrete Math. 1999) linearly in each piece's
+    pair, so it composes the sums over the states of each piece.
+
+    Every other diagram goes to the skein whole: one with no branch
+    vertex or a single piece, a piece with one post (a loop at a branch
+    vertex, as the n = 1 family members have) or with none (a split
+    component without branch vertices), a skeleton past 16 edges, and a
+    piece with r + r_closed = 0, which h_edge_replace cannot divide by.
+    A piece is solved by the skein with no guard on its crossings: it
+    never splits again, since its sites other than the posts are one
+    connected part.  max_crossings is the guard on the whole diagram's
+    crossing count (None disables it), checked before anything else.
+    COUNTS counts what was done."""
+    c = len(code.crossings)
+    if max_crossings is not None and c > max_crossings:
+        raise TooLarge(f"{c} crossings exceeds the guard {max_crossings}")
+    rots, overs, mate = _darts(code)
+    parts = _two_post_pieces(rots, overs, mate)
+    if parts is None:
+        return _skein_r([(rots, overs, mate)])[0]
+    # replace imports this module, so its names are looked up per call
+    from .replace import PieceInvariants, h_edge_replace
+
+    values = _skein_r([form for part in parts for form in part[2:]])
+    names: dict = {}
+    labels, edges = {}, []
+    for eid, (u, v, _, _) in enumerate(parts):
+        pair = values[2 * eid], values[2 * eid + 1]
+        if (pair[0] + pair[1]).is_zero():
+            return _skein_r([(rots, overs, mate)])[0]
+        labels[eid] = names.setdefault(pair, f"p{len(names)}")
+        edges.append((eid, u, v))
+    COUNTS["split"] += 1
+    COUNTS["pieces"] += len(parts)
+    COUNTS["labels"] += len(names)
+    posts = sorted({w for _, u, v in edges for w in (u, v)})
+    skeleton = Multigraph(tuple(posts), tuple(edges))
+    pieces = {lab: PieceInvariants(*pair) for pair, lab in names.items()}
+    return h_edge_replace(skeleton, labels, pieces)
+
+
+def _two_post_pieces(rots: list, overs: list, mate: list[int]) -> list | None:
+    """The two-post pieces of a diagram given as in _darts, as yamada_r
+    defines them, or None unless it splits into 2 to 16 of them: for
+    each piece its posts u < v as site indices, then its diagram with
+    the posts apart and with the posts merged, each as in _darts and
+    numbered on its own.  A post keeps the piece's darts in the order of
+    its rotation, and the merged vertex lists u's darts, then v's."""
+    branch = [o is None and len(r) >= 3 for r, o in zip(rots, overs)]
+    if not any(branch):
+        return None
+    site_of = [0] * len(mate)
+    for i, r in enumerate(rots):
+        for d in r:
+            site_of[d] = i
+    uf = UnionFind(i for i, b in enumerate(branch) if not b)
+    for d, m in enumerate(mate):
+        if not (branch[site_of[d]] or branch[site_of[m]]):
+            uf.union(site_of[d], site_of[m])
+    # each piece as its sites and its posts' darts, keyed by its root in
+    # uf, or a plain edge by its smaller dart
+    pieces: dict = {}
+    for i, b in enumerate(branch):
+        if not b:
+            pieces.setdefault(uf.find(i), ([], {}))[0].append(i)
+    for u, b in enumerate(branch):
+        if b:
+            for d in rots[u]:
+                m = mate[d]
+                key = ("plain", min(d, m)) if branch[site_of[m]] else uf.find(site_of[m])
+                pieces.setdefault(key, ([], {}))[1].setdefault(u, []).append(d)
+    # 16 edges is chain_polynomial's guard
+    if not 2 <= len(pieces) <= 16:
+        return None
+    out = []
+    for own, posts in pieces.values():
+        if len(posts) != 2:
+            return None
+        (u, du), (v, dv) = sorted(posts.items())
+        index: dict = {}
+        prots = [
+            tuple(index.setdefault(d, len(index)) for d in r)
+            for r in [du, dv] + [rots[i] for i in own]
+        ]
+        povers = [overs[i] for i in own]
+        pmate = [0] * len(index)
+        for d, j in index.items():
+            pmate[j] = index[mate[d]]
+        open_piece = prots, [None, None] + povers, pmate
+        closed_piece = [prots[0] + prots[1]] + prots[2:], [None] + povers, list(pmate)
+        out.append((u, v, open_piece, closed_piece))
+    return out
+
+
+def yamada_r_skein(code: DiagramCode, max_crossings: int | None = 14) -> LaurentPoly:
+    """Yamada polynomial R of a diagram by a memoised skein, on the whole
+    diagram: what yamada_r runs on a diagram that does not split into
+    two-post pieces, and on each piece.
 
     R(D) = A R(D+) + A^-1 R(D-) + R(D0) on any one crossing, where D+ and
     D- weld its ends by the +1 and -1 spins and D0 makes it a graph
@@ -368,21 +493,33 @@ def yamada_r(code: DiagramCode, max_crossings: int | None = 14) -> LaurentPoly:
     c = len(code.crossings)
     if max_crossings is not None and c > max_crossings:
         raise TooLarge(f"{c} crossings exceeds the guard {max_crossings}")
-    rots, overs, mate = _darts(code)
-    arcs = len(mate) // 2
+    return _skein_r([_darts(code)])[0]
+
+
+def _skein_r(diagrams: list[tuple[list, list, list[int]]]) -> list[LaurentPoly]:
+    """R of each diagram given as in _darts (their rots and mates are
+    changed) by the memoised skein of yamada_r_skein, with no guard.  The
+    diagrams share one _Skein, sized for the most crossings and arcs of
+    any, so a block met in one is looked up in the others' memo."""
+    COUNTS["skein"] += len(diagrams)
+    cs = [sum(o is not None for o in overs) for _, overs, _ in diagrams]
+    arcs = max(len(mate) for _, _, mate in diagrams) // 2
     # every coefficient of Q is a sum over the 3^c states of the flow
     # coefficients of a state graph, at most 2^arcs in modulus together,
     # and its degree in t is at most the state graph's edge count
-    width = slot_width((3**c) << arcs)
+    width = slot_width((3 ** max(cs)) << arcs)
     sk = _Skein(8 * width, arcs + 1)
-    slots = signed_slots(sk.value(rots, overs, mate), width, (2 * c + 1) * (arcs + 1))
-    total = LaurentPoly.zero()
-    for a in range(2 * c + 1):
-        coeffs = slots[a * (arcs + 1) : (a + 1) * (arcs + 1)]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        total = total + at_sigma_plus_one(coeffs).shift(a - c)
-    return total
+    out = []
+    for (rots, overs, mate), c in zip(diagrams, cs):
+        slots = signed_slots(sk.value(rots, overs, mate), width, (2 * c + 1) * (arcs + 1))
+        total = LaurentPoly.zero()
+        for a in range(2 * c + 1):
+            coeffs = slots[a * (arcs + 1) : (a + 1) * (arcs + 1)]
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+            total = total + at_sigma_plus_one(coeffs).shift(a - c)
+        out.append(total)
+    return out
 
 
 def _darts(code: DiagramCode) -> tuple[list, list, list[int]]:

@@ -967,7 +967,9 @@ def limit_curve_points(
     the midpoints of the open brackets only, in one _bracket call, and a
     bracket closes once its scaled width is at most refine: a bracket
     that is short enough is not halved again while wider ones still
-    are.  A grid point whose gap is 0 or not finite starts no bracket.
+    are.  It also closes once its midpoint is its lo or its hi, two
+    adjacent doubles, which a refine below their spacing would otherwise
+    evaluate again until the loop's 80 steps run out.  A grid point whose gap is 0 or not finite starts no bracket.
     The loop halves compact copies of the open brackets, with the sign
     of the gap at each lo as +-1, and a midpoint replaces lo only where
     its value times that sign is positive: a value of 0 or NaN replaces
@@ -1069,11 +1071,11 @@ def limit_curve_points(
     olo, ohi, oscale = lo[i], hi[i], scale[i]
     unit = units[ai[i[:rays]]]
     sign = np.sign(gaps[ai[i], ri[i]])
+    mid = 0.5 * (olo + ohi)
     with np.errstate(all="ignore"):
         for _ in range(80):
             if not len(i):
                 break
-            mid = 0.5 * (olo + ohi)
             z = np.concatenate([
                 mid[:rays] * unit, oscale[rays:] * np.exp(1j * mid[rays:])
             ])
@@ -1083,13 +1085,16 @@ def limit_curve_points(
             left = gm * sign > 0
             olo = np.where(left, mid, olo)
             ohi = np.where(left, ohi, mid)
-            keep = (ohi - olo) * oscale > refine
+            mid = 0.5 * (olo + ohi)
+            # a bracket whose next midpoint is lo or hi (two adjacent
+            # doubles) cannot shrink, so it closes, whatever its width
+            keep = ((ohi - olo) * oscale > refine) & (mid != olo) & (mid != ohi)
             if not keep.all():
                 lo[i], hi[i] = olo, ohi
                 unit = unit[keep[:rays]]
                 rays = len(unit)
-                i, olo, ohi, oscale, sign = (
-                    x[keep] for x in (i, olo, ohi, oscale, sign)
+                i, olo, ohi, mid, oscale, sign = (
+                    x[keep] for x in (i, olo, ohi, mid, oscale, sign)
                 )
     lo[i], hi[i] = olo, ohi
     mid = 0.5 * (lo + hi)

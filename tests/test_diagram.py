@@ -27,6 +27,7 @@ from yamada.diagram import (
     smooth_crossing,
     validate,
     yamada_r,
+    yamada_r_skein,
     yamada_r_state_sum,
 )
 from yamada.multigraph import TooLarge
@@ -441,16 +442,16 @@ def test_skein_reaches_past_the_state_sum_guard():
     for n, s, k in ((16, 1, 1), (2, 2, 4)):
         code = build_family_diagram(n, s, k, max_crossings=None)
         with pytest.raises(TooLarge):
-            yamada_r(code)
-        assert yamada_r(code, max_crossings=None) == family_polynomial(
+            yamada_r_skein(code)
+        assert yamada_r_skein(code, max_crossings=None) == family_polynomial(
             n, s, k, "+", degree_cap=None
         )
 
 
 def skein_blocks(monkeypatch, code):
-    """The blocks one yamada_r call on code looks up in its memo, each as
-    (rots, overs, mate) in the skein's numbering, and the number of
-    blocks it expanded."""
+    """The blocks one yamada_r_skein call on code looks up in its memo,
+    each as (rots, overs, mate) in the skein's numbering, and the number
+    of blocks it expanded."""
     blocks, expansions = [], [0]
     block, expand = diagram._Skein.block, diagram._Skein.expand
 
@@ -465,7 +466,7 @@ def skein_blocks(monkeypatch, code):
     with monkeypatch.context() as m:
         m.setattr(diagram._Skein, "block", spy_block)
         m.setattr(diagram._Skein, "expand", spy_expand)
-        yamada_r(code)
+        yamada_r_skein(code)
     return blocks, expansions[0]
 
 
@@ -637,7 +638,7 @@ def test_memo_forms_each_anchored_code_once(monkeypatch):
     monkeypatch.setattr(diagram, "_code", spy_code)
     for nsk in ((2, 2, 2), (8, 1, 1)):
         seen.clear()
-        yamada_r(build_family_diagram(*nsk))
+        yamada_r_skein(build_family_diagram(*nsk))
         assert len(seen) > 1 and any(a > 1 for _, a in seen)
         assert all(1 <= w <= a for w, a in seen), nsk
 
