@@ -969,7 +969,8 @@ def limit_curve_points(
     that is short enough is not halved again while wider ones still
     are.  It also closes once its midpoint is its lo or its hi, two
     adjacent doubles, which a refine below their spacing would otherwise
-    evaluate again until the loop's 80 steps run out.  A grid point whose gap is 0 or not finite starts no bracket.
+    evaluate again until the loop's 80 steps run out.  A grid point
+    whose gap is 0 or not finite starts no bracket.
     The loop halves compact copies of the open brackets, with the sign
     of the gap at each lo as +-1, and a midpoint replaces lo only where
     its value times that sign is positive: a value of 0 or NaN replaces

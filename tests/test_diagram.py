@@ -643,6 +643,184 @@ def test_memo_forms_each_anchored_code_once(monkeypatch):
         assert all(1 <= w <= a for w, a in seen), nsk
 
 
+def counted(f, *args, **kwargs):
+    """f's value and what the call added to diagram.COUNTS."""
+    before = diagram.COUNTS.copy()
+    out = f(*args, **kwargs)
+    return out, diagram.COUNTS - before
+
+
+# the family diagrams with at most 8 crossings whose junctions are
+# branch vertices two by two: n >= 2
+SPLITTING = [
+    (n, s, k)
+    for n in range(2, 9) for s in range(1, 5) for k in range(1, 5)
+    if n * s * k <= 8
+]
+
+
+def test_family_diagrams_split_into_their_bands():
+    # every band is a piece between two junctions, all under one label;
+    # the mirror images are checked against the state sum's mirror image
+    assert len(SPLITTING) == 18
+    for n, s, k in SPLITTING:
+        code = build_family_diagram(n, s, k)
+        want = yamada_r_state_sum(code)
+        for d, w in ((code, want), (mirror(code), want.mirror())):
+            got, did = counted(yamada_r, d)
+            assert got == w, (n, s, k)
+            assert did == {"split": 1, "pieces": n * s, "labels": 1,
+                           "skein": 2 * n * s}
+
+
+def test_eight_kinks_in_a_cycle_split_into_eight_pieces_under_one_label():
+    got, did = counted(yamada_r, build_family_diagram(8, 1, 1))
+    assert got == family_polynomial(8, 1, 1, "+", degree_cap=None)
+    assert did == {"split": 1, "pieces": 8, "labels": 1, "skein": 16}
+
+
+def assembly(rng, posts, max_crossings):
+    """Twist pieces build_twist(k, sign), k = 0, 1 or 2, each between two
+    random posts of the given number, until every post has at least 3
+    ends, with at most max_crossings crossings in all (drawn again
+    otherwise); about half of the assemblies have the rotation at every
+    post shuffled.  Returns the code and its pieces as (u, v, k, sign)."""
+    while True:
+        pieces, ends = [], [0] * posts
+        while min(ends) < 3:
+            u, v = rng.sample(range(posts), 2)
+            k = rng.randrange(3)
+            pieces.append((u, v, k, rng.choice("+-")))
+            ends[u] += 1 if k == 0 else 2
+            ends[v] += 1 if k == 0 else 2
+        if sum(p[2] for p in pieces) <= max_crossings:
+            break
+    at = [[] for _ in range(posts)]
+    crossings, arcs = [], []
+    for j, (u, v, k, sign) in enumerate(pieces):
+        off = 1000 * (j + 1)
+        twist = build_twist(k, sign)
+        ends_of = dict(twist.vertices)
+        at[u].extend(h + off for h in ends_of[1])
+        at[v].extend(h + off for h in ends_of[2])
+        crossings += [
+            (cid + off, tuple(h + off for h in e), tuple(h + off for h in o))
+            for cid, e, o in twist.crossings
+        ]
+        arcs += [(a + off, b + off) for a, b in twist.arcs]
+    if rng.random() < 0.5:
+        for ends_at in at:
+            rng.shuffle(ends_at)
+    code = make_code(
+        [(w + 1, tuple(e)) for w, e in enumerate(at)], crossings, arcs
+    )
+    return code, pieces
+
+
+def test_assemblies_of_twist_pieces_match_the_state_sum():
+    # pieces of every kind, equal and unequal pairs, on 2 to 4 posts and
+    # any rotation at the posts, and two assemblies side by side (a
+    # skeleton of two components)
+    rng = random.Random(40)
+    shapes = set()
+    for _ in range(30):
+        code, pieces = assembly(rng, rng.randint(2, 4), 6)
+        got, did = counted(yamada_r, code)
+        assert got == yamada_r_state_sum(code), pieces
+        assert did["split"] == 1 and did["pieces"] == len(pieces)
+        assert did["labels"] == len({(k, sign if k else "") for _, _, k, sign in pieces})
+        shapes.update((k, sign) for _, _, k, sign in pieces)
+    assert shapes == {(k, sign) for k in range(3) for sign in "+-"}
+    left, right = renamed(assembly(rng, 2, 3)[0], "a"), renamed(assembly(rng, 3, 3)[0], "b")
+    both = make_code(
+        left.vertices + right.vertices,
+        left.crossings + right.crossings,
+        left.arcs + right.arcs,
+    )
+    got, did = counted(yamada_r, both)
+    assert did["split"] == 1
+    assert got == yamada_r_state_sum(both) == yamada_r(left) * yamada_r(right)
+
+
+def test_pieces_reach_past_the_skein():
+    # each in milliseconds: (6, 2, 1) takes seconds by the skein alone;
+    # (8, 2, 1) has 16 pieces, as many edges as chain_polynomial takes
+    for n, s, k in ((6, 2, 1), (6, 2, 2), (8, 2, 1)):
+        code = build_family_diagram(n, s, k, max_crossings=None)
+        got, did = counted(yamada_r, code, max_crossings=None)
+        assert got == family_polynomial(n, s, k, "+", degree_cap=None)
+        assert did["pieces"] == n * s
+
+
+def test_a_diagram_without_branch_vertices_takes_the_skein():
+    # the trefoil, the numerator closure of three half twists, with no
+    # vertex at all, and a triangle of degree-2 vertices grown by R1 and
+    # R2 moves to 6 crossings, as the cycle bases of the exact benchmark
+    twist = build_twist(3)
+    ends = [e for _, e, _ in twist.crossings]
+    trefoil = make_code(
+        [],
+        twist.crossings,
+        [a for a in twist.arcs if not {10, 11, 12, 13} & set(a)]
+        + [(ends[0][0], ends[-1][3]), (ends[0][1], ends[-1][2])],
+    )
+    assert validate(trefoil).planar
+    cycle, _ = grown(cycle_code(3), random.Random(8), 6)
+    for code in (trefoil, cycle):
+        got, did = counted(yamada_r, code)
+        assert did == {"skein": 1}
+        assert got == yamada_r_state_sum(code)
+
+
+def test_a_piece_with_one_post_takes_the_skein():
+    # an n = 1 member's bands start and end at its one junction
+    for s, k in ((1, 4), (2, 2), (4, 1)):
+        code = build_family_diagram(1, s, k)
+        got, did = counted(yamada_r, code)
+        assert did == {"skein": 1}
+        assert got == family_polynomial(1, s, k, "+", degree_cap=None)
+        assert got == yamada_r_state_sum(code)
+
+
+def test_a_single_piece_takes_the_skein():
+    # a theta whose three strands are clasped by two R2 moves: one piece
+    # between its two vertices
+    code = theta_code(3)
+    (a, b, c) = code.arcs
+    code = apply_move(code, "r2_insert", arc_a=a, arc_b=b)
+    strand_c = [x for x in code.arcs if c[0] in x][0]
+    strand_b = [x for x in code.arcs if b[1] in x][0]
+    code = apply_move(code, "r2_insert", arc_a=strand_b, arc_b=strand_c)
+    got, did = counted(yamada_r, code)
+    assert did == {"skein": 1}
+    assert got == yamada_r_state_sum(code)
+
+
+def test_a_skeleton_past_the_chain_guard_takes_the_skein():
+    # 17 pieces, one more edge than chain_polynomial takes
+    code = build_family_diagram(17, 1, 1, max_crossings=None)
+    with pytest.raises(TooLarge):
+        yamada_r(code)
+    got, did = counted(yamada_r, code, max_crossings=None)
+    assert did == {"skein": 1}
+    assert got == family_polynomial(17, 1, 1, "+", degree_cap=None)
+
+
+def test_a_piece_whose_pair_sums_to_zero_takes_the_skein():
+    # two plain edges and a crossing with a degree-1 vertex on one of its
+    # strands, between the same two branch vertices: that piece's r and
+    # r_closed are both 0, so h_edge_replace cannot take it, and R is 0
+    code = make_code(
+        [(1, (1, 2, 3, 4)), (2, (5, 6, 7)), (3, (9,))],
+        [(4, (11, 12, 13, 14), (11, 13))],
+        [(1, 5), (2, 6), (3, 11), (4, 14), (7, 12), (9, 13)],
+    )
+    validate(code)
+    got, did = counted(yamada_r, code)
+    assert did == {"skein": 7}
+    assert got == yamada_r_state_sum(code) == LaurentPoly.zero()
+
+
 def test_disjoint_and_wedge_laws():
     b2 = bouquet_code(2)
     r2 = yamada_r(b2)

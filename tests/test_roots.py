@@ -1110,6 +1110,23 @@ def test_limit_curve_points_count_their_midpoints(monkeypatch):
     assert roots_module.COUNTS["curve_evals"] - before == sum(sizes)
 
 
+def test_limit_curve_points_close_brackets_that_cannot_shrink():
+    # a refine below the spacing of doubles: a bracket closes once its
+    # midpoint is its lo or its hi, at the points a loop that went on
+    # halving such brackets for all 80 steps returned (in 2480
+    # evaluations; the sha256 of their float.hex was frozen from it); at
+    # the default refine no bracket gets there, and the count stays 793
+    digest = "3a844c407e92a0501a00b1d778773ef2636f7fb1c3fd5d1589f4d3391d006360"
+    before = roots_module.COUNTS["curve_evals"]
+    points = limit_curve_points(2, 3, angles=41, radial=17, refine=1e-17)
+    assert roots_module.COUNTS["curve_evals"] - before == 1560
+    rows = "".join(f"{z.real.hex()} {z.imag.hex()}\n" for z in points)
+    assert hashlib.sha256(rows.encode()).hexdigest() == digest
+    before = roots_module.COUNTS["curve_evals"]
+    limit_curve_points(2, 3, angles=41, radial=17)
+    assert roots_module.COUNTS["curve_evals"] - before == 793
+
+
 def test_limit_curve_points_match_their_frozen_digests():
     # the 24 sweep columns on the default grid, against the sha256 of
     # their points' float.hex, frozen by scripts/build_fixtures.py
