@@ -673,12 +673,6 @@ def test_family_diagrams_split_into_their_bands():
                            "skein": 2 * n * s}
 
 
-def test_eight_kinks_in_a_cycle_split_into_eight_pieces_under_one_label():
-    got, did = counted(yamada_r, build_family_diagram(8, 1, 1))
-    assert got == family_polynomial(8, 1, 1, "+", degree_cap=None)
-    assert did == {"split": 1, "pieces": 8, "labels": 1, "skein": 16}
-
-
 def assembly(rng, posts, max_crossings):
     """Twist pieces build_twist(k, sign), k = 0, 1 or 2, each between two
     random posts of the given number, until every post has at least 3
@@ -728,10 +722,12 @@ def test_assemblies_of_twist_pieces_match_the_state_sum():
         got, did = counted(yamada_r, code)
         assert got == yamada_r_state_sum(code), pieces
         assert did["split"] == 1 and did["pieces"] == len(pieces)
-        assert did["labels"] == len({(k, sign if k else "") for _, _, k, sign in pieces})
+        kinds = {(k, sign if k else "") for _, _, k, sign in pieces}
+        assert did["labels"] == len(kinds)
         shapes.update((k, sign) for _, _, k, sign in pieces)
     assert shapes == {(k, sign) for k in range(3) for sign in "+-"}
-    left, right = renamed(assembly(rng, 2, 3)[0], "a"), renamed(assembly(rng, 3, 3)[0], "b")
+    left = renamed(assembly(rng, 2, 3)[0], "a")
+    right = renamed(assembly(rng, 3, 3)[0], "b")
     both = make_code(
         left.vertices + right.vertices,
         left.crossings + right.crossings,
@@ -778,7 +774,6 @@ def test_a_piece_with_one_post_takes_the_skein():
         code = build_family_diagram(1, s, k)
         got, did = counted(yamada_r, code)
         assert did == {"skein": 1}
-        assert got == family_polynomial(1, s, k, "+", degree_cap=None)
         assert got == yamada_r_state_sum(code)
 
 
