@@ -1,9 +1,13 @@
 """Chain polynomial of edge-labelled multigraphs.
 
-The chain polynomial lives in Z[w, labels].  Two routes are provided: the
-deletion-contraction recursion and an expansion over edge subsets weighted
-by flow polynomials evaluated at 1 - w.  The edge replacement theorem
-reads its terms (replace.h_edge_replace), with the denominators cleared.
+The chain polynomial lives in Z[w, labels].  Two routes are provided:
+chain_polynomial, on the series-parallel engine that also gives the flow
+polynomial (multigraph.series_parallel: loops, pendant, parallel and
+series edges reduced first, then deletion-contraction with a memo on what
+is left, its edge guard counting only those edges), and an expansion over
+edge subsets weighted by flow polynomials evaluated at 1 - w, kept as its
+oracle.  The edge replacement theorem reads its terms
+(replace.h_edge_replace), with the denominators cleared.
 """
 
 from __future__ import annotations
@@ -16,13 +20,11 @@ from .errors import YamadaError
 from .multigraph import (
     Multigraph,
     TooLarge,
-    contract_edge,
-    delete_edge,
     flow_polynomial,
     graph_from_dict,
     graph_to_dict,
-    is_bridge,
     make_graph,
+    series_parallel,
 )
 
 
@@ -188,51 +190,27 @@ def chain_variables(labels: Labeling) -> tuple[str, ...]:
     return ("w",) + tuple(sorted(names))
 
 
-def _chain_recursive(g: Multigraph, labels: Labeling, vars: tuple[str, ...]) -> MultiPoly:
-    # loops and bridges at the front of the edge list come off as factors
-    # in one loop; only an edge that is neither recurses, on two minors
-    factors = []
-    value = MultiPoly.const(vars, 1)
-    while g.edges:
-        eid, u, v = g.edges[0]
-        a = MultiPoly.var(vars, labels[eid])
-        if u == v:
-            factors.append(a - MultiPoly.var(vars, "w"))
-            g = delete_edge(g, eid)
-        elif is_bridge(g.edges, eid, u, v):
-            factors.append(a)
-            g = contract_edge(g, eid)
-        else:
-            value = (a - 1) * _chain_recursive(
-                delete_edge(g, eid), labels, vars
-            ) + _chain_recursive(contract_edge(g, eid), labels, vars)
-            break
-    for f in factors:
-        value = f * value
-    return value
-
-
 def chain_polynomial(g: Multigraph, labels: Labeling, max_edges: int | None = 16) -> MultiPoly:
-    """Chain polynomial by deletion-contraction: edgeless graphs give 1, a
-    loop labelled a contributes (a - w), a bridge labelled a the factor a
-    times the contraction, any other edge (a - 1) times the deletion plus
-    the contraction.
+    """Chain polynomial by multigraph.series_parallel: an edge labelled a
+    carries the pair (a - 1, 1), so Ch(G) = (a - 1) Ch(G - e) + Ch(G/e)
+    on a non-loop edge, and t = 1 - w.  So a loop labelled a gives the
+    factor a - w and a bridge at a vertex of degree 1 the factor a;
+    parallel and series edges merge into one edge before anything
+    branches, and cycles, thetas and bouquets take no branch at all.
+    max_edges is the guard on the edges left after that reduction (None
+    disables it).
 
-    The bridge rule Ch(G) = a_e Ch(G/e) follows from the flow expansion
-    (chain_via_flows): a bridge e of G is a bridge of G - Y for every edge
-    set Y that misses it, so F(G - Y) = 0 there, and for Y that holds it
-    F(G - Y) = F(G/e - (Y - e)), since the flow polynomial multiplies over
-    both a split and a one-point union.  As in multigraph._flow only the
-    chosen edge is tested.  Loops and bridges are taken off in a loop, so
-    the recursion branches only on edges that are neither: an m-cycle
-    takes 2m - 1 calls, where plain deletion-contraction takes 2^(m+1) - 2.
-    """
-    if max_edges is not None and len(g.edges) > max_edges:
-        raise TooLarge(f"{len(g.edges)} edges exceeds the guard {max_edges}")
+    The pairs follow from the flow expansion (chain_via_flows): expanding
+    each F(G - Y; 1 - w) over edge subsets gives Ch(G) = sum over S of
+    t^n(S) prod_(e not in S) (a_e - 1), n(S) the nullity of S."""
     missing = [eid for eid, _, _ in g.edges if eid not in labels]
     if missing:
         raise MissingAssignment(f"edges without labels: {missing}")
-    return _chain_recursive(g, labels, chain_variables(labels))
+    vars = chain_variables(labels)
+    one = MultiPoly.const(vars, 1)
+    d = {lab: MultiPoly.var(vars, lab) - 1 for lab in set(labels.values())}
+    edges = [(u, v, d[labels[eid]], 1) for eid, u, v in g.edges]
+    return one * series_parallel(edges, one - MultiPoly.var(vars, "w"), {}, max_edges)
 
 
 def chain_via_flows(g: Multigraph, labels: Labeling, max_edges: int | None = 12) -> MultiPoly:

@@ -577,7 +577,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True,
                    help="graph JSON: a path, '-', or inline text")
     p.add_argument("--max-edges", type=_cap_arg, default=14,
-                   help="edge guard for the recursion (default 14, 'none' disables)")
+                   help="guard on the edges left after the series-parallel "
+                   "reduction (default 14, 'none' disables)")
 
     p = add(name="graph-h-oracle", handler=_cmd_graph_h_oracle,
             help="same invariant through the subset expansion")
@@ -586,13 +587,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add(name="flow", handler=_cmd_flow, help="flow polynomial in t")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--max-edges", type=_cap_arg, default=16)
+    p.add_argument("--max-edges", type=_cap_arg, default=16,
+                   help="guard on the edges left after the series-parallel "
+                   "reduction (default 16, 'none' disables)")
 
     p = add(name="chain", handler=_cmd_chain,
             help="chain polynomial of an edge-labelled graph")
     p.add_argument("--in", dest="infile", required=True,
                    help="graph JSON with a \"labels\" table")
-    p.add_argument("--max-edges", type=_cap_arg, default=16)
+    p.add_argument("--max-edges", type=_cap_arg, default=16,
+                   help="guard on the edges left after the series-parallel "
+                   "reduction (default 16, 'none' disables)")
 
     p = add(name="diagram-r", handler=_cmd_diagram_r,
             help="state sum of a diagram code")

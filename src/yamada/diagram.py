@@ -35,6 +35,7 @@ from .multigraph import (
     UnionFind,
     at_sigma_plus_one,
     check_id_types,
+    series_parallel,
     signed_flow,
     yamada_h,
 )
@@ -350,25 +351,27 @@ def yamada_r(code: DiagramCode, max_crossings: int | None = 14) -> LaurentPoly:
     sites, crossings and vertices of degree at most 2, fall into pieces,
     the connected parts of the arcs between them; an arc between two
     branch vertices is a piece of its own, the plain edge.  When there
-    are at least 2 pieces and at most 16 (chain_polynomial's guard), and
-    each touches exactly two distinct branch vertices, its posts, then
-    R(D) = h_edge_replace(skeleton, labels, pieces): the skeleton has the
-    branch vertices as its vertices and one edge per piece between its
-    posts, and a piece's pair is r = R of the piece with its posts apart
-    (each post a vertex with the piece's ends of it) and r_closed = R
-    with the two posts merged into one vertex; pieces with equal pairs
-    share a label.  That holds whatever the rotations at the posts: R is
-    a sum over states of H of abstract graphs, a crossing's spins act
-    inside its piece, and each state graph is the skeleton with every
-    edge replaced by its piece's state graph, which the theorem composes
-    (Read & Whitehead, Discrete Math. 1999) linearly in each piece's
-    pair, so it composes the sums over the states of each piece.
+    are at least 2 pieces and each touches exactly two distinct branch
+    vertices, its posts, then R(D) = h_edge_replace(skeleton, labels,
+    pieces): the skeleton has the branch vertices as its vertices and
+    one edge per piece between its posts, and a piece's pair is r = R
+    of the piece with its posts apart (each post a vertex with the
+    piece's ends of it) and r_closed = R with the two posts merged into
+    one vertex; pieces with equal pairs share a label.  That holds
+    whatever the rotations at the posts: R is a sum over states of H of
+    abstract graphs, a crossing's spins act inside its piece, and each
+    state graph is the skeleton with every edge replaced by its piece's
+    state graph, which the theorem composes (Read & Whitehead, Discrete
+    Math. 1999) linearly in each piece's pair, so it composes the sums
+    over the states of each piece.
 
     Every other diagram goes to the skein whole: one with no branch
     vertex or a single piece, a piece with one post (a loop at a branch
     vertex, as the n = 1 family members have) or with none (a split
-    component without branch vertices), a skeleton past 16 edges, and a
-    piece with r + r_closed = 0, which h_edge_replace cannot divide by.
+    component without branch vertices), a piece with r + r_closed = 0,
+    which h_edge_replace cannot divide by, and a skeleton that keeps more
+    edges after the series-parallel reduction than chain_polynomial's
+    guard of 16.
     A piece is solved by the skein with no guard on its crossings: it
     never splits again, since its sites other than the posts are one
     connected part.  max_crossings is the guard on the whole diagram's
@@ -393,18 +396,22 @@ def yamada_r(code: DiagramCode, max_crossings: int | None = 14) -> LaurentPoly:
             return _skein_r([(rots, overs, mate)])[0]
         labels[eid] = names.setdefault(pair, f"p{len(names)}")
         edges.append((eid, u, v))
-    COUNTS["split"] += 1
-    COUNTS["pieces"] += len(parts)
-    COUNTS["labels"] += len(names)
     posts = sorted({w for _, u, v in edges for w in (u, v)})
     skeleton = Multigraph(tuple(posts), tuple(edges))
     pieces = {lab: PieceInvariants(*pair) for pair, lab in names.items()}
-    return h_edge_replace(skeleton, labels, pieces)
+    try:
+        value = h_edge_replace(skeleton, labels, pieces)
+    except TooLarge:
+        return _skein_r([(rots, overs, mate)])[0]
+    COUNTS["split"] += 1
+    COUNTS["pieces"] += len(parts)
+    COUNTS["labels"] += len(names)
+    return value
 
 
 def _two_post_pieces(rots: list, overs: list, mate: list[int]) -> list | None:
     """The two-post pieces of a diagram given as in _darts, as yamada_r
-    defines them, or None unless it splits into 2 to 16 of them: for
+    defines them, or None unless it splits into 2 or more of them: for
     each piece its posts u < v as site indices, then its diagram with
     the posts apart and with the posts merged, each as in _darts and
     numbered on its own.  A post keeps the piece's darts in the order of
@@ -432,8 +439,7 @@ def _two_post_pieces(rots: list, overs: list, mate: list[int]) -> list | None:
                 m = mate[d]
                 key = ("plain", min(d, m)) if branch[site_of[m]] else uf.find(site_of[m])
                 pieces.setdefault(key, ([], {}))[1].setdefault(u, []).append(d)
-    # 16 edges is chain_polynomial's guard
-    if not 2 <= len(pieces) <= 16:
+    if len(pieces) < 2:
         return None
     out = []
     for own, posts in pieces.values():
@@ -473,7 +479,8 @@ def yamada_r_skein(code: DiagramCode, max_crossings: int | None = 14) -> Laurent
       degree 0 gives -1, one of degree 1 or an arc whose removal
       disconnects the diagram gives R = 0 (every state graph then has a
       bridge);
-    - a block without crossings is its graph's H, through signed_flow.
+    - a block without crossings is its graph's H, through the signed
+      flow polynomial (multigraph.series_parallel), already packed.
     A block with crossings is expanded on the crossing _next_crossing
     picks.  Every block is memoised up to isomorphism (_Skein.block), so
     isomorphic blocks reached along different branches are computed once:
@@ -663,14 +670,11 @@ class _Skein:
         picks."""
         x = _next_crossing(rots, overs, mates, site_of)
         if x is None:
-            edges = tuple(
-                (d, site_of[d], site_of[mates[d]]) for r in rots for d in r if d < mates[d]
-            )
-            coeffs = signed_flow(Multigraph(tuple(range(len(rots))), edges), self.flow_memo)
-            v = 0
-            for c in reversed(coeffs):
-                v = (v << self.t_bits) + c
-            return v
+            edges = [
+                (site_of[d], site_of[mates[d]], -1, 1) for r in rots for d in r if d < mates[d]
+            ]
+            v = series_parallel(edges, 1 << self.t_bits, self.flow_memo)
+            return -v if (len(rots) + len(edges)) % 2 else v
         r = rots[x]
         a, b, c, d = r if overs[x] == 0 else r[1:] + r[:1]
         del rots[x], overs[x]

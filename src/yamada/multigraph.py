@@ -2,31 +2,30 @@
 polynomial invariants: the integer flow polynomial F, the Yamada polynomial
 H, and an independent subset-expansion route to H.
 
-One memoized recursion computes F, as integer coefficients in t, on the
-loopless core of each minor (loops come off as factors t - 1).  A vertex
-of degree 1 sits on a bridge, so F = 0.  A vertex of degree 2 on edges e
-and f gives F(G) = F(G/e) with no delete branch, since G - e has the
-bridge f; every such series edge is contracted in one pass.  Otherwise the
-smallest edge id decides: zero if it is a bridge, else contract minus
-delete, taken at once over its whole class of parallel edges, with no
-search for bridges elsewhere (they cancel further down).
+One series-parallel engine (series_parallel) computes both F and the
+chain polynomial of chain.py: every edge carries a pair (d, c) with
+Ch(G) = d Ch(G - e) + c Ch(G/e), loops, pendant edges, parallel edges and
+series edges are reduced first, and deletion-contraction, memoised on the
+reduced graph, runs only on what is left.  The edge guards of
+flow_polynomial, yamada_h and chain.chain_polynomial count those edges
+left after the reduction, where the exponential work is.  F is the pair
+(-1, 1), run on Python ints at t = 2^B and read back slot by slot.
 H is a specialisation of F: H(G) = (-1)^(|V|+|E|) F_G(sigma + 1), and
 sigma + 1 = A^-1 (1 + A)^2.  signed_flow gives the integer coefficients
 of the signed F and at_sigma_plus_one applies the substitution by Horner
 steps that multiply by (1 + A)^2, so a sum of H values (the state sum of
 diagram.yamada_r) adds integer lists and converts once.  The subset
-expansion (yamada_h_subset_sum) does not use the recursion and serves as
+expansion (yamada_h_subset_sum) does not use the engine and serves as
 its oracle.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import YamadaError
-from .laurent import LaurentPoly, sigma
+from .laurent import LaurentPoly, sigma, signed_slots, slot_width
 
 
 class UnknownEdge(YamadaError):
@@ -129,124 +128,132 @@ def components_betti(g: Multigraph) -> tuple[int, int]:
     return mu, beta
 
 
-def _flow(edges: list[Edge], memo: dict) -> list[int]:
-    """Ascending integer coefficients in t of the flow polynomial, [] for
-    zero.  Loops come off first, a factor t - 1 each; then, on the
-    loopless core, a vertex of degree 1 sits on a bridge and gives 0, a
-    vertex of degree 2 on edges e and f gives F(G) = F(G/e) (deleting e
-    would leave f a bridge; _series_contract takes every such edge at
-    once), and otherwise the smallest edge id e gives 0 if it is a bridge
-    and contract minus delete if not, unrolled over the class P of e and
-    the edges parallel to it, k = |P|: F(G) = S_k F(G/P) + (-1)^k F(G - P)
-    with S_k = ((t - 1)^k - (-1)^k) / t, two minors where edge by edge
-    there would be k + 1.
+def series_parallel(edges: Iterable[tuple], t, memo: dict, max_edges: int | None = None):
+    """Ch(G) = sum over edge sets S of t^n(S) prod_(e in S) c_e
+    prod_(e not in S) d_e, n(S) the nullity of S, for edges (u, v, d, c):
+    the multivariate Tutte polynomial in the form that keeps
+    Ch(G) = d Ch(G - e) + c Ch(G/e) on a non-loop edge e (Sokal, Surveys
+    in Combinatorics 2005).  The values need only + and *, so the same
+    engine serves the chain polynomial on MultiPoly and the flow
+    polynomial, the pair (-1, 1), on ints at t = 2^B.
 
-    Contract minus delete holds for every non-loop edge, so a bridge
-    elsewhere needs no search: it survives in both minors, which then
-    cancel."""
-    core = [e for e in edges if e[1] != e[2]]
-    if not core:
-        value = [1]
-    else:
-        # delete and contract commute, so the recursion revisits the same
-        # minor along many branch orders; cache on the loopless core
-        key = tuple(core)
-        value = memo.get(key)
-        if value is None:
-            value = _flow_core(core, memo)
-            memo[key] = value
-    if value:
-        for _ in range(len(edges) - len(core)):
-            value = [b - a for a, b in zip(value + [0], [0] + value)]
+    Rules, taken until none applies (_reduce): a loop is the factor
+    d + c t, an edge at a vertex of degree 1 the factor d + c, parallel
+    edges merge into (d1 d2, d1 c2 + c1 (d2 + c2 t)), and two edges at a
+    vertex of degree 2 into ((d1 + c1)(d2 + c2) - c1 c2, c1 c2).  What is
+    left, a simple graph of minimum degree 3, is expanded by
+    deletion-contraction (_expand) on an edge at a vertex of least
+    degree, each minor reduced again, memoised on the reduced graph in
+    memo (whose values must share t).  max_edges is the guard on the
+    edges left after the first reduction, where the exponential work is
+    (None disables it)."""
+    adj: dict = {}
+    factor = 1
+    for u, v, d, c in edges:
+        if u == v:
+            factor = factor * (d + c * t)
+        else:
+            _join(adj, u, v, (d, c), t)
+    factor = factor * _reduce(adj, list(adj), t)
+    if not factor:
+        return factor
+    left = sum(map(len, adj.values())) // 2
+    if max_edges is not None and left > max_edges:
+        raise TooLarge(f"{left} edges after reduction exceeds the guard {max_edges}")
+    return factor * _expand(adj, t, memo) if adj else factor
+
+
+def _join(adj: dict, u, v, pair: tuple, t):
+    """Add the edge u-v with pair to adj, merged with a parallel one."""
+    at_u, at_v = adj.setdefault(u, {}), adj.setdefault(v, {})
+    old = at_u.get(v)
+    if old is not None:
+        (d1, c1), (d2, c2) = old, pair
+        pair = d1 * d2, d1 * c2 + c1 * (d2 + c2 * t)
+    at_u[v] = at_v[u] = pair
+
+
+def _reduce(adj: dict, work: list, t):
+    """Take the vertices of degree at most 2 off adj, starting from those
+    in work, by the pendant and series rules; returns the product of the
+    pendant factors, 0 as soon as one is."""
+    factor = 1
+    while work:
+        x = work.pop()
+        nb = adj.get(x)
+        if nb is None or len(nb) > 2:
+            continue
+        del adj[x]
+        if len(nb) == 1:
+            ((y, (d, c)),) = nb.items()
+            del adj[y][x]
+            factor = factor * (d + c)
+            if not factor:
+                return 0
+            work.append(y)
+        elif nb:
+            (y, (d1, c1)), (z, (d2, c2)) = nb.items()
+            del adj[y][x], adj[z][x]
+            _join(adj, y, z, ((d1 + c1) * (d2 + c2) - c1 * c2, c1 * c2), t)
+            work += y, z
+    return factor
+
+
+def _expand(adj: dict, t, memo: dict):
+    """Ch of a reduced adj (not empty) by deletion-contraction on the
+    edge from a vertex u of least degree to its neighbour v of least
+    degree (the smaller id first in ties), each minor reduced."""
+    key = tuple(sorted((u, v, p) for u, nb in adj.items() for v, p in nb.items() if u < v))
+    value = memo.get(key)
+    if value is not None:
+        return value
+    u = min(adj, key=lambda x: (len(adj[x]), x))
+    v = min(adj[u], key=lambda x: (len(adj[x]), x))
+    d, c = adj[u][v]
+    # G - e: u and v lose a neighbour
+    minor = {w: dict(nb) for w, nb in adj.items()}
+    del minor[u][v], minor[v][u]
+    f = _reduce(minor, [u, v], t)
+    value = d * f * _expand(minor, t, memo) if f and minor else d * f
+    # G/e: v's other edges move to u
+    minor = {w: dict(nb) for w, nb in adj.items()}
+    moved = minor.pop(v)
+    del moved[u], minor[u][v]
+    for w, p in moved.items():
+        del minor[w][v]
+        _join(minor, u, w, p, t)
+    f = _reduce(minor, [u, *moved], t)
+    value = value + (c * f * _expand(minor, t, memo) if f and minor else c * f)
+    memo[key] = value
     return value
-
-
-def _flow_core(core: list[Edge], memo: dict) -> list[int]:
-    """One step of _flow on a loopless core that missed the memo."""
-    degree: dict[int, int] = {}
-    for _, a, b in core:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    low = min(degree.values())
-    if low == 1:
-        return []
-    if low == 2:
-        return _flow(_series_contract(core, degree), memo)
-    eid, u, v = min(core)
-    # the class P of e and its parallel edges: with k = |P|, contracting
-    # e leaves k - 1 loops and deleting it leaves k - 1 parallel edges, so
-    # F(G) = (t - 1)^(k-1) F(G/P) - F(G - e), unrolled down to
-    # F(G) = S_k F(G/P) + (-1)^k F(G - P), S_k = ((t - 1)^k - (-1)^k) / t
-    parallel = {i for i, a, b in core if (a, b) == (u, v) or (b, a) == (u, v)}
-    k = len(parallel)
-    if k == 1 and is_bridge(core, eid, u, v):
-        return []
-    keep, drop = min(u, v), max(u, v)
-    rest = [e for e in core if e[0] not in parallel]
-    merged = [
-        (i, keep if a == drop else a, keep if b == drop else b)
-        for i, a, b in rest
-    ]
-    sign = -1 if k % 2 else 1
-    value = [sign * c for c in _flow(rest, memo)]
-    s_k = [comb(k, i) * (-1) ** (k - i) for i in range(1, k + 1)]
-    for i, c in enumerate(_flow(merged, memo)):
-        if len(value) < i + k:
-            value.extend([0] * (i + k - len(value)))
-        for j, x in enumerate(s_k):
-            value[i + j] += c * x
-    while value and not value[-1]:
-        value.pop()
-    return value
-
-
-def is_bridge(edges: Sequence[Edge], eid: int, u: int, v: int) -> bool:
-    """Whether the edge eid, with ends u != v, is a bridge of the graph
-    on the given edges: grow u's side over the other edges until it
-    reaches v or stops growing."""
-    side = {u}
-    grown = True
-    while grown and v not in side:
-        grown = False
-        for i, a, b in edges:
-            if (a in side) != (b in side) and i != eid:
-                side.add(a)
-                side.add(b)
-                grown = True
-    return v not in side
-
-
-def _series_contract(core: list[Edge], degree: dict[int, int]) -> list[Edge]:
-    """G/S for a set S of series edges.  Walking the edges in order, a
-    vertex of degree 2 that has not merged yet merges its class into the
-    class at the other end, and that edge leaves.  Such a vertex roots a
-    class of degree-2 vertices only, a class of degree 2, so each merge
-    contracts an edge with an end of degree 2, where F(G) = F(G/e).  An
-    edge inside one class stays, as a loop."""
-    into: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while x in into:
-            x = into[x]
-        return x
-
-    gone = set()
-    for e in core:
-        for w, x in ((e[1], e[2]), (e[2], e[1])):
-            if degree[w] == 2 and w not in into:
-                rw, rx = find(w), find(x)
-                if rw != rx:
-                    into[rw] = rx
-                    gone.add(e[0])
-    return [(i, find(a), find(b)) for i, a, b in core if i not in gone]
 
 
 def signed_flow(g: Multigraph, memo: dict | None = None) -> list[int]:
     """(-1)^(|V|+|E|) F_G as ascending integer coefficients in t, [] for
     zero: the integer part of H(G) = (-1)^(|V|+|E|) F_G(sigma + 1).  A memo
-    dictionary may be passed in to share reached minors (keyed on their
-    loopless core) across related calls."""
-    coeffs = _flow(list(g.edges), {} if memo is None else memo)
+    dictionary may be passed in to share reached minors across related
+    calls; graphs that differ only in loops and isolated vertices share
+    its entries."""
+    return _signed_flow(g, {} if memo is None else memo, None)
+
+
+def _signed_flow(g: Multigraph, memo: dict, max_edges: int | None) -> list[int]:
+    """signed_flow with the guard of series_parallel.  F of the loopless
+    core runs on ints at t = 2^B, B whole bytes: F is a sum of 2^|core|
+    monomials of coefficient -1 or 1, so slot_width(2^|core|) bytes hold
+    every coefficient, and one read back by laurent.signed_slots gives
+    them.  Each loop then multiplies the list by t - 1, and memo holds one
+    engine memo per t."""
+    core = [(u, v, -1, 1) for _, u, v in g.edges if u != v]
+    width = slot_width(1 << len(core))
+    t = 1 << 8 * width
+    packed = series_parallel(core, t, memo.setdefault(t, {}), max_edges)
+    coeffs = signed_slots(packed, width, len(core) + 1)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    if coeffs:
+        for _ in range(len(g.edges) - len(core)):
+            coeffs = [b - a for a, b in zip(coeffs + [0], [0] + coeffs)]
     if (len(g.vertices) + len(g.edges)) % 2:
         return [-c for c in coeffs]
     return coeffs
@@ -279,13 +286,11 @@ def yamada_h(g: Multigraph, max_edges: int | None = 16) -> LaurentPoly:
     up to that sign.  signed_flow gives the integer coefficients of the
     signed F and at_sigma_plus_one turns them into H; a state sum adds the
     signed F of its states first and converts once per weight.
-    Exponential in the worst case; max_edges is the recursion guard (None
-    disables it).  Related calls share reached minors through the memo of
-    signed_flow.
+    Exponential in the worst case; max_edges is the guard on the edges
+    left after the series-parallel reduction (None disables it).  Related
+    calls share reached minors through the memo of signed_flow.
     """
-    if max_edges is not None and len(g.edges) > max_edges:
-        raise TooLarge(f"{len(g.edges)} edges exceeds the guard {max_edges}")
-    return at_sigma_plus_one(signed_flow(g))
+    return at_sigma_plus_one(_signed_flow(g, {}, max_edges))
 
 
 def yamada_h_subset_sum(g: Multigraph, max_edges: int | None = 14) -> LaurentPoly:
@@ -329,14 +334,13 @@ def yamada_h_subset_sum(g: Multigraph, max_edges: int | None = 14) -> LaurentPol
 
 
 def flow_polynomial(g: Multigraph, max_edges: int | None = 16) -> LaurentPoly:
-    """Integer flow polynomial F_G in the variable t: 1 on edgeless graphs,
-    factor (t-1) per loop, series edges contracted, else on the smallest
-    edge id 0 if it is a bridge and contract minus delete otherwise, over
-    its whole parallel class at once (so any bridge gives 0).  The same recursion gives yamada_h, since
-    H(G) = (-1)^(|V|+|E|) F_G(sigma + 1)."""
-    if max_edges is not None and len(g.edges) > max_edges:
-        raise TooLarge(f"{len(g.edges)} edges exceeds the guard {max_edges}")
-    return LaurentPoly(dict(enumerate(_flow(list(g.edges), {}))))
+    """Integer flow polynomial F_G in the variable t, by series_parallel
+    with the pair (-1, 1): 1 on edgeless graphs, a factor t - 1 per loop
+    and 0 on a bridge.  max_edges is the guard on the edges left after
+    the reduction (None disables it).  The same engine gives yamada_h,
+    since H(G) = (-1)^(|V|+|E|) F_G(sigma + 1)."""
+    sign = -1 if (len(g.vertices) + len(g.edges)) % 2 else 1
+    return LaurentPoly({i: sign * c for i, c in enumerate(_signed_flow(g, {}, max_edges))})
 
 
 def check_id_types(what: str, ids: Iterable) -> None:

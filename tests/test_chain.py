@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from yamada import chain
 from yamada.chain import (
     MissingAssignment,
     MultiPoly,
@@ -52,7 +51,7 @@ def test_chain_bouquet_closed_form():
         prod = MultiPoly.const(vars, 1)
         for i in range(1, q + 1):
             prod = prod * (MultiPoly.var(vars, f"a{i}") - w)
-        assert chain_polynomial(g, labels) == prod
+        assert chain_polynomial(g, labels, max_edges=0) == prod
 
 
 def test_chain_theta_closed_form():
@@ -150,9 +149,15 @@ def test_label_named_w_is_refused():
 
 
 def test_chain_guard():
-    g, labels = labelled_cycle(5)
+    # chain_polynomial's guard counts the edges left after the reduction:
+    # all 6 of K4, none of a cycle; chain_via_flows' counts the input's
+    k4 = make_graph(range(4), [(0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 1, 2), (4, 1, 3), (5, 2, 3)])
+    labels = {i: f"a{i % 3 + 1}" for i in range(6)}
     with pytest.raises(TooLarge):
-        chain_polynomial(g, labels, max_edges=3)
+        chain_polynomial(k4, labels, max_edges=5)
+    assert chain_polynomial(k4, labels, max_edges=6) == chain_via_flows(k4, labels)
+    g, labels = labelled_cycle(5)
+    chain_polynomial(g, labels, max_edges=0)
     with pytest.raises(TooLarge):
         chain_via_flows(g, labels, max_edges=3)
 
@@ -217,20 +222,26 @@ def test_chain_bridge_rule_agrees_with_flow_expansion():
     assert count >= 50
 
 
-def test_chain_cycle_recursion_is_linear(monkeypatch):
-    # the deletion of a cycle edge leaves a path, whose edges are all
-    # bridges: plain deletion-contraction would make 2^(m+1) - 2 calls
-    calls = 0
-    recurse = chain._chain_recursive
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return recurse(*args)
-
-    monkeypatch.setattr(chain, "_chain_recursive", counted)
+def test_chain_cycles_and_thetas_take_no_branch():
+    # series and parallel edges merge into one edge, which then comes off
+    # as a factor: with a guard of 0 edges left after the reduction, the
+    # closed forms hold up to 16 edges (thetas under 3 labels, so that
+    # their value stays small)
     for m in range(1, 17):
-        calls = 0
         g, labels = labelled_cycle(m)
-        chain_polynomial(g, labels)
-        assert calls <= 2 * m, (m, calls)
+        vars, w = _vars_and_w(labels)
+        prod = MultiPoly.const(vars, 1)
+        for i in range(1, m + 1):
+            prod = prod * MultiPoly.var(vars, f"a{i}")
+        assert chain_polynomial(g, labels, max_edges=0) == prod - w
+        g, _ = labelled_theta(m)
+        labels = {i: f"a{i % 3 + 1}" for i in range(m)}
+        vars, w = _vars_and_w(labels)
+        one = MultiPoly.const(vars, 1)
+        prod_w, prod_1 = one, one
+        for i in range(m):
+            a = MultiPoly.var(vars, labels[i])
+            prod_w = prod_w * (a - w)
+            prod_1 = prod_1 * (a - one)
+        got = chain_polynomial(g, labels, max_edges=0)
+        assert (one - w) * got == prod_w - w * prod_1

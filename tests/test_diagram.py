@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -740,12 +741,16 @@ def test_assemblies_of_twist_pieces_match_the_state_sum():
 
 def test_pieces_reach_past_the_skein():
     # each in milliseconds: (6, 2, 1) takes seconds by the skein alone;
-    # (8, 2, 1) has 16 pieces, as many edges as chain_polynomial takes
-    for n, s, k in ((6, 2, 1), (6, 2, 2), (8, 2, 1)):
+    # (8, 2, 1) has 16 pieces, (9, 2, 1) 18, (7, 3, 1) 21 and (10, 3, 1)
+    # 30: a skeleton that is a cycle of bundles reduces to no edge at all,
+    # so chain_polynomial's guard of 16 does not bound the piece count
+    for n, s, k in ((6, 2, 1), (6, 2, 2), (8, 2, 1), (9, 2, 1), (7, 3, 1), (10, 3, 1)):
         code = build_family_diagram(n, s, k, max_crossings=None)
+        start = time.process_time()
         got, did = counted(yamada_r, code, max_crossings=None)
+        assert time.process_time() - start < 1.0, (n, s, k)
         assert got == family_polynomial(n, s, k, "+", degree_cap=None)
-        assert did["pieces"] == n * s
+        assert did == {"split": 1, "pieces": n * s, "labels": 1, "skein": 2 * n * s}
 
 
 def test_a_diagram_without_branch_vertices_takes_the_skein():
@@ -791,14 +796,39 @@ def test_a_single_piece_takes_the_skein():
     assert got == yamada_r_state_sum(code)
 
 
-def test_a_skeleton_past_the_chain_guard_takes_the_skein():
-    # 17 pieces, one more edge than chain_polynomial takes
+def test_a_skeleton_of_17_pieces_splits():
+    # one more piece than chain_polynomial's guard of 16 edges, but the
+    # skeleton, a 17-cycle, reduces to none
     code = build_family_diagram(17, 1, 1, max_crossings=None)
     with pytest.raises(TooLarge):
         yamada_r(code)
     got, did = counted(yamada_r, code, max_crossings=None)
-    assert did == {"skein": 1}
+    assert did == {"split": 1, "pieces": 17, "labels": 1, "skein": 34}
     assert got == family_polynomial(17, 1, 1, "+", degree_cap=None)
+
+
+def test_a_skeleton_past_the_chain_guard_takes_the_skein():
+    # the hexagonal prism drawn with no crossing: 18 plain edges between
+    # 12 branch vertices, and no rule reduces the 3-regular simple
+    # skeleton, so h_edge_replace refuses it and the whole diagram goes to
+    # the skein after its 18 pieces; R is then H of the graph
+    pairs = (
+        [(i, (i + 1) % 6) for i in range(6)]
+        + [(i, 6 + i) for i in range(6)]
+        + [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
+    )
+    ends: dict = {}
+    for j, (u, v) in enumerate(pairs):
+        ends.setdefault(u, []).append(2 * j)
+        ends.setdefault(v, []).append(2 * j + 1)
+    code = make_code(
+        [(w + 1, tuple(ends[w])) for w in range(12)], [],
+        [(2 * j, 2 * j + 1) for j in range(18)],
+    )
+    graph = make_graph(range(12), [(j, u, v) for j, (u, v) in enumerate(pairs)])
+    got, did = counted(yamada_r, code)
+    assert did == {"skein": 2 * 18 + 1}
+    assert got == yamada_h(graph, max_edges=None)
 
 
 def test_a_piece_whose_pair_sums_to_zero_takes_the_skein():

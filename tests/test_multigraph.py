@@ -5,12 +5,13 @@ import random
 import pytest
 
 from yamada.laurent import LaurentPoly, exact_div, sigma
+from yamada.chain import chain_polynomial, chain_via_flows
 from yamada.multigraph import (
-    _flow,
     ContractLoop,
     Multigraph,
     TooLarge,
     UnknownEdge,
+    at_sigma_plus_one,
     bouquet_graph,
     components_betti,
     contract_edge,
@@ -224,15 +225,22 @@ def test_h_is_signed_flow_polynomial_at_sigma_plus_one():
         assert yamada_h(subdivided(g), max_edges=None) == yamada_h(g)
 
 
+def memo_entries(memo: dict) -> int:
+    """The reduced graphs stored in a memo of signed_flow, over its
+    engine memos (one per t)."""
+    return sum(map(len, memo.values()))
+
+
 def test_shared_memo_across_loops_and_isolated_vertices():
-    # the memo is keyed on loopless cores, so graphs that differ only in
-    # loops and isolated vertices share entries, and sharing changes nothing
+    # loops come off before the engine runs and t is sized on the loopless
+    # core, so graphs that differ only in loops and isolated vertices share
+    # entries, and sharing changes nothing
     rng = random.Random(12)
     memo: dict = {}
     cores = [random_graph(rng, 5, 8) for _ in range(40)]
-    # cycles hanging on bridges: series contractions turn a cycle into a
-    # loop on a core whose value is zero
-    cores += BRIDGED
+    # cycles hanging on bridges, which reduce to zero with no branch, and
+    # cores that branch
+    cores += BRIDGED + [complete_graph(4), complete_graph(5)]
     for core in cores:
         edges = [e for e in core.edges if e[1] != e[2]]
         size = None
@@ -244,22 +252,26 @@ def test_shared_memo_across_loops_and_isolated_vertices():
                 g = make_graph(range(nv), edges + extra)
                 assert signed_flow(g, memo) == signed_flow(g, {})
                 if size is None:
-                    size = len(memo)
-                assert len(memo) == size
-    # minors with a bridge away from their smallest edge id cancel to zero,
-    # which is stored in its one form, []
-    assert not [value for value in memo.values() if value and not any(value)]
+                    size = memo_entries(memo)
+                assert memo_entries(memo) == size
+    # some cores branched, so the memo was not idle
+    assert memo_entries(memo) > 0
 
 
 def test_guards_are_configurable():
+    # a cycle reduces to nothing, K4 (3-regular and simple) not at all;
+    # the subset sum's guard stays on the input's edge count
     g = cycle_graph(5)
-    with pytest.raises(TooLarge):
-        yamada_h(g, max_edges=4)
+    assert yamada_h(g, max_edges=0) == sigma()
+    assert flow_polynomial(g, max_edges=0) == LaurentPoly({1: 1, 0: -1})
     with pytest.raises(TooLarge):
         yamada_h_subset_sum(g, max_edges=4)
-    with pytest.raises(TooLarge):
-        flow_polynomial(g, max_edges=4)
-    assert yamada_h(g, max_edges=None) == sigma()
+    k4 = complete_graph(4)
+    for route in (yamada_h, flow_polynomial):
+        with pytest.raises(TooLarge):
+            route(k4, max_edges=5)
+        assert route(k4, max_edges=6) == route(k4, max_edges=None)
+    assert yamada_h(k4, max_edges=6) == yamada_h_subset_sum(k4, max_edges=6)
 
 
 def test_flow_polynomial_values():
@@ -272,23 +284,89 @@ def test_flow_polynomial_values():
         assert flow_polynomial(tree_graph(m)).is_zero()
     for g in BRIDGED:
         assert flow_polynomial(g).is_zero()
-    # a bridge at the smallest edge id ends the recursion at once
+    # a tree gives 0 at its first leaf: nothing is left to branch on and
+    # nothing is stored
     memo: dict = {}
-    assert _flow(list(tree_graph(16).edges), memo) == []
-    assert len(memo) == 1
+    assert signed_flow(tree_graph(16), memo) == []
+    assert memo_entries(memo) == 0
+    assert flow_polynomial(tree_graph(16), max_edges=0).is_zero()
     assert flow_polynomial(make_graph([0], [])) == LaurentPoly.one()
     # theta_3 carries the flow polynomial (t-1)(t-2)
     expect = t_minus_1 * LaurentPoly({1: 1, 0: -2})
     assert flow_polynomial(theta_graph(3)) == expect
-    # s parallel edges: ((t-1)^s + (-1)^s (t-1)) / t, in one step of the
-    # recursion, which takes a whole parallel class at once
+    # s parallel edges: ((t-1)^s + (-1)^s (t-1)) / t, merged into one edge
+    # with no branch
     t = LaurentPoly({1: 1})
     for s in range(1, 9):
         want = exact_div(t_minus_1 ** s + (-1) ** s * t_minus_1, t)
-        assert flow_polynomial(theta_graph(s)) == want
-        memo = {}
-        _flow(list(theta_graph(s).edges), memo)
-        assert len(memo) == 1
+        assert flow_polynomial(theta_graph(s), max_edges=0) == want
+
+
+def complete_graph(n: int) -> Multigraph:
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return make_graph(range(n), [(i, u, v) for i, (u, v) in enumerate(pairs)])
+
+
+def random_parts(rng: random.Random, max_e: int = 12) -> Multigraph:
+    """One to three parts side by side, each on 1-5 vertices, with at
+    most max_e edges in all.  A part of 4 or 5 vertices is a complete
+    graph half of the time, where the budget allows, so that something is
+    left to branch on; then random edges, each between two random
+    vertices of a random part, fill up to a random count: on so few
+    vertices, loops and parallel edges are common."""
+    sizes = [rng.randint(1, 5) for _ in range(rng.randint(1, 3))]
+    starts = [sum(sizes[:j]) for j in range(len(sizes))]
+    pairs = []
+    for j, n in enumerate(sizes):
+        if n >= 4 and rng.random() < 0.5 and len(pairs) + n * (n - 1) // 2 <= max_e:
+            pairs += [(starts[j] + u, starts[j] + v) for u in range(n) for v in range(u + 1, n)]
+    for _ in range(rng.randint(len(pairs), max_e) - len(pairs)):
+        j = rng.randrange(len(sizes))
+        pairs.append(tuple(starts[j] + rng.randrange(sizes[j]) for _ in range(2)))
+    return make_graph(range(sum(sizes)), [(i, u, v) for i, (u, v) in enumerate(pairs)])
+
+
+def shapes(g: Multigraph) -> set[str]:
+    """Which of loops, parallel edges, split parts and a branching
+    reduction g has."""
+    out = set()
+    ends = [frozenset(e[1:]) for e in g.edges]
+    if any(len(x) == 1 for x in ends):
+        out.add("loop")
+    if len(set(ends)) < len(ends):
+        out.add("parallel")
+    mu, _ = components_betti(make_graph({w for _, u, v in g.edges for w in (u, v)}, g.edges))
+    if mu > 1:
+        out.add("split")
+    try:
+        flow_polynomial(g, max_edges=0)
+    except TooLarge:
+        out.add("branch")
+    return out
+
+
+def test_flow_engine_matches_the_subset_sum_on_random_multigraphs():
+    # the subset sum shares no code with the series-parallel engine; one
+    # memo is shared by all graphs
+    rng = random.Random(41)
+    memo: dict = {}
+    seen = set()
+    for _ in range(150):
+        g = random_parts(rng)
+        want = yamada_h_subset_sum(g)
+        assert yamada_h(g, max_edges=None) == want, g
+        assert at_sigma_plus_one(signed_flow(g, memo)) == want
+        seen |= shapes(g)
+    assert seen == {"loop", "parallel", "split", "branch"}
+
+
+def test_chain_engine_matches_the_flow_expansion_on_random_multigraphs():
+    # the same graphs, each edge under one of 3 labels
+    rng = random.Random(41)
+    for _ in range(60):
+        g = random_parts(rng)
+        labels = {eid: f"a{rng.randint(1, 3)}" for eid, _, _ in g.edges}
+        assert chain_polynomial(g, labels) == chain_via_flows(g, labels), g
 
 
 def test_flow_deletion_contraction_on_random_graphs():

@@ -329,10 +329,19 @@ def test_h_edge_replace_rejects_beta_zero():
     # a label named w would merge with the chain variable w
     with pytest.raises(ValueError, match="label 'w'"):
         h_edge_replace(base, {0: "w", 1: "a"}, dict.fromkeys("wa", theta_piece(2)))
-    # the chain polynomial's edge guard applies before any power is formed
-    big = cycle_graph(17)
+    # the chain polynomial's edge guard applies before any power is formed,
+    # to the edges left after its reduction: all 18 of the hexagonal prism
+    # (3-regular and simple), none of a cycle
+    prism = make_graph(
+        range(12),
+        [(i, i, (i + 1) % 6) for i in range(6)]
+        + [(6 + i, i, 6 + i) for i in range(6)]
+        + [(12 + i, 6 + i, 6 + (i + 1) % 6) for i in range(6)],
+    )
     with pytest.raises(TooLarge):
-        h_edge_replace(big, dict.fromkeys(range(17), "a"), {"a": theta_piece(2)})
+        h_edge_replace(prism, dict.fromkeys(range(18), "a"), {"a": theta_piece(2)})
+    got = h_edge_replace(cycle_graph(17), dict.fromkeys(range(17), "a"), {"a": theta_piece(2)})
+    assert got == r_compose("cycle", [theta_piece(2)] * 17)
 
 
 def test_h_edge_replace_matches_compose_on_templates():
